@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from robustfsc.model import ConcretePomdp, Fsc, RobustPomdp, nominal_midpoint
-from robustfsc.robusteval import RobustValues, inner_max
+from robustfsc.robusteval import RobustValues, box_simplex_greedy, check_boxes
 
 
 @dataclass
@@ -64,21 +64,25 @@ def select_worst_case(model: RobustPomdp, fsc: Fsc, values: RobustValues) -> Adv
             for sp in row:
                 table[sp] += d * successor_value(sp, n_next)
 
+    # every row the controller touches, solved in one segmented greedy call
+    succs = {key: sorted(model.transitions[key]) for key in sorted(model.transitions) if key in coeffs}
+    edges = [(key, sp) for key, row in succs.items() for sp in row]
+    lo = np.array([model.transitions[key][sp].lo for key, sp in edges])
+    hi = np.array([model.transitions[key][sp].hi for key, sp in edges])
+    w = np.array([coeffs[key][sp] for key, sp in edges])
+    offsets = np.cumsum([0] + [len(row) for row in succs.values()])
+    check_boxes(lo, hi, offsets)
+    objective, probs = box_simplex_greedy(w, lo, hi, offsets, maximize=True)
+    worst_rows: dict[tuple[int, int], dict[int, float]] = {key: {} for key in succs}
+    for (key, sp), p in zip(edges, probs):
+        worst_rows[key][sp] = float(p)
+
     baseline = nominal_midpoint(model)
-    transitions: dict[tuple[int, int], dict[int, float]] = {}
-    proxy = 0.0
-    for key in sorted(model.transitions):
-        row = model.transitions[key]
-        succs = sorted(row)
-        ivs = [row[sp] for sp in succs]
-        table = coeffs.get(key)
-        if table is None:
-            transitions[key] = dict(baseline.transitions[key])
-            continue
-        w = np.array([table[sp] for sp in succs])
-        objective, probs = inner_max(w, ivs)
-        proxy += objective
-        transitions[key] = {sp: float(p) for sp, p in zip(succs, probs)}
+    transitions = {
+        key: worst_rows[key] if key in worst_rows else dict(baseline.transitions[key])
+        for key in sorted(model.transitions)
+    }
+    proxy = float(objective.sum())
 
     worst = ConcretePomdp(
         num_states=model.num_states,

@@ -2,18 +2,18 @@
 
 The product of model states and controller nodes is an interval-weighted
 Markov chain; its worst-case (or best-case) expected cost to the goal set is
-the fixed point of sweeps whose inner step maximizes (minimizes) the expected
-successor value over a box-constrained simplex.  That inner problem is solved
-exactly by a greedy fill: start every probability at its lower bound and pour
-the remaining budget into coordinates in value order.
+the fixed point of v <- cost + inner opt, whose inner step maximizes
+(minimizes) the expected successor value over a box-constrained simplex.
+That inner problem is solved exactly by a greedy fill: start every
+probability at its lower bound and pour the remaining budget into
+coordinates in value order.  One segmented greedy solves every row at once.
 
-Sweeps alone can stall when the controller carries near-zero action
-probabilities (the chain then mixes at rate 1 - epsilon), so after the sweep
-phase the fixed point is pinned down exactly: fix the adversary's greedy
-member at the current values, solve that member chain's linear system, and
-repeat until the greedy choice reproduces its own values.  Under interval
-uncertainty the worst case is attained by a static member, so this
-terminates at the exact robust value.
+Under interval (rectangular) uncertainty the worst case is attained by a
+static member, so the fixed point is found by nature policy iteration: fix
+the greedy member, solve that member chain's linear system exactly, and
+switch rows to the greedy member at the solved values until no row
+improves.  Each switch strictly improves the values and there are finitely
+many greedy members, so the loop stops on its own.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
+from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import spsolve
 
 from robustfsc.model import ConcretePomdp, Fsc, Interval, RobustPomdp
@@ -142,42 +143,77 @@ def build_chain(model: RobustPomdp, fsc: Fsc) -> RobustChain:
     )
 
 
-def inner_max(values: np.ndarray, intervals: list[Interval]) -> tuple[float, np.ndarray]:
-    """Maximize sum p_i values_i over the box-constrained simplex, exactly.
+def box_simplex_greedy(
+    values: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    offsets: np.ndarray,
+    maximize: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Optimize sum_i p_i values_i over the box-constrained simplex of every row.
 
-    Greedy: start each p_i at its lower bound, then raise coordinates to
-    their upper bounds in order of decreasing value (ties to the lowest
-    index) until the total reaches one.
+    Row r owns the edges offsets[r]:offsets[r + 1] of the concatenated edge
+    arrays and needs at least one.  Greedy fill per row: start each p_i at its
+    lower bound, then raise coordinates to their upper bounds in order of
+    decreasing (maximize) or increasing value, ties to the lowest index,
+    until the row total reaches one.  Returns the per-row objective and the
+    optimal probabilities per edge.  Boxes that miss the simplex are not
+    detected here; ``check_boxes`` rejects them.
     """
-    return _inner(values, intervals, maximize=True)
+    counts = np.diff(offsets)
+    if np.any(counts <= 0):
+        raise ValueError("every row needs at least one successor")
+    starts = offsets[:-1]
+    seg = np.repeat(np.arange(len(counts)), counts)
+    order = np.lexsort((-values if maximize else values, seg))
+    slack = (hi - lo)[order]
+    excl = np.cumsum(slack) - slack
+    cum_before = excl - np.repeat(excl[starts], counts)
+    budget = 1.0 - np.add.reduceat(lo, starts)
+    alloc = np.clip(np.repeat(budget, counts) - cum_before, 0.0, slack)
+    p = np.empty(len(seg))
+    p[order] = lo[order] + alloc
+    return np.add.reduceat(p * values, starts), p
+
+
+def check_boxes(lo: np.ndarray, hi: np.ndarray, offsets: np.ndarray) -> None:
+    """Raise ValueError unless every row's box meets the probability simplex."""
+    seg = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    lo_sum = np.bincount(seg, lo, minlength=len(offsets) - 1)
+    hi_sum = np.bincount(seg, hi, minlength=len(offsets) - 1)
+    if np.any(lo_sum > 1.0 + 1e-12) or np.any(hi_sum < 1.0 - 1e-12):
+        raise ValueError("box does not intersect the probability simplex")
+
+
+def inner_max(values: np.ndarray, intervals: list[Interval]) -> tuple[float, np.ndarray]:
+    """Maximize sum p_i values_i over one box-constrained simplex, exactly."""
+    return _inner_row(values, intervals, maximize=True)
 
 
 def inner_min(values: np.ndarray, intervals: list[Interval]) -> tuple[float, np.ndarray]:
     """Best-case counterpart of inner_max (budget poured into low values)."""
-    return _inner(values, intervals, maximize=False)
+    return _inner_row(values, intervals, maximize=False)
 
 
-def _inner(values: np.ndarray, intervals: list[Interval], maximize: bool) -> tuple[float, np.ndarray]:
-    values = np.asarray(values, dtype=np.float64)
-    lo = np.array([iv.lo for iv in intervals])
-    hi = np.array([iv.hi for iv in intervals])
-    budget = 1.0 - lo.sum()
-    if budget < -1e-12 or hi.sum() < 1.0 - 1e-12:
-        raise ValueError("box does not intersect the probability simplex")
-    p = lo.copy()
-    order = np.argsort(-values if maximize else values, kind="stable")
-    for i in order:
-        if budget <= 0.0:
-            break
-        add = min(hi[i] - lo[i], budget)
-        p[i] += add
-        budget -= add
-    return float(p @ values), p
+def _inner_row(values: np.ndarray, intervals: list[Interval], maximize: bool) -> tuple[float, np.ndarray]:
+    lo = np.array([iv.lo for iv in intervals], dtype=np.float64)
+    hi = np.array([iv.hi for iv in intervals], dtype=np.float64)
+    offsets = np.array([0, len(intervals)])
+    check_boxes(lo, hi, offsets)
+    objective, p = box_simplex_greedy(
+        np.asarray(values, dtype=np.float64), lo, hi, offsets, maximize
+    )
+    return float(objective[0]), p
 
 
 @dataclass
 class RobustValues:
-    """Fixed point of the robust sweeps plus the chain it was computed on."""
+    """Exact robust values plus the chain they were computed on.
+
+    ``sweeps`` counts the linear solves policy iteration made (one per
+    member it evaluated); it is zero when no state has a finite value to
+    solve for.
+    """
 
     chain: RobustChain
     values: np.ndarray
@@ -190,21 +226,12 @@ class RobustValues:
         return float(self.values[self.chain.index_of[(s, n)]])
 
 
-def _goal_reaching_closure(chain: RobustChain) -> np.ndarray:
-    """Product states that can reach a goal through the support graph."""
-    preds: dict[int, list[int]] = {}
-    for row, idx in enumerate(chain.row_state):
-        for e in range(chain.offsets[row], chain.offsets[row + 1]):
-            preds.setdefault(int(chain.succ[e]), []).append(int(idx))
-    closure = chain.is_goal.copy()
-    frontier = list(np.flatnonzero(chain.is_goal))
-    while frontier:
-        tgt = int(frontier.pop())
-        for p in preds.get(tgt, ()):
-            if not closure[p]:
-                closure[p] = True
-                frontier.append(p)
-    return closure
+def _backward_closure(reverse: csr_matrix, seeds: np.ndarray) -> np.ndarray:
+    """States with a path into ``seeds`` (included), given the reversed graph."""
+    if not seeds.any():
+        return seeds.copy()
+    dist = dijkstra(reverse, indices=np.flatnonzero(seeds), unweighted=True, min_only=True)
+    return np.isfinite(dist)
 
 
 def _infinite_set(chain: RobustChain) -> np.ndarray:
@@ -215,81 +242,37 @@ def _infinite_set(chain: RobustChain) -> np.ndarray:
     state that can reach such a state hits it with positive probability
     under every resolution of the intervals, in both modes.
     """
-    cannot_finish = ~_goal_reaching_closure(chain)
-    preds: dict[int, list[int]] = {}
-    for row, idx in enumerate(chain.row_state):
-        for e in range(chain.offsets[row], chain.offsets[row + 1]):
-            preds.setdefault(int(chain.succ[e]), []).append(int(idx))
-    infinite = cannot_finish.copy()
-    frontier = list(np.flatnonzero(cannot_finish))
-    while frontier:
-        tgt = int(frontier.pop())
-        for p in preds.get(tgt, ()):
-            if not infinite[p]:
-                infinite[p] = True
-                frontier.append(p)
-    return infinite
-
-
-class _SweepEngine:
-    """Vectorized greedy backup over the finite rows of a chain."""
-
-    def __init__(self, chain: RobustChain, finite_rows: np.ndarray, maximize: bool):
-        self.chain = chain
-        self.maximize = maximize
-        self.rows = finite_rows  # indices into chain.row_state
-        edge_ids = np.concatenate(
-            [np.arange(chain.offsets[r], chain.offsets[r + 1]) for r in finite_rows]
-        ) if len(finite_rows) else np.zeros(0, dtype=np.int64)
-        self.edge_ids = edge_ids
-        self.succ = chain.succ[edge_ids]
-        self.lo = chain.lo[edge_ids]
-        self.hi = chain.hi[edge_ids]
-        self.counts = (chain.offsets[finite_rows + 1] - chain.offsets[finite_rows]) \
-            if len(finite_rows) else np.zeros(0, dtype=np.int64)
-        self.starts = np.concatenate([[0], np.cumsum(self.counts)[:-1]]).astype(np.int64) \
-            if len(finite_rows) else np.zeros(0, dtype=np.int64)
-        self.seg = np.repeat(np.arange(len(finite_rows)), self.counts)
-        self.slack = self.hi - self.lo
-        self.budget = 1.0 - np.add.reduceat(self.lo, self.starts) if len(finite_rows) else np.zeros(0)
-        self.states = chain.row_state[finite_rows]
-
-    def greedy(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row optimal objective and the member probabilities per edge."""
-        if not len(self.rows):
-            return np.zeros(0), np.zeros(0)
-        vals = v[self.succ]
-        order = np.lexsort((-vals if self.maximize else vals, self.seg))
-        slack = self.slack[order]
-        excl = np.cumsum(slack) - slack
-        cum_before = excl - np.repeat(excl[self.starts], self.counts)
-        alloc = np.clip(np.repeat(self.budget, self.counts) - cum_before, 0.0, slack)
-        p_sorted = self.lo[order] + alloc
-        objective = np.add.reduceat(p_sorted * vals[order], self.starts)
-        p = np.empty_like(p_sorted)
-        p[order] = p_sorted
-        return objective, p
+    num = chain.num_states
+    preds = np.repeat(chain.row_state, np.diff(chain.offsets))
+    reverse = csr_matrix(
+        (np.ones(len(preds)), (chain.succ, preds)), shape=(num, num)
+    )
+    cannot_finish = ~_backward_closure(reverse, chain.is_goal)
+    return _backward_closure(reverse, cannot_finish)
 
 
 def robust_value_iteration(
     chain: RobustChain,
     mode: str = "pessimistic",
     tol: float = 1e-6,
-    max_sweeps: int = 100_000,
 ) -> RobustValues:
     """Exact fixed point of v <- cost + inner opt over each interval row.
 
-    Jacobi sweeps from v = 0 (monotone, order-independent) run until the
-    sup-norm change drops below tol or the sweep budget is exhausted; the
-    result is then refined to the exact fixed point by alternating greedy
-    member selection with exact linear solves of the selected member chain.
-    States with an infinite worst case (goal unreachable through the support
-    graph) are reported as +inf with a diagnosis rather than an error.
+    Nature policy iteration over static members: start from the greedy
+    member at v = 0, solve that member's chain exactly with one sparse
+    linear solve over the transient states, and re-run the greedy at the
+    solved values.  A row switches to the greedy member only when that
+    improves its objective by more than 1e-12 * max(1, max |v|); on ties it
+    keeps its current member (Howard's rule), so every switch strictly
+    improves v and the loop stops when no row switches.  ``tol`` is kept
+    for callers that pass it; the result is exact and does not depend on
+    it.  States with an infinite worst case (goal unreachable through the
+    support graph) are reported as +inf with a diagnosis rather than an
+    error.
     """
     if mode not in ("pessimistic", "optimistic"):
         raise ValueError(f"mode must be 'pessimistic' or 'optimistic', got {mode!r}")
     maximize = mode == "pessimistic"
-    num = chain.num_states
     infinite = _infinite_set(chain)
     diagnosis = ""
     if infinite.any():
@@ -297,61 +280,52 @@ def robust_value_iteration(
             f"{int(infinite.sum())} reachable product state(s) cannot reach a goal "
             "under the support graph; worst-case cost is infinite"
         )
-
-    finite_rows = np.array(
-        [r for r, idx in enumerate(chain.row_state) if not infinite[idx]], dtype=np.int64
-    )
-    engine = _SweepEngine(chain, finite_rows, maximize)
-    v = np.zeros(num)
+    v = np.zeros(chain.num_states)
     v[infinite] = np.inf
 
-    sweeps = 0
-    sweep_budget = min(max_sweeps, 2000)
-    while sweeps < sweep_budget and len(finite_rows):
-        sweeps += 1
-        objective, _ = engine.greedy(v)
-        v_new = v.copy()
-        v_new[engine.states] = chain.cost[engine.states] + objective
-        change = np.max(np.abs(v_new[engine.states] - v[engine.states]), initial=0.0)
-        v = v_new
-        if change < tol:
-            break
+    # edge arrays of the finite rows; their successors are finite too
+    rows = np.flatnonzero(~infinite[chain.row_state])
+    states = chain.row_state[rows]
+    counts = chain.offsets[rows + 1] - chain.offsets[rows]
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    edges = np.repeat(chain.offsets[rows] - offsets[:-1], counts) + np.arange(offsets[-1])
+    succ, lo, hi = chain.succ[edges], chain.lo[edges], chain.hi[edges]
 
-    # exact refinement: nature policy iteration over static members
-    transient = engine.states
-    tmap = {int(idx): t for t, idx in enumerate(transient)}
-    refinements = 0
-    for _ in range(100):
-        if not len(finite_rows):
+    # (I - P) over the transient states: the pattern is fixed, the data is
+    # the current member's probabilities on edges between transient states
+    size = len(states)
+    tpos = np.full(chain.num_states, -1)
+    tpos[states] = np.arange(size)
+    inner = tpos[succ] >= 0
+    mat_rows = np.concatenate([np.arange(size), np.repeat(np.arange(size), counts)[inner]])
+    mat_cols = np.concatenate([np.arange(size), tpos[succ[inner]]])
+
+    solves = 0
+    seen: set[bytes] = set()
+    _, p = box_simplex_greedy(v[succ], lo, hi, offsets, maximize)
+    while size:
+        # a bug guard: strict improvement never returns to an earlier member
+        key = p.tobytes()
+        if key in seen:
+            raise DivergenceError("robust policy iteration revisited a member")
+        seen.add(key)
+        solves += 1
+        data = np.concatenate([np.ones(size), -p[inner]])
+        matrix = csc_matrix((data, (mat_rows, mat_cols)), shape=(size, size))
+        v[states] = spsolve(matrix, chain.cost[states])
+        vals = v[succ]
+        objective, greedy_p = box_simplex_greedy(vals, lo, hi, offsets, maximize)
+        current = np.add.reduceat(p * vals, offsets[:-1])
+        gain = objective - current if maximize else current - objective
+        switch = gain > 1e-12 * max(1.0, float(np.max(np.abs(v[states]))))
+        if not switch.any():
             break
-        objective, p = engine.greedy(v)
-        backup = chain.cost[transient] + objective
-        residual = np.max(np.abs(backup - v[transient]), initial=0.0)
-        scale = max(1.0, float(np.max(np.abs(v[transient]), initial=0.0)))
-        if refinements > 0 and residual <= 1e-9 * scale:
-            break
-        refinements += 1
-        rows_i: list[int] = []
-        cols_i: list[int] = []
-        data: list[float] = []
-        for t in range(len(transient)):
-            for k in range(engine.starts[t], engine.starts[t] + engine.counts[t]):
-                target = int(engine.succ[k])
-                if target in tmap:
-                    rows_i.append(t)
-                    cols_i.append(tmap[target])
-                    data.append(float(p[k]))
-        size = len(transient)
-        p_mat = csr_matrix((data, (rows_i, cols_i)), shape=(size, size))
-        solved = spsolve(identity(size, format="csr") - p_mat, chain.cost[transient])
-        v[transient] = np.asarray(solved).reshape(-1)
-    else:
-        raise DivergenceError("robust evaluation failed to stabilize after 100 refinements")
+        p = np.where(np.repeat(switch, counts), greedy_p, p)
 
     at_init = float(chain.init_prob @ v[chain.init_idx])
     return RobustValues(
         chain=chain, values=v, at_initial=at_init, mode=mode,
-        sweeps=sweeps + refinements, diagnosis=diagnosis,
+        sweeps=solves, diagnosis=diagnosis,
     )
 
 

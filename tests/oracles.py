@@ -214,3 +214,47 @@ def scalar_gru_forward(params, hidden, z):
     s = sum(exps)
     dist = [v / s for v in exps]
     return h_new, dist
+
+
+def robust_chain_lp(chain, maximize=True):
+    """Robust values of an interval chain from one LP (finite values only).
+
+    The inner problem max p.v over {lo <= p <= hi, sum p = 1} has the dual
+    min mu + hi.alpha - lo.beta s.t. mu + alpha_i - beta_i >= v_i and
+    alpha, beta >= 0.  The worst-case values are the least v with
+    v_s >= c_s + (that dual) for every row, so minimizing sum v over
+    (v, mu, alpha, beta) gives them; the best case mirrors every sign
+    (sigma = -1) and maximizes.  Goal states are fixed at zero.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
+    sigma = 1.0 if maximize else -1.0
+    rows = np.asarray(chain.row_state)
+    num_t, num_e = len(rows), len(chain.succ)
+    tpos = {int(s): t for t, s in enumerate(rows)}
+    # variables: v (T) | mu (T) | alpha (E) | beta (E)
+    entries = []   # (constraint, variable, coefficient)
+    b_ub = np.zeros(num_t + num_e)
+    for t in range(num_t):
+        b_ub[t] = -sigma * chain.cost[rows[t]]
+        entries += [(t, t, -sigma), (t, num_t + t, sigma)]
+        for e in range(chain.offsets[t], chain.offsets[t + 1]):
+            entries += [(t, 2 * num_t + e, chain.hi[e]), (t, 2 * num_t + num_e + e, -chain.lo[e])]
+            k = num_t + e
+            entries += [(k, num_t + t, -sigma), (k, 2 * num_t + e, -1.0),
+                        (k, 2 * num_t + num_e + e, 1.0)]
+            succ = int(chain.succ[e])
+            if succ in tpos:
+                entries.append((k, tpos[succ], sigma))
+    r, c, d = zip(*entries)
+    a_ub = coo_matrix((d, (r, c)), shape=(num_t + num_e, 2 * num_t + 2 * num_e)).tocsr()
+    objective = np.zeros(2 * num_t + 2 * num_e)
+    objective[:num_t] = sigma
+    bounds = [(None, None)] * (2 * num_t) + [(0.0, None)] * (2 * num_e)
+    result = linprog(objective, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if result.status != 0:
+        raise ValueError(f"LP oracle failed: {result.message}")
+    values = np.zeros(chain.num_states)
+    values[rows] = result.x[:num_t]
+    return values

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_feasible_boxes, random_fsc, random_rpomdp
-from oracles import box_simplex_opt, product_chain_cost
+from oracles import box_simplex_opt, product_chain_cost, robust_chain_lp
 from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint, project_row, sample_member
 from robustfsc.robusteval import (
+    box_simplex_greedy,
     build_chain,
     evaluate_member,
     inner_max,
@@ -152,19 +153,17 @@ class TestBuildChain:
 
 
 def test_vectorized_sweep_matches_per_state_inner_opt():
-    # the sweep engine must reproduce the standalone greedy row by row
-    from robustfsc.robusteval import _SweepEngine
-
+    # the segmented greedy must reproduce the standalone greedy row by row
     rng = np.random.default_rng(77)
     for maximize in (True, False):
         for _ in range(10):
             model = random_rpomdp(rng)
             fsc = random_fsc(rng, 2, model.num_observations, model.num_actions)
             chain = build_chain(model, fsc)
-            finite_rows = np.arange(len(chain.row_state))
-            engine = _SweepEngine(chain, finite_rows, maximize)
             v = rng.uniform(0.0, 10.0, size=chain.num_states)
-            objective, probs = engine.greedy(v)
+            objective, probs = box_simplex_greedy(
+                v[chain.succ], chain.lo, chain.hi, chain.offsets, maximize
+            )
             for r in range(len(chain.row_state)):
                 sl = slice(chain.offsets[r], chain.offsets[r + 1])
                 ivs = [Interval(float(a), float(b)) for a, b in zip(chain.lo[sl], chain.hi[sl])]
@@ -293,6 +292,45 @@ class TestRobustValueIteration:
             oracle = product_chain_cost(member, fsc)
             assert ours == pytest.approx(oracle, rel=1e-9, abs=1e-9)
             assert ours <= pess.at_initial + 1e-8
+
+    def test_benchmark_scale_matches_lp_oracle(self):
+        # every product state's value, in both modes, against one HiGHS LP
+        # per mode built from the dual of the inner box-simplex problem
+        from robustfsc.grids import GridSpec, generate_grid
+
+        model = generate_grid(GridSpec(4, 4, "intercept"))
+        rng = np.random.default_rng(55)
+        fsc = random_fsc(rng, 2, model.num_observations, model.num_actions)
+        chain = build_chain(model, fsc)
+        for mode in ("pessimistic", "optimistic"):
+            ours = robust_value_iteration(chain, mode).values
+            oracle = robust_chain_lp(chain, maximize=mode == "pessimistic")
+            assert np.all(np.isfinite(ours))
+            assert np.max(np.abs(ours - oracle) / np.maximum(1.0, np.abs(oracle))) <= 1e-9
+
+    def test_tied_successors_stop_at_closed_form(self):
+        # states 1 and 2 are mirror images, so the optimal member's split
+        # between them is an exact tie; Howard's rule keeps the current split
+        loop, side = Interval(0.1, 0.5), Interval(0.2, 0.6)
+        model = RobustPomdp(
+            num_states=4, num_actions=1, num_observations=4,
+            obs_of=np.arange(4),
+            transitions={(0, 0): {0: loop, 1: side, 2: side},
+                         (1, 0): {1: Interval(0.3, 0.6), 3: Interval(0.4, 0.7)},
+                         (2, 0): {2: Interval(0.3, 0.6), 3: Interval(0.4, 0.7)},
+                         (3, 0): {3: Interval(1.0, 1.0)}},
+            cost={(0, 0): 1.0, (1, 0): 2.0, (2, 0): 2.0, (3, 0): 0.0},
+            goals=frozenset({3}),
+            initial_belief=np.array([1.0, 0.0, 0.0, 0.0]),
+        )
+        chain = build_chain(model, dirac_fsc(4, 1))
+        # pessimistic: v1 = 2 / 0.4 = 5, v0 = 1 + 0.5 v0 + 0.5 * 5 = 7
+        # optimistic: v1 = 2 / 0.7, v0 = (1 + 0.9 * 20 / 7) / 0.9 = 250 / 63
+        for mode, expect in (("pessimistic", 7.0), ("optimistic", 250.0 / 63.0)):
+            values = robust_value_iteration(chain, mode)
+            assert values.at_initial == pytest.approx(expect, rel=1e-12)
+            assert values.value_of(1, 0) == values.value_of(2, 0)
+            assert values.sweeps <= len(chain.row_state) + 1
 
     def test_unreachable_goal_reports_infinite(self):
         model = RobustPomdp(
