@@ -36,7 +36,7 @@ from robustfsc.robusteval import (
     robust_value_iteration,
 )
 from robustfsc.simulate import TrajectoryDataset, simulate
-from robustfsc.solvers import DivergenceError, fib, qmdp, solve_fib, solve_mdp, supervision_policy
+from robustfsc.solvers import DivergenceError, solve_fib, solve_mdp, supervision_policy
 
 __all__ = [
     "AdversaryResult",
@@ -61,7 +61,6 @@ __all__ = [
     "build_chain",
     "build_fsc",
     "evaluate_member",
-    "fib",
     "forward",
     "generate_grid",
     "gradient_check",
@@ -74,7 +73,6 @@ __all__ = [
     "parse_model",
     "project_row",
     "qbn_fit_posthoc",
-    "qmdp",
     "robust_value_iteration",
     "run",
     "sample_member",

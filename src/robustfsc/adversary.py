@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from robustfsc.model import ConcretePomdp, Fsc, RobustPomdp, nominal_midpoint
+from robustfsc.model import ConcretePomdp, Fsc, RobustPomdp, nominal_midpoint, with_transitions
 from robustfsc.robusteval import RobustValues, box_simplex_greedy, check_boxes
 
 
@@ -84,17 +84,7 @@ def select_worst_case(model: RobustPomdp, fsc: Fsc, values: RobustValues) -> Adv
     }
     proxy = float(objective.sum())
 
-    worst = ConcretePomdp(
-        num_states=model.num_states,
-        num_actions=model.num_actions,
-        num_observations=model.num_observations,
-        obs_of=model.obs_of.copy(),
-        transitions=transitions,
-        cost=dict(model.cost),
-        goals=model.goals,
-        initial_belief=model.initial_belief.copy(),
-        name=model.name,
-    )
+    worst = with_transitions(model, transitions)
     return AdversaryResult(worst_case=worst, proxy_objective=proxy, coefficients=coeffs)
 
 

@@ -17,12 +17,14 @@ import numpy as np
 from robustfsc.model import Fsc, RobustPomdp, prune_unreachable_nodes
 from robustfsc.rnn import (
     PARAM_FIELDS,
+    Adam,
     NetworkParams,
     _gru_backward,
     _gru_step,
     _head,
     _head_backward,
     _pad_episodes,
+    episode_batches,
     forward,
     initial_hidden,
     policy_distribution,
@@ -240,41 +242,9 @@ def _qbn_encode_backward(q: QbnParams, cache, dcode: np.ndarray, g: QbnParams) -
     return de1p @ q.enc_w1
 
 
-class _Adam:
-    """Adam over a named parameter container (NetworkParams or QbnParams)."""
-
-    def __init__(self, container, names, lr: float, clip_norm: float | None = None):
-        self.names = names
-        self.lr = lr
-        self.clip_norm = clip_norm
-        self.m = container.zeros_like()
-        self.v = container.zeros_like()
-        self.step_count = 0
-
-    def step(self, params, grads) -> None:
-        if self.clip_norm is not None:
-            total = 0.0
-            for name in self.names:
-                a = getattr(grads, name)
-                total += float((a * a).sum())
-            norm = np.sqrt(total)
-            if norm > self.clip_norm and norm > 0.0:
-                scale = self.clip_norm / norm
-                for name in self.names:
-                    a = getattr(grads, name)
-                    a *= scale
-        self.step_count += 1
-        correction = np.sqrt(1.0 - 0.999 ** self.step_count) / (1.0 - 0.9 ** self.step_count)
-        for name in self.names:
-            p = getattr(params, name)
-            gm = getattr(self.m, name)
-            gv = getattr(self.v, name)
-            ga = getattr(grads, name)
-            gm *= 0.9
-            gm += 0.1 * ga
-            gv *= 0.999
-            gv += 0.001 * ga * ga
-            p -= self.lr * correction * gm / (np.sqrt(gv) + 1e-8)
+def _code_table(codes) -> list[tuple]:
+    """Distinct quantized codes as integer tuples, in order of first appearance."""
+    return list(dict.fromkeys(tuple(int(v) for v in row) for row in codes))
 
 
 def qbn_fit_posthoc(
@@ -299,7 +269,7 @@ def qbn_fit_posthoc(
         raise ValueError("need a nonempty (n, d) point array")
     qbn = qbn_init(points.shape[1], bottleneck, quant_levels, rng_seed)
     rng = np.random.default_rng((rng_seed, 1))
-    opt = _Adam(qbn, QBN_FIELDS, lr)
+    opt = Adam(qbn, QBN_FIELDS, lr)
     epoch_mse = []
     for _ in range(epochs):
         order = rng.permutation(len(points))
@@ -322,15 +292,8 @@ def qbn_fit_posthoc(
         epoch_mse.append(float(np.mean(losses)))
 
     codes = quantize(_qbn_encode(qbn, points)[0], quant_levels)
-    table: list[tuple] = []
-    seen = set()
-    for row in codes:
-        c = tuple(int(v) for v in row)
-        if c not in seen:
-            seen.add(c)
-            table.append(c)
     return Clustering(
-        method="qbn_posthoc", qbn=qbn, codes=table,
+        method="qbn_posthoc", qbn=qbn, codes=_code_table(codes),
         fit_metric=epoch_mse[-1] if epoch_mse else float("nan"),
         mse_trace=epoch_mse,
     )
@@ -405,74 +368,58 @@ def train_epochs_e2e(
     """
     params = params.copy()
     qbn = qbn.copy()
-    if dataset.num_steps == 0 or epochs <= 0:
-        return params, qbn, []
-    rng = np.random.default_rng(rng_seed)
-    opt_net = _Adam(params, PARAM_FIELDS, lr, clip_norm)
-    opt_qbn = _Adam(qbn, QBN_FIELDS, lr, clip_norm)
+    opt_net = Adam(params, PARAM_FIELDS, lr, clip_norm)
+    opt_qbn = Adam(qbn, QBN_FIELDS, lr, clip_norm)
     trace: list[float] = []
-    for _ in range(epochs):
-        order = rng.permutation(dataset.num_episodes)
-        for lo in range(0, len(order), batch_size):
-            batch = [int(j) for j in order[lo:lo + batch_size]]
-            zs, mus, mask = _pad_episodes(dataset, batch)
-            normalizer = float(mask.sum())
-            if normalizer == 0.0:
-                continue
-            b, t_max = zs.shape
-            hq = np.zeros((b, params.hidden_size))
-            caches = []
-            batch_loss = 0.0
-            for t in range(t_max):
-                x = params.emb[zs[:, t]]
-                hraw, gcache = _gru_step(params, hq, x)
-                e, ecache = _qbn_encode(qbn, hraw)
-                code = quantize(e, qbn.quant_levels)
-                hq, dcache = _qbn_decode(qbn, code)
-                log_probs, hcache = _head(params, hq)
-                batch_loss -= float((mus[:, t] * log_probs).sum(axis=1) @ mask[:, t])
-                caches.append((gcache, ecache, dcache, hcache, log_probs))
-            batch_loss /= normalizer
-            if not np.isfinite(batch_loss):
-                raise DivergenceError("end-to-end training loss became non-finite")
-            g_net = params.zeros_like()
-            g_qbn = qbn.zeros_like()
-            dhq_next = np.zeros((b, params.hidden_size))
-            for t in range(t_max - 1, -1, -1):
-                gcache, ecache, dcache, hcache, log_probs = caches[t]
-                w = mask[:, t][:, None] / normalizer
-                dlogits = (np.exp(log_probs) - mus[:, t]) * w
-                dhq = _head_backward(params, hcache, dlogits, g_net) + dhq_next
-                dcode = _qbn_decode_backward(qbn, dcache, dhq, g_qbn)
-                dhraw = _qbn_encode_backward(qbn, ecache, dcode, g_qbn)  # straight-through
-                dhq_prev, dx = _gru_backward(params, gcache, dhraw, g_net)
-                np.add.at(g_net.emb, zs[:, t], dx)
-                dhq_next = dhq_prev
-            opt_net.step(params, g_net)
-            opt_qbn.step(qbn, g_qbn)
-            trace.append(batch_loss)
+    for zs, mus, mask, normalizer in episode_batches(dataset, epochs, batch_size, rng_seed):
+        b, t_max = zs.shape
+        hq = np.zeros((b, params.hidden_size))
+        caches = []
+        batch_loss = 0.0
+        for t in range(t_max):
+            x = params.emb[zs[:, t]]
+            hraw, gcache = _gru_step(params, hq, x)
+            e, ecache = _qbn_encode(qbn, hraw)
+            code = quantize(e, qbn.quant_levels)
+            hq, dcache = _qbn_decode(qbn, code)
+            log_probs, hcache = _head(params, hq)
+            batch_loss -= float((mus[:, t] * log_probs).sum(axis=1) @ mask[:, t])
+            caches.append((gcache, ecache, dcache, hcache, log_probs))
+        batch_loss /= normalizer
+        if not np.isfinite(batch_loss):
+            raise DivergenceError("end-to-end training loss became non-finite")
+        g_net = params.zeros_like()
+        g_qbn = qbn.zeros_like()
+        dhq_next = np.zeros((b, params.hidden_size))
+        for t in range(t_max - 1, -1, -1):
+            gcache, ecache, dcache, hcache, log_probs = caches[t]
+            w = mask[:, t][:, None] / normalizer
+            dlogits = (np.exp(log_probs) - mus[:, t]) * w
+            dhq = _head_backward(params, hcache, dlogits, g_net) + dhq_next
+            dcode = _qbn_decode_backward(qbn, dcache, dhq, g_qbn)
+            dhraw = _qbn_encode_backward(qbn, ecache, dcode, g_qbn)  # straight-through
+            dhq_prev, dx = _gru_backward(params, gcache, dhraw, g_net)
+            np.add.at(g_net.emb, zs[:, t], dx)
+            dhq_next = dhq_prev
+        opt_net.step(params, g_net)
+        opt_qbn.step(qbn, g_qbn)
+        trace.append(batch_loss)
     return params, qbn, trace
 
 
 def clustering_from_e2e(params: NetworkParams, qbn: QbnParams, dataset: TrajectoryDataset) -> Clustering:
     """Code table observed when replaying the quantized recurrence."""
-    table: list[tuple] = []
-    seen = set()
+    codes = []
     for ep in dataset.episodes:
         hq = initial_hidden(params)
         for st in ep.steps:
             hraw, _ = _gru_step(params, hq[None, :], params.emb[st.observation][None, :])
             e, _ = _qbn_encode(qbn, hraw)
-            code_arr = quantize(e[0], qbn.quant_levels)
-            code = tuple(int(v) for v in code_arr)
-            if code not in seen:
-                seen.add(code)
-                table.append(code)
-            hq = _qbn_decode(qbn, code_arr[None, :])[0][0]
-    if not table:
-        zero_code = quantize(_qbn_encode(qbn, initial_hidden(params)[None, :])[0][0], qbn.quant_levels)
-        table.append(tuple(int(v) for v in zero_code))
-    return Clustering(method="qbn_e2e", qbn=qbn, codes=table)
+            codes.append(quantize(e[0], qbn.quant_levels))
+            hq = _qbn_decode(qbn, codes[-1][None, :])[0][0]
+    if not codes:
+        codes.append(quantize(_qbn_encode(qbn, initial_hidden(params)[None, :])[0][0], qbn.quant_levels))
+    return Clustering(method="qbn_e2e", qbn=qbn, codes=_code_table(codes))
 
 
 def build_fsc(params: NetworkParams, clustering: Clustering, model: RobustPomdp) -> Fsc:

@@ -109,6 +109,37 @@ class ConcretePomdp:
         return True
 
 
+def with_transitions(model: RobustPomdp | ConcretePomdp, transitions: dict, cls: type = ConcretePomdp):
+    """A copy of ``model`` as ``cls`` with the given transitions.
+
+    Every other field (observations, costs, goals, initial belief, name) is
+    copied; this is how members of an uncertainty set are built.
+    """
+    return cls(
+        num_states=model.num_states,
+        num_actions=model.num_actions,
+        num_observations=model.num_observations,
+        obs_of=model.obs_of.copy(),
+        transitions=transitions,
+        cost=dict(model.cost),
+        goals=model.goals,
+        initial_belief=model.initial_belief.copy(),
+        name=model.name,
+    )
+
+
+def concrete_to_robust(member: ConcretePomdp) -> RobustPomdp:
+    """Point-interval view of a member: the interval model whose only member it is."""
+    # members repeat a few probabilities: one shared (frozen) Interval per value
+    values = {p for row in member.transitions.values() for p in row.values()}
+    points = {p: Interval(p, p) for p in values}
+    transitions = {
+        key: {sp: points[p] for sp, p in row.items()}
+        for key, row in member.transitions.items()
+    }
+    return with_transitions(member, transitions, RobustPomdp)
+
+
 # A belief is a dense probability vector over states.
 Belief = np.ndarray
 
@@ -239,7 +270,7 @@ def validate(model: RobustPomdp) -> ValidationReport:
         if np.any(model.initial_belief < 0):
             rep.add("initial_belief has a negative entry")
         total = float(model.initial_belief.sum())
-        if abs(total - 1.0) > BELIEF_TOL:
+        if not abs(total - 1.0) <= BELIEF_TOL:  # also catches NaN
             rep.add(f"initial_belief sums to {total!r}, expected 1 within {BELIEF_TOL}")
 
     for g in sorted(model.goals):
@@ -272,8 +303,8 @@ def validate(model: RobustPomdp) -> ValidationReport:
             c = model.cost.get(key)
             if c is None:
                 rep.add(f"state {s} action {a}: missing cost")
-            elif c < 0:
-                rep.add(f"state {s} action {a}: negative cost {c}")
+            elif not c >= 0:  # also catches NaN
+                rep.add(f"state {s} action {a}: negative or NaN cost {c}")
             if s in model.goals:
                 if row != {s: Interval(1.0, 1.0)}:
                     rep.add(f"goal state {s} action {a}: goals must self-loop with probability 1")
@@ -326,17 +357,7 @@ def _project_model(
             targets = np.array([rng.uniform(iv.lo, iv.hi) for iv in ivs])
         probs = project_row(targets, ivs)
         transitions[key] = {sp: float(p) for sp, p in zip(succs, probs)}
-    return ConcretePomdp(
-        num_states=model.num_states,
-        num_actions=model.num_actions,
-        num_observations=model.num_observations,
-        obs_of=model.obs_of.copy(),
-        transitions=transitions,
-        cost=dict(model.cost),
-        goals=model.goals,
-        initial_belief=model.initial_belief.copy(),
-        name=model.name,
-    )
+    return with_transitions(model, transitions)
 
 
 def nominal_midpoint(model: RobustPomdp) -> ConcretePomdp:

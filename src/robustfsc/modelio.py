@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from robustfsc.model import Fsc, Interval, RobustPomdp, validate
+from robustfsc.model import ConcretePomdp, Fsc, Interval, RobustPomdp, concrete_to_robust, validate
 
 MODEL_HEADER = "rpomdp v1"
 FSC_HEADER = "fsc v1"
@@ -74,6 +74,13 @@ def _to_int(line_no: int, tok: str, what: str) -> int:
         return int(tok)
     except ValueError:
         raise ModelFormatError(line_no, f"expected integer {what}, got {tok!r}") from None
+
+
+def _to_index(line_no: int, tok: str, what: str) -> int:
+    value = _to_int(line_no, tok, what)
+    if value < 0:
+        raise ModelFormatError(line_no, f"negative {what} index {value}")
+    return value
 
 
 def _to_float(line_no: int, tok: str, what: str) -> float:
@@ -230,7 +237,9 @@ def serialize_model(doc: ModelDocument | RobustPomdp) -> str:
         row = model.transitions[(s, a)]
         for sp in sorted(row):
             iv = row[sp]
-            out.append(f"trans {s} {a} {sp} {_fmt(iv.lo)} {_fmt(iv.hi)}")
+            lo = _fmt(iv.lo)
+            hi = lo if iv.is_point else _fmt(iv.hi)  # a member's point intervals format once
+            out.append(f"trans {s} {a} {sp} {lo} {hi}")
     for (s, a) in sorted(model.cost):
         out.append(f"cost {s} {a} {_fmt(model.cost[(s, a)])}")
     for g in sorted(model.goals):
@@ -240,28 +249,9 @@ def serialize_model(doc: ModelDocument | RobustPomdp) -> str:
     return "\n".join(out) + "\n"
 
 
-def serialize_concrete(model) -> str:
+def serialize_concrete(member: ConcretePomdp) -> str:
     """Serialize a concrete member as a model document with point intervals."""
-    out = [MODEL_HEADER]
-    if model.name:
-        out.append(f"name {model.name}")
-    out.append(f"states {model.num_states}")
-    out.append(f"actions {model.num_actions}")
-    out.append(f"observations {model.num_observations}")
-    for s in range(model.num_states):
-        out.append(f"obs {s} {int(model.obs_of[s])}")
-    for (s, a) in sorted(model.transitions):
-        row = model.transitions[(s, a)]
-        for sp in sorted(row):
-            p = _fmt(row[sp])
-            out.append(f"trans {s} {a} {sp} {p} {p}")
-    for (s, a) in sorted(model.cost):
-        out.append(f"cost {s} {a} {_fmt(model.cost[(s, a)])}")
-    for g in sorted(model.goals):
-        out.append(f"goal {g}")
-    for s in np.flatnonzero(model.initial_belief):
-        out.append(f"init {int(s)} {_fmt(float(model.initial_belief[s]))}")
-    return "\n".join(out) + "\n"
+    return serialize_model(concrete_to_robust(member))
 
 
 def model_from_arrays(
@@ -329,6 +319,8 @@ def parse_fsc(text: str) -> Fsc:
     mem_lines: list[tuple[int, int, int, int]] = []
     for line_no, toks in lines[1:]:
         kind, args = toks[0], toks[1:]
+        if kind in ("nodes", "init") and len(args) != 1:
+            raise ModelFormatError(line_no, f"{kind} takes one argument")
         if kind == "nodes":
             num_nodes = _to_int(line_no, args[0], "count")
         elif kind == "init":
@@ -337,14 +329,14 @@ def parse_fsc(text: str) -> Fsc:
             if len(args) != 4:
                 raise ModelFormatError(line_no, "act takes: node observation action probability")
             act_lines.append(
-                (line_no, _to_int(line_no, args[0], "node"), _to_int(line_no, args[1], "observation"),
-                 _to_int(line_no, args[2], "action"), _to_float(line_no, args[3], "probability"))
+                (line_no, _to_int(line_no, args[0], "node"), _to_index(line_no, args[1], "observation"),
+                 _to_index(line_no, args[2], "action"), _to_float(line_no, args[3], "probability"))
             )
         elif kind == "mem":
             if len(args) != 3:
                 raise ModelFormatError(line_no, "mem takes: node observation successor")
             mem_lines.append(
-                (line_no, _to_int(line_no, args[0], "node"), _to_int(line_no, args[1], "observation"),
+                (line_no, _to_int(line_no, args[0], "node"), _to_index(line_no, args[1], "observation"),
                  _to_int(line_no, args[2], "successor"))
             )
         else:

@@ -275,17 +275,69 @@ def loss(params: NetworkParams, dataset: TrajectoryDataset) -> float:
     return value
 
 
-def _clip_global_norm(grad: NetworkParams, clip_norm: float) -> None:
-    total = 0.0
-    for name in PARAM_FIELDS:
-        a = getattr(grad, name)
-        total += float((a * a).sum())
-    norm = np.sqrt(total)
-    if norm > clip_norm and norm > 0.0:
-        scale = clip_norm / norm
-        for name in PARAM_FIELDS:
-            a = getattr(grad, name)
-            a *= scale
+class Adam:
+    """Adam (Kingma & Ba 2015) over the named arrays of a parameter container.
+
+    Works for any container with ``zeros_like`` (NetworkParams, QbnParams).
+    With ``clip_norm`` set, each step first rescales the gradients in place so
+    their global norm is at most ``clip_norm``.
+    """
+
+    def __init__(self, container, names, lr: float, clip_norm: float | None = None):
+        self.names = names
+        self.lr = lr
+        self.clip_norm = clip_norm
+        self.m = container.zeros_like()
+        self.v = container.zeros_like()
+        self.step_count = 0
+
+    def step(self, params, grads) -> None:
+        """One update of ``params`` in place."""
+        if self.clip_norm is not None:
+            total = 0.0
+            for name in self.names:
+                a = getattr(grads, name)
+                total += float((a * a).sum())
+            norm = np.sqrt(total)
+            if norm > self.clip_norm and norm > 0.0:
+                scale = self.clip_norm / norm
+                for name in self.names:
+                    a = getattr(grads, name)
+                    a *= scale
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        self.step_count += 1
+        correction = np.sqrt(1.0 - beta2**self.step_count) / (1.0 - beta1**self.step_count)
+        for name in self.names:
+            p = getattr(params, name)
+            gm = getattr(self.m, name)
+            gv = getattr(self.v, name)
+            ga = getattr(grads, name)
+            gm *= beta1
+            gm += (1.0 - beta1) * ga
+            gv *= beta2
+            gv += (1.0 - beta2) * ga * ga
+            p -= self.lr * correction * gm / (np.sqrt(gv) + eps)
+
+
+def episode_batches(
+    dataset: TrajectoryDataset,
+    epochs: int,
+    batch_size: int,
+    rng_seed: int | tuple[int, ...],
+):
+    """Padded minibatches of shuffled episodes: (zs, mus, mask, step count).
+
+    Each epoch draws one permutation of the episodes and cuts it into
+    batches; batches without a recorded step are skipped.
+    """
+    rng = np.random.default_rng(rng_seed)
+    for _ in range(epochs):
+        order = rng.permutation(dataset.num_episodes)
+        for lo in range(0, len(order), batch_size):
+            zs, mus, mask = _pad_episodes(dataset, [int(i) for i in order[lo:lo + batch_size]])
+            normalizer = float(mask.sum())
+            if normalizer > 0.0:
+                yield zs, mus, mask, normalizer
 
 
 def train_epochs(
@@ -300,39 +352,14 @@ def train_epochs(
     """Adam over shuffled episode minibatches; returns new params and the
     per-batch loss trace.  Deterministic for a fixed seed."""
     params = params.copy()
-    if dataset.num_steps == 0 or epochs <= 0:
-        return params, []
-    rng = np.random.default_rng(rng_seed)
-    m = params.zeros_like()
-    v = params.zeros_like()
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    step = 0
+    opt = Adam(params, PARAM_FIELDS, lr, clip_norm)
     trace: list[float] = []
-    for _ in range(epochs):
-        order = rng.permutation(dataset.num_episodes)
-        for lo in range(0, len(order), batch_size):
-            batch = [int(i) for i in order[lo:lo + batch_size]]
-            zs, mus, mask = _pad_episodes(dataset, batch)
-            normalizer = float(mask.sum())
-            if normalizer == 0.0:
-                continue
-            batch_loss, grad = _loss_and_grad(params, zs, mus, mask, normalizer)
-            if not np.isfinite(batch_loss):
-                raise DivergenceError(f"training loss became non-finite at step {step}")
-            _clip_global_norm(grad, clip_norm)
-            step += 1
-            correction = np.sqrt(1.0 - beta2**step) / (1.0 - beta1**step)
-            for name in PARAM_FIELDS:
-                p = getattr(params, name)
-                gm = getattr(m, name)
-                gv = getattr(v, name)
-                ga = getattr(grad, name)
-                gm *= beta1
-                gm += (1.0 - beta1) * ga
-                gv *= beta2
-                gv += (1.0 - beta2) * ga * ga
-                p -= lr * correction * gm / (np.sqrt(gv) + eps)
-            trace.append(batch_loss)
+    for zs, mus, mask, normalizer in episode_batches(dataset, epochs, batch_size, rng_seed):
+        batch_loss, grad = _loss_and_grad(params, zs, mus, mask, normalizer)
+        if not np.isfinite(batch_loss):
+            raise DivergenceError(f"training loss became non-finite at step {len(trace)}")
+        opt.step(params, grad)
+        trace.append(batch_loss)
     return params, trace
 
 

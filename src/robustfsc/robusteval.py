@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import spsolve
 
-from robustfsc.model import ConcretePomdp, Fsc, Interval, RobustPomdp
-from robustfsc.solvers import DivergenceError
+from robustfsc.model import ConcretePomdp, Fsc, Interval, RobustPomdp, concrete_to_robust
+from robustfsc.solvers import DivergenceError, _backward_closure
 
 
 @dataclass
@@ -226,14 +225,6 @@ class RobustValues:
         return float(self.values[self.chain.index_of[(s, n)]])
 
 
-def _backward_closure(reverse: csr_matrix, seeds: np.ndarray) -> np.ndarray:
-    """States with a path into ``seeds`` (included), given the reversed graph."""
-    if not seeds.any():
-        return seeds.copy()
-    dist = dijkstra(reverse, indices=np.flatnonzero(seeds), unweighted=True, min_only=True)
-    return np.isfinite(dist)
-
-
 def _infinite_set(chain: RobustChain) -> np.ndarray:
     """States whose worst/best case cost is infinite.
 
@@ -326,25 +317,6 @@ def robust_value_iteration(
     return RobustValues(
         chain=chain, values=v, at_initial=at_init, mode=mode,
         sweeps=solves, diagnosis=diagnosis,
-    )
-
-
-def concrete_to_robust(member: ConcretePomdp) -> RobustPomdp:
-    """View a concrete instance as a degenerate interval model."""
-    transitions = {
-        key: {sp: Interval(p, p) for sp, p in row.items()}
-        for key, row in member.transitions.items()
-    }
-    return RobustPomdp(
-        num_states=member.num_states,
-        num_actions=member.num_actions,
-        num_observations=member.num_observations,
-        obs_of=member.obs_of.copy(),
-        transitions=transitions,
-        cost=dict(member.cost),
-        goals=member.goals,
-        initial_belief=member.initial_belief.copy(),
-        name=member.name,
     )
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from robustfsc.model import Belief, ConcretePomdp
 
@@ -97,23 +99,22 @@ def _flatten(model: ConcretePomdp) -> _Edges:
     )
 
 
-def _improper_states(model: ConcretePomdp) -> np.ndarray:
+def _backward_closure(reverse: csr_matrix, seeds: np.ndarray) -> np.ndarray:
+    """States with a path into ``seeds`` (included), given the reversed graph."""
+    if not seeds.any():
+        return seeds.copy()
+    dist = dijkstra(reverse, indices=np.flatnonzero(seeds), unweighted=True, min_only=True)
+    return np.isfinite(dist)
+
+
+def _improper_states(model: ConcretePomdp, edges: _Edges) -> np.ndarray:
     """States from which no action sequence reaches a goal with positive prob."""
-    n = model.num_states
-    predecessors: dict[int, set[int]] = {s: set() for s in range(n)}
-    for (s, _a), row in model.transitions.items():
-        for sp in row:
-            predecessors[sp].add(s)
-    reach = np.zeros(n, dtype=bool)
-    frontier = [g for g in model.goals]
-    reach[list(model.goals)] = True
-    while frontier:
-        sp = frontier.pop()
-        for s in predecessors[sp]:
-            if not reach[s]:
-                reach[s] = True
-                frontier.append(s)
-    return ~reach
+    n, na = model.num_states, model.num_actions
+    preds = np.repeat(np.arange(n * na) // na, np.diff(edges.sa_offsets))
+    reverse = csr_matrix((np.ones(len(preds)), (edges.succ, preds)), shape=(n, n))
+    goals = np.zeros(n, dtype=bool)
+    goals[list(model.goals)] = True
+    return ~_backward_closure(reverse, goals)
 
 
 def solve_mdp(model: ConcretePomdp, tol: float = 1e-9, max_iters: int = 200_000) -> MdpValues:
@@ -126,7 +127,7 @@ def solve_mdp(model: ConcretePomdp, tol: float = 1e-9, max_iters: int = 200_000)
     n, na = model.num_states, model.num_actions
     edges = _flatten(model)
     v = np.zeros(n)
-    v[_improper_states(model)] = np.inf
+    v[_improper_states(model, edges)] = np.inf
     for _ in range(max_iters):
         contrib = edges.prob * v[edges.succ]
         q = edges.cost + np.add.reduceat(contrib, edges.sa_offsets[:-1])
@@ -141,11 +142,6 @@ def solve_mdp(model: ConcretePomdp, tol: float = 1e-9, max_iters: int = 200_000)
     raise DivergenceError(f"MDP value iteration did not converge in {max_iters} sweeps")
 
 
-def qmdp(values: MdpValues, belief: Belief) -> np.ndarray:
-    """Action values of a belief under the full-observability assumption."""
-    return values.action_values(belief)
-
-
 def solve_fib(model: ConcretePomdp, tol: float = 1e-9, max_iters: int = 200_000) -> FibVectors:
     """Iterate the observation-aware value vectors from zero to a fixed point.
 
@@ -154,7 +150,7 @@ def solve_fib(model: ConcretePomdp, tol: float = 1e-9, max_iters: int = 200_000)
     n, na = model.num_states, model.num_actions
     edges = _flatten(model)
     alpha = np.zeros((na, n))
-    alpha[:, _improper_states(model)] = np.inf
+    alpha[:, _improper_states(model, edges)] = np.inf
     for _ in range(max_iters):
         contrib = edges.prob[:, None] * alpha[:, edges.succ].T  # (E, A)
         per_group = np.add.reduceat(contrib, edges.group_offsets[:-1], axis=0)
@@ -169,11 +165,6 @@ def solve_fib(model: ConcretePomdp, tol: float = 1e-9, max_iters: int = 200_000)
         if change < tol:
             return FibVectors(alpha=alpha)
     raise DivergenceError(f"FIB iteration did not converge in {max_iters} sweeps")
-
-
-def fib(vectors: FibVectors, belief: Belief) -> np.ndarray:
-    """Belief-weighted FIB action values."""
-    return vectors.action_values(belief)
 
 
 def supervision_policy(q_values: np.ndarray) -> np.ndarray:

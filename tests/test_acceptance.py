@@ -23,7 +23,7 @@ from robustfsc.planner import RunConfig, run
 from robustfsc.rnn import gradient_check, init_params, loss
 from robustfsc.robusteval import build_chain, inner_max, robust_value_iteration
 from robustfsc.simulate import Episode, Step, TrajectoryDataset
-from robustfsc.solvers import fib, qmdp, solve_fib, solve_mdp
+from robustfsc.solvers import solve_fib, solve_mdp
 
 
 def report(name: str, detail: str) -> None:
@@ -172,7 +172,7 @@ def test_supervision_ordering():
         vectors = solve_fib(member, tol=1e-12)
         for _ in range(100):
             b = rng.dirichlet(np.ones(model.num_states))
-            gap = qmdp(mdp_vals, b) - fib(vectors, b)
+            gap = mdp_vals.action_values(b) - vectors.action_values(b)
             worst_gap = max(worst_gap, float(gap.max()))
             assert np.all(gap <= 1e-9)
 

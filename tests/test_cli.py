@@ -61,6 +61,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_malformed_fsc_exit_code(model_file, tmp_path, capsys):
+    bad = tmp_path / "bad.fsc"
+    bad.write_text("fsc v1\nnodes\n")
+    assert main(["eval-fsc", "--model", model_file, "--fsc", str(bad)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_eval_fsc_worst_self_loop(model_file, fsc_file, capsys):
     assert main(["eval-fsc", "--model", model_file, "--fsc", fsc_file, "--tol", "1e-12"]) == 0
     value = float(capsys.readouterr().out.strip())

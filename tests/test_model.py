@@ -64,6 +64,20 @@ class TestValidate:
         m.initial_belief = np.array([0.9, 0.0])
         assert not validate(m).ok
 
+    def test_nan_initial_belief_rejected(self):
+        m = tiny_model({0: Interval(0.3, 0.6), 1: Interval(0.4, 0.7)})
+        m.initial_belief = np.array([np.nan, 0.0])
+        rep = validate(m)
+        assert not rep.ok
+        assert any("initial_belief sums to nan" in msg for msg in rep.issues)
+
+    def test_nan_cost_rejected(self):
+        m = tiny_model({0: Interval(0.3, 0.6), 1: Interval(0.4, 0.7)})
+        m.cost[(0, 0)] = float("nan")
+        rep = validate(m)
+        assert not rep.ok
+        assert any("state 0 action 0: negative or NaN cost nan" in msg for msg in rep.issues)
+
 
 class TestProjectRow:
     def test_symmetric_boxes(self):

@@ -29,6 +29,16 @@ goal 1
 init 0 1.0
 """
 
+TWO_OBS_FSC = """\
+fsc v1
+nodes 1
+init 0
+act 0 0 0 1
+act 0 1 1 1
+mem 0 0 0
+mem 0 1 0
+"""
+
 
 def test_parse_minimal_document():
     doc = parse_model(MINIMAL)
@@ -149,3 +159,21 @@ class TestFscFormat:
         padded = pad_actions(back, 3)
         assert padded.num_actions == 3
         assert np.array_equal(padded.action_map, fsc.action_map)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("fsc v1\nnodes\n", 2),
+            (TWO_OBS_FSC.replace("init 0", "init 0 0"), 3),
+            (TWO_OBS_FSC.replace("act 0 0 0 1", "act 0 -1 0 1"), 4),
+            (TWO_OBS_FSC.replace("act 0 0 0 1", "act 0 0 -1 1"), 4),
+            (TWO_OBS_FSC.replace("mem 0 1 0", "mem 0 -1 0"), 7),
+        ],
+        ids=["nodes-arity", "init-arity", "act-negative-observation",
+             "act-negative-action", "mem-negative-observation"],
+    )
+    def test_malformed_line_rejected_with_line_number(self, text, line):
+        assert parse_fsc(TWO_OBS_FSC).num_observations == 2
+        with pytest.raises(ModelFormatError) as err:
+            parse_fsc(text)
+        assert err.value.line_no == line

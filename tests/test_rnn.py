@@ -1,9 +1,13 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from oracles import scalar_gru_forward
 from robustfsc.rnn import (
     PARAM_FIELDS,
+    Adam,
+    episode_batches,
     forward,
     gradient_check,
     init_params,
@@ -138,6 +142,56 @@ class TestTraining:
         ds = make_dataset(2, 3, 2, 2, seed=7)
         with pytest.raises(DivergenceError):
             train_epochs(p, ds, epochs=1, rng_seed=0)
+
+    def test_batches_cover_each_episode_once_per_epoch(self):
+        ds = make_dataset(5, 3, 2, 2, seed=9)
+        ds.episodes[2].steps.clear()
+        batches = list(episode_batches(ds, epochs=2, batch_size=1, rng_seed=0))
+        assert len(batches) == 8  # the empty episode's batches are skipped
+        assert sum(n for *_, n in batches) == 2 * ds.num_steps
+
+
+@dataclass
+class Pair:
+    """Smallest parameter container Adam accepts."""
+
+    a: np.ndarray
+    b: np.ndarray
+
+    def zeros_like(self) -> "Pair":
+        return Pair(np.zeros_like(self.a), np.zeros_like(self.b))
+
+
+class TestAdam:
+    @pytest.mark.parametrize("clip_norm, clipped", [(1.0, True), (100.0, False)])
+    def test_two_steps_match_hand_written_update(self, clip_norm, clipped):
+        rng = np.random.default_rng(8)
+        start = Pair(rng.standard_normal(3), rng.standard_normal((2, 2)))
+        grads = [Pair(3.0 * rng.standard_normal(3), 3.0 * rng.standard_normal((2, 2)))
+                 for _ in range(2)]
+        lr = 0.01
+
+        params = Pair(start.a.copy(), start.b.copy())
+        opt = Adam(params, ("a", "b"), lr, clip_norm)
+        for g in grads:
+            opt.step(params, Pair(g.a.copy(), g.b.copy()))
+
+        expected = [start.a.copy(), start.b.copy()]
+        m = [np.zeros(3), np.zeros((2, 2))]
+        v = [np.zeros(3), np.zeros((2, 2))]
+        for t, g in enumerate(grads, start=1):
+            flat = [g.a, g.b]
+            norm = np.sqrt(float((g.a * g.a).sum()) + float((g.b * g.b).sum()))
+            assert (norm > clip_norm) == clipped
+            if clipped:
+                flat = [x * (clip_norm / norm) for x in flat]
+            correction = np.sqrt(1.0 - 0.999**t) / (1.0 - 0.9**t)
+            for i, x in enumerate(flat):
+                m[i] = 0.9 * m[i] + (1.0 - 0.9) * x
+                v[i] = 0.999 * v[i] + (1.0 - 0.999) * x * x
+                expected[i] = expected[i] - lr * correction * m[i] / (np.sqrt(v[i]) + 1e-8)
+        assert np.array_equal(params.a, expected[0])
+        assert np.array_equal(params.b, expected[1])
 
 
 class TestGradientCheck:

@@ -5,8 +5,6 @@ from conftest import random_rpomdp
 from oracles import belief_value_recursive, enumerate_policies_ssp, product_chain_cost
 from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint
 from robustfsc.solvers import (
-    fib,
-    qmdp,
     solve_fib,
     solve_mdp,
     supervision_policy,
@@ -105,14 +103,14 @@ class TestQmdp:
         member = nominal_midpoint(random_rpomdp(rng, num_states=4, num_actions=2))
         vals = solve_mdp(member)
         b = np.eye(4)[1]
-        assert np.allclose(qmdp(vals, b), vals.q[1])
+        assert np.allclose(vals.action_values(b), vals.q[1])
 
     def test_uniform_belief_is_mean(self):
         rng = np.random.default_rng(9)
         member = nominal_midpoint(random_rpomdp(rng, num_states=4, num_actions=2))
         vals = solve_mdp(member)
         b = np.array([0.5, 0.5, 0.0, 0.0])
-        assert np.allclose(qmdp(vals, b), 0.5 * (vals.q[0] + vals.q[1]))
+        assert np.allclose(vals.action_values(b), 0.5 * (vals.q[0] + vals.q[1]))
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(10)
@@ -120,7 +118,7 @@ class TestQmdp:
         vals = solve_mdp(member)
         b = rng.dirichlet(np.ones(5))
         direct = [sum(b[s] * vals.q[s, a] for s in range(5)) for a in range(3)]
-        assert np.allclose(qmdp(vals, b), direct, atol=1e-12)
+        assert np.allclose(vals.action_values(b), direct, atol=1e-12)
 
 
 def fully_observable(model: RobustPomdp) -> RobustPomdp:
@@ -147,7 +145,7 @@ class TestFib:
         member = nominal_midpoint(random_rpomdp(rng, num_states=4, num_actions=2))
         vectors = solve_fib(member)
         b = np.eye(4)[2]
-        assert np.allclose(fib(vectors, b), vectors.alpha[:, 2])
+        assert np.allclose(vectors.action_values(b), vectors.alpha[:, 2])
 
     def test_qmdp_below_fib_below_fsc_upper_bound(self):
         # 4-state aliased model: the lower bounds order and an exact upper
@@ -160,8 +158,8 @@ class TestFib:
             vectors = solve_fib(member, tol=1e-12)
             for _ in range(100):
                 b = rng.dirichlet(np.ones(4))
-                qm = qmdp(mdp_vals, b)
-                qf = fib(vectors, b)
+                qm = mdp_vals.action_values(b)
+                qf = vectors.action_values(b)
                 assert np.all(qm <= qf + 1e-9)
             # upper-bound side: play a at b, then follow a memoryless
             # controller; its exact product-chain cost dominates Q*(b, a)
@@ -177,7 +175,7 @@ class TestFib:
                         for sp, p in member.transitions[(s, a)].items()
                     )
                     stage = sum(b[s] * member.cost[(s, a)] for s in range(4))
-                    assert fib(vectors, b)[a] <= stage + after + 1e-8
+                    assert vectors.action_values(b)[a] <= stage + after + 1e-8
 
     def test_fib_below_exact_belief_tree(self):
         # rapidly absorbing 4-state model so a depth-8 exact expansion leaves
@@ -209,9 +207,9 @@ class TestFib:
         for _ in range(3):
             b = rng.dirichlet(np.ones(4))
             exact7 = belief_value_recursive(member, b, depth=7)
-            q_fib = fib(vectors, b)
+            q_fib = vectors.action_values(b)
             assert q_fib.min() <= exact7 + 0.05  # slack covers depth truncation
-            assert qmdp(mdp_vals, b).min() <= q_fib.min() + 1e-9
+            assert mdp_vals.action_values(b).min() <= q_fib.min() + 1e-9
 
     def test_divergence_on_unreachable_goal(self):
         m = RobustPomdp(
