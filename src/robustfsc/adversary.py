@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from robustfsc.model import ConcretePomdp, Fsc, RobustPomdp, nominal_midpoint, with_transitions
+from robustfsc.model import ConcretePomdp, Fsc, RobustPomdp, member_with, nominal_midpoint
 from robustfsc.robusteval import RobustValues, box_simplex_greedy, check_boxes
 
 
@@ -39,60 +39,58 @@ def select_worst_case(model: RobustPomdp, fsc: Fsc, values: RobustValues) -> Adv
     the maximized linear value, an upper-bound surrogate for the true cost
     increase of re-running evaluation on the returned member.
     """
-    chain = values.chain
-
-    def successor_value(sp: int, node: int) -> float:
-        idx = chain.index_of.get((sp, node))
-        if idx is not None:
-            return float(values.values[idx])
-        if sp in model.goals:
-            return 0.0
-        raise KeyError(
-            f"product state ({sp}, {node}) missing from the evaluated chain"
-        )
-
-    coeffs: dict[tuple[int, int], dict[int, float]] = {}
-    for s, n in chain.state_pairs:
-        z = int(model.obs_of[s])
-        n_next = int(fsc.memory_map[n, z])
-        for a in range(model.num_actions):
-            d = float(fsc.action_map[n, z, a])
-            if d == 0.0:
-                continue
-            row = model.row(s, a)
-            table = coeffs.setdefault((s, a), {sp: 0.0 for sp in row})
-            for sp in row:
-                table[sp] += d * successor_value(sp, n_next)
+    e = model.edges
+    num_s, num_a, num_n = model.num_states, model.num_actions, fsc.num_nodes
+    s, n = np.array(values.chain.state_pairs, dtype=np.int64).reshape(-1, 2).T
+    z = model.obs_of[s]
+    d = fsc.action_map[n, z]
+    pair, a = np.nonzero(d)  # pair by pair in chain order, actions ascending
+    rows = s[pair] * num_a + a
+    idx, counts = e.of_rows(rows)
+    succ = e.succ[idx]
+    node = np.repeat(fsc.memory_map[n, z][pair], counts)
+    index = np.full(num_s * num_n, -1)
+    index[s * num_n + n] = np.arange(len(s))
+    target = index[succ * num_n + node]
+    goal = np.zeros(num_s, dtype=bool)
+    goal[list(model.goals)] = True
+    missing = np.flatnonzero((target < 0) & ~goal[succ])
+    if missing.size:
+        i = missing[0]
+        raise KeyError(f"product state ({succ[i]}, {node[i]}) missing from the evaluated chain")
+    successor_value = np.where(target < 0, 0.0, values.values[target])
+    weight = np.bincount(idx, np.repeat(d[pair, a], counts) * successor_value, len(e.succ))
 
     # every row the controller touches, solved in one segmented greedy call
-    succs = {key: sorted(model.transitions[key]) for key in sorted(model.transitions) if key in coeffs}
-    edges = [(key, sp) for key, row in succs.items() for sp in row]
-    lo = np.array([model.transitions[key][sp].lo for key, sp in edges])
-    hi = np.array([model.transitions[key][sp].hi for key, sp in edges])
-    w = np.array([coeffs[key][sp] for key, sp in edges])
-    offsets = np.cumsum([0] + [len(row) for row in succs.values()])
+    touched, first = np.unique(rows, return_index=True)
+    edges, counts = e.of_rows(touched)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    lo, hi, w = e.lo[edges], e.hi[edges], weight[edges]
     check_boxes(lo, hi, offsets)
     objective, probs = box_simplex_greedy(w, lo, hi, offsets, maximize=True)
-    worst_rows: dict[tuple[int, int], dict[int, float]] = {key: {} for key in succs}
-    for (key, sp), p in zip(edges, probs):
-        worst_rows[key][sp] = float(p)
+    worst = nominal_midpoint(model).edges.lo.copy()  # rows not touched stay at the midpoint
+    worst[edges] = probs
 
-    baseline = nominal_midpoint(model)
-    transitions = {
-        key: worst_rows[key] if key in worst_rows else dict(baseline.transitions[key])
-        for key in sorted(model.transitions)
+    # coefficients row by row, in the order the chain first touches the rows
+    row_succ, row_w = np.split(e.succ[edges], offsets[1:-1]), np.split(w, offsets[1:-1])
+    coeffs = {
+        divmod(int(touched[k]), num_a): dict(zip(row_succ[k].tolist(), row_w[k].tolist()))
+        for k in np.argsort(first)
     }
-    proxy = float(objective.sum())
-
-    worst = with_transitions(model, transitions)
-    return AdversaryResult(worst_case=worst, proxy_objective=proxy, coefficients=coeffs)
+    return AdversaryResult(
+        worst_case=member_with(model, worst),
+        proxy_objective=float(objective.sum()),
+        coefficients=coeffs,
+    )
 
 
 def proxy_objective_of(result: AdversaryResult, member: ConcretePomdp) -> float:
-    """Evaluate the linear proxy at an arbitrary member of the set."""
-    total = 0.0
-    for key, table in result.coefficients.items():
-        row = member.transitions[key]
-        for sp, w in table.items():
-            total += row[sp] * w
-    return total
+    """Evaluate the linear proxy at an arbitrary member of the set.
+
+    Each coefficient row covers the whole model row, successors ascending,
+    as the member's table does.
+    """
+    rows = [s * member.num_actions + a for s, a in result.coefficients]
+    idx, _ = member.edges.of_rows(np.array(rows, dtype=np.int64))
+    weights = [w for table in result.coefficients.values() for w in table.values()]
+    return float(member.edges.lo[idx] @ np.array(weights))

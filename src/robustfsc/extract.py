@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from robustfsc.model import Fsc, RobustPomdp, prune_unreachable_nodes
+from robustfsc.model import Fsc, RobustPomdp
 from robustfsc.rnn import (
     PARAM_FIELDS,
     Adam,
@@ -197,14 +197,6 @@ def _qbn_decode(q: QbnParams, code: np.ndarray):
     d3p = d2 @ q.dec_w3.T + q.dec_b3
     out = np.tanh(d3p)
     return out, (code, d1p, d1, d2p, d2, d3p, out)
-
-
-def qbn_apply(q: QbnParams, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quantized code and reconstruction for a batch of hidden states."""
-    e, _ = _qbn_encode(q, h)
-    code = quantize(e, q.quant_levels)
-    out, _ = _qbn_decode(q, code)
-    return code, out
 
 
 def _qbn_decode_backward(q: QbnParams, cache, dout: np.ndarray, g: QbnParams) -> np.ndarray:
@@ -429,11 +421,10 @@ def build_fsc(params: NetworkParams, clustering: Clustering, model: RobustPomdp)
     observation) pair is expanded with one forward pass: the resulting action
     distribution becomes the action row and the cluster of the new hidden
     state the memory successor.  Rows are also filled for non-realizable
-    observations, but those never spawn new nodes; unreachable nodes are
-    pruned and the survivors reindexed densely.
+    observations, but those never spawn new nodes, so every node is
+    reachable and numbered in the order the search first meets it.
     """
-    realizable = model.realizable_observations()
-    realizable_set = set(realizable)
+    realizable_set = set(model.realizable_observations())
     num_z = model.num_observations
     num_a = params.num_actions
 
@@ -469,7 +460,7 @@ def build_fsc(params: NetworkParams, clustering: Clustering, model: RobustPomdp)
             memory_map[dense_idx, z] = dense_of.get(target, dense_idx)
     fsc = Fsc(k, 0, action_map, memory_map)
     fsc.check()
-    return prune_unreachable_nodes(fsc, realizable)
+    return fsc
 
 
 def fsc_fidelity(params: NetworkParams, fsc: Fsc, dataset: TrajectoryDataset) -> float:

@@ -3,11 +3,19 @@
 Transition rows are sparse: an absent successor is structurally impossible
 (probability exactly zero), while every stored interval has a strictly
 positive lower bound.  All probability arithmetic is 64-bit floating point.
+
+Models are built from ``(s, a) -> {s': Interval or probability}`` dicts, as
+the text format, the generators and ``validate`` use them.  Numeric code reads
+``model.edges`` instead: the transitions flattened once into CSR arrays on
+first use (so a model is not changed after use).  Members of an uncertainty
+set are built on their parent's table; their ``.transitions`` rows are views.
 """
 
 from __future__ import annotations
 
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -25,20 +33,79 @@ class Interval:
     lo: float
     hi: float
 
-    def contains(self, p: float, tol: float = PROB_TOL) -> bool:
-        return self.lo - tol <= p <= self.hi + tol
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
+@dataclass
+class Edges:
+    """A model's transitions as CSR arrays over the flat rows r = s * A + a.
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+    Row r owns the edges offsets[r]:offsets[r + 1], successors ascending.
+    For a member ``hi is lo``: both are its probabilities.  ``cost`` is NaN
+    where the model has no cost.
+    """
+
+    offsets: np.ndarray  # (S*A + 1,)
+    succ: np.ndarray     # (E,)
+    lo: np.ndarray       # (E,)
+    hi: np.ndarray       # (E,)
+    cost: np.ndarray     # (S*A,)
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        """Flat row of each edge, shape (E,)."""
+        return np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
+
+    def of_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the edges of ``rows``, row after row, and each row's count."""
+        start = self.offsets[rows]
+        counts = self.offsets[rows + 1] - start
+        return np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum()), counts
+
+
+def _flatten(model: RobustPomdp | ConcretePomdp) -> Edges:
+    """The model's table (see ``Edges``), built from its dicts on first use."""
+    n, na = model.num_states, model.num_actions
+    keys = sorted(model.transitions)
+    counts = np.zeros(n * na, dtype=np.int64)
+    counts[[s * na + a for s, a in keys]] = [len(model.transitions[key]) for key in keys]
+    items = [item for key in keys for item in sorted(model.transitions[key].items())]
+    succ, values = [sp for sp, _ in items], [v for _, v in items]
+    if isinstance(model, RobustPomdp):
+        lo = np.array([iv.lo for iv in values], dtype=np.float64)
+        hi = np.array([iv.hi for iv in values], dtype=np.float64)
+    else:
+        lo = hi = np.array(values, dtype=np.float64)
+    cost = np.array([model.cost.get((s, a), np.nan) for s in range(n) for a in range(na)], dtype=np.float64)
+    return Edges(np.concatenate([[0], np.cumsum(counts)]), np.array(succ, dtype=np.int64), lo, hi, cost)
 
 
 @dataclass
-class RobustPomdp:
+class _Pomdp:
+    num_states: int
+    num_actions: int
+    num_observations: int
+    obs_of: np.ndarray
+    transitions: dict
+    cost: dict[TransKey, float]
+    goals: frozenset[int]
+    initial_belief: np.ndarray
+    name: str = ""
+
+    def __post_init__(self) -> None:
+        self.obs_of = np.asarray(self.obs_of, dtype=np.int64)
+        self.initial_belief = np.asarray(self.initial_belief, dtype=np.float64)
+        self.goals = frozenset(self.goals)
+
+    edges = cached_property(_flatten)
+
+    def row(self, s: int, a: int) -> dict:
+        return self.transitions.get((s, a), {})
+
+    def realizable_observations(self) -> list[int]:
+        return sorted(set(int(z) for z in self.obs_of))
+
+
+@dataclass
+class RobustPomdp(_Pomdp):
     """POMDP with interval transition uncertainty and deterministic observations.
 
     Fields
@@ -51,69 +118,30 @@ class RobustPomdp:
     initial_belief: distribution over states, shape (num_states,)
     """
 
-    num_states: int
-    num_actions: int
-    num_observations: int
-    obs_of: np.ndarray
-    transitions: dict[TransKey, dict[int, Interval]]
-    cost: dict[TransKey, float]
-    goals: frozenset[int]
-    initial_belief: np.ndarray
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        self.obs_of = np.asarray(self.obs_of, dtype=np.int64)
-        self.initial_belief = np.asarray(self.initial_belief, dtype=np.float64)
-        self.goals = frozenset(self.goals)
-
-    def row(self, s: int, a: int) -> dict[int, Interval]:
-        return self.transitions.get((s, a), {})
-
-    def realizable_observations(self) -> list[int]:
-        return sorted(set(int(z) for z in self.obs_of))
-
 
 @dataclass
-class ConcretePomdp:
-    """A single member of an uncertainty set: exact transition probabilities."""
+class ConcretePomdp(_Pomdp):
+    """A single member of an uncertainty set: exact transition probabilities.
 
-    num_states: int
-    num_actions: int
-    num_observations: int
-    obs_of: np.ndarray
-    transitions: dict[TransKey, dict[int, float]]
-    cost: dict[TransKey, float]
-    goals: frozenset[int]
-    initial_belief: np.ndarray
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        self.obs_of = np.asarray(self.obs_of, dtype=np.int64)
-        self.initial_belief = np.asarray(self.initial_belief, dtype=np.float64)
-        self.goals = frozenset(self.goals)
-
-    def row(self, s: int, a: int) -> dict[int, float]:
-        return self.transitions.get((s, a), {})
+    ``transitions`` maps (s, a) -> {s': probability}; the other fields are
+    those of ``RobustPomdp``.
+    """
 
     def is_member_of(self, model: RobustPomdp, tol: float = PROB_TOL) -> bool:
         """Check that every stored probability lies in the parent's interval."""
-        if set(self.transitions) != set(model.transitions):
-            return False
-        for key, row in self.transitions.items():
-            parent = model.transitions[key]
-            if set(row) != set(parent):
-                return False
-            for sp, p in row.items():
-                if not parent[sp].contains(p, tol):
-                    return False
-        return True
+        mine, parent = self.edges, model.edges
+        return (
+            np.array_equal(mine.offsets, parent.offsets)
+            and np.array_equal(mine.succ, parent.succ)
+            and bool(np.all((parent.lo - tol <= mine.lo) & (mine.lo <= parent.hi + tol)))
+        )
 
 
 def with_transitions(model: RobustPomdp | ConcretePomdp, transitions: dict, cls: type = ConcretePomdp):
     """A copy of ``model`` as ``cls`` with the given transitions.
 
     Every other field (observations, costs, goals, initial belief, name) is
-    copied; this is how members of an uncertainty set are built.
+    copied.
     """
     return cls(
         num_states=model.num_states,
@@ -126,18 +154,6 @@ def with_transitions(model: RobustPomdp | ConcretePomdp, transitions: dict, cls:
         initial_belief=model.initial_belief.copy(),
         name=model.name,
     )
-
-
-def concrete_to_robust(member: ConcretePomdp) -> RobustPomdp:
-    """Point-interval view of a member: the interval model whose only member it is."""
-    # members repeat a few probabilities: one shared (frozen) Interval per value
-    values = {p for row in member.transitions.values() for p in row.values()}
-    points = {p: Interval(p, p) for p in values}
-    transitions = {
-        key: {sp: points[p] for sp, p in row.items()}
-        for key, row in member.transitions.items()
-    }
-    return with_transitions(member, transitions, RobustPomdp)
 
 
 # A belief is a dense probability vector over states.
@@ -174,10 +190,10 @@ class Fsc:
             raise ValueError("initial node out of range")
         if self.action_map.shape[:2] != self.memory_map.shape:
             raise ValueError("action_map and memory_map disagree on shape")
-        if np.any(self.action_map < -tol):
+        if not np.all(self.action_map >= -tol):  # also catches NaN
             raise ValueError("negative action probability")
         sums = self.action_map.sum(axis=2)
-        if np.any(np.abs(sums - 1.0) > tol):
+        if not np.all(np.abs(sums - 1.0) <= tol):
             raise ValueError("action distribution does not sum to 1")
         if np.any(self.memory_map < 0) or np.any(self.memory_map >= self.num_nodes):
             raise ValueError("memory update references unknown node")
@@ -211,29 +227,20 @@ def prune_unreachable_nodes(fsc: Fsc, realizable_obs: list[int]) -> Fsc:
     Reachability only follows observations that actually occur in the model;
     surviving nodes are reindexed densely in discovery order.
     """
-    reachable: list[int] = [fsc.initial_node]
-    seen = {fsc.initial_node}
-    i = 0
-    while i < len(reachable):
-        n = reachable[i]
-        i += 1
+    reachable = [fsc.initial_node]
+    for n in reachable:  # breadth first: the list grows while it is read
         for z in realizable_obs:
-            m = int(fsc.memory_map[n, z])
-            if m not in seen:
-                seen.add(m)
-                reachable.append(m)
-    if len(reachable) == fsc.num_nodes and reachable == list(range(fsc.num_nodes)):
+            if int(fsc.memory_map[n, z]) not in reachable:
+                reachable.append(int(fsc.memory_map[n, z]))
+    if reachable == list(range(fsc.num_nodes)):
         return fsc
-    old_to_new = {old: new for new, old in enumerate(reachable)}
-    action_map = fsc.action_map[reachable]
-    memory_map = np.zeros((len(reachable), fsc.num_observations), dtype=np.int64)
-    for new, old in enumerate(reachable):
-        for z in range(fsc.num_observations):
-            tgt = int(fsc.memory_map[old, z])
-            # Non-realizable observations may point at pruned nodes; redirect
-            # them to the source node so the map stays total.
-            memory_map[new, z] = old_to_new.get(tgt, new)
-    return Fsc(len(reachable), 0, action_map, memory_map)
+    new_of = np.full(fsc.num_nodes, -1)
+    new_of[reachable] = np.arange(len(reachable))
+    memory_map = new_of[fsc.memory_map[reachable]]
+    # Non-realizable observations may point at pruned nodes; redirect them
+    # to the source node so the map stays total.
+    memory_map = np.where(memory_map < 0, np.arange(len(reachable))[:, None], memory_map)
+    return Fsc(len(reachable), 0, fsc.action_map[reachable], memory_map)
 
 
 @dataclass
@@ -323,59 +330,108 @@ def project_row(targets: np.ndarray, intervals: list[Interval]) -> np.ndarray:
     """
     lo = np.array([iv.lo for iv in intervals], dtype=np.float64)
     hi = np.array([iv.hi for iv in intervals], dtype=np.float64)
-    if lo.sum() > 1.0 + PROB_TOL or hi.sum() < 1.0 - PROB_TOL:
+    return _project(np.asarray(targets, dtype=np.float64), lo, hi, np.array([0, len(lo)]))
+
+
+def _project(targets: np.ndarray, lo: np.ndarray, hi: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``project_row`` of every row of edge arrays at once; empty rows are skipped.
+
+    Row sums accumulate edge by edge, as ``ndarray.sum`` does below eight
+    terms, so rows that short give the per-row result bit for bit.
+    """
+    counts = np.diff(offsets)
+    num_rows = len(counts)
+    seg = np.repeat(np.arange(num_rows), counts)
+    active = counts > 0
+    bad = (np.bincount(seg, lo, num_rows) > 1.0 + PROB_TOL) | (np.bincount(seg, hi, num_rows) < 1.0 - PROB_TOL)
+    if np.any(active & bad):
         raise ValueError("box does not intersect the probability simplex")
-    p = np.clip(np.asarray(targets, dtype=np.float64), lo, hi)
+    p = np.clip(targets, lo, hi)
     for _ in range(100):
-        delta = 1.0 - p.sum()
-        if abs(delta) < 1e-12:
+        delta = 1.0 - np.bincount(seg, p, num_rows)
+        active &= ~(np.abs(delta) < 1e-12)
+        if not active.any():
             break
-        slack = (hi - p) if delta > 0 else (p - lo)
-        total = slack.sum()
-        if total <= 0.0:
+        e = np.flatnonzero(active[seg])
+        r = seg[e]
+        slack = np.where(delta[r] > 0, hi[e] - p[e], p[e] - lo[e])
+        total = np.bincount(r, slack, num_rows)
+        if np.any(total[active] <= 0.0):
             raise ValueError("box does not intersect the probability simplex")
-        p = np.clip(p + delta * slack / total, lo, hi)
+        p[e] = np.clip(p[e] + delta[r] * slack / total[r], lo[e], hi[e])
     return p
 
 
-def _project_model(
-    model: RobustPomdp, start: Literal["mid", "lo", "hi", "sample"], rng: np.random.Generator | None = None
-) -> ConcretePomdp:
-    transitions: dict[TransKey, dict[int, float]] = {}
-    for key in sorted(model.transitions):
-        row = model.transitions[key]
-        succs = sorted(row)
-        ivs = [row[sp] for sp in succs]
-        if start == "mid":
-            targets = np.array([iv.midpoint for iv in ivs])
-        elif start == "lo":
-            targets = np.array([iv.lo for iv in ivs])
-        elif start == "hi":
-            targets = np.array([iv.hi for iv in ivs])
-        else:
-            assert rng is not None
-            targets = np.array([rng.uniform(iv.lo, iv.hi) for iv in ivs])
-        probs = project_row(targets, ivs)
-        transitions[key] = {sp: float(p) for sp, p in zip(succs, probs)}
-    return with_transitions(model, transitions)
+class _MemberRow(MutableMapping):
+    """One row of a member's table, read and written as {s': probability}.
+
+    Writes go to the table, so everything that reads the table sees them;
+    the successors are those of the parent and stay fixed.
+    """
+
+    __slots__ = ("_probs", "_position")
+
+    def __init__(self, probs: np.ndarray, position: dict[int, int]):
+        self._probs, self._position = probs, position  # position: successor -> edge
+
+    def __getitem__(self, sp: int) -> float:
+        return float(self._probs[self._position[sp]])
+
+    def __setitem__(self, sp: int, p: float) -> None:
+        self._probs[self._position[sp]] = p
+
+    def __delitem__(self, sp: int) -> None:
+        raise TypeError("a member keeps its parent's successors")
+
+    def __iter__(self):
+        return iter(self._position)
+
+    def __len__(self) -> int:
+        return len(self._position)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+def member_with(model: RobustPomdp, probs: np.ndarray) -> ConcretePomdp:
+    """The member of ``model`` with probability ``probs[i]`` on its edge i.
+
+    The member's table shares the parent's structure and costs; its
+    ``.transitions`` rows are views of ``probs``.
+    """
+    parent = model.edges
+    succ, bounds = parent.succ.tolist(), parent.offsets.tolist()
+    transitions = {
+        divmod(r, model.num_actions): _MemberRow(probs, dict(zip(succ[start:stop], range(start, stop))))
+        for r, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+        if stop > start
+    }
+    member = with_transitions(model, transitions)
+    member.edges = Edges(parent.offsets, parent.succ, probs, probs, parent.cost)
+    return member
+
+
+def _projected(model: RobustPomdp, targets: np.ndarray) -> ConcretePomdp:
+    e = model.edges
+    return member_with(model, _project(targets, e.lo, e.hi, e.offsets))
 
 
 def nominal_midpoint(model: RobustPomdp) -> ConcretePomdp:
     """Member obtained by projecting interval midpoints onto each row simplex."""
-    return _project_model(model, "mid")
+    return _projected(model, 0.5 * (model.edges.lo + model.edges.hi))
 
 
 def bound_member(model: RobustPomdp, which: Literal["lower", "upper"]) -> ConcretePomdp:
     """Member obtained from all lower (resp. upper) interval bounds, projected."""
     if which not in ("lower", "upper"):
         raise ValueError(f"which must be 'lower' or 'upper', got {which!r}")
-    return _project_model(model, "lo" if which == "lower" else "hi")
+    return _projected(model, model.edges.lo if which == "lower" else model.edges.hi)
 
 
 def sample_member(model: RobustPomdp, rng_seed: int | tuple[int, ...]) -> ConcretePomdp:
     """Random member: each entry uniform in its interval, rows projected."""
-    rng = np.random.default_rng(rng_seed)
-    return _project_model(model, "sample", rng)
+    e = model.edges
+    return _projected(model, np.random.default_rng(rng_seed).uniform(e.lo, e.hi))
 
 
 class InconsistentHistoryError(ValueError):
@@ -384,16 +440,17 @@ class InconsistentHistoryError(ValueError):
 
 def belief_update(model: ConcretePomdp, b: Belief, a: int, z: int) -> Belief:
     """Bayes update: b'(s') proportional to sum_s b(s) T(s'|s,a) [O(s')=z]."""
-    post = np.zeros(model.num_states, dtype=np.float64)
-    for s in np.flatnonzero(b):
-        bs = b[s]
-        for sp, p in model.row(int(s), a).items():
-            if model.obs_of[sp] == z:
-                post[sp] += bs * p
+    e = model.edges
+    states = np.flatnonzero(b)
+    idx, counts = e.of_rows(states * model.num_actions + a)
+    succ = e.succ[idx]
+    seen = model.obs_of[succ] == z
+    post = np.bincount(
+        succ[seen], (np.repeat(b[states], counts) * e.lo[idx])[seen], model.num_states
+    )
     total = post.sum()
     if total <= 0.0:
         raise InconsistentHistoryError(
             f"observation {z} has probability zero after action {a}"
         )
     return post / total
-

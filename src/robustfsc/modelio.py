@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from robustfsc.model import ConcretePomdp, Fsc, Interval, RobustPomdp, concrete_to_robust, validate
+from robustfsc.model import ConcretePomdp, Fsc, Interval, RobustPomdp, validate
 
 MODEL_HEADER = "rpomdp v1"
 FSC_HEADER = "fsc v1"
@@ -223,7 +223,8 @@ def parse_model(text: str) -> ModelDocument:
     return ModelDocument(format_version="v1", model=model)
 
 
-def serialize_model(doc: ModelDocument | RobustPomdp) -> str:
+def serialize_model(doc: ModelDocument | RobustPomdp | ConcretePomdp) -> str:
+    """Canonical document of a model; a member's probabilities become point intervals."""
     model = doc.model if isinstance(doc, ModelDocument) else doc
     out = [MODEL_HEADER]
     if model.name:
@@ -233,13 +234,12 @@ def serialize_model(doc: ModelDocument | RobustPomdp) -> str:
     out.append(f"observations {model.num_observations}")
     for s in range(model.num_states):
         out.append(f"obs {s} {int(model.obs_of[s])}")
-    for (s, a) in sorted(model.transitions):
-        row = model.transitions[(s, a)]
-        for sp in sorted(row):
-            iv = row[sp]
-            lo = _fmt(iv.lo)
-            hi = lo if iv.is_point else _fmt(iv.hi)  # a member's point intervals format once
-            out.append(f"trans {s} {a} {sp} {lo} {hi}")
+    e = model.edges
+    lo = [_fmt(x) for x in e.lo.tolist()]
+    hi = [text if x == y else _fmt(y) for text, x, y in zip(lo, e.lo.tolist(), e.hi.tolist())]
+    s_of, a_of = np.divmod(e.row, model.num_actions)
+    out += [f"trans {s} {a} {sp} {lo_text} {hi_text}"
+            for s, a, sp, lo_text, hi_text in zip(s_of.tolist(), a_of.tolist(), e.succ.tolist(), lo, hi)]
     for (s, a) in sorted(model.cost):
         out.append(f"cost {s} {a} {_fmt(model.cost[(s, a)])}")
     for g in sorted(model.goals):
@@ -251,7 +251,7 @@ def serialize_model(doc: ModelDocument | RobustPomdp) -> str:
 
 def serialize_concrete(member: ConcretePomdp) -> str:
     """Serialize a concrete member as a model document with point intervals."""
-    return serialize_model(concrete_to_robust(member))
+    return serialize_model(member)
 
 
 def model_from_arrays(
@@ -276,18 +276,11 @@ def model_from_arrays(
     ns, na, _ = lo.shape
     if cost.shape != (ns, na):
         raise ValueError(f"cost must have shape ({ns}, {na})")
-    transitions: dict[tuple[int, int], dict[int, Interval]] = {}
-    cost_map: dict[tuple[int, int], float] = {}
-    for s in range(ns):
-        for a in range(na):
-            row = {
-                sp: Interval(float(lo[s, a, sp]), float(hi[s, a, sp]))
-                for sp in range(ns)
-                if hi[s, a, sp] > 0.0
-            }
-            if row:
-                transitions[(s, a)] = row
-            cost_map[(s, a)] = float(cost[s, a])
+    transitions = {
+        (s, a): {int(sp): Interval(float(lo[s, a, sp]), float(hi[s, a, sp])) for sp in np.flatnonzero(hi[s, a] > 0.0)}
+        for s in range(ns) for a in range(na) if np.any(hi[s, a] > 0.0)
+    }
+    cost_map = {(s, a): float(cost[s, a]) for s in range(ns) for a in range(na)}
     model = RobustPomdp(
         num_states=ns,
         num_actions=na,
@@ -371,7 +364,10 @@ def parse_fsc(text: str) -> Fsc:
         raise ModelFormatError(0, f"missing mem entry for node {int(n)} observation {int(z)}")
 
     fsc = Fsc(num_nodes, initial, action_map, memory_map)
-    fsc.check()
+    try:
+        fsc.check()
+    except ValueError as err:
+        raise ModelFormatError(0, str(err)) from None
     return fsc
 
 

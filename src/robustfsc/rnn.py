@@ -415,8 +415,8 @@ def params_from_text(text: str) -> NetworkParams:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != CHECKPOINT_HEADER:
         raise ValueError(f"expected checkpoint header {CHECKPOINT_HEADER!r}")
-    toks = lines[1].split()
-    if toks[0] != "dims" or len(toks) != 5:
+    toks = lines[1].split() if len(lines) > 1 else []
+    if toks[:1] != ["dims"] or len(toks) != 5:
         raise ValueError("expected 'dims Z e d A' on the second line")
     nz, e, d, na = (int(t) for t in toks[1:])
     shapes = {

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import spsolve
 
-from robustfsc.model import ConcretePomdp, Fsc, Interval, RobustPomdp, concrete_to_robust
+from robustfsc.model import ConcretePomdp, Fsc, Interval, RobustPomdp
 from robustfsc.solvers import DivergenceError, _backward_closure
 
 
@@ -55,90 +55,78 @@ class RobustChain:
         return len(self.state_pairs)
 
 
-def build_chain(model: RobustPomdp, fsc: Fsc) -> RobustChain:
-    """Product construction restricted to states reachable from the start."""
+def build_chain(model: RobustPomdp | ConcretePomdp, fsc: Fsc) -> RobustChain:
+    """Product construction restricted to states reachable from the start.
+
+    Breadth-first one level at a time over the model's edge table; a member
+    gives a chain whose intervals are points.  Product states are numbered
+    in the order a first-in first-out search discovers them.
+    """
     if fsc.num_observations < model.num_observations:
         raise ValueError("controller does not cover the model's observations")
     if fsc.num_actions != model.num_actions:
         raise ValueError("controller and model disagree on the action count")
 
-    index_of: dict[tuple[int, int], int] = {}
-    state_pairs: list[tuple[int, int]] = []
+    e = model.edges
+    num_s, num_a, num_n = model.num_states, model.num_actions, fsc.num_nodes
+    goal = np.zeros(num_s, dtype=bool)
+    goal[list(model.goals)] = True
+    start = np.flatnonzero(model.initial_belief)
+    index = np.full(num_s * num_n, -1)  # product index of state s at node n, at s * N + n
+    frontier = start * num_n + fsc.initial_node
+    index[frontier] = np.arange(len(frontier))
+    levels = [frontier]
+    count = len(frontier)
+    parts: list[tuple[np.ndarray, ...]] = []  # per level: rows' states, costs, edge counts, edges
+    while len(frontier):
+        live = frontier[~goal[frontier // num_n]]
+        s, n = np.divmod(live, num_n)
+        z = model.obs_of[s]
+        n_next = fsc.memory_map[n, z]
+        d = fsc.action_map[n, z]
+        pair, a = np.nonzero(d)  # pair by pair, actions ascending
+        weight = d[pair, a]
+        rows = s[pair] * num_a + a
+        idx, counts = e.of_rows(rows)
+        edge_pair = np.repeat(pair, counts)
+        edge_weight = np.repeat(weight, counts)
+        # new product states, in the order the edges first reach them
+        found, first = np.unique(e.succ[idx] * num_n + n_next[edge_pair], return_index=True)
+        unseen = index[found] < 0
+        new = found[unseen][np.argsort(first[unseen], kind="stable")]
+        index[new] = count + np.arange(len(new))
+        count += len(new)
+        # one merged edge per (pair, successor), successors ascending
+        keys, merged = np.unique(edge_pair * num_s + e.succ[idx], return_inverse=True)
+        row_of = keys // num_s
+        parts.append((
+            index[live],
+            np.bincount(pair, weight * e.cost[rows], len(live)),
+            np.bincount(row_of, minlength=len(live)),
+            index[(keys % num_s) * num_n + n_next[row_of]],
+            np.bincount(merged, edge_weight * e.lo[idx], len(keys)),
+            np.bincount(merged, edge_weight * e.hi[idx], len(keys)),
+        ))
+        levels.append(new)
+        frontier = new
 
-    def intern(pair: tuple[int, int]) -> int:
-        if pair not in index_of:
-            index_of[pair] = len(state_pairs)
-            state_pairs.append(pair)
-        return index_of[pair]
-
-    for s in np.flatnonzero(model.initial_belief):
-        intern((int(s), fsc.initial_node))
-
-    rows: dict[int, tuple[float, dict[int, list[float]]]] = {}
-    i = 0
-    while i < len(state_pairs):
-        idx = i
-        s, n = state_pairs[i]
-        i += 1
-        if s in model.goals:
-            continue
-        z = int(model.obs_of[s])
-        n_next = int(fsc.memory_map[n, z])
-        weights: dict[int, list[float]] = {}
-        cost = 0.0
-        for a in range(model.num_actions):
-            d = float(fsc.action_map[n, z, a])
-            if d == 0.0:
-                continue
-            cost += d * model.cost[(s, a)]
-            for sp, iv in model.row(s, a).items():
-                w = weights.setdefault(sp, [0.0, 0.0])
-                w[0] += d * iv.lo
-                w[1] += d * iv.hi
-        for sp in weights:
-            intern((sp, n_next))
-        rows[idx] = (cost, weights)
-
-    num = len(state_pairs)
-    cost_arr = np.zeros(num)
-    is_goal = np.zeros(num, dtype=bool)
-    succ: list[int] = []
-    lo: list[float] = []
-    hi: list[float] = []
-    offsets = [0]
-    row_state: list[int] = []
-    for idx, (s, n) in enumerate(state_pairs):
-        if s in model.goals:
-            is_goal[idx] = True
-            continue
-        c, weights = rows[idx]
-        cost_arr[idx] = c
-        z = int(model.obs_of[s])
-        n_next = int(fsc.memory_map[n, z])
-        row_state.append(idx)
-        for sp in sorted(weights):
-            succ.append(index_of[(sp, n_next)])
-            lo.append(weights[sp][0])
-            hi.append(weights[sp][1])
-        offsets.append(len(succ))
-
-    init_idx = np.array(
-        [index_of[(int(s), fsc.initial_node)] for s in np.flatnonzero(model.initial_belief)],
-        dtype=np.int64,
-    )
-    init_prob = model.initial_belief[np.flatnonzero(model.initial_belief)].astype(np.float64)
+    pairs = np.concatenate(levels)
+    row_state, row_cost, counts, succ, lo, hi = (np.concatenate(arrays) for arrays in zip(*parts))
+    cost = np.zeros(count)
+    cost[row_state] = row_cost
+    state_pairs = list(zip(*(x.tolist() for x in np.divmod(pairs, num_n))))
     return RobustChain(
         state_pairs=state_pairs,
-        index_of=index_of,
-        cost=cost_arr,
-        is_goal=is_goal,
-        init_idx=init_idx,
-        init_prob=init_prob,
-        succ=np.asarray(succ, dtype=np.int64),
-        lo=np.asarray(lo, dtype=np.float64),
-        hi=np.asarray(hi, dtype=np.float64),
-        offsets=np.asarray(offsets, dtype=np.int64),
-        row_state=np.asarray(row_state, dtype=np.int64),
+        index_of={pair: i for i, pair in enumerate(state_pairs)},
+        cost=cost,
+        is_goal=goal[pairs // num_n],
+        init_idx=np.arange(len(start)),
+        init_prob=model.initial_belief[start].astype(np.float64),
+        succ=succ,
+        lo=lo,
+        hi=hi,
+        offsets=np.concatenate([[0], np.cumsum(counts)]),
+        row_state=row_state,
     )
 
 
@@ -322,5 +310,5 @@ def robust_value_iteration(
 
 def evaluate_member(member: ConcretePomdp, fsc: Fsc, tol: float = 1e-9) -> float:
     """Expected cost of the controller on one concrete instance."""
-    chain = build_chain(concrete_to_robust(member), fsc)
+    chain = build_chain(member, fsc)
     return robust_value_iteration(chain, "pessimistic", tol=tol).at_initial

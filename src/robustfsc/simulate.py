@@ -75,17 +75,11 @@ class TrajectoryDataset:
 
 def model_fingerprint(model: ConcretePomdp) -> str:
     """Stable short hash of the instance the data was generated from."""
+    e = model.edges
     h = hashlib.sha256()
-    h.update(repr(model.num_states).encode())
-    h.update(model.obs_of.tobytes())
-    for key in sorted(model.transitions):
-        h.update(repr(key).encode())
-        for sp in sorted(model.transitions[key]):
-            h.update(repr((sp, model.transitions[key][sp])).encode())
-    for key in sorted(model.cost):
-        h.update(repr((key, model.cost[key])).encode())
-    h.update(repr(sorted(model.goals)).encode())
-    h.update(model.initial_belief.tobytes())
+    h.update(repr((model.num_states, model.num_actions, sorted(model.goals))).encode())
+    for array in (model.obs_of, e.offsets, e.succ, e.lo, e.cost, model.initial_belief):
+        h.update(array.tobytes())
     return h.hexdigest()[:16]
 
 
@@ -108,6 +102,7 @@ def simulate(
     """
     states = np.arange(model.num_states)
     actions = np.arange(model.num_actions)
+    e = model.edges
     seed_parts = (rng_seed,) if isinstance(rng_seed, int) else tuple(rng_seed)
     episodes: list[Episode] = []
     for i in range(num_episodes):
@@ -121,11 +116,11 @@ def simulate(
             mu = supervision_policy(supervision.action_values(b))
             a = int(rng.choice(actions, p=mu))
             steps.append(Step(observation=z, action=a, target=mu, belief=b))
-            cost += model.cost[(s, a)]
-            row = model.row(s, a)
-            succs = sorted(row)
-            probs = np.array([row[sp] for sp in succs])
-            s_next = int(rng.choice(succs, p=probs / probs.sum()))
+            r = s * model.num_actions + a
+            cost += float(e.cost[r])
+            start, stop = e.offsets[r], e.offsets[r + 1]
+            probs = e.lo[start:stop]
+            s_next = int(rng.choice(e.succ[start:stop], p=probs / probs.sum()))
             b = belief_update(model, b, a, int(model.obs_of[s_next]))
             s = s_next
         episodes.append(Episode(steps=steps, cost=cost, reached_goal=s in model.goals))

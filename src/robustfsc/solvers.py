@@ -1,7 +1,8 @@
 """Fast belief-value bounds for concrete POMDP instances.
 
-Both solvers run Jacobi sweeps over a flattened edge list of the sparse
-transition structure, so results do not depend on state enumeration order.
+Both solvers run Jacobi sweeps over the model's edge table (``model.edges``),
+taken in (s, a, O(s'), s') order, so results do not depend on state
+enumeration order.
 States from which no policy can reach a goal with positive probability are
 valued +inf up front; the sweeps propagate infinity to anything forced
 through them.
@@ -49,54 +50,22 @@ class FibVectors:
         return self.alpha @ belief
 
 
-@dataclass
-class _Edges:
-    """Transitions flattened in sorted (s, a, obs(s'), s') order."""
+def _by_observation(model: ConcretePomdp) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The model's edges in (s, a, O(s'), s') order, grouped for the backups.
 
-    succ: np.ndarray          # (E,) successor state per edge
-    prob: np.ndarray          # (E,)
-    sa_offsets: np.ndarray    # (S*A + 1,) edge run per flat (s, a)
-    cost: np.ndarray          # (S*A,)
-    group_offsets: np.ndarray  # (G + 1,) edge run per (s, a, z) group
-    sa_group_offsets: np.ndarray  # (S*A + 1,) group run per flat (s, a)
-
-
-def _flatten(model: ConcretePomdp) -> _Edges:
-    n, na = model.num_states, model.num_actions
-    succ: list[int] = []
-    prob: list[float] = []
-    sa_offsets = [0]
-    group_offsets = [0]
-    sa_group_offsets = [0]
-    cost = np.zeros(n * na)
-    obs = model.obs_of
-    for s in range(n):
-        for a in range(na):
-            row = model.row(s, a)
-            if not row:
-                raise ValueError(f"state {s} action {a} has no transitions")
-            cost[s * na + a] = model.cost[(s, a)]
-            by_obs = sorted(row.items(), key=lambda kv: (int(obs[kv[0]]), kv[0]))
-            prev_z = None
-            for sp, p in by_obs:
-                z = int(obs[sp])
-                if z != prev_z:
-                    if prev_z is not None:
-                        group_offsets.append(len(succ))
-                    prev_z = z
-                succ.append(sp)
-                prob.append(p)
-            group_offsets.append(len(succ))
-            sa_offsets.append(len(succ))
-            sa_group_offsets.append(len(group_offsets) - 1)
-    return _Edges(
-        succ=np.asarray(succ, dtype=np.int64),
-        prob=np.asarray(prob, dtype=np.float64),
-        sa_offsets=np.asarray(sa_offsets, dtype=np.int64),
-        cost=cost,
-        group_offsets=np.asarray(group_offsets, dtype=np.int64),
-        sa_group_offsets=np.asarray(sa_group_offsets, dtype=np.int64),
-    )
+    Returns the successor and probability of each edge in that order, the
+    first edge of each (s, a, z) group and the first group of each flat (s, a).
+    """
+    e = model.edges
+    missing = np.flatnonzero((np.diff(e.offsets) == 0) | np.isnan(e.cost))
+    if missing.size:
+        s, a = divmod(int(missing[0]), model.num_actions)
+        raise ValueError(f"state {s} action {a} has no transitions or no cost")
+    z = model.obs_of[e.succ]
+    order = np.lexsort((e.succ, z, e.row))
+    row, z = e.row[order], z[order]
+    starts = np.concatenate([[0], np.flatnonzero((np.diff(row) != 0) | (np.diff(z) != 0)) + 1])
+    return e.succ[order], e.lo[order], starts, np.searchsorted(starts, e.offsets[:-1])
 
 
 def _backward_closure(reverse: csr_matrix, seeds: np.ndarray) -> np.ndarray:
@@ -107,11 +76,11 @@ def _backward_closure(reverse: csr_matrix, seeds: np.ndarray) -> np.ndarray:
     return np.isfinite(dist)
 
 
-def _improper_states(model: ConcretePomdp, edges: _Edges) -> np.ndarray:
+def _improper_states(model: ConcretePomdp) -> np.ndarray:
     """States from which no action sequence reaches a goal with positive prob."""
-    n, na = model.num_states, model.num_actions
-    preds = np.repeat(np.arange(n * na) // na, np.diff(edges.sa_offsets))
-    reverse = csr_matrix((np.ones(len(preds)), (edges.succ, preds)), shape=(n, n))
+    n, e = model.num_states, model.edges
+    preds = e.row // model.num_actions
+    reverse = csr_matrix((np.ones(len(preds)), (e.succ, preds)), shape=(n, n))
     goals = np.zeros(n, dtype=bool)
     goals[list(model.goals)] = True
     return ~_backward_closure(reverse, goals)
@@ -125,12 +94,13 @@ def solve_mdp(model: ConcretePomdp, tol: float = 1e-9, max_iters: int = 200_000)
     diagnoses a goal that is not reachable almost surely.
     """
     n, na = model.num_states, model.num_actions
-    edges = _flatten(model)
+    succ, prob, _, _ = _by_observation(model)
+    cost, row_starts = model.edges.cost, model.edges.offsets[:-1]
     v = np.zeros(n)
-    v[_improper_states(model, edges)] = np.inf
+    v[_improper_states(model)] = np.inf
     for _ in range(max_iters):
-        contrib = edges.prob * v[edges.succ]
-        q = edges.cost + np.add.reduceat(contrib, edges.sa_offsets[:-1])
+        contrib = prob * v[succ]
+        q = cost + np.add.reduceat(contrib, row_starts)
         v_new = q.reshape(n, na).min(axis=1)
         finite = np.isfinite(v_new) & np.isfinite(v)
         change = np.max(np.abs(v_new[finite] - v[finite]), initial=0.0)
@@ -148,15 +118,15 @@ def solve_fib(model: ConcretePomdp, tol: float = 1e-9, max_iters: int = 200_000)
     alpha'[a](s) = C(s,a) + sum_z min_a' sum_{s': O(s')=z} T(s'|s,a) alpha[a'](s')
     """
     n, na = model.num_states, model.num_actions
-    edges = _flatten(model)
+    succ, prob, group_starts, row_group_starts = _by_observation(model)
     alpha = np.zeros((na, n))
-    alpha[:, _improper_states(model, edges)] = np.inf
+    alpha[:, _improper_states(model)] = np.inf
     for _ in range(max_iters):
-        contrib = edges.prob[:, None] * alpha[:, edges.succ].T  # (E, A)
-        per_group = np.add.reduceat(contrib, edges.group_offsets[:-1], axis=0)
+        contrib = prob[:, None] * alpha[:, succ].T  # (E, A)
+        per_group = np.add.reduceat(contrib, group_starts, axis=0)
         group_min = per_group.min(axis=1)  # min over next action, one per (s,a,z)
-        backup = np.add.reduceat(group_min, edges.sa_group_offsets[:-1])
-        alpha_new = (edges.cost + backup).reshape(n, na).T
+        backup = np.add.reduceat(group_min, row_group_starts)
+        alpha_new = (model.edges.cost + backup).reshape(n, na).T
         finite = np.isfinite(alpha_new) & np.isfinite(alpha)
         change = np.max(np.abs(alpha_new[finite] - alpha[finite]), initial=0.0)
         alpha = alpha_new

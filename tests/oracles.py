@@ -3,8 +3,8 @@
 Everything here is written against the math definitions directly, avoiding
 the library's own algorithms: candidate-vertex enumeration for box-simplex
 linear programs, dense linear solves for Markov-chain expected costs,
-exhaustive policy enumeration for small MDPs, and a scalar re-implementation
-of the recurrent cell.
+exhaustive policy enumeration for small MDPs, a scalar re-implementation
+of the recurrent cell, and the row-by-row member builder.
 """
 
 from __future__ import annotations
@@ -258,3 +258,48 @@ def robust_chain_lp(chain, maximize=True):
     values = np.zeros(chain.num_states)
     values[rows] = result.x[:num_t]
     return values
+
+
+def project_row_reference(targets, lo, hi):
+    """Box-simplex projection of one row, as ``project_row`` documents it."""
+    if lo.sum() > 1.0 + 1e-9 or hi.sum() < 1.0 - 1e-9:
+        raise ValueError("box does not intersect the probability simplex")
+    p = np.clip(np.asarray(targets, dtype=np.float64), lo, hi)
+    for _ in range(100):
+        delta = 1.0 - p.sum()
+        if abs(delta) < 1e-12:
+            break
+        slack = (hi - p) if delta > 0 else (p - lo)
+        total = slack.sum()
+        if total <= 0.0:
+            raise ValueError("box does not intersect the probability simplex")
+        p = np.clip(p + delta * slack / total, lo, hi)
+    return p
+
+
+def reference_member(model, start, rng=None):
+    """Member built one row at a time from the model's dicts.
+
+    ``start`` is "mid", "lo", "hi" or "sample" (one ``rng.uniform`` draw per
+    entry, rows and successors ascending); each row's targets are projected
+    with ``project_row_reference``.
+    """
+    from robustfsc.model import with_transitions
+
+    transitions = {}
+    for key in sorted(model.transitions):
+        row = model.transitions[key]
+        succs = sorted(row)
+        lo = np.array([row[sp].lo for sp in succs])
+        hi = np.array([row[sp].hi for sp in succs])
+        if start == "mid":
+            targets = np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
+        elif start == "lo":
+            targets = lo
+        elif start == "hi":
+            targets = hi
+        else:
+            targets = np.array([rng.uniform(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
+        probs = project_row_reference(targets, lo, hi)
+        transitions[key] = {sp: float(p) for sp, p in zip(succs, probs)}
+    return with_transitions(model, transitions)

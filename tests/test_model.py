@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_rpomdp
+from oracles import reference_member
+from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import (
     InconsistentHistoryError,
     Interval,
@@ -239,6 +241,65 @@ class TestMembers:
                 for row in member.transitions.values():
                     assert abs(sum(row.values()) - 1.0) < 1e-9
                     rows_checked += 1
+
+
+GRID_FAMILIES = [GridSpec(4, 4, "intercept"), GridSpec(4, 4, "evade"), GridSpec(4, 4, "avoid")]
+
+
+def _members(model, seed):
+    """(built by the table, built row by row) for every member builder."""
+    return [
+        (nominal_midpoint(model), reference_member(model, "mid")),
+        (bound_member(model, "lower"), reference_member(model, "lo")),
+        (bound_member(model, "upper"), reference_member(model, "hi")),
+        (sample_member(model, seed), reference_member(model, "sample", np.random.default_rng(seed))),
+    ]
+
+
+class TestEdgeTable:
+    @pytest.mark.parametrize("spec", GRID_FAMILIES, ids=lambda spec: spec.kind)
+    def test_members_match_row_by_row_reference_on_grids(self, spec):
+        model = generate_grid(spec, 3)
+        for member, reference in _members(model, (3, 1)):
+            assert member.transitions == reference.transitions  # bit for bit
+
+    def test_members_match_row_by_row_reference_on_random_models(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            model = random_rpomdp(rng, num_states=int(rng.integers(3, 6)), num_actions=2)
+            for member, reference in _members(model, int(rng.integers(1 << 30))):
+                assert member.transitions.keys() == reference.transitions.keys()
+                for key, row in reference.transitions.items():
+                    assert member.transitions[key].keys() == row.keys()
+                    for sp, p in row.items():
+                        # a row sum may round differently in the last bit
+                        assert member.transitions[key][sp] == pytest.approx(p, rel=0, abs=1e-15)
+
+    def test_edges_agree_with_dicts(self):
+        rng = np.random.default_rng(4)
+        grid = generate_grid(GRID_FAMILIES[0], 3)
+        robust = random_rpomdp(rng, num_states=4, num_actions=3)
+        member = sample_member(robust, 8)
+        assert member.edges.lo is member.edges.hi
+        for model in (grid, robust, member):
+            e, na = model.edges, model.num_actions
+            assert len(e.offsets) == model.num_states * na + 1
+            assert e.cost.tolist() == [model.cost[divmod(r, na)] for r in range(len(e.cost))]
+            for r in range(len(e.cost)):
+                row = model.row(*divmod(r, na))
+                edges = range(e.offsets[r], e.offsets[r + 1])
+                assert e.succ[edges].tolist() == sorted(row)
+                for i, sp in zip(edges, sorted(row)):
+                    bounds = (row[sp].lo, row[sp].hi) if model is not member else (row[sp], row[sp])
+                    assert (e.lo[i], e.hi[i]) == bounds
+
+    def test_writes_to_a_member_row_reach_its_table(self):
+        model = tiny_model({0: Interval(0.2, 0.5), 1: Interval(0.5, 0.8)})
+        member = nominal_midpoint(model)
+        assert member.is_member_of(model)
+        member.transitions[(0, 0)][0] = 0.9
+        assert member.edges.lo[0] == 0.9
+        assert not member.is_member_of(model)
 
 
 class TestBeliefUpdate:

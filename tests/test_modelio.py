@@ -168,9 +168,10 @@ class TestFscFormat:
             (TWO_OBS_FSC.replace("act 0 0 0 1", "act 0 -1 0 1"), 4),
             (TWO_OBS_FSC.replace("act 0 0 0 1", "act 0 0 -1 1"), 4),
             (TWO_OBS_FSC.replace("mem 0 1 0", "mem 0 -1 0"), 7),
+            ("fsc v1\nnodes 1\ninit 0\nact 0 0 0 nan\nmem 0 0 0\n", 0),
         ],
         ids=["nodes-arity", "init-arity", "act-negative-observation",
-             "act-negative-action", "mem-negative-observation"],
+             "act-negative-action", "mem-negative-observation", "act-nan-probability"],
     )
     def test_malformed_line_rejected_with_line_number(self, text, line):
         assert parse_fsc(TWO_OBS_FSC).num_observations == 2

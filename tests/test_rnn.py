@@ -226,6 +226,10 @@ class TestCheckpoint:
             assert np.array_equal(getattr(p, name), getattr(back, name))
         assert params_to_text(back) == text
 
+    def test_header_only_rejected(self):
+        with pytest.raises(ValueError, match="dims"):
+            params_from_text("rnnparams v1\n")
+
     def test_missing_field_rejected(self):
         p = init_params(2, 2, 3, 2, rng_seed=0)
         text = "\n".join(ln for ln in params_to_text(p).splitlines() if not ln.startswith("emb"))
