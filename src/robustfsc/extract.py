@@ -2,10 +2,12 @@
 
 Two families of discretizers produce a Clustering (assign/represent pair):
 k-means++ over the hidden states visited on the dataset, or a quantized
-bottleneck autoencoder whose code book becomes the node set.  build_fsc then
-drives the trained network model-side: one forward pass per (node,
-observation) yields the action distribution and the successor node, and
-nodes the initial node cannot reach are pruned.
+bottleneck autoencoder whose code book becomes the node set.  The network
+runs only in batches: one replay unrolls it over every episode of a dataset
+at once (hidden states, end-to-end code tables, fidelity), and build_fsc
+expands each node with one step over all observations, whose action
+distributions become the node's rows and whose clusters its memory
+successors.  Only nodes the initial node reaches are created.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from robustfsc.rnn import (
     _head_backward,
     _pad_episodes,
     episode_batches,
-    forward,
     initial_hidden,
     policy_distribution,
 )
@@ -33,23 +34,30 @@ from robustfsc.simulate import TrajectoryDataset
 from robustfsc.solvers import DivergenceError
 
 
+def _replay(params: NetworkParams, dataset: TrajectoryDataset, qbn: QbnParams | None = None):
+    """Raw GRU states (B, T, d) over all episodes at once, the padded
+    observations (B, T) and the mask of recorded steps.  With a bottleneck
+    the recurrence carries the decoded quantized state, as in training."""
+    zs, _, mask = _pad_episodes(dataset, list(range(dataset.num_episodes)))
+    hs = np.empty(zs.shape + (params.hidden_size,))
+    h = np.zeros((len(zs), params.hidden_size))
+    for t in range(zs.shape[1]):
+        h, _ = _gru_step(params, h, params.emb[zs[:, t]])
+        hs[:, t] = h
+        if qbn is not None:
+            h, _ = _qbn_decode(qbn, quantize(_qbn_encode(qbn, h)[0], qbn.quant_levels))
+    return hs, zs, mask > 0.0
+
+
 def collect_hidden_states(params: NetworkParams, dataset: TrajectoryDataset) -> np.ndarray:
     """Hidden states after every observation of every episode, episode-major."""
-    if dataset.num_steps == 0:
-        return np.zeros((0, params.hidden_size))
-    zs, _, mask = _pad_episodes(dataset, list(range(dataset.num_episodes)))
-    b, t_max = zs.shape
-    h = np.zeros((b, params.hidden_size))
-    per_step = []
-    for t in range(t_max):
-        h, _ = _gru_step(params, h, params.emb[zs[:, t]])
-        per_step.append(h)
-    states = []
-    for row in range(b):
-        length = int(mask[row].sum())
-        for t in range(length):
-            states.append(per_step[t][row])
-    return np.array(states)
+    hs, _, mask = _replay(params, dataset)
+    return hs[mask]
+
+
+def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance of every point to every centroid, (n, k)."""
+    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +89,7 @@ def kmeans_fit(points: np.ndarray, k: int, rng_seed: int | tuple[int, ...] = 0, 
 
     assign = None
     for _ in range(max_iters):
-        dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        dists = _sq_dists(points, centroids)
         new_assign = dists.argmin(axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
             break
@@ -94,7 +102,7 @@ def kmeans_fit(points: np.ndarray, k: int, rng_seed: int | tuple[int, ...] = 0, 
                 worst = int(dists[np.arange(len(points)), assign].argmax())
                 centroids[j] = points[worst]
                 assign[worst] = j
-    dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    dists = _sq_dists(points, centroids)
     inertia = float(dists.min(axis=1).sum())
     return Clustering(method="kmeans", centroids=centroids, fit_metric=inertia)
 
@@ -234,9 +242,9 @@ def _qbn_encode_backward(q: QbnParams, cache, dcode: np.ndarray, g: QbnParams) -
     return de1p @ q.enc_w1
 
 
-def _code_table(codes) -> list[tuple]:
-    """Distinct quantized codes as integer tuples, in order of first appearance."""
-    return list(dict.fromkeys(tuple(int(v) for v in row) for row in codes))
+def _codes(qbn: QbnParams, h: np.ndarray) -> list[tuple]:
+    """Quantized code of each row of ``h`` as an integer tuple."""
+    return list(map(tuple, quantize(_qbn_encode(qbn, h)[0], qbn.quant_levels).astype(np.int64).tolist()))
 
 
 def qbn_fit_posthoc(
@@ -283,9 +291,8 @@ def qbn_fit_posthoc(
             opt.step(qbn, g)
         epoch_mse.append(float(np.mean(losses)))
 
-    codes = quantize(_qbn_encode(qbn, points)[0], quant_levels)
     return Clustering(
-        method="qbn_posthoc", qbn=qbn, codes=_code_table(codes),
+        method="qbn_posthoc", qbn=qbn, codes=list(dict.fromkeys(_codes(qbn, points))),
         fit_metric=epoch_mse[-1] if epoch_mse else float("nan"),
         mse_trace=epoch_mse,
     )
@@ -320,25 +327,33 @@ class Clustering:
     def quantize_before_head(self) -> bool:
         return self.method == "qbn_e2e"
 
-    def assign(self, h: np.ndarray, discover: bool = False) -> int | None:
+    def assign(self, h: np.ndarray, discover: bool | np.ndarray = False) -> np.ndarray | int | None:
+        """Node of each row of ``h``, -1 for a code not in the table (None
+        for a 1-D ``h``).  Rows flagged by ``discover`` (one flag or one per
+        row) add unseen codes to the table, numbered in row order."""
+        rows = np.atleast_2d(h)
         if self.method == "kmeans":
-            d2 = ((self.centroids - h) ** 2).sum(axis=1)
-            return int(d2.argmin())
-        e, _ = _qbn_encode(self.qbn, h[None, :])
-        code = tuple(int(v) for v in quantize(e[0], self.qbn.quant_levels))
-        for i, c in enumerate(self.codes):
-            if c == code:
-                return i
-        if not discover:
-            return None
-        self.codes.append(code)
-        return len(self.codes) - 1
+            nodes = _sq_dists(rows, self.centroids).argmin(axis=1)
+        else:
+            codes = _codes(self.qbn, rows)
+            index = {code: i for i, code in enumerate(self.codes)}
+            nodes = np.empty(len(rows), dtype=np.int64)
+            for row, (code, new) in enumerate(zip(codes, np.broadcast_to(discover, len(rows)))):
+                if new and code not in index:
+                    index[code] = len(self.codes)
+                    self.codes.append(code)
+                nodes[row] = index.get(code, -1)
+        if np.ndim(h) == 2:
+            return nodes
+        return int(nodes[0]) if nodes[0] >= 0 else None
 
-    def represent(self, node: int) -> np.ndarray:
+    def represent(self, node: int | np.ndarray) -> np.ndarray:
+        """Hidden state of each node; an int node gives one state."""
         if self.method == "kmeans":
             return self.centroids[node]
-        out, _ = _qbn_decode(self.qbn, np.asarray(self.codes[node], dtype=np.float64)[None, :])
-        return out[0]
+        codes = np.asarray(self.codes, dtype=np.float64)[node]
+        out, _ = _qbn_decode(self.qbn, np.atleast_2d(codes))
+        return out.reshape(np.shape(node) + out.shape[-1:])
 
 
 def train_epochs_e2e(
@@ -401,64 +416,51 @@ def train_epochs_e2e(
 
 def clustering_from_e2e(params: NetworkParams, qbn: QbnParams, dataset: TrajectoryDataset) -> Clustering:
     """Code table observed when replaying the quantized recurrence."""
-    codes = []
-    for ep in dataset.episodes:
-        hq = initial_hidden(params)
-        for st in ep.steps:
-            hraw, _ = _gru_step(params, hq[None, :], params.emb[st.observation][None, :])
-            e, _ = _qbn_encode(qbn, hraw)
-            codes.append(quantize(e[0], qbn.quant_levels))
-            hq = _qbn_decode(qbn, codes[-1][None, :])[0][0]
-    if not codes:
-        codes.append(quantize(_qbn_encode(qbn, initial_hidden(params)[None, :])[0][0], qbn.quant_levels))
-    return Clustering(method="qbn_e2e", qbn=qbn, codes=_code_table(codes))
+    hs, _, mask = _replay(params, dataset, qbn)
+    raw = hs[mask] if mask.any() else initial_hidden(params)[None, :]
+    return Clustering(method="qbn_e2e", qbn=qbn, codes=list(dict.fromkeys(_codes(qbn, raw))))
 
 
 def build_fsc(params: NetworkParams, clustering: Clustering, model: RobustPomdp) -> Fsc:
     """Synthesize the controller by driving the network from each node.
 
-    Starting from the node of the zero hidden state, every (node, realizable
-    observation) pair is expanded with one forward pass: the resulting action
-    distribution becomes the action row and the cluster of the new hidden
-    state the memory successor.  Rows are also filled for non-realizable
-    observations, but those never spawn new nodes, so every node is
-    reachable and numbered in the order the search first meets it.
+    Starting from the node of the zero hidden state, each node is expanded
+    with one network step from its representative over every observation:
+    the action distributions become its action rows and the clusters of the
+    new hidden states its memory successors.  Only realizable observations
+    spawn (or discover) nodes, so every node is reachable, numbered in the
+    order the search first meets it; an entry whose target is not a node
+    points back at its source node.
     """
-    realizable_set = set(model.realizable_observations())
     num_z = model.num_observations
-    num_a = params.num_actions
+    realizable = np.zeros(num_z, dtype=bool)
+    realizable[model.realizable_observations()] = True
+    x = params.emb[np.arange(num_z)]
 
-    first = clustering.assign(initial_hidden(params), discover=True)
-    order = [first]
-    dense_of = {first: 0}
-    rows: list[dict[int, tuple[np.ndarray, int]]] = [{}]
-    i = 0
-    while i < len(order):
-        node = order[i]
-        i += 1
-        rep = clustering.represent(node)
-        for z in range(num_z):
-            h_next, dist = forward(params, rep, z)
-            target = clustering.assign(h_next, discover=z in realizable_set)
-            if z in realizable_set and target not in dense_of:
-                dense_of[target] = len(order)
-                order.append(target)
-                rows.append({})
-            if clustering.quantize_before_head and target is not None:
-                dist = policy_distribution(params, clustering.represent(target))
-            rows[i - 1][z] = (dist, target)
+    order = [clustering.assign(initial_hidden(params), discover=True)]
+    dense_of = {order[0]: 0}
+    action_rows, targets = [], []
+    for node in order:
+        h_next, _ = _gru_step(params, np.tile(clustering.represent(node), (num_z, 1)), x)
+        target = clustering.assign(h_next, discover=realizable)
+        for m in target[realizable].tolist():
+            if m not in dense_of:
+                dense_of[m] = len(order)
+                order.append(m)
+        if clustering.quantize_before_head:
+            known = target >= 0
+            h_next[known] = clustering.represent(target[known])
+        action_rows.append(policy_distribution(params, h_next))
+        targets.append(target)
 
     k = len(order)
-    action_map = np.zeros((k, num_z, num_a))
-    memory_map = np.zeros((k, num_z), dtype=np.int64)
-    for dense_idx in range(k):
-        for z in range(num_z):
-            dist, target = rows[dense_idx][z]
-            action_map[dense_idx, z] = dist
-            # Unexpanded targets only arise on observations no state emits;
-            # point those entries back at the source node.
-            memory_map[dense_idx, z] = dense_of.get(target, dense_idx)
-    fsc = Fsc(k, 0, action_map, memory_map)
+    dense = np.full(clustering.num_nodes + 1, -1)  # the last entry answers target -1
+    dense[order] = np.arange(k)
+    memory_map = dense[np.array(targets)]
+    # Targets that are not nodes only arise on observations no state emits;
+    # point those entries back at the source node.
+    memory_map = np.where(memory_map >= 0, memory_map, np.arange(k)[:, None])
+    fsc = Fsc(k, 0, np.array(action_rows), memory_map)
     fsc.check()
     return fsc
 
@@ -468,15 +470,11 @@ def fsc_fidelity(params: NetworkParams, fsc: Fsc, dataset: TrajectoryDataset) ->
     extracted controller along the dataset histories (diagnostic only)."""
     if dataset.num_steps == 0:
         return 0.0
+    hs, zs, mask = _replay(params, dataset)
+    node = np.full(len(zs), fsc.initial_node)
     total = 0.0
-    count = 0
-    for ep in dataset.episodes:
-        h = initial_hidden(params)
-        node = fsc.initial_node
-        for st in ep.steps:
-            h, dist_net = forward(params, h, st.observation)
-            dist_fsc = fsc.action_map[node, st.observation]
-            total += 0.5 * float(np.abs(dist_net - dist_fsc).sum())
-            node = int(fsc.memory_map[node, st.observation])
-            count += 1
-    return total / count
+    for t in range(zs.shape[1]):
+        gap = np.abs(policy_distribution(params, hs[:, t]) - fsc.action_map[node, zs[:, t]])
+        total += 0.5 * float(gap.sum(axis=1)[mask[:, t]].sum())
+        node = fsc.memory_map[node, zs[:, t]]
+    return total / dataset.num_steps

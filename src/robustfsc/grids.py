@@ -185,23 +185,27 @@ def generate_grid(spec: GridSpec, rng_seed: int = 0) -> RobustPomdp:
 
 
 # ---------------------------------------------------------------------------
-# intercept: state = (agent cell, target cell, exited flag)
+# intercept and evade: state = (agent cell, other robot's cell, flag)
 
-def intercept_index(spec: GridSpec, agent: tuple[int, int], target: tuple[int, int], exited: int) -> int:
+def pair_index(spec: GridSpec, agent: tuple[int, int], other: tuple[int, int], flag: int) -> int:
+    """State of (agent cell, other robot's cell, flag); cells row-major, flag fastest."""
     w = spec.width
     n_cells = spec.width * spec.height
     a = agent[1] * w + agent[0]
-    t = target[1] * w + target[0]
-    return (a * n_cells + t) * 2 + exited
+    o = other[1] * w + other[0]
+    return (a * n_cells + o) * 2 + flag
 
 
-def intercept_decode(spec: GridSpec, s: int) -> tuple[tuple[int, int], tuple[int, int], int]:
+def pair_decode(spec: GridSpec, s: int) -> tuple[tuple[int, int], tuple[int, int], int]:
+    """Inverse of ``pair_index``."""
     w = spec.width
-    n_cells = spec.width * spec.height
-    exited = s % 2
-    at = s // 2
-    a, t = divmod(at, n_cells)
-    return ((a % w, a // w), (t % w, t // w), exited)
+    a, o = divmod(s // 2, spec.width * spec.height)
+    return ((a % w, a // w), (o % w, o // w), s % 2)
+
+
+# intercept: (agent, target, exited); evade: (agent, pursuer, scanned)
+intercept_index = pair_index
+intercept_decode = evade_decode = pair_decode
 
 
 def _intercept_exits(spec: GridSpec) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -241,20 +245,20 @@ def _build_intercept(spec: GridSpec, name: str) -> RobustPomdp:
         raise ValueError("grid too small: no hidden starting cell for the target")
 
     def is_goal(s: int) -> bool:
-        agent, target, _ = intercept_decode(spec, s)
+        agent, target, _ = pair_decode(spec, s)
         return agent == target
 
     def moves_agent(s: int, a: int):
-        agent, _, _ = intercept_decode(spec, s)
+        agent, _, _ = pair_decode(spec, s)
         return b.agent_moves(agent, a)
 
     def step_successor(s: int, a: int, landing) -> int:
-        _, target, exited = intercept_decode(spec, s)
+        _, target, exited = pair_decode(spec, s)
         t2, e2 = _intercept_target_step(spec, target, exited)
-        return intercept_index(spec, landing, t2, e2)
+        return pair_index(spec, landing, t2, e2)
 
     def obs_symbol(s: int):
-        agent, target, exited = intercept_decode(spec, s)
+        agent, target, exited = pair_decode(spec, s)
         if agent == target:
             return (agent, "goal")
         if exited:
@@ -264,9 +268,9 @@ def _build_intercept(spec: GridSpec, name: str) -> RobustPomdp:
         return (agent, "hidden")
 
     def is_bad(s: int) -> bool:
-        return intercept_decode(spec, s)[2] == 1
+        return pair_decode(spec, s)[2] == 1
 
-    init_states = [intercept_index(spec, agent_start, t, 0) for t in starts]
+    init_states = [pair_index(spec, agent_start, t, 0) for t in starts]
     return _assemble(
         spec, num_states, 4, is_goal, is_bad, step_successor, moves_agent, obs_symbol, init_states, name
     )
@@ -274,23 +278,6 @@ def _build_intercept(spec: GridSpec, name: str) -> RobustPomdp:
 
 # ---------------------------------------------------------------------------
 # evade: state = (agent cell, pursuer cell, scanned flag)
-
-def evade_index(spec: GridSpec, agent: tuple[int, int], adv: tuple[int, int], scanned: int) -> int:
-    w = spec.width
-    n_cells = spec.width * spec.height
-    a = agent[1] * w + agent[0]
-    v = adv[1] * w + adv[0]
-    return (a * n_cells + v) * 2 + scanned
-
-
-def evade_decode(spec: GridSpec, s: int) -> tuple[tuple[int, int], tuple[int, int], int]:
-    w = spec.width
-    n_cells = spec.width * spec.height
-    scanned = s % 2
-    av = s // 2
-    a, v = divmod(av, n_cells)
-    return ((a % w, a // w), (v % w, v // w), scanned)
-
 
 def _evade_pursuer_step(spec: GridSpec, adv: tuple[int, int], agent: tuple[int, int]) -> tuple[int, int]:
     safe_x = spec.width - 1
@@ -329,33 +316,33 @@ def _build_evade(spec: GridSpec, name: str) -> RobustPomdp:
         raise ValueError("grid too small: no hidden starting cell for the pursuer")
 
     def is_goal(s: int) -> bool:
-        agent, _, _ = evade_decode(spec, s)
+        agent, _, _ = pair_decode(spec, s)
         return agent == goal_cell
 
     def moves_agent(s: int, a: int):
         if a == SCAN:
             return None
-        agent, _, _ = evade_decode(spec, s)
+        agent, _, _ = pair_decode(spec, s)
         return b.agent_moves(agent, a)
 
     def step_successor(s: int, a: int, landing) -> int:
-        agent, adv, _ = evade_decode(spec, s)
+        agent, adv, _ = pair_decode(spec, s)
         adv2 = _evade_pursuer_step(spec, adv, agent)
         if a == SCAN:
-            return evade_index(spec, agent, adv2, 1)
-        return evade_index(spec, landing, adv2, 0)
+            return pair_index(spec, agent, adv2, 1)
+        return pair_index(spec, landing, adv2, 0)
 
     def obs_symbol(s: int):
-        agent, adv, scanned = evade_decode(spec, s)
+        agent, adv, scanned = pair_decode(spec, s)
         if scanned or _chebyshev(agent, adv) <= spec.view_radius:
             return (agent, adv)
         return (agent, "hidden")
 
     def is_bad(s: int) -> bool:
-        agent, adv, _ = evade_decode(spec, s)
+        agent, adv, _ = pair_decode(spec, s)
         return agent == adv
 
-    init_states = [evade_index(spec, agent_start, v, 0) for v in starts]
+    init_states = [pair_index(spec, agent_start, v, 0) for v in starts]
     return _assemble(
         spec, num_states, 5, is_goal, is_bad, step_successor, moves_agent, obs_symbol, init_states, name
     )

@@ -62,6 +62,13 @@ def _fmt(x: float) -> str:
     return np.format_float_positional(x, unique=True, trim="0")
 
 
+def _fmt_all(values: np.ndarray) -> list[str]:
+    """``_fmt`` of every entry, formatting each distinct value (by bits: -0.0 is not 0.0) once."""
+    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64), return_inverse=True)
+    texts = [_fmt(x) for x in bits.view(np.float64).tolist()]
+    return [texts[i] for i in inverse.tolist()]
+
+
 def _tokens(text: str):
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -158,6 +165,11 @@ def parse_model(text: str) -> ModelDocument:
         if val <= 0:
             raise ModelFormatError(0, f"{key} must be positive")
     ns, na, nz = counts["states"], counts["actions"], counts["observations"]
+    # reject sizes the document cannot fill before allocating for them
+    if len(obs_lines) < ns:
+        raise ModelFormatError(0, f"{ns} states need one obs line each")
+    if len(cost_lines) < ns * na:
+        raise ModelFormatError(0, f"{ns} states x {na} actions need one cost line each")
 
     obs_of = np.full(ns, -1, dtype=np.int64)
     for line_no, s, z in obs_lines:
@@ -235,13 +247,14 @@ def serialize_model(doc: ModelDocument | RobustPomdp | ConcretePomdp) -> str:
     for s in range(model.num_states):
         out.append(f"obs {s} {int(model.obs_of[s])}")
     e = model.edges
-    lo = [_fmt(x) for x in e.lo.tolist()]
-    hi = [text if x == y else _fmt(y) for text, x, y in zip(lo, e.lo.tolist(), e.hi.tolist())]
+    bounds = _fmt_all(np.concatenate([e.lo, e.hi]))
     s_of, a_of = np.divmod(e.row, model.num_actions)
     out += [f"trans {s} {a} {sp} {lo_text} {hi_text}"
-            for s, a, sp, lo_text, hi_text in zip(s_of.tolist(), a_of.tolist(), e.succ.tolist(), lo, hi)]
-    for (s, a) in sorted(model.cost):
-        out.append(f"cost {s} {a} {_fmt(model.cost[(s, a)])}")
+            for s, a, sp, lo_text, hi_text in zip(s_of.tolist(), a_of.tolist(), e.succ.tolist(),
+                                                  bounds[:len(e.succ)], bounds[len(e.succ):])]
+    keys = sorted(model.cost)
+    costs = _fmt_all(np.array([model.cost[key] for key in keys], dtype=np.float64))
+    out += [f"cost {s} {a} {text}" for (s, a), text in zip(keys, costs)]
     for g in sorted(model.goals):
         out.append(f"goal {g}")
     for s in np.flatnonzero(model.initial_belief):
@@ -346,6 +359,8 @@ def parse_fsc(text: str) -> Fsc:
     num_act = 1 + max([a for _, _, _, a, _ in act_lines], default=-1)
     if num_obs == 0 or num_act == 0:
         raise ModelFormatError(0, "controller declares no act entries")
+    if len(mem_lines) < num_nodes * num_obs:  # reject before allocating for them
+        raise ModelFormatError(0, f"{num_nodes} nodes x {num_obs} observations need one mem line each")
 
     action_map = np.zeros((num_nodes, num_obs, num_act), dtype=np.float64)
     memory_map = np.zeros((num_nodes, num_obs), dtype=np.int64)

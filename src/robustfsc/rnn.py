@@ -140,9 +140,9 @@ def _head(p: NetworkParams, h: np.ndarray):
 
 
 def policy_distribution(params: NetworkParams, hidden: np.ndarray) -> np.ndarray:
-    """Action distribution of the policy head at a given hidden state."""
-    log_probs, _ = _head(params, hidden[None, :])
-    return np.exp(log_probs[0])
+    """Action distribution of the policy head at each row of ``hidden``."""
+    log_probs, _ = _head(params, hidden)
+    return np.exp(log_probs)
 
 
 def forward(params: NetworkParams, hidden: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,9 @@ Everything here is written against the math definitions directly, avoiding
 the library's own algorithms: candidate-vertex enumeration for box-simplex
 linear programs, dense linear solves for Markov-chain expected costs,
 exhaustive policy enumeration for small MDPs, a scalar re-implementation
-of the recurrent cell, and the row-by-row member builder.
+of the recurrent cell, the row-by-row member builder, and the step-by-step
+network loops (controller synthesis, fidelity, end-to-end code table) that
+the batched extraction replaced.
 """
 
 from __future__ import annotations
@@ -303,3 +305,91 @@ def reference_member(model, start, rng=None):
         probs = project_row_reference(targets, lo, hi)
         transitions[key] = {sp: float(p) for sp, p in zip(succs, probs)}
     return with_transitions(model, transitions)
+
+
+def fsc_fidelity_reference(params, fsc, dataset):
+    """Mean total-variation gap between network and controller, one
+    ``forward`` call per recorded step."""
+    from robustfsc.rnn import forward, initial_hidden
+
+    if dataset.num_steps == 0:
+        return 0.0
+    total = 0.0
+    count = 0
+    for ep in dataset.episodes:
+        h = initial_hidden(params)
+        node = fsc.initial_node
+        for st in ep.steps:
+            h, dist_net = forward(params, h, st.observation)
+            dist_fsc = fsc.action_map[node, st.observation]
+            total += 0.5 * float(np.abs(dist_net - dist_fsc).sum())
+            node = int(fsc.memory_map[node, st.observation])
+            count += 1
+    return total / count
+
+
+def e2e_code_table_reference(params, qbn, dataset):
+    """Distinct codes, in order of first appearance, of the quantized
+    recurrence replayed one episode and one step at a time."""
+    from robustfsc.extract import _qbn_decode, _qbn_encode, quantize
+    from robustfsc.rnn import _gru_step, initial_hidden
+
+    codes = []
+    for ep in dataset.episodes:
+        hq = initial_hidden(params)
+        for st in ep.steps:
+            hraw, _ = _gru_step(params, hq[None, :], params.emb[st.observation][None, :])
+            e, _ = _qbn_encode(qbn, hraw)
+            codes.append(quantize(e[0], qbn.quant_levels))
+            hq = _qbn_decode(qbn, codes[-1][None, :])[0][0]
+    if not codes:
+        codes.append(quantize(_qbn_encode(qbn, initial_hidden(params)[None, :])[0][0], qbn.quant_levels))
+    return list(dict.fromkeys(tuple(int(v) for v in row) for row in codes))
+
+
+def build_fsc_reference(params, clustering, model):
+    """Controller tables from one ``forward`` call per (node, observation).
+
+    The clustering is re-read one state at a time: the nearest centroid, or
+    the index of the state's code in a private copy of the code table, which
+    only realizable observations extend.  Returns the action map, the
+    memory map and the final code table (None for k-means).
+    """
+    from robustfsc.extract import _qbn_decode, _qbn_encode, quantize
+    from robustfsc.rnn import forward, initial_hidden, policy_distribution
+
+    codes = None if clustering.codes is None else list(clustering.codes)
+
+    def assign(h, discover):
+        if codes is None:
+            return int(((clustering.centroids - h) ** 2).sum(axis=1).argmin())
+        qbn = clustering.qbn
+        code = tuple(int(v) for v in quantize(_qbn_encode(qbn, h[None, :])[0][0], qbn.quant_levels))
+        if discover and code not in codes:
+            codes.append(code)
+        return codes.index(code) if code in codes else None
+
+    def represent(node):
+        if codes is None:
+            return clustering.centroids[node]
+        return _qbn_decode(clustering.qbn, np.asarray(codes[node], dtype=np.float64)[None, :])[0][0]
+
+    realizable = set(model.realizable_observations())
+    order = [assign(initial_hidden(params), True)]
+    rows = []
+    for node in order:
+        rep = represent(node)
+        row = []
+        for z in range(model.num_observations):
+            h, dist = forward(params, rep, z)
+            target = assign(h, z in realizable)
+            if z in realizable and target not in order:
+                order.append(target)
+            if clustering.quantize_before_head and target is not None:
+                dist = policy_distribution(params, represent(target)[None, :])[0]
+            row.append((dist, target))
+        rows.append(row)
+    action_map = np.array([[dist for dist, _ in row] for row in rows])
+    memory_map = np.array([[order.index(t) if t in order else n for _, t in row]
+                           for n, row in enumerate(rows)])
+    return action_map, memory_map, codes

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rpomdp
+from oracles import build_fsc_reference, e2e_code_table_reference, fsc_fidelity_reference
 from robustfsc.extract import (
     build_fsc,
     clustering_from_e2e,
@@ -14,19 +15,31 @@ from robustfsc.extract import (
     tanh_flat,
     train_epochs_e2e,
 )
-from robustfsc.rnn import forward, init_params, initial_hidden
+from robustfsc.rnn import forward, init_params, initial_hidden, policy_distribution
 from robustfsc.simulate import Episode, Step, TrajectoryDataset
 
 
 def make_dataset(num_eps, length, num_obs, num_actions, seed):
+    """Random episodes; ``length`` is one length for all or one per episode."""
     rng = np.random.default_rng(seed)
+    lengths = [length] * num_eps if np.isscalar(length) else list(length)
     episodes = []
-    for _ in range(num_eps):
+    for n in lengths:
         steps = [Step(int(rng.integers(num_obs)), int(rng.integers(num_actions)),
                       rng.dirichlet(np.ones(num_actions)), np.ones(1))
-                 for _ in range(length)]
-        episodes.append(Episode(steps, float(length), True))
-    return TrajectoryDataset(episodes, num_obs, num_actions, seed, length, "test")
+                 for _ in range(n)]
+        episodes.append(Episode(steps, float(n), True))
+    return TrajectoryDataset(episodes, num_obs, num_actions, seed, max(lengths, default=0), "test")
+
+
+def assert_tables_match_forward_passes(params, cl, model):
+    """``build_fsc`` against the per-(node, observation) reference loop,
+    including the codes it adds to a bottleneck's table."""
+    expected_actions, expected_memory, expected_codes = build_fsc_reference(params, cl, model)
+    fsc = build_fsc(params, cl, model)
+    assert np.array_equal(fsc.memory_map, expected_memory)
+    assert np.allclose(fsc.action_map, expected_actions, rtol=0.0, atol=1e-12)
+    assert cl.codes == expected_codes
 
 
 class TestCollectHiddenStates:
@@ -167,20 +180,14 @@ class TestBuildFsc:
 
     def test_tables_match_forward_passes(self):
         cl = kmeans_fit(self.hidden, 2, rng_seed=2)
-        fsc = build_fsc(self.params, cl, self.model)
-        # rebuild the dense index mapping: initial node is cluster of the
-        # zero state; walk the same discovery order as build_fsc
-        start = cl.assign(initial_hidden(self.params))
-        order = [start]
-        for n_dense, node in enumerate(order):
-            rep = cl.represent(node)
-            for z in range(self.model.num_observations):
-                h2, dist = forward(self.params, rep, z)
-                assert np.allclose(fsc.action_map[n_dense, z], dist, atol=1e-12)
-                target = cl.assign(h2)
-                if target not in order:
-                    order.append(target)
-                assert fsc.memory_map[n_dense, z] == order.index(target)
+        assert_tables_match_forward_passes(self.params, cl, self.model)
+
+    def test_tables_match_forward_passes_qbn_posthoc(self):
+        # this bottleneck knows 2 codes after fitting; build_fsc discovers a third
+        cl = qbn_fit_posthoc(self.hidden, bottleneck=2, epochs=20, rng_seed=0)
+        fitted = len(cl.codes)
+        assert_tables_match_forward_passes(self.params, cl, self.model)
+        assert len(cl.codes) > fitted
 
     def test_all_nodes_reachable(self):
         cl = kmeans_fit(self.hidden, 5, rng_seed=3)
@@ -234,11 +241,57 @@ class TestEndToEnd:
         fsc.check()
         # every action row must be the policy head evaluated at a decoded
         # code (the quantized recurrence never feeds the head anything else)
-        from robustfsc.rnn import policy_distribution
-
-        head_outputs = [policy_distribution(params, cl.represent(m))
-                        for m in range(cl.num_nodes)]
+        head_outputs = policy_distribution(params, cl.represent(np.arange(cl.num_nodes)))
         for n in range(fsc.num_nodes):
             for z in model.realizable_observations():
                 dist = fsc.action_map[n, z]
                 assert any(np.max(np.abs(dist - out)) < 1e-12 for out in head_outputs)
+
+
+class TestBatchedReplay:
+    """The batched extraction against step-by-step replays, on ragged episodes
+    (one of them empty) and a model that does not realize every observation."""
+
+    def setup_method(self):
+        self.model = random_rpomdp(np.random.default_rng(0), num_states=6, num_actions=2)
+        assert len(self.model.realizable_observations()) < self.model.num_observations
+        nz = self.model.num_observations
+        self.params = init_params(nz, 2, hidden_size=6, embed_size=3, rng_seed=8)
+        self.dataset = make_dataset(7, [5, 1, 9, 0, 3, 9, 2], nz, 2, seed=4)
+
+    def test_hidden_states_match_forward_replay(self):
+        states = collect_hidden_states(self.params, self.dataset)
+        expected = []
+        for ep in self.dataset.episodes:
+            h = initial_hidden(self.params)
+            for st in ep.steps:
+                h, _ = forward(self.params, h, st.observation)
+                expected.append(h)
+        assert states.shape == (self.dataset.num_steps, 6)
+        assert np.allclose(states, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_fidelity_matches_reference(self, k):
+        hidden = collect_hidden_states(self.params, self.dataset)
+        fsc = build_fsc(self.params, kmeans_fit(hidden, k, rng_seed=k), self.model)
+        got = fsc_fidelity(self.params, fsc, self.dataset)
+        assert abs(got - fsc_fidelity_reference(self.params, fsc, self.dataset)) <= 1e-12
+
+    def test_kmeans_and_qbn_tables_on_unrealized_observations(self):
+        hidden = collect_hidden_states(self.params, self.dataset)
+        assert_tables_match_forward_passes(self.params, kmeans_fit(hidden, 4, rng_seed=0), self.model)
+        # 2-level codes: some unrealized observations reach codes nobody has
+        # seen, others known codes that never become nodes
+        cl = qbn_fit_posthoc(hidden, bottleneck=3, quant_levels=2, epochs=5, rng_seed=2)
+        assert_tables_match_forward_passes(self.params, cl, self.model)
+
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_e2e_code_table_matches_reference(self, empty):
+        dataset = self.dataset
+        if empty:
+            dataset = TrajectoryDataset([], dataset.num_observations, 2, 0, 0, "empty")
+        qbn = qbn_init(6, 3, 2, rng_seed=2)
+        params, qbn, _ = train_epochs_e2e(self.params, qbn, self.dataset, epochs=3, lr=0.02, rng_seed=2)
+        cl = clustering_from_e2e(params, qbn, dataset)
+        assert cl.codes == e2e_code_table_reference(params, qbn, dataset)
+        assert_tables_match_forward_passes(params, cl, self.model)

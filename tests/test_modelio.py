@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_fsc, random_rpomdp
-from robustfsc.model import Fsc, Interval, pad_actions
+from robustfsc.grids import GridSpec, generate_grid
+from robustfsc.model import Fsc, Interval, pad_actions, sample_member
 from robustfsc.modelio import (
     ModelFormatError,
+    _fmt,
     parse_fsc,
     parse_model,
     serialize_concrete,
@@ -92,6 +94,49 @@ def test_missing_observation_rejected():
         parse_model(bad)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "rpomdp v1\nstates 100000000000\nactions 1\nobservations 1\nobs 0 0\n",
+        MINIMAL.replace("actions 1", "actions 100000000000"),
+    ],
+    ids=["states-without-obs-lines", "actions-without-cost-lines"],
+)
+def test_unfillable_model_sizes_rejected(text):
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(text)
+    assert err.value.line_no == 0
+
+
+def serialize_model_per_entry(model):
+    """The model document with every number formatted on its own."""
+    e = model.edges
+    out = ["rpomdp v1"] + ([f"name {model.name}"] if model.name else [])
+    out += [f"states {model.num_states}", f"actions {model.num_actions}",
+            f"observations {model.num_observations}"]
+    out += [f"obs {s} {int(z)}" for s, z in enumerate(model.obs_of)]
+    for row, sp, lo, hi in zip(e.row.tolist(), e.succ.tolist(), e.lo.tolist(), e.hi.tolist()):
+        s, a = divmod(row, model.num_actions)
+        out.append(f"trans {s} {a} {sp} {_fmt(lo)} {_fmt(hi)}")
+    out += [f"cost {s} {a} {_fmt(model.cost[(s, a)])}" for s, a in sorted(model.cost)]
+    out += [f"goal {g}" for g in sorted(model.goals)]
+    out += [f"init {int(s)} {_fmt(float(model.initial_belief[s]))}"
+            for s in np.flatnonzero(model.initial_belief)]
+    return "\n".join(out) + "\n"
+
+
+def test_serialize_formats_like_per_entry_fmt():
+    grid = generate_grid(GridSpec(4, 4, "intercept"), 3)
+    member = sample_member(grid, 5)
+    probs = member.edges.lo[member.edges.lo < 1.0]
+    assert len(np.unique(probs)) == len(probs)  # every uncertain probability distinct
+    for model in (grid, member):
+        assert serialize_model(model) == serialize_model_per_entry(model)
+    signed = parse_model(MINIMAL.replace("cost 1 0 0.0", "cost 1 0 -0.0")).model
+    assert "cost 1 0 -0.0" in serialize_model(signed)
+    assert serialize_model(signed) == serialize_model_per_entry(signed)
+
+
 def test_serialize_concrete_uses_point_intervals():
     from robustfsc.model import nominal_midpoint
 
@@ -169,9 +214,12 @@ class TestFscFormat:
             (TWO_OBS_FSC.replace("act 0 0 0 1", "act 0 0 -1 1"), 4),
             (TWO_OBS_FSC.replace("mem 0 1 0", "mem 0 -1 0"), 7),
             ("fsc v1\nnodes 1\ninit 0\nact 0 0 0 nan\nmem 0 0 0\n", 0),
+            ("fsc v1\nnodes 100000000000\ninit 0\nact 0 0 0 1\nmem 0 0 0\n", 0),
+            ("fsc v1\nnodes 1\ninit 0\nact 0 100000000000 0 1\nmem 0 0 0\n", 0),
         ],
         ids=["nodes-arity", "init-arity", "act-negative-observation",
-             "act-negative-action", "mem-negative-observation", "act-nan-probability"],
+             "act-negative-action", "mem-negative-observation", "act-nan-probability",
+             "nodes-without-mem-lines", "observations-without-mem-lines"],
     )
     def test_malformed_line_rejected_with_line_number(self, text, line):
         assert parse_fsc(TWO_OBS_FSC).num_observations == 2
