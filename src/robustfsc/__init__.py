@@ -10,7 +10,6 @@ from robustfsc.model import (
     Interval,
     RobustPomdp,
     belief_update,
-    bound_member,
     nominal_midpoint,
     project_row,
     sample_member,
@@ -57,7 +56,6 @@ __all__ = [
     "RunResult",
     "TrajectoryDataset",
     "belief_update",
-    "bound_member",
     "build_chain",
     "build_fsc",
     "evaluate_member",

@@ -25,9 +25,17 @@ from robustfsc.robusteval import RobustValues, box_simplex_greedy, check_boxes
 
 @dataclass
 class AdversaryResult:
+    """The worst member, its linear proxy objective and the proxy's weights.
+
+    ``rows`` are the flat rows s * A + a the controller touches, ascending;
+    ``weights`` holds w(s, a, s') for every edge of those rows, row after
+    row, successors ascending (the edge order of ``model.edges``).
+    """
+
     worst_case: ConcretePomdp
     proxy_objective: float
-    coefficients: dict[tuple[int, int], dict[int, float]]
+    rows: np.ndarray
+    weights: np.ndarray
 
 
 def select_worst_case(model: RobustPomdp, fsc: Fsc, values: RobustValues) -> AdversaryResult:
@@ -62,7 +70,7 @@ def select_worst_case(model: RobustPomdp, fsc: Fsc, values: RobustValues) -> Adv
     weight = np.bincount(idx, np.repeat(d[pair, a], counts) * successor_value, len(e.succ))
 
     # every row the controller touches, solved in one segmented greedy call
-    touched, first = np.unique(rows, return_index=True)
+    touched = np.unique(rows)
     edges, counts = e.of_rows(touched)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     lo, hi, w = e.lo[edges], e.hi[edges], weight[edges]
@@ -70,27 +78,15 @@ def select_worst_case(model: RobustPomdp, fsc: Fsc, values: RobustValues) -> Adv
     objective, probs = box_simplex_greedy(w, lo, hi, offsets, maximize=True)
     worst = nominal_midpoint(model).edges.lo.copy()  # rows not touched stay at the midpoint
     worst[edges] = probs
-
-    # coefficients row by row, in the order the chain first touches the rows
-    row_succ, row_w = np.split(e.succ[edges], offsets[1:-1]), np.split(w, offsets[1:-1])
-    coeffs = {
-        divmod(int(touched[k]), num_a): dict(zip(row_succ[k].tolist(), row_w[k].tolist()))
-        for k in np.argsort(first)
-    }
     return AdversaryResult(
         worst_case=member_with(model, worst),
         proxy_objective=float(objective.sum()),
-        coefficients=coeffs,
+        rows=touched,
+        weights=w,
     )
 
 
 def proxy_objective_of(result: AdversaryResult, member: ConcretePomdp) -> float:
-    """Evaluate the linear proxy at an arbitrary member of the set.
-
-    Each coefficient row covers the whole model row, successors ascending,
-    as the member's table does.
-    """
-    rows = [s * member.num_actions + a for s, a in result.coefficients]
-    idx, _ = member.edges.of_rows(np.array(rows, dtype=np.int64))
-    weights = [w for table in result.coefficients.values() for w in table.values()]
-    return float(member.edges.lo[idx] @ np.array(weights))
+    """Evaluate the linear proxy at an arbitrary member of the set."""
+    idx, _ = member.edges.of_rows(result.rows)
+    return float(member.edges.lo[idx] @ result.weights)

@@ -196,9 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the iterative planner")
     p.add_argument("--model", required=True)
-    p.add_argument("--method", default="pip", choices=METHODS)
+    p.add_argument("--method", default="pip", choices=METHODS,
+                   help="what each round trains on: pip, the worst member for the previous "
+                        "round's controller (the interval-midpoint member in round one); "
+                        "baseline-nominal, the midpoint member; baseline-random, a member "
+                        "drawn uniformly from the intervals")
     p.add_argument("--supervision", default="qmdp", choices=SUPERVISIONS)
-    p.add_argument("--extractor", default="kmeans", choices=EXTRACTORS)
+    p.add_argument("--extractor", default="kmeans", choices=EXTRACTORS,
+                   help="controller extraction after training: kmeans clusters the hidden "
+                        "states, qbn-posthoc fits a quantized bottleneck to them")
     p.add_argument("--iters", type=int, default=50)
     p.add_argument("--episodes", type=int, default=256)
     p.add_argument("--horizon", type=int, default=200)

@@ -1,13 +1,14 @@
 """Discretizing GRU hidden states into controller memory nodes.
 
-Two families of discretizers produce a Clustering (assign/represent pair):
-k-means++ over the hidden states visited on the dataset, or a quantized
-bottleneck autoencoder whose code book becomes the node set.  The network
-runs only in batches: one replay unrolls it over every episode of a dataset
-at once (hidden states, end-to-end code tables, fidelity), and build_fsc
-expands each node with one step over all observations, whose action
-distributions become the node's rows and whose clusters its memory
-successors.  Only nodes the initial node reaches are created.
+Two discretizers produce a Clustering (assign/represent pair), both fitted
+after training to the hidden states visited on the dataset: k-means++, or a
+quantized bottleneck autoencoder whose code book becomes the node set (the
+post-hoc QBN of Koul et al., 2019).  The network runs only in batches: one
+replay unrolls it over every episode of a dataset at once (hidden states,
+fidelity), and build_fsc expands each node with one step over all
+observations, whose action distributions become the node's rows and whose
+clusters its memory successors.  Only nodes the initial node reaches are
+created.
 """
 
 from __future__ import annotations
@@ -17,35 +18,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from robustfsc.model import Fsc, RobustPomdp
-from robustfsc.rnn import (
-    PARAM_FIELDS,
-    Adam,
-    NetworkParams,
-    _gru_backward,
-    _gru_step,
-    _head,
-    _head_backward,
-    _pad_episodes,
-    episode_batches,
-    initial_hidden,
-    policy_distribution,
-)
+from robustfsc.rnn import Adam, NetworkParams, _gru_step, _pad_episodes, initial_hidden, policy_distribution
 from robustfsc.simulate import TrajectoryDataset
 from robustfsc.solvers import DivergenceError
 
 
-def _replay(params: NetworkParams, dataset: TrajectoryDataset, qbn: QbnParams | None = None):
-    """Raw GRU states (B, T, d) over all episodes at once, the padded
-    observations (B, T) and the mask of recorded steps.  With a bottleneck
-    the recurrence carries the decoded quantized state, as in training."""
+def _replay(params: NetworkParams, dataset: TrajectoryDataset):
+    """GRU states (B, T, d) over all episodes at once, the padded
+    observations (B, T) and the mask of recorded steps."""
     zs, _, mask = _pad_episodes(dataset, list(range(dataset.num_episodes)))
     hs = np.empty(zs.shape + (params.hidden_size,))
     h = np.zeros((len(zs), params.hidden_size))
     for t in range(zs.shape[1]):
         h, _ = _gru_step(params, h, params.emb[zs[:, t]])
         hs[:, t] = h
-        if qbn is not None:
-            h, _ = _qbn_decode(qbn, quantize(_qbn_encode(qbn, h)[0], qbn.quant_levels))
     return hs, zs, mask > 0.0
 
 
@@ -139,10 +125,6 @@ class QbnParams:
     @property
     def bottleneck(self) -> int:
         return self.enc_w3.shape[0]
-
-    def copy(self) -> "QbnParams":
-        return QbnParams(**{n: getattr(self, n).copy() for n in QBN_FIELDS},
-                         quant_levels=self.quant_levels)
 
     def zeros_like(self) -> "QbnParams":
         return QbnParams(**{n: np.zeros_like(getattr(self, n)) for n in QBN_FIELDS},
@@ -305,8 +287,8 @@ def qbn_fit_posthoc(
 class Clustering:
     """assign: hidden state -> node index; represent: node -> hidden state.
 
-    For k-means the representative is the centroid; for bottleneck variants
-    it is the decoder's reconstruction of the node's code, and assign may
+    For k-means the representative is the centroid; for the bottleneck it
+    is the decoder's reconstruction of the node's code, and assign may
     discover codes beyond those seen during fitting (``discover=True``).
     """
 
@@ -322,10 +304,6 @@ class Clustering:
         if self.method == "kmeans":
             return len(self.centroids)
         return len(self.codes)
-
-    @property
-    def quantize_before_head(self) -> bool:
-        return self.method == "qbn_e2e"
 
     def assign(self, h: np.ndarray, discover: bool | np.ndarray = False) -> np.ndarray | int | None:
         """Node of each row of ``h``, -1 for a code not in the table (None
@@ -356,71 +334,6 @@ class Clustering:
         return out.reshape(np.shape(node) + out.shape[-1:])
 
 
-def train_epochs_e2e(
-    params: NetworkParams,
-    qbn: QbnParams,
-    dataset: TrajectoryDataset,
-    epochs: int,
-    batch_size: int = 32,
-    lr: float = 1e-3,
-    clip_norm: float = 5.0,
-    rng_seed: int | tuple[int, ...] = 0,
-) -> tuple[NetworkParams, QbnParams, list[float]]:
-    """Experimental: train with the bottleneck inside the recurrent loop.
-
-    Each step quantizes the GRU state and threads the reconstruction, so the
-    extracted controller matches the trained computation exactly; gradients
-    flow through the quantizer as the identity.  Known to be less stable
-    than post-hoc fitting.
-    """
-    params = params.copy()
-    qbn = qbn.copy()
-    opt_net = Adam(params, PARAM_FIELDS, lr, clip_norm)
-    opt_qbn = Adam(qbn, QBN_FIELDS, lr, clip_norm)
-    trace: list[float] = []
-    for zs, mus, mask, normalizer in episode_batches(dataset, epochs, batch_size, rng_seed):
-        b, t_max = zs.shape
-        hq = np.zeros((b, params.hidden_size))
-        caches = []
-        batch_loss = 0.0
-        for t in range(t_max):
-            x = params.emb[zs[:, t]]
-            hraw, gcache = _gru_step(params, hq, x)
-            e, ecache = _qbn_encode(qbn, hraw)
-            code = quantize(e, qbn.quant_levels)
-            hq, dcache = _qbn_decode(qbn, code)
-            log_probs, hcache = _head(params, hq)
-            batch_loss -= float((mus[:, t] * log_probs).sum(axis=1) @ mask[:, t])
-            caches.append((gcache, ecache, dcache, hcache, log_probs))
-        batch_loss /= normalizer
-        if not np.isfinite(batch_loss):
-            raise DivergenceError("end-to-end training loss became non-finite")
-        g_net = params.zeros_like()
-        g_qbn = qbn.zeros_like()
-        dhq_next = np.zeros((b, params.hidden_size))
-        for t in range(t_max - 1, -1, -1):
-            gcache, ecache, dcache, hcache, log_probs = caches[t]
-            w = mask[:, t][:, None] / normalizer
-            dlogits = (np.exp(log_probs) - mus[:, t]) * w
-            dhq = _head_backward(params, hcache, dlogits, g_net) + dhq_next
-            dcode = _qbn_decode_backward(qbn, dcache, dhq, g_qbn)
-            dhraw = _qbn_encode_backward(qbn, ecache, dcode, g_qbn)  # straight-through
-            dhq_prev, dx = _gru_backward(params, gcache, dhraw, g_net)
-            np.add.at(g_net.emb, zs[:, t], dx)
-            dhq_next = dhq_prev
-        opt_net.step(params, g_net)
-        opt_qbn.step(qbn, g_qbn)
-        trace.append(batch_loss)
-    return params, qbn, trace
-
-
-def clustering_from_e2e(params: NetworkParams, qbn: QbnParams, dataset: TrajectoryDataset) -> Clustering:
-    """Code table observed when replaying the quantized recurrence."""
-    hs, _, mask = _replay(params, dataset, qbn)
-    raw = hs[mask] if mask.any() else initial_hidden(params)[None, :]
-    return Clustering(method="qbn_e2e", qbn=qbn, codes=list(dict.fromkeys(_codes(qbn, raw))))
-
-
 def build_fsc(params: NetworkParams, clustering: Clustering, model: RobustPomdp) -> Fsc:
     """Synthesize the controller by driving the network from each node.
 
@@ -447,9 +360,6 @@ def build_fsc(params: NetworkParams, clustering: Clustering, model: RobustPomdp)
             if m not in dense_of:
                 dense_of[m] = len(order)
                 order.append(m)
-        if clustering.quantize_before_head:
-            known = target >= 0
-            h_next[known] = clustering.represent(target[known])
         action_rows.append(policy_distribution(params, h_next))
         targets.append(target)
 

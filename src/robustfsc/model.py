@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Literal
 
 import numpy as np
 
@@ -221,28 +220,6 @@ def pad_actions(fsc: Fsc, num_actions: int) -> Fsc:
     )
 
 
-def prune_unreachable_nodes(fsc: Fsc, realizable_obs: list[int]) -> Fsc:
-    """Drop nodes not reachable from the initial node via the memory update.
-
-    Reachability only follows observations that actually occur in the model;
-    surviving nodes are reindexed densely in discovery order.
-    """
-    reachable = [fsc.initial_node]
-    for n in reachable:  # breadth first: the list grows while it is read
-        for z in realizable_obs:
-            if int(fsc.memory_map[n, z]) not in reachable:
-                reachable.append(int(fsc.memory_map[n, z]))
-    if reachable == list(range(fsc.num_nodes)):
-        return fsc
-    new_of = np.full(fsc.num_nodes, -1)
-    new_of[reachable] = np.arange(len(reachable))
-    memory_map = new_of[fsc.memory_map[reachable]]
-    # Non-realizable observations may point at pruned nodes; redirect them
-    # to the source node so the map stays total.
-    memory_map = np.where(memory_map < 0, np.arange(len(reachable))[:, None], memory_map)
-    return Fsc(len(reachable), 0, fsc.action_map[reachable], memory_map)
-
-
 @dataclass
 class ValidationReport:
     issues: list[str] = field(default_factory=list)
@@ -419,13 +396,6 @@ def _projected(model: RobustPomdp, targets: np.ndarray) -> ConcretePomdp:
 def nominal_midpoint(model: RobustPomdp) -> ConcretePomdp:
     """Member obtained by projecting interval midpoints onto each row simplex."""
     return _projected(model, 0.5 * (model.edges.lo + model.edges.hi))
-
-
-def bound_member(model: RobustPomdp, which: Literal["lower", "upper"]) -> ConcretePomdp:
-    """Member obtained from all lower (resp. upper) interval bounds, projected."""
-    if which not in ("lower", "upper"):
-        raise ValueError(f"which must be 'lower' or 'upper', got {which!r}")
-    return _projected(model, model.edges.lo if which == "lower" else model.edges.hi)
 
 
 def sample_member(model: RobustPomdp, rng_seed: int | tuple[int, ...]) -> ConcretePomdp:

@@ -37,6 +37,10 @@ from robustfsc.model import ConcretePomdp, Fsc, Interval, RobustPomdp, validate
 
 MODEL_HEADER = "rpomdp v1"
 FSC_HEADER = "fsc v1"
+# nodes x observations x actions of the largest dense action table a
+# controller document may ask for (512 MiB of float64); the action count
+# comes from the largest index alone, so no line count bounds it
+MAX_FSC_ENTRIES = 1 << 26
 
 
 class ModelFormatError(ValueError):
@@ -166,6 +170,8 @@ def parse_model(text: str) -> ModelDocument:
             raise ModelFormatError(0, f"{key} must be positive")
     ns, na, nz = counts["states"], counts["actions"], counts["observations"]
     # reject sizes the document cannot fill before allocating for them
+    if nz > ns:
+        raise ModelFormatError(0, f"{nz} observations exceed {ns} states, each of which emits one")
     if len(obs_lines) < ns:
         raise ModelFormatError(0, f"{ns} states need one obs line each")
     if len(cost_lines) < ns * na:
@@ -361,6 +367,12 @@ def parse_fsc(text: str) -> Fsc:
         raise ModelFormatError(0, "controller declares no act entries")
     if len(mem_lines) < num_nodes * num_obs:  # reject before allocating for them
         raise ModelFormatError(0, f"{num_nodes} nodes x {num_obs} observations need one mem line each")
+    if num_nodes * num_obs * num_act > MAX_FSC_ENTRIES:
+        line_no = max(act_lines, key=lambda line: line[3])[0]
+        raise ModelFormatError(
+            line_no, f"act: action {num_act - 1} needs a {num_nodes} x {num_obs} x {num_act} action table, "
+            f"over the {MAX_FSC_ENTRIES} entries a controller may have"
+        )
 
     action_map = np.zeros((num_nodes, num_obs, num_act), dtype=np.float64)
     memory_map = np.zeros((num_nodes, num_obs), dtype=np.int64)

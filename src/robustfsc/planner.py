@@ -6,8 +6,9 @@ policy on it (warm-started across iterations), extracts a controller,
 evaluates the controller's exact worst case on the uncertain model and, in
 the adversarial mode, swaps in the worst-case member for the next round.
 
-Baselines keep the training instance fixed (midpoint, lower or upper bound)
-or redraw it uniformly each round; none of them ever consults the adversary.
+The baselines never consult the adversary: ``baseline-nominal`` trains on
+the interval-midpoint member throughout, ``baseline-random`` on a member
+redrawn uniformly from the intervals each round (domain randomization).
 """
 
 from __future__ import annotations
@@ -19,25 +20,16 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from robustfsc.adversary import select_worst_case
-from robustfsc.extract import (
-    build_fsc,
-    clustering_from_e2e,
-    collect_hidden_states,
-    fsc_fidelity,
-    kmeans_fit,
-    qbn_fit_posthoc,
-    qbn_init,
-    train_epochs_e2e,
-)
-from robustfsc.model import Fsc, RobustPomdp, bound_member, nominal_midpoint, sample_member, validate
+from robustfsc.extract import build_fsc, collect_hidden_states, fsc_fidelity, kmeans_fit, qbn_fit_posthoc
+from robustfsc.model import Fsc, RobustPomdp, nominal_midpoint, sample_member, validate
 from robustfsc.rnn import init_params, train_epochs
 from robustfsc.robusteval import build_chain, robust_value_iteration
 from robustfsc.simulate import simulate
 from robustfsc.solvers import DivergenceError, solve_fib, solve_mdp
 
-METHODS = ("pip", "baseline-nominal", "baseline-lower", "baseline-upper", "baseline-random")
+METHODS = ("pip", "baseline-nominal", "baseline-random")
 SUPERVISIONS = ("qmdp", "fib")
-EXTRACTORS = ("kmeans", "qbn-posthoc", "qbn-e2e")
+EXTRACTORS = ("kmeans", "qbn-posthoc")
 
 
 @dataclass
@@ -108,11 +100,7 @@ def run(config: RunConfig, model: RobustPomdp) -> RunResult:
     if not report.ok:
         raise ValueError(f"model invalid:\n{report}")
 
-    if config.method == "baseline-lower":
-        instance = bound_member(model, "lower")
-    elif config.method == "baseline-upper":
-        instance = bound_member(model, "upper")
-    elif config.method == "baseline-random":
+    if config.method == "baseline-random":
         instance = sample_member(model, (config.seed, 0, 0))
     else:
         instance = nominal_midpoint(model)
@@ -124,10 +112,6 @@ def run(config: RunConfig, model: RobustPomdp) -> RunResult:
         embed_size=config.embed_size,
         rng_seed=(config.seed, 0, 1),
     )
-    qbn = None
-    if config.extractor == "qbn-e2e":
-        qbn = qbn_init(config.hidden_size, config.bottleneck, config.quant_levels,
-                       rng_seed=(config.seed, 0, 2))
 
     best_fsc: Fsc | None = None
     best_value = float("inf")
@@ -146,33 +130,25 @@ def run(config: RunConfig, model: RobustPomdp) -> RunResult:
                 rng_seed=(config.seed, it, 3),
             )
 
-            if config.extractor == "qbn-e2e":
-                params, qbn, trace = train_epochs_e2e(
-                    params, qbn, dataset, config.epochs_per_iteration,
-                    batch_size=config.batch_size, lr=config.learning_rate,
-                    clip_norm=config.clip_norm, rng_seed=(config.seed, it, 4),
-                )
-                clustering = clustering_from_e2e(params, qbn, dataset)
+            params, trace = train_epochs(
+                params, dataset, config.epochs_per_iteration,
+                batch_size=config.batch_size, lr=config.learning_rate,
+                clip_norm=config.clip_norm, rng_seed=(config.seed, it, 4),
+            )
+            hidden = collect_hidden_states(params, dataset)
+            if len(hidden) == 0:
+                # Degenerate dataset (all starts are goals): cluster the
+                # initial hidden state so extraction still yields a policy.
+                hidden = np.zeros((1, config.hidden_size))
+            if config.extractor == "kmeans":
+                k = min(config.clusters, len(hidden))
+                clustering = kmeans_fit(hidden, k, rng_seed=(config.seed, it, 5))
             else:
-                params, trace = train_epochs(
-                    params, dataset, config.epochs_per_iteration,
-                    batch_size=config.batch_size, lr=config.learning_rate,
-                    clip_norm=config.clip_norm, rng_seed=(config.seed, it, 4),
+                clustering = qbn_fit_posthoc(
+                    hidden, config.bottleneck, config.quant_levels,
+                    epochs=config.epochs_per_iteration, lr=config.learning_rate,
+                    batch_size=config.batch_size, rng_seed=(config.seed, it, 5),
                 )
-                hidden = collect_hidden_states(params, dataset)
-                if len(hidden) == 0:
-                    # Degenerate dataset (all starts are goals): cluster the
-                    # initial hidden state so extraction still yields a policy.
-                    hidden = np.zeros((1, config.hidden_size))
-                if config.extractor == "kmeans":
-                    k = min(config.clusters, len(hidden))
-                    clustering = kmeans_fit(hidden, k, rng_seed=(config.seed, it, 5))
-                else:
-                    clustering = qbn_fit_posthoc(
-                        hidden, config.bottleneck, config.quant_levels,
-                        epochs=config.epochs_per_iteration, lr=config.learning_rate,
-                        batch_size=config.batch_size, rng_seed=(config.seed, it, 5),
-                    )
 
             fsc = build_fsc(params, clustering, model)
             values = robust_value_iteration(build_chain(model, fsc), "pessimistic", tol=config.vi_tol)

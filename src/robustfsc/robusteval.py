@@ -18,11 +18,12 @@ many greedy members, so the loop stops on its own.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from robustfsc.model import ConcretePomdp, Fsc, Interval, RobustPomdp
 from robustfsc.solvers import DivergenceError, _backward_closure
@@ -247,7 +248,11 @@ def robust_value_iteration(
     for callers that pass it; the result is exact and does not depend on
     it.  States with an infinite worst case (goal unreachable through the
     support graph) are reported as +inf with a diagnosis rather than an
-    error.
+    error.  So are all states of a solve that comes out negative or not
+    finite: costs are nonnegative, so such a solve means the member chain is
+    singular in float64, because the goal is reached only through
+    probabilities below its resolution (say a saturated softmax giving the
+    only exit action 1e-25).
     """
     if mode not in ("pessimistic", "optimistic"):
         raise ValueError(f"mode must be 'pessimistic' or 'optimistic', got {mode!r}")
@@ -291,7 +296,17 @@ def robust_value_iteration(
         solves += 1
         data = np.concatenate([np.ones(size), -p[inner]])
         matrix = csc_matrix((data, (mat_rows, mat_cols)), shape=(size, size))
-        v[states] = spsolve(matrix, chain.cost[states])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MatrixRankWarning)  # diagnosed below
+            v[states] = spsolve(matrix, chain.cost[states])
+        if not np.all(np.isfinite(v[states]) & (v[states] >= 0.0)):
+            v[states] = np.inf
+            singular = (
+                f"{size} product state(s) reach a goal only through probabilities below "
+                "float64 resolution (the member solve is singular); their cost is reported as infinite"
+            )
+            diagnosis = f"{diagnosis}; {singular}" if diagnosis else singular
+            break
         vals = v[succ]
         objective, greedy_p = box_simplex_greedy(vals, lo, hi, offsets, maximize)
         current = np.add.reduceat(p * vals, offsets[:-1])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from robustfsc.model import Fsc, Interval, RobustPomdp, prune_unreachable_nodes
+from robustfsc.model import Fsc, Interval, RobustPomdp
 
 
 def random_rpomdp(
@@ -54,6 +54,28 @@ def random_rpomdp(
         obs_of=obs_of, transitions=transitions, cost=cost,
         goals=frozenset({goal}), initial_belief=belief,
     )
+
+
+def prune_unreachable_nodes(fsc: Fsc, realizable_obs: list[int]) -> Fsc:
+    """Drop nodes not reachable from the initial node via the memory update.
+
+    Reachability only follows observations that actually occur in the model;
+    surviving nodes are reindexed densely in discovery order.
+    """
+    reachable = [fsc.initial_node]
+    for n in reachable:  # breadth first: the list grows while it is read
+        for z in realizable_obs:
+            if int(fsc.memory_map[n, z]) not in reachable:
+                reachable.append(int(fsc.memory_map[n, z]))
+    if reachable == list(range(fsc.num_nodes)):
+        return fsc
+    new_of = np.full(fsc.num_nodes, -1)
+    new_of[reachable] = np.arange(len(reachable))
+    memory_map = new_of[fsc.memory_map[reachable]]
+    # Non-realizable observations may point at pruned nodes; redirect them
+    # to the source node so the map stays total.
+    memory_map = np.where(memory_map < 0, np.arange(len(reachable))[:, None], memory_map)
+    return Fsc(len(reachable), 0, fsc.action_map[reachable], memory_map)
 
 
 def random_fsc(rng: np.random.Generator, num_nodes: int, num_obs: int, num_actions: int) -> Fsc:

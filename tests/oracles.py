@@ -328,25 +328,6 @@ def fsc_fidelity_reference(params, fsc, dataset):
     return total / count
 
 
-def e2e_code_table_reference(params, qbn, dataset):
-    """Distinct codes, in order of first appearance, of the quantized
-    recurrence replayed one episode and one step at a time."""
-    from robustfsc.extract import _qbn_decode, _qbn_encode, quantize
-    from robustfsc.rnn import _gru_step, initial_hidden
-
-    codes = []
-    for ep in dataset.episodes:
-        hq = initial_hidden(params)
-        for st in ep.steps:
-            hraw, _ = _gru_step(params, hq[None, :], params.emb[st.observation][None, :])
-            e, _ = _qbn_encode(qbn, hraw)
-            codes.append(quantize(e[0], qbn.quant_levels))
-            hq = _qbn_decode(qbn, codes[-1][None, :])[0][0]
-    if not codes:
-        codes.append(quantize(_qbn_encode(qbn, initial_hidden(params)[None, :])[0][0], qbn.quant_levels))
-    return list(dict.fromkeys(tuple(int(v) for v in row) for row in codes))
-
-
 def build_fsc_reference(params, clustering, model):
     """Controller tables from one ``forward`` call per (node, observation).
 
@@ -356,7 +337,7 @@ def build_fsc_reference(params, clustering, model):
     memory map and the final code table (None for k-means).
     """
     from robustfsc.extract import _qbn_decode, _qbn_encode, quantize
-    from robustfsc.rnn import forward, initial_hidden, policy_distribution
+    from robustfsc.rnn import forward, initial_hidden
 
     codes = None if clustering.codes is None else list(clustering.codes)
 
@@ -385,8 +366,6 @@ def build_fsc_reference(params, clustering, model):
             target = assign(h, z in realizable)
             if z in realizable and target not in order:
                 order.append(target)
-            if clustering.quantize_before_head and target is not None:
-                dist = policy_distribution(params, represent(target)[None, :])[0]
             row.append((dist, target))
         rows.append(row)
     action_map = np.array([[dist for dist, _ in row] for row in rows])

@@ -67,12 +67,12 @@ def test_proxy_matches_row_vertex_enumeration():
         values = evaluated(model, fsc)
         result = select_worst_case(model, fsc, values)
         oracle = 0.0
-        for key, table in result.coefficients.items():
-            row = model.transitions[key]
+        _, counts = model.edges.of_rows(result.rows)
+        for r, w in zip(result.rows.tolist(), np.split(result.weights, np.cumsum(counts)[:-1])):
+            row = model.transitions[divmod(r, model.num_actions)]
             succs = sorted(row)
             lo = np.array([row[sp].lo for sp in succs])
             hi = np.array([row[sp].hi for sp in succs])
-            w = np.array([table[sp] for sp in succs])
             best = max(float(p @ w) for p in box_simplex_candidates(lo, hi))
             oracle += best
         assert result.proxy_objective == pytest.approx(oracle, abs=1e-9)

@@ -63,9 +63,11 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 def test_malformed_fsc_exit_code(model_file, tmp_path, capsys):
     bad = tmp_path / "bad.fsc"
-    bad.write_text("fsc v1\nnodes\n")
-    assert main(["eval-fsc", "--model", model_file, "--fsc", str(bad)]) == 2
-    assert "line 2" in capsys.readouterr().err
+    for text, line in (("fsc v1\nnodes\n", 2),
+                       ("fsc v1\nnodes 1\ninit 0\nact 0 0 100000000000 1\nmem 0 0 0\n", 4)):
+        bad.write_text(text)
+        assert main(["eval-fsc", "--model", model_file, "--fsc", str(bad)]) == 2
+        assert f"line {line}" in capsys.readouterr().err
 
 
 def test_eval_fsc_worst_self_loop(model_file, fsc_file, capsys):

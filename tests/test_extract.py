@@ -2,20 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import random_rpomdp
-from oracles import build_fsc_reference, e2e_code_table_reference, fsc_fidelity_reference
+from oracles import build_fsc_reference, fsc_fidelity_reference
 from robustfsc.extract import (
     build_fsc,
-    clustering_from_e2e,
     collect_hidden_states,
     fsc_fidelity,
     kmeans_fit,
     qbn_fit_posthoc,
-    qbn_init,
     quantize,
     tanh_flat,
-    train_epochs_e2e,
 )
-from robustfsc.rnn import forward, init_params, initial_hidden, policy_distribution
+from robustfsc.rnn import forward, init_params, initial_hidden
 from robustfsc.simulate import Episode, Step, TrajectoryDataset
 
 
@@ -211,43 +208,6 @@ class TestBuildFsc:
         assert 0.0 <= tv <= 1.0
 
 
-class TestEndToEnd:
-    def test_loss_decreases_on_learnable_target(self):
-        rng = np.random.default_rng(12)
-        num_obs, num_act = 3, 2
-        episodes = []
-        for _ in range(6):
-            steps = [Step(int(rng.integers(num_obs)), 0, np.array([1.0, 0.0]), np.ones(1))
-                     for _ in range(5)]
-            episodes.append(Episode(steps, 5.0, True))
-        ds = TrajectoryDataset(episodes, num_obs, num_act, 0, 5, "e2e")
-        params = init_params(num_obs, num_act, hidden_size=6, embed_size=3, rng_seed=4)
-        qbn = qbn_init(6, 2, 3, rng_seed=5)
-        p2, q2, trace = train_epochs_e2e(params, qbn, ds, epochs=40, batch_size=3,
-                                         lr=0.05, rng_seed=0)
-        assert trace[-1] < trace[0]
-        assert trace[-1] < 0.1
-
-    def test_clustering_codes_and_build(self):
-        rng = np.random.default_rng(13)
-        model = random_rpomdp(rng, num_states=3, num_actions=2)
-        ds = make_dataset(4, 6, model.num_observations, 2, seed=3)
-        params = init_params(model.num_observations, 2, hidden_size=5, embed_size=3, rng_seed=6)
-        qbn = qbn_init(5, 2, 3, rng_seed=7)
-        params, qbn, _ = train_epochs_e2e(params, qbn, ds, epochs=2, rng_seed=1)
-        cl = clustering_from_e2e(params, qbn, ds)
-        assert cl.num_nodes >= 1
-        fsc = build_fsc(params, cl, model)
-        fsc.check()
-        # every action row must be the policy head evaluated at a decoded
-        # code (the quantized recurrence never feeds the head anything else)
-        head_outputs = policy_distribution(params, cl.represent(np.arange(cl.num_nodes)))
-        for n in range(fsc.num_nodes):
-            for z in model.realizable_observations():
-                dist = fsc.action_map[n, z]
-                assert any(np.max(np.abs(dist - out)) < 1e-12 for out in head_outputs)
-
-
 class TestBatchedReplay:
     """The batched extraction against step-by-step replays, on ragged episodes
     (one of them empty) and a model that does not realize every observation."""
@@ -284,14 +244,3 @@ class TestBatchedReplay:
         # seen, others known codes that never become nodes
         cl = qbn_fit_posthoc(hidden, bottleneck=3, quant_levels=2, epochs=5, rng_seed=2)
         assert_tables_match_forward_passes(self.params, cl, self.model)
-
-    @pytest.mark.parametrize("empty", [False, True])
-    def test_e2e_code_table_matches_reference(self, empty):
-        dataset = self.dataset
-        if empty:
-            dataset = TrajectoryDataset([], dataset.num_observations, 2, 0, 0, "empty")
-        qbn = qbn_init(6, 3, 2, rng_seed=2)
-        params, qbn, _ = train_epochs_e2e(self.params, qbn, self.dataset, epochs=3, lr=0.02, rng_seed=2)
-        cl = clustering_from_e2e(params, qbn, dataset)
-        assert cl.codes == e2e_code_table_reference(params, qbn, dataset)
-        assert_tables_match_forward_passes(params, cl, self.model)

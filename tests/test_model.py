@@ -8,13 +8,20 @@ from robustfsc.model import (
     InconsistentHistoryError,
     Interval,
     RobustPomdp,
+    _project,
     belief_update,
-    bound_member,
+    member_with,
     nominal_midpoint,
     project_row,
     sample_member,
     validate,
 )
+
+
+def bound_member(model, bound):
+    """The member projecting every lower ("lo") or upper ("hi") bound, by the table."""
+    e = model.edges
+    return member_with(model, _project(getattr(e, bound), e.lo, e.hi, e.offsets))
 
 
 def tiny_model(row0):
@@ -157,40 +164,30 @@ class TestMembers:
         assert np.isclose(member.transitions[(0, 0)][0], 0.7)
         assert np.isclose(member.transitions[(0, 0)][1], 0.3)
 
+    # A "bound member" projects every lower (or upper) bound of a row onto its
+    # box-simplex; proportional slack fill takes it to the midpoint member's row.
+
     def test_bound_member_lower_proportional_fill(self):
-        m = tiny_model({0: Interval(0.6, 0.8), 1: Interval(0.2, 0.4)})
-        member = bound_member(m, "lower")
+        row = [Interval(0.6, 0.8), Interval(0.2, 0.4)]
+        p = project_row(np.array([0.6, 0.2]), row)
         # residual 0.2 split over equal slacks (0.2, 0.2)
-        assert np.isclose(member.transitions[(0, 0)][0], 0.7)
-        assert np.isclose(member.transitions[(0, 0)][1], 0.3)
+        assert np.isclose(p[0], 0.7)
+        assert np.isclose(p[1], 0.3)
         grid = np.arange(0.6, 0.8 + 1e-9, 1e-3)
         oracle = min(abs(t - 0.6) + abs((1 - t) - 0.2) for t in grid)
-        achieved = abs(member.transitions[(0, 0)][0] - 0.6) + abs(member.transitions[(0, 0)][1] - 0.2)
+        achieved = abs(p[0] - 0.6) + abs(p[1] - 0.2)
         assert achieved <= oracle + 2e-3
 
     def test_bound_member_symmetric_lower(self):
-        m = RobustPomdp(
-            num_states=4, num_actions=1, num_observations=2,
-            obs_of=np.array([0, 0, 0, 1]),
-            transitions={
-                (0, 0): {1: Interval(0.1, 0.4), 2: Interval(0.1, 0.4), 3: Interval(0.1, 0.4)},
-                (1, 0): {3: Interval(1.0, 1.0)},
-                (2, 0): {3: Interval(1.0, 1.0)},
-                (3, 0): {3: Interval(1.0, 1.0)},
-            },
-            cost={(0, 0): 1.0, (1, 0): 1.0, (2, 0): 1.0, (3, 0): 0.0},
-            goals=frozenset({3}),
-            initial_belief=np.array([1.0, 0.0, 0.0, 0.0]),
-        )
-        for which in ("lower", "upper"):
-            member = bound_member(m, which)
-            assert np.allclose(list(member.transitions[(0, 0)].values()), 1.0 / 3.0)
+        row = [Interval(0.1, 0.4)] * 3
+        for bound in ([0.1] * 3, [0.4] * 3):
+            assert np.allclose(project_row(np.array(bound), row), 1.0 / 3.0)
 
     def test_bound_member_point_intervals_identity(self):
-        m = tiny_model({0: Interval(0.25, 0.25), 1: Interval(0.75, 0.75)})
-        for which in ("lower", "upper"):
-            member = bound_member(m, which)
-            assert member.transitions[(0, 0)] == {0: 0.25, 1: 0.75}
+        row = [Interval(0.25, 0.25), Interval(0.75, 0.75)]
+        for bound in ("lo", "hi"):
+            p = project_row(np.array([getattr(iv, bound) for iv in row]), row)
+            assert p.tolist() == [0.25, 0.75]
 
     def test_sample_member_point_intervals_identity(self):
         m = tiny_model({0: Interval(0.25, 0.25), 1: Interval(0.75, 0.75)})
@@ -232,8 +229,8 @@ class TestMembers:
             m = random_rpomdp(rng)
             for builder in (
                 lambda: nominal_midpoint(m),
-                lambda: bound_member(m, "lower"),
-                lambda: bound_member(m, "upper"),
+                lambda: bound_member(m, "lo"),
+                lambda: bound_member(m, "hi"),
                 lambda: sample_member(m, int(rng.integers(1 << 30))),
             ):
                 member = builder()
@@ -250,8 +247,8 @@ def _members(model, seed):
     """(built by the table, built row by row) for every member builder."""
     return [
         (nominal_midpoint(model), reference_member(model, "mid")),
-        (bound_member(model, "lower"), reference_member(model, "lo")),
-        (bound_member(model, "upper"), reference_member(model, "hi")),
+        (bound_member(model, "lo"), reference_member(model, "lo")),
+        (bound_member(model, "hi"), reference_member(model, "hi")),
         (sample_member(model, seed), reference_member(model, "sample", np.random.default_rng(seed))),
     ]
 

@@ -99,8 +99,12 @@ def test_missing_observation_rejected():
     [
         "rpomdp v1\nstates 100000000000\nactions 1\nobservations 1\nobs 0 0\n",
         MINIMAL.replace("actions 1", "actions 100000000000"),
+        # each state emits one observation, so more symbols could never occur
+        MINIMAL.replace("observations 2", "observations 100000000000"),
+        MINIMAL.replace("observations 2", "observations 3"),
     ],
-    ids=["states-without-obs-lines", "actions-without-cost-lines"],
+    ids=["states-without-obs-lines", "actions-without-cost-lines", "observations-above-states",
+         "one-observation-too-many"],
 )
 def test_unfillable_model_sizes_rejected(text):
     with pytest.raises(ModelFormatError) as err:
@@ -216,10 +220,13 @@ class TestFscFormat:
             ("fsc v1\nnodes 1\ninit 0\nact 0 0 0 nan\nmem 0 0 0\n", 0),
             ("fsc v1\nnodes 100000000000\ninit 0\nact 0 0 0 1\nmem 0 0 0\n", 0),
             ("fsc v1\nnodes 1\ninit 0\nact 0 100000000000 0 1\nmem 0 0 0\n", 0),
+            # no line count bounds the action index: 1e11 actions would
+            # need a 745 GiB table
+            ("fsc v1\nnodes 1\ninit 0\nact 0 0 100000000000 1\nmem 0 0 0\n", 4),
         ],
         ids=["nodes-arity", "init-arity", "act-negative-observation",
              "act-negative-action", "mem-negative-observation", "act-nan-probability",
-             "nodes-without-mem-lines", "observations-without-mem-lines"],
+             "nodes-without-mem-lines", "observations-without-mem-lines", "act-huge-action"],
     )
     def test_malformed_line_rejected_with_line_number(self, text, line):
         assert parse_fsc(TWO_OBS_FSC).num_observations == 2

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_rpomdp
 from robustfsc.grids import GridSpec, generate_grid
-from robustfsc.planner import RunConfig, records_to_csv, run, summary_json
+from robustfsc.planner import EXTRACTORS, METHODS, RunConfig, records_to_csv, run, summary_json
 from robustfsc.robusteval import build_chain, robust_value_iteration
 
 SMALL = dict(iterations=3, episodes=8, horizon=10, hidden_size=6, embed_size=3,
@@ -52,7 +52,8 @@ def test_point_interval_model_pip_equals_nominal():
 
 def test_all_methods_run(caplog):
     model = small_model(43)
-    for method in ("pip", "baseline-nominal", "baseline-lower", "baseline-upper", "baseline-random"):
+    assert METHODS == ("pip", "baseline-nominal", "baseline-random")
+    for method in METHODS:
         result = run(small_config(method=method, iterations=2), model)
         assert len(result.records) == 2, method
         assert result.found_policy
@@ -63,13 +64,10 @@ def test_supervision_and_extractor_variants():
     for supervision in ("qmdp", "fib"):
         result = run(small_config(supervision=supervision, iterations=1), model)
         assert result.found_policy
-    for extractor, kwargs in (
-        ("qbn-posthoc", dict(bottleneck=2)),
-        ("qbn-e2e", dict(bottleneck=2)),
-    ):
-        result = run(small_config(extractor=extractor, iterations=2, **kwargs), model)
-        assert result.found_policy
-        assert all(rec.fsc_nodes <= 3 ** 2 for rec in result.records)
+    assert EXTRACTORS == ("kmeans", "qbn-posthoc")
+    result = run(small_config(extractor="qbn-posthoc", iterations=2, bottleneck=2), model)
+    assert result.found_policy
+    assert all(rec.fsc_nodes <= 3 ** 2 for rec in result.records)
 
 
 def test_target_value_stops_early():
@@ -101,8 +99,9 @@ def test_csv_schema():
 
 
 def test_invalid_config_rejected():
-    with pytest.raises(ValueError):
-        run(small_config(method="nope"), small_model())
+    for bad in (dict(method="nope"), dict(method="baseline-lower"), dict(extractor="qbn-e2e")):
+        with pytest.raises(ValueError):
+            run(small_config(**bad), small_model())
     with pytest.raises(ValueError):
         run(small_config(episodes=0), small_model())
 
@@ -129,7 +128,7 @@ def test_baselines_never_select_worst_case(monkeypatch):
 
     monkeypatch.setattr(planner_mod, "select_worst_case", boom)
     model = small_model(48)
-    for method in ("baseline-nominal", "baseline-lower", "baseline-upper", "baseline-random"):
+    for method in ("baseline-nominal", "baseline-random"):
         run(small_config(method=method, iterations=2), model)
     with pytest.raises(AssertionError, match="adversary invoked"):
         run(small_config(method="pip", iterations=2), model)

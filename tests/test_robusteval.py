@@ -347,3 +347,37 @@ class TestRobustValueIteration:
         assert np.isinf(values.at_initial)
         assert "cannot reach a goal" in values.diagnosis
         assert values.value_of(1, 0) == pytest.approx(1.0, abs=1e-6)
+
+    def test_near_singular_chain_is_never_nan_or_negative(self):
+        # The only exit is an action of probability eps, as a saturated
+        # softmax gives; below float64 resolution 1 - eps == 1, the member
+        # chain is singular and a raw solve returns NaN or large negative
+        # values.  Costs are nonnegative, so such a solve must read +inf.
+        model = RobustPomdp(
+            num_states=3, num_actions=2, num_observations=2,
+            obs_of=np.array([0, 0, 1]),
+            transitions={
+                (0, 0): {2: Interval(1.0, 1.0)},
+                (0, 1): {0: Interval(0.3, 0.6), 1: Interval(0.4, 0.7)},
+                (1, 0): {2: Interval(1.0, 1.0)},
+                (1, 1): {0: Interval(0.5, 0.8), 1: Interval(0.2, 0.5)},
+                (2, 0): {2: Interval(1.0, 1.0)},
+                (2, 1): {2: Interval(1.0, 1.0)},
+            },
+            cost={(0, 0): 1.0, (0, 1): 1.0, (1, 0): 2.0, (1, 1): 3.0, (2, 0): 0.0, (2, 1): 0.0},
+            goals=frozenset({2}),
+            initial_belief=np.array([1.0, 0.0, 0.0]),
+        )
+        for eps in (1e-14, 1e-17, 1e-25, 1e-30):
+            table = np.zeros((1, 2, 2))
+            table[0, :, 0] = eps
+            table[0, :, 1] = 1.0 - eps
+            chain = build_chain(model, Fsc(1, 0, table, np.zeros((1, 2), dtype=int)))
+            for mode in ("pessimistic", "optimistic"):
+                values = robust_value_iteration(chain, mode)
+                assert not np.isnan(values.values).any(), (eps, mode)
+                assert np.all(values.values >= 0.0), (eps, mode)
+                assert values.at_initial >= 1.0 / eps, (eps, mode)  # each step costs >= 1
+                if eps == 1e-25:
+                    assert values.at_initial == np.inf
+                    assert "below float64 resolution" in values.diagnosis
