@@ -8,12 +8,13 @@ Models are built from ``(s, a) -> {s': Interval or probability}`` dicts, as
 the text format, the generators and ``validate`` use them.  Numeric code reads
 ``model.edges`` instead: the transitions flattened once into CSR arrays on
 first use (so a model is not changed after use).  Members of an uncertainty
-set are built on their parent's table; their ``.transitions`` rows are views.
+set are built on their parent's table alone; their ``.transitions`` rows are
+views of it, built on first read.
 """
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
+from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -247,6 +248,8 @@ def validate(model: RobustPomdp) -> ValidationReport:
         return rep
     if np.any(model.obs_of < 0) or np.any(model.obs_of >= model.num_observations):
         rep.add("obs_of contains an out-of-range observation index")
+    if model.num_observations > n:
+        rep.add(f"{model.num_observations} observations exceed {n} states, each of which emits one")
 
     if model.initial_belief.shape != (n,):
         rep.add("initial_belief has wrong length")
@@ -370,21 +373,52 @@ class _MemberRow(MutableMapping):
         return repr(dict(self))
 
 
+class _MemberRows(Mapping):
+    """A member's ``.transitions``: (s, a) -> ``_MemberRow`` over its table.
+
+    The rows are built on first read; nothing in the planner reads them.
+    """
+
+    __slots__ = ("_edges", "_num_actions", "_rows")
+
+    def __init__(self, edges: Edges, num_actions: int):
+        self._edges, self._num_actions = edges, num_actions
+        self._rows: dict[TransKey, _MemberRow] | None = None
+
+    def _built(self) -> dict[TransKey, _MemberRow]:
+        if self._rows is None:
+            e = self._edges
+            succ, bounds = e.succ.tolist(), e.offsets.tolist()
+            self._rows = {
+                divmod(r, self._num_actions): _MemberRow(e.lo, dict(zip(succ[start:stop], range(start, stop))))
+                for r, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+                if stop > start
+            }
+        return self._rows
+
+    def __getitem__(self, key: TransKey) -> _MemberRow:
+        return self._built()[key]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
 def member_with(model: RobustPomdp, probs: np.ndarray) -> ConcretePomdp:
     """The member of ``model`` with probability ``probs[i]`` on its edge i.
 
     The member's table shares the parent's structure and costs; its
-    ``.transitions`` rows are views of ``probs``.
+    ``.transitions`` rows are views of ``probs``, built when first read.
     """
     parent = model.edges
-    succ, bounds = parent.succ.tolist(), parent.offsets.tolist()
-    transitions = {
-        divmod(r, model.num_actions): _MemberRow(probs, dict(zip(succ[start:stop], range(start, stop))))
-        for r, (start, stop) in enumerate(zip(bounds, bounds[1:]))
-        if stop > start
-    }
-    member = with_transitions(model, transitions)
-    member.edges = Edges(parent.offsets, parent.succ, probs, probs, parent.cost)
+    edges = Edges(parent.offsets, parent.succ, probs, probs, parent.cost)
+    member = with_transitions(model, _MemberRows(edges, model.num_actions))
+    member.edges = edges
     return member
 
 
@@ -408,19 +442,49 @@ class InconsistentHistoryError(ValueError):
     """Raised when an observation has probability zero under the belief."""
 
 
-def belief_update(model: ConcretePomdp, b: Belief, a: int, z: int) -> Belief:
-    """Bayes update: b'(s') proportional to sum_s b(s) T(s'|s,a) [O(s')=z]."""
-    e = model.edges
-    states = np.flatnonzero(b)
-    idx, counts = e.of_rows(states * model.num_actions + a)
-    succ = e.succ[idx]
-    seen = model.obs_of[succ] == z
-    post = np.bincount(
-        succ[seen], (np.repeat(b[states], counts) * e.lo[idx])[seen], model.num_states
-    )
-    total = post.sum()
-    if total <= 0.0:
+def belief_updates(
+    model: ConcretePomdp,
+    beliefs: np.ndarray,
+    actions: np.ndarray,
+    observations: np.ndarray,
+    keep: np.ndarray | None = None,
+) -> np.ndarray:
+    """Bayes update of the rows of ``beliefs`` (shape (B, S)) at once.
+
+    Row i becomes b'(s') proportional to sum_s b_i(s) T(s'|s,a_i) [O(s')=z_i].
+    Each posterior entry accumulates edge by edge in (s, s') order and each
+    row is normalized by its own sum, so a row's result does not depend on
+    the other rows.  Every row is checked; only the rows where ``keep`` is
+    true are returned, without allocating the others.
+    """
+    e, n = model.edges, model.num_states
+    owner, states = np.nonzero(beliefs)
+    idx, counts = e.of_rows(states * model.num_actions + actions[owner])
+    mass = np.repeat(beliefs[owner, states], counts) * e.lo[idx]
+    owner, succ = np.repeat(owner, counts), e.succ[idx]
+    seen = model.obs_of[succ] == observations[owner]
+    owner, succ, mass = owner[seen], succ[seen], mass[seen]
+    # a row sums to <= 0 exactly when it has no positive (or NaN) entry
+    empty = np.flatnonzero(np.bincount(owner, ~(mass <= 0.0), len(beliefs)) == 0)
+    if empty.size:
+        i = empty[0]
         raise InconsistentHistoryError(
-            f"observation {z} has probability zero after action {a}"
+            f"observation {observations[i]} has probability zero after action {actions[i]}"
         )
-    return post / total
+    if keep is None:
+        keep = np.ones(len(beliefs), dtype=bool)
+    kept = keep[owner]
+    owner, succ, mass = (np.cumsum(keep) - 1)[owner[kept]], succ[kept], mass[kept]
+    rows = int(np.count_nonzero(keep))
+    # (bincount gives integers when it has nothing to add)
+    post = np.bincount(owner * n + succ, mass, rows * n).astype(np.float64, copy=False).reshape(rows, n)
+    post /= post.sum(axis=1, keepdims=True)
+    return post
+
+
+def belief_update(model: ConcretePomdp, b: Belief, a: int, z: int) -> Belief:
+    """Bayes update: b'(s') proportional to sum_s b(s) T(s'|s,a) [O(s')=z].
+
+    The one-belief case of ``belief_updates``.
+    """
+    return belief_updates(model, b[None, :], np.array([a]), np.array([z]))[0]

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from robustfsc.model import Belief, ConcretePomdp, belief_update
+from robustfsc.model import Belief, ConcretePomdp, Edges, belief_updates
 from robustfsc.solvers import FibVectors, MdpValues, supervision_policy
 
 
@@ -83,6 +83,34 @@ def model_fingerprint(model: ConcretePomdp) -> str:
     return h.hexdigest()[:16]
 
 
+# Uniforms drawn per generator call, in steps; bounds the draws held at once.
+DRAW_BLOCK = 64
+# Generator.choice's tolerance on the sum of a distribution.
+CHOICE_TOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The cdf Generator.choice searches, of each distribution along the last axis."""
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def _successor_cdf(e: Edges) -> np.ndarray:
+    """Per edge, its row's successor cdf built from ``probs / probs.sum()``.
+
+    Rows of one length are summed together, which gives each row's own
+    ``ndarray.sum`` bit for bit.
+    """
+    cdf = np.empty(len(e.succ))
+    counts = np.diff(e.offsets)
+    for k in np.unique(counts[counts > 0]):
+        idx = e.offsets[np.flatnonzero(counts == k)][:, None] + np.arange(k)
+        probs = e.lo[idx]
+        cdf[idx] = _cdf(probs / probs.sum(axis=1, keepdims=True))
+    return cdf
+
+
 def simulate(
     model: ConcretePomdp,
     supervision: MdpValues | FibVectors,
@@ -94,38 +122,61 @@ def simulate(
 
     Each episode draws its start from the initial belief and stops at a goal
     or after ``horizon`` steps, whichever comes first (goals are absorbing
-    and free, so truncating there changes nothing).  Episode i uses its own
-    generator seeded by (rng_seed, i), making the dataset independent of any
-    execution order.  Recorded per step: the current observation, the
-    supervision distribution, the sampled action, and the belief the
-    distribution was computed from.
+    and free, so truncating there changes nothing).  Recorded per step: the
+    current observation, the supervision distribution, the sampled action,
+    and the belief the distribution was computed from.
+
+    Draw contract: episode i owns the generator seeded by (rng_seed, i).  It
+    draws one uniform for its start, then per step one uniform for the action
+    and one for the successor, in that order.  Each uniform picks by the
+    inverse-cdf search of ``Generator.choice(p=...)``, so the dataset is that
+    of a per-episode loop of ``choice`` calls and independent of execution
+    order.  All live episodes advance together, one step at a time; the
+    beliefs of one step are the rows of one array.
     """
-    states = np.arange(model.num_states)
-    actions = np.arange(model.num_actions)
+    n, na = model.num_states, model.num_actions
     e = model.edges
+    init = model.initial_belief
+    if not (init.shape == (n,) and np.all(init >= 0) and abs(init.sum() - 1.0) <= CHOICE_TOL):
+        raise ValueError("initial belief is not a probability distribution over the states")
     seed_parts = (rng_seed,) if isinstance(rng_seed, int) else tuple(rng_seed)
-    episodes: list[Episode] = []
-    for i in range(num_episodes):
-        rng = np.random.default_rng((*seed_parts, i))
-        s = int(rng.choice(states, p=model.initial_belief))
-        b: Belief = model.initial_belief.copy()
-        steps: list[Step] = []
-        cost = 0.0
-        while len(steps) < horizon and s not in model.goals:
-            z = int(model.obs_of[s])
-            mu = supervision_policy(supervision.action_values(b))
-            a = int(rng.choice(actions, p=mu))
-            steps.append(Step(observation=z, action=a, target=mu, belief=b))
-            r = s * model.num_actions + a
-            cost += float(e.cost[r])
-            start, stop = e.offsets[r], e.offsets[r + 1]
-            probs = e.lo[start:stop]
-            s_next = int(rng.choice(e.succ[start:stop], p=probs / probs.sum()))
-            b = belief_update(model, b, a, int(model.obs_of[s_next]))
-            s = s_next
-        episodes.append(Episode(steps=steps, cost=cost, reached_goal=s in model.goals))
+    rngs = [np.random.default_rng((*seed_parts, i)) for i in range(num_episodes)]
+    goal = np.zeros(n, dtype=bool)
+    goal[list(model.goals)] = True
+    successor_cdf = _successor_cdf(e)
+
+    state = np.searchsorted(_cdf(init), [rng.random() for rng in rngs], side="right")
+    cost = np.zeros(num_episodes)
+    steps: list[list[Step]] = [[] for _ in range(num_episodes)]
+    live = np.flatnonzero(~goal[state])
+    beliefs = np.tile(init, (len(live), 1))
+    for t in range(horizon):
+        if not live.size:
+            break
+        if t % DRAW_BLOCK == 0:
+            draws = np.array([rngs[i].random(2 * min(DRAW_BLOCK, horizon - t)) for i in live])
+        u_action, u_successor = draws[:, 2 * (t % DRAW_BLOCK)], draws[:, 2 * (t % DRAW_BLOCK) + 1]
+        s = state[live]
+        mu = supervision_policy(np.array([supervision.action_values(b) for b in beliefs]))
+        a = np.count_nonzero(_cdf(mu) <= u_action[:, None], axis=1)
+        for i, *step in zip(live.tolist(), model.obs_of[s].tolist(), a.tolist(), mu, beliefs):
+            steps[i].append(Step(*step))
+        rows = s * na + a
+        cost[live] += e.cost[rows]
+        idx, counts = e.of_rows(rows)
+        below = successor_cdf[idx] <= np.repeat(u_successor, counts)
+        owner = np.repeat(np.arange(len(live)), counts)
+        s = e.succ[e.offsets[rows] + np.bincount(owner[below], minlength=len(live))]
+        state[live] = s
+        keep = ~goal[s]
+        beliefs = belief_updates(model, beliefs, a, model.obs_of[s], keep)
+        live, draws = live[keep], draws[keep]
+
     return TrajectoryDataset(
-        episodes=episodes,
+        episodes=[
+            Episode(steps=steps[i], cost=float(cost[i]), reached_goal=bool(goal[state[i]]))
+            for i in range(num_episodes)
+        ],
         num_observations=model.num_observations,
         num_actions=model.num_actions,
         seed=rng_seed,

@@ -138,7 +138,10 @@ def solve_fib(model: ConcretePomdp, tol: float = 1e-9, max_iters: int = 200_000)
 
 
 def supervision_policy(q_values: np.ndarray) -> np.ndarray:
-    """Point distribution on the cheapest action; ties go to the lowest index."""
+    """Point distribution on the cheapest action; ties go to the lowest index.
+
+    ``q_values`` holds the actions along its last axis, one belief per row.
+    """
     mu = np.zeros_like(q_values, dtype=np.float64)
-    mu[int(np.argmin(q_values))] = 1.0
+    np.put_along_axis(mu, np.argmin(q_values, axis=-1)[..., None], 1.0, axis=-1)
     return mu

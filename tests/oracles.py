@@ -4,9 +4,9 @@ Everything here is written against the math definitions directly, avoiding
 the library's own algorithms: candidate-vertex enumeration for box-simplex
 linear programs, dense linear solves for Markov-chain expected costs,
 exhaustive policy enumeration for small MDPs, a scalar re-implementation
-of the recurrent cell, the row-by-row member builder, and the step-by-step
-network loops (controller synthesis, fidelity, end-to-end code table) that
-the batched extraction replaced.
+of the recurrent cell, the row-by-row member builder, the step-by-step
+network loops (controller synthesis, fidelity) that the batched extraction
+replaced, and the per-episode rollout loop that lockstep simulation replaced.
 """
 
 from __future__ import annotations
@@ -372,3 +372,43 @@ def build_fsc_reference(params, clustering, model):
     memory_map = np.array([[order.index(t) if t in order else n for _, t in row]
                            for n, row in enumerate(rows)])
     return action_map, memory_map, codes
+
+
+def simulate_reference(model, supervision, num_episodes=256, horizon=200, rng_seed=0):
+    """``simulate`` as one episode after another, each drawing by ``rng.choice``."""
+    from robustfsc.model import belief_update
+    from robustfsc.simulate import Episode, Step, TrajectoryDataset, model_fingerprint
+    from robustfsc.solvers import supervision_policy
+
+    states = np.arange(model.num_states)
+    actions = np.arange(model.num_actions)
+    e = model.edges
+    seed_parts = (rng_seed,) if isinstance(rng_seed, int) else tuple(rng_seed)
+    episodes = []
+    for i in range(num_episodes):
+        rng = np.random.default_rng((*seed_parts, i))
+        s = int(rng.choice(states, p=model.initial_belief))
+        b = model.initial_belief.copy()
+        steps = []
+        cost = 0.0
+        while len(steps) < horizon and s not in model.goals:
+            z = int(model.obs_of[s])
+            mu = supervision_policy(supervision.action_values(b))
+            a = int(rng.choice(actions, p=mu))
+            steps.append(Step(observation=z, action=a, target=mu, belief=b))
+            r = s * model.num_actions + a
+            cost += float(e.cost[r])
+            start, stop = e.offsets[r], e.offsets[r + 1]
+            probs = e.lo[start:stop]
+            s_next = int(rng.choice(e.succ[start:stop], p=probs / probs.sum()))
+            b = belief_update(model, b, a, int(model.obs_of[s_next]))
+            s = s_next
+        episodes.append(Episode(steps=steps, cost=cost, reached_goal=s in model.goals))
+    return TrajectoryDataset(
+        episodes=episodes,
+        num_observations=model.num_observations,
+        num_actions=model.num_actions,
+        seed=rng_seed,
+        horizon=horizon,
+        model_hash=model_fingerprint(model),
+    )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import robustfsc.model as model_module
 from conftest import random_rpomdp
 from oracles import reference_member
 from robustfsc.grids import GridSpec, generate_grid
@@ -10,6 +11,7 @@ from robustfsc.model import (
     RobustPomdp,
     _project,
     belief_update,
+    belief_updates,
     member_with,
     nominal_midpoint,
     project_row,
@@ -72,6 +74,12 @@ class TestValidate:
         m = tiny_model({0: Interval(0.3, 0.6), 1: Interval(0.4, 0.7)})
         m.initial_belief = np.array([0.9, 0.0])
         assert not validate(m).ok
+
+    def test_more_observations_than_states_rejected(self):
+        m = tiny_model({0: Interval(0.3, 0.6), 1: Interval(0.4, 0.7)})
+        m.num_observations = 10**11
+        rep = validate(m)
+        assert rep.issues == ["100000000000 observations exceed 2 states, each of which emits one"]
 
     def test_nan_initial_belief_rejected(self):
         m = tiny_model({0: Interval(0.3, 0.6), 1: Interval(0.4, 0.7)})
@@ -290,6 +298,21 @@ class TestEdgeTable:
                     bounds = (row[sp].lo, row[sp].hi) if model is not member else (row[sp], row[sp])
                     assert (e.lo[i], e.hi[i]) == bounds
 
+    def test_member_rows_are_built_on_first_read(self, monkeypatch):
+        built = []
+
+        class CountingRow(model_module._MemberRow):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(model_module, "_MemberRow", CountingRow)
+        model = generate_grid(GRID_FAMILIES[0], 3)
+        member = nominal_midpoint(model)
+        assert built == []
+        assert member.transitions[(0, 0)].keys() == model.row(0, 0).keys()
+        assert len(built) == len(model.transitions)
+
     def test_writes_to_a_member_row_reach_its_table(self):
         model = tiny_model({0: Interval(0.2, 0.5), 1: Interval(0.5, 0.8)})
         member = nominal_midpoint(model)
@@ -351,3 +374,23 @@ class TestBeliefUpdate:
         member = nominal_midpoint(m)
         with pytest.raises(InconsistentHistoryError):
             belief_update(member, np.array([1.0, 0.0]), 0, 0)
+        with pytest.raises(InconsistentHistoryError):  # one row of a batch suffices, kept or not
+            belief_updates(member, np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([0, 0]), np.array([1, 0]),
+                           keep=np.array([True, False]))
+
+    def test_batched_rows_equal_one_belief_at_a_time(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            m = random_rpomdp(rng, num_states=5, num_actions=2)
+            member = sample_member(m, int(rng.integers(1 << 30)))
+            beliefs = rng.dirichlet(np.ones(5), size=6)
+            beliefs[rng.random(beliefs.shape) < 0.3] = 0.0
+            beliefs[:, 0] += 1e-3  # state 0 is in every support
+            actions = rng.integers(2, size=6)
+            # the first successor of (0, a) makes its observation possible
+            observations = m.obs_of[member.edges.succ[member.edges.offsets[actions]]]
+            batch = belief_updates(member, beliefs, actions, observations)
+            for row, b, a, z in zip(batch, beliefs, actions, observations):
+                assert np.array_equal(row, belief_update(member, b.copy(), int(a), int(z)))
+            keep = rng.random(6) < 0.5
+            assert np.array_equal(belief_updates(member, beliefs, actions, observations, keep), batch[keep])

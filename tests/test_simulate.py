@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from conftest import random_rpomdp
-from oracles import product_chain_cost
-from robustfsc.model import Fsc, Interval, RobustPomdp, belief_update, nominal_midpoint
-from robustfsc.simulate import simulate
-from robustfsc.solvers import solve_mdp
+from oracles import product_chain_cost, simulate_reference
+from robustfsc.grids import GridSpec, generate_grid
+from robustfsc.model import Fsc, Interval, RobustPomdp, belief_update, nominal_midpoint, sample_member
+from robustfsc.simulate import DRAW_BLOCK, simulate
+from robustfsc.solvers import solve_fib, solve_mdp
 
 
 def two_step_chain():
@@ -104,3 +108,86 @@ def test_mean_cost_matches_linear_solve_within_three_se():
     costs = np.array([ep.cost for ep in ds.episodes])
     se = costs.std(ddof=1) / np.sqrt(len(costs))
     assert abs(costs.mean() - exact) < 3 * se
+
+
+def looping_chain(stay=0.9):
+    """2 states: state 0 stays with probability ``stay``, else reaches the goal."""
+    m = RobustPomdp(
+        num_states=2, num_actions=1, num_observations=2,
+        obs_of=np.arange(2),
+        transitions={(0, 0): {0: Interval(stay, stay), 1: Interval(1.0 - stay, 1.0 - stay)},
+                     (1, 0): {1: Interval(1.0, 1.0)}},
+        cost={(0, 0): 1.0, (1, 0): 0.0},
+        goals=frozenset({1}),
+        initial_belief=np.array([1.0, 0.0]),
+    )
+    return nominal_midpoint(m)
+
+
+def intercept_members():
+    model = generate_grid(GridSpec(4, 4, "intercept"), 3)
+    return {"midpoint": nominal_midpoint(model), "sampled": sample_member(model, (3, 1))}
+
+
+class TestMatchesPerEpisodeReference:
+    """The lockstep rollouts give the per-episode ``rng.choice`` loop's bytes."""
+
+    @staticmethod
+    def check(member, solver, **kwargs):
+        sup = solver(member)
+        ours = simulate(member, sup, **kwargs)
+        assert ours.to_jsonl() == simulate_reference(member, sup, **kwargs).to_jsonl()
+        return ours
+
+    @pytest.mark.parametrize("solver", [solve_mdp, solve_fib], ids=["qmdp", "fib"])
+    @pytest.mark.parametrize("which", ["midpoint", "sampled"])
+    def test_intercept_members(self, which, solver):
+        member = intercept_members()[which]
+        self.check(member, solver, num_episodes=64, horizon=50, rng_seed=(0, 2, 3))
+
+    def test_horizon_truncation(self):
+        member = intercept_members()["midpoint"]
+        ds = self.check(member, solve_mdp, num_episodes=32, horizon=3, rng_seed=4)
+        assert any(len(ep) == 3 and not ep.reached_goal for ep in ds.episodes)
+        assert self.check(member, solve_mdp, num_episodes=4, horizon=0, rng_seed=4).num_steps == 0
+
+    def test_starts_on_a_goal(self):
+        member = two_step_chain()
+        member.initial_belief = np.array([0.5, 0.0, 0.5])
+        ds = self.check(member, solve_mdp, num_episodes=16, horizon=10, rng_seed=2)
+        assert {len(ep) for ep in ds.episodes} == {0, 2}
+
+    def test_one_episode(self):
+        self.check(intercept_members()["sampled"], solve_fib, num_episodes=1, horizon=50, rng_seed=8)
+
+    def test_random_dense_models(self):
+        # every row reaches every state: long successor rows, wide beliefs
+        rng = np.random.default_rng(123)
+        for k in range(12):
+            m = random_rpomdp(rng, num_states=int(rng.integers(8, 30)), num_actions=3)
+            member = sample_member(m, k)
+            self.check(member, (solve_mdp, solve_fib)[k % 2], num_episodes=16, horizon=40, rng_seed=k)
+
+    def test_episodes_longer_than_a_draw_block(self):
+        ds = self.check(looping_chain(0.99), solve_mdp, num_episodes=16, horizon=300, rng_seed=5)
+        assert max(len(ep) for ep in ds.episodes) > 2 * DRAW_BLOCK
+
+    def test_huge_horizon_allocates_nothing_up_front(self):
+        member = looping_chain()
+        tracemalloc.start()
+        try:
+            ds = self.check(member, solve_mdp, num_episodes=8, horizon=10**6, rng_seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(ep.reached_goal for ep in ds.episodes)
+        assert peak < 8 * 2**20  # one episodes x horizon array of draws would be 128 MB
+
+
+@pytest.mark.parametrize("belief", [[1.5, -0.5, 0.0], [0.5, 0.0, 0.0], [np.nan, 0.0, 1.0]],
+                         ids=["negative", "not-normalized", "nan"])
+def test_initial_belief_must_be_a_distribution(belief):
+    member = two_step_chain()
+    member.initial_belief = np.array(belief)
+    with pytest.raises(ValueError):
+        simulate(member, solve_mdp(two_step_chain()), num_episodes=2, horizon=5)
