@@ -3,22 +3,38 @@
 Two discretizers produce a Clustering (assign/represent pair), both fitted
 after training to the hidden states visited on the dataset: k-means++, or a
 quantized bottleneck autoencoder whose code book becomes the node set (the
-post-hoc QBN of Koul et al., 2019).  The network runs only in batches: one
-replay unrolls it over every episode of a dataset at once (hidden states,
-fidelity), and build_fsc expands each node with one step over all
-observations, whose action distributions become the node's rows and whose
-clusters its memory successors.  Only nodes the initial node reaches are
-created.
+post-hoc QBN of Koul et al., 2019).  The bottleneck's parameters are one
+flat vector like the network's, and both its halves run on the dense-layer
+stack of ``rnn`` that the policy head uses.
+
+The network runs only in batches: one replay unrolls it over every episode
+of a dataset at once (hidden states, fidelity), and build_fsc expands each
+node with one step over all observations, whose action distributions become
+the node's rows and whose clusters its memory successors.  Only nodes the
+initial node reaches are created.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from robustfsc.model import Fsc, RobustPomdp
-from robustfsc.rnn import Adam, NetworkParams, _gru_step, _pad_episodes, initial_hidden, policy_distribution
+from robustfsc.rnn import (
+    Adam,
+    FlatParams,
+    NetworkParams,
+    _gru_step,
+    _pad_episodes,
+    dense_backward,
+    dense_forward,
+    dense_init,
+    dense_layout,
+    initial_hidden,
+    policy_distribution,
+)
 from robustfsc.simulate import TrajectoryDataset
 from robustfsc.solvers import DivergenceError
 
@@ -96,50 +112,30 @@ def kmeans_fit(points: np.ndarray, k: int, rng_seed: int | tuple[int, ...] = 0, 
 # ---------------------------------------------------------------------------
 # quantized bottleneck
 
-QBN_FIELDS = ("enc_w1", "enc_b1", "enc_w2", "enc_b2", "enc_w3", "enc_b3",
-              "dec_w1", "dec_b1", "dec_w2", "dec_b2", "dec_w3", "dec_b3")
-
-
-@dataclass
-class QbnParams:
+@dataclass(eq=False)
+class QbnParams(FlatParams):
     """Encoder d -> 8b -> 4b -> b and its mirror decoder, tanh throughout.
 
     The final encoder activation is a flattened tanh for 3-level quantization
     (easier to settle on the 0 code) and a plain tanh for 2-level.
     """
 
-    enc_w1: np.ndarray
-    enc_b1: np.ndarray
-    enc_w2: np.ndarray
-    enc_b2: np.ndarray
-    enc_w3: np.ndarray
-    enc_b3: np.ndarray
-    dec_w1: np.ndarray
-    dec_b1: np.ndarray
-    dec_w2: np.ndarray
-    dec_b2: np.ndarray
-    dec_w3: np.ndarray
-    dec_b3: np.ndarray
     quant_levels: int = 3
 
+    @cached_property
+    def encoder(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return self.layers("enc")
+
+    @cached_property
+    def decoder(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return self.layers("dec")
+
     @property
-    def bottleneck(self) -> int:
-        return self.enc_w3.shape[0]
-
-    def zeros_like(self) -> "QbnParams":
-        return QbnParams(**{n: np.zeros_like(getattr(self, n)) for n in QBN_FIELDS},
-                         quant_levels=self.quant_levels)
+    def encoder_activations(self) -> tuple[str, ...]:
+        return ("tanh", "tanh", "tanh_flat" if self.quant_levels == 3 else "tanh")
 
 
-def tanh_flat(x: np.ndarray) -> np.ndarray:
-    """1.5 tanh(x) + 0.5 tanh(-3x): maps to [-1, 1] but flat around zero."""
-    return 1.5 * np.tanh(x) + 0.5 * np.tanh(-3.0 * x)
-
-
-def _tanh_flat_grad(x: np.ndarray) -> np.ndarray:
-    t1 = np.tanh(x)
-    t3 = np.tanh(3.0 * x)
-    return 1.5 * (t3 * t3 - t1 * t1)
+DECODER_ACTIVATIONS = ("tanh", "tanh", "tanh")
 
 
 def quantize(codes: np.ndarray, levels: int) -> np.ndarray:
@@ -152,76 +148,35 @@ def quantize(codes: np.ndarray, levels: int) -> np.ndarray:
 
 
 def qbn_init(hidden_size: int, bottleneck: int, quant_levels: int = 3, rng_seed: int | tuple[int, ...] = 0) -> QbnParams:
+    """Scaled-normal weights drawn in layout order; biases start at zero."""
     rng = np.random.default_rng(rng_seed)
-
-    def dense(rows: int, cols: int) -> np.ndarray:
-        return rng.standard_normal((rows, cols)) / np.sqrt(cols)
-
-    b = bottleneck
-    return QbnParams(
-        enc_w1=dense(8 * b, hidden_size), enc_b1=np.zeros(8 * b),
-        enc_w2=dense(4 * b, 8 * b), enc_b2=np.zeros(4 * b),
-        enc_w3=dense(b, 4 * b), enc_b3=np.zeros(b),
-        dec_w1=dense(4 * b, b), dec_b1=np.zeros(4 * b),
-        dec_w2=dense(8 * b, 4 * b), dec_b2=np.zeros(8 * b),
-        dec_w3=dense(hidden_size, 8 * b), dec_b3=np.zeros(hidden_size),
-        quant_levels=quant_levels,
-    )
+    b, d = bottleneck, hidden_size
+    layout = dense_layout("enc", (d, 8 * b, 4 * b, b)) + dense_layout("dec", (b, 4 * b, 8 * b, d))
+    q = QbnParams(layout, quant_levels=quant_levels)
+    for name, shape in q.layout:
+        if len(shape) == 2:
+            getattr(q, name)[...] = dense_init(rng, shape)
+    return q
 
 
 def _qbn_encode(q: QbnParams, h: np.ndarray):
-    e1p = h @ q.enc_w1.T + q.enc_b1
-    e1 = np.tanh(e1p)
-    e2p = e1 @ q.enc_w2.T + q.enc_b2
-    e2 = np.tanh(e2p)
-    e3p = e2 @ q.enc_w3.T + q.enc_b3
-    e3 = tanh_flat(e3p) if q.quant_levels == 3 else np.tanh(e3p)
-    return e3, (h, e1p, e1, e2p, e2, e3p)
+    return dense_forward(q.encoder, q.encoder_activations, h)
 
 
 def _qbn_decode(q: QbnParams, code: np.ndarray):
-    d1p = code @ q.dec_w1.T + q.dec_b1
-    d1 = np.tanh(d1p)
-    d2p = d1 @ q.dec_w2.T + q.dec_b2
-    d2 = np.tanh(d2p)
-    d3p = d2 @ q.dec_w3.T + q.dec_b3
-    out = np.tanh(d3p)
-    return out, (code, d1p, d1, d2p, d2, d3p, out)
+    return dense_forward(q.decoder, DECODER_ACTIVATIONS, code)
 
 
-def _qbn_decode_backward(q: QbnParams, cache, dout: np.ndarray, g: QbnParams) -> np.ndarray:
-    code, d1p, d1, d2p, d2, d3p, out = cache
-    dd3p = dout * (1.0 - out * out)
-    g.dec_w3 += dd3p.T @ d2
-    g.dec_b3 += dd3p.sum(axis=0)
-    dd2 = dd3p @ q.dec_w3
-    dd2p = dd2 * (1.0 - d2 * d2)
-    g.dec_w2 += dd2p.T @ d1
-    g.dec_b2 += dd2p.sum(axis=0)
-    dd1 = dd2p @ q.dec_w2
-    dd1p = dd1 * (1.0 - d1 * d1)
-    g.dec_w1 += dd1p.T @ code
-    g.dec_b1 += dd1p.sum(axis=0)
-    return dd1p @ q.dec_w1
-
-
-def _qbn_encode_backward(q: QbnParams, cache, dcode: np.ndarray, g: QbnParams) -> np.ndarray:
-    h, e1p, e1, e2p, e2, e3p = cache
-    if q.quant_levels == 3:
-        de3p = dcode * _tanh_flat_grad(e3p)
-    else:
-        de3p = dcode * (1.0 - np.tanh(e3p) ** 2)
-    g.enc_w3 += de3p.T @ e2
-    g.enc_b3 += de3p.sum(axis=0)
-    de2 = de3p @ q.enc_w3
-    de2p = de2 * (1.0 - e2 * e2)
-    g.enc_w2 += de2p.T @ e1
-    g.enc_b2 += de2p.sum(axis=0)
-    de1 = de2p @ q.enc_w2
-    de1p = de1 * (1.0 - e1 * e1)
-    g.enc_w1 += de1p.T @ h
-    g.enc_b1 += de1p.sum(axis=0)
-    return de1p @ q.enc_w1
+def _qbn_loss_and_grad(q: QbnParams, batch: np.ndarray) -> tuple[float, QbnParams]:
+    """Mean squared reconstruction error of ``batch`` through the quantizer
+    and its straight-through gradient (see qbn_fit_posthoc)."""
+    e, ecache = _qbn_encode(q, batch)
+    out, dcache = _qbn_decode(q, quantize(e, q.quant_levels))
+    err = out - batch
+    g = q.zeros_like()
+    dcode = dense_backward(q.decoder, DECODER_ACTIVATIONS, dcache, 2.0 * err / err.size, g.decoder)
+    dense_backward(q.encoder, q.encoder_activations, ecache, dcode, g.encoder)
+    return float((err * err).mean()), g
 
 
 def _codes(qbn: QbnParams, h: np.ndarray) -> list[tuple]:
@@ -251,25 +206,16 @@ def qbn_fit_posthoc(
         raise ValueError("need a nonempty (n, d) point array")
     qbn = qbn_init(points.shape[1], bottleneck, quant_levels, rng_seed)
     rng = np.random.default_rng((rng_seed, 1))
-    opt = Adam(qbn, QBN_FIELDS, lr)
+    opt = Adam(qbn, lr)
     epoch_mse = []
     for _ in range(epochs):
         order = rng.permutation(len(points))
         losses = []
         for lo in range(0, len(order), batch_size):
-            batch = points[order[lo:lo + batch_size]]
-            e, ecache = _qbn_encode(qbn, batch)
-            code = quantize(e, quant_levels)
-            out, dcache = _qbn_decode(qbn, code)
-            err = out - batch
-            mse = float((err * err).mean())
+            mse, g = _qbn_loss_and_grad(qbn, points[order[lo:lo + batch_size]])
             if not np.isfinite(mse):
                 raise DivergenceError("bottleneck reconstruction loss became non-finite")
             losses.append(mse)
-            g = qbn.zeros_like()
-            dout = 2.0 * err / err.size
-            dcode = _qbn_decode_backward(qbn, dcache, dout, g)
-            _qbn_encode_backward(qbn, ecache, dcode, g)  # straight-through
             opt.step(qbn, g)
         epoch_mse.append(float(np.mean(losses)))
 

@@ -154,6 +154,8 @@ def run(config: RunConfig, model: RobustPomdp) -> RunResult:
             values = robust_value_iteration(build_chain(model, fsc), "pessimistic", tol=config.vi_tol)
             robust_value = values.at_initial
             fidelity = fsc_fidelity(params, fsc, dataset)
+            # free the rollouts before the next simulate, which sets the peak
+            del dataset, hidden
 
             if robust_value < best_value:
                 best_value = robust_value

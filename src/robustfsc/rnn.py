@@ -11,11 +11,16 @@ is fixed as
 
 with x the learned embedding of the observation, followed by a two-layer
 rectifier head (width 32) and a softmax over actions.
+
+Parameters are one float64 vector, ``flat``, with named arrays as views of
+it; the head runs on the dense-layer stack the bottleneck in ``extract`` uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -24,35 +29,73 @@ from robustfsc.solvers import DivergenceError
 
 HEAD_WIDTH = 32
 
-PARAM_FIELDS = (
-    "emb",
-    "w_r", "w_u", "w_h",
-    "u_r", "u_u", "u_h",
-    "b_r", "b_u", "b_h",
-    "head_w1", "head_b1",
-    "head_w2", "head_b2",
-    "head_w3", "head_b3",
-)
+# a container's (name, shape) pairs in the order they are stored in ``flat``
+Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
 
-@dataclass
-class NetworkParams:
-    emb: np.ndarray      # (Z, e)
-    w_r: np.ndarray      # (d, e)
-    w_u: np.ndarray
-    w_h: np.ndarray
-    u_r: np.ndarray      # (d, d)
-    u_u: np.ndarray
-    u_h: np.ndarray
-    b_r: np.ndarray      # (d,)
-    b_u: np.ndarray
-    b_h: np.ndarray
-    head_w1: np.ndarray  # (HEAD_WIDTH, d)
-    head_b1: np.ndarray
-    head_w2: np.ndarray  # (HEAD_WIDTH, HEAD_WIDTH)
-    head_b2: np.ndarray
-    head_w3: np.ndarray  # (A, HEAD_WIDTH)
-    head_b3: np.ndarray
+def dense_layout(prefix: str, sizes: tuple[int, ...]) -> Layout:
+    """Dense stack sizes[0] -> sizes[1] -> ...: layer i has the weight
+    ``<prefix>_w<i>`` (sizes[i], sizes[i-1]) and the bias ``<prefix>_b<i>``."""
+    out: list[tuple[str, tuple[int, ...]]] = []
+    for i in range(1, len(sizes)):
+        out += [(f"{prefix}_w{i}", (sizes[i], sizes[i - 1])), (f"{prefix}_b{i}", (sizes[i],))]
+    return tuple(out)
+
+
+def network_layout(num_observations: int, embed_size: int, hidden_size: int, num_actions: int) -> Layout:
+    d, e = hidden_size, embed_size
+    return (
+        (("emb", (num_observations, e)),)
+        + tuple((f"w_{gate}", (d, e)) for gate in "ruh")
+        + tuple((f"u_{gate}", (d, d)) for gate in "ruh")
+        + tuple((f"b_{gate}", (d,)) for gate in "ruh")
+        + dense_layout("head", (d, HEAD_WIDTH, HEAD_WIDTH, num_actions))
+    )
+
+
+PARAM_FIELDS = tuple(name for name, _ in network_layout(0, 0, 0, 0))
+
+
+@dataclass(eq=False)
+class FlatParams:
+    """Named float64 arrays that are reshaped views of one vector, ``flat``.
+
+    Each name of ``layout`` becomes an attribute viewing its slice of
+    ``flat`` (zeros when no vector is given).  Write fields in place
+    (``p.w[...] = x``, ``p.w += x``): a field rebound to a fresh array is no
+    longer part of ``flat`` and silently stops being trained.
+    """
+
+    layout: Layout
+    flat: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.flat is None:
+            self.flat = np.zeros(sum(math.prod(shape) for _, shape in self.layout))
+        lo = 0
+        for name, shape in self.layout:
+            hi = lo + math.prod(shape)
+            setattr(self, name, self.flat[lo:hi].reshape(shape))
+            lo = hi
+
+    def views(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name, _ in self.layout]
+
+    def layers(self, prefix: str) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(W, b) views of the dense stack ``prefix``, input layer first."""
+        depth = sum(name.startswith(f"{prefix}_w") for name, _ in self.layout)
+        return [(getattr(self, f"{prefix}_w{i}"), getattr(self, f"{prefix}_b{i}")) for i in range(1, depth + 1)]
+
+    def copy(self):
+        return replace(self, flat=self.flat.copy())
+
+    def zeros_like(self):
+        return replace(self, flat=np.zeros_like(self.flat))
+
+
+class NetworkParams(FlatParams):
+    """GRU policy: ``emb`` (Z, e); ``w_*`` (d, e), ``u_*`` (d, d) and ``b_*``
+    (d,) for the gates r, u, h; the head stack d -> 32 -> 32 -> A."""
 
     @property
     def num_observations(self) -> int:
@@ -70,11 +113,56 @@ class NetworkParams:
     def num_actions(self) -> int:
         return self.head_w3.shape[0]
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(**{f.name: getattr(self, f.name).copy() for f in fields(self)})
+    @cached_property
+    def head(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return self.layers("head")
 
-    def zeros_like(self) -> "NetworkParams":
-        return NetworkParams(**{f.name: np.zeros_like(getattr(self, f.name)) for f in fields(self)})
+
+HEAD_ACTIVATIONS = ("relu", "relu", "linear")
+
+
+def tanh_flat(x: np.ndarray) -> np.ndarray:
+    """1.5 tanh(x) + 0.5 tanh(-3x): maps to [-1, 1] but flat around zero."""
+    return 1.5 * np.tanh(x) + 0.5 * np.tanh(-3.0 * x)
+
+
+# activation name -> (function of the pre-activation, derivative from the
+# pre-activation and the output; None for the identity)
+ACTIVATIONS = {
+    "relu": (lambda pre: np.maximum(pre, 0.0), lambda pre, out: pre > 0),
+    "tanh": (np.tanh, lambda pre, out: 1.0 - out * out),
+    "tanh_flat": (tanh_flat, lambda pre, out: 1.5 * (np.tanh(3.0 * pre) ** 2 - np.tanh(pre) ** 2)),
+    "linear": (lambda pre: pre, None),
+}
+
+
+def dense_forward(layers, activations, x: np.ndarray):
+    """Run the rows of ``x`` through (W, b) layers with the named
+    activations; returns the output and the cache dense_backward reads."""
+    cache = []
+    for (w, b), act in zip(layers, activations):
+        pre = x @ w.T + b
+        out = ACTIVATIONS[act][0](pre)
+        cache.append((x, pre, out))
+        x = out
+    return x, cache
+
+
+def dense_backward(layers, activations, cache, dout: np.ndarray, grads) -> np.ndarray:
+    """Backprop ``dout`` through the stack; accumulates into the (gW, gb)
+    pairs of ``grads`` and returns the gradient of the stack's input."""
+    for (w, _), act, (x, pre, out), (gw, gb) in reversed(list(zip(layers, activations, cache, grads))):
+        derivative = ACTIVATIONS[act][1]
+        dpre = dout if derivative is None else dout * derivative(pre, out)
+        gw += dpre.T @ x
+        gb += dpre.sum(axis=0)
+        dout = dpre @ w
+    return dout
+
+
+def dense_init(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """Normal weights with variance 1 / fan-in (``shape[1]``)."""
+    return rng.standard_normal(shape) / np.sqrt(shape[1])
 
 
 def _orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -90,22 +178,18 @@ def init_params(
     embed_size: int = 8,
     rng_seed: int | tuple[int, ...] = 0,
 ) -> NetworkParams:
-    """Fresh parameters: orthogonal recurrent blocks, scaled-normal elsewhere."""
+    """Fresh parameters: orthogonal recurrent blocks, scaled-normal elsewhere,
+    drawn in layout order; biases start at zero."""
     rng = np.random.default_rng(rng_seed)
-    d, e = hidden_size, embed_size
-
-    def dense(rows: int, cols: int) -> np.ndarray:
-        return rng.standard_normal((rows, cols)) / np.sqrt(cols)
-
-    return NetworkParams(
-        emb=rng.standard_normal((num_observations, e)) * 0.5,
-        w_r=dense(d, e), w_u=dense(d, e), w_h=dense(d, e),
-        u_r=_orthogonal(rng, d), u_u=_orthogonal(rng, d), u_h=_orthogonal(rng, d),
-        b_r=np.zeros(d), b_u=np.zeros(d), b_h=np.zeros(d),
-        head_w1=dense(HEAD_WIDTH, d), head_b1=np.zeros(HEAD_WIDTH),
-        head_w2=dense(HEAD_WIDTH, HEAD_WIDTH), head_b2=np.zeros(HEAD_WIDTH),
-        head_w3=dense(num_actions, HEAD_WIDTH), head_b3=np.zeros(num_actions),
-    )
+    p = NetworkParams(network_layout(num_observations, embed_size, hidden_size, num_actions))
+    for name, shape in p.layout:
+        if name == "emb":
+            p.emb[...] = rng.standard_normal(shape) * 0.5
+        elif name.startswith("u_"):
+            getattr(p, name)[...] = _orthogonal(rng, hidden_size)
+        elif len(shape) == 2:
+            getattr(p, name)[...] = dense_init(rng, shape)
+    return p
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -129,14 +213,10 @@ def _gru_step(p: NetworkParams, h: np.ndarray, x: np.ndarray):
 
 def _head(p: NetworkParams, h: np.ndarray):
     """Two rectifier layers then softmax; returns log-probabilities and cache."""
-    y1p = h @ p.head_w1.T + p.head_b1
-    y1 = np.maximum(y1p, 0.0)
-    y2p = y1 @ p.head_w2.T + p.head_b2
-    y2 = np.maximum(y2p, 0.0)
-    logits = y2 @ p.head_w3.T + p.head_b3
+    logits, cache = dense_forward(p.head, HEAD_ACTIVATIONS, h)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return log_probs, (h, y1p, y1, y2p, y2)
+    return log_probs, cache
 
 
 def policy_distribution(params: NetworkParams, hidden: np.ndarray) -> np.ndarray:
@@ -212,27 +292,11 @@ def _loss_and_grad(
         probs = np.exp(log_probs_t[t])
         w = mask[:, t][:, None] / normalizer
         dlogits = (probs - mus[:, t]) * w
-        dh = _head_backward(params, head_caches[t], dlogits, g) + dh_next
+        dh = dense_backward(params.head, HEAD_ACTIVATIONS, head_caches[t], dlogits, g.head) + dh_next
         dh_prev, dx = _gru_backward(params, gru_caches[t], dh, g)
         np.add.at(g.emb, zs[:, t], dx)
         dh_next = dh_prev
     return loss, g
-
-
-def _head_backward(params: NetworkParams, cache, dlogits: np.ndarray, g: "NetworkParams") -> np.ndarray:
-    """Backprop dlogits through the policy head; accumulates into g, returns dh."""
-    h_t, y1p, y1, y2p, y2 = cache
-    g.head_w3 += dlogits.T @ y2
-    g.head_b3 += dlogits.sum(axis=0)
-    dy2 = dlogits @ params.head_w3
-    dy2p = dy2 * (y2p > 0)
-    g.head_w2 += dy2p.T @ y1
-    g.head_b2 += dy2p.sum(axis=0)
-    dy1 = dy2p @ params.head_w2
-    dy1p = dy1 * (y1p > 0)
-    g.head_w1 += dy1p.T @ h_t
-    g.head_b1 += dy1p.sum(axis=0)
-    return dy1p @ params.head_w1
 
 
 def _gru_backward(params: NetworkParams, cache, dh: np.ndarray, g: "NetworkParams"):
@@ -276,47 +340,35 @@ def loss(params: NetworkParams, dataset: TrajectoryDataset) -> float:
 
 
 class Adam:
-    """Adam (Kingma & Ba 2015) over the named arrays of a parameter container.
+    """Adam (Kingma & Ba 2015) over the ``flat`` vector of a FlatParams.
 
-    Works for any container with ``zeros_like`` (NetworkParams, QbnParams).
     With ``clip_norm`` set, each step first rescales the gradients in place so
     their global norm is at most ``clip_norm``.
     """
 
-    def __init__(self, container, names, lr: float, clip_norm: float | None = None):
-        self.names = names
+    def __init__(self, params: FlatParams, lr: float, clip_norm: float | None = None):
         self.lr = lr
         self.clip_norm = clip_norm
-        self.m = container.zeros_like()
-        self.v = container.zeros_like()
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
         self.step_count = 0
 
-    def step(self, params, grads) -> None:
+    def step(self, params: FlatParams, grads: FlatParams) -> None:
         """One update of ``params`` in place."""
+        g = grads.flat
         if self.clip_norm is not None:
-            total = 0.0
-            for name in self.names:
-                a = getattr(grads, name)
-                total += float((a * a).sum())
-            norm = np.sqrt(total)
+            # summed per array, so the rounding is that of separate arrays
+            norm = np.sqrt(sum(float((a * a).sum()) for a in grads.views()))
             if norm > self.clip_norm and norm > 0.0:
-                scale = self.clip_norm / norm
-                for name in self.names:
-                    a = getattr(grads, name)
-                    a *= scale
+                g *= self.clip_norm / norm
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         self.step_count += 1
         correction = np.sqrt(1.0 - beta2**self.step_count) / (1.0 - beta1**self.step_count)
-        for name in self.names:
-            p = getattr(params, name)
-            gm = getattr(self.m, name)
-            gv = getattr(self.v, name)
-            ga = getattr(grads, name)
-            gm *= beta1
-            gm += (1.0 - beta1) * ga
-            gv *= beta2
-            gv += (1.0 - beta2) * ga * ga
-            p -= self.lr * correction * gm / (np.sqrt(gv) + eps)
+        self.m *= beta1
+        self.m += (1.0 - beta1) * g
+        self.v *= beta2
+        self.v += (1.0 - beta2) * g * g
+        params.flat -= self.lr * correction * self.m / (np.sqrt(self.v) + eps)
 
 
 def episode_batches(
@@ -352,7 +404,7 @@ def train_epochs(
     """Adam over shuffled episode minibatches; returns new params and the
     per-batch loss trace.  Deterministic for a fixed seed."""
     params = params.copy()
-    opt = Adam(params, PARAM_FIELDS, lr, clip_norm)
+    opt = Adam(params, lr, clip_norm)
     trace: list[float] = []
     for zs, mus, mask, normalizer in episode_batches(dataset, epochs, batch_size, rng_seed):
         batch_loss, grad = _loss_and_grad(params, zs, mus, mask, normalizer)
@@ -376,21 +428,17 @@ def gradient_check(params: NetworkParams, dataset: TrajectoryDataset, fd_step: f
     _, grad = _loss_and_grad(params, zs, mus, mask, float(total))
     worst = 0.0
     work = params.copy()
-    for name in PARAM_FIELDS:
-        p = getattr(work, name)
-        ga = getattr(grad, name)
-        flat = p.reshape(-1)
-        gflat = ga.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + fd_step
-            up, _ = _loss_and_grad(work, zs, mus, mask, float(total), want_grad=False)
-            flat[i] = orig - fd_step
-            down, _ = _loss_and_grad(work, zs, mus, mask, float(total), want_grad=False)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * fd_step)
-            denom = max(1.0, abs(gflat[i]), abs(numeric))
-            worst = max(worst, abs(gflat[i] - numeric) / denom)
+    flat = work.flat
+    for i, analytic in enumerate(grad.flat.tolist()):
+        orig = flat[i]
+        flat[i] = orig + fd_step
+        up, _ = _loss_and_grad(work, zs, mus, mask, float(total), want_grad=False)
+        flat[i] = orig - fd_step
+        down, _ = _loss_and_grad(work, zs, mus, mask, float(total), want_grad=False)
+        flat[i] = orig
+        numeric = (up - down) / (2.0 * fd_step)
+        denom = max(1.0, abs(analytic), abs(numeric))
+        worst = max(worst, abs(analytic - numeric) / denom)
     return worst
 
 
@@ -419,15 +467,8 @@ def params_from_text(text: str) -> NetworkParams:
     if toks[:1] != ["dims"] or len(toks) != 5:
         raise ValueError("expected 'dims Z e d A' on the second line")
     nz, e, d, na = (int(t) for t in toks[1:])
-    shapes = {
-        "emb": (nz, e),
-        "w_r": (d, e), "w_u": (d, e), "w_h": (d, e),
-        "u_r": (d, d), "u_u": (d, d), "u_h": (d, d),
-        "b_r": (d,), "b_u": (d,), "b_h": (d,),
-        "head_w1": (HEAD_WIDTH, d), "head_b1": (HEAD_WIDTH,),
-        "head_w2": (HEAD_WIDTH, HEAD_WIDTH), "head_b2": (HEAD_WIDTH,),
-        "head_w3": (na, HEAD_WIDTH), "head_b3": (na,),
-    }
+    layout = network_layout(nz, e, d, na)
+    shapes = dict(layout)
     arrays = {}
     for line in lines[2:]:
         toks = line.split()
@@ -438,4 +479,5 @@ def params_from_text(text: str) -> NetworkParams:
     missing = [n for n in PARAM_FIELDS if n not in arrays]
     if missing:
         raise ValueError(f"checkpoint missing fields: {missing}")
-    return NetworkParams(**arrays)
+    # built from the values read, so a bad dims line cannot size an allocation
+    return NetworkParams(layout, np.concatenate([arrays[name].reshape(-1) for name in PARAM_FIELDS]))

@@ -1,4 +1,4 @@
-"""Shared random-instance builders for the test suite."""
+"""Shared random-instance builders and checks for the test suite."""
 
 from __future__ import annotations
 
@@ -95,3 +95,12 @@ def random_feasible_boxes(rng: np.random.Generator, n: int, degenerate: bool = F
     lo = base * (1.0 - rng.uniform(0.0, 0.9, size=n))
     hi = np.minimum(1.0, base * (1.0 + rng.uniform(0.0, 0.9, size=n)))
     return lo, hi
+
+
+def assert_fields_view_flat(p):
+    """Every named field lives in ``p.flat``, and together they cover it."""
+    for name, shape in p.layout:
+        field = getattr(p, name)
+        assert field.shape == shape
+        assert np.shares_memory(field, p.flat), name
+    assert sum(getattr(p, name).size for name, _ in p.layout) == p.flat.size

@@ -6,7 +6,8 @@ linear programs, dense linear solves for Markov-chain expected costs,
 exhaustive policy enumeration for small MDPs, a scalar re-implementation
 of the recurrent cell, the row-by-row member builder, the step-by-step
 network loops (controller synthesis, fidelity) that the batched extraction
-replaced, and the per-episode rollout loop that lockstep simulation replaced.
+replaced, the per-episode rollout loop that lockstep simulation replaced,
+and central finite differences for the hand-written backward passes.
 """
 
 from __future__ import annotations
@@ -412,3 +413,18 @@ def simulate_reference(model, supervision, num_episodes=256, horizon=200, rng_se
         horizon=horizon,
         model_hash=model_fingerprint(model),
     )
+
+
+def central_differences(f, x, step=1e-6):
+    """Gradient of the scalar ``f()`` with respect to the array ``x``,
+    perturbed in place one entry at a time."""
+    grad = np.empty(x.shape)
+    for i in range(x.size):
+        orig = x.flat[i]
+        x.flat[i] = orig + step
+        up = f()
+        x.flat[i] = orig - step
+        down = f()
+        x.flat[i] = orig
+        grad.flat[i] = (up - down) / (2.0 * step)
+    return grad

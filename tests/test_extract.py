@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from conftest import random_rpomdp
-from oracles import build_fsc_reference, fsc_fidelity_reference
+from conftest import assert_fields_view_flat, random_rpomdp
+from oracles import build_fsc_reference, central_differences, fsc_fidelity_reference
 from robustfsc.extract import (
+    _qbn_decode,
+    _qbn_encode,
+    _qbn_loss_and_grad,
     build_fsc,
     collect_hidden_states,
     fsc_fidelity,
     kmeans_fit,
     qbn_fit_posthoc,
+    qbn_init,
     quantize,
-    tanh_flat,
 )
-from robustfsc.rnn import forward, init_params, initial_hidden
+from robustfsc.rnn import forward, init_params, initial_hidden, tanh_flat
 from robustfsc.simulate import Episode, Step, TrajectoryDataset
 
 
@@ -143,6 +146,56 @@ class TestQbn:
         b = qbn_fit_posthoc(pts, bottleneck=2, epochs=10, rng_seed=2)
         assert a.mse_trace == b.mse_trace
         assert a.codes == b.codes
+
+
+class TestQbnGradient:
+    """The reconstruction gradient the bottleneck trains on, per quantizer."""
+
+    def instance(self, levels):
+        rng = np.random.default_rng(13)
+        qbn = qbn_init(5, 2, levels, rng_seed=4)
+        qbn.flat[...] += 0.1 * rng.standard_normal(qbn.flat.size)  # nonzero biases too
+        batch = rng.uniform(-0.8, 0.8, size=(7, 5))
+        code = quantize(_qbn_encode(qbn, batch)[0], levels)
+        _, grad = _qbn_loss_and_grad(qbn, batch)
+
+        def mse():
+            return float(((_qbn_decode(qbn, code)[0] - batch) ** 2).mean())
+
+        return qbn, batch, code, grad, mse
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_decoder_matches_finite_differences_with_code_fixed(self, levels):
+        qbn, _, _, grad, mse = self.instance(levels)
+        for name, _ in qbn.layout:
+            if name.startswith("dec"):
+                numeric = central_differences(mse, getattr(qbn, name))
+                assert np.allclose(getattr(grad, name), numeric, rtol=1e-6, atol=1e-9), name
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_encoder_is_straight_through_vector_jacobian_product(self, levels):
+        # the quantizer passes the code's gradient on unchanged, so the
+        # encoder gradient is J_enc^T (d mse / d code)
+        qbn, batch, code, grad, mse = self.instance(levels)
+        dcode = central_differences(mse, code)
+        assert np.abs(dcode).max() > 1e-4
+
+        def projected_code():
+            return float((dcode * _qbn_encode(qbn, batch)[0]).sum())
+
+        for name, _ in qbn.layout:
+            if name.startswith("enc"):
+                numeric = central_differences(projected_code, getattr(qbn, name))
+                assert np.allclose(getattr(grad, name), numeric, rtol=1e-6, atol=1e-9), name
+
+    def test_fields_are_views_after_every_constructor(self):
+        qbn = qbn_init(5, 2, rng_seed=0)
+        pts = np.random.default_rng(14).uniform(-0.5, 0.5, size=(20, 5))
+        fitted = qbn_fit_posthoc(pts, bottleneck=2, quant_levels=2, epochs=3, rng_seed=0).qbn
+        for q in (qbn, qbn.copy(), qbn.zeros_like(), fitted):
+            assert_fields_view_flat(q)
+        assert fitted.quant_levels == 2 and qbn.zeros_like().quant_levels == 3
+        assert not np.array_equal(fitted.flat, qbn_init(5, 2, 2, rng_seed=0).flat)
 
 
 class TestBuildFsc:

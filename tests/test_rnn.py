@@ -1,12 +1,15 @@
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
-from oracles import scalar_gru_forward
+from conftest import assert_fields_view_flat
+from oracles import central_differences, scalar_gru_forward
 from robustfsc.rnn import (
     PARAM_FIELDS,
     Adam,
+    FlatParams,
+    dense_backward,
+    dense_forward,
+    dense_layout,
     episode_batches,
     forward,
     gradient_check,
@@ -151,30 +154,27 @@ class TestTraining:
         assert sum(n for *_, n in batches) == 2 * ds.num_steps
 
 
-@dataclass
-class Pair:
-    """Smallest parameter container Adam accepts."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def zeros_like(self) -> "Pair":
-        return Pair(np.zeros_like(self.a), np.zeros_like(self.b))
+def pair(a, b):
+    """Smallest parameter container Adam accepts: two arrays on one vector."""
+    p = FlatParams((("a", (3,)), ("b", (2, 2))))
+    p.a[...] = a
+    p.b[...] = b
+    return p
 
 
 class TestAdam:
     @pytest.mark.parametrize("clip_norm, clipped", [(1.0, True), (100.0, False)])
     def test_two_steps_match_hand_written_update(self, clip_norm, clipped):
         rng = np.random.default_rng(8)
-        start = Pair(rng.standard_normal(3), rng.standard_normal((2, 2)))
-        grads = [Pair(3.0 * rng.standard_normal(3), 3.0 * rng.standard_normal((2, 2)))
+        start = pair(rng.standard_normal(3), rng.standard_normal((2, 2)))
+        grads = [pair(3.0 * rng.standard_normal(3), 3.0 * rng.standard_normal((2, 2)))
                  for _ in range(2)]
         lr = 0.01
 
-        params = Pair(start.a.copy(), start.b.copy())
-        opt = Adam(params, ("a", "b"), lr, clip_norm)
+        params = start.copy()
+        opt = Adam(params, lr, clip_norm)
         for g in grads:
-            opt.step(params, Pair(g.a.copy(), g.b.copy()))
+            opt.step(params, g.copy())
 
         expected = [start.a.copy(), start.b.copy()]
         m = [np.zeros(3), np.zeros((2, 2))]
@@ -192,6 +192,54 @@ class TestAdam:
                 expected[i] = expected[i] - lr * correction * m[i] / (np.sqrt(v[i]) + 1e-8)
         assert np.array_equal(params.a, expected[0])
         assert np.array_equal(params.b, expected[1])
+
+
+class TestDense:
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "tanh_flat", "linear"])
+    def test_backward_matches_finite_differences(self, activation):
+        rng = np.random.default_rng(12)
+        p = FlatParams(dense_layout("s", (3, 5, 4)))
+        p.flat[...] = rng.standard_normal(p.flat.size)
+        x = rng.standard_normal((6, 3))
+        weights = rng.standard_normal((6, 4))  # loss = sum(weights * output)
+        acts = (activation, activation)
+
+        def value():
+            return float((weights * dense_forward(p.layers("s"), acts, x)[0]).sum())
+
+        _, cache = dense_forward(p.layers("s"), acts, x)
+        g = p.zeros_like()
+        dx = dense_backward(p.layers("s"), acts, cache, weights, g.layers("s"))
+        assert np.allclose(g.flat, central_differences(value, p.flat), rtol=1e-6, atol=1e-7)
+        assert np.allclose(dx, central_differences(value, x), rtol=1e-6, atol=1e-7)
+
+
+class TestFlatParams:
+    def test_fields_are_views_after_every_constructor(self):
+        p = init_params(4, 3, hidden_size=5, embed_size=2, rng_seed=1)
+        ds = make_dataset(4, 5, 4, 3, seed=2)
+        trained, _ = train_epochs(p, ds, epochs=2, batch_size=2, rng_seed=0)
+        for q in (p, p.copy(), p.zeros_like(), params_from_text(params_to_text(p)), trained):
+            assert_fields_view_flat(q)
+        assert not np.array_equal(trained.flat, p.flat)
+
+    def test_copy_and_zeros_like_own_their_vector(self):
+        p = init_params(3, 2, hidden_size=4, embed_size=2, rng_seed=3)
+        for q in (p.copy(), p.zeros_like()):
+            assert not np.shares_memory(q.flat, p.flat)
+            assert q.layout == p.layout
+        assert np.array_equal(p.copy().flat, p.flat)
+        assert not p.zeros_like().flat.any()
+
+    def test_layout_order_is_checkpoint_order(self):
+        p = init_params(3, 2, hidden_size=4, embed_size=2, rng_seed=3)
+        assert tuple(name for name, _ in p.layout) == PARAM_FIELDS
+        assert np.array_equal(p.flat, np.concatenate([getattr(p, n).reshape(-1) for n in PARAM_FIELDS]))
+
+    def test_checkpoint_dims_alone_allocate_nothing(self):
+        # the vector is built from the values read, not sized by the dims line
+        with pytest.raises(ValueError, match="missing"):
+            params_from_text("rnnparams v1\ndims 100000000000 8 16 4\n")
 
 
 class TestGradientCheck:
