@@ -8,10 +8,10 @@ flat vector like the network's, and both its halves run on the dense-layer
 stack of ``rnn`` that the policy head uses.
 
 The network runs only in batches: one replay unrolls it over every episode
-of a dataset at once (hidden states, fidelity), and build_fsc expands each
-node with one step over all observations, whose action distributions become
-the node's rows and whose clusters its memory successors.  Only nodes the
-initial node reaches are created.
+of a dataset at once (hidden states, which fidelity reuses), and build_fsc
+expands each node with one step over all observations, whose action
+distributions become the node's rows and whose clusters its memory
+successors.  Only nodes the initial node reaches are created.
 """
 
 from __future__ import annotations
@@ -39,22 +39,16 @@ from robustfsc.simulate import TrajectoryDataset
 from robustfsc.solvers import DivergenceError
 
 
-def _replay(params: NetworkParams, dataset: TrajectoryDataset):
-    """GRU states (B, T, d) over all episodes at once, the padded
-    observations (B, T) and the mask of recorded steps."""
+def collect_hidden_states(params: NetworkParams, dataset: TrajectoryDataset) -> np.ndarray:
+    """Hidden states after every observation of every episode, episode-major;
+    all episodes are unrolled at once."""
     zs, _, mask = _pad_episodes(dataset, list(range(dataset.num_episodes)))
     hs = np.empty(zs.shape + (params.hidden_size,))
     h = np.zeros((len(zs), params.hidden_size))
     for t in range(zs.shape[1]):
         h, _ = _gru_step(params, h, params.emb[zs[:, t]])
         hs[:, t] = h
-    return hs, zs, mask > 0.0
-
-
-def collect_hidden_states(params: NetworkParams, dataset: TrajectoryDataset) -> np.ndarray:
-    """Hidden states after every observation of every episode, episode-major."""
-    hs, _, mask = _replay(params, dataset)
-    return hs[mask]
+    return hs[mask > 0.0]
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -321,16 +315,30 @@ def build_fsc(params: NetworkParams, clustering: Clustering, model: RobustPomdp)
     return fsc
 
 
-def fsc_fidelity(params: NetworkParams, fsc: Fsc, dataset: TrajectoryDataset) -> float:
+def fsc_fidelity(
+    params: NetworkParams, fsc: Fsc, dataset: TrajectoryDataset, hidden: np.ndarray | None = None
+) -> float:
     """Mean total-variation distance between the network policy and the
-    extracted controller along the dataset histories (diagnostic only)."""
+    extracted controller along the dataset histories (diagnostic only).
+
+    ``hidden`` is what collect_hidden_states returns for these parameters
+    and this dataset; without it the network is replayed.  The policy head
+    runs once, on the states stacked time-major, one (episodes, d) batch
+    per step.
+    """
     if dataset.num_steps == 0:
         return 0.0
-    hs, zs, mask = _replay(params, dataset)
+    if hidden is None:
+        hidden = collect_hidden_states(params, dataset)
+    zs, _, mask = _pad_episodes(dataset, list(range(dataset.num_episodes)))
+    recorded = mask > 0.0
+    hs = np.zeros((zs.shape[1], len(zs), params.hidden_size))
+    hs.swapaxes(0, 1)[recorded] = hidden
+    dist = policy_distribution(params, hs)
     node = np.full(len(zs), fsc.initial_node)
     total = 0.0
     for t in range(zs.shape[1]):
-        gap = np.abs(policy_distribution(params, hs[:, t]) - fsc.action_map[node, zs[:, t]])
-        total += 0.5 * float(gap.sum(axis=1)[mask[:, t]].sum())
+        gap = np.abs(dist[t] - fsc.action_map[node, zs[:, t]])
+        total += 0.5 * float(gap.sum(axis=1)[recorded[:, t]].sum())
         node = fsc.memory_map[node, zs[:, t]]
     return total / dataset.num_steps

@@ -136,16 +136,15 @@ def run(config: RunConfig, model: RobustPomdp) -> RunResult:
                 clip_norm=config.clip_norm, rng_seed=(config.seed, it, 4),
             )
             hidden = collect_hidden_states(params, dataset)
-            if len(hidden) == 0:
-                # Degenerate dataset (all starts are goals): cluster the
-                # initial hidden state so extraction still yields a policy.
-                hidden = np.zeros((1, config.hidden_size))
+            # A degenerate dataset (all starts are goals) has no states:
+            # cluster the initial hidden state so extraction still yields a policy.
+            points = hidden if len(hidden) else np.zeros((1, config.hidden_size))
             if config.extractor == "kmeans":
-                k = min(config.clusters, len(hidden))
-                clustering = kmeans_fit(hidden, k, rng_seed=(config.seed, it, 5))
+                k = min(config.clusters, len(points))
+                clustering = kmeans_fit(points, k, rng_seed=(config.seed, it, 5))
             else:
                 clustering = qbn_fit_posthoc(
-                    hidden, config.bottleneck, config.quant_levels,
+                    points, config.bottleneck, config.quant_levels,
                     epochs=config.epochs_per_iteration, lr=config.learning_rate,
                     batch_size=config.batch_size, rng_seed=(config.seed, it, 5),
                 )
@@ -153,9 +152,9 @@ def run(config: RunConfig, model: RobustPomdp) -> RunResult:
             fsc = build_fsc(params, clustering, model)
             values = robust_value_iteration(build_chain(model, fsc), "pessimistic", tol=config.vi_tol)
             robust_value = values.at_initial
-            fidelity = fsc_fidelity(params, fsc, dataset)
+            fidelity = fsc_fidelity(params, fsc, dataset, hidden)
             # free the rollouts before the next simulate, which sets the peak
-            del dataset, hidden
+            del dataset, hidden, points
 
             if robust_value < best_value:
                 best_value = robust_value

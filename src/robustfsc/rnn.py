@@ -14,6 +14,24 @@ rectifier head (width 32) and a softmax over actions.
 
 Parameters are one float64 vector, ``flat``, with named arrays as views of
 it; the head runs on the dense-layer stack the bottleneck in ``extract`` uses.
+
+Training is backpropagation through time over whole sequences.  Only the
+recurrence stays in the time loops: forward, h @ U_*^T, the gates and the
+new state; backward, dh through the gates into dh_prev, each step's gate
+pre-activation gradients stored in (T, B, d) arrays.  Everything else runs
+once per batch on time-major (T, B, .) stacks: the embedding lookup and the
+input projections x W_*^T, the head forward and backward, the log-softmax
+and the loss terms, every W_*, U_*, b_* gradient, dx and one scatter into
+the embedding gradient.  Losses and gradients are bit for bit those of a
+step-by-step pass, which takes four rules:
+
+* products run per step on the stack, (T, B, e) @ W^T and
+  swapaxes(dpre) @ x, never as one (T*B)-row product, which may round
+  differently;
+* a weight gradient sums its per-step terms last step first, one at a time
+  (a sequential axis-0 sum of the contiguous reversed stack);
+* each step's loss term is a dot with the strided column mask[:, t];
+* the embedding gradient is scattered in (t descending, b ascending) order.
 """
 
 from __future__ import annotations
@@ -150,14 +168,28 @@ def dense_forward(layers, activations, x: np.ndarray):
 
 def dense_backward(layers, activations, cache, dout: np.ndarray, grads) -> np.ndarray:
     """Backprop ``dout`` through the stack; accumulates into the (gW, gb)
-    pairs of ``grads`` and returns the gradient of the stack's input."""
+    pairs of ``grads`` and returns the gradient of the stack's input.
+
+    A (T, B, .) input is a stack of T per-step batches: every product runs
+    per step and the weight gradients sum the steps last first (_sum_steps).
+    """
     for (w, _), act, (x, pre, out), (gw, gb) in reversed(list(zip(layers, activations, cache, grads))):
         derivative = ACTIVATIONS[act][1]
         dpre = dout if derivative is None else dout * derivative(pre, out)
-        gw += dpre.T @ x
-        gb += dpre.sum(axis=0)
+        gw += _sum_steps(dpre.swapaxes(-1, -2) @ x, 2)
+        gb += _sum_steps(dpre.sum(axis=-2), 1)
         dout = dpre @ w
     return dout
+
+
+def _sum_steps(a: np.ndarray, rank: int) -> np.ndarray:
+    """Sum a (T, ...) stack of per-step terms of ``rank`` dimensions over its
+    steps, last step first and one at a time: the order in which a
+    step-by-step backward pass accumulates them.  A lone term (no step
+    axis) passes through."""
+    if a.ndim == rank:
+        return a
+    return np.ascontiguousarray(a[::-1]).sum(axis=0)
 
 
 def dense_init(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -193,21 +225,25 @@ def init_params(
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function, 1 / (1 + e) for x >= 0 and e / (1 + e) below,
+    with e = exp(-|x|), which never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _gru_recur(p: NetworkParams, h: np.ndarray, xr: np.ndarray, xu: np.ndarray, xh: np.ndarray):
+    """The recurrent part of a GRU step, given the input projections
+    x W_r^T, x W_u^T and x W_h^T; returns the new state and (r, u, rh, hc)."""
+    r = _sigmoid(xr + h @ p.u_r.T + p.b_r)
+    u = _sigmoid(xu + h @ p.u_u.T + p.b_u)
+    rh = r * h
+    hc = np.tanh(xh + rh @ p.u_h.T + p.b_h)
+    return u * h + (1.0 - u) * hc, (r, u, rh, hc)
 
 
 def _gru_step(p: NetworkParams, h: np.ndarray, x: np.ndarray):
     """One batched GRU step; returns the new hidden state and the cache."""
-    r = _sigmoid(x @ p.w_r.T + h @ p.u_r.T + p.b_r)
-    u = _sigmoid(x @ p.w_u.T + h @ p.u_u.T + p.b_u)
-    rh = r * h
-    hc = np.tanh(x @ p.w_h.T + rh @ p.u_h.T + p.b_h)
-    h_new = u * h + (1.0 - u) * hc
+    h_new, (r, u, rh, hc) = _gru_recur(p, h, x @ p.w_r.T, x @ p.w_u.T, x @ p.w_h.T)
     return h_new, (h, x, r, u, rh, hc)
 
 
@@ -266,67 +302,55 @@ def _loss_and_grad(
     The loss is sum over unmasked steps of CE(mu, pi) / normalizer; hidden
     states thread from zero within each row.  Padded steps are masked out of
     both the loss and, because padding sits at episode tails, the gradient.
+
+    Only the recurrence runs step by step (see the module docstring).
     """
     b, t_max = zs.shape
     d = params.hidden_size
-    h = np.zeros((b, d))
-    gru_caches = []
-    head_caches = []
-    log_probs_t = []
+    x = params.emb[zs.T]
+    xr, xu, xh = x @ params.w_r.T, x @ params.w_u.T, x @ params.w_h.T
+    hs = np.zeros((t_max + 1, b, d))  # hs[t + 1] is the state after step t
+    r, u, rh, hc = (np.empty((t_max, b, d)) for _ in range(4))
+    for t in range(t_max):
+        hs[t + 1], (r[t], u[t], rh[t], hc[t]) = _gru_recur(params, hs[t], xr[t], xu[t], xh[t])
+    log_probs, head_cache = _head(params, hs[1:])
+    targets = np.ascontiguousarray(mus.swapaxes(0, 1))
+    step_ce = (targets * log_probs).sum(axis=-1)
     loss = 0.0
     for t in range(t_max):
-        x = params.emb[zs[:, t]]
-        h, gcache = _gru_step(params, h, x)
-        log_probs, hcache = _head(params, h)
-        loss -= float((mus[:, t] * log_probs).sum(axis=1) @ mask[:, t])
-        gru_caches.append(gcache)
-        head_caches.append(hcache)
-        log_probs_t.append(log_probs)
+        loss -= float(step_ce[t] @ mask[:, t])
     loss /= normalizer
     if not want_grad:
         return loss, None
 
     g = params.zeros_like()
-    dh_next = np.zeros((b, d))
+    dlogits = (np.exp(log_probs) - targets) * (mask.T[:, :, None] / normalizer)
+    dh_head = dense_backward(params.head, HEAD_ACTIVATIONS, head_cache, dlogits, g.head)
+    h_prev = hs[:-1]
+    gap, keep, dtanh, r_keep = h_prev - hc, 1.0 - u, 1.0 - hc * hc, 1.0 - r
+    dpre_r, dpre_u, dpre_h = (np.empty((t_max, b, d)) for _ in range(3))
+    dh_next = np.zeros((b, d))  # gradient of the state after step t
     for t in range(t_max - 1, -1, -1):
-        probs = np.exp(log_probs_t[t])
-        w = mask[:, t][:, None] / normalizer
-        dlogits = (probs - mus[:, t]) * w
-        dh = dense_backward(params.head, HEAD_ACTIVATIONS, head_caches[t], dlogits, g.head) + dh_next
-        dh_prev, dx = _gru_backward(params, gru_caches[t], dh, g)
-        np.add.at(g.emb, zs[:, t], dx)
-        dh_next = dh_prev
-    return loss, g
+        dh = dh_head[t] + dh_next
+        dpre_h[t] = dh * keep[t] * dtanh[t]
+        drh = dpre_h[t] @ params.u_h
+        dh_next = dh * u[t]
+        dh_next += drh * r[t]
+        dpre_u[t] = dh * gap[t] * u[t] * keep[t]
+        dh_next += dpre_u[t] @ params.u_u
+        dpre_r[t] = drh * h_prev[t] * r[t] * r_keep[t]
+        dh_next += dpre_r[t] @ params.u_r
 
-
-def _gru_backward(params: NetworkParams, cache, dh: np.ndarray, g: "NetworkParams"):
-    """Backprop dh through one GRU step; accumulates into g.
-
-    Returns (dh_prev, dx) for the previous hidden state and the embedded input.
-    """
-    h_prev, x, r, u, rh, hc = cache
-    du = dh * (h_prev - hc)
-    dhc = dh * (1.0 - u)
-    dh_prev = dh * u
-    dpre_h = dhc * (1.0 - hc * hc)
-    g.w_h += dpre_h.T @ x
-    g.b_h += dpre_h.sum(axis=0)
-    g.u_h += dpre_h.T @ rh
-    drh = dpre_h @ params.u_h
-    dr = drh * h_prev
-    dh_prev += drh * r
-    dpre_u = du * u * (1.0 - u)
-    g.w_u += dpre_u.T @ x
-    g.b_u += dpre_u.sum(axis=0)
-    g.u_u += dpre_u.T @ h_prev
-    dh_prev += dpre_u @ params.u_u
-    dpre_r = dr * r * (1.0 - r)
-    g.w_r += dpre_r.T @ x
-    g.b_r += dpre_r.sum(axis=0)
-    g.u_r += dpre_r.T @ h_prev
-    dh_prev += dpre_r @ params.u_r
+    for dpre, gw, gu, gb, inp in ((dpre_h, g.w_h, g.u_h, g.b_h, rh),
+                                  (dpre_u, g.w_u, g.u_u, g.b_u, h_prev),
+                                  (dpre_r, g.w_r, g.u_r, g.b_r, h_prev)):
+        dpre_t = dpre.swapaxes(1, 2)
+        gw += _sum_steps(dpre_t @ x, 2)
+        gb += _sum_steps(dpre.sum(axis=1), 1)
+        gu += _sum_steps(dpre_t @ inp, 2)
     dx = dpre_r @ params.w_r + dpre_u @ params.w_u + dpre_h @ params.w_h
-    return dh_prev, dx
+    np.add.at(g.emb, zs.T[::-1].reshape(-1), dx[::-1].reshape(-1, x.shape[-1]))
+    return loss, g
 
 
 def loss(params: NetworkParams, dataset: TrajectoryDataset) -> float:
@@ -380,16 +404,21 @@ def episode_batches(
     """Padded minibatches of shuffled episodes: (zs, mus, mask, step count).
 
     Each epoch draws one permutation of the episodes and cuts it into
-    batches; batches without a recorded step are skipped.
+    batches; batches without a recorded step are skipped.  The dataset is
+    padded once, and a batch is its rows cut to the batch's longest episode,
+    the arrays _pad_episodes would build for those rows.
     """
     rng = np.random.default_rng(rng_seed)
+    zs, mus, mask = _pad_episodes(dataset, list(range(dataset.num_episodes)))
+    lengths = np.array([len(ep) for ep in dataset.episodes], dtype=np.int64)
     for _ in range(epochs):
         order = rng.permutation(dataset.num_episodes)
         for lo in range(0, len(order), batch_size):
-            zs, mus, mask = _pad_episodes(dataset, [int(i) for i in order[lo:lo + batch_size]])
-            normalizer = float(mask.sum())
+            rows = order[lo:lo + batch_size]
+            t_max = int(lengths[rows].max(initial=0))
+            normalizer = float(lengths[rows].sum())
             if normalizer > 0.0:
-                yield zs, mus, mask, normalizer
+                yield zs[rows, :t_max], mus[rows, :t_max], mask[rows, :t_max], normalizer
 
 
 def train_epochs(

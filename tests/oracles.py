@@ -7,6 +7,7 @@ exhaustive policy enumeration for small MDPs, a scalar re-implementation
 of the recurrent cell, the row-by-row member builder, the step-by-step
 network loops (controller synthesis, fidelity) that the batched extraction
 replaced, the per-episode rollout loop that lockstep simulation replaced,
+the per-step backpropagation through time that whole-sequence BPTT replaced,
 and central finite differences for the hand-written backward passes.
 """
 
@@ -413,6 +414,88 @@ def simulate_reference(model, supervision, num_episodes=256, horizon=200, rng_se
         horizon=horizon,
         model_hash=model_fingerprint(model),
     )
+
+
+def sigmoid_reference(x):
+    """The logistic function as two masked branches, one formula each."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def loss_and_grad_reference(params, zs, mus, mask, normalizer, want_grad=True):
+    """``rnn._loss_and_grad`` as one step after another: the GRU, the head,
+    the loss term and every weight gradient inside the time loops.
+
+    The loss is sum over unmasked steps of CE(mu, pi) / normalizer; hidden
+    states thread from zero within each row.  Padded steps are masked out of
+    both the loss and, because padding sits at episode tails, the gradient.
+    """
+    from robustfsc.rnn import HEAD_ACTIVATIONS, _gru_step, _head, dense_backward
+
+    b, t_max = zs.shape
+    d = params.hidden_size
+    h = np.zeros((b, d))
+    gru_caches = []
+    head_caches = []
+    log_probs_t = []
+    loss = 0.0
+    for t in range(t_max):
+        x = params.emb[zs[:, t]]
+        h, gcache = _gru_step(params, h, x)
+        log_probs, hcache = _head(params, h)
+        loss -= float((mus[:, t] * log_probs).sum(axis=1) @ mask[:, t])
+        gru_caches.append(gcache)
+        head_caches.append(hcache)
+        log_probs_t.append(log_probs)
+    loss /= normalizer
+    if not want_grad:
+        return loss, None
+
+    g = params.zeros_like()
+    dh_next = np.zeros((b, d))
+    for t in range(t_max - 1, -1, -1):
+        probs = np.exp(log_probs_t[t])
+        w = mask[:, t][:, None] / normalizer
+        dlogits = (probs - mus[:, t]) * w
+        dh = dense_backward(params.head, HEAD_ACTIVATIONS, head_caches[t], dlogits, g.head) + dh_next
+        dh_prev, dx = _gru_backward_reference(params, gru_caches[t], dh, g)
+        np.add.at(g.emb, zs[:, t], dx)
+        dh_next = dh_prev
+    return loss, g
+
+
+def _gru_backward_reference(params, cache, dh, g):
+    """Backprop dh through one GRU step; accumulates into g.
+
+    Returns (dh_prev, dx) for the previous hidden state and the embedded input.
+    """
+    h_prev, x, r, u, rh, hc = cache
+    du = dh * (h_prev - hc)
+    dhc = dh * (1.0 - u)
+    dh_prev = dh * u
+    dpre_h = dhc * (1.0 - hc * hc)
+    g.w_h += dpre_h.T @ x
+    g.b_h += dpre_h.sum(axis=0)
+    g.u_h += dpre_h.T @ rh
+    drh = dpre_h @ params.u_h
+    dr = drh * h_prev
+    dh_prev += drh * r
+    dpre_u = du * u * (1.0 - u)
+    g.w_u += dpre_u.T @ x
+    g.b_u += dpre_u.sum(axis=0)
+    g.u_u += dpre_u.T @ h_prev
+    dh_prev += dpre_u @ params.u_u
+    dpre_r = dr * r * (1.0 - r)
+    g.w_r += dpre_r.T @ x
+    g.b_r += dpre_r.sum(axis=0)
+    g.u_r += dpre_r.T @ h_prev
+    dh_prev += dpre_r @ params.u_r
+    dx = dpre_r @ params.w_r + dpre_u @ params.w_u + dpre_h @ params.w_h
+    return dh_prev, dx
 
 
 def central_differences(f, x, step=1e-6):

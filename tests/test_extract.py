@@ -290,6 +290,14 @@ class TestBatchedReplay:
         got = fsc_fidelity(self.params, fsc, self.dataset)
         assert abs(got - fsc_fidelity_reference(self.params, fsc, self.dataset)) <= 1e-12
 
+    def test_fidelity_reads_the_collected_states(self):
+        hidden = collect_hidden_states(self.params, self.dataset)
+        fsc = build_fsc(self.params, kmeans_fit(hidden, 3, rng_seed=3), self.model)
+        replayed = fsc_fidelity(self.params, fsc, self.dataset)
+        assert fsc_fidelity(self.params, fsc, self.dataset, hidden) == replayed
+        # the states passed in are the ones the head reads
+        assert fsc_fidelity(self.params, fsc, self.dataset, np.zeros_like(hidden)) != replayed
+
     def test_kmeans_and_qbn_tables_on_unrealized_observations(self):
         hidden = collect_hidden_states(self.params, self.dataset)
         assert_tables_match_forward_passes(self.params, kmeans_fit(hidden, 4, rng_seed=0), self.model)

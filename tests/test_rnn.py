@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import assert_fields_view_flat
-from oracles import central_differences, scalar_gru_forward
+from oracles import central_differences, loss_and_grad_reference, scalar_gru_forward, sigmoid_reference
+from robustfsc.grids import GridSpec, generate_grid
+from robustfsc.model import nominal_midpoint
 from robustfsc.rnn import (
     PARAM_FIELDS,
     Adam,
     FlatParams,
+    _loss_and_grad,
+    _pad_episodes,
+    _sigmoid,
     dense_backward,
     dense_forward,
     dense_layout,
@@ -20,8 +25,8 @@ from robustfsc.rnn import (
     params_to_text,
     train_epochs,
 )
-from robustfsc.simulate import Episode, Step, TrajectoryDataset
-from robustfsc.solvers import DivergenceError
+from robustfsc.simulate import Episode, Step, TrajectoryDataset, simulate
+from robustfsc.solvers import DivergenceError, solve_fib
 
 
 def make_dataset(num_eps, max_len, num_obs, num_actions, seed, constant_target=None):
@@ -36,6 +41,18 @@ def make_dataset(num_eps, max_len, num_obs, num_actions, seed, constant_target=N
                               np.asarray(mu, dtype=float), np.ones(1)))
         episodes.append(Episode(steps, float(length), True))
     return TrajectoryDataset(episodes, num_obs, num_actions, seed, max_len, "test")
+
+
+def dataset_of_lengths(lengths, num_obs, num_actions, seed):
+    """Random episodes of the given lengths (zero allowed)."""
+    rng = np.random.default_rng(seed)
+    episodes = [
+        Episode([Step(int(rng.integers(num_obs)), int(rng.integers(num_actions)),
+                      rng.dirichlet(np.ones(num_actions)), np.ones(1)) for _ in range(n)],
+                float(n), n > 0)
+        for n in lengths
+    ]
+    return TrajectoryDataset(episodes, num_obs, num_actions, seed, max(lengths, default=0), "test")
 
 
 class TestForward:
@@ -152,6 +169,122 @@ class TestTraining:
         batches = list(episode_batches(ds, epochs=2, batch_size=1, rng_seed=0))
         assert len(batches) == 8  # the empty episode's batches are skipped
         assert sum(n for *_, n in batches) == 2 * ds.num_steps
+
+
+class TestEpisodeBatches:
+    @staticmethod
+    def assert_batches_match_padding(ds, epochs, batch_size, seed):
+        """Every yield equals _pad_episodes on the rows the epoch's
+        permutation puts in that batch, in shape, dtype, layout and bits."""
+        batches = iter(episode_batches(ds, epochs, batch_size, rng_seed=seed))
+        rng = np.random.default_rng(seed)
+        lengths = []
+        for _ in range(epochs):
+            order = rng.permutation(ds.num_episodes)
+            for lo in range(0, len(order), batch_size):
+                expected = _pad_episodes(ds, [int(i) for i in order[lo:lo + batch_size]])
+                normalizer = float(expected[2].sum())
+                if normalizer == 0.0:
+                    continue
+                *got, got_normalizer = next(batches)
+                for a, b in zip(got, expected):
+                    assert a.shape == b.shape and a.dtype == b.dtype
+                    assert a.flags.c_contiguous
+                    assert np.array_equal(a, b)
+                assert got_normalizer == normalizer
+                lengths.append(expected[0].shape[1])
+        assert next(batches, None) is None
+        return lengths
+
+    def test_yields_equal_padding_of_the_same_rows(self):
+        ds = dataset_of_lengths([3, 0, 9, 1, 4, 0, 2, 5, 7, 1], 4, 3, seed=20)
+        lengths = self.assert_batches_match_padding(ds, epochs=3, batch_size=3, seed=5)
+        # some batch is shorter than the longest episode of the dataset
+        assert min(lengths) < 9 == max(lengths)
+
+    def test_all_goal_dataset_yields_nothing(self):
+        ds = dataset_of_lengths([0, 0, 0, 0], 3, 2, seed=21)
+        assert self.assert_batches_match_padding(ds, epochs=2, batch_size=3, seed=1) == []
+
+
+def fib_dataset(horizon=200, episodes=48):
+    """FIB-supervised rollouts on the intercept 4x4 grid's midpoint member."""
+    member = nominal_midpoint(generate_grid(GridSpec(4, 4, "intercept")))
+    return simulate(member, solve_fib(member), num_episodes=episodes, horizon=horizon, rng_seed=(3, 0, 3))
+
+
+class TestMatchesPerStepReference:
+    """Whole-sequence BPTT returns, bit for bit, what the step-by-step loop
+    it replaced returns: the same loss and the same gradient vector."""
+
+    @staticmethod
+    def assert_same(params, ds, rows=None, want_grad=True):
+        zs, mus, mask = _pad_episodes(ds, list(range(ds.num_episodes)) if rows is None else rows)
+        normalizer = float(mask.sum()) or 1.0
+        got_loss, got = _loss_and_grad(params, zs, mus, mask, normalizer, want_grad)
+        want_loss, want = loss_and_grad_reference(params, zs, mus, mask, normalizer, want_grad)
+        assert got_loss == want_loss
+        if want_grad:
+            assert np.array_equal(got.flat, want.flat)
+        else:
+            assert got is None and want is None
+
+    def test_ragged_batch_with_empty_episodes(self):
+        ds = dataset_of_lengths([5, 0, 12, 1, 0, 7, 3], 6, 4, seed=30)
+        p = init_params(6, 4, hidden_size=7, embed_size=3, rng_seed=31)
+        self.assert_same(p, ds)
+        self.assert_same(p, ds, rows=[4, 2, 1, 6])
+
+    def test_one_episode_batch(self):
+        ds = dataset_of_lengths([9], 5, 3, seed=32)
+        self.assert_same(init_params(5, 3, hidden_size=16, embed_size=8, rng_seed=33), ds)
+
+    def test_single_step(self):
+        ds = dataset_of_lengths([1, 1, 0, 1], 3, 2, seed=34)
+        p = init_params(3, 2, hidden_size=4, embed_size=2, rng_seed=35)
+        self.assert_same(p, ds)
+        self.assert_same(p, ds, rows=[2, 1])
+        self.assert_same(p, ds, rows=[2])  # T = 0: zero loss, zero gradient
+
+    def test_fib_dataset_on_intercept_4x4(self):
+        ds = fib_dataset()
+        assert ds.num_steps >= 200
+        p = init_params(ds.num_observations, ds.num_actions, rng_seed=(3, 0, 1))
+        self.assert_same(p, ds)
+
+    def test_long_episodes(self):
+        ds = dataset_of_lengths([200, 37, 0, 120], 7, 4, seed=36)
+        self.assert_same(init_params(7, 4, rng_seed=37), ds)
+
+    def test_loss_only(self):
+        ds = dataset_of_lengths([4, 0, 6, 2], 4, 3, seed=38)
+        self.assert_same(init_params(4, 3, hidden_size=5, embed_size=3, rng_seed=39), ds, want_grad=False)
+
+    def test_training_matches_a_loop_over_the_reference(self):
+        ds = fib_dataset(horizon=50, episodes=40)
+        start = init_params(ds.num_observations, ds.num_actions, rng_seed=(3, 0, 1))
+        got, got_trace = train_epochs(start, ds, epochs=3, batch_size=16, rng_seed=(3, 0, 4))
+        want = start.copy()
+        opt = Adam(want, 1e-3, 5.0)
+        want_trace = []
+        for zs, mus, mask, normalizer in episode_batches(ds, 3, 16, rng_seed=(3, 0, 4)):
+            batch_loss, grad = loss_and_grad_reference(want, zs, mus, mask, normalizer)
+            opt.step(want, grad)
+            want_trace.append(batch_loss)
+        assert len(got_trace) == 9
+        assert got_trace == want_trace
+        assert np.array_equal(got.flat, want.flat)
+
+
+def test_sigmoid_matches_the_masked_form():
+    x = np.concatenate([
+        np.random.default_rng(40).standard_normal(2000) * 30.0,
+        [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf],
+    ])
+    got, want = _sigmoid(x), sigmoid_reference(x)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.isnan(_sigmoid(np.array([np.nan]))).all()
 
 
 def pair(a, b):
