@@ -22,6 +22,7 @@ import numpy as np
 
 PROB_TOL = 1e-9
 BELIEF_TOL = 1e-12
+BOX_TOL = 1e-12  # how far a row's bounds may sum past one and still meet the simplex
 
 TransKey = tuple[int, int]  # (state, action)
 
@@ -283,9 +284,9 @@ def validate(model: RobustPomdp) -> ValidationReport:
                     )
                 lo_sum += iv.lo
                 hi_sum += iv.hi
-            if lo_sum > 1.0 + PROB_TOL:
+            if lo_sum > 1.0 + BOX_TOL:
                 rep.add(f"state {s} action {a}: sum of lower bounds {lo_sum} exceeds 1")
-            if hi_sum < 1.0 - PROB_TOL:
+            if hi_sum < 1.0 - BOX_TOL:
                 rep.add(f"state {s} action {a}: sum of upper bounds {hi_sum} is below 1")
             c = model.cost.get(key)
             if c is None:
@@ -298,6 +299,15 @@ def validate(model: RobustPomdp) -> ValidationReport:
                 if c not in (None, 0.0):
                     rep.add(f"goal state {s} action {a}: goals must have zero cost, got {c}")
     return rep
+
+
+def check_boxes(lo: np.ndarray, hi: np.ndarray, offsets: np.ndarray) -> None:
+    """Raise ValueError unless the box of every row offsets[r]:offsets[r + 1] meets the simplex."""
+    seg = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    lo_sum = np.bincount(seg, lo, minlength=len(offsets) - 1)
+    hi_sum = np.bincount(seg, hi, minlength=len(offsets) - 1)
+    if np.any(lo_sum > 1.0 + BOX_TOL) or np.any(hi_sum < 1.0 - BOX_TOL):
+        raise ValueError("box does not intersect the probability simplex")
 
 
 def project_row(targets: np.ndarray, intervals: list[Interval]) -> np.ndarray:
@@ -323,9 +333,7 @@ def _project(targets: np.ndarray, lo: np.ndarray, hi: np.ndarray, offsets: np.nd
     num_rows = len(counts)
     seg = np.repeat(np.arange(num_rows), counts)
     active = counts > 0
-    bad = (np.bincount(seg, lo, num_rows) > 1.0 + PROB_TOL) | (np.bincount(seg, hi, num_rows) < 1.0 - PROB_TOL)
-    if np.any(active & bad):
-        raise ValueError("box does not intersect the probability simplex")
+    check_boxes(lo, hi, np.unique(offsets))  # the non-empty rows
     p = np.clip(targets, lo, hi)
     for _ in range(100):
         delta = 1.0 - np.bincount(seg, p, num_rows)

@@ -250,8 +250,7 @@ def serialize_model(doc: ModelDocument | RobustPomdp | ConcretePomdp) -> str:
     out.append(f"states {model.num_states}")
     out.append(f"actions {model.num_actions}")
     out.append(f"observations {model.num_observations}")
-    for s in range(model.num_states):
-        out.append(f"obs {s} {int(model.obs_of[s])}")
+    out += [f"obs {s} {z}" for s, z in enumerate(model.obs_of.tolist())]
     e = model.edges
     bounds = _fmt_all(np.concatenate([e.lo, e.hi]))
     s_of, a_of = np.divmod(e.row, model.num_actions)
@@ -261,10 +260,9 @@ def serialize_model(doc: ModelDocument | RobustPomdp | ConcretePomdp) -> str:
     keys = sorted(model.cost)
     costs = _fmt_all(np.array([model.cost[key] for key in keys], dtype=np.float64))
     out += [f"cost {s} {a} {text}" for (s, a), text in zip(keys, costs)]
-    for g in sorted(model.goals):
-        out.append(f"goal {g}")
-    for s in np.flatnonzero(model.initial_belief):
-        out.append(f"init {int(s)} {_fmt(float(model.initial_belief[s]))}")
+    out += [f"goal {g}" for g in sorted(model.goals)]
+    init = np.flatnonzero(model.initial_belief)
+    out += [f"init {s} {text}" for s, text in zip(init.tolist(), _fmt_all(model.initial_belief[init]))]
     return "\n".join(out) + "\n"
 
 
@@ -400,13 +398,9 @@ def parse_fsc(text: str) -> Fsc:
 
 def serialize_fsc(fsc: Fsc) -> str:
     out = [FSC_HEADER, f"nodes {fsc.num_nodes}", f"init {fsc.initial_node}"]
-    for n in range(fsc.num_nodes):
-        for z in range(fsc.num_observations):
-            for a in range(fsc.num_actions):
-                p = fsc.action_map[n, z, a]
-                if p != 0.0:
-                    out.append(f"act {n} {z} {a} {_fmt(float(p))}")
-    for n in range(fsc.num_nodes):
-        for z in range(fsc.num_observations):
-            out.append(f"mem {n} {z} {int(fsc.memory_map[n, z])}")
+    n_of, z_of, a_of = np.nonzero(fsc.action_map)  # nodes, then observations, then actions
+    probs = _fmt_all(fsc.action_map[n_of, z_of, a_of])
+    out += [f"act {n} {z} {a} {text}"
+            for n, z, a, text in zip(n_of.tolist(), z_of.tolist(), a_of.tolist(), probs)]
+    out += [f"mem {n} {z} {m}" for (n, z), m in np.ndenumerate(fsc.memory_map)]
     return "\n".join(out) + "\n"

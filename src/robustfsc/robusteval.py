@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-from robustfsc.model import ConcretePomdp, Fsc, Interval, RobustPomdp
+from robustfsc.model import ConcretePomdp, Fsc, Interval, RobustPomdp, check_boxes
 from robustfsc.solvers import DivergenceError, _backward_closure
 
 
@@ -36,11 +36,14 @@ class RobustChain:
     Product states are materialized breadth-first from the support of the
     initial distribution; goal-product states are terminal (no successors,
     zero cost).  Successor weights merge all actions: the interval
-    [sum_a delta(a) lo_a(s'), sum_a delta(a) hi_a(s')] per successor.
+    [sum_a delta(a) lo_a(s'), sum_a delta(a) hi_a(s')] per successor.  Their
+    terms are kept in the order they were expanded (level by level, state by
+    state, actions ascending, successors ascending).
     """
 
-    state_pairs: list[tuple[int, int]]
-    index_of: dict[tuple[int, int], int]
+    fsc: Fsc                  # the controller the chain expands
+    pairs: np.ndarray         # (P,) s * N + n of each product state
+    index: np.ndarray         # (S*N,) product index of s * N + n, -1 if unreached
     cost: np.ndarray          # (P,)
     is_goal: np.ndarray       # (P,) bool
     init_idx: np.ndarray      # product indices with initial mass
@@ -50,10 +53,20 @@ class RobustChain:
     hi: np.ndarray            # (E,)
     offsets: np.ndarray       # (T+1,) edge runs per non-terminal state
     row_state: np.ndarray     # (T,) product index per non-terminal row
+    term_edge: np.ndarray     # (K,) model edge of each term
+    term_weight: np.ndarray   # (K,) action probability of each term
+    term_succ: np.ndarray     # (K,) successor product index of each term
 
     @property
     def num_states(self) -> int:
-        return len(self.state_pairs)
+        return len(self.pairs)
+
+    def state_index(self, s: int, n: int) -> int:
+        """Product index of state ``s`` at node ``n``; KeyError if never reached."""
+        flat = s * self.fsc.num_nodes + n
+        if not (0 <= n < self.fsc.num_nodes and 0 <= flat < len(self.index) and self.index[flat] >= 0):
+            raise KeyError((s, n))
+        return int(self.index[flat])
 
 
 def build_chain(model: RobustPomdp | ConcretePomdp, fsc: Fsc) -> RobustChain:
@@ -78,7 +91,7 @@ def build_chain(model: RobustPomdp | ConcretePomdp, fsc: Fsc) -> RobustChain:
     index[frontier] = np.arange(len(frontier))
     levels = [frontier]
     count = len(frontier)
-    parts: list[tuple[np.ndarray, ...]] = []  # per level: rows' states, costs, edge counts, edges
+    parts: list[tuple[np.ndarray, ...]] = []  # per level: rows' states, costs, edge counts, edges, terms
     while len(frontier):
         live = frontier[~goal[frontier // num_n]]
         s, n = np.divmod(live, num_n)
@@ -91,8 +104,9 @@ def build_chain(model: RobustPomdp | ConcretePomdp, fsc: Fsc) -> RobustChain:
         idx, counts = e.of_rows(rows)
         edge_pair = np.repeat(pair, counts)
         edge_weight = np.repeat(weight, counts)
+        target = e.succ[idx] * num_n + n_next[edge_pair]
         # new product states, in the order the edges first reach them
-        found, first = np.unique(e.succ[idx] * num_n + n_next[edge_pair], return_index=True)
+        found, first = np.unique(target, return_index=True)
         unseen = index[found] < 0
         new = found[unseen][np.argsort(first[unseen], kind="stable")]
         index[new] = count + np.arange(len(new))
@@ -107,18 +121,22 @@ def build_chain(model: RobustPomdp | ConcretePomdp, fsc: Fsc) -> RobustChain:
             index[(keys % num_s) * num_n + n_next[row_of]],
             np.bincount(merged, edge_weight * e.lo[idx], len(keys)),
             np.bincount(merged, edge_weight * e.hi[idx], len(keys)),
+            idx,
+            edge_weight,
+            index[target],
         ))
         levels.append(new)
         frontier = new
 
     pairs = np.concatenate(levels)
-    row_state, row_cost, counts, succ, lo, hi = (np.concatenate(arrays) for arrays in zip(*parts))
+    (row_state, row_cost, counts, succ, lo, hi,
+     term_edge, term_weight, term_succ) = (np.concatenate(arrays) for arrays in zip(*parts))
     cost = np.zeros(count)
     cost[row_state] = row_cost
-    state_pairs = list(zip(*(x.tolist() for x in np.divmod(pairs, num_n))))
     return RobustChain(
-        state_pairs=state_pairs,
-        index_of={pair: i for i, pair in enumerate(state_pairs)},
+        fsc=fsc,
+        pairs=pairs,
+        index=index,
         cost=cost,
         is_goal=goal[pairs // num_n],
         init_idx=np.arange(len(start)),
@@ -128,6 +146,9 @@ def build_chain(model: RobustPomdp | ConcretePomdp, fsc: Fsc) -> RobustChain:
         hi=hi,
         offsets=np.concatenate([[0], np.cumsum(counts)]),
         row_state=row_state,
+        term_edge=term_edge,
+        term_weight=term_weight,
+        term_succ=term_succ,
     )
 
 
@@ -162,15 +183,6 @@ def box_simplex_greedy(
     p = np.empty(len(seg))
     p[order] = lo[order] + alloc
     return np.add.reduceat(p * values, starts), p
-
-
-def check_boxes(lo: np.ndarray, hi: np.ndarray, offsets: np.ndarray) -> None:
-    """Raise ValueError unless every row's box meets the probability simplex."""
-    seg = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-    lo_sum = np.bincount(seg, lo, minlength=len(offsets) - 1)
-    hi_sum = np.bincount(seg, hi, minlength=len(offsets) - 1)
-    if np.any(lo_sum > 1.0 + 1e-12) or np.any(hi_sum < 1.0 - 1e-12):
-        raise ValueError("box does not intersect the probability simplex")
 
 
 def inner_max(values: np.ndarray, intervals: list[Interval]) -> tuple[float, np.ndarray]:
@@ -211,7 +223,7 @@ class RobustValues:
     diagnosis: str = ""
 
     def value_of(self, s: int, n: int) -> float:
-        return float(self.values[self.chain.index_of[(s, n)]])
+        return float(self.values[self.chain.state_index(s, n)])
 
 
 def _infinite_set(chain: RobustChain) -> np.ndarray:

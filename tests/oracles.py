@@ -8,7 +8,9 @@ of the recurrent cell, the row-by-row member builder, the step-by-step
 network loops (controller synthesis, fidelity) that the batched extraction
 replaced, the per-episode rollout loop that lockstep simulation replaced,
 the per-step backpropagation through time that whole-sequence BPTT replaced,
-and central finite differences for the hand-written backward passes.
+the second product expansion the worst-case adversary read its weights from
+before the evaluated chain kept its terms, and central finite differences
+for the hand-written backward passes.
 """
 
 from __future__ import annotations
@@ -496,6 +498,49 @@ def _gru_backward_reference(params, cache, dh, g):
     dh_prev += dpre_r @ params.u_r
     dx = dpre_r @ params.w_r + dpre_u @ params.w_u + dpre_h @ params.w_h
     return dh_prev, dx
+
+
+def worst_case_weights_reference(model, fsc, values):
+    """``select_worst_case`` by expanding the product a second time.
+
+    The chain's states are re-expanded pair by pair in chain order, goal
+    states included, and each successor is looked up in a product index of
+    its own.  Returns the rows the controller touches (goal rows among
+    them), the weight of every model edge, the worst member's probabilities
+    and the proxy objective.
+    """
+    from robustfsc.model import nominal_midpoint
+    from robustfsc.robusteval import box_simplex_greedy
+
+    e = model.edges
+    num_s, num_a, num_n = model.num_states, model.num_actions, fsc.num_nodes
+    s, n = np.divmod(values.chain.pairs, num_n)
+    z = model.obs_of[s]
+    d = fsc.action_map[n, z]
+    pair, a = np.nonzero(d)  # pair by pair in chain order, actions ascending
+    rows = s[pair] * num_a + a
+    idx, counts = e.of_rows(rows)
+    succ = e.succ[idx]
+    node = np.repeat(fsc.memory_map[n, z][pair], counts)
+    index = np.full(num_s * num_n, -1)
+    index[s * num_n + n] = np.arange(len(s))
+    target = index[succ * num_n + node]
+    goal = np.zeros(num_s, dtype=bool)
+    goal[list(model.goals)] = True
+    missing = np.flatnonzero((target < 0) & ~goal[succ])
+    if missing.size:
+        i = missing[0]
+        raise KeyError(f"product state ({succ[i]}, {node[i]}) missing from the evaluated chain")
+    successor_value = np.where(target < 0, 0.0, values.values[target])
+    weight = np.bincount(idx, np.repeat(d[pair, a], counts) * successor_value, len(e.succ))
+
+    touched = np.unique(rows)
+    edges, counts = e.of_rows(touched)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    objective, probs = box_simplex_greedy(weight[edges], e.lo[edges], e.hi[edges], offsets, maximize=True)
+    worst = nominal_midpoint(model).edges.lo.copy()
+    worst[edges] = probs
+    return touched, weight, worst, float(objective.sum())
 
 
 def central_differences(f, x, step=1e-6):

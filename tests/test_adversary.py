@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import random_fsc, random_rpomdp
-from oracles import box_simplex_candidates, product_chain_cost
+from oracles import box_simplex_candidates, product_chain_cost, worst_case_weights_reference
 from robustfsc.adversary import proxy_objective_of, select_worst_case
+from robustfsc.extract import build_fsc, collect_hidden_states, kmeans_fit
+from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint, sample_member
+from robustfsc.rnn import init_params
 from robustfsc.robusteval import build_chain, robust_value_iteration
+from robustfsc.simulate import Episode, Step, TrajectoryDataset
 
 
 def evaluated(model, fsc, tol=1e-12):
@@ -30,7 +34,7 @@ def test_point_intervals_fix_the_member():
             assert p == pytest.approx(unique.transitions[key][sp], abs=1e-12)
     # proxy equals the direct triple sum of T * delta * value
     direct = 0.0
-    for s, n in values.chain.state_pairs:
+    for s, n in zip(*(x.tolist() for x in np.divmod(values.chain.pairs, fsc.num_nodes))):
         z = int(model.obs_of[s])
         n2 = int(fsc.memory_map[n, z])
         for a in range(model.num_actions):
@@ -38,7 +42,7 @@ def test_point_intervals_fix_the_member():
             if d == 0.0:
                 continue
             for sp, q in unique.transitions[(s, a)].items():
-                direct += q * d * values.value_of(sp, n2) if (sp, n2) in values.chain.index_of \
+                direct += q * d * values.value_of(sp, n2) if values.chain.index[sp * fsc.num_nodes + n2] >= 0 \
                     else q * d * 0.0
     assert result.proxy_objective == pytest.approx(direct, abs=1e-9)
 
@@ -120,3 +124,90 @@ def test_worst_member_usually_beats_midpoint():
         if v_worst >= v_mid - 1e-9:
             wins += 1
     assert wins >= int(0.9 * total)
+
+
+def kmeans_controller(model, clusters=4):
+    """Controller extracted by k-means from an untrained network fed random
+    observation sequences."""
+    params = init_params(model.num_observations, model.num_actions, hidden_size=8, embed_size=4, rng_seed=3)
+    rng = np.random.default_rng(36)
+    target = np.full(model.num_actions, 1.0 / model.num_actions)
+    episodes = [Episode([Step(int(z), 0, target, model.initial_belief)
+                         for z in rng.choice(model.realizable_observations(), 12)], 0.0, False)
+                for _ in range(16)]
+    dataset = TrajectoryDataset(episodes, model.num_observations, model.num_actions, 0, 12, "test")
+    return build_fsc(params, kmeans_fit(collect_hidden_states(params, dataset), clusters, rng_seed=0), model)
+
+
+def starts_on_a_goal(all_mass):
+    model = RobustPomdp(
+        num_states=3, num_actions=2, num_observations=2,
+        obs_of=np.array([0, 0, 1]),
+        transitions={(0, 0): {0: Interval(0.2, 0.5), 1: Interval(0.2, 0.5), 2: Interval(0.1, 0.4)},
+                     (0, 1): {1: Interval(0.5, 0.9), 2: Interval(0.1, 0.5)},
+                     (1, 0): {0: Interval(0.3, 0.6), 2: Interval(0.4, 0.7)},
+                     (1, 1): {1: Interval(0.6, 0.8), 2: Interval(0.2, 0.4)},
+                     (2, 0): {2: Interval(1.0, 1.0)}, (2, 1): {2: Interval(1.0, 1.0)}},
+        cost={(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0, (1, 1): 1.0, (2, 0): 0.0, (2, 1): 0.0},
+        goals=frozenset({2}),
+        initial_belief=np.array([0.0, 0.0, 1.0]) if all_mass else np.array([0.3, 0.3, 0.4]),
+    )
+    fsc = Fsc(2, 0, np.array([[[0.3, 0.7], [0.5, 0.5]], [[1.0, 0.0], [0.5, 0.5]]]),
+              np.array([[1, 0], [0, 1]]))
+    return model, fsc
+
+
+def adversary_cases():
+    rng = np.random.default_rng(37)
+    for _ in range(8):
+        model = random_rpomdp(rng)
+        yield model, random_fsc(rng, int(rng.integers(2, 4)), model.num_observations, model.num_actions)
+    for kind in ("evade", "intercept", "avoid"):
+        model = generate_grid(GridSpec(4, 4, kind))
+        yield model, kmeans_controller(model)
+    yield starts_on_a_goal(all_mass=True)
+    yield starts_on_a_goal(all_mass=False)
+
+
+def test_matches_second_product_expansion():
+    """The weights read off the chain's terms are those of expanding the
+    product again; only the goal rows, whose weights are zero, drop out."""
+    for model, fsc in adversary_cases():
+        values = evaluated(model, fsc)
+        result = select_worst_case(model, fsc, values)
+        rows, weight, worst, proxy = worst_case_weights_reference(model, fsc, values)
+        goal_row = np.isin(rows // model.num_actions, list(model.goals))
+        goal_edges, goal_counts = model.edges.of_rows(rows[goal_row])
+        assert np.all(goal_counts == 1) and np.all(weight[goal_edges] == 0.0)
+        assert np.array_equal(result.rows, rows[~goal_row])
+        assert np.array_equal(result.weights, weight[model.edges.of_rows(rows[~goal_row])[0]])
+        assert np.array_equal(result.worst_case.edges.lo, worst)
+        assert result.proxy_objective == pytest.approx(proxy, rel=1e-12, abs=0.0)
+
+
+def test_chain_terms_rebuild_the_merged_bounds():
+    for model, fsc in adversary_cases():
+        chain, e = build_chain(model, fsc), model.edges
+        s, n = np.divmod(chain.pairs[chain.row_state], fsc.num_nodes)
+        d = fsc.action_map[n, model.obs_of[s]]
+        row_lengths = np.diff(e.offsets).reshape(model.num_states, model.num_actions)[s]
+        term_row = np.repeat(np.arange(len(s)), ((d != 0.0) * row_lengths).sum(axis=1))
+        assert np.array_equal(e.row[chain.term_edge] // model.num_actions, s[term_row])
+        assert np.array_equal(chain.term_weight, d[term_row, e.row[chain.term_edge] % model.num_actions])
+        keys, first, merged = np.unique(term_row * model.num_states + e.succ[chain.term_edge],
+                                        return_index=True, return_inverse=True)
+        assert np.array_equal(keys // model.num_states, np.repeat(np.arange(len(s)), np.diff(chain.offsets)))
+        assert np.array_equal(chain.term_succ[first], chain.succ)
+        assert np.array_equal(np.bincount(merged, chain.term_weight * e.lo[chain.term_edge]), chain.lo)
+        assert np.array_equal(np.bincount(merged, chain.term_weight * e.hi[chain.term_edge]), chain.hi)
+
+
+def test_values_of_another_controller_are_rejected():
+    rng = np.random.default_rng(38)
+    model = random_rpomdp(rng, num_states=4, num_actions=2)
+    fsc = random_fsc(rng, 2, model.num_observations, 2)
+    other = random_fsc(rng, 2, model.num_observations, 2)
+    with pytest.raises(ValueError, match="different controller"):
+        select_worst_case(model, other, evaluated(model, fsc))
+    same = Fsc(fsc.num_nodes, fsc.initial_node, fsc.action_map.copy(), fsc.memory_map.copy())
+    select_worst_case(model, same, evaluated(model, fsc))

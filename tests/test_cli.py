@@ -54,6 +54,19 @@ def test_validate_bad_model(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [("trans 0 0 0 0.5000000005 0.6", "trans 0 0 1 0.5 0.6"),
+     ("trans 0 0 0 0.4 0.4", "trans 0 0 1 0.5999999999 0.5999999999")],
+    ids=["lower-bounds-sum-to-1.0000000005", "point-intervals-sum-to-0.9999999999"],
+)
+def test_validate_box_missing_the_simplex(tmp_path, capsys, rows):
+    bad = tmp_path / "bad.rpomdp"
+    bad.write_text(SELF_LOOP.replace("trans 0 0 0 0.4 0.6", rows[0]).replace("trans 0 0 1 0.4 0.6", rows[1]))
+    assert main(["validate", str(bad)]) == 2
+    assert "model ok" not in capsys.readouterr().out
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.rpomdp"
     bad.write_text(SELF_LOOP.replace("trans 0 0 0 0.4 0.6", "trans 0 0 0 0 0.6"))

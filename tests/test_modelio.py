@@ -74,6 +74,24 @@ def test_zero_lower_bound_is_rejected_with_location():
     assert "0 < lo" in str(err.value)
 
 
+# rows whose boxes miss the probability simplex by more than 1e-12
+LOWER_BOUNDS_ABOVE_ONE = MINIMAL.replace("trans 0 0 0 0.4 0.6", "trans 0 0 0 0.5000000005 0.6").replace(
+    "trans 0 0 1 0.4 0.6", "trans 0 0 1 0.5 0.6")
+POINTS_BELOW_ONE = MINIMAL.replace("trans 0 0 0 0.4 0.6", "trans 0 0 0 0.4 0.4").replace(
+    "trans 0 0 1 0.4 0.6", "trans 0 0 1 0.5999999999 0.5999999999")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [(LOWER_BOUNDS_ABOVE_ONE, "sum of lower bounds"), (POINTS_BELOW_ONE, "sum of upper bounds")],
+    ids=["lower-bounds-sum-to-1.0000000005", "point-intervals-sum-to-0.9999999999"],
+)
+def test_box_missing_the_simplex_is_rejected(text, message):
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(text)
+    assert message in str(err.value)
+
+
 def test_unknown_state_is_rejected():
     bad = MINIMAL.replace("trans 1 0 1 1.0 1.0", "trans 1 0 7 1.0 1.0")
     with pytest.raises(ModelFormatError) as err:

@@ -81,12 +81,21 @@ class TestBuildChain:
     def test_dirac_controller_embeds_model_rows(self):
         model = self_loop_model()
         chain = build_chain(model, dirac_fsc(2, 1))
-        idx = chain.index_of[(0, 0)]
+        idx = chain.state_index(0, 0)
         row = {int(chain.succ[e]): (chain.lo[e], chain.hi[e])
                for e in range(chain.offsets[0], chain.offsets[1])}
-        assert row[chain.index_of[(0, 0)]] == (0.4, 0.6)
-        assert row[chain.index_of[(1, 0)]] == (0.4, 0.6)
+        assert row[chain.state_index(0, 0)] == (0.4, 0.6)
+        assert row[chain.state_index(1, 0)] == (0.4, 0.6)
         assert chain.cost[idx] == 1.0
+
+    def test_unreached_pair_raises_key_error(self):
+        model = self_loop_model()
+        two_nodes = Fsc(2, 0, np.ones((2, 2, 1)), np.zeros((2, 2), dtype=int))  # node 1 is never entered
+        values = robust_value_iteration(build_chain(model, two_nodes))
+        assert values.value_of(1, 0) == 0.0
+        for s, n in ((0, 1), (1, 1), (2, 0), (0, 2), (-1, 0)):
+            with pytest.raises(KeyError):
+                values.value_of(s, n)
 
     def test_uniform_mix_of_point_rows(self):
         model = RobustPomdp(
@@ -106,9 +115,9 @@ class TestBuildChain:
         chain = build_chain(model, uniform)
         row = {int(chain.succ[e]): (chain.lo[e], chain.hi[e])
                for e in range(chain.offsets[0], chain.offsets[1])}
-        assert row[chain.index_of[(1, 0)]] == (pytest.approx(0.6), pytest.approx(0.6))
-        assert row[chain.index_of[(2, 0)]] == (pytest.approx(0.4), pytest.approx(0.4))
-        assert chain.cost[chain.index_of[(0, 0)]] == pytest.approx(2.0)
+        assert row[chain.state_index(1, 0)] == (pytest.approx(0.6), pytest.approx(0.6))
+        assert row[chain.state_index(2, 0)] == (pytest.approx(0.4), pytest.approx(0.4))
+        assert chain.cost[chain.state_index(0, 0)] == pytest.approx(2.0)
 
     def test_matches_hand_built_product(self):
         rng = np.random.default_rng(23)
@@ -116,7 +125,7 @@ class TestBuildChain:
         fsc = random_fsc(rng, 2, model.num_observations, 2)
         chain = build_chain(model, fsc)
         # hand-built product over the same reachable pairs
-        for idx, (s, n) in enumerate(chain.state_pairs):
+        for idx, (s, n) in enumerate(zip(*(x.tolist() for x in np.divmod(chain.pairs, fsc.num_nodes)))):
             if s in model.goals:
                 assert chain.is_goal[idx]
                 continue
@@ -136,7 +145,7 @@ class TestBuildChain:
                    for e in range(chain.offsets[row_pos], chain.offsets[row_pos + 1])}
             assert chain.cost[idx] == pytest.approx(expect_cost, abs=1e-12)
             for sp, lo_val in expect_lo.items():
-                got_lo, got_hi = got[chain.index_of[(sp, n2)]]
+                got_lo, got_hi = got[chain.state_index(sp, n2)]
                 assert got_lo == pytest.approx(lo_val, abs=1e-12)
                 assert got_hi == pytest.approx(expect_hi[sp], abs=1e-12)
 
