@@ -27,7 +27,6 @@ from robustfsc.rnn import (
     FlatParams,
     NetworkParams,
     _gru_step,
-    _pad_episodes,
     dense_backward,
     dense_forward,
     dense_init,
@@ -42,13 +41,13 @@ from robustfsc.solvers import DivergenceError
 def collect_hidden_states(params: NetworkParams, dataset: TrajectoryDataset) -> np.ndarray:
     """Hidden states after every observation of every episode, episode-major;
     all episodes are unrolled at once."""
-    zs, _, mask = _pad_episodes(dataset, list(range(dataset.num_episodes)))
+    zs = dataset.observations
     hs = np.empty(zs.shape + (params.hidden_size,))
     h = np.zeros((len(zs), params.hidden_size))
     for t in range(zs.shape[1]):
         h, _ = _gru_step(params, h, params.emb[zs[:, t]])
         hs[:, t] = h
-    return hs[mask > 0.0]
+    return hs[dataset.mask > 0.0]
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -161,13 +160,15 @@ def _qbn_decode(q: QbnParams, code: np.ndarray):
     return dense_forward(q.decoder, DECODER_ACTIVATIONS, code)
 
 
-def _qbn_loss_and_grad(q: QbnParams, batch: np.ndarray) -> tuple[float, QbnParams]:
+def _qbn_loss_and_grad(q: QbnParams, batch: np.ndarray, grad: QbnParams | None = None) -> tuple[float, QbnParams]:
     """Mean squared reconstruction error of ``batch`` through the quantizer
-    and its straight-through gradient (see qbn_fit_posthoc)."""
+    and its straight-through gradient (see qbn_fit_posthoc), written into
+    ``grad``, zeroed first, when one is given."""
     e, ecache = _qbn_encode(q, batch)
     out, dcache = _qbn_decode(q, quantize(e, q.quant_levels))
     err = out - batch
-    g = q.zeros_like()
+    g = q.zeros_like() if grad is None else grad
+    g.flat[...] = 0.0
     dcode = dense_backward(q.decoder, DECODER_ACTIVATIONS, dcache, 2.0 * err / err.size, g.decoder)
     dense_backward(q.encoder, q.encoder_activations, ecache, dcode, g.encoder)
     return float((err * err).mean()), g
@@ -201,16 +202,17 @@ def qbn_fit_posthoc(
     qbn = qbn_init(points.shape[1], bottleneck, quant_levels, rng_seed)
     rng = np.random.default_rng((rng_seed, 1))
     opt = Adam(qbn, lr)
+    grad = qbn.zeros_like()
     epoch_mse = []
     for _ in range(epochs):
         order = rng.permutation(len(points))
         losses = []
         for lo in range(0, len(order), batch_size):
-            mse, g = _qbn_loss_and_grad(qbn, points[order[lo:lo + batch_size]])
+            mse, _ = _qbn_loss_and_grad(qbn, points[order[lo:lo + batch_size]], grad)
             if not np.isfinite(mse):
                 raise DivergenceError("bottleneck reconstruction loss became non-finite")
             losses.append(mse)
-            opt.step(qbn, g)
+            opt.step(qbn, grad)
         epoch_mse.append(float(np.mean(losses)))
 
     return Clustering(
@@ -330,8 +332,8 @@ def fsc_fidelity(
         return 0.0
     if hidden is None:
         hidden = collect_hidden_states(params, dataset)
-    zs, _, mask = _pad_episodes(dataset, list(range(dataset.num_episodes)))
-    recorded = mask > 0.0
+    zs = dataset.observations
+    recorded = dataset.mask > 0.0
     hs = np.zeros((zs.shape[1], len(zs), params.hidden_size))
     hs.swapaxes(0, 1)[recorded] = hidden
     dist = policy_distribution(params, hs)

@@ -185,7 +185,8 @@ def generate_grid(spec: GridSpec, rng_seed: int = 0) -> RobustPomdp:
 
 
 # ---------------------------------------------------------------------------
-# intercept and evade: state = (agent cell, other robot's cell, flag)
+# intercept and evade: state = (agent cell, other robot's cell, flag), i.e.
+# (agent, target, exited) and (agent, pursuer, scanned)
 
 def pair_index(spec: GridSpec, agent: tuple[int, int], other: tuple[int, int], flag: int) -> int:
     """State of (agent cell, other robot's cell, flag); cells row-major, flag fastest."""
@@ -202,10 +203,6 @@ def pair_decode(spec: GridSpec, s: int) -> tuple[tuple[int, int], tuple[int, int
     a, o = divmod(s // 2, spec.width * spec.height)
     return ((a % w, a // w), (o % w, o // w), s % 2)
 
-
-# intercept: (agent, target, exited); evade: (agent, pursuer, scanned)
-intercept_index = pair_index
-intercept_decode = evade_decode = pair_decode
 
 
 def _intercept_exits(spec: GridSpec) -> tuple[tuple[int, int], tuple[int, int]]:

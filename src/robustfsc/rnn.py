@@ -273,22 +273,6 @@ def initial_hidden(params: NetworkParams) -> np.ndarray:
     return np.zeros(params.hidden_size)
 
 
-def _pad_episodes(dataset: TrajectoryDataset, idx: list[int]):
-    """Stack episodes into (B, T) observation/target arrays plus a mask."""
-    eps = [dataset.episodes[i] for i in idx]
-    t_max = max((len(e) for e in eps), default=0)
-    b = len(eps)
-    zs = np.zeros((b, t_max), dtype=np.int64)
-    mus = np.zeros((b, t_max, dataset.num_actions))
-    mask = np.zeros((b, t_max))
-    for row, ep in enumerate(eps):
-        for t, st in enumerate(ep.steps):
-            zs[row, t] = st.observation
-            mus[row, t] = st.target
-            mask[row, t] = 1.0
-    return zs, mus, mask
-
-
 def _loss_and_grad(
     params: NetworkParams,
     zs: np.ndarray,
@@ -296,12 +280,14 @@ def _loss_and_grad(
     mask: np.ndarray,
     normalizer: float,
     want_grad: bool = True,
+    grad: NetworkParams | None = None,
 ):
     """Cross-entropy between supervision targets and the policy, plus BPTT grads.
 
     The loss is sum over unmasked steps of CE(mu, pi) / normalizer; hidden
     states thread from zero within each row.  Padded steps are masked out of
     both the loss and, because padding sits at episode tails, the gradient.
+    The gradient is written into ``grad``, zeroed first, when one is given.
 
     Only the recurrence runs step by step (see the module docstring).
     """
@@ -323,7 +309,8 @@ def _loss_and_grad(
     if not want_grad:
         return loss, None
 
-    g = params.zeros_like()
+    g = params.zeros_like() if grad is None else grad
+    g.flat[...] = 0.0
     dlogits = (np.exp(log_probs) - targets) * (mask.T[:, :, None] / normalizer)
     dh_head = dense_backward(params.head, HEAD_ACTIVATIONS, head_cache, dlogits, g.head)
     h_prev = hs[:-1]
@@ -358,8 +345,8 @@ def loss(params: NetworkParams, dataset: TrajectoryDataset) -> float:
     total = dataset.num_steps
     if total == 0:
         return 0.0
-    zs, mus, mask = _pad_episodes(dataset, list(range(dataset.num_episodes)))
-    value, _ = _loss_and_grad(params, zs, mus, mask, float(total), want_grad=False)
+    value, _ = _loss_and_grad(params, dataset.observations, dataset.targets, dataset.mask, float(total),
+                              want_grad=False)
     return value
 
 
@@ -404,13 +391,11 @@ def episode_batches(
     """Padded minibatches of shuffled episodes: (zs, mus, mask, step count).
 
     Each epoch draws one permutation of the episodes and cuts it into
-    batches; batches without a recorded step are skipped.  The dataset is
-    padded once, and a batch is its rows cut to the batch's longest episode,
-    the arrays _pad_episodes would build for those rows.
+    batches; batches without a recorded step are skipped.  A batch is the
+    dataset's rows cut to the batch's longest episode.
     """
     rng = np.random.default_rng(rng_seed)
-    zs, mus, mask = _pad_episodes(dataset, list(range(dataset.num_episodes)))
-    lengths = np.array([len(ep) for ep in dataset.episodes], dtype=np.int64)
+    zs, mus, mask, lengths = dataset.observations, dataset.targets, dataset.mask, dataset.lengths
     for _ in range(epochs):
         order = rng.permutation(dataset.num_episodes)
         for lo in range(0, len(order), batch_size):
@@ -434,9 +419,10 @@ def train_epochs(
     per-batch loss trace.  Deterministic for a fixed seed."""
     params = params.copy()
     opt = Adam(params, lr, clip_norm)
+    grad = params.zeros_like()
     trace: list[float] = []
     for zs, mus, mask, normalizer in episode_batches(dataset, epochs, batch_size, rng_seed):
-        batch_loss, grad = _loss_and_grad(params, zs, mus, mask, normalizer)
+        batch_loss, _ = _loss_and_grad(params, zs, mus, mask, normalizer, grad=grad)
         if not np.isfinite(batch_loss):
             raise DivergenceError(f"training loss became non-finite at step {len(trace)}")
         opt.step(params, grad)
@@ -453,7 +439,7 @@ def gradient_check(params: NetworkParams, dataset: TrajectoryDataset, fd_step: f
     total = dataset.num_steps
     if total == 0:
         return 0.0
-    zs, mus, mask = _pad_episodes(dataset, list(range(dataset.num_episodes)))
+    zs, mus, mask = dataset.observations, dataset.targets, dataset.mask
     _, grad = _loss_and_grad(params, zs, mus, mask, float(total))
     worst = 0.0
     work = params.copy()

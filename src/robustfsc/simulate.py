@@ -1,10 +1,10 @@
-"""Belief-tracked rollouts of the supervision policy, collected for training."""
+"""Belief-tracked rollouts of the supervision policy, collected for training
+as one dataset of zero-padded arrays; beliefs live only inside ``simulate``."""
 
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ class Step:
     observation: int
     action: int
     target: np.ndarray  # supervision action distribution at this step
-    belief: Belief
+    belief: Belief | None = None  # accepted for callers that have one; not kept
 
 
 @dataclass
@@ -30,47 +30,62 @@ class Episode:
         return len(self.steps)
 
 
-@dataclass
 class TrajectoryDataset:
-    episodes: list[Episode]
-    num_observations: int
-    num_actions: int
-    seed: int | tuple[int, ...]
-    horizon: int
-    model_hash: str
-    num_episodes: int = field(init=False)
+    """Rollouts as arrays padded with zeros, one row per episode.
 
-    def __post_init__(self) -> None:
-        self.num_episodes = len(self.episodes)
+    ``observations`` and ``actions`` (B, T) int64 and ``targets`` (B, T, A)
+    float64 hold episode b's steps in columns 0 .. lengths[b] - 1, with T
+    the longest episode; ``lengths``, ``costs`` and ``reached_goal`` are
+    (B,).  The constructor packs Episode objects, dropping their beliefs;
+    ``simulate`` scatters its step records into an empty dataset.
+    """
+
+    def __init__(self, episodes: list[Episode], num_observations: int, num_actions: int,
+                 seed: int | tuple[int, ...], horizon: int, model_hash: str):
+        self.num_observations = num_observations
+        self.num_actions = num_actions
+        self.seed = seed
+        self.horizon = horizon
+        self.model_hash = model_hash
+        steps = [st for ep in episodes for st in ep.steps]
+        self._scatter(
+            [row for row, ep in enumerate(episodes) for _ in ep.steps],
+            [t for ep in episodes for t in range(len(ep))],
+            [st.observation for st in steps],
+            [st.action for st in steps],
+            [st.target for st in steps],
+            [ep.cost for ep in episodes],
+            [ep.reached_goal for ep in episodes],
+        )
+
+    def _scatter(self, rows, cols, observations, actions, targets, costs, reached_goal) -> None:
+        """Set the arrays from step records: record k is step cols[k] of
+        episode rows[k]; every episode's steps are 0 .. its length - 1."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        self.costs = np.asarray(costs, dtype=np.float64)
+        self.reached_goal = np.asarray(reached_goal, dtype=bool)
+        self.lengths = np.bincount(rows, minlength=len(self.costs))
+        shape = (len(self.costs), int(self.lengths.max(initial=0)))
+        self.observations = np.zeros(shape, dtype=np.int64)
+        self.actions = np.zeros(shape, dtype=np.int64)
+        self.targets = np.zeros(shape + (self.num_actions,))
+        self.observations[rows, cols] = observations
+        self.actions[rows, cols] = actions
+        self.targets[rows, cols] = np.reshape(targets, (len(rows), self.num_actions))
+
+    @property
+    def mask(self) -> np.ndarray:
+        """(B, T) float64: 1.0 at recorded steps, 0.0 at padding."""
+        return (np.arange(self.observations.shape[1]) < self.lengths[:, None]).astype(np.float64)
+
+    @property
+    def num_episodes(self) -> int:
+        return len(self.lengths)
 
     @property
     def num_steps(self) -> int:
-        return sum(len(e) for e in self.episodes)
-
-    def to_jsonl(self) -> str:
-        """One JSON record per episode, for debugging and byte-level diffs."""
-        lines = []
-        for i, ep in enumerate(self.episodes):
-            lines.append(
-                json.dumps(
-                    {
-                        "episode": i,
-                        "cost": ep.cost,
-                        "reached_goal": ep.reached_goal,
-                        "steps": [
-                            {
-                                "z": st.observation,
-                                "a": st.action,
-                                "mu": [float(p) for p in st.target],
-                                "belief": [float(p) for p in st.belief],
-                            }
-                            for st in ep.steps
-                        ],
-                    },
-                    separators=(",", ":"),
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return int(self.lengths.sum())
 
 
 def model_fingerprint(model: ConcretePomdp) -> str:
@@ -123,8 +138,10 @@ def simulate(
     Each episode draws its start from the initial belief and stops at a goal
     or after ``horizon`` steps, whichever comes first (goals are absorbing
     and free, so truncating there changes nothing).  Recorded per step: the
-    current observation, the supervision distribution, the sampled action,
-    and the belief the distribution was computed from.
+    current observation, the supervision distribution and the sampled
+    action.  Each step's records are kept as arrays and scattered into the
+    dataset's padded arrays once, at the end; beliefs are not kept, so only
+    the current step's belief block is alive.
 
     Draw contract: episode i owns the generator seeded by (rng_seed, i).  It
     draws one uniform for its start, then per step one uniform for the action
@@ -147,7 +164,7 @@ def simulate(
 
     state = np.searchsorted(_cdf(init), [rng.random() for rng in rngs], side="right")
     cost = np.zeros(num_episodes)
-    steps: list[list[Step]] = [[] for _ in range(num_episodes)]
+    record = []  # per step: live episodes, the step index, observations, actions, targets
     live = np.flatnonzero(~goal[state])
     beliefs = np.tile(init, (len(live), 1))
     for t in range(horizon):
@@ -159,8 +176,7 @@ def simulate(
         s = state[live]
         mu = supervision_policy(np.array([supervision.action_values(b) for b in beliefs]))
         a = np.count_nonzero(_cdf(mu) <= u_action[:, None], axis=1)
-        for i, *step in zip(live.tolist(), model.obs_of[s].tolist(), a.tolist(), mu, beliefs):
-            steps[i].append(Step(*step))
+        record.append((live, np.full(len(live), t), model.obs_of[s], a, mu))
         rows = s * na + a
         cost[live] += e.cost[rows]
         idx, counts = e.of_rows(rows)
@@ -172,14 +188,7 @@ def simulate(
         beliefs = belief_updates(model, beliefs, a, model.obs_of[s], keep)
         live, draws = live[keep], draws[keep]
 
-    return TrajectoryDataset(
-        episodes=[
-            Episode(steps=steps[i], cost=float(cost[i]), reached_goal=bool(goal[state[i]]))
-            for i in range(num_episodes)
-        ],
-        num_observations=model.num_observations,
-        num_actions=model.num_actions,
-        seed=rng_seed,
-        horizon=horizon,
-        model_hash=model_fingerprint(model),
-    )
+    dataset = TrajectoryDataset([], model.num_observations, na, rng_seed, horizon, model_fingerprint(model))
+    steps = map(np.concatenate, zip(*record)) if record else ([],) * 5
+    dataset._scatter(*steps, cost, goal[state])
+    return dataset

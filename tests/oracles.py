@@ -320,14 +320,14 @@ def fsc_fidelity_reference(params, fsc, dataset):
         return 0.0
     total = 0.0
     count = 0
-    for ep in dataset.episodes:
+    for zs, length in zip(dataset.observations.tolist(), dataset.lengths.tolist()):
         h = initial_hidden(params)
         node = fsc.initial_node
-        for st in ep.steps:
-            h, dist_net = forward(params, h, st.observation)
-            dist_fsc = fsc.action_map[node, st.observation]
+        for z in zs[:length]:
+            h, dist_net = forward(params, h, z)
+            dist_fsc = fsc.action_map[node, z]
             total += 0.5 * float(np.abs(dist_net - dist_fsc).sum())
-            node = int(fsc.memory_map[node, st.observation])
+            node = int(fsc.memory_map[node, z])
             count += 1
     return total / count
 
@@ -379,7 +379,10 @@ def build_fsc_reference(params, clustering, model):
 
 
 def simulate_reference(model, supervision, num_episodes=256, horizon=200, rng_seed=0):
-    """``simulate`` as one episode after another, each drawing by ``rng.choice``."""
+    """``simulate`` as one episode after another, each drawing by ``rng.choice``.
+
+    Returns the dataset and the episodes it packs, whose steps keep the
+    belief each target was computed from."""
     from robustfsc.model import belief_update
     from robustfsc.simulate import Episode, Step, TrajectoryDataset, model_fingerprint
     from robustfsc.solvers import supervision_policy
@@ -408,7 +411,7 @@ def simulate_reference(model, supervision, num_episodes=256, horizon=200, rng_se
             b = belief_update(model, b, a, int(model.obs_of[s_next]))
             s = s_next
         episodes.append(Episode(steps=steps, cost=cost, reached_goal=s in model.goals))
-    return TrajectoryDataset(
+    dataset = TrajectoryDataset(
         episodes=episodes,
         num_observations=model.num_observations,
         num_actions=model.num_actions,
@@ -416,6 +419,7 @@ def simulate_reference(model, supervision, num_episodes=256, horizon=200, rng_se
         horizon=horizon,
         model_hash=model_fingerprint(model),
     )
+    return dataset, episodes
 
 
 def sigmoid_reference(x):

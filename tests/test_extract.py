@@ -55,8 +55,8 @@ class TestCollectHiddenStates:
         assert states.shape == (3, 3)
         # replay manually
         h = initial_hidden(p)
-        for t, st in enumerate(ds.episodes[0].steps):
-            h, _ = forward(p, h, st.observation)
+        for t, z in enumerate(ds.observations[0].tolist()):
+            h, _ = forward(p, h, z)
             assert np.allclose(states[t], h, atol=1e-12)
 
     def test_recollection_identical(self):
@@ -188,6 +188,15 @@ class TestQbnGradient:
                 numeric = central_differences(projected_code, getattr(qbn, name))
                 assert np.allclose(getattr(grad, name), numeric, rtol=1e-6, atol=1e-9), name
 
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_reused_dirty_container(self, levels):
+        qbn, batch, _, fresh, _ = self.instance(levels)
+        dirty = qbn.zeros_like()
+        dirty.flat[...] = np.random.default_rng(15).standard_normal(dirty.flat.size)
+        _, reused = _qbn_loss_and_grad(qbn, batch, dirty)
+        assert reused is dirty
+        assert np.array_equal(reused.flat, fresh.flat)
+
     def test_fields_are_views_after_every_constructor(self):
         qbn = qbn_init(5, 2, rng_seed=0)
         pts = np.random.default_rng(14).uniform(-0.5, 0.5, size=(20, 5))
@@ -275,10 +284,10 @@ class TestBatchedReplay:
     def test_hidden_states_match_forward_replay(self):
         states = collect_hidden_states(self.params, self.dataset)
         expected = []
-        for ep in self.dataset.episodes:
+        for zs, length in zip(self.dataset.observations.tolist(), self.dataset.lengths.tolist()):
             h = initial_hidden(self.params)
-            for st in ep.steps:
-                h, _ = forward(self.params, h, st.observation)
+            for z in zs[:length]:
+                h, _ = forward(self.params, h, z)
                 expected.append(h)
         assert states.shape == (self.dataset.num_steps, 6)
         assert np.allclose(states, expected, rtol=0.0, atol=1e-12)

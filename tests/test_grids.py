@@ -6,10 +6,9 @@ import pytest
 from robustfsc.grids import (
     GridSpec,
     avoid_decode,
-    evade_decode,
     generate_grid,
-    intercept_decode,
-    intercept_index,
+    pair_decode,
+    pair_index,
     patrol_route,
 )
 from robustfsc.model import Interval, validate
@@ -67,9 +66,9 @@ def test_intercept_state_count_closed_form():
     for ax, ay, tx, ty, flag in itertools.product(
         range(spec.width), range(spec.height), range(spec.width), range(spec.height), range(2)
     ):
-        idx = intercept_index(spec, (ax, ay), (tx, ty), flag)
+        idx = pair_index(spec, (ax, ay), (tx, ty), flag)
         assert 0 <= idx < model.num_states
-        assert intercept_decode(spec, idx) == ((ax, ay), (tx, ty), flag)
+        assert pair_decode(spec, idx) == ((ax, ay), (tx, ty), flag)
         seen.add(idx)
     assert len(seen) == model.num_states
 
@@ -78,7 +77,7 @@ def test_goal_states_are_agent_meets_target():
     spec = GridSpec(4, 4, "intercept")
     model = generate_grid(spec)
     for s in range(model.num_states):
-        agent, target, _ = intercept_decode(spec, s)
+        agent, target, _ = pair_decode(spec, s)
         assert (s in model.goals) == (agent == target)
 
 
@@ -98,7 +97,7 @@ def test_evade_scan_reveals_pursuer():
     # must map to distinct observations
     obs = {}
     for s in range(model.num_states):
-        agent, adv, scanned = evade_decode(spec, s)
+        agent, adv, scanned = pair_decode(spec, s)
         if scanned and agent == (0, 0):
             obs[adv] = int(model.obs_of[s])
     assert len(set(obs.values())) == len(obs)
@@ -116,8 +115,8 @@ def test_evade_scan_action_is_deterministic():
         (iv,) = row.values()
         assert iv == Interval(1.0, 1.0)
         (sp,) = row.keys()
-        agent, _, _ = evade_decode(spec, s)
-        agent2, _, scanned2 = evade_decode(spec, sp)
+        agent, _, _ = pair_decode(spec, s)
+        agent2, _, scanned2 = pair_decode(spec, sp)
         assert agent2 == agent and scanned2 == 1
 
 
@@ -127,11 +126,11 @@ def test_evade_pursuer_never_enters_safe_column():
     for (s, _a), row in model.transitions.items():
         if s in model.goals:
             continue
-        _, adv, _ = evade_decode(spec, s)
+        _, adv, _ = pair_decode(spec, s)
         if adv[0] == spec.width - 1:
             continue  # unreachable combination kept total for the full product
         for sp in row:
-            _, adv2, _ = evade_decode(spec, sp)
+            _, adv2, _ = pair_decode(spec, sp)
             assert adv2[0] != spec.width - 1
 
 

@@ -10,7 +10,6 @@ from robustfsc.rnn import (
     Adam,
     FlatParams,
     _loss_and_grad,
-    _pad_episodes,
     _sigmoid,
     dense_backward,
     dense_forward,
@@ -43,16 +42,23 @@ def make_dataset(num_eps, max_len, num_obs, num_actions, seed, constant_target=N
     return TrajectoryDataset(episodes, num_obs, num_actions, seed, max_len, "test")
 
 
-def dataset_of_lengths(lengths, num_obs, num_actions, seed):
+def episodes_of_lengths(lengths, num_obs, num_actions, seed):
     """Random episodes of the given lengths (zero allowed)."""
     rng = np.random.default_rng(seed)
-    episodes = [
+    return [
         Episode([Step(int(rng.integers(num_obs)), int(rng.integers(num_actions)),
                       rng.dirichlet(np.ones(num_actions)), np.ones(1)) for _ in range(n)],
                 float(n), n > 0)
         for n in lengths
     ]
-    return TrajectoryDataset(episodes, num_obs, num_actions, seed, max(lengths, default=0), "test")
+
+
+def pack(episodes, num_obs, num_actions):
+    return TrajectoryDataset(episodes, num_obs, num_actions, 0, max(map(len, episodes), default=0), "test")
+
+
+def dataset_of_lengths(lengths, num_obs, num_actions, seed):
+    return pack(episodes_of_lengths(lengths, num_obs, num_actions, seed), num_obs, num_actions)
 
 
 class TestForward:
@@ -117,11 +123,11 @@ class TestLoss:
         ds = make_dataset(3, 4, 4, 3, seed=3)
         total = 0.0
         count = 0
-        for ep in ds.episodes:
+        for zs, mus, length in zip(ds.observations, ds.targets, ds.lengths):
             h = initial_hidden(p)
-            for st in ep.steps:
-                h, dist = forward(p, h, st.observation)
-                total -= float(st.target @ np.log(dist))
+            for z, mu in zip(zs[:length], mus[:length]):
+                h, dist = forward(p, h, int(z))
+                total -= float(mu @ np.log(dist))
                 count += 1
         assert loss(p, ds) == pytest.approx(total / count, abs=1e-12)
 
@@ -164,8 +170,7 @@ class TestTraining:
             train_epochs(p, ds, epochs=1, rng_seed=0)
 
     def test_batches_cover_each_episode_once_per_epoch(self):
-        ds = make_dataset(5, 3, 2, 2, seed=9)
-        ds.episodes[2].steps.clear()
+        ds = dataset_of_lengths([3, 1, 0, 2, 3], 2, 2, seed=9)
         batches = list(episode_batches(ds, epochs=2, batch_size=1, rng_seed=0))
         assert len(batches) == 8  # the empty episode's batches are skipped
         assert sum(n for *_, n in batches) == 2 * ds.num_steps
@@ -173,16 +178,18 @@ class TestTraining:
 
 class TestEpisodeBatches:
     @staticmethod
-    def assert_batches_match_padding(ds, epochs, batch_size, seed):
-        """Every yield equals _pad_episodes on the rows the epoch's
-        permutation puts in that batch, in shape, dtype, layout and bits."""
-        batches = iter(episode_batches(ds, epochs, batch_size, rng_seed=seed))
+    def assert_batches_match_padding(episodes, dims, epochs, batch_size, seed):
+        """Every yield equals the arrays of a dataset packed from the episodes
+        the epoch's permutation puts in that batch, in shape, dtype, layout
+        and bits."""
+        batches = iter(episode_batches(pack(episodes, *dims), epochs, batch_size, rng_seed=seed))
         rng = np.random.default_rng(seed)
         lengths = []
         for _ in range(epochs):
-            order = rng.permutation(ds.num_episodes)
+            order = rng.permutation(len(episodes))
             for lo in range(0, len(order), batch_size):
-                expected = _pad_episodes(ds, [int(i) for i in order[lo:lo + batch_size]])
+                batch = pack([episodes[i] for i in order[lo:lo + batch_size]], *dims)
+                expected = (batch.observations, batch.targets, batch.mask)
                 normalizer = float(expected[2].sum())
                 if normalizer == 0.0:
                     continue
@@ -197,14 +204,14 @@ class TestEpisodeBatches:
         return lengths
 
     def test_yields_equal_padding_of_the_same_rows(self):
-        ds = dataset_of_lengths([3, 0, 9, 1, 4, 0, 2, 5, 7, 1], 4, 3, seed=20)
-        lengths = self.assert_batches_match_padding(ds, epochs=3, batch_size=3, seed=5)
+        episodes = episodes_of_lengths([3, 0, 9, 1, 4, 0, 2, 5, 7, 1], 4, 3, seed=20)
+        lengths = self.assert_batches_match_padding(episodes, (4, 3), epochs=3, batch_size=3, seed=5)
         # some batch is shorter than the longest episode of the dataset
         assert min(lengths) < 9 == max(lengths)
 
     def test_all_goal_dataset_yields_nothing(self):
-        ds = dataset_of_lengths([0, 0, 0, 0], 3, 2, seed=21)
-        assert self.assert_batches_match_padding(ds, epochs=2, batch_size=3, seed=1) == []
+        episodes = episodes_of_lengths([0, 0, 0, 0], 3, 2, seed=21)
+        assert self.assert_batches_match_padding(episodes, (3, 2), epochs=2, batch_size=3, seed=1) == []
 
 
 def fib_dataset(horizon=200, episodes=48):
@@ -218,8 +225,8 @@ class TestMatchesPerStepReference:
     it replaced returns: the same loss and the same gradient vector."""
 
     @staticmethod
-    def assert_same(params, ds, rows=None, want_grad=True):
-        zs, mus, mask = _pad_episodes(ds, list(range(ds.num_episodes)) if rows is None else rows)
+    def assert_same(params, ds, want_grad=True):
+        zs, mus, mask = ds.observations, ds.targets, ds.mask
         normalizer = float(mask.sum()) or 1.0
         got_loss, got = _loss_and_grad(params, zs, mus, mask, normalizer, want_grad)
         want_loss, want = loss_and_grad_reference(params, zs, mus, mask, normalizer, want_grad)
@@ -230,21 +237,21 @@ class TestMatchesPerStepReference:
             assert got is None and want is None
 
     def test_ragged_batch_with_empty_episodes(self):
-        ds = dataset_of_lengths([5, 0, 12, 1, 0, 7, 3], 6, 4, seed=30)
+        episodes = episodes_of_lengths([5, 0, 12, 1, 0, 7, 3], 6, 4, seed=30)
         p = init_params(6, 4, hidden_size=7, embed_size=3, rng_seed=31)
-        self.assert_same(p, ds)
-        self.assert_same(p, ds, rows=[4, 2, 1, 6])
+        self.assert_same(p, pack(episodes, 6, 4))
+        self.assert_same(p, pack([episodes[i] for i in (4, 2, 1, 6)], 6, 4))
 
     def test_one_episode_batch(self):
         ds = dataset_of_lengths([9], 5, 3, seed=32)
         self.assert_same(init_params(5, 3, hidden_size=16, embed_size=8, rng_seed=33), ds)
 
     def test_single_step(self):
-        ds = dataset_of_lengths([1, 1, 0, 1], 3, 2, seed=34)
+        episodes = episodes_of_lengths([1, 1, 0, 1], 3, 2, seed=34)
         p = init_params(3, 2, hidden_size=4, embed_size=2, rng_seed=35)
-        self.assert_same(p, ds)
-        self.assert_same(p, ds, rows=[2, 1])
-        self.assert_same(p, ds, rows=[2])  # T = 0: zero loss, zero gradient
+        self.assert_same(p, pack(episodes, 3, 2))
+        self.assert_same(p, pack([episodes[2], episodes[1]], 3, 2))
+        self.assert_same(p, pack([episodes[2]], 3, 2))  # T = 0: zero loss, zero gradient
 
     def test_fib_dataset_on_intercept_4x4(self):
         ds = fib_dataset()
@@ -259,6 +266,17 @@ class TestMatchesPerStepReference:
     def test_loss_only(self):
         ds = dataset_of_lengths([4, 0, 6, 2], 4, 3, seed=38)
         self.assert_same(init_params(4, 3, hidden_size=5, embed_size=3, rng_seed=39), ds, want_grad=False)
+
+    def test_reused_dirty_gradient_container(self):
+        ds = dataset_of_lengths([6, 0, 3, 9], 5, 3, seed=40)
+        p = init_params(5, 3, hidden_size=6, embed_size=3, rng_seed=41)
+        args = (p, ds.observations, ds.targets, ds.mask, float(ds.num_steps))
+        _, fresh = _loss_and_grad(*args)
+        dirty = p.zeros_like()
+        dirty.flat[...] = np.random.default_rng(42).standard_normal(dirty.flat.size)
+        _, reused = _loss_and_grad(*args, grad=dirty)
+        assert reused is dirty
+        assert np.array_equal(reused.flat, fresh.flat)
 
     def test_training_matches_a_loop_over_the_reference(self):
         ds = fib_dataset(horizon=50, episodes=40)
@@ -387,12 +405,9 @@ class TestGradientCheck:
         assert gradient_check(p, ds) == 0.0
 
     def test_unused_observation_has_zero_gradient(self):
-        from robustfsc.rnn import _loss_and_grad, _pad_episodes
-
         p = init_params(5, 2, hidden_size=3, embed_size=2, rng_seed=5)
         ds = make_dataset(2, 4, 3, 2, seed=9)  # observations 3, 4 never appear
-        zs, mus, mask = _pad_episodes(ds, list(range(ds.num_episodes)))
-        _, grad = _loss_and_grad(p, zs, mus, mask, float(ds.num_steps))
+        _, grad = _loss_and_grad(p, ds.observations, ds.targets, ds.mask, float(ds.num_steps))
         assert np.array_equal(grad.emb[3], np.zeros(2))
         assert np.array_equal(grad.emb[4], np.zeros(2))
         assert np.any(grad.emb[:3] != 0)
