@@ -152,20 +152,21 @@ def qbn_init(hidden_size: int, bottleneck: int, quant_levels: int = 3, rng_seed:
     return q
 
 
-def _qbn_encode(q: QbnParams, h: np.ndarray):
-    return dense_forward(q.encoder, q.encoder_activations, h)
+def _qbn_encode(q: QbnParams, h: np.ndarray, cache: list | None = None) -> np.ndarray:
+    return dense_forward(q.encoder, q.encoder_activations, h, cache)
 
 
-def _qbn_decode(q: QbnParams, code: np.ndarray):
-    return dense_forward(q.decoder, DECODER_ACTIVATIONS, code)
+def _qbn_decode(q: QbnParams, code: np.ndarray, cache: list | None = None) -> np.ndarray:
+    return dense_forward(q.decoder, DECODER_ACTIVATIONS, code, cache)
 
 
 def _qbn_loss_and_grad(q: QbnParams, batch: np.ndarray, grad: QbnParams | None = None) -> tuple[float, QbnParams]:
     """Mean squared reconstruction error of ``batch`` through the quantizer
     and its straight-through gradient (see qbn_fit_posthoc), written into
     ``grad``, zeroed first, when one is given."""
-    e, ecache = _qbn_encode(q, batch)
-    out, dcache = _qbn_decode(q, quantize(e, q.quant_levels))
+    ecache, dcache = [], []
+    e = _qbn_encode(q, batch, ecache)
+    out = _qbn_decode(q, quantize(e, q.quant_levels), dcache)
     err = out - batch
     g = q.zeros_like() if grad is None else grad
     g.flat[...] = 0.0
@@ -176,7 +177,7 @@ def _qbn_loss_and_grad(q: QbnParams, batch: np.ndarray, grad: QbnParams | None =
 
 def _codes(qbn: QbnParams, h: np.ndarray) -> list[tuple]:
     """Quantized code of each row of ``h`` as an integer tuple."""
-    return list(map(tuple, quantize(_qbn_encode(qbn, h)[0], qbn.quant_levels).astype(np.int64).tolist()))
+    return list(map(tuple, quantize(_qbn_encode(qbn, h), qbn.quant_levels).astype(np.int64).tolist()))
 
 
 def qbn_fit_posthoc(
@@ -272,7 +273,7 @@ class Clustering:
         if self.method == "kmeans":
             return self.centroids[node]
         codes = np.asarray(self.codes, dtype=np.float64)[node]
-        out, _ = _qbn_decode(self.qbn, np.atleast_2d(codes))
+        out = _qbn_decode(self.qbn, np.atleast_2d(codes))
         return out.reshape(np.shape(node) + out.shape[-1:])
 
 

@@ -32,7 +32,8 @@ avoid
 
 State spaces are the full products (agent cell x other-robot configuration
 x flag), including combinations an episode can never reach, so counts follow
-in closed form from the grid dimensions.
+in closed form from the grid dimensions.  Each family's dynamics are computed
+for all states at once, straight into the model's edge table.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Literal
 
 import numpy as np
 
-from robustfsc.model import Interval, RobustPomdp
+from robustfsc.model import Edges, Interval, RobustPomdp
 
 Kind = Literal["evade", "intercept", "avoid"]
 
@@ -74,99 +75,65 @@ class GridSpec:
             raise ValueError("costs must be nonnegative")
 
 
-def _chebyshev(a: tuple[int, int], b: tuple[int, int]) -> int:
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+# Cells are (x, y) pairs of ints or of equally shaped integer arrays; every
+# helper below works on both, so the generators compute all states at once.
+
+def _chebyshev(a, b):
+    return np.maximum(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
-class _Builder:
-    """Shared state-indexing / row-assembly machinery for one grid family."""
-
-    def __init__(self, spec: GridSpec):
-        self.spec = spec
-        self.w, self.h = spec.width, spec.height
-
-    def clamp(self, x: int, y: int) -> tuple[int, int]:
-        return (min(max(x, 0), self.w - 1), min(max(y, 0), self.h - 1))
-
-    def agent_moves(self, pos: tuple[int, int], action: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        dx, dy = MOVES[action]
-        one = self.clamp(pos[0] + dx, pos[1] + dy)
-        two = self.clamp(pos[0] + 2 * dx, pos[1] + 2 * dy)
-        return one, two
+def _same(a, b):
+    return (a[0] == b[0]) & (a[1] == b[1])
 
 
-def _assemble(
-    spec: GridSpec,
-    num_states: int,
-    num_actions: int,
-    is_goal,
-    is_bad,
-    step_successor,
-    moves_agent,
-    obs_symbol,
-    init_states: list[int],
-    name: str,
-) -> RobustPomdp:
-    """Build the model from per-state callbacks.
+def _landings(spec: GridSpec, cell) -> list[tuple]:
+    """(one-step cell, two-step cell) of each compass move, excess movement truncated at the walls."""
+    def clamp(x, y):
+        return np.clip(x, 0, spec.width - 1), np.clip(y, 0, spec.height - 1)
 
-    step_successor(s, a, agent_landing) -> successor state index;
-    moves_agent(s, a) -> (one_step_cell, two_step_cell) or None for non-move
-    actions (deterministic row via step_successor with agent staying put).
+    return [(clamp(cell[0] + dx, cell[1] + dy), clamp(cell[0] + 2 * dx, cell[1] + 2 * dy)) for dx, dy in MOVES]
+
+
+def _model(spec: GridSpec, name: str, goal, bad, one, two, symbol, init_states: list[int]) -> RobustPomdp:
+    """The model whose non-goal state s steps under action a to ``one[s, a]`` or,
+    with the slip probability, to ``two[s, a]`` (one point row when they agree).
+
+    Goal states self-loop at zero cost; the others cost the step cost plus
+    the penalty where ``bad``.  Observations number the distinct ``symbol``
+    values (integers) in order of their first state.
     """
-    slip = spec.slip_interval
-    stay = Interval(1.0, 1.0)
-    transitions: dict[tuple[int, int], dict[int, Interval]] = {}
-    cost: dict[tuple[int, int], float] = {}
-    goals = set()
+    num_states, num_actions = one.shape
+    s = np.arange(num_states)[:, None]
+    one, two = np.where(goal[:, None], s, one).ravel(), np.where(goal[:, None], s, two).ravel()
+    pair = one != two
+    offsets = np.concatenate([[0], np.cumsum(1 + pair)])
+    first, second = offsets[:-1], offsets[:-1][pair] + 1
+    succ = np.empty(offsets[-1], dtype=np.int64)
+    lo, hi = np.ones(len(succ)), np.ones(len(succ))
+    succ[first], succ[second] = np.minimum(one, two), np.maximum(one, two)[pair]
+    # a pair row holds the complement of the slip interval on the one-step
+    # successor and the slip interval itself on the two-step one
+    slip, comp = spec.slip_interval, (1.0 - spec.slip_interval.hi, 1.0 - spec.slip_interval.lo)
+    one_first = (one < two)[pair]
+    for edge, on_one in ((first[pair], one_first), (second, ~one_first)):
+        lo[edge], hi[edge] = np.where(on_one, comp[0], slip.lo), np.where(on_one, comp[1], slip.hi)
+    stage_cost = np.where(goal, 0.0, spec.step_cost + np.where(bad, spec.penalty_cost, 0.0))
 
-    for s in range(num_states):
-        if is_goal(s):
-            goals.add(s)
-            for a in range(num_actions):
-                transitions[(s, a)] = {s: stay}
-                cost[(s, a)] = 0.0
-            continue
-        stage_cost = spec.step_cost + (spec.penalty_cost if is_bad(s) else 0.0)
-        for a in range(num_actions):
-            landing = moves_agent(s, a)
-            if landing is None:
-                succ = step_successor(s, a, None)
-                transitions[(s, a)] = {succ: stay}
-            else:
-                one, two = landing
-                s_one = step_successor(s, a, one)
-                s_two = step_successor(s, a, two)
-                if s_one == s_two:
-                    transitions[(s, a)] = {s_one: stay}
-                else:
-                    transitions[(s, a)] = {
-                        s_one: Interval(1.0 - slip.hi, 1.0 - slip.lo),
-                        s_two: slip,
-                    }
-            cost[(s, a)] = stage_cost
-
-    # Dense observation indices in first-occurrence order over the state index.
-    symbols: dict[tuple, int] = {}
-    obs_of = np.zeros(num_states, dtype=np.int64)
-    for s in range(num_states):
-        sym = obs_symbol(s)
-        if sym not in symbols:
-            symbols[sym] = len(symbols)
-        obs_of[s] = symbols[sym]
+    _, first_state, obs = np.unique(symbol, return_index=True, return_inverse=True)
+    rank = np.empty(len(first_state), dtype=np.int64)
+    rank[np.argsort(first_state)] = np.arange(len(first_state))
 
     belief = np.zeros(num_states, dtype=np.float64)
     belief[init_states] = 1.0 / len(init_states)
-
     return RobustPomdp(
         num_states=num_states,
         num_actions=num_actions,
-        num_observations=len(symbols),
-        obs_of=obs_of,
-        transitions=transitions,
-        cost=cost,
-        goals=frozenset(goals),
+        num_observations=len(rank),
+        obs_of=rank[obs],
+        goals=np.flatnonzero(goal).tolist(),
         initial_belief=belief,
         name=name,
+        edges=Edges(offsets, succ, lo, hi, np.repeat(stage_cost, num_actions)),
     )
 
 
@@ -188,7 +155,7 @@ def generate_grid(spec: GridSpec, rng_seed: int = 0) -> RobustPomdp:
 # intercept and evade: state = (agent cell, other robot's cell, flag), i.e.
 # (agent, target, exited) and (agent, pursuer, scanned)
 
-def pair_index(spec: GridSpec, agent: tuple[int, int], other: tuple[int, int], flag: int) -> int:
+def pair_index(spec: GridSpec, agent, other, flag):
     """State of (agent cell, other robot's cell, flag); cells row-major, flag fastest."""
     w = spec.width
     n_cells = spec.width * spec.height
@@ -197,39 +164,35 @@ def pair_index(spec: GridSpec, agent: tuple[int, int], other: tuple[int, int], f
     return (a * n_cells + o) * 2 + flag
 
 
-def pair_decode(spec: GridSpec, s: int) -> tuple[tuple[int, int], tuple[int, int], int]:
+def pair_decode(spec: GridSpec, s):
     """Inverse of ``pair_index``."""
     w = spec.width
     a, o = divmod(s // 2, spec.width * spec.height)
     return ((a % w, a // w), (o % w, o // w), s % 2)
 
 
+def _pair_states(spec: GridSpec):
+    """Every state of the pair encoding, decoded."""
+    n_cells = spec.width * spec.height
+    return pair_decode(spec, np.arange(n_cells * n_cells * 2))
 
-def _intercept_exits(spec: GridSpec) -> tuple[tuple[int, int], tuple[int, int]]:
-    return ((0, spec.height - 1), (spec.width - 1, spec.height - 1))
 
-
-def _intercept_target_step(spec: GridSpec, target: tuple[int, int], exited: int) -> tuple[tuple[int, int], int]:
-    if exited:
-        return target, 1
-    left, right = _intercept_exits(spec)
-    if target in (left, right):
-        return target, 1
+def _intercept_target_step(spec: GridSpec, target, exited):
+    """The target's next cell and exited flag: one step toward its nearest
+    exit (ties to the left, horizontal leg first); through an exit it stays."""
+    left, right = (0, spec.height - 1), (spec.width - 1, spec.height - 1)
+    done = (exited == 1) | _same(target, left) | _same(target, right)
     d_left = abs(target[0] - left[0]) + abs(target[1] - left[1])
     d_right = abs(target[0] - right[0]) + abs(target[1] - right[1])
-    ex = left if d_left <= d_right else right
+    ex_x = np.where(d_left <= d_right, left[0], right[0])
     x, y = target
-    if x != ex[0]:
-        x += 1 if ex[0] > x else -1
-    elif y != ex[1]:
-        y += 1 if ex[1] > y else -1
-    return (x, y), 0
+    step_x = np.where(done, 0, np.sign(ex_x - x))
+    step_y = np.where(done | (step_x != 0), 0, np.sign(spec.height - 1 - y))
+    return (x + step_x, y + step_y), done.astype(np.int64)
 
 
 def _build_intercept(spec: GridSpec, name: str) -> RobustPomdp:
-    b = _Builder(spec)
     n_cells = spec.width * spec.height
-    num_states = n_cells * n_cells * 2
     corridor_x = spec.width // 2
     agent_start = (corridor_x, 0)
 
@@ -241,66 +204,39 @@ def _build_intercept(spec: GridSpec, name: str) -> RobustPomdp:
     if not starts:
         raise ValueError("grid too small: no hidden starting cell for the target")
 
-    def is_goal(s: int) -> bool:
-        agent, target, _ = pair_decode(spec, s)
-        return agent == target
-
-    def moves_agent(s: int, a: int):
-        agent, _, _ = pair_decode(spec, s)
-        return b.agent_moves(agent, a)
-
-    def step_successor(s: int, a: int, landing) -> int:
-        _, target, exited = pair_decode(spec, s)
-        t2, e2 = _intercept_target_step(spec, target, exited)
-        return pair_index(spec, landing, t2, e2)
-
-    def obs_symbol(s: int):
-        agent, target, exited = pair_decode(spec, s)
-        if agent == target:
-            return (agent, "goal")
-        if exited:
-            return (agent, "exited")
-        if _chebyshev(agent, target) <= spec.view_radius or target[0] == corridor_x:
-            return (agent, target)
-        return (agent, "hidden")
-
-    def is_bad(s: int) -> bool:
-        return pair_decode(spec, s)[2] == 1
-
+    agent, target, exited = _pair_states(spec)
+    t2, e2 = _intercept_target_step(spec, target, exited)
+    one, two = (np.stack([pair_index(spec, cells[k], t2, e2) for cells in _landings(spec, agent)], axis=1)
+                for k in (0, 1))
+    goal = _same(agent, target)
+    visible = (_chebyshev(agent, target) <= spec.view_radius) | (target[0] == corridor_x)
+    # symbol per agent cell: the target's cell when visible, else goal / exited / hidden
+    seen = np.select([goal, exited == 1, visible], [n_cells, n_cells + 1, target[1] * spec.width + target[0]],
+                     n_cells + 2)
+    symbol = (agent[1] * spec.width + agent[0]) * (n_cells + 3) + seen
     init_states = [pair_index(spec, agent_start, t, 0) for t in starts]
-    return _assemble(
-        spec, num_states, 4, is_goal, is_bad, step_successor, moves_agent, obs_symbol, init_states, name
-    )
+    return _model(spec, name, goal, exited == 1, one, two, symbol, init_states)
 
 
 # ---------------------------------------------------------------------------
 # evade: state = (agent cell, pursuer cell, scanned flag)
 
-def _evade_pursuer_step(spec: GridSpec, adv: tuple[int, int], agent: tuple[int, int]) -> tuple[int, int]:
+def _evade_pursuer_step(spec: GridSpec, adv, agent):
+    """The pursuer's next cell: one step toward the agent along the longer
+    axis (horizontal on ties), else along the other, never into the safe
+    column; it stays when neither step is allowed."""
     safe_x = spec.width - 1
-    dx = agent[0] - adv[0]
-    dy = agent[1] - adv[1]
-    options = []
-    if abs(dx) >= abs(dy):
-        if dx != 0:
-            options.append((adv[0] + (1 if dx > 0 else -1), adv[1]))
-        if dy != 0:
-            options.append((adv[0], adv[1] + (1 if dy > 0 else -1)))
-    else:
-        if dy != 0:
-            options.append((adv[0], adv[1] + (1 if dy > 0 else -1)))
-        if dx != 0:
-            options.append((adv[0] + (1 if dx > 0 else -1), adv[1]))
-    for cand in options:
-        if cand[0] != safe_x:
-            return cand
-    return adv
+    dx, dy = np.sign(agent[0] - adv[0]), np.sign(agent[1] - adv[1])
+    can_x = (dx != 0) & (adv[0] + dx != safe_x)
+    can_y = (dy != 0) & (adv[0] != safe_x)
+    x_first = abs(agent[0] - adv[0]) >= abs(agent[1] - adv[1])
+    take_x = can_x & (x_first | ~can_y)
+    take_y = can_y & ~(x_first & can_x)
+    return (adv[0] + np.where(take_x, dx, 0), adv[1] + np.where(take_y, dy, 0))
 
 
 def _build_evade(spec: GridSpec, name: str) -> RobustPomdp:
-    b = _Builder(spec)
     n_cells = spec.width * spec.height
-    num_states = n_cells * n_cells * 2
     agent_start = (spec.width // 2, 0)
     goal_cell = (spec.width - 1, spec.height - 1)
 
@@ -312,37 +248,16 @@ def _build_evade(spec: GridSpec, name: str) -> RobustPomdp:
     if not starts:
         raise ValueError("grid too small: no hidden starting cell for the pursuer")
 
-    def is_goal(s: int) -> bool:
-        agent, _, _ = pair_decode(spec, s)
-        return agent == goal_cell
-
-    def moves_agent(s: int, a: int):
-        if a == SCAN:
-            return None
-        agent, _, _ = pair_decode(spec, s)
-        return b.agent_moves(agent, a)
-
-    def step_successor(s: int, a: int, landing) -> int:
-        agent, adv, _ = pair_decode(spec, s)
-        adv2 = _evade_pursuer_step(spec, adv, agent)
-        if a == SCAN:
-            return pair_index(spec, agent, adv2, 1)
-        return pair_index(spec, landing, adv2, 0)
-
-    def obs_symbol(s: int):
-        agent, adv, scanned = pair_decode(spec, s)
-        if scanned or _chebyshev(agent, adv) <= spec.view_radius:
-            return (agent, adv)
-        return (agent, "hidden")
-
-    def is_bad(s: int) -> bool:
-        agent, adv, _ = pair_decode(spec, s)
-        return agent == adv
-
+    agent, adv, scanned = _pair_states(spec)
+    adv2 = _evade_pursuer_step(spec, adv, agent)
+    scan = pair_index(spec, agent, adv2, 1)
+    one, two = (np.stack([pair_index(spec, cells[k], adv2, 0) for cells in _landings(spec, agent)] + [scan], axis=1)
+                for k in (0, 1))
+    visible = (scanned == 1) | (_chebyshev(agent, adv) <= spec.view_radius)
+    seen = np.where(visible, adv[1] * spec.width + adv[0], n_cells)
+    symbol = (agent[1] * spec.width + agent[0]) * (n_cells + 1) + seen
     init_states = [pair_index(spec, agent_start, v, 0) for v in starts]
-    return _assemble(
-        spec, num_states, 5, is_goal, is_bad, step_successor, moves_agent, obs_symbol, init_states, name
-    )
+    return _model(spec, name, _same(agent, goal_cell), _same(agent, adv), one, two, symbol, init_states)
 
 
 # ---------------------------------------------------------------------------
@@ -358,23 +273,22 @@ def patrol_route(spec: GridSpec) -> list[tuple[int, int]]:
     return route
 
 
-def avoid_index(spec: GridSpec, agent: tuple[int, int], route_idx: int) -> int:
+def avoid_index(spec: GridSpec, agent, route_idx):
     route_len = 2 * (spec.width + spec.height) - 4
     a = agent[1] * spec.width + agent[0]
     return a * route_len + route_idx
 
 
-def avoid_decode(spec: GridSpec, s: int) -> tuple[tuple[int, int], int]:
+def avoid_decode(spec: GridSpec, s):
     route_len = 2 * (spec.width + spec.height) - 4
     a, idx = divmod(s, route_len)
     return ((a % spec.width, a // spec.width), idx)
 
 
 def _build_avoid(spec: GridSpec, name: str) -> RobustPomdp:
-    b = _Builder(spec)
     route = patrol_route(spec)
     route_len = len(route)
-    num_states = spec.width * spec.height * route_len
+    n_cells = spec.width * spec.height
     agent_start = (0, 0)
     goal_cell = (spec.width - 1, spec.height - 1)
 
@@ -384,29 +298,13 @@ def _build_avoid(spec: GridSpec, name: str) -> RobustPomdp:
     if not start_idxs:
         raise ValueError("grid too small: no hidden starting position for the watcher")
 
-    def is_goal(s: int) -> bool:
-        agent, _ = avoid_decode(spec, s)
-        return agent == goal_cell
-
-    def moves_agent(s: int, a: int):
-        agent, _ = avoid_decode(spec, s)
-        return b.agent_moves(agent, a)
-
-    def step_successor(s: int, a: int, landing) -> int:
-        _, idx = avoid_decode(spec, s)
-        return avoid_index(spec, landing, (idx + 1) % route_len)
-
-    def obs_symbol(s: int):
-        agent, idx = avoid_decode(spec, s)
-        if _chebyshev(agent, route[idx]) <= spec.view_radius:
-            return (agent, route[idx])
-        return (agent, "hidden")
-
-    def is_bad(s: int) -> bool:
-        agent, idx = avoid_decode(spec, s)
-        return _chebyshev(agent, route[idx]) <= 1
-
+    agent, idx = avoid_decode(spec, np.arange(n_cells * route_len))
+    watcher = tuple(np.array(route).T[:, idx])
+    one, two = (np.stack([avoid_index(spec, cells[k], (idx + 1) % route_len) for cells in _landings(spec, agent)],
+                         axis=1)
+                for k in (0, 1))
+    near = _chebyshev(agent, watcher)
+    seen = np.where(near <= spec.view_radius, watcher[1] * spec.width + watcher[0], n_cells)
+    symbol = (agent[1] * spec.width + agent[0]) * (n_cells + 1) + seen
     init_states = [avoid_index(spec, agent_start, i) for i in start_idxs]
-    return _assemble(
-        spec, num_states, 4, is_goal, is_bad, step_successor, moves_agent, obs_symbol, init_states, name
-    )
+    return _model(spec, name, _same(agent, goal_cell), near <= 1, one, two, symbol, init_states)

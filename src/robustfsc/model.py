@@ -4,12 +4,14 @@ Transition rows are sparse: an absent successor is structurally impossible
 (probability exactly zero), while every stored interval has a strictly
 positive lower bound.  All probability arithmetic is 64-bit floating point.
 
-Models are built from ``(s, a) -> {s': Interval or probability}`` dicts, as
-the text format, the generators and ``validate`` use them.  Numeric code reads
-``model.edges`` instead: the transitions flattened once into CSR arrays on
-first use (so a model is not changed after use).  Members of an uncertainty
-set are built on their parent's table alone; their ``.transitions`` rows are
-views of it, built on first read.
+A model's transitions and costs are stored in one place, its edge table
+``model.edges`` (CSR arrays over the flat rows s * A + a), which the
+generators, the parser and the array import build directly and every numeric
+consumer reads.  ``.transitions``, ``.cost`` and ``.row()`` are read-only
+``(s, a) -> {s': Interval or probability}`` views of it, built on first read;
+a member's rows are writable and write into its table.  Passing
+``transitions``/``cost`` dicts to the constructor instead converts them to a
+table once.
 """
 
 from __future__ import annotations
@@ -17,12 +19,17 @@ from __future__ import annotations
 from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 PROB_TOL = 1e-9
 BELIEF_TOL = 1e-12
 BOX_TOL = 1e-12  # how far a row's bounds may sum past one and still meet the simplex
+# Edges.cost of a row that has no cost: a NaN whose payload neither float()
+# nor arithmetic produces, so that validate tells it from a NaN cost
+_NO_COST_BITS = 0x7FF8_0000_0000_0001
+NO_COST = float(np.array([_NO_COST_BITS]).view(np.float64)[0])
 
 TransKey = tuple[int, int]  # (state, action)
 
@@ -41,7 +48,7 @@ class Edges:
 
     Row r owns the edges offsets[r]:offsets[r + 1], successors ascending.
     For a member ``hi is lo``: both are its probabilities.  ``cost`` is NaN
-    where the model has no cost.
+    where the model has no cost (``NO_COST`` where it gives none at all).
     """
 
     offsets: np.ndarray  # (S*A + 1,)
@@ -55,6 +62,11 @@ class Edges:
         """Flat row of each edge, shape (E,)."""
         return np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
 
+    @property
+    def has_cost(self) -> np.ndarray:
+        """Whether each row has a cost (NaN included), shape (S*A,)."""
+        return self.cost.view(np.int64) != _NO_COST_BITS
+
     def of_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Indices of the edges of ``rows``, row after row, and each row's count."""
         start = self.offsets[rows]
@@ -62,71 +74,110 @@ class Edges:
         return np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum()), counts
 
 
-def _flatten(model: RobustPomdp | ConcretePomdp) -> Edges:
-    """The model's table (see ``Edges``), built from its dicts on first use."""
+def _flatten(model: RobustPomdp | ConcretePomdp, transitions: Mapping, cost: Mapping) -> Edges:
+    """The table of ``(s, a) -> {s': Interval or probability}`` and ``(s, a) -> cost`` mappings."""
     n, na = model.num_states, model.num_actions
-    keys = sorted(model.transitions)
+    keys = sorted(transitions)
+    if keys and not (0 <= keys[0][0] and keys[-1][0] < n and all(0 <= a < na for _, a in keys)):
+        raise ValueError(f"transition rows must be (state, action) pairs within {n} states and {na} actions")
     counts = np.zeros(n * na, dtype=np.int64)
-    counts[[s * na + a for s, a in keys]] = [len(model.transitions[key]) for key in keys]
-    items = [item for key in keys for item in sorted(model.transitions[key].items())]
+    counts[[s * na + a for s, a in keys]] = [len(transitions[key]) for key in keys]
+    items = [item for key in keys for item in sorted(transitions[key].items())]
     succ, values = [sp for sp, _ in items], [v for _, v in items]
     if isinstance(model, RobustPomdp):
         lo = np.array([iv.lo for iv in values], dtype=np.float64)
         hi = np.array([iv.hi for iv in values], dtype=np.float64)
     else:
         lo = hi = np.array(values, dtype=np.float64)
-    cost = np.array([model.cost.get((s, a), np.nan) for s in range(n) for a in range(na)], dtype=np.float64)
-    return Edges(np.concatenate([[0], np.cumsum(counts)]), np.array(succ, dtype=np.int64), lo, hi, cost)
+    costs = np.array([cost.get((s, a), NO_COST) for s in range(n) for a in range(na)], dtype=np.float64)
+    return Edges(np.concatenate([[0], np.cumsum(counts)]), np.array(succ, dtype=np.int64), lo, hi, costs)
 
 
-@dataclass
 class _Pomdp:
-    num_states: int
-    num_actions: int
-    num_observations: int
-    obs_of: np.ndarray
-    transitions: dict
-    cost: dict[TransKey, float]
-    goals: frozenset[int]
-    initial_belief: np.ndarray
-    name: str = ""
+    """Fields shared by interval models and their members; see ``RobustPomdp``."""
 
-    def __post_init__(self) -> None:
-        self.obs_of = np.asarray(self.obs_of, dtype=np.int64)
-        self.initial_belief = np.asarray(self.initial_belief, dtype=np.float64)
-        self.goals = frozenset(self.goals)
+    def __init__(
+        self,
+        *,
+        num_states: int,
+        num_actions: int,
+        num_observations: int,
+        obs_of: np.ndarray,
+        goals,
+        initial_belief: np.ndarray,
+        name: str = "",
+        edges: Edges | None = None,
+        transitions: Mapping | None = None,
+        cost: Mapping | None = None,
+    ):
+        self.num_states, self.num_actions, self.num_observations = num_states, num_actions, num_observations
+        self.obs_of = np.asarray(obs_of, dtype=np.int64)
+        self.goals = frozenset(goals)
+        self.initial_belief = np.asarray(initial_belief, dtype=np.float64)
+        self.name = name
+        self.edges = edges if edges is not None else _flatten(self, transitions, cost)
 
-    edges = cached_property(_flatten)
+    @cached_property
+    def cost(self) -> Mapping[TransKey, float]:
+        """(s, a) -> stage cost, for the rows that have one; read-only."""
+        rows = np.flatnonzero(self.edges.has_cost)
+        return MappingProxyType(
+            {divmod(r, self.num_actions): c for r, c in zip(rows.tolist(), self.edges.cost[rows].tolist())}
+        )
 
-    def row(self, s: int, a: int) -> dict:
+    def _row_view(self, succ: list[int]):
+        """The view of the row of edges start:stop, as a function of (start, stop)."""
+        lo, hi = self.edges.lo.tolist(), self.edges.hi.tolist()
+        return lambda start, stop: MappingProxyType(
+            dict(zip(succ[start:stop], map(Interval, lo[start:stop], hi[start:stop]))))
+
+    @cached_property
+    def transitions(self) -> Mapping[TransKey, Mapping]:
+        """(s, a) -> row, for the rows that have successors (see ``row``)."""
+        bounds = self.edges.offsets.tolist()
+        view = self._row_view(self.edges.succ.tolist())
+        return MappingProxyType({
+            divmod(r, self.num_actions): view(start, stop)
+            for r, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+            if stop > start
+        })
+
+    def row(self, s: int, a: int) -> Mapping:
+        """Row (s, a) as {s': Interval} (a member: {s': probability}); empty without successors."""
         return self.transitions.get((s, a), {})
 
     def realizable_observations(self) -> list[int]:
         return sorted(set(int(z) for z in self.obs_of))
 
 
-@dataclass
 class RobustPomdp(_Pomdp):
     """POMDP with interval transition uncertainty and deterministic observations.
 
     Fields
     ------
     obs_of        : observation index per state, shape (num_states,)
-    transitions   : (s, a) -> {s': Interval}; absent pair means no dynamics,
-                    absent successor means impossible transition
-    cost          : (s, a) -> nonnegative stage cost
+    edges         : the transitions and costs (see ``Edges``); an empty row
+                    means no dynamics, an absent successor an impossible
+                    transition
     goals         : absorbing zero-cost target states
     initial_belief: distribution over states, shape (num_states,)
+
+    ``transitions`` ((s, a) -> {s': Interval}) and ``cost`` ((s, a) ->
+    nonnegative stage cost) are views of ``edges``.
     """
 
 
-@dataclass
 class ConcretePomdp(_Pomdp):
     """A single member of an uncertainty set: exact transition probabilities.
 
-    ``transitions`` maps (s, a) -> {s': probability}; the other fields are
-    those of ``RobustPomdp``.
+    ``edges.lo is edges.hi`` holds the probabilities, and ``transitions``
+    maps (s, a) -> {s': probability}, each row writable into the table; the
+    other fields are those of ``RobustPomdp``.
     """
+
+    def _row_view(self, succ: list[int]):
+        probs = self.edges.lo
+        return lambda start, stop: _MemberRow(probs, dict(zip(succ[start:stop], range(start, stop))))
 
     def is_member_of(self, model: RobustPomdp, tol: float = PROB_TOL) -> bool:
         """Check that every stored probability lies in the parent's interval."""
@@ -136,25 +187,6 @@ class ConcretePomdp(_Pomdp):
             and np.array_equal(mine.succ, parent.succ)
             and bool(np.all((parent.lo - tol <= mine.lo) & (mine.lo <= parent.hi + tol)))
         )
-
-
-def with_transitions(model: RobustPomdp | ConcretePomdp, transitions: dict, cls: type = ConcretePomdp):
-    """A copy of ``model`` as ``cls`` with the given transitions.
-
-    Every other field (observations, costs, goals, initial belief, name) is
-    copied.
-    """
-    return cls(
-        num_states=model.num_states,
-        num_actions=model.num_actions,
-        num_observations=model.num_observations,
-        obs_of=model.obs_of.copy(),
-        transitions=transitions,
-        cost=dict(model.cost),
-        goals=model.goals,
-        initial_belief=model.initial_belief.copy(),
-        name=model.name,
-    )
 
 
 # A belief is a dense probability vector over states.
@@ -265,39 +297,52 @@ def validate(model: RobustPomdp) -> ValidationReport:
         if not (0 <= g < n):
             rep.add(f"goal state {g} out of range")
 
-    for s in range(n):
-        for a in range(na):
-            key = (s, a)
-            row = model.transitions.get(key)
-            if not row:
-                rep.add(f"state {s} action {a}: no outgoing transitions")
-                continue
-            lo_sum = 0.0
-            hi_sum = 0.0
-            for sp, iv in row.items():
-                if not (0 <= sp < n):
-                    rep.add(f"state {s} action {a}: successor {sp} out of range")
-                if not (0.0 < iv.lo <= iv.hi <= 1.0):
-                    rep.add(
-                        f"state {s} action {a} successor {sp}: interval "
-                        f"[{iv.lo}, {iv.hi}] violates 0 < lo <= hi <= 1"
-                    )
-                lo_sum += iv.lo
-                hi_sum += iv.hi
-            if lo_sum > 1.0 + BOX_TOL:
-                rep.add(f"state {s} action {a}: sum of lower bounds {lo_sum} exceeds 1")
-            if hi_sum < 1.0 - BOX_TOL:
-                rep.add(f"state {s} action {a}: sum of upper bounds {hi_sum} is below 1")
-            c = model.cost.get(key)
-            if c is None:
-                rep.add(f"state {s} action {a}: missing cost")
-            elif not c >= 0:  # also catches NaN
-                rep.add(f"state {s} action {a}: negative or NaN cost {c}")
-            if s in model.goals:
-                if row != {s: Interval(1.0, 1.0)}:
-                    rep.add(f"goal state {s} action {a}: goals must self-loop with probability 1")
-                if c not in (None, 0.0):
-                    rep.add(f"goal state {s} action {a}: goals must have zero cost, got {c}")
+    # every check at once over the table; then each failing row, in order
+    e = model.edges
+    counts = np.diff(e.offsets)
+    state = np.arange(n * na) // na
+    edge_bad = (e.succ < 0) | (e.succ >= n) | ~((0.0 < e.lo) & (e.lo <= e.hi) & (e.hi <= 1.0))
+    lo_sum, hi_sum = (np.bincount(e.row, bound, n * na) for bound in (e.lo, e.hi))
+    has_cost = e.has_cost
+    goal = np.zeros(n, dtype=bool)
+    goal[[g for g in model.goals if 0 <= g < n]] = True
+    goal = goal[state]
+    single = np.flatnonzero(counts == 1)
+    self_loop = np.zeros(n * na, dtype=bool)
+    i = e.offsets[single]
+    self_loop[single] = (e.succ[i] == state[single]) & (e.lo[i] == 1.0) & (e.hi[i] == 1.0)
+    failing = (
+        (counts == 0) | (np.bincount(e.row, edge_bad, n * na) > 0)
+        | (lo_sum > 1.0 + BOX_TOL) | (hi_sum < 1.0 - BOX_TOL)
+        | ~has_cost | ~(e.cost >= 0) | (e.cost == np.inf)  # also catches NaN
+        | goal & (~self_loop | has_cost & (e.cost != 0.0))
+    )
+    for r in np.flatnonzero(failing).tolist():
+        s, a = divmod(r, na)
+        if counts[r] == 0:
+            rep.add(f"state {s} action {a}: no outgoing transitions")
+            continue
+        for sp, lo, hi in zip(*(x[e.offsets[r]:e.offsets[r + 1]].tolist() for x in (e.succ, e.lo, e.hi))):
+            if not (0 <= sp < n):
+                rep.add(f"state {s} action {a}: successor {sp} out of range")
+            if not (0.0 < lo <= hi <= 1.0):
+                rep.add(f"state {s} action {a} successor {sp}: interval [{lo}, {hi}] violates 0 < lo <= hi <= 1")
+        if lo_sum[r] > 1.0 + BOX_TOL:
+            rep.add(f"state {s} action {a}: sum of lower bounds {float(lo_sum[r])} exceeds 1")
+        if hi_sum[r] < 1.0 - BOX_TOL:
+            rep.add(f"state {s} action {a}: sum of upper bounds {float(hi_sum[r])} is below 1")
+        c = float(e.cost[r])
+        if not has_cost[r]:
+            rep.add(f"state {s} action {a}: missing cost")
+        elif not c >= 0:  # also catches NaN
+            rep.add(f"state {s} action {a}: negative or NaN cost {c}")
+        elif c == np.inf:
+            rep.add(f"state {s} action {a}: infinite cost {c}")
+        if goal[r]:
+            if not self_loop[r]:
+                rep.add(f"goal state {s} action {a}: goals must self-loop with probability 1")
+            if has_cost[r] and c != 0.0:
+                rep.add(f"goal state {s} action {a}: goals must have zero cost, got {c}")
     return rep
 
 
@@ -381,53 +426,23 @@ class _MemberRow(MutableMapping):
         return repr(dict(self))
 
 
-class _MemberRows(Mapping):
-    """A member's ``.transitions``: (s, a) -> ``_MemberRow`` over its table.
-
-    The rows are built on first read; nothing in the planner reads them.
-    """
-
-    __slots__ = ("_edges", "_num_actions", "_rows")
-
-    def __init__(self, edges: Edges, num_actions: int):
-        self._edges, self._num_actions = edges, num_actions
-        self._rows: dict[TransKey, _MemberRow] | None = None
-
-    def _built(self) -> dict[TransKey, _MemberRow]:
-        if self._rows is None:
-            e = self._edges
-            succ, bounds = e.succ.tolist(), e.offsets.tolist()
-            self._rows = {
-                divmod(r, self._num_actions): _MemberRow(e.lo, dict(zip(succ[start:stop], range(start, stop))))
-                for r, (start, stop) in enumerate(zip(bounds, bounds[1:]))
-                if stop > start
-            }
-        return self._rows
-
-    def __getitem__(self, key: TransKey) -> _MemberRow:
-        return self._built()[key]
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def __len__(self) -> int:
-        return len(self._built())
-
-    def __repr__(self) -> str:
-        return repr(self._built())
-
-
 def member_with(model: RobustPomdp, probs: np.ndarray) -> ConcretePomdp:
     """The member of ``model`` with probability ``probs[i]`` on its edge i.
 
-    The member's table shares the parent's structure and costs; its
-    ``.transitions`` rows are views of ``probs``, built when first read.
+    The member's table shares the parent's structure and costs; every other
+    field (observations, goals, initial belief, name) is copied.
     """
     parent = model.edges
-    edges = Edges(parent.offsets, parent.succ, probs, probs, parent.cost)
-    member = with_transitions(model, _MemberRows(edges, model.num_actions))
-    member.edges = edges
-    return member
+    return ConcretePomdp(
+        num_states=model.num_states,
+        num_actions=model.num_actions,
+        num_observations=model.num_observations,
+        obs_of=model.obs_of.copy(),
+        goals=model.goals,
+        initial_belief=model.initial_belief.copy(),
+        name=model.name,
+        edges=Edges(parent.offsets, parent.succ, probs, probs, parent.cost),
+    )
 
 
 def _projected(model: RobustPomdp, targets: np.ndarray) -> ConcretePomdp:

@@ -25,6 +25,8 @@ Controller documents::
 Both formats are whitespace-delimited; ``#`` starts a comment.  Serialization
 is canonical (fixed section order, sorted indices, shortest round-tripping
 float representation), so serialize(parse(serialize(x))) == serialize(x).
+A model document is read into, and written from, the model's edge table
+(``model.edges``) directly; no per-transition objects are built.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from robustfsc.model import ConcretePomdp, Fsc, Interval, RobustPomdp, validate
+from robustfsc.model import NO_COST, ConcretePomdp, Edges, Fsc, RobustPomdp, validate
 
 MODEL_HEADER = "rpomdp v1"
 FSC_HEADER = "fsc v1"
@@ -74,10 +76,11 @@ def _fmt_all(values: np.ndarray) -> list[str]:
 
 
 def _tokens(text: str):
+    """(line number, tokens) of each line that has tokens once its comment is cut."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line_no, line.split()
+        toks = raw.partition("#")[0].split()
+        if toks:
+            yield line_no, toks
 
 
 def _to_int(line_no: int, tok: str, what: str) -> int:
@@ -101,139 +104,175 @@ def _to_float(line_no: int, tok: str, what: str) -> float:
         raise ModelFormatError(line_no, f"expected number {what}, got {tok!r}") from None
 
 
+# model directive -> its usage message and each argument's conversion and name
+_DIRECTIVES = {
+    "name": ("name takes one identifier", ((str, "name"),)),
+    "states": ("states takes one count", ((int, "states"),)),
+    "actions": ("actions takes one count", ((int, "actions"),)),
+    "observations": ("observations takes one count", ((int, "observations"),)),
+    "obs": ("obs takes: state observation", ((int, "state"), (int, "observation"))),
+    "trans": ("trans takes: state action successor lo hi",
+              ((int, "state"), (int, "action"), (int, "successor"), (float, "lo"), (float, "hi"))),
+    "cost": ("cost takes: state action cost", ((int, "state"), (int, "action"), (float, "cost"))),
+    "goal": ("goal takes one state", ((int, "state"),)),
+    "init": ("init takes: state probability", ((int, "state"), (float, "probability"))),
+}
+
+
+def _rejects(convert, tok: str) -> bool:
+    try:
+        convert(tok)
+    except ValueError:
+        return True
+    return False
+
+
+def _ints(values: list[int]) -> np.ndarray:
+    """``values`` as int64; those beyond its range become -1 or 2**62, out of range of any count."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([min(max(v, -1), 1 << 62) for v in values], dtype=np.int64)
+
+
+def _outside(index: np.ndarray, bound: int) -> np.ndarray:
+    """Whether each index falls outside range(bound)."""
+    return (index < 0) | (index >= bound)
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Whether each key occurred before."""
+    repeat = np.ones(len(keys), dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    return repeat
+
+
+def _first_failure(line_nos: list[int], checks) -> None:
+    """Raise at the first line failing one of ``checks``, (failed per line,
+    message of line j) in the order a line is checked, with the message of
+    the first check that line fails."""
+    failed = np.logical_or.reduce([f for f, _ in checks])
+    if failed.any():
+        j = int(np.argmax(failed))
+        raise ModelFormatError(line_nos[j], next(message(j) for f, message in checks if f[j]))
+
+
 def parse_model(text: str) -> ModelDocument:
-    """Parse and fully validate a model document."""
-    lines = list(_tokens(text))
-    if not lines:
+    """Parse and fully validate a model document into its edge table.
+
+    Lines are grouped by directive, and each argument column is converted at
+    once with Python's ``int``/``float``; the range, interval and duplicate
+    checks then run on the columns.  An error cites the line, and gives the
+    message, that a line-by-line reading would stop at first: the first line
+    failing a step, for each step in the order a document is checked.
+    """
+    lines = _tokens(text)
+    line_no, toks = next(lines, (0, None))
+    if toks is None:
         raise ModelFormatError(0, "empty document")
-    line_no, toks = lines[0]
     if toks != MODEL_HEADER.split():
         raise ModelFormatError(line_no, f"expected header {MODEL_HEADER!r}")
 
-    name = ""
-    counts = {"states": None, "actions": None, "observations": None}
-    obs_lines: list[tuple[int, int, int]] = []
-    trans_lines: list[tuple[int, int, int, int, float, float]] = []
-    cost_lines: list[tuple[int, int, int, float]] = []
-    goal_lines: list[tuple[int, int]] = []
-    init_lines: list[tuple[int, int, float]] = []
+    # per directive: line numbers and tokens, the directive's own included
+    groups = {kind: ([], []) for kind in _DIRECTIVES}
+    arity = {kind: 1 + len(columns) for kind, (_, columns) in _DIRECTIVES.items()}
+    failures = []  # (line, column, message); a line's usage is checked before its columns
+    for line_no, toks in lines:
+        if arity.get(toks[0]) != len(toks):
+            usage = _DIRECTIVES[toks[0]][0] if toks[0] in arity else f"unknown directive {toks[0]!r}"
+            failures.append((line_no, -1, usage))
+            break
+        line_nos, tokens = groups[toks[0]]
+        line_nos.append(line_no)
+        tokens += toks
+    cols = {}
+    for kind, (line_nos, tokens) in groups.items():
+        columns = _DIRECTIVES[kind][1]
+        for k, (convert, what) in enumerate(columns):
+            col = tokens[k + 1::len(columns) + 1]
+            try:
+                cols[kind, k] = list(map(convert, col))
+            except ValueError:
+                j = next(j for j, tok in enumerate(col) if _rejects(convert, tok))
+                expected = "integer" if convert is int else "number"
+                failures.append((line_nos[j], k, f"expected {expected} {what}, got {col[j]!r}"))
+    if failures:
+        line_no, _, message = min(failures)
+        raise ModelFormatError(line_no, message)
 
-    for line_no, toks in lines[1:]:
-        kind = toks[0]
-        args = toks[1:]
-        if kind == "name":
-            if len(args) != 1:
-                raise ModelFormatError(line_no, "name takes one identifier")
-            name = args[0]
-        elif kind in counts:
-            if len(args) != 1:
-                raise ModelFormatError(line_no, f"{kind} takes one count")
-            counts[kind] = _to_int(line_no, args[0], kind)
-        elif kind == "obs":
-            if len(args) != 2:
-                raise ModelFormatError(line_no, "obs takes: state observation")
-            obs_lines.append((line_no, _to_int(line_no, args[0], "state"), _to_int(line_no, args[1], "observation")))
-        elif kind == "trans":
-            if len(args) != 5:
-                raise ModelFormatError(line_no, "trans takes: state action successor lo hi")
-            trans_lines.append(
-                (
-                    line_no,
-                    _to_int(line_no, args[0], "state"),
-                    _to_int(line_no, args[1], "action"),
-                    _to_int(line_no, args[2], "successor"),
-                    _to_float(line_no, args[3], "lo"),
-                    _to_float(line_no, args[4], "hi"),
-                )
-            )
-        elif kind == "cost":
-            if len(args) != 3:
-                raise ModelFormatError(line_no, "cost takes: state action cost")
-            cost_lines.append(
-                (line_no, _to_int(line_no, args[0], "state"), _to_int(line_no, args[1], "action"), _to_float(line_no, args[2], "cost"))
-            )
-        elif kind == "goal":
-            if len(args) != 1:
-                raise ModelFormatError(line_no, "goal takes one state")
-            goal_lines.append((line_no, _to_int(line_no, args[0], "state")))
-        elif kind == "init":
-            if len(args) != 2:
-                raise ModelFormatError(line_no, "init takes: state probability")
-            init_lines.append((line_no, _to_int(line_no, args[0], "state"), _to_float(line_no, args[1], "probability")))
-        else:
-            raise ModelFormatError(line_no, f"unknown directive {kind!r}")
-
-    for key, val in counts.items():
-        if val is None:
+    for key in ("states", "actions", "observations"):
+        if not cols[key, 0]:
             raise ModelFormatError(0, f"missing {key} declaration")
-        if val <= 0:
+        if cols[key, 0][-1] <= 0:
             raise ModelFormatError(0, f"{key} must be positive")
-    ns, na, nz = counts["states"], counts["actions"], counts["observations"]
+    ns, na, nz = (cols[key, 0][-1] for key in ("states", "actions", "observations"))
     # reject sizes the document cannot fill before allocating for them
     if nz > ns:
         raise ModelFormatError(0, f"{nz} observations exceed {ns} states, each of which emits one")
-    if len(obs_lines) < ns:
+    if len(cols["obs", 0]) < ns:
         raise ModelFormatError(0, f"{ns} states need one obs line each")
-    if len(cost_lines) < ns * na:
+    if len(cols["cost", 0]) < ns * na:
         raise ModelFormatError(0, f"{ns} states x {na} actions need one cost line each")
 
+    values = [cols["obs", k] for k in range(2)]
+    s, z = (_ints(v) for v in values)
+    _first_failure(groups["obs"][0], [
+        (_outside(s, ns), lambda j: f"obs: unknown state {values[0][j]}"),
+        (_outside(z, nz), lambda j: f"obs: unknown observation {values[1][j]}"),
+    ])
     obs_of = np.full(ns, -1, dtype=np.int64)
-    for line_no, s, z in obs_lines:
-        if not (0 <= s < ns):
-            raise ModelFormatError(line_no, f"obs: unknown state {s}")
-        if not (0 <= z < nz):
-            raise ModelFormatError(line_no, f"obs: unknown observation {z}")
-        obs_of[s] = z
+    last = len(s) - 1 - np.unique(s[::-1], return_index=True)[1]  # a state's last obs line wins
+    obs_of[s[last]] = z[last]
     missing = np.flatnonzero(obs_of < 0)
     if missing.size:
         raise ModelFormatError(0, f"state {int(missing[0])} has no observation")
 
-    transitions: dict[tuple[int, int], dict[int, Interval]] = {}
-    for line_no, s, a, sp, lo, hi in trans_lines:
-        for v, kind in ((s, "state"), (sp, "successor")):
-            if not (0 <= v < ns):
-                raise ModelFormatError(line_no, f"trans: unknown {kind} {v}")
-        if not (0 <= a < na):
-            raise ModelFormatError(line_no, f"trans: unknown action {a}")
-        if not (0.0 < lo <= hi <= 1.0):
-            raise ModelFormatError(
-                line_no, f"trans: interval [{lo}, {hi}] violates 0 < lo <= hi <= 1"
-            )
-        row = transitions.setdefault((s, a), {})
-        if sp in row:
-            raise ModelFormatError(line_no, f"trans: duplicate successor {sp}")
-        row[sp] = Interval(lo, hi)
+    values = [cols["trans", k] for k in range(5)]
+    s, a, sp = (_ints(values[k]) for k in range(3))
+    lo, hi = (np.array(values[k], dtype=np.float64) for k in (3, 4))
+    unknown = _outside(s, ns), _outside(sp, ns), _outside(a, na)
+    # an edge's key is unique to its (s, a, s'); a line with an unknown index gets a key of its own
+    key = np.where(np.logical_or.reduce(unknown), -1 - np.arange(len(s)), (s * na + a) * ns + sp)
+    _first_failure(groups["trans"][0], [
+        (unknown[0], lambda j: f"trans: unknown state {values[0][j]}"),
+        (unknown[1], lambda j: f"trans: unknown successor {values[2][j]}"),
+        (unknown[2], lambda j: f"trans: unknown action {values[1][j]}"),
+        (~((0.0 < lo) & (lo <= hi) & (hi <= 1.0)),
+         lambda j: f"trans: interval [{values[3][j]}, {values[4][j]}] violates 0 < lo <= hi <= 1"),
+        (_repeats(key), lambda j: f"trans: duplicate successor {values[2][j]}"),
+    ])
+    order = np.argsort(key, kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(s * na + a, minlength=ns * na))])
 
-    cost: dict[tuple[int, int], float] = {}
-    for line_no, s, a, c in cost_lines:
-        if not (0 <= s < ns) or not (0 <= a < na):
-            raise ModelFormatError(line_no, f"cost: unknown state/action ({s}, {a})")
-        if (s, a) in cost:
-            raise ModelFormatError(line_no, f"cost: duplicate entry for ({s}, {a})")
-        cost[(s, a)] = c
+    pair = [cols["cost", k] for k in range(2)]
+    s, a = (_ints(v) for v in pair)
+    unknown = _outside(s, ns) | _outside(a, na)
+    row = np.where(unknown, -1 - np.arange(len(s)), s * na + a)
+    _first_failure(groups["cost"][0], [
+        (unknown, lambda j: f"cost: unknown state/action ({pair[0][j]}, {pair[1][j]})"),
+        (_repeats(row), lambda j: f"cost: duplicate entry for ({pair[0][j]}, {pair[1][j]})"),
+    ])
+    cost = np.full(ns * na, NO_COST)
+    cost[row] = cols["cost", 2]
 
-    goals = set()
-    for line_no, g in goal_lines:
-        if not (0 <= g < ns):
-            raise ModelFormatError(line_no, f"goal: unknown state {g}")
-        goals.add(g)
+    goals = cols["goal", 0]
+    g = _ints(goals)
+    _first_failure(groups["goal"][0], [(_outside(g, ns), lambda j: f"goal: unknown state {goals[j]}")])
 
-    belief = np.zeros(ns, dtype=np.float64)
-    for line_no, s, p in init_lines:
-        if not (0 <= s < ns):
-            raise ModelFormatError(line_no, f"init: unknown state {s}")
-        belief[s] += p
+    init = cols["init", 0]
+    b = _ints(init)
+    _first_failure(groups["init"][0], [(_outside(b, ns), lambda j: f"init: unknown state {init[j]}")])
+    belief = np.bincount(b, np.array(cols["init", 1], dtype=np.float64), ns).astype(np.float64, copy=False)
 
     model = RobustPomdp(
         num_states=ns,
         num_actions=na,
         num_observations=nz,
         obs_of=obs_of,
-        transitions=transitions,
-        cost=cost,
-        goals=frozenset(goals),
+        goals=goals,
         initial_belief=belief,
-        name=name,
+        name=cols["name", 0][-1] if cols["name", 0] else "",
+        edges=Edges(offsets, sp[order], lo[order], hi[order], cost),
     )
     report = validate(model)
     if not report.ok:
@@ -257,9 +296,9 @@ def serialize_model(doc: ModelDocument | RobustPomdp | ConcretePomdp) -> str:
     out += [f"trans {s} {a} {sp} {lo_text} {hi_text}"
             for s, a, sp, lo_text, hi_text in zip(s_of.tolist(), a_of.tolist(), e.succ.tolist(),
                                                   bounds[:len(e.succ)], bounds[len(e.succ):])]
-    keys = sorted(model.cost)
-    costs = _fmt_all(np.array([model.cost[key] for key in keys], dtype=np.float64))
-    out += [f"cost {s} {a} {text}" for (s, a), text in zip(keys, costs)]
+    rows = np.flatnonzero(e.has_cost)
+    s_of, a_of = np.divmod(rows, model.num_actions)
+    out += [f"cost {s} {a} {text}" for s, a, text in zip(s_of.tolist(), a_of.tolist(), _fmt_all(e.cost[rows]))]
     out += [f"goal {g}" for g in sorted(model.goals)]
     init = np.flatnonzero(model.initial_belief)
     out += [f"init {s} {text}" for s, text in zip(init.tolist(), _fmt_all(model.initial_belief[init]))]
@@ -293,21 +332,22 @@ def model_from_arrays(
     ns, na, _ = lo.shape
     if cost.shape != (ns, na):
         raise ValueError(f"cost must have shape ({ns}, {na})")
-    transitions = {
-        (s, a): {int(sp): Interval(float(lo[s, a, sp]), float(hi[s, a, sp])) for sp in np.flatnonzero(hi[s, a] > 0.0)}
-        for s in range(ns) for a in range(na) if np.any(hi[s, a] > 0.0)
-    }
-    cost_map = {(s, a): float(cost[s, a]) for s in range(ns) for a in range(na)}
+    present = (hi > 0.0).reshape(ns * na, ns)
     model = RobustPomdp(
         num_states=ns,
         num_actions=na,
         num_observations=int(np.max(obs_of)) + 1,
-        obs_of=np.asarray(obs_of, dtype=np.int64),
-        transitions=transitions,
-        cost=cost_map,
-        goals=frozenset(int(g) for g in goals),
-        initial_belief=np.asarray(initial_belief, dtype=np.float64),
+        obs_of=obs_of,
+        goals=[int(g) for g in goals],
+        initial_belief=initial_belief,
         name=name,
+        edges=Edges(
+            np.concatenate([[0], np.cumsum(present.sum(axis=1))]),
+            np.nonzero(present)[1],
+            lo.reshape(ns * na, ns)[present],
+            hi.reshape(ns * na, ns)[present],
+            cost.reshape(ns * na).copy(),
+        ),
     )
     report = validate(model)
     if not report.ok:

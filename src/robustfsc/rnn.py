@@ -154,16 +154,20 @@ ACTIVATIONS = {
 }
 
 
-def dense_forward(layers, activations, x: np.ndarray):
+def dense_forward(layers, activations, x: np.ndarray, cache: list | None = None) -> np.ndarray:
     """Run the rows of ``x`` through (W, b) layers with the named
-    activations; returns the output and the cache dense_backward reads."""
-    cache = []
+    activations and return the output; with a ``cache`` list given, append
+    what dense_backward reads (without one, a layer's arrays are freed once
+    the next layer has its input)."""
     for (w, b), act in zip(layers, activations):
-        pre = x @ w.T + b
+        pre = x @ w.T
+        pre += b
         out = ACTIVATIONS[act][0](pre)
-        cache.append((x, pre, out))
+        if cache is not None:
+            cache.append((x, pre, out))
+        del pre
         x = out
-    return x, cache
+    return x
 
 
 def dense_backward(layers, activations, cache, dout: np.ndarray, grads) -> np.ndarray:
@@ -247,26 +251,24 @@ def _gru_step(p: NetworkParams, h: np.ndarray, x: np.ndarray):
     return h_new, (h, x, r, u, rh, hc)
 
 
-def _head(p: NetworkParams, h: np.ndarray):
-    """Two rectifier layers then softmax; returns log-probabilities and cache."""
-    logits, cache = dense_forward(p.head, HEAD_ACTIVATIONS, h)
+def _head(p: NetworkParams, h: np.ndarray, cache: list | None = None) -> np.ndarray:
+    """Two rectifier layers then softmax; returns log-probabilities (see
+    dense_forward for ``cache``)."""
+    logits = dense_forward(p.head, HEAD_ACTIVATIONS, h, cache)
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return log_probs, cache
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def policy_distribution(params: NetworkParams, hidden: np.ndarray) -> np.ndarray:
     """Action distribution of the policy head at each row of ``hidden``."""
-    log_probs, _ = _head(params, hidden)
-    return np.exp(log_probs)
+    return np.exp(_head(params, hidden))
 
 
 def forward(params: NetworkParams, hidden: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
     """Consume one observation: new hidden state and action distribution."""
     x = params.emb[z][None, :]
     h_new, _ = _gru_step(params, hidden[None, :], x)
-    log_probs, _ = _head(params, h_new)
-    return h_new[0], np.exp(log_probs[0])
+    return h_new[0], np.exp(_head(params, h_new)[0])
 
 
 def initial_hidden(params: NetworkParams) -> np.ndarray:
@@ -299,7 +301,8 @@ def _loss_and_grad(
     r, u, rh, hc = (np.empty((t_max, b, d)) for _ in range(4))
     for t in range(t_max):
         hs[t + 1], (r[t], u[t], rh[t], hc[t]) = _gru_recur(params, hs[t], xr[t], xu[t], xh[t])
-    log_probs, head_cache = _head(params, hs[1:])
+    head_cache = [] if want_grad else None
+    log_probs = _head(params, hs[1:], head_cache)
     targets = np.ascontiguousarray(mus.swapaxes(0, 1))
     step_ce = (targets * log_probs).sum(axis=-1)
     loss = 0.0

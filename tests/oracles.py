@@ -9,8 +9,10 @@ network loops (controller synthesis, fidelity) that the batched extraction
 replaced, the per-episode rollout loop that lockstep simulation replaced,
 the per-step backpropagation through time that whole-sequence BPTT replaced,
 the second product expansion the worst-case adversary read its weights from
-before the evaluated chain kept its terms, and central finite differences
-for the hand-written backward passes.
+before the evaluated chain kept its terms, central finite differences for
+the hand-written backward passes, and the model's load path as it was
+before the edge table became a model's only storage: the line-by-line
+parser, the dict walk of validation and the per-state grid generators.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ import itertools
 import math
 
 import numpy as np
+
+from robustfsc.grids import MOVES, SCAN, GridSpec, avoid_decode, avoid_index, pair_decode, pair_index, patrol_route
+from robustfsc.model import BELIEF_TOL, BOX_TOL, ConcretePomdp, Interval, RobustPomdp, ValidationReport
+from robustfsc.modelio import MODEL_HEADER, ModelDocument, ModelFormatError, _to_float, _to_int
 
 
 def box_simplex_candidates(lo, hi):
@@ -290,8 +296,6 @@ def reference_member(model, start, rng=None):
     entry, rows and successors ascending); each row's targets are projected
     with ``project_row_reference``.
     """
-    from robustfsc.model import with_transitions
-
     transitions = {}
     for key in sorted(model.transitions):
         row = model.transitions[key]
@@ -308,7 +312,11 @@ def reference_member(model, start, rng=None):
             targets = np.array([rng.uniform(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
         probs = project_row_reference(targets, lo, hi)
         transitions[key] = {sp: float(p) for sp, p in zip(succs, probs)}
-    return with_transitions(model, transitions)
+    return ConcretePomdp(
+        num_states=model.num_states, num_actions=model.num_actions, num_observations=model.num_observations,
+        obs_of=model.obs_of.copy(), transitions=transitions, cost=model.cost, goals=model.goals,
+        initial_belief=model.initial_belief.copy(), name=model.name,
+    )
 
 
 def fsc_fidelity_reference(params, fsc, dataset):
@@ -349,7 +357,7 @@ def build_fsc_reference(params, clustering, model):
         if codes is None:
             return int(((clustering.centroids - h) ** 2).sum(axis=1).argmin())
         qbn = clustering.qbn
-        code = tuple(int(v) for v in quantize(_qbn_encode(qbn, h[None, :])[0][0], qbn.quant_levels))
+        code = tuple(int(v) for v in quantize(_qbn_encode(qbn, h[None, :])[0], qbn.quant_levels))
         if discover and code not in codes:
             codes.append(code)
         return codes.index(code) if code in codes else None
@@ -357,7 +365,7 @@ def build_fsc_reference(params, clustering, model):
     def represent(node):
         if codes is None:
             return clustering.centroids[node]
-        return _qbn_decode(clustering.qbn, np.asarray(codes[node], dtype=np.float64)[None, :])[0][0]
+        return _qbn_decode(clustering.qbn, np.asarray(codes[node], dtype=np.float64)[None, :])[0]
 
     realizable = set(model.realizable_observations())
     order = [assign(initial_hidden(params), True)]
@@ -452,7 +460,8 @@ def loss_and_grad_reference(params, zs, mus, mask, normalizer, want_grad=True):
     for t in range(t_max):
         x = params.emb[zs[:, t]]
         h, gcache = _gru_step(params, h, x)
-        log_probs, hcache = _head(params, h)
+        hcache = []
+        log_probs = _head(params, h, hcache)
         loss -= float((mus[:, t] * log_probs).sum(axis=1) @ mask[:, t])
         gru_caches.append(gcache)
         head_caches.append(hcache)
@@ -560,3 +569,506 @@ def central_differences(f, x, step=1e-6):
         x.flat[i] = orig
         grad.flat[i] = (up - down) / (2.0 * step)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# the model's load path, one line, row or state at a time
+
+
+def _tokens(text: str):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line.split()
+
+
+def parse_model_reference(text: str):
+    """``parse_model`` as one line-by-line reading: each line is checked and
+    collected in turn, the model is built from dicts and validated by their
+    walk (``validate_reference``)."""
+    lines = list(_tokens(text))
+    if not lines:
+        raise ModelFormatError(0, "empty document")
+    line_no, toks = lines[0]
+    if toks != MODEL_HEADER.split():
+        raise ModelFormatError(line_no, f"expected header {MODEL_HEADER!r}")
+
+    name = ""
+    counts = {"states": None, "actions": None, "observations": None}
+    obs_lines: list[tuple[int, int, int]] = []
+    trans_lines: list[tuple[int, int, int, int, float, float]] = []
+    cost_lines: list[tuple[int, int, int, float]] = []
+    goal_lines: list[tuple[int, int]] = []
+    init_lines: list[tuple[int, int, float]] = []
+
+    for line_no, toks in lines[1:]:
+        kind = toks[0]
+        args = toks[1:]
+        if kind == "name":
+            if len(args) != 1:
+                raise ModelFormatError(line_no, "name takes one identifier")
+            name = args[0]
+        elif kind in counts:
+            if len(args) != 1:
+                raise ModelFormatError(line_no, f"{kind} takes one count")
+            counts[kind] = _to_int(line_no, args[0], kind)
+        elif kind == "obs":
+            if len(args) != 2:
+                raise ModelFormatError(line_no, "obs takes: state observation")
+            obs_lines.append((line_no, _to_int(line_no, args[0], "state"), _to_int(line_no, args[1], "observation")))
+        elif kind == "trans":
+            if len(args) != 5:
+                raise ModelFormatError(line_no, "trans takes: state action successor lo hi")
+            trans_lines.append(
+                (
+                    line_no,
+                    _to_int(line_no, args[0], "state"),
+                    _to_int(line_no, args[1], "action"),
+                    _to_int(line_no, args[2], "successor"),
+                    _to_float(line_no, args[3], "lo"),
+                    _to_float(line_no, args[4], "hi"),
+                )
+            )
+        elif kind == "cost":
+            if len(args) != 3:
+                raise ModelFormatError(line_no, "cost takes: state action cost")
+            cost_lines.append(
+                (line_no, _to_int(line_no, args[0], "state"), _to_int(line_no, args[1], "action"), _to_float(line_no, args[2], "cost"))
+            )
+        elif kind == "goal":
+            if len(args) != 1:
+                raise ModelFormatError(line_no, "goal takes one state")
+            goal_lines.append((line_no, _to_int(line_no, args[0], "state")))
+        elif kind == "init":
+            if len(args) != 2:
+                raise ModelFormatError(line_no, "init takes: state probability")
+            init_lines.append((line_no, _to_int(line_no, args[0], "state"), _to_float(line_no, args[1], "probability")))
+        else:
+            raise ModelFormatError(line_no, f"unknown directive {kind!r}")
+
+    for key, val in counts.items():
+        if val is None:
+            raise ModelFormatError(0, f"missing {key} declaration")
+        if val <= 0:
+            raise ModelFormatError(0, f"{key} must be positive")
+    ns, na, nz = counts["states"], counts["actions"], counts["observations"]
+    # reject sizes the document cannot fill before allocating for them
+    if nz > ns:
+        raise ModelFormatError(0, f"{nz} observations exceed {ns} states, each of which emits one")
+    if len(obs_lines) < ns:
+        raise ModelFormatError(0, f"{ns} states need one obs line each")
+    if len(cost_lines) < ns * na:
+        raise ModelFormatError(0, f"{ns} states x {na} actions need one cost line each")
+
+    obs_of = np.full(ns, -1, dtype=np.int64)
+    for line_no, s, z in obs_lines:
+        if not (0 <= s < ns):
+            raise ModelFormatError(line_no, f"obs: unknown state {s}")
+        if not (0 <= z < nz):
+            raise ModelFormatError(line_no, f"obs: unknown observation {z}")
+        obs_of[s] = z
+    missing = np.flatnonzero(obs_of < 0)
+    if missing.size:
+        raise ModelFormatError(0, f"state {int(missing[0])} has no observation")
+
+    transitions: dict[tuple[int, int], dict[int, Interval]] = {}
+    for line_no, s, a, sp, lo, hi in trans_lines:
+        for v, kind in ((s, "state"), (sp, "successor")):
+            if not (0 <= v < ns):
+                raise ModelFormatError(line_no, f"trans: unknown {kind} {v}")
+        if not (0 <= a < na):
+            raise ModelFormatError(line_no, f"trans: unknown action {a}")
+        if not (0.0 < lo <= hi <= 1.0):
+            raise ModelFormatError(
+                line_no, f"trans: interval [{lo}, {hi}] violates 0 < lo <= hi <= 1"
+            )
+        row = transitions.setdefault((s, a), {})
+        if sp in row:
+            raise ModelFormatError(line_no, f"trans: duplicate successor {sp}")
+        row[sp] = Interval(lo, hi)
+
+    cost: dict[tuple[int, int], float] = {}
+    for line_no, s, a, c in cost_lines:
+        if not (0 <= s < ns) or not (0 <= a < na):
+            raise ModelFormatError(line_no, f"cost: unknown state/action ({s}, {a})")
+        if (s, a) in cost:
+            raise ModelFormatError(line_no, f"cost: duplicate entry for ({s}, {a})")
+        cost[(s, a)] = c
+
+    goals = set()
+    for line_no, g in goal_lines:
+        if not (0 <= g < ns):
+            raise ModelFormatError(line_no, f"goal: unknown state {g}")
+        goals.add(g)
+
+    belief = np.zeros(ns, dtype=np.float64)
+    for line_no, s, p in init_lines:
+        if not (0 <= s < ns):
+            raise ModelFormatError(line_no, f"init: unknown state {s}")
+        belief[s] += p
+
+    model = RobustPomdp(
+        num_states=ns,
+        num_actions=na,
+        num_observations=nz,
+        obs_of=obs_of,
+        transitions=transitions,
+        cost=cost,
+        goals=frozenset(goals),
+        initial_belief=belief,
+        name=name,
+    )
+    report = validate_reference(model)
+    if not report.ok:
+        raise ModelFormatError(0, f"model invalid:\n{report}")
+    return ModelDocument(format_version="v1", model=model)
+
+
+def validate_reference(model):
+    """``validate`` as one walk over the model's ``transitions`` and ``cost``
+    views, row by row and successor by successor."""
+    rep = ValidationReport()
+    n, na = model.num_states, model.num_actions
+
+    if model.obs_of.shape != (n,):
+        rep.add(f"obs_of must assign one observation per state, got shape {model.obs_of.shape}")
+        return rep
+    if np.any(model.obs_of < 0) or np.any(model.obs_of >= model.num_observations):
+        rep.add("obs_of contains an out-of-range observation index")
+    if model.num_observations > n:
+        rep.add(f"{model.num_observations} observations exceed {n} states, each of which emits one")
+
+    if model.initial_belief.shape != (n,):
+        rep.add("initial_belief has wrong length")
+    else:
+        if np.any(model.initial_belief < 0):
+            rep.add("initial_belief has a negative entry")
+        total = float(model.initial_belief.sum())
+        if not abs(total - 1.0) <= BELIEF_TOL:  # also catches NaN
+            rep.add(f"initial_belief sums to {total!r}, expected 1 within {BELIEF_TOL}")
+
+    for g in sorted(model.goals):
+        if not (0 <= g < n):
+            rep.add(f"goal state {g} out of range")
+
+    for s in range(n):
+        for a in range(na):
+            key = (s, a)
+            row = model.transitions.get(key)
+            if not row:
+                rep.add(f"state {s} action {a}: no outgoing transitions")
+                continue
+            lo_sum = 0.0
+            hi_sum = 0.0
+            for sp, iv in row.items():
+                if not (0 <= sp < n):
+                    rep.add(f"state {s} action {a}: successor {sp} out of range")
+                if not (0.0 < iv.lo <= iv.hi <= 1.0):
+                    rep.add(
+                        f"state {s} action {a} successor {sp}: interval "
+                        f"[{iv.lo}, {iv.hi}] violates 0 < lo <= hi <= 1"
+                    )
+                lo_sum += iv.lo
+                hi_sum += iv.hi
+            if lo_sum > 1.0 + BOX_TOL:
+                rep.add(f"state {s} action {a}: sum of lower bounds {lo_sum} exceeds 1")
+            if hi_sum < 1.0 - BOX_TOL:
+                rep.add(f"state {s} action {a}: sum of upper bounds {hi_sum} is below 1")
+            c = model.cost.get(key)
+            if c is None:
+                rep.add(f"state {s} action {a}: missing cost")
+            elif not c >= 0:  # also catches NaN
+                rep.add(f"state {s} action {a}: negative or NaN cost {c}")
+            elif c == float("inf"):
+                rep.add(f"state {s} action {a}: infinite cost {c}")
+            if s in model.goals:
+                if row != {s: Interval(1.0, 1.0)}:
+                    rep.add(f"goal state {s} action {a}: goals must self-loop with probability 1")
+                if c not in (None, 0.0):
+                    rep.add(f"goal state {s} action {a}: goals must have zero cost, got {c}")
+    return rep
+
+
+def _chebyshev(a: tuple[int, int], b: tuple[int, int]) -> int:
+    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+
+
+class _Builder:
+    """Shared state-indexing / row-assembly machinery for one grid family."""
+
+    def __init__(self, spec: GridSpec):
+        self.spec = spec
+        self.w, self.h = spec.width, spec.height
+
+    def clamp(self, x: int, y: int) -> tuple[int, int]:
+        return (min(max(x, 0), self.w - 1), min(max(y, 0), self.h - 1))
+
+    def agent_moves(self, pos: tuple[int, int], action: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        dx, dy = MOVES[action]
+        one = self.clamp(pos[0] + dx, pos[1] + dy)
+        two = self.clamp(pos[0] + 2 * dx, pos[1] + 2 * dy)
+        return one, two
+
+
+def _assemble(
+    spec: GridSpec,
+    num_states: int,
+    num_actions: int,
+    is_goal,
+    is_bad,
+    step_successor,
+    moves_agent,
+    obs_symbol,
+    init_states: list[int],
+    name: str,
+) -> RobustPomdp:
+    """Build the model from per-state callbacks.
+
+    step_successor(s, a, agent_landing) -> successor state index;
+    moves_agent(s, a) -> (one_step_cell, two_step_cell) or None for non-move
+    actions (deterministic row via step_successor with agent staying put).
+    """
+    slip = spec.slip_interval
+    stay = Interval(1.0, 1.0)
+    transitions: dict[tuple[int, int], dict[int, Interval]] = {}
+    cost: dict[tuple[int, int], float] = {}
+    goals = set()
+
+    for s in range(num_states):
+        if is_goal(s):
+            goals.add(s)
+            for a in range(num_actions):
+                transitions[(s, a)] = {s: stay}
+                cost[(s, a)] = 0.0
+            continue
+        stage_cost = spec.step_cost + (spec.penalty_cost if is_bad(s) else 0.0)
+        for a in range(num_actions):
+            landing = moves_agent(s, a)
+            if landing is None:
+                succ = step_successor(s, a, None)
+                transitions[(s, a)] = {succ: stay}
+            else:
+                one, two = landing
+                s_one = step_successor(s, a, one)
+                s_two = step_successor(s, a, two)
+                if s_one == s_two:
+                    transitions[(s, a)] = {s_one: stay}
+                else:
+                    transitions[(s, a)] = {
+                        s_one: Interval(1.0 - slip.hi, 1.0 - slip.lo),
+                        s_two: slip,
+                    }
+            cost[(s, a)] = stage_cost
+
+    # Dense observation indices in first-occurrence order over the state index.
+    symbols: dict[tuple, int] = {}
+    obs_of = np.zeros(num_states, dtype=np.int64)
+    for s in range(num_states):
+        sym = obs_symbol(s)
+        if sym not in symbols:
+            symbols[sym] = len(symbols)
+        obs_of[s] = symbols[sym]
+
+    belief = np.zeros(num_states, dtype=np.float64)
+    belief[init_states] = 1.0 / len(init_states)
+
+    return RobustPomdp(
+        num_states=num_states,
+        num_actions=num_actions,
+        num_observations=len(symbols),
+        obs_of=obs_of,
+        transitions=transitions,
+        cost=cost,
+        goals=frozenset(goals),
+        initial_belief=belief,
+        name=name,
+    )
+
+
+def generate_grid_reference(spec: GridSpec, rng_seed: int = 0) -> RobustPomdp:
+    """``generate_grid`` from per-state callbacks, one state and row at a time."""
+    name = f"{spec.kind}-{spec.width}x{spec.height}-seed{rng_seed}"
+    if spec.kind == "intercept":
+        return _build_intercept(spec, name)
+    if spec.kind == "evade":
+        return _build_evade(spec, name)
+    return _build_avoid(spec, name)
+
+
+def _intercept_exits(spec: GridSpec) -> tuple[tuple[int, int], tuple[int, int]]:
+    return ((0, spec.height - 1), (spec.width - 1, spec.height - 1))
+
+
+def _intercept_target_step(spec: GridSpec, target: tuple[int, int], exited: int) -> tuple[tuple[int, int], int]:
+    if exited:
+        return target, 1
+    left, right = _intercept_exits(spec)
+    if target in (left, right):
+        return target, 1
+    d_left = abs(target[0] - left[0]) + abs(target[1] - left[1])
+    d_right = abs(target[0] - right[0]) + abs(target[1] - right[1])
+    ex = left if d_left <= d_right else right
+    x, y = target
+    if x != ex[0]:
+        x += 1 if ex[0] > x else -1
+    elif y != ex[1]:
+        y += 1 if ex[1] > y else -1
+    return (x, y), 0
+
+
+def _build_intercept(spec: GridSpec, name: str) -> RobustPomdp:
+    b = _Builder(spec)
+    n_cells = spec.width * spec.height
+    num_states = n_cells * n_cells * 2
+    corridor_x = spec.width // 2
+    agent_start = (corridor_x, 0)
+
+    starts = [
+        (x, spec.height - 2)
+        for x in range(spec.width)
+        if x != corridor_x and _chebyshev((x, spec.height - 2), agent_start) > spec.view_radius
+    ]
+    if not starts:
+        raise ValueError("grid too small: no hidden starting cell for the target")
+
+    def is_goal(s: int) -> bool:
+        agent, target, _ = pair_decode(spec, s)
+        return agent == target
+
+    def moves_agent(s: int, a: int):
+        agent, _, _ = pair_decode(spec, s)
+        return b.agent_moves(agent, a)
+
+    def step_successor(s: int, a: int, landing) -> int:
+        _, target, exited = pair_decode(spec, s)
+        t2, e2 = _intercept_target_step(spec, target, exited)
+        return pair_index(spec, landing, t2, e2)
+
+    def obs_symbol(s: int):
+        agent, target, exited = pair_decode(spec, s)
+        if agent == target:
+            return (agent, "goal")
+        if exited:
+            return (agent, "exited")
+        if _chebyshev(agent, target) <= spec.view_radius or target[0] == corridor_x:
+            return (agent, target)
+        return (agent, "hidden")
+
+    def is_bad(s: int) -> bool:
+        return pair_decode(spec, s)[2] == 1
+
+    init_states = [pair_index(spec, agent_start, t, 0) for t in starts]
+    return _assemble(
+        spec, num_states, 4, is_goal, is_bad, step_successor, moves_agent, obs_symbol, init_states, name
+    )
+
+
+def _evade_pursuer_step(spec: GridSpec, adv: tuple[int, int], agent: tuple[int, int]) -> tuple[int, int]:
+    safe_x = spec.width - 1
+    dx = agent[0] - adv[0]
+    dy = agent[1] - adv[1]
+    options = []
+    if abs(dx) >= abs(dy):
+        if dx != 0:
+            options.append((adv[0] + (1 if dx > 0 else -1), adv[1]))
+        if dy != 0:
+            options.append((adv[0], adv[1] + (1 if dy > 0 else -1)))
+    else:
+        if dy != 0:
+            options.append((adv[0], adv[1] + (1 if dy > 0 else -1)))
+        if dx != 0:
+            options.append((adv[0] + (1 if dx > 0 else -1), adv[1]))
+    for cand in options:
+        if cand[0] != safe_x:
+            return cand
+    return adv
+
+
+def _build_evade(spec: GridSpec, name: str) -> RobustPomdp:
+    b = _Builder(spec)
+    n_cells = spec.width * spec.height
+    num_states = n_cells * n_cells * 2
+    agent_start = (spec.width // 2, 0)
+    goal_cell = (spec.width - 1, spec.height - 1)
+
+    starts = [
+        (x, spec.height - 2)
+        for x in range(spec.width - 1)  # the safe column is agent-only
+        if _chebyshev((x, spec.height - 2), agent_start) > spec.view_radius
+    ]
+    if not starts:
+        raise ValueError("grid too small: no hidden starting cell for the pursuer")
+
+    def is_goal(s: int) -> bool:
+        agent, _, _ = pair_decode(spec, s)
+        return agent == goal_cell
+
+    def moves_agent(s: int, a: int):
+        if a == SCAN:
+            return None
+        agent, _, _ = pair_decode(spec, s)
+        return b.agent_moves(agent, a)
+
+    def step_successor(s: int, a: int, landing) -> int:
+        agent, adv, _ = pair_decode(spec, s)
+        adv2 = _evade_pursuer_step(spec, adv, agent)
+        if a == SCAN:
+            return pair_index(spec, agent, adv2, 1)
+        return pair_index(spec, landing, adv2, 0)
+
+    def obs_symbol(s: int):
+        agent, adv, scanned = pair_decode(spec, s)
+        if scanned or _chebyshev(agent, adv) <= spec.view_radius:
+            return (agent, adv)
+        return (agent, "hidden")
+
+    def is_bad(s: int) -> bool:
+        agent, adv, _ = pair_decode(spec, s)
+        return agent == adv
+
+    init_states = [pair_index(spec, agent_start, v, 0) for v in starts]
+    return _assemble(
+        spec, num_states, 5, is_goal, is_bad, step_successor, moves_agent, obs_symbol, init_states, name
+    )
+
+
+def _build_avoid(spec: GridSpec, name: str) -> RobustPomdp:
+    b = _Builder(spec)
+    route = patrol_route(spec)
+    route_len = len(route)
+    num_states = spec.width * spec.height * route_len
+    agent_start = (0, 0)
+    goal_cell = (spec.width - 1, spec.height - 1)
+
+    start_idxs = [
+        i for i, cell in enumerate(route) if _chebyshev(cell, agent_start) > max(spec.view_radius, 1)
+    ]
+    if not start_idxs:
+        raise ValueError("grid too small: no hidden starting position for the watcher")
+
+    def is_goal(s: int) -> bool:
+        agent, _ = avoid_decode(spec, s)
+        return agent == goal_cell
+
+    def moves_agent(s: int, a: int):
+        agent, _ = avoid_decode(spec, s)
+        return b.agent_moves(agent, a)
+
+    def step_successor(s: int, a: int, landing) -> int:
+        _, idx = avoid_decode(spec, s)
+        return avoid_index(spec, landing, (idx + 1) % route_len)
+
+    def obs_symbol(s: int):
+        agent, idx = avoid_decode(spec, s)
+        if _chebyshev(agent, route[idx]) <= spec.view_radius:
+            return (agent, route[idx])
+        return (agent, "hidden")
+
+    def is_bad(s: int) -> bool:
+        agent, idx = avoid_decode(spec, s)
+        return _chebyshev(agent, route[idx]) <= 1
+
+    init_states = [avoid_index(spec, agent_start, i) for i in start_idxs]
+    return _assemble(
+        spec, num_states, 4, is_goal, is_bad, step_successor, moves_agent, obs_symbol, init_states, name
+    )

@@ -67,6 +67,14 @@ def test_validate_box_missing_the_simplex(tmp_path, capsys, rows):
     assert "model ok" not in capsys.readouterr().out
 
 
+def test_infinite_cost_is_invalid(tmp_path, capsys, fsc_file):
+    bad = tmp_path / "bad.rpomdp"
+    bad.write_text(SELF_LOOP.replace("cost 0 0 1", "cost 0 0 inf"))
+    assert main(["validate", str(bad)]) == 2
+    assert "state 0 action 0: infinite cost inf" in capsys.readouterr().err
+    assert main(["eval-fsc", "--model", str(bad), "--fsc", fsc_file]) == 2
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.rpomdp"
     bad.write_text(SELF_LOOP.replace("trans 0 0 0 0.4 0.6", "trans 0 0 0 0 0.6"))

@@ -156,11 +156,11 @@ class TestQbnGradient:
         qbn = qbn_init(5, 2, levels, rng_seed=4)
         qbn.flat[...] += 0.1 * rng.standard_normal(qbn.flat.size)  # nonzero biases too
         batch = rng.uniform(-0.8, 0.8, size=(7, 5))
-        code = quantize(_qbn_encode(qbn, batch)[0], levels)
+        code = quantize(_qbn_encode(qbn, batch), levels)
         _, grad = _qbn_loss_and_grad(qbn, batch)
 
         def mse():
-            return float(((_qbn_decode(qbn, code)[0] - batch) ** 2).mean())
+            return float(((_qbn_decode(qbn, code) - batch) ** 2).mean())
 
         return qbn, batch, code, grad, mse
 
@@ -181,7 +181,7 @@ class TestQbnGradient:
         assert np.abs(dcode).max() > 1e-4
 
         def projected_code():
-            return float((dcode * _qbn_encode(qbn, batch)[0]).sum())
+            return float((dcode * _qbn_encode(qbn, batch)).sum())
 
         for name, _ in qbn.layout:
             if name.startswith("enc"):

@@ -1,8 +1,10 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+from oracles import generate_grid_reference
 from robustfsc.grids import (
     GridSpec,
     avoid_decode,
@@ -14,11 +16,33 @@ from robustfsc.grids import (
 from robustfsc.model import Interval, validate
 from robustfsc.modelio import serialize_model
 
+SLIPS = (Interval(0.05, 0.05), Interval(0.1, 0.4))
+COSTS = ((1.0, 100.0), (0.5, 7.25))
+# widths and heights 3-8, square and not; each kind sees every view radius,
+# slip interval and cost pair across them
+SWEEP = [
+    GridSpec(w, h, kind, view_radius=i % 3, slip_interval=SLIPS[i % 2], step_cost=COSTS[i // 2 % 2][0],
+             penalty_cost=COSTS[i // 2 % 2][1])
+    for kind in ("intercept", "evade", "avoid")
+    for i, (w, h) in enumerate([(3, 3), (3, 4), (4, 3), (4, 4), (5, 6), (6, 5), (7, 8), (8, 7)])
+] + [GridSpec(10, 10, "intercept"), GridSpec(6, 6, "evade"), GridSpec(3, 3, "avoid", view_radius=2)]
+
 
 @pytest.mark.parametrize("kind", ["evade", "intercept", "avoid"])
 def test_generated_models_validate(kind):
     model = generate_grid(GridSpec(5, 5, kind))
     assert validate(model).ok
+
+
+@pytest.mark.parametrize("spec", SWEEP, ids=lambda spec: f"{spec.kind}-{spec.width}x{spec.height}-r{spec.view_radius}")
+def test_documents_equal_the_per_state_reference(spec):
+    try:
+        expected = serialize_model(generate_grid_reference(spec, 4))
+    except ValueError as err:  # grid too small for its view radius
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            generate_grid(spec, 4)
+        return
+    assert serialize_model(generate_grid(spec, 4)) == expected
 
 
 @pytest.mark.parametrize("kind", ["evade", "intercept", "avoid"])

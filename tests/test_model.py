@@ -3,7 +3,7 @@ import pytest
 
 import robustfsc.model as model_module
 from conftest import random_rpomdp
-from oracles import reference_member
+from oracles import reference_member, validate_reference
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import (
     InconsistentHistoryError,
@@ -26,13 +26,13 @@ def bound_member(model, bound):
     return member_with(model, _project(getattr(e, bound), e.lo, e.hi, e.offsets))
 
 
-def tiny_model(row0):
-    """2-state model: state 0 transient with the given row, state 1 a goal."""
+def tiny_model(row0, cost0=1.0):
+    """2-state model: state 0 transient with the given row and cost, state 1 a goal."""
     return RobustPomdp(
         num_states=2, num_actions=1, num_observations=2,
         obs_of=np.array([0, 1]),
         transitions={(0, 0): row0, (1, 0): {1: Interval(1.0, 1.0)}},
-        cost={(0, 0): 1.0, (1, 0): 0.0},
+        cost={(0, 0): cost0, (1, 0): 0.0},
         goals=frozenset({1}),
         initial_belief=np.array([1.0, 0.0]),
     )
@@ -89,11 +89,76 @@ class TestValidate:
         assert any("initial_belief sums to nan" in msg for msg in rep.issues)
 
     def test_nan_cost_rejected(self):
-        m = tiny_model({0: Interval(0.3, 0.6), 1: Interval(0.4, 0.7)})
-        m.cost[(0, 0)] = float("nan")
+        m = tiny_model({0: Interval(0.3, 0.6), 1: Interval(0.4, 0.7)}, cost0=float("nan"))
         rep = validate(m)
         assert not rep.ok
         assert any("state 0 action 0: negative or NaN cost nan" in msg for msg in rep.issues)
+
+    @pytest.mark.parametrize("key", [(-1, 0), (2, 0), (0, 1), (0, -1)])
+    def test_transition_rows_outside_the_model_rejected(self, key):
+        # a row the table has no place for would otherwise shift every row after it
+        stay = Interval(1.0, 1.0)
+        with pytest.raises(ValueError, match="within 2 states and 1 actions"):
+            RobustPomdp(
+                num_states=2, num_actions=1, num_observations=2, obs_of=[0, 1], goals={1}, initial_belief=[1.0, 0.0],
+                transitions={(0, 0): {1: stay}, (1, 0): {1: stay}, key: {0: stay}}, cost={(0, 0): 1.0, (1, 0): 0.0},
+            )
+
+    def test_infinite_cost_rejected(self):
+        m = tiny_model({0: Interval(0.3, 0.6), 1: Interval(0.4, 0.7)}, cost0=float("inf"))
+        assert validate(m).issues == ["state 0 action 0: infinite cost inf"]
+        m = tiny_model({0: Interval(0.3, 0.6), 1: Interval(0.4, 0.7)}, cost0=float("-inf"))
+        assert validate(m).issues == ["state 0 action 0: negative or NaN cost -inf"]
+
+
+def inject_defect(rng, defect, transitions, cost, belief, goals, num_states):
+    """Put one defect of the named kind into a model's constructor input."""
+    goal = min(goals)
+    key = sorted(k for k in transitions if k[0] != goal)[rng.integers(len(transitions) - 2)]
+    row = transitions[key]
+    sp = sorted(row)[rng.integers(len(row))] if row else 0
+    goal_key = (goal, int(rng.integers(1 + max(a for _, a in transitions))))
+    if defect == "empty row":
+        transitions[key] = {}
+    elif defect == "successor":
+        row[num_states + int(rng.integers(3))] = Interval(0.01, 0.02)
+    elif defect == "interval":
+        row[sp] = [Interval(0.5, 0.2), Interval(0.0, 0.3), Interval(np.nan, 0.5), Interval(0.2, 1.5)][rng.integers(4)]
+    elif defect == "box":
+        scale = [(3.0, 3.0), (0.2, 0.2)][rng.integers(2)]
+        transitions[key] = {s: Interval(min(iv.lo * scale[0], 1.0), min(iv.hi * scale[1], 1.0)) for s, iv in row.items()}
+    elif defect == "cost":
+        if rng.integers(4) == 0:
+            del cost[key]
+        else:
+            cost[key] = [np.nan, -1.5, np.inf][rng.integers(3)]
+    elif defect == "goal row":
+        transitions[goal_key] = [{0: Interval(1.0, 1.0)}, {goal: Interval(0.5, 1.0)}, {goal: Interval(1.0, 1.5)},
+                                 {goal: Interval(1.0, 1.0), 0: Interval(0.1, 0.2)}][rng.integers(4)]
+    elif defect == "goal cost":
+        cost[goal_key] = [3.0, np.nan][rng.integers(2)]
+    elif defect == "belief":
+        belief[rng.integers(len(belief))] = [-0.1, 0.0, np.nan][rng.integers(3)]
+    elif defect == "goal range":
+        goals.add(num_states + 2)
+
+
+DEFECTS = ["empty row", "successor", "interval", "box", "cost", "goal row", "goal cost", "belief", "goal range"]
+
+
+def test_validate_reports_what_the_dict_walk_reports():
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        m = random_rpomdp(rng, num_states=int(rng.integers(3, 6)), num_actions=int(rng.integers(1, 3)))
+        transitions = {key: dict(row) for key, row in m.transitions.items()}
+        cost, belief, goals = dict(m.cost), m.initial_belief.copy(), set(m.goals)
+        for defect in rng.choice(DEFECTS, size=int(rng.integers(1, 5)), replace=False):
+            inject_defect(rng, defect, transitions, cost, belief, goals, m.num_states)
+        broken = RobustPomdp(
+            num_states=m.num_states, num_actions=m.num_actions, num_observations=m.num_observations,
+            obs_of=m.obs_of, transitions=transitions, cost=cost, goals=goals, initial_belief=belief,
+        )
+        assert validate(broken).issues == validate_reference(broken).issues
 
 
 class TestProjectRow:

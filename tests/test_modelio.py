@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_fsc, random_rpomdp
+from oracles import parse_model_reference
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Fsc, Interval, pad_actions, sample_member
 from robustfsc.modelio import (
@@ -188,6 +189,111 @@ def test_array_import_shim():
     with pytest.raises(ValueError):
         model_from_arrays(lo[:, :, :1], hi, np.array([[1.0], [0.0]]),
                           np.array([0, 1]), {1}, np.array([1.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# differential fuzz: mutated documents parse as a line-by-line reading does
+
+FUZZ_DOCUMENTS = [serialize_model(generate_grid(spec, 1)) for spec in (
+    GridSpec(3, 3, "avoid"), GridSpec(3, 3, "evade", view_radius=0), GridSpec(3, 3, "intercept", view_radius=0))]
+FUZZ_DOCUMENTS += [serialize_model(random_rpomdp(np.random.default_rng(seed))) for seed in range(4)] + [MINIMAL]
+# replacement tokens: special floats, Python-only spellings, out-of-range,
+# negative and oversized indices, garbage
+FUZZ_TOKENS = ["nan", "inf", "-inf", "1e-400", "1e400", "1_0", "+1", "-0", "0x1", "-1", "0", "1", "2", "7",
+               "0.5", "100000000000", "1" + "0" * 30, "x", "trans", "obs"]
+# a replaced token reaches the most checks, so it is drawn three times as often
+FUZZ_OPS = ["drop", "duplicate", "variant", "swap", "shuffle", "token", "token", "token", "missing", "extra", "tabs",
+            "indent", "blank", "crlf"]
+
+
+def mutate(text: str, choices) -> str:
+    """Apply each (operation index, a, b) of ``choices`` to the document's
+    lines: a picks a line and, divided by the line count, a replacement
+    token; b picks a second line, a token position or a shuffle seed."""
+    lines, newline = text.splitlines(), "\n"
+    for op, a, b in choices:
+        if not lines:
+            break
+        op, i, j = FUZZ_OPS[op], a % len(lines), b % len(lines)
+        toks = lines[i].split()
+        token = FUZZ_TOKENS[a // len(lines) % len(FUZZ_TOKENS)]
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(j, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "shuffle":
+            lines[1:] = [lines[1:][k] for k in np.random.default_rng(b).permutation(len(lines) - 1)]
+        elif op == "crlf":
+            newline = "\r\n"
+        elif op == "blank":
+            lines.insert(j, ["", "   ", "# a comment", "\t"][b % 4])
+        elif toks and op in ("token", "variant"):
+            toks[b % len(toks)] = token
+        elif toks and op == "missing":
+            del toks[b % len(toks)]
+        elif op == "extra":
+            toks.insert(b % (len(toks) + 1), token)
+        elif op == "tabs":
+            lines[i] = "\t".join(toks)
+        elif op == "indent":
+            lines[i] = "  " + lines[i] + "  # trailing comment"
+        if op in ("token", "missing", "extra"):
+            lines[i] = " ".join(toks)
+        elif op == "variant":  # a second line for the same entry, one token changed
+            lines.insert(j, " ".join(toks))
+    return newline.join(lines) + newline
+
+
+def parse_outcome(parse, text: str):
+    """The model's fields bit for bit, or the error's type, message and line."""
+    try:
+        m = parse(text).model
+    except Exception as err:  # the type is part of the outcome
+        return type(err), str(err), getattr(err, "line_no", None)
+    arrays = (m.obs_of, m.initial_belief, m.edges.offsets, m.edges.succ, m.edges.lo, m.edges.hi, m.edges.cost)
+    return (m.name, m.num_states, m.num_actions, m.num_observations, sorted(m.goals),
+            [(x.dtype.str, x.tobytes()) for x in arrays])
+
+
+def test_fuzzed_documents_parse_like_the_line_by_line_reference():
+    rng = np.random.default_rng(12)
+    outcomes = []
+    for _ in range(600):
+        text = FUZZ_DOCUMENTS[rng.integers(len(FUZZ_DOCUMENTS))]
+        choices = [(rng.integers(len(FUZZ_OPS)), *rng.integers(1 << 30, size=2)) for _ in range(rng.integers(1, 4))]
+        mutant = mutate(text, choices)
+        outcomes.append(parse_outcome(parse_model_reference, mutant))
+        assert parse_outcome(parse_model, mutant) == outcomes[-1], (choices, mutant)
+    # both sides are reached often, and the errors at many different checks
+    assert sum(o[0] is ModelFormatError for o in outcomes) > 200
+    assert sum(isinstance(o[0], str) for o in outcomes) > 100
+    assert len({o[1] for o in outcomes if o[0] is ModelFormatError}) > 100
+
+
+@pytest.mark.parametrize("lines, observation", [("obs 1 0\nobs 1 1\n", 1), ("obs 1 1\nobs 1 0\n", 0)])
+def test_a_later_obs_line_overrides_an_earlier_one(lines, observation):
+    text = MINIMAL.replace("obs 1 1\n", lines)
+    assert parse_model(text).model.obs_of.tolist() == [0, observation]
+    assert parse_outcome(parse_model, text) == parse_outcome(parse_model_reference, text)
+
+
+def test_fuzzed_documents_parse_like_the_reference_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.sampled_from(FUZZ_DOCUMENTS),
+        st.lists(st.tuples(st.integers(0, len(FUZZ_OPS) - 1), st.integers(0, 1 << 30), st.integers(0, 1 << 30)),
+                 min_size=1, max_size=4),
+    )
+    def check(text, choices):
+        mutant = mutate(text, choices)
+        assert parse_outcome(parse_model, mutant) == parse_outcome(parse_model_reference, mutant)
+
+    check()
 
 
 class TestFscFormat:

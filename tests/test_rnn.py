@@ -356,9 +356,10 @@ class TestDense:
         acts = (activation, activation)
 
         def value():
-            return float((weights * dense_forward(p.layers("s"), acts, x)[0]).sum())
+            return float((weights * dense_forward(p.layers("s"), acts, x)).sum())
 
-        _, cache = dense_forward(p.layers("s"), acts, x)
+        cache = []
+        dense_forward(p.layers("s"), acts, x, cache)
         g = p.zeros_like()
         dx = dense_backward(p.layers("s"), acts, cache, weights, g.layers("s"))
         assert np.allclose(g.flat, central_differences(value, p.flat), rtol=1e-6, atol=1e-7)
