@@ -10,20 +10,21 @@ coordinates in value order.  One segmented greedy solves every row at once.
 
 Under interval (rectangular) uncertainty the worst case is attained by a
 static member, so the fixed point is found by nature policy iteration: fix
-the greedy member, solve that member chain's linear system exactly, and
-switch rows to the greedy member at the solved values until no row
-improves.  Each switch strictly improves the values and there are finitely
-many greedy members, so the loop stops on its own.
+the greedy member, solve that member chain's linear system, and switch rows
+to the greedy member at the solved values until no row improves.  Each
+switch strictly improves the values and there are finitely many greedy
+members, so the loop stops on its own.  Each evaluation factors one member
+and preconditions BiCGSTAB with that for the later ones (``solve_member``).
 """
 
 from __future__ import annotations
 
-import warnings
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.sparse import csr_matrix, identity
+from scipy.sparse.linalg import LinearOperator, SuperLU, bicgstab, splu
 
 from robustfsc.model import ConcretePomdp, Fsc, Interval, RobustPomdp, check_boxes
 from robustfsc.solvers import DivergenceError, _backward_closure
@@ -210,9 +211,15 @@ def _inner_row(values: np.ndarray, intervals: list[Interval], maximize: bool) ->
 class RobustValues:
     """Exact robust values plus the chain they were computed on.
 
-    ``sweeps`` counts the linear solves policy iteration made (one per
-    member it evaluated); it is zero when no state has a finite value to
-    solve for.
+    ``sweeps`` counts the member solves (one per member evaluated) and
+    ``factorizations`` the sparse LU factorizations among them.
+    ``error_bound`` bounds max |values - v|, v the exact values of the last
+    member solved (its float64 probabilities read as exact).  A = I - P over
+    its transient states is a nonsingular M-matrix, so v = A^-1 c >=
+    c_min A^-1 1 and ||A^-1|| <= ||v|| / c_min (max norms).  With r = c - A x,
+    e = ||v - x|| = ||A^-1 r|| <= (||x|| + e) ||r|| / c_min, so
+    e <= ||r|| ||x|| / (c_min - ||r||) if c_min > ||r||, else +inf; ||r|| is
+    taken in extended precision, plus a bound on its rounding.
     """
 
     chain: RobustChain
@@ -220,6 +227,8 @@ class RobustValues:
     at_initial: float
     mode: str
     sweeps: int
+    factorizations: int
+    error_bound: float
     diagnosis: str = ""
 
     def value_of(self, s: int, n: int) -> float:
@@ -243,6 +252,54 @@ def _infinite_set(chain: RobustChain) -> np.ndarray:
     return _backward_closure(reverse, cannot_finish)
 
 
+def solve_member(member: csr_matrix, cost: np.ndarray, lu: SuperLU | None = None,
+                 guess: np.ndarray | None = None) -> tuple[np.ndarray, SuperLU | None, float, bool]:
+    """Values v = cost + member @ v of a member chain; ``member`` is P over its transient states.
+
+    Given the factorization ``lu`` of an earlier member, BiCGSTAB
+    preconditioned with it runs from ``guess`` until two steps in a row lower
+    no residual (it is not monotone).  Its best iterate is kept if its error
+    bound (see ``RobustValues``) is at most 1e-10 * max(1, max v); else the
+    member is factored.  Returns the values, the factorization for the next
+    member, the bound and whether this call factored.  Costs are nonnegative,
+    so a direct solve that is singular, negative or not finite reads +inf.
+    """
+    matrix = (identity(len(cost), format="csr") - member).tocsc()
+    if lu is not None:
+        residuals, best = [np.max(np.abs(cost - matrix @ guess))], [guess]
+
+        def watch(x: np.ndarray) -> None:
+            residuals.append(np.max(np.abs(cost - matrix @ x)))
+            if residuals[-1] < min(residuals[:-1]):
+                best[0] = x.copy()
+            elif len(residuals) > 2 and min(residuals[-2:]) >= min(residuals[:-2]):
+                raise StopIteration
+
+        # an exact step makes the next one 0/0, and its NaN iterate lowers nothing
+        with contextlib.suppress(StopIteration), np.errstate(invalid="ignore", divide="ignore"):
+            bicgstab(matrix, cost, guess, rtol=0.0, M=LinearOperator(matrix.shape, lu.solve), callback=watch)
+        bound = _error_bound(member, cost, best[0])
+        if best[0].min() >= 0.0 and bound <= 1e-10 * max(1.0, float(best[0].max())):
+            return best[0], lu, bound, False
+    try:
+        lu = splu(matrix, permc_spec="COLAMD")
+        x = lu.solve(cost)
+    except RuntimeError:  # the factor is exactly singular
+        x = np.full(len(cost), np.nan)
+    if not np.all(np.isfinite(x) & (x >= 0.0)):
+        return np.full(len(cost), np.inf), None, np.inf, True
+    return x, lu, _error_bound(member, cost, x), True
+
+
+def _error_bound(member: csr_matrix, cost: np.ndarray, x: np.ndarray) -> float:
+    """Certified bound on max |x - v| for v = cost + member @ v (see ``RobustValues``)."""
+    x_max, c_min = np.max(np.abs(x)), np.min(cost)
+    # the residual plus a bound on its rounding; member's row sums stay below 2
+    residual = np.max(np.abs(member.astype(np.longdouble) @ x - x + cost)) + (
+        np.diff(member.indptr).max(initial=0) + 3) * np.finfo(np.longdouble).eps * (np.max(cost) + 3 * x_max)
+    return float(residual * x_max / (c_min - residual) * (1 + np.finfo(float).eps)) if c_min > residual else np.inf
+
+
 def robust_value_iteration(
     chain: RobustChain,
     mode: str = "pessimistic",
@@ -251,20 +308,17 @@ def robust_value_iteration(
     """Exact fixed point of v <- cost + inner opt over each interval row.
 
     Nature policy iteration over static members: start from the greedy
-    member at v = 0, solve that member's chain exactly with one sparse
-    linear solve over the transient states, and re-run the greedy at the
-    solved values.  A row switches to the greedy member only when that
-    improves its objective by more than 1e-12 * max(1, max |v|); on ties it
-    keeps its current member (Howard's rule), so every switch strictly
-    improves v and the loop stops when no row switches.  ``tol`` is kept
-    for callers that pass it; the result is exact and does not depend on
-    it.  States with an infinite worst case (goal unreachable through the
-    support graph) are reported as +inf with a diagnosis rather than an
-    error.  So are all states of a solve that comes out negative or not
-    finite: costs are nonnegative, so such a solve means the member chain is
-    singular in float64, because the goal is reached only through
-    probabilities below its resolution (say a saturated softmax giving the
-    only exit action 1e-25).
+    member at v = 0, solve that member's chain with ``solve_member``, and
+    re-run the greedy at the solved values.  A row switches to the greedy
+    member only when that improves its objective by more than 1e-12 *
+    max(1, max |v|); on ties it keeps its current member (Howard's rule), so
+    every switch strictly improves v and the loop stops when no row
+    switches.  ``tol`` is kept for callers that pass it; the result does not
+    depend on it.  States with an infinite worst case (goal unreachable
+    through the support graph) read +inf with a diagnosis rather than an
+    error, as do all states of a member chain that is singular in float64
+    because the goal is reached only through probabilities below its
+    resolution (say a saturated softmax giving the only exit action 1e-25).
     """
     if mode not in ("pessimistic", "optimistic"):
         raise ValueError(f"mode must be 'pessimistic' or 'optimistic', got {mode!r}")
@@ -287,16 +341,17 @@ def robust_value_iteration(
     edges = np.repeat(chain.offsets[rows] - offsets[:-1], counts) + np.arange(offsets[-1])
     succ, lo, hi = chain.succ[edges], chain.lo[edges], chain.hi[edges]
 
-    # (I - P) over the transient states: the pattern is fixed, the data is
-    # the current member's probabilities on edges between transient states
+    # P over the transient states: the pattern is fixed, the data is the
+    # current member's probabilities on edges between transient states
     size = len(states)
     tpos = np.full(chain.num_states, -1)
     tpos[states] = np.arange(size)
     inner = tpos[succ] >= 0
-    mat_rows = np.concatenate([np.arange(size), np.repeat(np.arange(size), counts)[inner]])
-    mat_cols = np.concatenate([np.arange(size), tpos[succ[inner]]])
+    mat_rows = np.repeat(np.arange(size), counts)[inner]
+    mat_cols = tpos[succ[inner]]
+    cost = chain.cost[states]
 
-    solves = 0
+    solves, factorizations, lu, bound = 0, 0, None, 0.0
     seen: set[bytes] = set()
     _, p = box_simplex_greedy(v[succ], lo, hi, offsets, maximize)
     while size:
@@ -306,17 +361,12 @@ def robust_value_iteration(
             raise DivergenceError("robust policy iteration revisited a member")
         seen.add(key)
         solves += 1
-        data = np.concatenate([np.ones(size), -p[inner]])
-        matrix = csc_matrix((data, (mat_rows, mat_cols)), shape=(size, size))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", MatrixRankWarning)  # diagnosed below
-            v[states] = spsolve(matrix, chain.cost[states])
-        if not np.all(np.isfinite(v[states]) & (v[states] >= 0.0)):
-            v[states] = np.inf
-            singular = (
-                f"{size} product state(s) reach a goal only through probabilities below "
-                "float64 resolution (the member solve is singular); their cost is reported as infinite"
-            )
+        member = csr_matrix((p[inner], (mat_rows, mat_cols)), shape=(size, size))
+        v[states], lu, bound, factored = solve_member(member, cost, lu, v[states])
+        factorizations += factored
+        if np.isinf(v[states]).any():
+            singular = (f"{size} product state(s) reach a goal only through probabilities below float64 "
+                        "resolution (the member solve is singular); their cost is reported as infinite")
             diagnosis = f"{diagnosis}; {singular}" if diagnosis else singular
             break
         vals = v[succ]
@@ -331,7 +381,7 @@ def robust_value_iteration(
     at_init = float(chain.init_prob @ v[chain.init_idx])
     return RobustValues(
         chain=chain, values=v, at_initial=at_init, mode=mode,
-        sweeps=solves, diagnosis=diagnosis,
+        sweeps=solves, factorizations=factorizations, error_bound=bound, diagnosis=diagnosis,
     )
 
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from robustfsc.extract import build_fsc, collect_hidden_states, kmeans_fit
 from robustfsc.model import Fsc, Interval, RobustPomdp
+from robustfsc.rnn import init_params
+from robustfsc.simulate import Episode, Step, TrajectoryDataset
 
 
 def random_rpomdp(
@@ -84,6 +87,19 @@ def random_fsc(rng: np.random.Generator, num_nodes: int, num_obs: int, num_actio
     memory_map = rng.integers(0, num_nodes, size=(num_nodes, num_obs))
     fsc = Fsc(num_nodes, 0, action_map, memory_map)
     return prune_unreachable_nodes(fsc, list(range(num_obs)))
+
+
+def kmeans_controller(model, clusters=4):
+    """Controller extracted by k-means from an untrained network fed random
+    observation sequences."""
+    params = init_params(model.num_observations, model.num_actions, hidden_size=8, embed_size=4, rng_seed=3)
+    rng = np.random.default_rng(36)
+    target = np.full(model.num_actions, 1.0 / model.num_actions)
+    episodes = [Episode([Step(int(z), 0, target, model.initial_belief)
+                         for z in rng.choice(model.realizable_observations(), 12)], 0.0, False)
+                for _ in range(16)]
+    dataset = TrajectoryDataset(episodes, model.num_observations, model.num_actions, 0, 12, "test")
+    return build_fsc(params, kmeans_fit(collect_hidden_states(params, dataset), clusters, rng_seed=0), model)
 
 
 def random_feasible_boxes(rng: np.random.Generator, n: int, degenerate: bool = False):

@@ -9,7 +9,9 @@ network loops (controller synthesis, fidelity) that the batched extraction
 replaced, the per-episode rollout loop that lockstep simulation replaced,
 the per-step backpropagation through time that whole-sequence BPTT replaced,
 the second product expansion the worst-case adversary read its weights from
-before the evaluated chain kept its terms, central finite differences for
+before the evaluated chain kept its terms, robust policy iteration with one
+direct sparse solve per member as it was before factorizations were reused,
+an exact rational solve of a member chain, central finite differences for
 the hand-written backward passes, and the model's load path as it was
 before the edge table became a model's only storage: the line-by-line
 parser, the dict walk of validation and the per-state grid generators.
@@ -19,12 +21,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from robustfsc.grids import MOVES, SCAN, GridSpec, avoid_decode, avoid_index, pair_decode, pair_index, patrol_route
 from robustfsc.model import BELIEF_TOL, BOX_TOL, ConcretePomdp, Interval, RobustPomdp, ValidationReport
 from robustfsc.modelio import MODEL_HEADER, ModelDocument, ModelFormatError, _to_float, _to_int
+from robustfsc.robusteval import RobustChain, RobustValues, _infinite_set, box_simplex_greedy
+from robustfsc.solvers import DivergenceError
 
 
 def box_simplex_candidates(lo, hi):
@@ -269,6 +277,110 @@ def robust_chain_lp(chain, maximize=True):
         raise ValueError(f"LP oracle failed: {result.message}")
     values = np.zeros(chain.num_states)
     values[rows] = result.x[:num_t]
+    return values
+
+
+def robust_value_iteration_reference(
+    chain: RobustChain,
+    mode: str = "pessimistic",
+    tol: float = 1e-6,
+) -> RobustValues:
+    """Nature policy iteration with one ``spsolve`` per member.
+
+    ``robusteval.robust_value_iteration`` as it was before an evaluation
+    kept its first factorization: every member is factored anew, and a
+    solve that comes out negative or not finite reads +inf.  It reports
+    every solve as a factorization and computes no error bound.
+    """
+    if mode not in ("pessimistic", "optimistic"):
+        raise ValueError(f"mode must be 'pessimistic' or 'optimistic', got {mode!r}")
+    maximize = mode == "pessimistic"
+    infinite = _infinite_set(chain)
+    diagnosis = ""
+    if infinite.any():
+        diagnosis = (
+            f"{int(infinite.sum())} reachable product state(s) cannot reach a goal "
+            "under the support graph; worst-case cost is infinite"
+        )
+    v = np.zeros(chain.num_states)
+    v[infinite] = np.inf
+
+    # edge arrays of the finite rows; their successors are finite too
+    rows = np.flatnonzero(~infinite[chain.row_state])
+    states = chain.row_state[rows]
+    counts = chain.offsets[rows + 1] - chain.offsets[rows]
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    edges = np.repeat(chain.offsets[rows] - offsets[:-1], counts) + np.arange(offsets[-1])
+    succ, lo, hi = chain.succ[edges], chain.lo[edges], chain.hi[edges]
+
+    # (I - P) over the transient states: the pattern is fixed, the data is
+    # the current member's probabilities on edges between transient states
+    size = len(states)
+    tpos = np.full(chain.num_states, -1)
+    tpos[states] = np.arange(size)
+    inner = tpos[succ] >= 0
+    mat_rows = np.concatenate([np.arange(size), np.repeat(np.arange(size), counts)[inner]])
+    mat_cols = np.concatenate([np.arange(size), tpos[succ[inner]]])
+
+    solves = 0
+    seen: set[bytes] = set()
+    _, p = box_simplex_greedy(v[succ], lo, hi, offsets, maximize)
+    while size:
+        # a bug guard: strict improvement never returns to an earlier member
+        key = p.tobytes()
+        if key in seen:
+            raise DivergenceError("robust policy iteration revisited a member")
+        seen.add(key)
+        solves += 1
+        data = np.concatenate([np.ones(size), -p[inner]])
+        matrix = csc_matrix((data, (mat_rows, mat_cols)), shape=(size, size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MatrixRankWarning)  # diagnosed below
+            v[states] = spsolve(matrix, chain.cost[states])
+        if not np.all(np.isfinite(v[states]) & (v[states] >= 0.0)):
+            v[states] = np.inf
+            singular = (
+                f"{size} product state(s) reach a goal only through probabilities below "
+                "float64 resolution (the member solve is singular); their cost is reported as infinite"
+            )
+            diagnosis = f"{diagnosis}; {singular}" if diagnosis else singular
+            break
+        vals = v[succ]
+        objective, greedy_p = box_simplex_greedy(vals, lo, hi, offsets, maximize)
+        current = np.add.reduceat(p * vals, offsets[:-1])
+        gain = objective - current if maximize else current - objective
+        switch = gain > 1e-12 * max(1.0, float(np.max(np.abs(v[states]))))
+        if not switch.any():
+            break
+        p = np.where(np.repeat(switch, counts), greedy_p, p)
+
+    at_init = float(chain.init_prob @ v[chain.init_idx])
+    return RobustValues(
+        chain=chain, values=v, at_initial=at_init, mode=mode,
+        sweeps=solves, factorizations=solves, error_bound=math.inf, diagnosis=diagnosis,
+    )
+
+
+def member_values_exact(member, cost) -> list[Fraction]:
+    """Exact solution of v = cost + member @ v, the float64 entries read as rationals.
+
+    Gaussian elimination over ``fractions.Fraction`` with the first nonzero
+    pivot of each column; meant for chains of a few dozen states at most.
+    """
+    n = len(cost)
+    dense = member.toarray()
+    rows = [[Fraction(int(i == j)) - Fraction(float(dense[i, j])) for j in range(n)] + [Fraction(float(cost[i]))]
+            for i in range(n)]
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if rows[i][k] != 0)
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for i in range(k + 1, n):
+            factor = rows[i][k] / rows[k][k]
+            if factor:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+    values = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        values[k] = (rows[k][n] - sum(rows[k][j] * values[j] for j in range(k + 1, n))) / rows[k][k]
     return values
 
 
@@ -523,7 +635,6 @@ def worst_case_weights_reference(model, fsc, values):
     and the proxy objective.
     """
     from robustfsc.model import nominal_midpoint
-    from robustfsc.robusteval import box_simplex_greedy
 
     e = model.edges
     num_s, num_a, num_n = model.num_states, model.num_actions, fsc.num_nodes

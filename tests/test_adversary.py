@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_fsc, random_rpomdp
+from conftest import kmeans_controller, random_fsc, random_rpomdp
 from oracles import box_simplex_candidates, product_chain_cost, worst_case_weights_reference
 from robustfsc.adversary import proxy_objective_of, select_worst_case
-from robustfsc.extract import build_fsc, collect_hidden_states, kmeans_fit
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint, sample_member
-from robustfsc.rnn import init_params
 from robustfsc.robusteval import build_chain, robust_value_iteration
-from robustfsc.simulate import Episode, Step, TrajectoryDataset
 
 
 def evaluated(model, fsc, tol=1e-12):
@@ -124,19 +121,6 @@ def test_worst_member_usually_beats_midpoint():
         if v_worst >= v_mid - 1e-9:
             wins += 1
     assert wins >= int(0.9 * total)
-
-
-def kmeans_controller(model, clusters=4):
-    """Controller extracted by k-means from an untrained network fed random
-    observation sequences."""
-    params = init_params(model.num_observations, model.num_actions, hidden_size=8, embed_size=4, rng_seed=3)
-    rng = np.random.default_rng(36)
-    target = np.full(model.num_actions, 1.0 / model.num_actions)
-    episodes = [Episode([Step(int(z), 0, target, model.initial_belief)
-                         for z in rng.choice(model.realizable_observations(), 12)], 0.0, False)
-                for _ in range(16)]
-    dataset = TrajectoryDataset(episodes, model.num_observations, model.num_actions, 0, 12, "test")
-    return build_fsc(params, kmeans_fit(collect_hidden_states(params, dataset), clusters, rng_seed=0), model)
 
 
 def starts_on_a_goal(all_mass):

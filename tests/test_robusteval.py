@@ -1,8 +1,18 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
-from conftest import random_feasible_boxes, random_fsc, random_rpomdp
-from oracles import box_simplex_opt, product_chain_cost, robust_chain_lp
+from conftest import kmeans_controller, random_feasible_boxes, random_fsc, random_rpomdp
+from oracles import (
+    box_simplex_opt,
+    member_values_exact,
+    product_chain_cost,
+    robust_chain_lp,
+    robust_value_iteration_reference,
+)
+from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint, project_row, sample_member
 from robustfsc.robusteval import (
     box_simplex_greedy,
@@ -11,6 +21,7 @@ from robustfsc.robusteval import (
     inner_max,
     inner_min,
     robust_value_iteration,
+    solve_member,
 )
 
 def self_loop_model():
@@ -390,3 +401,99 @@ class TestRobustValueIteration:
                 if eps == 1e-25:
                     assert values.at_initial == np.inf
                     assert "below float64 resolution" in values.diagnosis
+
+
+def random_member(rng, chain):
+    """P over the chain's non-terminal rows and their costs, for the greedy
+    member at random values."""
+    values = rng.uniform(0.0, 10.0, size=chain.num_states)
+    _, p = box_simplex_greedy(values[chain.succ], chain.lo, chain.hi, chain.offsets, bool(rng.integers(2)))
+    size = len(chain.row_state)
+    tpos = np.full(chain.num_states, -1)
+    tpos[chain.row_state] = np.arange(size)
+    rows = np.repeat(np.arange(size), np.diff(chain.offsets))
+    inner = tpos[chain.succ] >= 0
+    member = csr_matrix((p[inner], (rows[inner], tpos[chain.succ[inner]])), shape=(size, size))
+    return member, chain.cost[chain.row_state]
+
+
+def exit_member(eps):
+    """Two transient states whose only exit, from each, has probability eps."""
+    return csr_matrix((1.0 - eps) * np.array([[0.25, 0.75], [0.5, 0.5]])), np.array([2.0, 3.0])
+
+
+def assert_bound_covers(member, cost, values, bound):
+    exact = member_values_exact(member, cost)
+    error = max(abs(Fraction(float(x)) - v) for x, v in zip(values, exact))
+    assert error <= Fraction(bound), (float(error), bound)
+
+
+class TestSolveMember:
+    def test_error_bound_covers_the_exact_error(self):
+        # each member is solved from a fresh factorization and from a stale
+        # one, that of another member of the same chain; the stale path
+        # keeps a certified Krylov answer or factors again
+        rng = np.random.default_rng(91)
+        kept = 0
+        for _ in range(40):
+            model = random_rpomdp(rng, num_states=int(rng.integers(2, 6)))
+            fsc = random_fsc(rng, int(rng.integers(1, 4)), model.num_observations, model.num_actions)
+            chain = build_chain(model, fsc)
+            assert len(chain.row_state) <= 15
+            (other, _), (member, cost) = random_member(rng, chain), random_member(rng, chain)
+            stale = solve_member(other, cost)[1]
+            for lu in (None, stale):
+                values, _, bound, factored = solve_member(member, cost, lu, np.zeros(len(cost)))
+                assert_bound_covers(member, cost, values, bound)
+                kept += not factored
+        assert kept >= 20
+        well, _ = exit_member(0.5)
+        for eps in 10.0 ** -np.arange(6, 16):
+            member, cost = exit_member(eps)
+            stale = solve_member(well, cost)[1]
+            for lu in (None, stale):
+                values, _, bound, _ = solve_member(member, cost, lu, np.ones(2))
+                assert_bound_covers(member, cost, values, bound)
+
+    def test_stale_factorization_on_a_near_singular_member(self):
+        well, cost = exit_member(0.5)
+        guess, stale, _, _ = solve_member(well, cost)
+        for eps in (1e-14, 1e-17, 1e-25):
+            member, cost = exit_member(eps)
+            values, _, bound, _ = solve_member(member, cost, stale, guess)
+            assert not np.isnan(values).any(), eps
+            assert np.all(values >= 0.0), eps
+            assert np.all(np.isinf(values) | (values >= 1.0 / eps)), (eps, values)
+            if np.isfinite(bound):
+                assert_bound_covers(member, cost, values, bound)
+
+
+def reference_cases():
+    rng = np.random.default_rng(92)
+    for _ in range(12):
+        model = random_rpomdp(rng, num_states=int(rng.integers(3, 6)))
+        yield model, random_fsc(rng, int(rng.integers(2, 4)), model.num_observations, model.num_actions)
+    for kind in ("evade", "intercept", "avoid"):
+        model = generate_grid(GridSpec(4, 4, kind))
+        yield model, kmeans_controller(model)
+
+
+def test_matches_the_one_solve_per_member_reference():
+    reused = 0
+    for model, fsc in reference_cases():
+        chain = build_chain(model, fsc)
+        for mode in ("pessimistic", "optimistic"):
+            ours = robust_value_iteration(chain, mode)
+            reference = robust_value_iteration_reference(chain, mode)
+            finite = np.isfinite(reference.values)
+            assert np.array_equal(np.isfinite(ours.values), finite)
+            rel = np.abs(ours.values - reference.values)[finite] / np.maximum(1.0, reference.values[finite])
+            assert np.max(rel, initial=0.0) <= 1e-12, (mode, np.max(rel))
+            assert ours.diagnosis == reference.diagnosis
+            assert abs(ours.sweeps - reference.sweeps) <= 2
+            assert 1 <= ours.factorizations <= ours.sweeps
+            if ours.sweeps >= 3 and ours.factorizations == 1:
+                reused += 1
+            if len(chain.row_state) > 100:  # the grids: no member needs a fallback
+                assert ours.factorizations == 1, (mode, ours.sweeps)
+    assert reused >= 6
