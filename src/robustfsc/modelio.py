@@ -19,12 +19,13 @@ Controller documents::
     fsc v1
     nodes K
     init n
-    act n z a p        one line per positive action probability
-    mem n z n'
+    act n z a p        one line per positive action probability, none repeated
+    mem n z n'         one line per (n, z); a later line overrides an earlier one
 
-Both formats are whitespace-delimited; ``#`` starts a comment.  Serialization
-is canonical (fixed section order, sorted indices, shortest round-tripping
-float representation), so serialize(parse(serialize(x))) == serialize(x).
+Both formats are whitespace-delimited; ``#`` starts a comment, and one
+directive reader (``_read``) reads both.  Serialization is canonical (fixed
+section order, sorted indices, shortest round-tripping float
+representation), so serialize(parse(serialize(x))) == serialize(x).
 A model document is read into, and written from, the model's edge table
 (``model.edges``) directly; no per-transition objects are built.
 """
@@ -83,29 +84,16 @@ def _tokens(text: str):
             yield line_no, toks
 
 
-def _to_int(line_no: int, tok: str, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ModelFormatError(line_no, f"expected integer {what}, got {tok!r}") from None
-
-
-def _to_index(line_no: int, tok: str, what: str) -> int:
-    value = _to_int(line_no, tok, what)
+def _index(tok: str) -> int:
+    """``int`` of an index column, where a negative value is rejected too."""
+    value = int(tok)
     if value < 0:
-        raise ModelFormatError(line_no, f"negative {what} index {value}")
+        raise ValueError(value)
     return value
 
 
-def _to_float(line_no: int, tok: str, what: str) -> float:
-    try:
-        return float(tok)
-    except ValueError:
-        raise ModelFormatError(line_no, f"expected number {what}, got {tok!r}") from None
-
-
-# model directive -> its usage message and each argument's conversion and name
-_DIRECTIVES = {
+# directive -> its usage message and each argument's conversion and name
+_MODEL_DIRECTIVES = {
     "name": ("name takes one identifier", ((str, "name"),)),
     "states": ("states takes one count", ((int, "states"),)),
     "actions": ("actions takes one count", ((int, "actions"),)),
@@ -117,14 +105,65 @@ _DIRECTIVES = {
     "goal": ("goal takes one state", ((int, "state"),)),
     "init": ("init takes: state probability", ((int, "state"), (float, "probability"))),
 }
+_FSC_DIRECTIVES = {
+    "nodes": ("nodes takes one argument", ((int, "count"),)),
+    "init": ("init takes one argument", ((int, "node"),)),
+    "act": ("act takes: node observation action probability",
+            ((int, "node"), (_index, "observation"), (_index, "action"), (float, "probability"))),
+    "mem": ("mem takes: node observation successor", ((int, "node"), (_index, "observation"), (int, "successor"))),
+}
 
 
-def _rejects(convert, tok: str) -> bool:
+def _rejection(convert, tok: str, what: str) -> str | None:
+    """Why ``convert`` rejects the token, None if it accepts it."""
     try:
-        convert(tok)
+        value = (int if convert is _index else convert)(tok)
     except ValueError:
-        return True
-    return False
+        return f"expected {'number' if convert is float else 'integer'} {what}, got {tok!r}"
+    return f"negative {what} index {value}" if convert is _index and value < 0 else None
+
+
+def _read(text: str, header: str, directives: dict) -> tuple[dict, dict]:
+    """Each directive's line numbers, and each (directive, column)'s values.
+
+    After the header, lines are grouped by directive, and each argument
+    column is converted at once.  An error cites the line, and gives the
+    message, that a line-by-line reading would stop at first: a line's
+    usage is checked before its columns, and its columns in order.
+    """
+    lines = _tokens(text)
+    line_no, toks = next(lines, (0, None))
+    if toks is None:
+        raise ModelFormatError(0, "empty document")
+    if toks != header.split():
+        raise ModelFormatError(line_no, f"expected header {header!r}")
+
+    # per directive: line numbers and tokens, the directive's own included
+    groups = {kind: ([], []) for kind in directives}
+    arity = {kind: 1 + len(columns) for kind, (_, columns) in directives.items()}
+    failures = []  # (line, column, message)
+    for line_no, toks in lines:
+        if arity.get(toks[0]) != len(toks):
+            usage = directives[toks[0]][0] if toks[0] in arity else f"unknown directive {toks[0]!r}"
+            failures.append((line_no, -1, usage))
+            break
+        line_nos, tokens = groups[toks[0]]
+        line_nos.append(line_no)
+        tokens += toks
+    cols = {}
+    for kind, (line_nos, tokens) in groups.items():
+        columns = directives[kind][1]
+        for k, (convert, what) in enumerate(columns):
+            col = tokens[k + 1::len(columns) + 1]
+            try:
+                cols[kind, k] = list(map(convert, col))
+            except ValueError:
+                failures.append(next((line_nos[j], k, message) for j, tok in enumerate(col)
+                                     if (message := _rejection(convert, tok, what))))
+    if failures:
+        line_no, _, message = min(failures)
+        raise ModelFormatError(line_no, message)
+    return {kind: line_nos for kind, (line_nos, _) in groups.items()}, cols
 
 
 def _ints(values: list[int]) -> np.ndarray:
@@ -160,45 +199,13 @@ def _first_failure(line_nos: list[int], checks) -> None:
 def parse_model(text: str) -> ModelDocument:
     """Parse and fully validate a model document into its edge table.
 
-    Lines are grouped by directive, and each argument column is converted at
-    once with Python's ``int``/``float``; the range, interval and duplicate
-    checks then run on the columns.  An error cites the line, and gives the
-    message, that a line-by-line reading would stop at first: the first line
-    failing a step, for each step in the order a document is checked.
+    Each argument column is converted at once with Python's ``int``/``float``
+    (``_read``); the range, interval and duplicate checks then run on the
+    columns.  An error cites the line, and gives the message, that a
+    line-by-line reading would stop at first: the first line failing a step,
+    for each step in the order a document is checked.
     """
-    lines = _tokens(text)
-    line_no, toks = next(lines, (0, None))
-    if toks is None:
-        raise ModelFormatError(0, "empty document")
-    if toks != MODEL_HEADER.split():
-        raise ModelFormatError(line_no, f"expected header {MODEL_HEADER!r}")
-
-    # per directive: line numbers and tokens, the directive's own included
-    groups = {kind: ([], []) for kind in _DIRECTIVES}
-    arity = {kind: 1 + len(columns) for kind, (_, columns) in _DIRECTIVES.items()}
-    failures = []  # (line, column, message); a line's usage is checked before its columns
-    for line_no, toks in lines:
-        if arity.get(toks[0]) != len(toks):
-            usage = _DIRECTIVES[toks[0]][0] if toks[0] in arity else f"unknown directive {toks[0]!r}"
-            failures.append((line_no, -1, usage))
-            break
-        line_nos, tokens = groups[toks[0]]
-        line_nos.append(line_no)
-        tokens += toks
-    cols = {}
-    for kind, (line_nos, tokens) in groups.items():
-        columns = _DIRECTIVES[kind][1]
-        for k, (convert, what) in enumerate(columns):
-            col = tokens[k + 1::len(columns) + 1]
-            try:
-                cols[kind, k] = list(map(convert, col))
-            except ValueError:
-                j = next(j for j, tok in enumerate(col) if _rejects(convert, tok))
-                expected = "integer" if convert is int else "number"
-                failures.append((line_nos[j], k, f"expected {expected} {what}, got {col[j]!r}"))
-    if failures:
-        line_no, _, message = min(failures)
-        raise ModelFormatError(line_no, message)
+    line_nos, cols = _read(text, MODEL_HEADER, _MODEL_DIRECTIVES)
 
     for key in ("states", "actions", "observations"):
         if not cols[key, 0]:
@@ -216,7 +223,7 @@ def parse_model(text: str) -> ModelDocument:
 
     values = [cols["obs", k] for k in range(2)]
     s, z = (_ints(v) for v in values)
-    _first_failure(groups["obs"][0], [
+    _first_failure(line_nos["obs"], [
         (_outside(s, ns), lambda j: f"obs: unknown state {values[0][j]}"),
         (_outside(z, nz), lambda j: f"obs: unknown observation {values[1][j]}"),
     ])
@@ -233,7 +240,7 @@ def parse_model(text: str) -> ModelDocument:
     unknown = _outside(s, ns), _outside(sp, ns), _outside(a, na)
     # an edge's key is unique to its (s, a, s'); a line with an unknown index gets a key of its own
     key = np.where(np.logical_or.reduce(unknown), -1 - np.arange(len(s)), (s * na + a) * ns + sp)
-    _first_failure(groups["trans"][0], [
+    _first_failure(line_nos["trans"], [
         (unknown[0], lambda j: f"trans: unknown state {values[0][j]}"),
         (unknown[1], lambda j: f"trans: unknown successor {values[2][j]}"),
         (unknown[2], lambda j: f"trans: unknown action {values[1][j]}"),
@@ -248,7 +255,7 @@ def parse_model(text: str) -> ModelDocument:
     s, a = (_ints(v) for v in pair)
     unknown = _outside(s, ns) | _outside(a, na)
     row = np.where(unknown, -1 - np.arange(len(s)), s * na + a)
-    _first_failure(groups["cost"][0], [
+    _first_failure(line_nos["cost"], [
         (unknown, lambda j: f"cost: unknown state/action ({pair[0][j]}, {pair[1][j]})"),
         (_repeats(row), lambda j: f"cost: duplicate entry for ({pair[0][j]}, {pair[1][j]})"),
     ])
@@ -257,11 +264,11 @@ def parse_model(text: str) -> ModelDocument:
 
     goals = cols["goal", 0]
     g = _ints(goals)
-    _first_failure(groups["goal"][0], [(_outside(g, ns), lambda j: f"goal: unknown state {goals[j]}")])
+    _first_failure(line_nos["goal"], [(_outside(g, ns), lambda j: f"goal: unknown state {goals[j]}")])
 
     init = cols["init", 0]
     b = _ints(init)
-    _first_failure(groups["init"][0], [(_outside(b, ns), lambda j: f"init: unknown state {init[j]}")])
+    _first_failure(line_nos["init"], [(_outside(b, ns), lambda j: f"init: unknown state {init[j]}")])
     belief = np.bincount(b, np.array(cols["init", 1], dtype=np.float64), ns).astype(np.float64, copy=False)
 
     model = RobustPomdp(
@@ -356,79 +363,56 @@ def model_from_arrays(
 
 
 def parse_fsc(text: str) -> Fsc:
-    lines = list(_tokens(text))
-    if not lines:
-        raise ModelFormatError(0, "empty document")
-    line_no, toks = lines[0]
-    if toks != FSC_HEADER.split():
-        raise ModelFormatError(line_no, f"expected header {FSC_HEADER!r}")
-
-    num_nodes = None
-    initial = None
-    act_lines: list[tuple[int, int, int, int, float]] = []
-    mem_lines: list[tuple[int, int, int, int]] = []
-    for line_no, toks in lines[1:]:
-        kind, args = toks[0], toks[1:]
-        if kind in ("nodes", "init") and len(args) != 1:
-            raise ModelFormatError(line_no, f"{kind} takes one argument")
-        if kind == "nodes":
-            num_nodes = _to_int(line_no, args[0], "count")
-        elif kind == "init":
-            initial = _to_int(line_no, args[0], "node")
-        elif kind == "act":
-            if len(args) != 4:
-                raise ModelFormatError(line_no, "act takes: node observation action probability")
-            act_lines.append(
-                (line_no, _to_int(line_no, args[0], "node"), _to_index(line_no, args[1], "observation"),
-                 _to_index(line_no, args[2], "action"), _to_float(line_no, args[3], "probability"))
-            )
-        elif kind == "mem":
-            if len(args) != 3:
-                raise ModelFormatError(line_no, "mem takes: node observation successor")
-            mem_lines.append(
-                (line_no, _to_int(line_no, args[0], "node"), _to_index(line_no, args[1], "observation"),
-                 _to_int(line_no, args[2], "successor"))
-            )
-        else:
-            raise ModelFormatError(line_no, f"unknown directive {kind!r}")
-
-    if num_nodes is None or num_nodes <= 0:
+    """Parse and check a controller document, read as ``parse_model`` reads a model."""
+    line_nos, cols = _read(text, FSC_HEADER, _FSC_DIRECTIVES)
+    num_nodes = cols["nodes", 0][-1] if cols["nodes", 0] else 0
+    if num_nodes <= 0:
         raise ModelFormatError(0, "missing or non-positive nodes declaration")
-    if initial is None or not (0 <= initial < num_nodes):
+    initial = cols["init", 0][-1] if cols["init", 0] else -1
+    if not (0 <= initial < num_nodes):
         raise ModelFormatError(0, "missing or out-of-range init declaration")
 
-    num_obs = 1 + max(
-        [z for _, _, z, _, _ in act_lines] + [z for _, _, z, _ in mem_lines], default=-1
-    )
-    num_act = 1 + max([a for _, _, _, a, _ in act_lines], default=-1)
-    if num_obs == 0 or num_act == 0:
+    act = [cols["act", k] for k in range(4)]
+    mem = [cols["mem", k] for k in range(3)]
+    if not act[0]:
         raise ModelFormatError(0, "controller declares no act entries")
-    if len(mem_lines) < num_nodes * num_obs:  # reject before allocating for them
+    num_obs = 1 + max(act[1] + mem[1])
+    num_act = 1 + max(act[2])
+    if len(mem[0]) < num_nodes * num_obs:  # reject before allocating for them
         raise ModelFormatError(0, f"{num_nodes} nodes x {num_obs} observations need one mem line each")
     if num_nodes * num_obs * num_act > MAX_FSC_ENTRIES:
-        line_no = max(act_lines, key=lambda line: line[3])[0]
         raise ModelFormatError(
-            line_no, f"act: action {num_act - 1} needs a {num_nodes} x {num_obs} x {num_act} action table, "
+            line_nos["act"][act[2].index(num_act - 1)],
+            f"act: action {num_act - 1} needs a {num_nodes} x {num_obs} x {num_act} action table, "
             f"over the {MAX_FSC_ENTRIES} entries a controller may have"
         )
 
+    n, z, a = (_ints(v) for v in act[:3])
+    unknown = _outside(n, num_nodes)
+    # an entry's key is unique to its (n, z, a); a line with an unknown node gets a key of its own
+    key = np.where(unknown, -1 - np.arange(len(n)), (n * num_obs + z) * num_act + a)
+    _first_failure(line_nos["act"], [
+        (unknown, lambda j: f"act: unknown node {act[0][j]}"),
+        (_repeats(key), lambda j: f"act: duplicate entry for ({act[0][j]}, {act[1][j]}, {act[2][j]})"),
+    ])
     action_map = np.zeros((num_nodes, num_obs, num_act), dtype=np.float64)
-    memory_map = np.zeros((num_nodes, num_obs), dtype=np.int64)
-    seen_mem = np.zeros((num_nodes, num_obs), dtype=bool)
-    for line_no, n, z, a, p in act_lines:
-        if not (0 <= n < num_nodes):
-            raise ModelFormatError(line_no, f"act: unknown node {n}")
-        action_map[n, z, a] += p
-    for line_no, n, z, m in mem_lines:
-        if not (0 <= n < num_nodes) or not (0 <= m < num_nodes):
-            raise ModelFormatError(line_no, f"mem: node reference out of range ({n} -> {m})")
-        memory_map[n, z] = m
-        seen_mem[n, z] = True
-    if not seen_mem.all():
-        n, z = np.argwhere(~seen_mem)[0]
-        raise ModelFormatError(0, f"missing mem entry for node {int(n)} observation {int(z)}")
+    np.add.at(action_map, (n, z, a), np.array(act[3], dtype=np.float64))
 
-    fsc = Fsc(num_nodes, initial, action_map, memory_map)
+    n, z, m = (_ints(v) for v in mem)
+    _first_failure(line_nos["mem"], [(
+        _outside(n, num_nodes) | _outside(m, num_nodes),
+        lambda j: f"mem: node reference out of range ({mem[0][j]} -> {mem[2][j]})",
+    )])
+    cell = n * num_obs + z
+    last = len(cell) - 1 - np.unique(cell[::-1], return_index=True)[1]  # a cell's last mem line wins
+    memory_map = np.full(num_nodes * num_obs, -1, dtype=np.int64)
+    memory_map[cell[last]] = m[last]
+    missing = np.flatnonzero(memory_map < 0)
+    if missing.size:
+        n, z = divmod(int(missing[0]), num_obs)
+        raise ModelFormatError(0, f"missing mem entry for node {n} observation {z}")
+
+    fsc = Fsc(num_nodes, initial, action_map, memory_map.reshape(num_nodes, num_obs))
     try:
         fsc.check()
     except ValueError as err:

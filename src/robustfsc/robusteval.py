@@ -26,7 +26,7 @@ import numpy as np
 from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import LinearOperator, SuperLU, bicgstab, splu
 
-from robustfsc.model import ConcretePomdp, Fsc, Interval, RobustPomdp, check_boxes
+from robustfsc.model import ConcretePomdp, Fsc, RobustPomdp
 from robustfsc.solvers import DivergenceError, _backward_closure
 
 
@@ -184,27 +184,6 @@ def box_simplex_greedy(
     p = np.empty(len(seg))
     p[order] = lo[order] + alloc
     return np.add.reduceat(p * values, starts), p
-
-
-def inner_max(values: np.ndarray, intervals: list[Interval]) -> tuple[float, np.ndarray]:
-    """Maximize sum p_i values_i over one box-constrained simplex, exactly."""
-    return _inner_row(values, intervals, maximize=True)
-
-
-def inner_min(values: np.ndarray, intervals: list[Interval]) -> tuple[float, np.ndarray]:
-    """Best-case counterpart of inner_max (budget poured into low values)."""
-    return _inner_row(values, intervals, maximize=False)
-
-
-def _inner_row(values: np.ndarray, intervals: list[Interval], maximize: bool) -> tuple[float, np.ndarray]:
-    lo = np.array([iv.lo for iv in intervals], dtype=np.float64)
-    hi = np.array([iv.hi for iv in intervals], dtype=np.float64)
-    offsets = np.array([0, len(intervals)])
-    check_boxes(lo, hi, offsets)
-    objective, p = box_simplex_greedy(
-        np.asarray(values, dtype=np.float64), lo, hi, offsets, maximize
-    )
-    return float(objective[0]), p
 
 
 @dataclass

@@ -22,7 +22,9 @@ VALUE_CAP = 1e9
 
 
 class DivergenceError(RuntimeError):
-    """Value iteration exceeded its cap or iteration budget."""
+    """A computation left its bounds: value iteration exceeded its cap or
+    iteration budget, robust policy iteration revisited a member, or the GRU
+    or bottleneck training loss turned non-finite.  The CLI exits 3 on it."""
 
 
 @dataclass

@@ -12,9 +12,11 @@ the second product expansion the worst-case adversary read its weights from
 before the evaluated chain kept its terms, robust policy iteration with one
 direct sparse solve per member as it was before factorizations were reused,
 an exact rational solve of a member chain, central finite differences for
-the hand-written backward passes, and the model's load path as it was
-before the edge table became a model's only storage: the line-by-line
-parser, the dict walk of validation and the per-state grid generators.
+the hand-written backward passes, the model's load path as it was
+before the edge table became a model's only storage (the line-by-line
+parser, the dict walk of validation and the per-state grid generators), and
+the line-by-line controller parser.  ``inner_max``/``inner_min``, one-row
+wrappers of the library's greedy, live here because only tests call them.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from robustfsc.grids import MOVES, SCAN, GridSpec, avoid_decode, avoid_index, pair_decode, pair_index, patrol_route
-from robustfsc.model import BELIEF_TOL, BOX_TOL, ConcretePomdp, Interval, RobustPomdp, ValidationReport
-from robustfsc.modelio import MODEL_HEADER, ModelDocument, ModelFormatError, _to_float, _to_int
+from robustfsc.model import BELIEF_TOL, BOX_TOL, ConcretePomdp, Fsc, Interval, RobustPomdp, ValidationReport, check_boxes
+from robustfsc.modelio import FSC_HEADER, MAX_FSC_ENTRIES, MODEL_HEADER, ModelDocument, ModelFormatError
 from robustfsc.robusteval import RobustChain, RobustValues, _infinite_set, box_simplex_greedy
 from robustfsc.solvers import DivergenceError
 
@@ -63,6 +65,27 @@ def box_simplex_opt(values, lo, hi, maximize=True):
     if best is None:
         raise ValueError("infeasible box-simplex instance")
     return best
+
+
+def inner_max(values: np.ndarray, intervals: list[Interval]) -> tuple[float, np.ndarray]:
+    """Maximize sum p_i values_i over one box-constrained simplex, exactly."""
+    return _inner_row(values, intervals, maximize=True)
+
+
+def inner_min(values: np.ndarray, intervals: list[Interval]) -> tuple[float, np.ndarray]:
+    """Best-case counterpart of inner_max (budget poured into low values)."""
+    return _inner_row(values, intervals, maximize=False)
+
+
+def _inner_row(values: np.ndarray, intervals: list[Interval], maximize: bool) -> tuple[float, np.ndarray]:
+    lo = np.array([iv.lo for iv in intervals], dtype=np.float64)
+    hi = np.array([iv.hi for iv in intervals], dtype=np.float64)
+    offsets = np.array([0, len(intervals)])
+    check_boxes(lo, hi, offsets)
+    objective, p = box_simplex_greedy(
+        np.asarray(values, dtype=np.float64), lo, hi, offsets, maximize
+    )
+    return float(objective[0]), p
 
 
 def product_chain_cost(member, fsc) -> float:
@@ -683,7 +706,28 @@ def central_differences(f, x, step=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# the model's load path, one line, row or state at a time
+# the load path of models and controllers, one line, row or state at a time
+
+
+def _to_int(line_no: int, tok: str, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ModelFormatError(line_no, f"expected integer {what}, got {tok!r}") from None
+
+
+def _to_index(line_no: int, tok: str, what: str) -> int:
+    value = _to_int(line_no, tok, what)
+    if value < 0:
+        raise ModelFormatError(line_no, f"negative {what} index {value}")
+    return value
+
+
+def _to_float(line_no: int, tok: str, what: str) -> float:
+    try:
+        return float(tok)
+    except ValueError:
+        raise ModelFormatError(line_no, f"expected number {what}, got {tok!r}") from None
 
 
 def _tokens(text: str):
@@ -833,6 +877,93 @@ def parse_model_reference(text: str):
     if not report.ok:
         raise ModelFormatError(0, f"model invalid:\n{report}")
     return ModelDocument(format_version="v1", model=model)
+
+
+def parse_fsc_reference(text: str) -> Fsc:
+    """``parse_fsc`` as one line-by-line reading: each line is converted and
+    checked in turn, then the tables are filled entry by entry."""
+    lines = list(_tokens(text))
+    if not lines:
+        raise ModelFormatError(0, "empty document")
+    line_no, toks = lines[0]
+    if toks != FSC_HEADER.split():
+        raise ModelFormatError(line_no, f"expected header {FSC_HEADER!r}")
+
+    num_nodes = None
+    initial = None
+    act_lines: list[tuple[int, int, int, int, float]] = []
+    mem_lines: list[tuple[int, int, int, int]] = []
+    for line_no, toks in lines[1:]:
+        kind, args = toks[0], toks[1:]
+        if kind in ("nodes", "init") and len(args) != 1:
+            raise ModelFormatError(line_no, f"{kind} takes one argument")
+        if kind == "nodes":
+            num_nodes = _to_int(line_no, args[0], "count")
+        elif kind == "init":
+            initial = _to_int(line_no, args[0], "node")
+        elif kind == "act":
+            if len(args) != 4:
+                raise ModelFormatError(line_no, "act takes: node observation action probability")
+            act_lines.append(
+                (line_no, _to_int(line_no, args[0], "node"), _to_index(line_no, args[1], "observation"),
+                 _to_index(line_no, args[2], "action"), _to_float(line_no, args[3], "probability"))
+            )
+        elif kind == "mem":
+            if len(args) != 3:
+                raise ModelFormatError(line_no, "mem takes: node observation successor")
+            mem_lines.append(
+                (line_no, _to_int(line_no, args[0], "node"), _to_index(line_no, args[1], "observation"),
+                 _to_int(line_no, args[2], "successor"))
+            )
+        else:
+            raise ModelFormatError(line_no, f"unknown directive {kind!r}")
+
+    if num_nodes is None or num_nodes <= 0:
+        raise ModelFormatError(0, "missing or non-positive nodes declaration")
+    if initial is None or not (0 <= initial < num_nodes):
+        raise ModelFormatError(0, "missing or out-of-range init declaration")
+
+    num_obs = 1 + max(
+        [z for _, _, z, _, _ in act_lines] + [z for _, _, z, _ in mem_lines], default=-1
+    )
+    num_act = 1 + max([a for _, _, _, a, _ in act_lines], default=-1)
+    if num_obs == 0 or num_act == 0:
+        raise ModelFormatError(0, "controller declares no act entries")
+    if len(mem_lines) < num_nodes * num_obs:  # reject before allocating for them
+        raise ModelFormatError(0, f"{num_nodes} nodes x {num_obs} observations need one mem line each")
+    if num_nodes * num_obs * num_act > MAX_FSC_ENTRIES:
+        line_no = max(act_lines, key=lambda line: line[3])[0]
+        raise ModelFormatError(
+            line_no, f"act: action {num_act - 1} needs a {num_nodes} x {num_obs} x {num_act} action table, "
+            f"over the {MAX_FSC_ENTRIES} entries a controller may have"
+        )
+
+    action_map = np.zeros((num_nodes, num_obs, num_act), dtype=np.float64)
+    memory_map = np.zeros((num_nodes, num_obs), dtype=np.int64)
+    seen_mem = np.zeros((num_nodes, num_obs), dtype=bool)
+    seen_act = set()
+    for line_no, n, z, a, p in act_lines:
+        if not (0 <= n < num_nodes):
+            raise ModelFormatError(line_no, f"act: unknown node {n}")
+        if (n, z, a) in seen_act:
+            raise ModelFormatError(line_no, f"act: duplicate entry for ({n}, {z}, {a})")
+        seen_act.add((n, z, a))
+        action_map[n, z, a] += p
+    for line_no, n, z, m in mem_lines:
+        if not (0 <= n < num_nodes) or not (0 <= m < num_nodes):
+            raise ModelFormatError(line_no, f"mem: node reference out of range ({n} -> {m})")
+        memory_map[n, z] = m
+        seen_mem[n, z] = True
+    if not seen_mem.all():
+        n, z = np.argwhere(~seen_mem)[0]
+        raise ModelFormatError(0, f"missing mem entry for node {int(n)} observation {int(z)}")
+
+    fsc = Fsc(num_nodes, initial, action_map, memory_map)
+    try:
+        fsc.check()
+    except ValueError as err:
+        raise ModelFormatError(0, str(err)) from None
+    return fsc
 
 
 def validate_reference(model):

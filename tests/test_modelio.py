@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import random_fsc, random_rpomdp
-from oracles import parse_model_reference
+from oracles import parse_fsc_reference, parse_model_reference
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Fsc, Interval, pad_actions, sample_member
 from robustfsc.modelio import (
@@ -347,13 +352,83 @@ class TestFscFormat:
             # no line count bounds the action index: 1e11 actions would
             # need a 745 GiB table
             ("fsc v1\nnodes 1\ninit 0\nact 0 0 100000000000 1\nmem 0 0 0\n", 4),
+            # the two halves of a repeated entry once added up to probability 1
+            (TWO_OBS_FSC.replace("act 0 0 0 1\n", "act 0 0 0 0.5\nact 0 0 0 0.5\n"), 5),
         ],
         ids=["nodes-arity", "init-arity", "act-negative-observation",
              "act-negative-action", "mem-negative-observation", "act-nan-probability",
-             "nodes-without-mem-lines", "observations-without-mem-lines", "act-huge-action"],
+             "nodes-without-mem-lines", "observations-without-mem-lines", "act-huge-action",
+             "act-repeated-entry"],
     )
     def test_malformed_line_rejected_with_line_number(self, text, line):
         assert parse_fsc(TWO_OBS_FSC).num_observations == 2
         with pytest.raises(ModelFormatError) as err:
             parse_fsc(text)
         assert err.value.line_no == line
+
+
+# ---------------------------------------------------------------------------
+# differential fuzz: mutated controllers parse as a line-by-line reading does
+
+FSC_FUZZ_DOCUMENTS = [TWO_OBS_FSC] + [
+    serialize_fsc(random_fsc(np.random.default_rng(seed), nodes, observations, actions))
+    for seed, (nodes, observations, actions) in enumerate([(1, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 4)])]
+
+
+def fsc_outcome(parse, text: str):
+    """The controller's fields bit for bit, or the error's type, message and line."""
+    try:
+        fsc = parse(text)
+    except Exception as err:  # the type is part of the outcome
+        return type(err), str(err), getattr(err, "line_no", None)
+    return (fsc.num_nodes, fsc.initial_node,
+            [(x.dtype.str, x.shape, x.tobytes()) for x in (fsc.action_map, fsc.memory_map)])
+
+
+def test_fuzzed_controllers_parse_like_the_line_by_line_reference():
+    rng = np.random.default_rng(14)
+    outcomes = []
+    for _ in range(800):
+        text = FSC_FUZZ_DOCUMENTS[rng.integers(len(FSC_FUZZ_DOCUMENTS))]
+        choices = [(rng.integers(len(FUZZ_OPS)), *rng.integers(1 << 30, size=2)) for _ in range(rng.integers(1, 4))]
+        mutant = mutate(text, choices)
+        outcomes.append(fsc_outcome(parse_fsc_reference, mutant))
+        assert fsc_outcome(parse_fsc, mutant) == outcomes[-1], (choices, mutant)
+    # both sides are reached often, and the errors at many different checks
+    assert sum(o[0] is ModelFormatError for o in outcomes) > 300
+    assert sum(isinstance(o[0], int) for o in outcomes) > 100
+    assert len({o[1] for o in outcomes if o[0] is ModelFormatError}) > 150
+
+
+def test_fuzzed_controllers_parse_like_the_reference_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.sampled_from(FSC_FUZZ_DOCUMENTS),
+        st.lists(st.tuples(st.integers(0, len(FUZZ_OPS) - 1), st.integers(0, 1 << 30), st.integers(0, 1 << 30)),
+                 min_size=1, max_size=4),
+    )
+    def check(text, choices):
+        mutant = mutate(text, choices)
+        assert fsc_outcome(parse_fsc, mutant) == fsc_outcome(parse_fsc_reference, mutant)
+
+    check()
+
+
+@pytest.mark.parametrize("lines, successor", [("mem 0 1 1\nmem 0 1 0\n", 0), ("mem 0 1 0\nmem 0 1 1\n", 1)])
+def test_a_later_mem_line_overrides_an_earlier_one(lines, successor):
+    two_nodes = TWO_OBS_FSC.replace("nodes 1", "nodes 2") + "act 1 0 0 1\nact 1 1 0 1\nmem 1 0 1\nmem 1 1 1\n"
+    text = two_nodes.replace("mem 0 1 0\n", lines)
+    assert parse_fsc(text).memory_map.tolist() == [[0, successor], [1, 1]]
+    assert fsc_outcome(parse_fsc, text) == fsc_outcome(parse_fsc_reference, text)
+
+
+def test_loading_a_document_imports_neither_scipy_nor_the_trainer():
+    code = ("import sys, robustfsc.modelio, robustfsc.grids; "
+            "print(sorted(m for m in ('scipy', 'robustfsc.rnn') if m in sys.modules))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -7,6 +7,8 @@ from scipy.sparse import csr_matrix
 from conftest import kmeans_controller, random_feasible_boxes, random_fsc, random_rpomdp
 from oracles import (
     box_simplex_opt,
+    inner_max,
+    inner_min,
     member_values_exact,
     product_chain_cost,
     robust_chain_lp,
@@ -18,8 +20,6 @@ from robustfsc.robusteval import (
     box_simplex_greedy,
     build_chain,
     evaluate_member,
-    inner_max,
-    inner_min,
     robust_value_iteration,
     solve_member,
 )
