@@ -85,7 +85,7 @@ def _cmd_eval_fsc(args) -> int:
     model = _load_model(args.model)
     fsc = _load_fsc(args.fsc, model)
     mode = "optimistic" if args.optimistic else "pessimistic"
-    values = robust_value_iteration(build_chain(model, fsc), mode, tol=args.tol)
+    values = robust_value_iteration(build_chain(model, fsc), mode)
     if values.diagnosis:
         print(f"warning: {values.diagnosis}", file=sys.stderr)
     print(values.at_initial)
@@ -97,7 +97,7 @@ def _cmd_eval_fsc(args) -> int:
 def _cmd_worst_case(args) -> int:
     model = _load_model(args.model)
     fsc = _load_fsc(args.fsc, model)
-    values = robust_value_iteration(build_chain(model, fsc), "pessimistic", tol=args.tol)
+    values = robust_value_iteration(build_chain(model, fsc))
     if not np.isfinite(values.at_initial):
         print(f"error: {values.diagnosis or 'robust value is infinite'}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -127,7 +127,6 @@ def _cmd_solve(args) -> int:
         epochs_per_iteration=args.epochs,
         learning_rate=args.lr,
         seed=args.seed,
-        vi_tol=args.vi_tol,
         target_value=args.target_value,
     )
     result = run(config, model)
@@ -183,14 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--fsc", required=True)
     p.add_argument("--optimistic", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval_fsc)
 
     p = sub.add_parser("worst-case", help="worst-case member for a controller")
     p.add_argument("--model", required=True)
     p.add_argument("--fsc", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_worst_case)
 
@@ -215,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=8)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vi-tol", type=float, default=1e-6)
     p.add_argument("--target-value", type=float, default=None)
     p.add_argument("--out", help="directory for run.csv, summary.json, best_fsc.fsc")
     p.set_defaults(func=_cmd_solve)

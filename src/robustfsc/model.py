@@ -179,13 +179,13 @@ class ConcretePomdp(_Pomdp):
         probs = self.edges.lo
         return lambda start, stop: _MemberRow(probs, dict(zip(succ[start:stop], range(start, stop))))
 
-    def is_member_of(self, model: RobustPomdp, tol: float = PROB_TOL) -> bool:
-        """Check that every stored probability lies in the parent's interval."""
+    def is_member_of(self, model: RobustPomdp) -> bool:
+        """Check that every stored probability lies in the parent's interval, up to PROB_TOL."""
         mine, parent = self.edges, model.edges
         return (
             np.array_equal(mine.offsets, parent.offsets)
             and np.array_equal(mine.succ, parent.succ)
-            and bool(np.all((parent.lo - tol <= mine.lo) & (mine.lo <= parent.hi + tol)))
+            and bool(np.all((parent.lo - PROB_TOL <= mine.lo) & (mine.lo <= parent.hi + PROB_TOL)))
         )
 
 
@@ -218,15 +218,17 @@ class Fsc:
     def num_actions(self) -> int:
         return self.action_map.shape[2]
 
-    def check(self, tol: float = PROB_TOL) -> None:
+    def check(self) -> None:
         if not (0 <= self.initial_node < self.num_nodes):
             raise ValueError("initial node out of range")
         if self.action_map.shape[:2] != self.memory_map.shape:
             raise ValueError("action_map and memory_map disagree on shape")
-        if not np.all(self.action_map >= -tol):  # also catches NaN
+        if not np.all(np.isfinite(self.action_map)):
+            raise ValueError("non-finite action probability")
+        if not np.all(self.action_map >= -PROB_TOL):
             raise ValueError("negative action probability")
         sums = self.action_map.sum(axis=2)
-        if not np.all(np.abs(sums - 1.0) <= tol):
+        if not np.all(np.abs(sums - 1.0) <= PROB_TOL):
             raise ValueError("action distribution does not sum to 1")
         if np.any(self.memory_map < 0) or np.any(self.memory_map >= self.num_nodes):
             raise ValueError("memory update references unknown node")
@@ -360,8 +362,9 @@ def project_row(targets: np.ndarray, intervals: list[Interval]) -> np.ndarray:
 
     Clamps each target into its interval, then spreads the leftover mass
     Delta = 1 - sum(p) proportionally to the remaining slack (upward slack
-    hi - p when Delta > 0, downward slack p - lo when Delta < 0), repeating
-    until |Delta| < 1e-12.
+    hi - p when Delta > 0, downward slack p - lo when Delta < 0).  A box
+    that meets the simplex has slack at least |Delta|, so the one spread
+    lands within 1e-12 of it; a row that does not raises ValueError.
     """
     lo = np.array([iv.lo for iv in intervals], dtype=np.float64)
     hi = np.array([iv.hi for iv in intervals], dtype=np.float64)
@@ -380,18 +383,17 @@ def _project(targets: np.ndarray, lo: np.ndarray, hi: np.ndarray, offsets: np.nd
     active = counts > 0
     check_boxes(lo, hi, np.unique(offsets))  # the non-empty rows
     p = np.clip(targets, lo, hi)
-    for _ in range(100):
-        delta = 1.0 - np.bincount(seg, p, num_rows)
-        active &= ~(np.abs(delta) < 1e-12)
-        if not active.any():
-            break
-        e = np.flatnonzero(active[seg])
-        r = seg[e]
-        slack = np.where(delta[r] > 0, hi[e] - p[e], p[e] - lo[e])
-        total = np.bincount(r, slack, num_rows)
-        if np.any(total[active] <= 0.0):
-            raise ValueError("box does not intersect the probability simplex")
-        p[e] = np.clip(p[e] + delta[r] * slack / total[r], lo[e], hi[e])
+    delta = 1.0 - np.bincount(seg, p, num_rows)
+    active &= ~(np.abs(delta) < 1e-12)
+    e = np.flatnonzero(active[seg])
+    r = seg[e]
+    slack = np.where(delta[r] > 0, hi[e] - p[e], p[e] - lo[e])
+    total = np.bincount(r, slack, num_rows)
+    if np.any(total[active] <= 0.0):
+        raise ValueError("box does not intersect the probability simplex")
+    p[e] = np.clip(p[e] + delta[r] * slack / total[r], lo[e], hi[e])
+    if not np.all(np.abs(1.0 - np.bincount(r, p[e], num_rows)[active]) < 1e-12):
+        raise ValueError("one spread left a row off the probability simplex")
     return p
 
 

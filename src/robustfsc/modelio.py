@@ -391,12 +391,14 @@ def parse_fsc(text: str) -> Fsc:
     unknown = _outside(n, num_nodes)
     # an entry's key is unique to its (n, z, a); a line with an unknown node gets a key of its own
     key = np.where(unknown, -1 - np.arange(len(n)), (n * num_obs + z) * num_act + a)
+    prob = np.array(act[3], dtype=np.float64)
     _first_failure(line_nos["act"], [
         (unknown, lambda j: f"act: unknown node {act[0][j]}"),
         (_repeats(key), lambda j: f"act: duplicate entry for ({act[0][j]}, {act[1][j]}, {act[2][j]})"),
+        (~np.isfinite(prob), lambda j: f"act: non-finite probability {act[3][j]}"),
     ])
     action_map = np.zeros((num_nodes, num_obs, num_act), dtype=np.float64)
-    np.add.at(action_map, (n, z, a), np.array(act[3], dtype=np.float64))
+    np.add.at(action_map, (n, z, a), prob)
 
     n, z, m = (_ints(v) for v in mem)
     _first_failure(line_nos["mem"], [(

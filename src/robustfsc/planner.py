@@ -50,7 +50,7 @@ class RunConfig:
     learning_rate: float = 1e-3
     clip_norm: float = 5.0
     seed: int = 0
-    vi_tol: float = 1e-6
+    vi_tol: float = 1e-6  # read by perfbench only; robust evaluation is exact without it
     supervision_tol: float = 1e-9
     target_value: float | None = None
 
@@ -150,7 +150,7 @@ def run(config: RunConfig, model: RobustPomdp) -> RunResult:
                 )
 
             fsc = build_fsc(params, clustering, model)
-            values = robust_value_iteration(build_chain(model, fsc), "pessimistic", tol=config.vi_tol)
+            values = robust_value_iteration(build_chain(model, fsc))
             robust_value = values.at_initial
             fidelity = fsc_fidelity(params, fsc, dataset, hidden)
             # free the rollouts before the next simulate, which sets the peak

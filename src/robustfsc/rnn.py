@@ -433,33 +433,6 @@ def train_epochs(
     return params, trace
 
 
-def gradient_check(params: NetworkParams, dataset: TrajectoryDataset, fd_step: float = 1e-6) -> float:
-    """Max relative error of the BPTT gradient against central differences.
-
-    The relative error per coordinate is |a - n| / max(1, |a|, |n|); intended
-    for desk-sized networks and short episodes in float64.
-    """
-    total = dataset.num_steps
-    if total == 0:
-        return 0.0
-    zs, mus, mask = dataset.observations, dataset.targets, dataset.mask
-    _, grad = _loss_and_grad(params, zs, mus, mask, float(total))
-    worst = 0.0
-    work = params.copy()
-    flat = work.flat
-    for i, analytic in enumerate(grad.flat.tolist()):
-        orig = flat[i]
-        flat[i] = orig + fd_step
-        up, _ = _loss_and_grad(work, zs, mus, mask, float(total), want_grad=False)
-        flat[i] = orig - fd_step
-        down, _ = _loss_and_grad(work, zs, mus, mask, float(total), want_grad=False)
-        flat[i] = orig
-        numeric = (up - down) / (2.0 * fd_step)
-        denom = max(1.0, abs(analytic), abs(numeric))
-        worst = max(worst, abs(analytic - numeric) / denom)
-    return worst
-
-
 CHECKPOINT_HEADER = "rnnparams v1"
 
 
@@ -485,6 +458,8 @@ def params_from_text(text: str) -> NetworkParams:
     if toks[:1] != ["dims"] or len(toks) != 5:
         raise ValueError("expected 'dims Z e d A' on the second line")
     nz, e, d, na = (int(t) for t in toks[1:])
+    if min(nz, e, d, na) < 0:  # reshape would read -1 as "infer this size"
+        raise ValueError(f"negative size on the dims line: {lines[1].strip()!r}")
     layout = network_layout(nz, e, d, na)
     shapes = dict(layout)
     arrays = {}

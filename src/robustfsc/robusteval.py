@@ -292,11 +292,11 @@ def robust_value_iteration(
     member only when that improves its objective by more than 1e-12 *
     max(1, max |v|); on ties it keeps its current member (Howard's rule), so
     every switch strictly improves v and the loop stops when no row
-    switches.  ``tol`` is kept for callers that pass it; the result does not
-    depend on it.  States with an infinite worst case (goal unreachable
-    through the support graph) read +inf with a diagnosis rather than an
-    error, as do all states of a member chain that is singular in float64
-    because the goal is reached only through probabilities below its
+    switches.  ``tol`` is kept only because ``perfbench`` passes it; the
+    result does not depend on it.  States with an infinite worst case (goal
+    unreachable through the support graph) read +inf with a diagnosis rather
+    than an error, as do all states of a member chain that is singular in
+    float64 because the goal is reached only through probabilities below its
     resolution (say a saturated softmax giving the only exit action 1e-25).
     """
     if mode not in ("pessimistic", "optimistic"):
@@ -364,7 +364,6 @@ def robust_value_iteration(
     )
 
 
-def evaluate_member(member: ConcretePomdp, fsc: Fsc, tol: float = 1e-9) -> float:
+def evaluate_member(member: ConcretePomdp, fsc: Fsc) -> float:
     """Expected cost of the controller on one concrete instance."""
-    chain = build_chain(member, fsc)
-    return robust_value_iteration(chain, "pessimistic", tol=tol).at_initial
+    return robust_value_iteration(build_chain(member, fsc)).at_initial

@@ -5,7 +5,9 @@ taken in (s, a, O(s'), s') order, so results do not depend on state
 enumeration order.
 States from which no policy can reach a goal with positive probability are
 valued +inf up front; the sweeps propagate infinity to anything forced
-through them.
+through them.  Every other value rises monotonically from 0 to the least
+fixed point, so finite values settle on their own; only values that grow
+without end exhaust the ``MAX_SWEEPS`` budget.
 """
 
 from __future__ import annotations
@@ -18,13 +20,19 @@ from scipy.sparse.csgraph import dijkstra
 
 from robustfsc.model import Belief, ConcretePomdp
 
-VALUE_CAP = 1e9
+MAX_SWEEPS = 200_000  # sweep budget of each bound
 
 
 class DivergenceError(RuntimeError):
-    """A computation left its bounds: value iteration exceeded its cap or
-    iteration budget, robust policy iteration revisited a member, or the GRU
-    or bottleneck training loss turned non-finite.  The CLI exits 3 on it."""
+    """A computation left its bounds: value iteration used up its sweep
+    budget, robust policy iteration revisited a member, or the GRU or
+    bottleneck training loss turned non-finite.  The CLI exits 3 on it."""
+
+
+def _split_infinite(table: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``table`` with its infinite entries zeroed, so no 0 * inf turns NaN, and where they were."""
+    infinite = np.isinf(table)
+    return (np.where(infinite, 0.0, table), infinite) if infinite.any() else (table, None)
 
 
 @dataclass
@@ -37,9 +45,15 @@ class MdpValues:
     v: np.ndarray  # (S,)
     q: np.ndarray  # (S, A)
 
+    def __post_init__(self) -> None:
+        self._finite, self._infinite = _split_infinite(self.q)
+
     def action_values(self, belief: Belief) -> np.ndarray:
-        """Belief-weighted action values: sum_s b(s) q(s, a)."""
-        return belief @ self.q
+        """sum_s b(s) q(s, a); an infinite q(s, a) counts only where b(s) > 0."""
+        values = belief @ self._finite
+        if self._infinite is not None:
+            values[(belief > 0) @ self._infinite] = np.inf
+        return values
 
 
 @dataclass
@@ -48,8 +62,14 @@ class FibVectors:
 
     alpha: np.ndarray  # (A, S)
 
+    def __post_init__(self) -> None:
+        self._finite, self._infinite = _split_infinite(self.alpha)
+
     def action_values(self, belief: Belief) -> np.ndarray:
-        return self.alpha @ belief
+        values = self._finite @ belief
+        if self._infinite is not None:
+            values[self._infinite @ (belief > 0)] = np.inf
+        return values
 
 
 def _by_observation(model: ConcretePomdp) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -88,33 +108,31 @@ def _improper_states(model: ConcretePomdp) -> np.ndarray:
     return ~_backward_closure(reverse, goals)
 
 
-def solve_mdp(model: ConcretePomdp, tol: float = 1e-9, max_iters: int = 200_000) -> MdpValues:
+def solve_mdp(model: ConcretePomdp, tol: float = 1e-9) -> MdpValues:
     """Expected cost-to-goal of the underlying MDP via value iteration.
 
     Jacobi sweeps from v = 0; the iterates increase monotonically toward the
-    least fixed point.  Raises DivergenceError when values pass 1e9, which
-    diagnoses a goal that is not reachable almost surely.
+    least fixed point.  Raises DivergenceError when they still move after
+    ``MAX_SWEEPS`` sweeps, as values that grow without end do.
     """
     n, na = model.num_states, model.num_actions
     succ, prob, _, _ = _by_observation(model)
     cost, row_starts = model.edges.cost, model.edges.offsets[:-1]
     v = np.zeros(n)
     v[_improper_states(model)] = np.inf
-    for _ in range(max_iters):
+    for _ in range(MAX_SWEEPS):
         contrib = prob * v[succ]
         q = cost + np.add.reduceat(contrib, row_starts)
         v_new = q.reshape(n, na).min(axis=1)
         finite = np.isfinite(v_new) & np.isfinite(v)
         change = np.max(np.abs(v_new[finite] - v[finite]), initial=0.0)
         v = v_new
-        if np.any(v[np.isfinite(v)] > VALUE_CAP):
-            raise DivergenceError("MDP values exceed 1e9; goal unreachable from some state")
         if change < tol:
             return MdpValues(v=v, q=q.reshape(n, na))
-    raise DivergenceError(f"MDP value iteration did not converge in {max_iters} sweeps")
+    raise DivergenceError(f"MDP value iteration did not converge in {MAX_SWEEPS} sweeps")
 
 
-def solve_fib(model: ConcretePomdp, tol: float = 1e-9, max_iters: int = 200_000) -> FibVectors:
+def solve_fib(model: ConcretePomdp, tol: float = 1e-9) -> FibVectors:
     """Iterate the observation-aware value vectors from zero to a fixed point.
 
     alpha'[a](s) = C(s,a) + sum_z min_a' sum_{s': O(s')=z} T(s'|s,a) alpha[a'](s')
@@ -123,7 +141,7 @@ def solve_fib(model: ConcretePomdp, tol: float = 1e-9, max_iters: int = 200_000)
     succ, prob, group_starts, row_group_starts = _by_observation(model)
     alpha = np.zeros((na, n))
     alpha[:, _improper_states(model)] = np.inf
-    for _ in range(max_iters):
+    for _ in range(MAX_SWEEPS):
         contrib = prob[:, None] * alpha[:, succ].T  # (E, A)
         per_group = np.add.reduceat(contrib, group_starts, axis=0)
         group_min = per_group.min(axis=1)  # min over next action, one per (s,a,z)
@@ -132,11 +150,9 @@ def solve_fib(model: ConcretePomdp, tol: float = 1e-9, max_iters: int = 200_000)
         finite = np.isfinite(alpha_new) & np.isfinite(alpha)
         change = np.max(np.abs(alpha_new[finite] - alpha[finite]), initial=0.0)
         alpha = alpha_new
-        if np.any(alpha[np.isfinite(alpha)] > VALUE_CAP):
-            raise DivergenceError("FIB values exceed 1e9; goal unreachable from some state")
         if change < tol:
             return FibVectors(alpha=alpha)
-    raise DivergenceError(f"FIB iteration did not converge in {max_iters} sweeps")
+    raise DivergenceError(f"FIB iteration did not converge in {MAX_SWEEPS} sweeps")
 
 
 def supervision_policy(q_values: np.ndarray) -> np.ndarray:

@@ -120,3 +120,55 @@ def assert_fields_view_flat(p):
         assert field.shape == shape
         assert np.shares_memory(field, p.flat), name
     assert sum(getattr(p, name).size for name, _ in p.layout) == p.flat.size
+
+
+# ---------------------------------------------------------------------------
+# mutations of text documents, for the parser fuzz tests
+
+# replacement tokens: special floats, Python-only spellings, out-of-range,
+# negative and oversized indices, garbage
+FUZZ_TOKENS = ["nan", "inf", "-inf", "1e-400", "1e400", "1_0", "+1", "-0", "0x1", "-1", "0", "1", "2", "7",
+               "0.5", "100000000000", "1" + "0" * 30, "x", "trans", "obs"]
+# a replaced token reaches the most checks, so it is drawn three times as often
+FUZZ_OPS = ["drop", "duplicate", "variant", "swap", "shuffle", "token", "token", "token", "missing", "extra", "tabs",
+            "indent", "blank", "crlf"]
+
+
+def mutate(text: str, choices) -> str:
+    """Apply each (operation index, a, b) of ``choices`` to the document's
+    lines: a picks a line and, divided by the line count, a replacement
+    token; b picks a second line, a token position or a shuffle seed."""
+    lines, newline = text.splitlines(), "\n"
+    for op, a, b in choices:
+        if not lines:
+            break
+        op, i, j = FUZZ_OPS[op], a % len(lines), b % len(lines)
+        toks = lines[i].split()
+        token = FUZZ_TOKENS[a // len(lines) % len(FUZZ_TOKENS)]
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(j, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "shuffle":
+            lines[1:] = [lines[1:][k] for k in np.random.default_rng(b).permutation(len(lines) - 1)]
+        elif op == "crlf":
+            newline = "\r\n"
+        elif op == "blank":
+            lines.insert(j, ["", "   ", "# a comment", "\t"][b % 4])
+        elif toks and op in ("token", "variant"):
+            toks[b % len(toks)] = token
+        elif toks and op == "missing":
+            del toks[b % len(toks)]
+        elif op == "extra":
+            toks.insert(b % (len(toks) + 1), token)
+        elif op == "tabs":
+            lines[i] = "\t".join(toks)
+        elif op == "indent":
+            lines[i] = "  " + lines[i] + "  # trailing comment"
+        if op in ("token", "missing", "extra"):
+            lines[i] = " ".join(toks)
+        elif op == "variant":  # a second line for the same entry, one token changed
+            lines.insert(j, " ".join(toks))
+    return newline.join(lines) + newline

@@ -16,7 +16,8 @@ the hand-written backward passes, the model's load path as it was
 before the edge table became a model's only storage (the line-by-line
 parser, the dict walk of validation and the per-state grid generators), and
 the line-by-line controller parser.  ``inner_max``/``inner_min``, one-row
-wrappers of the library's greedy, live here because only tests call them.
+wrappers of the library's greedy, and ``gradient_check`` live here because
+only tests call them.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from scipy.sparse.linalg import MatrixRankWarning, spsolve
 from robustfsc.grids import MOVES, SCAN, GridSpec, avoid_decode, avoid_index, pair_decode, pair_index, patrol_route
 from robustfsc.model import BELIEF_TOL, BOX_TOL, ConcretePomdp, Fsc, Interval, RobustPomdp, ValidationReport, check_boxes
 from robustfsc.modelio import FSC_HEADER, MAX_FSC_ENTRIES, MODEL_HEADER, ModelDocument, ModelFormatError
+from robustfsc.rnn import _loss_and_grad
 from robustfsc.robusteval import RobustChain, RobustValues, _infinite_set, box_simplex_greedy
 from robustfsc.solvers import DivergenceError
 
@@ -705,6 +707,18 @@ def central_differences(f, x, step=1e-6):
     return grad
 
 
+def gradient_check(params, dataset) -> float:
+    """Max relative error of the BPTT gradient against central differences,
+    |a - n| / max(1, |a|, |n|) per coordinate; 0 on an empty dataset."""
+    if dataset.num_steps == 0:
+        return 0.0
+    args = (dataset.observations, dataset.targets, dataset.mask, float(dataset.num_steps))
+    analytic = _loss_and_grad(params, *args)[1].flat
+    work = params.copy()
+    numeric = central_differences(lambda: _loss_and_grad(work, *args, want_grad=False)[0], work.flat)
+    return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))))
+
+
 # ---------------------------------------------------------------------------
 # the load path of models and controllers, one line, row or state at a time
 
@@ -947,6 +961,8 @@ def parse_fsc_reference(text: str) -> Fsc:
             raise ModelFormatError(line_no, f"act: unknown node {n}")
         if (n, z, a) in seen_act:
             raise ModelFormatError(line_no, f"act: duplicate entry for ({n}, {z}, {a})")
+        if not math.isfinite(p):
+            raise ModelFormatError(line_no, f"act: non-finite probability {p}")
         seen_act.add((n, z, a))
         action_map[n, z, a] += p
     for line_no, n, z, m in mem_lines:

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from conftest import random_feasible_boxes, random_fsc, random_rpomdp
-from oracles import box_simplex_opt, inner_max, product_chain_cost
+from oracles import box_simplex_opt, gradient_check, inner_max, product_chain_cost
 from robustfsc.adversary import proxy_objective_of, select_worst_case
 from robustfsc.cli import main as cli_main
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Interval, nominal_midpoint, sample_member
 from robustfsc.modelio import serialize_model
 from robustfsc.planner import RunConfig, run
-from robustfsc.rnn import gradient_check, init_params, loss
+from robustfsc.rnn import init_params, loss
 from robustfsc.robusteval import build_chain, robust_value_iteration
 from robustfsc.simulate import Episode, Step, TrajectoryDataset
 from robustfsc.solvers import solve_fib, solve_mdp

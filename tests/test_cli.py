@@ -92,14 +92,14 @@ def test_malformed_fsc_exit_code(model_file, tmp_path, capsys):
 
 
 def test_eval_fsc_worst_self_loop(model_file, fsc_file, capsys):
-    assert main(["eval-fsc", "--model", model_file, "--fsc", fsc_file, "--tol", "1e-12"]) == 0
+    assert main(["eval-fsc", "--model", model_file, "--fsc", fsc_file]) == 0
     value = float(capsys.readouterr().out.strip())
     assert value == pytest.approx(2.5, abs=1e-6)
 
 
 def test_eval_fsc_optimistic(model_file, fsc_file, capsys):
     assert main(["eval-fsc", "--model", model_file, "--fsc", fsc_file,
-                 "--optimistic", "--tol", "1e-12"]) == 0
+                 "--optimistic"]) == 0
     value = float(capsys.readouterr().out.strip())
     assert value == pytest.approx(1.0 / 0.6, abs=1e-6)
 
@@ -150,6 +150,25 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert (out / "best_fsc.fsc").exists()
     # the emitted controller evaluates on the model through the CLI
     assert main(["eval-fsc", "--model", str(model), "--fsc", str(out / "best_fsc.fsc")]) == 0
+
+
+@pytest.mark.parametrize("supervision", ["qmdp", "fib"])
+def test_solve_with_costs_past_1e9(tmp_path, supervision, capsys):
+    # both bounds once stopped at values past 1e9 and the run exited 3
+    model = tmp_path / "grid.rpomdp"
+    assert main(["gen-grid", "--kind", "intercept", "--width", "4", "--height", "4",
+                 "--penalty-cost", "1e9", "--out", str(model)]) == 0
+    assert main(["solve", "--model", str(model), "--iters", "1", "--episodes", "8", "--horizon", "20",
+                 "--supervision", supervision]) == 0
+    assert float(capsys.readouterr().out.splitlines()[-1].split(":")[1]) > 1e9
+
+
+@pytest.mark.parametrize("verb, flag", [("eval-fsc", "--tol"), ("worst-case", "--tol"), ("solve", "--vi-tol")])
+def test_no_tolerance_flags(verb, flag, capsys):
+    # exact evaluation takes no tolerance
+    with pytest.raises(SystemExit):
+        main([verb, "--help"])
+    assert flag not in capsys.readouterr().out
 
 
 def test_solve_deterministic_modulo_timing(tmp_path):

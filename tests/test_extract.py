@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_fields_view_flat, random_rpomdp
+import robustfsc.extract as extract
 from oracles import build_fsc_reference, central_differences, fsc_fidelity_reference
 from robustfsc.extract import (
     _qbn_decode,
@@ -73,6 +74,16 @@ class TestKmeans:
         cl = kmeans_fit(pts, 2, rng_seed=0)
         assert sorted(cl.centroids.ravel().tolist()) == [0.0, 10.0]
         assert cl.fit_metric == 0.0
+
+    def test_identical_points_stop_once_the_assignment_repeats(self, monkeypatch):
+        # re-seeding keeps moving a point between clusters, so the assignment
+        # after it never repeats; the nearest-centroid one before it does
+        calls = []
+        sq_dists = extract._sq_dists
+        monkeypatch.setattr(extract, "_sq_dists", lambda *args: calls.append(1) or sq_dists(*args))
+        cl = kmeans_fit(np.ones((12, 3)), 4, rng_seed=0)
+        assert len(calls) <= 3
+        assert np.array_equal(cl.centroids, np.ones((4, 3))) and cl.fit_metric == 0.0
 
     def test_k1_returns_mean(self):
         rng = np.random.default_rng(3)

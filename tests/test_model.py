@@ -6,6 +6,7 @@ from conftest import random_rpomdp
 from oracles import reference_member, validate_reference
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import (
+    Fsc,
     InconsistentHistoryError,
     Interval,
     RobustPomdp,
@@ -200,6 +201,20 @@ class TestProjectRow:
     def test_infeasible_box_raises(self):
         with pytest.raises(ValueError):
             project_row(np.array([0.5, 0.5]), [Interval(0.6, 0.7), Interval(0.6, 0.7)])
+
+    def test_a_row_one_spread_cannot_reach_raises(self, monkeypatch):
+        # boxes that miss the simplex, past check_boxes: the spread fills the
+        # slack and the row still sums to 0.4, which is an error, not a result
+        monkeypatch.setattr(model_module, "check_boxes", lambda *args: None)
+        with pytest.raises(ValueError, match="off the probability simplex"):
+            project_row(np.array([0.0, 0.0]), [Interval(0.1, 0.2), Interval(0.1, 0.2)])
+
+
+@pytest.mark.parametrize("prob", [np.nan, np.inf, -np.inf])
+def test_fsc_check_names_a_non_finite_probability(prob):
+    fsc = Fsc(1, 0, np.array([[[prob, 1.0]]]), np.zeros((1, 1), dtype=int))
+    with pytest.raises(ValueError, match="non-finite action probability"):
+        fsc.check()
 
 
 class TestMembers:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_fsc, random_rpomdp
+from conftest import FUZZ_OPS, mutate, random_fsc, random_rpomdp
 from oracles import parse_fsc_reference, parse_model_reference
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Fsc, Interval, pad_actions, sample_member
@@ -202,55 +202,6 @@ def test_array_import_shim():
 FUZZ_DOCUMENTS = [serialize_model(generate_grid(spec, 1)) for spec in (
     GridSpec(3, 3, "avoid"), GridSpec(3, 3, "evade", view_radius=0), GridSpec(3, 3, "intercept", view_radius=0))]
 FUZZ_DOCUMENTS += [serialize_model(random_rpomdp(np.random.default_rng(seed))) for seed in range(4)] + [MINIMAL]
-# replacement tokens: special floats, Python-only spellings, out-of-range,
-# negative and oversized indices, garbage
-FUZZ_TOKENS = ["nan", "inf", "-inf", "1e-400", "1e400", "1_0", "+1", "-0", "0x1", "-1", "0", "1", "2", "7",
-               "0.5", "100000000000", "1" + "0" * 30, "x", "trans", "obs"]
-# a replaced token reaches the most checks, so it is drawn three times as often
-FUZZ_OPS = ["drop", "duplicate", "variant", "swap", "shuffle", "token", "token", "token", "missing", "extra", "tabs",
-            "indent", "blank", "crlf"]
-
-
-def mutate(text: str, choices) -> str:
-    """Apply each (operation index, a, b) of ``choices`` to the document's
-    lines: a picks a line and, divided by the line count, a replacement
-    token; b picks a second line, a token position or a shuffle seed."""
-    lines, newline = text.splitlines(), "\n"
-    for op, a, b in choices:
-        if not lines:
-            break
-        op, i, j = FUZZ_OPS[op], a % len(lines), b % len(lines)
-        toks = lines[i].split()
-        token = FUZZ_TOKENS[a // len(lines) % len(FUZZ_TOKENS)]
-        if op == "drop":
-            del lines[i]
-        elif op == "duplicate":
-            lines.insert(j, lines[i])
-        elif op == "swap":
-            lines[i], lines[j] = lines[j], lines[i]
-        elif op == "shuffle":
-            lines[1:] = [lines[1:][k] for k in np.random.default_rng(b).permutation(len(lines) - 1)]
-        elif op == "crlf":
-            newline = "\r\n"
-        elif op == "blank":
-            lines.insert(j, ["", "   ", "# a comment", "\t"][b % 4])
-        elif toks and op in ("token", "variant"):
-            toks[b % len(toks)] = token
-        elif toks and op == "missing":
-            del toks[b % len(toks)]
-        elif op == "extra":
-            toks.insert(b % (len(toks) + 1), token)
-        elif op == "tabs":
-            lines[i] = "\t".join(toks)
-        elif op == "indent":
-            lines[i] = "  " + lines[i] + "  # trailing comment"
-        if op in ("token", "missing", "extra"):
-            lines[i] = " ".join(toks)
-        elif op == "variant":  # a second line for the same entry, one token changed
-            lines.insert(j, " ".join(toks))
-    return newline.join(lines) + newline
-
-
 def parse_outcome(parse, text: str):
     """The model's fields bit for bit, or the error's type, message and line."""
     try:
@@ -346,7 +297,7 @@ class TestFscFormat:
             (TWO_OBS_FSC.replace("act 0 0 0 1", "act 0 -1 0 1"), 4),
             (TWO_OBS_FSC.replace("act 0 0 0 1", "act 0 0 -1 1"), 4),
             (TWO_OBS_FSC.replace("mem 0 1 0", "mem 0 -1 0"), 7),
-            ("fsc v1\nnodes 1\ninit 0\nact 0 0 0 nan\nmem 0 0 0\n", 0),
+            ("fsc v1\nnodes 1\ninit 0\nact 0 0 0 nan\nmem 0 0 0\n", 4),
             ("fsc v1\nnodes 100000000000\ninit 0\nact 0 0 0 1\nmem 0 0 0\n", 0),
             ("fsc v1\nnodes 1\ninit 0\nact 0 100000000000 0 1\nmem 0 0 0\n", 0),
             # no line count bounds the action index: 1e11 actions would
@@ -365,6 +316,16 @@ class TestFscFormat:
         with pytest.raises(ModelFormatError) as err:
             parse_fsc(text)
         assert err.value.line_no == line
+
+    @pytest.mark.parametrize("prob", ["nan", "inf", "-inf"])
+    def test_non_finite_probability_rejected_at_its_act_line(self, prob):
+        text = TWO_OBS_FSC.replace("act 0 1 1 1", f"act 0 1 1 {prob}")
+        with pytest.raises(ModelFormatError, match=f"act: non-finite probability {float(prob)}$") as err:
+            parse_fsc(text)
+        assert err.value.line_no == 5
+        with pytest.raises(ModelFormatError, match="non-finite") as err:
+            parse_fsc_reference(text)
+        assert err.value.line_no == 5
 
 
 # ---------------------------------------------------------------------------

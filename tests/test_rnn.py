@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import assert_fields_view_flat
-from oracles import central_differences, loss_and_grad_reference, scalar_gru_forward, sigmoid_reference
+from conftest import FUZZ_OPS, assert_fields_view_flat, mutate
+from oracles import central_differences, gradient_check, loss_and_grad_reference, scalar_gru_forward, sigmoid_reference
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import nominal_midpoint
 from robustfsc.rnn import (
@@ -16,7 +16,6 @@ from robustfsc.rnn import (
     dense_layout,
     episode_batches,
     forward,
-    gradient_check,
     init_params,
     initial_hidden,
     loss,
@@ -432,3 +431,54 @@ class TestCheckpoint:
         text = "\n".join(ln for ln in params_to_text(p).splitlines() if not ln.startswith("emb"))
         with pytest.raises(ValueError):
             params_from_text(text)
+
+    def test_negative_dims_rejected(self):
+        # reshape reads a size of -1 as "infer it": the head once took any width
+        text = params_to_text(init_params(2, 2, 3, 2, rng_seed=0)).replace("dims 2 2 3 2", "dims 2 2 3 -1")
+        with pytest.raises(ValueError, match="negative size"):
+            params_from_text(text)
+
+
+# fuzz: a mutated checkpoint raises ValueError or parses to a vector that round-trips
+
+CHECKPOINTS = [params_to_text(init_params(nz, na, hidden_size=d, embed_size=e, rng_seed=k))
+               for k, (nz, na, d, e) in enumerate([(2, 2, 3, 2), (3, 1, 2, 1), (1, 3, 1, 2)])]
+
+
+def checkpoint_outcome(text: str):
+    """The error message, or the parsed layout and vector once they round-trip bit for bit."""
+    try:
+        params = params_from_text(text)
+    except ValueError as err:
+        return str(err)
+    again = params_from_text(params_to_text(params))
+    assert again.layout == params.layout and again.flat.tobytes() == params.flat.tobytes(), text
+    assert params_to_text(again) == params_to_text(params)
+    return params.layout, params.flat.tobytes()
+
+
+def test_fuzzed_checkpoints_raise_value_error_or_round_trip():
+    rng = np.random.default_rng(21)
+    outcomes = []
+    for _ in range(600):
+        text = CHECKPOINTS[rng.integers(len(CHECKPOINTS))]
+        choices = [(rng.integers(len(FUZZ_OPS)), *rng.integers(1 << 30, size=2)) for _ in range(rng.integers(1, 4))]
+        outcomes.append(checkpoint_outcome(mutate(text, choices)))
+    errors = [o for o in outcomes if isinstance(o, str)]
+    assert len(errors) > 300 and len(outcomes) - len(errors) > 100 and len(set(errors)) > 50
+
+
+def test_fuzzed_checkpoints_raise_value_error_or_round_trip_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.sampled_from(CHECKPOINTS),
+        st.lists(st.tuples(st.integers(0, len(FUZZ_OPS) - 1), st.integers(0, 1 << 30), st.integers(0, 1 << 30)),
+                 min_size=1, max_size=4),
+    )
+    def check(text, choices):
+        checkpoint_outcome(mutate(text, choices))
+
+    check()

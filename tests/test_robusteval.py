@@ -220,7 +220,7 @@ class TestRobustValueIteration:
             model = random_rpomdp(rng, degenerate=True)
             fsc = random_fsc(rng, 2, model.num_observations, model.num_actions)
             member = nominal_midpoint(model)
-            ours = evaluate_member(member, fsc, tol=1e-12)
+            ours = evaluate_member(member, fsc)
             oracle = product_chain_cost(member, fsc)
             assert ours == pytest.approx(oracle, abs=1e-6)
 
@@ -308,7 +308,7 @@ class TestRobustValueIteration:
         pess = robust_value_iteration(build_chain(model, fsc), tol=1e-9)
         for seed in range(3):
             member = sample_member(model, seed)
-            ours = evaluate_member(member, fsc, tol=1e-9)
+            ours = evaluate_member(member, fsc)
             oracle = product_chain_cost(member, fsc)
             assert ours == pytest.approx(oracle, rel=1e-9, abs=1e-9)
             assert ours <= pess.at_initial + 1e-8

@@ -3,8 +3,11 @@ import pytest
 
 from conftest import random_rpomdp
 from oracles import belief_value_recursive, enumerate_policies_ssp, product_chain_cost
+import robustfsc.solvers as solvers
 from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint
+from robustfsc.simulate import simulate
 from robustfsc.solvers import (
+    DivergenceError,
     solve_fib,
     solve_mdp,
     supervision_policy,
@@ -28,6 +31,47 @@ def chain_model(costs=(1.0,)):
         initial_belief=np.eye(n)[0],
     )
     return nominal_midpoint(m)
+
+
+def trap_model(exit_prob=None):
+    """Start 0, trap 1, goal 2.  Action 0 costs 1 and falls into the trap or
+    reaches the goal, each with probability 1/2; action 1 costs 2 and reaches
+    the goal.  The trap loops at cost 1 and leaves for the goal with
+    probability ``exit_prob``, never when it is None."""
+    trap = {1: Interval(1.0, 1.0)} | ({2: Interval(exit_prob, exit_prob)} if exit_prob else {})
+    goal = {2: Interval(1.0, 1.0)}
+    m = RobustPomdp(
+        num_states=3, num_actions=2, num_observations=2,
+        obs_of=np.array([0, 0, 1]),
+        transitions={(0, 0): {1: Interval(0.5, 0.5), 2: Interval(0.5, 0.5)}, (0, 1): goal,
+                     (1, 0): trap, (1, 1): trap, (2, 0): goal, (2, 1): goal},
+        cost={(0, 0): 1.0, (0, 1): 2.0, (1, 0): 1.0, (1, 1): 1.0, (2, 0): 0.0, (2, 1): 0.0},
+        goals=frozenset({2}),
+        initial_belief=np.array([1.0, 0.0, 0.0]),
+    )
+    return nominal_midpoint(m)
+
+
+@pytest.mark.parametrize("solver", [solve_mdp, solve_fib])
+class TestBothBounds:
+    def test_costs_past_1e9_settle(self, solver):
+        bound = solver(chain_model((3e9, 5e9)))
+        assert bound.action_values(np.eye(3)[0]).tolist() == [8e9]
+
+    def test_values_that_never_settle_use_up_the_sweep_budget(self, solver, monkeypatch):
+        # leaving the trap with probability 1e-300, its cost grows by one per sweep
+        monkeypatch.setattr(solvers, "MAX_SWEEPS", 1000)
+        with pytest.raises(DivergenceError, match="1000 sweeps"):
+            solver(trap_model(exit_prob=1e-300))
+
+    def test_an_infinite_value_counts_only_where_the_belief_has_mass(self, solver):
+        member = trap_model()
+        bound = solver(member)
+        assert bound.action_values(np.array([1.0, 0.0, 0.0])).tolist() == [np.inf, 2.0]
+        assert bound.action_values(np.array([0.5, 0.5, 0.0])).tolist() == [np.inf, np.inf]
+        ds = simulate(member, bound, num_episodes=16, horizon=5, rng_seed=0)
+        assert ds.lengths.tolist() == [1] * 16 and ds.reached_goal.all()
+        assert ds.targets[:, 0].tolist() == [[0.0, 1.0]] * 16
 
 
 class TestSolveMdp:
