@@ -396,6 +396,7 @@ def parse_fsc(text: str) -> Fsc:
         (unknown, lambda j: f"act: unknown node {act[0][j]}"),
         (_repeats(key), lambda j: f"act: duplicate entry for ({act[0][j]}, {act[1][j]}, {act[2][j]})"),
         (~np.isfinite(prob), lambda j: f"act: non-finite probability {act[3][j]}"),
+        (prob < 0.0, lambda j: f"act: negative probability {act[3][j]}"),
     ])
     action_map = np.zeros((num_nodes, num_obs, num_act), dtype=np.float64)
     np.add.at(action_map, (n, z, a), prob)

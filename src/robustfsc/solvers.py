@@ -90,12 +90,9 @@ def _by_observation(model: ConcretePomdp) -> tuple[np.ndarray, np.ndarray, np.nd
     return e.succ[order], e.lo[order], starts, np.searchsorted(starts, e.offsets[:-1])
 
 
-def _backward_closure(reverse: csr_matrix, seeds: np.ndarray) -> np.ndarray:
-    """States with a path into ``seeds`` (included), given the reversed graph."""
-    if not seeds.any():
-        return seeds.copy()
-    dist = dijkstra(reverse, indices=np.flatnonzero(seeds), unweighted=True, min_only=True)
-    return np.isfinite(dist)
+def _hops_to(reverse: csr_matrix, seeds: np.ndarray) -> np.ndarray:
+    """Fewest edges from each state into ``seeds`` (0 on them, inf with no path), given the reversed graph."""
+    return dijkstra(reverse, indices=np.flatnonzero(seeds), unweighted=True, min_only=True)
 
 
 def _improper_states(model: ConcretePomdp) -> np.ndarray:
@@ -105,7 +102,7 @@ def _improper_states(model: ConcretePomdp) -> np.ndarray:
     reverse = csr_matrix((np.ones(len(preds)), (e.succ, preds)), shape=(n, n))
     goals = np.zeros(n, dtype=bool)
     goals[list(model.goals)] = True
-    return ~_backward_closure(reverse, goals)
+    return np.isinf(_hops_to(reverse, goals))
 
 
 def solve_mdp(model: ConcretePomdp, tol: float = 1e-9) -> MdpValues:

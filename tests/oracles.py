@@ -320,7 +320,7 @@ def robust_value_iteration_reference(
     if mode not in ("pessimistic", "optimistic"):
         raise ValueError(f"mode must be 'pessimistic' or 'optimistic', got {mode!r}")
     maximize = mode == "pessimistic"
-    infinite = _infinite_set(chain)
+    infinite, _ = _infinite_set(chain)
     diagnosis = ""
     if infinite.any():
         diagnosis = (
@@ -382,7 +382,7 @@ def robust_value_iteration_reference(
     at_init = float(chain.init_prob @ v[chain.init_idx])
     return RobustValues(
         chain=chain, values=v, at_initial=at_init, mode=mode,
-        sweeps=solves, factorizations=solves, error_bound=math.inf, diagnosis=diagnosis,
+        sweeps=solves, factorizations=solves, krylov_steps=0, error_bound=math.inf, diagnosis=diagnosis,
     )
 
 
@@ -963,6 +963,8 @@ def parse_fsc_reference(text: str) -> Fsc:
             raise ModelFormatError(line_no, f"act: duplicate entry for ({n}, {z}, {a})")
         if not math.isfinite(p):
             raise ModelFormatError(line_no, f"act: non-finite probability {p}")
+        if p < 0.0:
+            raise ModelFormatError(line_no, f"act: negative probability {p}")
         seen_act.add((n, z, a))
         action_map[n, z, a] += p
     for line_no, n, z, m in mem_lines:

@@ -298,6 +298,7 @@ class TestFscFormat:
             (TWO_OBS_FSC.replace("act 0 0 0 1", "act 0 0 -1 1"), 4),
             (TWO_OBS_FSC.replace("mem 0 1 0", "mem 0 -1 0"), 7),
             ("fsc v1\nnodes 1\ninit 0\nact 0 0 0 nan\nmem 0 0 0\n", 4),
+            ("fsc v1\nnodes 1\ninit 0\nact 0 0 0 -0.5\nmem 0 0 0\n", 4),
             ("fsc v1\nnodes 100000000000\ninit 0\nact 0 0 0 1\nmem 0 0 0\n", 0),
             ("fsc v1\nnodes 1\ninit 0\nact 0 100000000000 0 1\nmem 0 0 0\n", 0),
             # no line count bounds the action index: 1e11 actions would
@@ -308,8 +309,8 @@ class TestFscFormat:
         ],
         ids=["nodes-arity", "init-arity", "act-negative-observation",
              "act-negative-action", "mem-negative-observation", "act-nan-probability",
-             "nodes-without-mem-lines", "observations-without-mem-lines", "act-huge-action",
-             "act-repeated-entry"],
+             "act-negative-probability", "nodes-without-mem-lines", "observations-without-mem-lines",
+             "act-huge-action", "act-repeated-entry"],
     )
     def test_malformed_line_rejected_with_line_number(self, text, line):
         assert parse_fsc(TWO_OBS_FSC).num_observations == 2

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity
 
 from conftest import kmeans_controller, random_feasible_boxes, random_fsc, random_rpomdp
 from oracles import (
@@ -17,6 +17,9 @@ from oracles import (
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint, project_row, sample_member
 from robustfsc.robusteval import (
+    _box_simplex_fill,
+    _member_matrices,
+    _rank_order,
     box_simplex_greedy,
     build_chain,
     evaluate_member,
@@ -34,6 +37,23 @@ def self_loop_model():
         cost={(0, 0): 1.0, (1, 0): 0.0},
         goals=frozenset({1}),
         initial_belief=np.array([1.0, 0.0]),
+    )
+
+
+def point_rows_model():
+    """State 0 mixes two point rows under its two actions; state 1 has one successor, the goal."""
+    return RobustPomdp(
+        num_states=3, num_actions=2, num_observations=1,
+        obs_of=np.zeros(3, dtype=int),
+        transitions={
+            (0, 0): {1: Interval(0.8, 0.8), 2: Interval(0.2, 0.2)},
+            (0, 1): {1: Interval(0.4, 0.4), 2: Interval(0.6, 0.6)},
+            (1, 0): {2: Interval(1.0, 1.0)}, (1, 1): {2: Interval(1.0, 1.0)},
+            (2, 0): {2: Interval(1.0, 1.0)}, (2, 1): {2: Interval(1.0, 1.0)},
+        },
+        cost={(0, 0): 1.0, (0, 1): 3.0, (1, 0): 1.0, (1, 1): 1.0, (2, 0): 0.0, (2, 1): 0.0},
+        goals=frozenset({2}),
+        initial_belief=np.array([1.0, 0.0, 0.0]),
     )
 
 
@@ -109,21 +129,8 @@ class TestBuildChain:
                 values.value_of(s, n)
 
     def test_uniform_mix_of_point_rows(self):
-        model = RobustPomdp(
-            num_states=3, num_actions=2, num_observations=1,
-            obs_of=np.zeros(3, dtype=int),
-            transitions={
-                (0, 0): {1: Interval(0.8, 0.8), 2: Interval(0.2, 0.2)},
-                (0, 1): {1: Interval(0.4, 0.4), 2: Interval(0.6, 0.6)},
-                (1, 0): {2: Interval(1.0, 1.0)}, (1, 1): {2: Interval(1.0, 1.0)},
-                (2, 0): {2: Interval(1.0, 1.0)}, (2, 1): {2: Interval(1.0, 1.0)},
-            },
-            cost={(0, 0): 1.0, (0, 1): 3.0, (1, 0): 1.0, (1, 1): 1.0, (2, 0): 0.0, (2, 1): 0.0},
-            goals=frozenset({2}),
-            initial_belief=np.array([1.0, 0.0, 0.0]),
-        )
         uniform = Fsc(1, 0, np.full((1, 1, 2), 0.5), np.zeros((1, 1), dtype=int))
-        chain = build_chain(model, uniform)
+        chain = build_chain(point_rows_model(), uniform)
         row = {int(chain.succ[e]): (chain.lo[e], chain.hi[e])
                for e in range(chain.offsets[0], chain.offsets[1])}
         assert row[chain.state_index(1, 0)] == (pytest.approx(0.6), pytest.approx(0.6))
@@ -172,15 +179,34 @@ class TestBuildChain:
                 assert chain.hi[sl].sum() >= 1.0 - 1e-9
 
 
+def assert_rank_order_is_the_lexsort_order(chain, values, maximize):
+    """Robust evaluation's rank order and fill equal the lexsort greedy's, bit for bit."""
+    vals = values[chain.succ]
+    seg = np.repeat(np.arange(len(chain.row_state)), np.diff(chain.offsets))
+    order = _rank_order(values, chain.pairs, chain.succ, chain.offsets, maximize)
+    assert np.array_equal(order, np.lexsort((-vals if maximize else vals, seg)))
+    greedy = box_simplex_greedy(vals, chain.lo, chain.hi, chain.offsets, maximize)
+    fill = _box_simplex_fill(vals, chain.lo, chain.hi, chain.offsets, order)
+    assert np.array_equal(greedy[0], fill[0]) and np.array_equal(greedy[1], fill[1])
+
+
 def test_vectorized_sweep_matches_per_state_inner_opt():
-    # the segmented greedy must reproduce the standalone greedy row by row
+    # the segmented greedy must reproduce the standalone greedy row by row,
+    # and the rank order must be its lexsort order, exact ties included
     rng = np.random.default_rng(77)
+    uniform = Fsc(1, 0, np.full((1, 1, 2), 0.5), np.zeros((1, 1), dtype=int))
+    single_edge_rows = build_chain(point_rows_model(), uniform)
+    assert np.min(np.diff(single_edge_rows.offsets)) == 1
     for maximize in (True, False):
+        for values in ([0.0, 5.0, 0.0], [1.0, 1.0, 1.0], [2.0, 0.5, 0.0]):
+            assert_rank_order_is_the_lexsort_order(single_edge_rows, np.array(values), maximize)
         for _ in range(10):
             model = random_rpomdp(rng)
             fsc = random_fsc(rng, 2, model.num_observations, model.num_actions)
             chain = build_chain(model, fsc)
             v = rng.uniform(0.0, 10.0, size=chain.num_states)
+            for values in (v, np.floor(v / 4.0), np.zeros_like(v)):  # integer and all-zero values tie
+                assert_rank_order_is_the_lexsort_order(chain, values, maximize)
             objective, probs = box_simplex_greedy(
                 v[chain.succ], chain.lo, chain.hi, chain.offsets, maximize
             )
@@ -403,9 +429,9 @@ class TestRobustValueIteration:
                     assert "below float64 resolution" in values.diagnosis
 
 
-def random_member(rng, chain):
-    """P over the chain's non-terminal rows and their costs, for the greedy
-    member at random values."""
+def member_edges(rng, chain):
+    """The chain's non-terminal row count and the edges between those rows
+    (rows, columns, probabilities) in the greedy member at random values."""
     values = rng.uniform(0.0, 10.0, size=chain.num_states)
     _, p = box_simplex_greedy(values[chain.succ], chain.lo, chain.hi, chain.offsets, bool(rng.integers(2)))
     size = len(chain.row_state)
@@ -413,8 +439,14 @@ def random_member(rng, chain):
     tpos[chain.row_state] = np.arange(size)
     rows = np.repeat(np.arange(size), np.diff(chain.offsets))
     inner = tpos[chain.succ] >= 0
-    member = csr_matrix((p[inner], (rows[inner], tpos[chain.succ[inner]])), shape=(size, size))
-    return member, chain.cost[chain.row_state]
+    return size, rows[inner], tpos[chain.succ[inner]], p[inner]
+
+
+def random_member(rng, chain):
+    """P over the chain's non-terminal rows and their costs, for the greedy
+    member at random values."""
+    size, rows, cols, p = member_edges(rng, chain)
+    return csr_matrix((p, (rows, cols)), shape=(size, size)), chain.cost[chain.row_state]
 
 
 def exit_member(eps):
@@ -455,6 +487,37 @@ class TestSolveMember:
                 values, _, bound, _ = solve_member(member, cost, lu, np.ones(2))
                 assert_bound_covers(member, cost, values, bound)
 
+    def test_exact_preconditioner_keeps_the_exact_iterate(self):
+        # the member's own LU makes BiCGSTAB's first half step exact, so the
+        # textbook omega of that step is 0/0; the solve keeps the exact
+        # iterate, not NaN, and does not factor again
+        member, cost = csr_matrix(np.array([[0.0, 0.5], [0.0, 0.0]])), np.array([2.0, 3.0])
+        exact, lu, _, _ = solve_member(member, cost)
+        values, _, bound, factored = solve_member(member, cost, lu, np.zeros(2))
+        assert not factored
+        assert np.array_equal(values, exact) and np.array_equal(values, [3.5, 3.0])
+        assert_bound_covers(member, cost, values, bound)
+
+    def test_fixed_pattern_matrices_equal_a_fresh_assembly(self):
+        # P and I - P refilled on the pattern assembled once per evaluation
+        # equal the member built from its edges and (identity - P).tocsc()
+        rng = np.random.default_rng(93)
+        self_loops = 0
+        for model in [random_rpomdp(rng) for _ in range(10)] + [generate_grid(GridSpec(4, 3, "evade"))]:
+            chain = build_chain(model, random_fsc(rng, 2, model.num_observations, model.num_actions))
+            size, rows, cols, _ = member_edges(rng, chain)
+            fill = _member_matrices(size, rows, cols)
+            self_loops += int(np.sum(rows == cols))
+            for _ in range(2):  # the second member refills the first's arrays
+                p = member_edges(rng, chain)[3]
+                member, matrix = fill(p)
+                fresh = csr_matrix((p, (rows, cols)), shape=(size, size))
+                assert np.array_equal(member.toarray(), fresh.toarray())
+                expected = (identity(size, format="csr") - fresh).tocsc()
+                for field in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(matrix, field), getattr(expected, field)), field
+        assert self_loops > 0
+
     def test_stale_factorization_on_a_near_singular_member(self):
         well, cost = exit_member(0.5)
         guess, stale, _, _ = solve_member(well, cost)
@@ -473,9 +536,9 @@ def reference_cases():
     for _ in range(12):
         model = random_rpomdp(rng, num_states=int(rng.integers(3, 6)))
         yield model, random_fsc(rng, int(rng.integers(2, 4)), model.num_observations, model.num_actions)
-    for kind in ("evade", "intercept", "avoid"):
+    for kind, clusters in (("evade", 4), ("intercept", 4), ("avoid", 4), ("evade", 2), ("avoid", 2)):
         model = generate_grid(GridSpec(4, 4, kind))
-        yield model, kmeans_controller(model)
+        yield model, kmeans_controller(model, clusters)
 
 
 def test_matches_the_one_solve_per_member_reference():
