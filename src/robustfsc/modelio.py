@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from robustfsc.model import NO_COST, ConcretePomdp, Edges, Fsc, RobustPomdp, validate
+from robustfsc.model import NO_COST, PROB_TOL, ConcretePomdp, Edges, Fsc, RobustPomdp, validate
 
 MODEL_HEADER = "rpomdp v1"
 FSC_HEADER = "fsc v1"
@@ -397,6 +397,7 @@ def parse_fsc(text: str) -> Fsc:
         (_repeats(key), lambda j: f"act: duplicate entry for ({act[0][j]}, {act[1][j]}, {act[2][j]})"),
         (~np.isfinite(prob), lambda j: f"act: non-finite probability {act[3][j]}"),
         (prob < 0.0, lambda j: f"act: negative probability {act[3][j]}"),
+        (prob > 1.0 + PROB_TOL, lambda j: f"act: probability {act[3][j]} exceeds 1"),
     ])
     action_map = np.zeros((num_nodes, num_obs, num_act), dtype=np.float64)
     np.add.at(action_map, (n, z, a), prob)

@@ -48,10 +48,8 @@ class RunConfig:
     epochs_per_iteration: int = 8
     batch_size: int = 32
     learning_rate: float = 1e-3
-    clip_norm: float = 5.0
     seed: int = 0
     vi_tol: float = 1e-6  # read by perfbench only; robust evaluation is exact without it
-    supervision_tol: float = 1e-9
     target_value: float | None = None
 
     def check(self) -> None:
@@ -120,10 +118,7 @@ def run(config: RunConfig, model: RobustPomdp) -> RunResult:
     for it in range(config.iterations):
         t_start = time.perf_counter()
         try:
-            if config.supervision == "qmdp":
-                supervision = solve_mdp(instance, tol=config.supervision_tol)
-            else:
-                supervision = solve_fib(instance, tol=config.supervision_tol)
+            supervision = (solve_mdp if config.supervision == "qmdp" else solve_fib)(instance)
             dataset = simulate(
                 instance, supervision,
                 num_episodes=config.episodes, horizon=config.horizon,
@@ -133,7 +128,7 @@ def run(config: RunConfig, model: RobustPomdp) -> RunResult:
             params, trace = train_epochs(
                 params, dataset, config.epochs_per_iteration,
                 batch_size=config.batch_size, lr=config.learning_rate,
-                clip_norm=config.clip_norm, rng_seed=(config.seed, it, 4),
+                rng_seed=(config.seed, it, 4),
             )
             hidden = collect_hidden_states(params, dataset)
             # A degenerate dataset (all starts are goals) has no states:

@@ -232,9 +232,8 @@ def _infinite_set(chain: RobustChain) -> tuple[np.ndarray, np.ndarray]:
     it with positive probability under every resolution of the intervals, in both modes.
     """
     preds = np.repeat(chain.row_state, np.diff(chain.offsets))
-    reverse = csr_matrix((np.ones(len(preds)), (chain.succ, preds)), shape=(chain.num_states,) * 2)
-    hops = _hops_to(reverse, chain.is_goal)
-    return np.isfinite(_hops_to(reverse, np.isinf(hops))), hops
+    hops = _hops_to(preds, chain.succ, chain.is_goal)
+    return np.isfinite(_hops_to(preds, chain.succ, np.isinf(hops))), hops
 
 
 def _member_matrices(size: int, rows: np.ndarray, cols: np.ndarray):

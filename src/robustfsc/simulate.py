@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from robustfsc.model import Belief, ConcretePomdp, Edges, belief_updates
-from robustfsc.solvers import FibVectors, MdpValues, supervision_policy
+from robustfsc.solvers import SupervisionBound, supervision_policy
 
 
 @dataclass
@@ -128,7 +128,7 @@ def _successor_cdf(e: Edges) -> np.ndarray:
 
 def simulate(
     model: ConcretePomdp,
-    supervision: MdpValues | FibVectors,
+    supervision: SupervisionBound,
     num_episodes: int = 256,
     horizon: int = 200,
     rng_seed: int | tuple[int, ...] = 0,
@@ -174,7 +174,7 @@ def simulate(
             draws = np.array([rngs[i].random(2 * min(DRAW_BLOCK, horizon - t)) for i in live])
         u_action, u_successor = draws[:, 2 * (t % DRAW_BLOCK)], draws[:, 2 * (t % DRAW_BLOCK) + 1]
         s = state[live]
-        mu = supervision_policy(np.array([supervision.action_values(b) for b in beliefs]))
+        mu = supervision_policy(supervision.action_values(beliefs))
         a = np.count_nonzero(_cdf(mu) <= u_action[:, None], axis=1)
         record.append((live, np.full(len(live), t), model.obs_of[s], a, mu))
         rows = s * na + a

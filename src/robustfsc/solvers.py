@@ -1,8 +1,9 @@
 """Fast belief-value bounds for concrete POMDP instances.
 
-Both solvers run Jacobi sweeps over the model's edge table (``model.edges``),
-taken in (s, a, O(s'), s') order, so results do not depend on state
-enumeration order.
+QMDP and FIB give one kind of result, a ``SupervisionBound`` (S, A) table, and
+differ only in their backup: both run in the one sweep loop ``_sweep``, whose
+Jacobi sweeps read the model's edge table (``model.edges``) in
+(s, a, O(s'), s') order, so results do not depend on state enumeration order.
 States from which no policy can reach a goal with positive probability are
 valued +inf up front; the sweeps propagate infinity to anything forced
 through them.  Every other value rises monotonically from 0 to the least
@@ -29,46 +30,33 @@ class DivergenceError(RuntimeError):
     bottleneck training loss turned non-finite.  The CLI exits 3 on it."""
 
 
-def _split_infinite(table: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """``table`` with its infinite entries zeroed, so no 0 * inf turns NaN, and where they were."""
-    infinite = np.isinf(table)
-    return (np.where(infinite, 0.0, table), infinite) if infinite.any() else (table, None)
-
-
 @dataclass
-class MdpValues:
-    """Optimal values of the fully observable relaxation.
+class SupervisionBound:
+    """A lower bound on the expected cost to goal of each action, per state.
 
-    v[s] = min_a q[s, a]; goals are worth zero.
+    ``q[s, a]`` (C-contiguous (S, A)) is QMDP's optimal Q-value of the fully
+    observable relaxation or FIB's alpha_a(s); goals are worth zero.
     """
 
-    v: np.ndarray  # (S,)
     q: np.ndarray  # (S, A)
 
     def __post_init__(self) -> None:
-        self._finite, self._infinite = _split_infinite(self.q)
+        infinite = np.isinf(self.q)
+        # zeroed infinite entries, so no 0 * inf turns NaN, and where they were
+        self._finite, self._infinite = (np.where(infinite, 0.0, self.q), infinite) if infinite.any() else (self.q, None)
 
-    def action_values(self, belief: Belief) -> np.ndarray:
-        """sum_s b(s) q(s, a); an infinite q(s, a) counts only where b(s) > 0."""
-        values = belief @ self._finite
+    @property
+    def v(self) -> np.ndarray:
+        """(S,) the bound on each state: min_a q(s, a)."""
+        return self.q.min(axis=1)
+
+    def action_values(self, beliefs: Belief) -> np.ndarray:
+        """sum_s b(s) q(s, a) of one belief (S,) or of each row of a (B, S) block;
+        an infinite q(s, a) counts only where b(s) > 0."""
+        rows = beliefs[..., None, :]
+        values = (rows @ self._finite)[..., 0, :]
         if self._infinite is not None:
-            values[(belief > 0) @ self._infinite] = np.inf
-        return values
-
-
-@dataclass
-class FibVectors:
-    """One value vector per action; accounts for the next observation."""
-
-    alpha: np.ndarray  # (A, S)
-
-    def __post_init__(self) -> None:
-        self._finite, self._infinite = _split_infinite(self.alpha)
-
-    def action_values(self, belief: Belief) -> np.ndarray:
-        values = self._finite @ belief
-        if self._infinite is not None:
-            values[self._infinite @ (belief > 0)] = np.inf
+            values[((rows > 0) @ self._infinite)[..., 0, :]] = np.inf
         return values
 
 
@@ -90,66 +78,63 @@ def _by_observation(model: ConcretePomdp) -> tuple[np.ndarray, np.ndarray, np.nd
     return e.succ[order], e.lo[order], starts, np.searchsorted(starts, e.offsets[:-1])
 
 
-def _hops_to(reverse: csr_matrix, seeds: np.ndarray) -> np.ndarray:
-    """Fewest edges from each state into ``seeds`` (0 on them, inf with no path), given the reversed graph."""
+def _hops_to(pred: np.ndarray, succ: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Fewest edges from each state into ``seeds`` (0 on them, inf with no path), given
+    the graph's edges pred -> succ over ``len(seeds)`` states."""
+    n = len(seeds)
+    reverse = csr_matrix((np.ones(len(pred)), (succ, pred)), shape=(n, n))
     return dijkstra(reverse, indices=np.flatnonzero(seeds), unweighted=True, min_only=True)
 
 
-def _improper_states(model: ConcretePomdp) -> np.ndarray:
-    """States from which no action sequence reaches a goal with positive prob."""
-    n, e = model.num_states, model.edges
-    preds = e.row // model.num_actions
-    reverse = csr_matrix((np.ones(len(preds)), (e.succ, preds)), shape=(n, n))
-    goals = np.zeros(n, dtype=bool)
+def _sweep(model: ConcretePomdp, backup, iterate, tol: float, name: str) -> SupervisionBound:
+    """Jacobi sweeps x <- iterate(backup(x)) from the table q = 0, +inf on the states
+    from which no action sequence reaches a goal.  Stops once no finite entry of x
+    moves by ``tol``; raises DivergenceError after ``MAX_SWEEPS`` sweeps."""
+    goals = np.zeros(model.num_states, dtype=bool)
     goals[list(model.goals)] = True
-    return np.isinf(_hops_to(reverse, goals))
+    q = np.zeros((model.num_states, model.num_actions))
+    q[np.isinf(_hops_to(model.edges.row // model.num_actions, model.edges.succ, goals))] = np.inf
+    x = iterate(q)
+    for _ in range(MAX_SWEEPS):
+        q = backup(x)
+        x_new = iterate(q)
+        finite = np.isfinite(x_new) & np.isfinite(x)
+        change = np.max(np.abs(x_new[finite] - x[finite]), initial=0.0)
+        x = x_new
+        if change < tol:
+            return SupervisionBound(q)
+    raise DivergenceError(f"{name} did not converge in {MAX_SWEEPS} sweeps")
 
 
-def solve_mdp(model: ConcretePomdp, tol: float = 1e-9) -> MdpValues:
-    """Expected cost-to-goal of the underlying MDP via value iteration.
+def solve_mdp(model: ConcretePomdp, tol: float = 1e-9) -> SupervisionBound:
+    """Expected cost-to-goal of the underlying MDP via value iteration on v = min_a q.
 
-    Jacobi sweeps from v = 0; the iterates increase monotonically toward the
-    least fixed point.  Raises DivergenceError when they still move after
-    ``MAX_SWEEPS`` sweeps, as values that grow without end do.
+    q(s,a) = C(s,a) + sum_s' T(s'|s,a) v(s')
     """
-    n, na = model.num_states, model.num_actions
     succ, prob, _, _ = _by_observation(model)
     cost, row_starts = model.edges.cost, model.edges.offsets[:-1]
-    v = np.zeros(n)
-    v[_improper_states(model)] = np.inf
-    for _ in range(MAX_SWEEPS):
-        contrib = prob * v[succ]
-        q = cost + np.add.reduceat(contrib, row_starts)
-        v_new = q.reshape(n, na).min(axis=1)
-        finite = np.isfinite(v_new) & np.isfinite(v)
-        change = np.max(np.abs(v_new[finite] - v[finite]), initial=0.0)
-        v = v_new
-        if change < tol:
-            return MdpValues(v=v, q=q.reshape(n, na))
-    raise DivergenceError(f"MDP value iteration did not converge in {MAX_SWEEPS} sweeps")
+
+    def backup(v: np.ndarray) -> np.ndarray:
+        return (cost + np.add.reduceat(prob * v[succ], row_starts)).reshape(model.num_states, model.num_actions)
+
+    # converged on v: a test on q could stop a sweep earlier or later and change the bits
+    return _sweep(model, backup, lambda q: q.min(axis=1), tol, "MDP value iteration")
 
 
-def solve_fib(model: ConcretePomdp, tol: float = 1e-9) -> FibVectors:
+def solve_fib(model: ConcretePomdp, tol: float = 1e-9) -> SupervisionBound:
     """Iterate the observation-aware value vectors from zero to a fixed point.
 
-    alpha'[a](s) = C(s,a) + sum_z min_a' sum_{s': O(s')=z} T(s'|s,a) alpha[a'](s')
+    q(s,a) = C(s,a) + sum_z min_a' sum_{s': O(s')=z} T(s'|s,a) q(s',a')
     """
-    n, na = model.num_states, model.num_actions
     succ, prob, group_starts, row_group_starts = _by_observation(model)
-    alpha = np.zeros((na, n))
-    alpha[:, _improper_states(model)] = np.inf
-    for _ in range(MAX_SWEEPS):
-        contrib = prob[:, None] * alpha[:, succ].T  # (E, A)
-        per_group = np.add.reduceat(contrib, group_starts, axis=0)
+    cost = model.edges.cost
+
+    def backup(q: np.ndarray) -> np.ndarray:
+        per_group = np.add.reduceat(prob[:, None] * q[succ], group_starts, axis=0)
         group_min = per_group.min(axis=1)  # min over next action, one per (s,a,z)
-        backup = np.add.reduceat(group_min, row_group_starts)
-        alpha_new = (model.edges.cost + backup).reshape(n, na).T
-        finite = np.isfinite(alpha_new) & np.isfinite(alpha)
-        change = np.max(np.abs(alpha_new[finite] - alpha[finite]), initial=0.0)
-        alpha = alpha_new
-        if change < tol:
-            return FibVectors(alpha=alpha)
-    raise DivergenceError(f"FIB iteration did not converge in {MAX_SWEEPS} sweeps")
+        return (cost + np.add.reduceat(group_min, row_group_starts)).reshape(model.num_states, model.num_actions)
+
+    return _sweep(model, backup, lambda q: q, tol, "FIB iteration")
 
 
 def supervision_policy(q_values: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from robustfsc.grids import MOVES, SCAN, GridSpec, avoid_decode, avoid_index, pair_decode, pair_index, patrol_route
-from robustfsc.model import BELIEF_TOL, BOX_TOL, ConcretePomdp, Fsc, Interval, RobustPomdp, ValidationReport, check_boxes
+from robustfsc.model import BELIEF_TOL, BOX_TOL, PROB_TOL, ConcretePomdp, Fsc, Interval, RobustPomdp, ValidationReport, check_boxes
 from robustfsc.modelio import FSC_HEADER, MAX_FSC_ENTRIES, MODEL_HEADER, ModelDocument, ModelFormatError
 from robustfsc.rnn import _loss_and_grad
 from robustfsc.robusteval import RobustChain, RobustValues, _infinite_set, box_simplex_greedy
@@ -965,6 +965,8 @@ def parse_fsc_reference(text: str) -> Fsc:
             raise ModelFormatError(line_no, f"act: non-finite probability {p}")
         if p < 0.0:
             raise ModelFormatError(line_no, f"act: negative probability {p}")
+        if p > 1.0 + PROB_TOL:
+            raise ModelFormatError(line_no, f"act: probability {p} exceeds 1")
         seen_act.add((n, z, a))
         action_map[n, z, a] += p
     for line_no, n, z, m in mem_lines:

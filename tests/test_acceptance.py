@@ -189,7 +189,7 @@ def test_supervision_ordering():
         member = nominal_midpoint(observable)
         mdp_vals = solve_mdp(member, tol=1e-12)
         vectors = solve_fib(member, tol=1e-12)
-        collapse = max(collapse, float(np.max(np.abs(vectors.alpha - mdp_vals.q.T))))
+        collapse = max(collapse, float(np.max(np.abs(vectors.q - mdp_vals.q))))
         assert collapse < 1e-8
     report("supervision ordering",
            f"QMDP <= FIB at 1e-9 on 1000 beliefs, fully observable collapse {collapse:.2e}")

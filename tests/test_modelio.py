@@ -299,6 +299,8 @@ class TestFscFormat:
             (TWO_OBS_FSC.replace("mem 0 1 0", "mem 0 -1 0"), 7),
             ("fsc v1\nnodes 1\ninit 0\nact 0 0 0 nan\nmem 0 0 0\n", 4),
             ("fsc v1\nnodes 1\ninit 0\nact 0 0 0 -0.5\nmem 0 0 0\n", 4),
+            ("fsc v1\nnodes 1\ninit 0\nact 0 0 0 2\nmem 0 0 0\n", 4),
+            ("fsc v1\nnodes 1\ninit 0\nact 0 0 0 1.5\nmem 0 0 0\n", 4),
             ("fsc v1\nnodes 100000000000\ninit 0\nact 0 0 0 1\nmem 0 0 0\n", 0),
             ("fsc v1\nnodes 1\ninit 0\nact 0 100000000000 0 1\nmem 0 0 0\n", 0),
             # no line count bounds the action index: 1e11 actions would
@@ -309,7 +311,8 @@ class TestFscFormat:
         ],
         ids=["nodes-arity", "init-arity", "act-negative-observation",
              "act-negative-action", "mem-negative-observation", "act-nan-probability",
-             "act-negative-probability", "nodes-without-mem-lines", "observations-without-mem-lines",
+             "act-negative-probability", "act-probability-two", "act-probability-one-and-a-half",
+             "nodes-without-mem-lines", "observations-without-mem-lines",
              "act-huge-action", "act-repeated-entry"],
     )
     def test_malformed_line_rejected_with_line_number(self, text, line):
@@ -317,6 +320,15 @@ class TestFscFormat:
         with pytest.raises(ModelFormatError) as err:
             parse_fsc(text)
         assert err.value.line_no == line
+
+    def test_probability_over_one_rejected_at_its_act_line_within_tolerance(self):
+        text = "fsc v1\nnodes 1\ninit 0\nact 0 0 0 {}\nmem 0 0 0\n"
+        for parse in (parse_fsc, parse_fsc_reference):
+            with pytest.raises(ModelFormatError, match="act: probability 2.0 exceeds 1$") as err:
+                parse(text.format(2))
+            assert err.value.line_no == 4
+            # Fsc.check accepts a sum within PROB_TOL of one, and so does the act line
+            assert parse(text.format("1.0000000001")).action_map[0, 0, 0] == 1.0000000001
 
     @pytest.mark.parametrize("prob", ["nan", "inf", "-inf"])
     def test_non_finite_probability_rejected_at_its_act_line(self, prob):

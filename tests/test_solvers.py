@@ -4,6 +4,7 @@ import pytest
 from conftest import random_rpomdp
 from oracles import belief_value_recursive, enumerate_policies_ssp, product_chain_cost
 import robustfsc.solvers as solvers
+from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint
 from robustfsc.simulate import simulate
 from robustfsc.solvers import (
@@ -52,8 +53,43 @@ def trap_model(exit_prob=None):
     return nominal_midpoint(m)
 
 
+def random_trap_member(rng):
+    """Member of a random 8-state model plus a trap, state 8, that loops on itself
+    and that only action 0 of state 0 enters: q[8] and q[0, 0] are infinite."""
+    m = random_rpomdp(rng, num_states=8, num_actions=3)
+    trap = {8: Interval(1.0, 1.0)}
+    transitions = m.transitions | {(0, 0): trap} | {(8, a): trap for a in range(m.num_actions)}
+    return nominal_midpoint(RobustPomdp(
+        num_states=9, num_actions=m.num_actions, num_observations=m.num_observations,
+        obs_of=np.append(m.obs_of, 0), transitions=transitions,
+        cost=m.cost | {(8, a): 1.0 for a in range(m.num_actions)}, goals=m.goals,
+        initial_belief=np.append(m.initial_belief, 0.0),
+    ))
+
+
 @pytest.mark.parametrize("solver", [solve_mdp, solve_fib])
 class TestBothBounds:
+    @pytest.mark.parametrize("member", [
+        random_trap_member(np.random.default_rng(31)),
+        nominal_midpoint(generate_grid(GridSpec(4, 4, "intercept"))),
+    ], ids=["random-with-improper-state", "intercept-4x4"])
+    def test_a_block_of_beliefs_reads_as_its_rows_bit_for_bit(self, solver, member):
+        bound = solver(member)
+        assert bound.q.shape == (member.num_states, member.num_actions) and bound.q.flags.c_contiguous
+        beliefs = np.random.default_rng(32).dirichlet(np.ones(member.num_states), size=12)
+        beliefs[::2, -1] = 0.0
+        beliefs[::4, 0] = 0.0
+        beliefs /= beliefs.sum(axis=1, keepdims=True)
+        rows = [bound.action_values(b) for b in beliefs]
+        assert all(r.shape == (member.num_actions,) for r in rows)
+        block = bound.action_values(beliefs)
+        assert block.shape == (12, member.num_actions)
+        assert np.array_equal(block, np.array(rows))
+        if member.num_states == 9:  # the trap: no mass on it reads finite, except action 0 of state 0
+            assert np.isinf(bound.q[8]).all() and np.isinf(bound.q[0, 0]) and np.isfinite(bound.q[:8, 1:]).all()
+            assert np.isinf(block[1::2]).all() and np.isinf(block[2::4, 0]).all()
+            assert np.isfinite(block[::4]).all() and np.isfinite(block[::2, 1:]).all()
+
     def test_costs_past_1e9_settle(self, solver):
         bound = solver(chain_model((3e9, 5e9)))
         assert bound.action_values(np.eye(3)[0]).tolist() == [8e9]
@@ -182,14 +218,14 @@ class TestFib:
             member = nominal_midpoint(fully_observable(random_rpomdp(rng, num_states=4, num_actions=2)))
             mdp_vals = solve_mdp(member, tol=1e-12)
             vectors = solve_fib(member, tol=1e-12)
-            assert np.max(np.abs(vectors.alpha - mdp_vals.q.T)) < 1e-8
+            assert np.max(np.abs(vectors.q - mdp_vals.q)) < 1e-8
 
     def test_dirac_belief_returns_alpha_row(self):
         rng = np.random.default_rng(13)
         member = nominal_midpoint(random_rpomdp(rng, num_states=4, num_actions=2))
         vectors = solve_fib(member)
         b = np.eye(4)[2]
-        assert np.allclose(vectors.action_values(b), vectors.alpha[:, 2])
+        assert np.allclose(vectors.action_values(b), vectors.q[2])
 
     def test_qmdp_below_fib_below_fsc_upper_bound(self):
         # 4-state aliased model: the lower bounds order and an exact upper
@@ -265,7 +301,7 @@ class TestFib:
             initial_belief=np.array([1.0, 0.0]),
         )
         vectors = solve_fib(nominal_midpoint(m))
-        assert np.isinf(vectors.alpha[0, 0])
+        assert np.isinf(vectors.q[0, 0])
 
 
 def _pinned(member, state):
