@@ -299,11 +299,11 @@ def validate(model: RobustPomdp) -> ValidationReport:
         if not (0 <= g < n):
             rep.add(f"goal state {g} out of range")
 
-    # every check at once over the table; then each failing row, in order
+    # each condition once, as one array over the edges or the rows; each failing
+    # row then reads its messages from those arrays, in report order
     e = model.edges
     counts = np.diff(e.offsets)
     state = np.arange(n * na) // na
-    edge_bad = (e.succ < 0) | (e.succ >= n) | ~((0.0 < e.lo) & (e.lo <= e.hi) & (e.hi <= 1.0))
     lo_sum, hi_sum = (np.bincount(e.row, bound, n * na) for bound in (e.lo, e.hi))
     has_cost = e.has_cost
     goal = np.zeros(n, dtype=bool)
@@ -313,38 +313,32 @@ def validate(model: RobustPomdp) -> ValidationReport:
     self_loop = np.zeros(n * na, dtype=bool)
     i = e.offsets[single]
     self_loop[single] = (e.succ[i] == state[single]) & (e.lo[i] == 1.0) & (e.hi[i] == 1.0)
-    failing = (
-        (counts == 0) | (np.bincount(e.row, edge_bad, n * na) > 0)
-        | (lo_sum > 1.0 + BOX_TOL) | (hi_sum < 1.0 - BOX_TOL)
-        | ~has_cost | ~(e.cost >= 0) | (e.cost == np.inf)  # also catches NaN
-        | goal & (~self_loop | has_cost & (e.cost != 0.0))
+    empty = counts == 0
+    succ_out = (e.succ < 0) | (e.succ >= n)
+    interval_bad = ~((0.0 < e.lo) & (e.lo <= e.hi) & (e.hi <= 1.0))
+    row_checks = (
+        (lo_sum > 1.0 + BOX_TOL, "state {s} action {a}: sum of lower bounds {lo_sum} exceeds 1"),
+        (hi_sum < 1.0 - BOX_TOL, "state {s} action {a}: sum of upper bounds {hi_sum} is below 1"),
+        (~has_cost, "state {s} action {a}: missing cost"),
+        (has_cost & ~(e.cost >= 0), "state {s} action {a}: negative or NaN cost {c}"),  # also catches NaN
+        (e.cost == np.inf, "state {s} action {a}: infinite cost {c}"),
+        (goal & ~self_loop, "goal state {s} action {a}: goals must self-loop with probability 1"),
+        (goal & has_cost & (e.cost != 0.0), "goal state {s} action {a}: goals must have zero cost, got {c}"),
     )
-    for r in np.flatnonzero(failing).tolist():
+    edge_bad = np.bincount(e.row, succ_out | interval_bad, n * na) > 0
+    for r in np.flatnonzero(np.logical_or.reduce([empty, edge_bad, *(bad for bad, _ in row_checks)])).tolist():
         s, a = divmod(r, na)
-        if counts[r] == 0:
+        if empty[r]:
             rep.add(f"state {s} action {a}: no outgoing transitions")
             continue
-        for sp, lo, hi in zip(*(x[e.offsets[r]:e.offsets[r + 1]].tolist() for x in (e.succ, e.lo, e.hi))):
-            if not (0 <= sp < n):
+        row = slice(e.offsets[r], e.offsets[r + 1])
+        for sp, lo, hi, out, off in zip(*(x[row].tolist() for x in (e.succ, e.lo, e.hi, succ_out, interval_bad))):
+            if out:
                 rep.add(f"state {s} action {a}: successor {sp} out of range")
-            if not (0.0 < lo <= hi <= 1.0):
+            if off:
                 rep.add(f"state {s} action {a} successor {sp}: interval [{lo}, {hi}] violates 0 < lo <= hi <= 1")
-        if lo_sum[r] > 1.0 + BOX_TOL:
-            rep.add(f"state {s} action {a}: sum of lower bounds {float(lo_sum[r])} exceeds 1")
-        if hi_sum[r] < 1.0 - BOX_TOL:
-            rep.add(f"state {s} action {a}: sum of upper bounds {float(hi_sum[r])} is below 1")
-        c = float(e.cost[r])
-        if not has_cost[r]:
-            rep.add(f"state {s} action {a}: missing cost")
-        elif not c >= 0:  # also catches NaN
-            rep.add(f"state {s} action {a}: negative or NaN cost {c}")
-        elif c == np.inf:
-            rep.add(f"state {s} action {a}: infinite cost {c}")
-        if goal[r]:
-            if not self_loop[r]:
-                rep.add(f"goal state {s} action {a}: goals must self-loop with probability 1")
-            if has_cost[r] and c != 0.0:
-                rep.add(f"goal state {s} action {a}: goals must have zero cost, got {c}")
+        values = {"s": s, "a": a, "lo_sum": float(lo_sum[r]), "hi_sum": float(hi_sum[r]), "c": float(e.cost[r])}
+        rep.issues += [message.format(**values) for bad, message in row_checks if bad[r]]
     return rep
 
 

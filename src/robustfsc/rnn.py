@@ -71,9 +71,6 @@ def network_layout(num_observations: int, embed_size: int, hidden_size: int, num
     )
 
 
-PARAM_FIELDS = tuple(name for name, _ in network_layout(0, 0, 0, 0))
-
-
 @dataclass(eq=False)
 class FlatParams:
     """Named float64 arrays that are reshaped views of one vector, ``flat``.
@@ -432,45 +429,3 @@ def train_epochs(
         trace.append(batch_loss)
     return params, trace
 
-
-CHECKPOINT_HEADER = "rnnparams v1"
-
-
-def params_to_text(params: NetworkParams) -> str:
-    """Flat text checkpoint: a header, a shape line and the values per field."""
-    out = [CHECKPOINT_HEADER]
-    out.append(
-        f"dims {params.num_observations} {params.embed_size} "
-        f"{params.hidden_size} {params.num_actions}"
-    )
-    for name in PARAM_FIELDS:
-        a = getattr(params, name)
-        vals = " ".join(np.format_float_scientific(x, unique=True) for x in a.reshape(-1))
-        out.append(f"{name} {vals}" if vals else name)
-    return "\n".join(out) + "\n"
-
-
-def params_from_text(text: str) -> NetworkParams:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != CHECKPOINT_HEADER:
-        raise ValueError(f"expected checkpoint header {CHECKPOINT_HEADER!r}")
-    toks = lines[1].split() if len(lines) > 1 else []
-    if toks[:1] != ["dims"] or len(toks) != 5:
-        raise ValueError("expected 'dims Z e d A' on the second line")
-    nz, e, d, na = (int(t) for t in toks[1:])
-    if min(nz, e, d, na) < 0:  # reshape would read -1 as "infer this size"
-        raise ValueError(f"negative size on the dims line: {lines[1].strip()!r}")
-    layout = network_layout(nz, e, d, na)
-    shapes = dict(layout)
-    arrays = {}
-    for line in lines[2:]:
-        toks = line.split()
-        name = toks[0]
-        if name not in shapes:
-            raise ValueError(f"unknown parameter field {name!r}")
-        arrays[name] = np.array([float(t) for t in toks[1:]]).reshape(shapes[name])
-    missing = [n for n in PARAM_FIELDS if n not in arrays]
-    if missing:
-        raise ValueError(f"checkpoint missing fields: {missing}")
-    # built from the values read, so a bad dims line cannot size an allocation
-    return NetworkParams(layout, np.concatenate([arrays[name].reshape(-1) for name in PARAM_FIELDS]))

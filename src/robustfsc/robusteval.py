@@ -231,9 +231,9 @@ def _infinite_set(chain: RobustChain) -> tuple[np.ndarray, np.ndarray]:
     every stored edge has a positive lower bound, any state that can reach such a state hits
     it with positive probability under every resolution of the intervals, in both modes.
     """
-    preds = np.repeat(chain.row_state, np.diff(chain.offsets))
-    hops = _hops_to(preds, chain.succ, chain.is_goal)
-    return np.isfinite(_hops_to(preds, chain.succ, np.isinf(hops))), hops
+    hops_to = _hops_to(np.repeat(chain.row_state, np.diff(chain.offsets)), chain.succ, chain.num_states)
+    hops = hops_to(chain.is_goal)
+    return np.isfinite(hops_to(np.isinf(hops))), hops
 
 
 def _member_matrices(size: int, rows: np.ndarray, cols: np.ndarray):

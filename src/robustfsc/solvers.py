@@ -78,12 +78,12 @@ def _by_observation(model: ConcretePomdp) -> tuple[np.ndarray, np.ndarray, np.nd
     return e.succ[order], e.lo[order], starts, np.searchsorted(starts, e.offsets[:-1])
 
 
-def _hops_to(pred: np.ndarray, succ: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Fewest edges from each state into ``seeds`` (0 on them, inf with no path), given
-    the graph's edges pred -> succ over ``len(seeds)`` states."""
-    n = len(seeds)
+def _hops_to(pred: np.ndarray, succ: np.ndarray, n: int):
+    """Fewest edges from each of ``n`` states into a set of seeds (0 on them, inf with no
+    path) along the edges pred -> succ, as a function of the seeds' (n,) mask.  The graph
+    is reversed once, for every set it is then asked about."""
     reverse = csr_matrix((np.ones(len(pred)), (succ, pred)), shape=(n, n))
-    return dijkstra(reverse, indices=np.flatnonzero(seeds), unweighted=True, min_only=True)
+    return lambda seeds: dijkstra(reverse, indices=np.flatnonzero(seeds), unweighted=True, min_only=True)
 
 
 def _sweep(model: ConcretePomdp, backup, iterate, tol: float, name: str) -> SupervisionBound:
@@ -93,7 +93,7 @@ def _sweep(model: ConcretePomdp, backup, iterate, tol: float, name: str) -> Supe
     goals = np.zeros(model.num_states, dtype=bool)
     goals[list(model.goals)] = True
     q = np.zeros((model.num_states, model.num_actions))
-    q[np.isinf(_hops_to(model.edges.row // model.num_actions, model.edges.succ, goals))] = np.inf
+    q[np.isinf(_hops_to(model.edges.row // model.num_actions, model.edges.succ, model.num_states)(goals))] = np.inf
     x = iterate(q)
     for _ in range(MAX_SWEEPS):
         q = backup(x)

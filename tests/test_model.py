@@ -162,6 +162,27 @@ def test_validate_reports_what_the_dict_walk_reports():
         assert validate(broken).issues == validate_reference(broken).issues
 
 
+def test_validate_orders_one_rows_messages_as_the_dict_walk():
+    # row (0, 0) fails both edge conditions on one edge, the interval on another,
+    # the lower-bound sum and the cost; the goal row fails both goal conditions
+    m = RobustPomdp(
+        num_states=3, num_actions=1, num_observations=3, obs_of=np.arange(3),
+        transitions={(0, 0): {0: Interval(0.7, 0.6), 1: Interval(0.5, 0.6), 7: Interval(0.0, 0.3)},
+                     (1, 0): {2: Interval(1.0, 1.0)},
+                     (2, 0): {0: Interval(0.5, 1.0), 2: Interval(0.5, 1.0)}},
+        cost={(0, 0): -1.0, (1, 0): 1.0, (2, 0): 5.0}, goals={2}, initial_belief=[1.0, 0.0, 0.0],
+    )
+    assert validate(m).issues == validate_reference(m).issues == [
+        "state 0 action 0 successor 0: interval [0.7, 0.6] violates 0 < lo <= hi <= 1",
+        "state 0 action 0: successor 7 out of range",
+        "state 0 action 0 successor 7: interval [0.0, 0.3] violates 0 < lo <= hi <= 1",
+        "state 0 action 0: sum of lower bounds 1.2 exceeds 1",
+        "state 0 action 0: negative or NaN cost -1.0",
+        "goal state 2 action 0: goals must self-loop with probability 1",
+        "goal state 2 action 0: goals must have zero cost, got 5.0",
+    ]
+
+
 class TestProjectRow:
     def test_symmetric_boxes(self):
         p = project_row(np.array([0.25, 0.25, 0.25]), [Interval(0.1, 0.4)] * 3)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import FUZZ_OPS, assert_fields_view_flat, mutate
+from conftest import assert_fields_view_flat
 from oracles import central_differences, gradient_check, loss_and_grad_reference, scalar_gru_forward, sigmoid_reference
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import nominal_midpoint
 from robustfsc.rnn import (
-    PARAM_FIELDS,
     Adam,
     FlatParams,
     _loss_and_grad,
@@ -19,8 +18,6 @@ from robustfsc.rnn import (
     init_params,
     initial_hidden,
     loss,
-    params_from_text,
-    params_to_text,
     train_epochs,
 )
 from robustfsc.simulate import Episode, Step, TrajectoryDataset, simulate
@@ -141,7 +138,7 @@ class TestTraining:
         p = init_params(3, 2, hidden_size=4, embed_size=2, rng_seed=1)
         ds = make_dataset(4, 5, 3, 2, seed=4)
         p2, _ = train_epochs(p, ds, epochs=3, lr=0.0, rng_seed=0)
-        for name in PARAM_FIELDS:
+        for name, _ in p.layout:
             assert np.array_equal(getattr(p, name), getattr(p2, name))
 
     def test_deterministic_given_seed(self):
@@ -370,7 +367,7 @@ class TestFlatParams:
         p = init_params(4, 3, hidden_size=5, embed_size=2, rng_seed=1)
         ds = make_dataset(4, 5, 4, 3, seed=2)
         trained, _ = train_epochs(p, ds, epochs=2, batch_size=2, rng_seed=0)
-        for q in (p, p.copy(), p.zeros_like(), params_from_text(params_to_text(p)), trained):
+        for q in (p, p.copy(), p.zeros_like(), trained):
             assert_fields_view_flat(q)
         assert not np.array_equal(trained.flat, p.flat)
 
@@ -382,15 +379,9 @@ class TestFlatParams:
         assert np.array_equal(p.copy().flat, p.flat)
         assert not p.zeros_like().flat.any()
 
-    def test_layout_order_is_checkpoint_order(self):
+    def test_flat_is_the_fields_in_layout_order(self):
         p = init_params(3, 2, hidden_size=4, embed_size=2, rng_seed=3)
-        assert tuple(name for name, _ in p.layout) == PARAM_FIELDS
-        assert np.array_equal(p.flat, np.concatenate([getattr(p, n).reshape(-1) for n in PARAM_FIELDS]))
-
-    def test_checkpoint_dims_alone_allocate_nothing(self):
-        # the vector is built from the values read, not sized by the dims line
-        with pytest.raises(ValueError, match="missing"):
-            params_from_text("rnnparams v1\ndims 100000000000 8 16 4\n")
+        assert np.array_equal(p.flat, np.concatenate([getattr(p, name).reshape(-1) for name, _ in p.layout]))
 
 
 class TestGradientCheck:
@@ -411,74 +402,3 @@ class TestGradientCheck:
         assert np.array_equal(grad.emb[3], np.zeros(2))
         assert np.array_equal(grad.emb[4], np.zeros(2))
         assert np.any(grad.emb[:3] != 0)
-
-
-class TestCheckpoint:
-    def test_roundtrip_bit_exact(self):
-        p = init_params(6, 3, hidden_size=5, embed_size=4, rng_seed=6)
-        text = params_to_text(p)
-        back = params_from_text(text)
-        for name in PARAM_FIELDS:
-            assert np.array_equal(getattr(p, name), getattr(back, name))
-        assert params_to_text(back) == text
-
-    def test_header_only_rejected(self):
-        with pytest.raises(ValueError, match="dims"):
-            params_from_text("rnnparams v1\n")
-
-    def test_missing_field_rejected(self):
-        p = init_params(2, 2, 3, 2, rng_seed=0)
-        text = "\n".join(ln for ln in params_to_text(p).splitlines() if not ln.startswith("emb"))
-        with pytest.raises(ValueError):
-            params_from_text(text)
-
-    def test_negative_dims_rejected(self):
-        # reshape reads a size of -1 as "infer it": the head once took any width
-        text = params_to_text(init_params(2, 2, 3, 2, rng_seed=0)).replace("dims 2 2 3 2", "dims 2 2 3 -1")
-        with pytest.raises(ValueError, match="negative size"):
-            params_from_text(text)
-
-
-# fuzz: a mutated checkpoint raises ValueError or parses to a vector that round-trips
-
-CHECKPOINTS = [params_to_text(init_params(nz, na, hidden_size=d, embed_size=e, rng_seed=k))
-               for k, (nz, na, d, e) in enumerate([(2, 2, 3, 2), (3, 1, 2, 1), (1, 3, 1, 2)])]
-
-
-def checkpoint_outcome(text: str):
-    """The error message, or the parsed layout and vector once they round-trip bit for bit."""
-    try:
-        params = params_from_text(text)
-    except ValueError as err:
-        return str(err)
-    again = params_from_text(params_to_text(params))
-    assert again.layout == params.layout and again.flat.tobytes() == params.flat.tobytes(), text
-    assert params_to_text(again) == params_to_text(params)
-    return params.layout, params.flat.tobytes()
-
-
-def test_fuzzed_checkpoints_raise_value_error_or_round_trip():
-    rng = np.random.default_rng(21)
-    outcomes = []
-    for _ in range(600):
-        text = CHECKPOINTS[rng.integers(len(CHECKPOINTS))]
-        choices = [(rng.integers(len(FUZZ_OPS)), *rng.integers(1 << 30, size=2)) for _ in range(rng.integers(1, 4))]
-        outcomes.append(checkpoint_outcome(mutate(text, choices)))
-    errors = [o for o in outcomes if isinstance(o, str)]
-    assert len(errors) > 300 and len(outcomes) - len(errors) > 100 and len(set(errors)) > 50
-
-
-def test_fuzzed_checkpoints_raise_value_error_or_round_trip_hypothesis():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
-    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(
-        st.sampled_from(CHECKPOINTS),
-        st.lists(st.tuples(st.integers(0, len(FUZZ_OPS) - 1), st.integers(0, 1 << 30), st.integers(0, 1 << 30)),
-                 min_size=1, max_size=4),
-    )
-    def check(text, choices):
-        checkpoint_outcome(mutate(text, choices))
-
-    check()

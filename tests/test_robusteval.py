@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, identity
 
+import robustfsc.solvers as solvers
 from conftest import kmeans_controller, random_feasible_boxes, random_fsc, random_rpomdp
 from oracles import (
     box_simplex_opt,
@@ -18,6 +19,7 @@ from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint, project_row, sample_member
 from robustfsc.robusteval import (
     _box_simplex_fill,
+    _infinite_set,
     _member_matrices,
     _rank_order,
     box_simplex_greedy,
@@ -26,6 +28,8 @@ from robustfsc.robusteval import (
     robust_value_iteration,
     solve_member,
 )
+from robustfsc.solvers import _hops_to
+
 
 def self_loop_model():
     """State 0 loops with p in [0.4, 0.6] or advances to the goal, cost 1."""
@@ -427,6 +431,45 @@ class TestRobustValueIteration:
                 if eps == 1e-25:
                     assert values.at_initial == np.inf
                     assert "below float64 resolution" in values.diagnosis
+
+
+def trap_model(rng):
+    """Random sparse member whose last state is the goal and whose first one or
+    two states are absorbing traps, so some product states reach no goal."""
+    n, na, traps = int(rng.integers(5, 10)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    transitions, cost = {}, {}
+    for s in range(n):
+        for a in range(na):
+            succ = [s] if s < traps or s == n - 1 else np.sort(rng.choice(n, int(rng.integers(1, 4)), replace=False))
+            transitions[(s, a)] = {int(sp): Interval(float(p), float(p))
+                                   for sp, p in zip(succ, rng.dirichlet(np.ones(len(succ))))}
+            cost[(s, a)] = float(s != n - 1)
+    return RobustPomdp(num_states=n, num_actions=na, num_observations=n, obs_of=np.arange(n), transitions=transitions,
+                       cost=cost, goals={n - 1}, initial_belief=np.full(n, 1.0 / n))
+
+
+def test_infinite_set_reverses_the_graph_once(monkeypatch):
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return csr_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "csr_matrix", counted)
+    rng = np.random.default_rng(20)
+    mixed = 0  # chains with a state that reaches both a goal and a state that reaches none
+    for _ in range(40):
+        model = trap_model(rng)
+        chain = build_chain(model, random_fsc(rng, int(rng.integers(1, 4)), model.num_observations, model.num_actions))
+        builds.clear()
+        infinite, hops = _infinite_set(chain)
+        assert len(builds) == 1
+        preds = np.repeat(chain.row_state, np.diff(chain.offsets))
+        goal_hops = _hops_to(preds, chain.succ, chain.num_states)(chain.is_goal)
+        assert np.array_equal(hops, goal_hops)
+        assert np.array_equal(infinite, np.isfinite(_hops_to(preds, chain.succ, chain.num_states)(np.isinf(goal_hops))))
+        mixed += bool(np.any(infinite & np.isfinite(hops)))
+    assert mixed >= 20
 
 
 def member_edges(rng, chain):
