@@ -69,9 +69,3 @@ def select_worst_case(model: RobustPomdp, fsc: Fsc, values: RobustValues) -> Adv
         rows=touched,
         weights=weight[edges],
     )
-
-
-def proxy_objective_of(result: AdversaryResult, member: ConcretePomdp) -> float:
-    """Evaluate the linear proxy at an arbitrary member of the set."""
-    idx, _ = member.edges.of_rows(result.rows)
-    return float(member.edges.lo[idx] @ result.weights)

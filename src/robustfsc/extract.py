@@ -16,7 +16,7 @@ successors.  Only nodes the initial node reaches are created.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -223,7 +223,6 @@ def qbn_fit_posthoc(
     return Clustering(
         method="qbn_posthoc", qbn=qbn, codes=list(dict.fromkeys(_codes(qbn, points))),
         fit_metric=epoch_mse[-1] if epoch_mse else float("nan"),
-        mse_trace=epoch_mse,
     )
 
 
@@ -244,7 +243,6 @@ class Clustering:
     qbn: QbnParams | None = None
     codes: list[tuple] | None = None
     fit_metric: float = float("nan")
-    mse_trace: list[float] = field(default_factory=list)
 
     @property
     def num_nodes(self) -> int:

@@ -71,8 +71,8 @@ class GridSpec:
             raise ValueError("slip_interval must be contained in (0, 1)")
         if self.view_radius < 0:
             raise ValueError("view_radius must be nonnegative")
-        if self.step_cost < 0 or self.penalty_cost < 0:
-            raise ValueError("costs must be nonnegative")
+        if not (0.0 <= self.step_cost < np.inf and 0.0 <= self.penalty_cost < np.inf):  # also catches NaN
+            raise ValueError("costs must be finite and nonnegative")
 
 
 # Cells are (x, y) pairs of ints or of equally shaped integer arrays; every

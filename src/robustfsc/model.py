@@ -9,9 +9,7 @@ A model's transitions and costs are stored in one place, its edge table
 generators, the parser and the array import build directly and every numeric
 consumer reads.  ``.transitions``, ``.cost`` and ``.row()`` are read-only
 ``(s, a) -> {s': Interval or probability}`` views of it, built on first read;
-a member's rows are writable and write into its table.  Passing
-``transitions``/``cost`` dicts to the constructor instead converts them to a
-table once.
+a member's rows are writable and write into its table.
 """
 
 from __future__ import annotations
@@ -74,25 +72,6 @@ class Edges:
         return np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum()), counts
 
 
-def _flatten(model: RobustPomdp | ConcretePomdp, transitions: Mapping, cost: Mapping) -> Edges:
-    """The table of ``(s, a) -> {s': Interval or probability}`` and ``(s, a) -> cost`` mappings."""
-    n, na = model.num_states, model.num_actions
-    keys = sorted(transitions)
-    if keys and not (0 <= keys[0][0] and keys[-1][0] < n and all(0 <= a < na for _, a in keys)):
-        raise ValueError(f"transition rows must be (state, action) pairs within {n} states and {na} actions")
-    counts = np.zeros(n * na, dtype=np.int64)
-    counts[[s * na + a for s, a in keys]] = [len(transitions[key]) for key in keys]
-    items = [item for key in keys for item in sorted(transitions[key].items())]
-    succ, values = [sp for sp, _ in items], [v for _, v in items]
-    if isinstance(model, RobustPomdp):
-        lo = np.array([iv.lo for iv in values], dtype=np.float64)
-        hi = np.array([iv.hi for iv in values], dtype=np.float64)
-    else:
-        lo = hi = np.array(values, dtype=np.float64)
-    costs = np.array([cost.get((s, a), NO_COST) for s in range(n) for a in range(na)], dtype=np.float64)
-    return Edges(np.concatenate([[0], np.cumsum(counts)]), np.array(succ, dtype=np.int64), lo, hi, costs)
-
-
 class _Pomdp:
     """Fields shared by interval models and their members; see ``RobustPomdp``."""
 
@@ -105,17 +84,15 @@ class _Pomdp:
         obs_of: np.ndarray,
         goals,
         initial_belief: np.ndarray,
+        edges: Edges,
         name: str = "",
-        edges: Edges | None = None,
-        transitions: Mapping | None = None,
-        cost: Mapping | None = None,
     ):
         self.num_states, self.num_actions, self.num_observations = num_states, num_actions, num_observations
         self.obs_of = np.asarray(obs_of, dtype=np.int64)
         self.goals = frozenset(goals)
         self.initial_belief = np.asarray(initial_belief, dtype=np.float64)
         self.name = name
-        self.edges = edges if edges is not None else _flatten(self, transitions, cost)
+        self.edges = edges
 
     @cached_property
     def cost(self) -> Mapping[TransKey, float]:
@@ -499,11 +476,3 @@ def belief_updates(
     post = np.bincount(owner * n + succ, mass, rows * n).astype(np.float64, copy=False).reshape(rows, n)
     post /= post.sum(axis=1, keepdims=True)
     return post
-
-
-def belief_update(model: ConcretePomdp, b: Belief, a: int, z: int) -> Belief:
-    """Bayes update: b'(s') proportional to sum_s b(s) T(s'|s,a) [O(s')=z].
-
-    The one-belief case of ``belief_updates``.
-    """
-    return belief_updates(model, b[None, :], np.array([a]), np.array([z]))[0]

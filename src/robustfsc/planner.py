@@ -30,6 +30,7 @@ from robustfsc.solvers import DivergenceError, solve_fib, solve_mdp
 METHODS = ("pip", "baseline-nominal", "baseline-random")
 SUPERVISIONS = ("qmdp", "fib")
 EXTRACTORS = ("kmeans", "qbn-posthoc")
+BATCH_SIZE = 32  # minibatch size of the GRU and the bottleneck
 
 
 @dataclass
@@ -46,7 +47,6 @@ class RunConfig:
     bottleneck: int = 2
     quant_levels: int = 3
     epochs_per_iteration: int = 8
-    batch_size: int = 32
     learning_rate: float = 1e-3
     seed: int = 0
     vi_tol: float = 1e-6  # read by perfbench only; robust evaluation is exact without it
@@ -60,9 +60,11 @@ class RunConfig:
         if self.extractor not in EXTRACTORS:
             raise ValueError(f"extractor must be one of {EXTRACTORS}")
         for name in ("iterations", "episodes", "horizon", "hidden_size", "embed_size",
-                     "clusters", "bottleneck", "epochs_per_iteration", "batch_size"):
+                     "clusters", "bottleneck", "epochs_per_iteration"):
             if getattr(self, name) < 0 or (name not in ("iterations",) and getattr(self, name) == 0):
                 raise ValueError(f"{name} must be positive")
+        if not 0.0 < self.learning_rate < np.inf:  # also catches NaN
+            raise ValueError("learning_rate must be positive and finite")
         if self.quant_levels not in (2, 3):
             raise ValueError("quant_levels must be 2 or 3")
 
@@ -127,7 +129,7 @@ def run(config: RunConfig, model: RobustPomdp) -> RunResult:
 
             params, trace = train_epochs(
                 params, dataset, config.epochs_per_iteration,
-                batch_size=config.batch_size, lr=config.learning_rate,
+                batch_size=BATCH_SIZE, lr=config.learning_rate,
                 rng_seed=(config.seed, it, 4),
             )
             hidden = collect_hidden_states(params, dataset)
@@ -141,7 +143,7 @@ def run(config: RunConfig, model: RobustPomdp) -> RunResult:
                 clustering = qbn_fit_posthoc(
                     points, config.bottleneck, config.quant_levels,
                     epochs=config.epochs_per_iteration, lr=config.learning_rate,
-                    batch_size=config.batch_size, rng_seed=(config.seed, it, 5),
+                    batch_size=BATCH_SIZE, rng_seed=(config.seed, it, 5),
                 )
 
             fsc = build_fsc(params, clustering, model)
@@ -155,7 +157,7 @@ def run(config: RunConfig, model: RobustPomdp) -> RunResult:
                 best_value = robust_value
                 best_fsc = fsc
 
-            batches = max(1, -(-config.episodes // config.batch_size))
+            batches = max(1, -(-config.episodes // BATCH_SIZE))
             train_loss = float(np.mean(trace[-batches:])) if trace else float("nan")
             records.append(IterationRecord(
                 iteration=it,

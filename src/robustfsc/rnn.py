@@ -261,13 +261,6 @@ def policy_distribution(params: NetworkParams, hidden: np.ndarray) -> np.ndarray
     return np.exp(_head(params, hidden))
 
 
-def forward(params: NetworkParams, hidden: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
-    """Consume one observation: new hidden state and action distribution."""
-    x = params.emb[z][None, :]
-    h_new, _ = _gru_step(params, hidden[None, :], x)
-    return h_new[0], np.exp(_head(params, h_new)[0])
-
-
 def initial_hidden(params: NetworkParams) -> np.ndarray:
     return np.zeros(params.hidden_size)
 
@@ -278,7 +271,6 @@ def _loss_and_grad(
     mus: np.ndarray,
     mask: np.ndarray,
     normalizer: float,
-    want_grad: bool = True,
     grad: NetworkParams | None = None,
 ):
     """Cross-entropy between supervision targets and the policy, plus BPTT grads.
@@ -298,7 +290,7 @@ def _loss_and_grad(
     r, u, rh, hc = (np.empty((t_max, b, d)) for _ in range(4))
     for t in range(t_max):
         hs[t + 1], (r[t], u[t], rh[t], hc[t]) = _gru_recur(params, hs[t], xr[t], xu[t], xh[t])
-    head_cache = [] if want_grad else None
+    head_cache = []
     log_probs = _head(params, hs[1:], head_cache)
     targets = np.ascontiguousarray(mus.swapaxes(0, 1))
     step_ce = (targets * log_probs).sum(axis=-1)
@@ -306,8 +298,6 @@ def _loss_and_grad(
     for t in range(t_max):
         loss -= float(step_ce[t] @ mask[:, t])
     loss /= normalizer
-    if not want_grad:
-        return loss, None
 
     g = params.zeros_like() if grad is None else grad
     g.flat[...] = 0.0
@@ -338,16 +328,6 @@ def _loss_and_grad(
     dx = dpre_r @ params.w_r + dpre_u @ params.w_u + dpre_h @ params.w_h
     np.add.at(g.emb, zs.T[::-1].reshape(-1), dx[::-1].reshape(-1, x.shape[-1]))
     return loss, g
-
-
-def loss(params: NetworkParams, dataset: TrajectoryDataset) -> float:
-    """Mean cross-entropy over every recorded step of the dataset."""
-    total = dataset.num_steps
-    if total == 0:
-        return 0.0
-    value, _ = _loss_and_grad(params, dataset.observations, dataset.targets, dataset.mask, float(total),
-                              want_grad=False)
-    return value
 
 
 class Adam:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix, identity
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import SuperLU, splu
 
 from robustfsc.model import ConcretePomdp, Fsc, RobustPomdp
@@ -44,7 +44,6 @@ class RobustChain:
 
     fsc: Fsc                  # the controller the chain expands
     pairs: np.ndarray         # (P,) s * N + n of each product state
-    index: np.ndarray         # (S*N,) product index of s * N + n, -1 if unreached
     cost: np.ndarray          # (P,)
     is_goal: np.ndarray       # (P,) bool
     init_idx: np.ndarray      # product indices with initial mass
@@ -61,13 +60,6 @@ class RobustChain:
     @property
     def num_states(self) -> int:
         return len(self.pairs)
-
-    def state_index(self, s: int, n: int) -> int:
-        """Product index of state ``s`` at node ``n``; KeyError if never reached."""
-        flat = s * self.fsc.num_nodes + n
-        if not (0 <= n < self.fsc.num_nodes and 0 <= flat < len(self.index) and self.index[flat] >= 0):
-            raise KeyError((s, n))
-        return int(self.index[flat])
 
 
 def build_chain(model: RobustPomdp | ConcretePomdp, fsc: Fsc) -> RobustChain:
@@ -137,7 +129,6 @@ def build_chain(model: RobustPomdp | ConcretePomdp, fsc: Fsc) -> RobustChain:
     return RobustChain(
         fsc=fsc,
         pairs=pairs,
-        index=index,
         cost=cost,
         is_goal=goal[pairs // num_n],
         init_idx=np.arange(len(start)),
@@ -220,9 +211,6 @@ class RobustValues:
     error_bound: float
     diagnosis: str = ""
 
-    def value_of(self, s: int, n: int) -> float:
-        return float(self.values[self.chain.state_index(s, n)])
-
 
 def _infinite_set(chain: RobustChain) -> tuple[np.ndarray, np.ndarray]:
     """States whose worst/best case cost is infinite, and each state's hop distance to a goal.
@@ -285,22 +273,18 @@ def _bicgstab(matrix: csc_matrix, lu: SuperLU, b: np.ndarray, x: np.ndarray) -> 
     return best, steps
 
 
-def solve_member(member: csr_matrix, cost: np.ndarray, lu: SuperLU | None = None,
-                 guess: np.ndarray | None = None) -> tuple[np.ndarray, SuperLU | None, float, bool]:
-    """Values v = cost + member @ v of a member chain; ``member`` is P over its transient states.
+def _solve_member(member: csr_matrix, matrix: csc_matrix, cost: np.ndarray, lu: SuperLU | None,
+                  guess: np.ndarray | None) -> tuple[np.ndarray, SuperLU | None, float, bool, int]:
+    """Values v = cost + member @ v of a member chain; ``member`` is P over its transient states and
+    ``matrix`` is I - member in CSC.
 
     Given the factorization ``lu`` of an earlier member, BiCGSTAB preconditioned with it runs from
     ``guess`` (see ``_bicgstab``); its best iterate is kept if its error bound (see ``RobustValues``)
     is at most 1e-10 * max(1, max v), else the member is factored.  Returns the values, the
-    factorization for the next member, the bound and whether this call factored.  Costs are
-    nonnegative, so a direct solve that is singular, negative or not finite reads +inf.
+    factorization for the next member, the bound, whether this call factored and the BiCGSTAB
+    steps.  Costs are nonnegative, so a direct solve that is singular, negative or not finite
+    reads +inf.
     """
-    return _solve_member(member, (identity(len(cost), format="csr") - member).tocsc(), cost, lu, guess)[:4]
-
-
-def _solve_member(member: csr_matrix, matrix: csc_matrix, cost: np.ndarray, lu: SuperLU | None,
-                  guess: np.ndarray | None) -> tuple[np.ndarray, SuperLU | None, float, bool, int]:
-    """``solve_member`` given ``matrix`` = I - member in CSC; also returns the BiCGSTAB steps."""
     steps = 0
     if lu is not None:
         x, steps = _bicgstab(matrix, lu, cost, guess)
@@ -333,7 +317,7 @@ def robust_value_iteration(chain: RobustChain, mode: str = "pessimistic", tol: f
 
     Nature policy iteration over static members: start from the greedy member at each
     state's hop distance to a goal (far successors first in pessimistic mode, near ones in
-    optimistic), solve that member's chain with ``solve_member``, and re-run the greedy at
+    optimistic), solve that member's chain with ``_solve_member``, and re-run the greedy at
     the solved values.  A row switches to the greedy member only when that improves its
     objective by more than 1e-12 * max(1, max |v|); on ties it keeps its current member
     (Howard's rule), so every switch strictly improves v and the loop stops when no row

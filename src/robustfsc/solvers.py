@@ -45,11 +45,6 @@ class SupervisionBound:
         # zeroed infinite entries, so no 0 * inf turns NaN, and where they were
         self._finite, self._infinite = (np.where(infinite, 0.0, self.q), infinite) if infinite.any() else (self.q, None)
 
-    @property
-    def v(self) -> np.ndarray:
-        """(S,) the bound on each state: min_a q(s, a)."""
-        return self.q.min(axis=1)
-
     def action_values(self, beliefs: Belief) -> np.ndarray:
         """sum_s b(s) q(s, a) of one belief (S,) or of each row of a (B, S) block;
         an infinite q(s, a) counts only where b(s) > 0."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from oracles import from_rows
 from robustfsc.extract import build_fsc, collect_hidden_states, kmeans_fit
 from robustfsc.model import Fsc, Interval, RobustPomdp
 from robustfsc.rnn import init_params
@@ -52,7 +53,8 @@ def random_rpomdp(
             cost[(s, a)] = float(rng.uniform(0.5, 2.0))
 
     belief = rng.dirichlet(np.ones(ns))
-    return RobustPomdp(
+    return from_rows(
+        RobustPomdp,
         num_states=ns, num_actions=na, num_observations=nz,
         obs_of=obs_of, transitions=transitions, cost=cost,
         goals=frozenset({goal}), initial_belief=belief,

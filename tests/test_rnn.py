@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import assert_fields_view_flat
-from oracles import central_differences, gradient_check, loss_and_grad_reference, scalar_gru_forward, sigmoid_reference
+from oracles import (
+    central_differences,
+    forward,
+    gradient_check,
+    loss,
+    loss_and_grad_reference,
+    scalar_gru_forward,
+    sigmoid_reference,
+)
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import nominal_midpoint
 from robustfsc.rnn import (
@@ -14,10 +22,8 @@ from robustfsc.rnn import (
     dense_forward,
     dense_layout,
     episode_batches,
-    forward,
     init_params,
     initial_hidden,
-    loss,
     train_epochs,
 )
 from robustfsc.simulate import Episode, Step, TrajectoryDataset, simulate
@@ -221,16 +227,13 @@ class TestMatchesPerStepReference:
     it replaced returns: the same loss and the same gradient vector."""
 
     @staticmethod
-    def assert_same(params, ds, want_grad=True):
+    def assert_same(params, ds):
         zs, mus, mask = ds.observations, ds.targets, ds.mask
         normalizer = float(mask.sum()) or 1.0
-        got_loss, got = _loss_and_grad(params, zs, mus, mask, normalizer, want_grad)
-        want_loss, want = loss_and_grad_reference(params, zs, mus, mask, normalizer, want_grad)
+        got_loss, got = _loss_and_grad(params, zs, mus, mask, normalizer)
+        want_loss, want = loss_and_grad_reference(params, zs, mus, mask, normalizer)
         assert got_loss == want_loss
-        if want_grad:
-            assert np.array_equal(got.flat, want.flat)
-        else:
-            assert got is None and want is None
+        assert np.array_equal(got.flat, want.flat)
 
     def test_ragged_batch_with_empty_episodes(self):
         episodes = episodes_of_lengths([5, 0, 12, 1, 0, 7, 3], 6, 4, seed=30)
@@ -258,10 +261,6 @@ class TestMatchesPerStepReference:
     def test_long_episodes(self):
         ds = dataset_of_lengths([200, 37, 0, 120], 7, 4, seed=36)
         self.assert_same(init_params(7, 4, rng_seed=37), ds)
-
-    def test_loss_only(self):
-        ds = dataset_of_lengths([4, 0, 6, 2], 4, 3, seed=38)
-        self.assert_same(init_params(4, 3, hidden_size=5, embed_size=3, rng_seed=39), ds, want_grad=False)
 
     def test_reused_dirty_gradient_container(self):
         ds = dataset_of_lengths([6, 0, 3, 9], 5, 3, seed=40)

@@ -8,12 +8,16 @@ import robustfsc.solvers as solvers
 from conftest import kmeans_controller, random_feasible_boxes, random_fsc, random_rpomdp
 from oracles import (
     box_simplex_opt,
+    from_rows,
     inner_max,
     inner_min,
     member_values_exact,
     product_chain_cost,
     robust_chain_lp,
     robust_value_iteration_reference,
+    solve_member,
+    state_index,
+    value_of,
 )
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint, project_row, sample_member
@@ -26,14 +30,14 @@ from robustfsc.robusteval import (
     build_chain,
     evaluate_member,
     robust_value_iteration,
-    solve_member,
 )
 from robustfsc.solvers import _hops_to
 
 
 def self_loop_model():
     """State 0 loops with p in [0.4, 0.6] or advances to the goal, cost 1."""
-    return RobustPomdp(
+    return from_rows(
+        RobustPomdp,
         num_states=2, num_actions=1, num_observations=2,
         obs_of=np.array([0, 1]),
         transitions={(0, 0): {0: Interval(0.4, 0.6), 1: Interval(0.4, 0.6)},
@@ -46,7 +50,8 @@ def self_loop_model():
 
 def point_rows_model():
     """State 0 mixes two point rows under its two actions; state 1 has one successor, the goal."""
-    return RobustPomdp(
+    return from_rows(
+        RobustPomdp,
         num_states=3, num_actions=2, num_observations=1,
         obs_of=np.zeros(3, dtype=int),
         transitions={
@@ -116,30 +121,30 @@ class TestBuildChain:
     def test_dirac_controller_embeds_model_rows(self):
         model = self_loop_model()
         chain = build_chain(model, dirac_fsc(2, 1))
-        idx = chain.state_index(0, 0)
+        idx = state_index(chain, 0, 0)
         row = {int(chain.succ[e]): (chain.lo[e], chain.hi[e])
                for e in range(chain.offsets[0], chain.offsets[1])}
-        assert row[chain.state_index(0, 0)] == (0.4, 0.6)
-        assert row[chain.state_index(1, 0)] == (0.4, 0.6)
+        assert row[state_index(chain, 0, 0)] == (0.4, 0.6)
+        assert row[state_index(chain, 1, 0)] == (0.4, 0.6)
         assert chain.cost[idx] == 1.0
 
     def test_unreached_pair_raises_key_error(self):
         model = self_loop_model()
         two_nodes = Fsc(2, 0, np.ones((2, 2, 1)), np.zeros((2, 2), dtype=int))  # node 1 is never entered
         values = robust_value_iteration(build_chain(model, two_nodes))
-        assert values.value_of(1, 0) == 0.0
+        assert value_of(values, 1, 0) == 0.0
         for s, n in ((0, 1), (1, 1), (2, 0), (0, 2), (-1, 0)):
             with pytest.raises(KeyError):
-                values.value_of(s, n)
+                value_of(values, s, n)
 
     def test_uniform_mix_of_point_rows(self):
         uniform = Fsc(1, 0, np.full((1, 1, 2), 0.5), np.zeros((1, 1), dtype=int))
         chain = build_chain(point_rows_model(), uniform)
         row = {int(chain.succ[e]): (chain.lo[e], chain.hi[e])
                for e in range(chain.offsets[0], chain.offsets[1])}
-        assert row[chain.state_index(1, 0)] == (pytest.approx(0.6), pytest.approx(0.6))
-        assert row[chain.state_index(2, 0)] == (pytest.approx(0.4), pytest.approx(0.4))
-        assert chain.cost[chain.state_index(0, 0)] == pytest.approx(2.0)
+        assert row[state_index(chain, 1, 0)] == (pytest.approx(0.6), pytest.approx(0.6))
+        assert row[state_index(chain, 2, 0)] == (pytest.approx(0.4), pytest.approx(0.4))
+        assert chain.cost[state_index(chain, 0, 0)] == pytest.approx(2.0)
 
     def test_matches_hand_built_product(self):
         rng = np.random.default_rng(23)
@@ -167,7 +172,7 @@ class TestBuildChain:
                    for e in range(chain.offsets[row_pos], chain.offsets[row_pos + 1])}
             assert chain.cost[idx] == pytest.approx(expect_cost, abs=1e-12)
             for sp, lo_val in expect_lo.items():
-                got_lo, got_hi = got[chain.state_index(sp, n2)]
+                got_lo, got_hi = got[state_index(chain, sp, n2)]
                 assert got_lo == pytest.approx(lo_val, abs=1e-12)
                 assert got_hi == pytest.approx(expect_hi[sp], abs=1e-12)
 
@@ -232,7 +237,8 @@ class TestRobustValueIteration:
         assert opt.at_initial == pytest.approx(1.0 / 0.6, abs=1e-6)
 
     def test_one_step_goal(self):
-        model = RobustPomdp(
+        model = from_rows(
+            RobustPomdp,
             num_states=2, num_actions=1, num_observations=2,
             obs_of=np.array([0, 1]),
             transitions={(0, 0): {1: Interval(1.0, 1.0)}, (1, 0): {1: Interval(1.0, 1.0)}},
@@ -242,7 +248,7 @@ class TestRobustValueIteration:
         )
         values = robust_value_iteration(build_chain(model, dirac_fsc(2, 1)), tol=1e-12)
         assert values.at_initial == pytest.approx(4.5, abs=1e-9)
-        assert values.value_of(1, 0) == 0.0
+        assert value_of(values, 1, 0) == 0.0
 
     def test_point_chain_matches_linear_solve(self):
         rng = np.random.default_rng(25)
@@ -299,7 +305,8 @@ class TestRobustValueIteration:
         import time
 
         eps = 1e-9
-        model = RobustPomdp(
+        model = from_rows(
+            RobustPomdp,
             num_states=2, num_actions=2, num_observations=2,
             obs_of=np.array([0, 1]),
             transitions={
@@ -362,7 +369,8 @@ class TestRobustValueIteration:
         # states 1 and 2 are mirror images, so the optimal member's split
         # between them is an exact tie; Howard's rule keeps the current split
         loop, side = Interval(0.1, 0.5), Interval(0.2, 0.6)
-        model = RobustPomdp(
+        model = from_rows(
+            RobustPomdp,
             num_states=4, num_actions=1, num_observations=4,
             obs_of=np.arange(4),
             transitions={(0, 0): {0: loop, 1: side, 2: side},
@@ -379,11 +387,12 @@ class TestRobustValueIteration:
         for mode, expect in (("pessimistic", 7.0), ("optimistic", 250.0 / 63.0)):
             values = robust_value_iteration(chain, mode)
             assert values.at_initial == pytest.approx(expect, rel=1e-12)
-            assert values.value_of(1, 0) == values.value_of(2, 0)
+            assert value_of(values, 1, 0) == value_of(values, 2, 0)
             assert values.sweeps <= len(chain.row_state) + 1
 
     def test_unreachable_goal_reports_infinite(self):
-        model = RobustPomdp(
+        model = from_rows(
+            RobustPomdp,
             num_states=3, num_actions=1, num_observations=3,
             obs_of=np.arange(3),
             transitions={(0, 0): {0: Interval(1.0, 1.0)},
@@ -396,14 +405,15 @@ class TestRobustValueIteration:
         values = robust_value_iteration(build_chain(model, dirac_fsc(3, 1)))
         assert np.isinf(values.at_initial)
         assert "cannot reach a goal" in values.diagnosis
-        assert values.value_of(1, 0) == pytest.approx(1.0, abs=1e-6)
+        assert value_of(values, 1, 0) == pytest.approx(1.0, abs=1e-6)
 
     def test_near_singular_chain_is_never_nan_or_negative(self):
         # The only exit is an action of probability eps, as a saturated
         # softmax gives; below float64 resolution 1 - eps == 1, the member
         # chain is singular and a raw solve returns NaN or large negative
         # values.  Costs are nonnegative, so such a solve must read +inf.
-        model = RobustPomdp(
+        model = from_rows(
+            RobustPomdp,
             num_states=3, num_actions=2, num_observations=2,
             obs_of=np.array([0, 0, 1]),
             transitions={
@@ -444,8 +454,8 @@ def trap_model(rng):
             transitions[(s, a)] = {int(sp): Interval(float(p), float(p))
                                    for sp, p in zip(succ, rng.dirichlet(np.ones(len(succ))))}
             cost[(s, a)] = float(s != n - 1)
-    return RobustPomdp(num_states=n, num_actions=na, num_observations=n, obs_of=np.arange(n), transitions=transitions,
-                       cost=cost, goals={n - 1}, initial_belief=np.full(n, 1.0 / n))
+    return from_rows(RobustPomdp, num_states=n, num_actions=na, num_observations=n, obs_of=np.arange(n),
+                     transitions=transitions, cost=cost, goals={n - 1}, initial_belief=np.full(n, 1.0 / n))
 
 
 def test_infinite_set_reverses_the_graph_once(monkeypatch):

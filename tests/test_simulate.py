@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_rpomdp
-from oracles import product_chain_cost, simulate_reference
+from oracles import belief_update, from_rows, product_chain_cost, simulate_reference
 from robustfsc.grids import GridSpec, generate_grid
-from robustfsc.model import Fsc, Interval, RobustPomdp, belief_update, nominal_midpoint, sample_member
+from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint, sample_member
 from robustfsc.simulate import DRAW_BLOCK, simulate
 from robustfsc.solvers import solve_fib, solve_mdp
 
@@ -23,7 +23,8 @@ def same_dataset(a, b):
 
 
 def two_step_chain():
-    m = RobustPomdp(
+    m = from_rows(
+        RobustPomdp,
         num_states=3, num_actions=1, num_observations=3,
         obs_of=np.arange(3),
         transitions={(0, 0): {1: Interval(1.0, 1.0)},
@@ -106,7 +107,8 @@ def test_target_distributions_are_dirac_on_argmin():
 def test_mean_cost_matches_linear_solve_within_three_se():
     # single-action 3-state chain with a stochastic loop; compare the
     # empirical mean against the exact chain cost from a linear solve
-    m = RobustPomdp(
+    m = from_rows(
+        RobustPomdp,
         num_states=3, num_actions=1, num_observations=3,
         obs_of=np.arange(3),
         transitions={(0, 0): {0: Interval(0.3, 0.3), 1: Interval(0.7, 0.7)},
@@ -128,7 +130,8 @@ def test_mean_cost_matches_linear_solve_within_three_se():
 
 def looping_chain(stay=0.9):
     """2 states: state 0 stays with probability ``stay``, else reaches the goal."""
-    m = RobustPomdp(
+    m = from_rows(
+        RobustPomdp,
         num_states=2, num_actions=1, num_observations=2,
         obs_of=np.arange(2),
         transitions={(0, 0): {0: Interval(stay, stay), 1: Interval(1.0 - stay, 1.0 - stay)},

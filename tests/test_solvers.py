@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rpomdp
-from oracles import belief_value_recursive, enumerate_policies_ssp, product_chain_cost
+from oracles import belief_value_recursive, enumerate_policies_ssp, from_rows, product_chain_cost
 import robustfsc.solvers as solvers
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint
@@ -25,7 +25,8 @@ def chain_model(costs=(1.0,)):
         cost[(s, 0)] = costs[s]
     transitions[(n - 1, 0)] = {n - 1: Interval(1.0, 1.0)}
     cost[(n - 1, 0)] = 0.0
-    m = RobustPomdp(
+    m = from_rows(
+        RobustPomdp,
         num_states=n, num_actions=1, num_observations=n,
         obs_of=np.arange(n), transitions=transitions, cost=cost,
         goals=frozenset({n - 1}),
@@ -41,7 +42,8 @@ def trap_model(exit_prob=None):
     probability ``exit_prob``, never when it is None."""
     trap = {1: Interval(1.0, 1.0)} | ({2: Interval(exit_prob, exit_prob)} if exit_prob else {})
     goal = {2: Interval(1.0, 1.0)}
-    m = RobustPomdp(
+    m = from_rows(
+        RobustPomdp,
         num_states=3, num_actions=2, num_observations=2,
         obs_of=np.array([0, 0, 1]),
         transitions={(0, 0): {1: Interval(0.5, 0.5), 2: Interval(0.5, 0.5)}, (0, 1): goal,
@@ -59,7 +61,8 @@ def random_trap_member(rng):
     m = random_rpomdp(rng, num_states=8, num_actions=3)
     trap = {8: Interval(1.0, 1.0)}
     transitions = m.transitions | {(0, 0): trap} | {(8, a): trap for a in range(m.num_actions)}
-    return nominal_midpoint(RobustPomdp(
+    return nominal_midpoint(from_rows(
+        RobustPomdp,
         num_states=9, num_actions=m.num_actions, num_observations=m.num_observations,
         obs_of=np.append(m.obs_of, 0), transitions=transitions,
         cost=m.cost | {(8, a): 1.0 for a in range(m.num_actions)}, goals=m.goals,
@@ -114,11 +117,12 @@ class TestSolveMdp:
     def test_unit_chain(self):
         member = chain_model((1.0,))
         vals = solve_mdp(member)
-        assert vals.v[0] == pytest.approx(1.0, abs=1e-9)
-        assert vals.v[1] == 0.0
+        assert vals.q[0].min() == pytest.approx(1.0, abs=1e-9)
+        assert vals.q[1].min() == 0.0
 
     def test_two_action_argmin(self):
-        m = RobustPomdp(
+        m = from_rows(
+            RobustPomdp,
             num_states=2, num_actions=2, num_observations=2,
             obs_of=np.array([0, 1]),
             transitions={(0, 0): {1: Interval(1.0, 1.0)}, (0, 1): {1: Interval(1.0, 1.0)},
@@ -128,7 +132,7 @@ class TestSolveMdp:
             initial_belief=np.array([1.0, 0.0]),
         )
         vals = solve_mdp(nominal_midpoint(m))
-        assert vals.v[0] == pytest.approx(1.0)
+        assert vals.q[0].min() == pytest.approx(1.0)
         assert int(np.argmin(vals.q[0])) == 0
 
     def test_matches_policy_enumeration_oracle(self):
@@ -138,18 +142,19 @@ class TestSolveMdp:
             member = nominal_midpoint(m)
             vals = solve_mdp(member, tol=1e-12)
             oracle = enumerate_policies_ssp(member)
-            assert np.max(np.abs(vals.v - oracle)) < 1e-6
+            assert np.max(np.abs(vals.q.min(axis=1) - oracle)) < 1e-6
 
     def test_v_is_min_of_q(self):
         rng = np.random.default_rng(4)
         member = nominal_midpoint(random_rpomdp(rng, num_states=4, num_actions=3))
         vals = solve_mdp(member)
-        assert np.allclose(vals.v, vals.q.min(axis=1))
+        v = vals.q.min(axis=1)
         for g in member.goals:
-            assert vals.v[g] == 0.0
+            assert v[g] == 0.0
 
     def test_unreachable_goal_is_infinite(self):
-        m = RobustPomdp(
+        m = from_rows(
+            RobustPomdp,
             num_states=3, num_actions=1, num_observations=3,
             obs_of=np.arange(3),
             transitions={(0, 0): {0: Interval(1.0, 1.0)}, (1, 0): {2: Interval(1.0, 1.0)},
@@ -159,8 +164,8 @@ class TestSolveMdp:
             initial_belief=np.array([0.0, 1.0, 0.0]),
         )
         vals = solve_mdp(nominal_midpoint(m))
-        assert np.isinf(vals.v[0])
-        assert vals.v[1] == pytest.approx(1.0)
+        assert np.isinf(vals.q[0].min())
+        assert vals.q[1].min() == pytest.approx(1.0)
 
     def test_residual_monotone_on_positive_costs(self):
         rng = np.random.default_rng(23)
@@ -206,8 +211,7 @@ def fully_observable(model: RobustPomdp) -> RobustPomdp:
     return RobustPomdp(
         num_states=model.num_states, num_actions=model.num_actions,
         num_observations=model.num_states, obs_of=np.arange(model.num_states),
-        transitions=model.transitions, cost=model.cost, goals=model.goals,
-        initial_belief=model.initial_belief,
+        edges=model.edges, goals=model.goals, initial_belief=model.initial_belief,
     )
 
 
@@ -260,7 +264,8 @@ class TestFib:
     def test_fib_below_exact_belief_tree(self):
         # rapidly absorbing 4-state model so a depth-8 exact expansion leaves
         # a truncation gap far below the assertion slack
-        m = RobustPomdp(
+        m = from_rows(
+            RobustPomdp,
             num_states=4, num_actions=2, num_observations=2,
             obs_of=np.array([0, 0, 1, 1]),
             transitions={
@@ -292,7 +297,8 @@ class TestFib:
             assert mdp_vals.action_values(b).min() <= q_fib.min() + 1e-9
 
     def test_divergence_on_unreachable_goal(self):
-        m = RobustPomdp(
+        m = from_rows(
+            RobustPomdp,
             num_states=2, num_actions=1, num_observations=1,
             obs_of=np.array([0, 0]),
             transitions={(0, 0): {0: Interval(1.0, 1.0)}, (1, 0): {1: Interval(1.0, 1.0)}},
