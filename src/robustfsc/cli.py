@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from robustfsc.adversary import select_worst_case
 from robustfsc.grids import GridSpec, generate_grid
-from robustfsc.model import Interval, pad_actions, validate
+from robustfsc.model import Interval, validate
 from robustfsc.modelio import (
     ModelFormatError,
     parse_fsc,
@@ -26,6 +27,7 @@ from robustfsc.modelio import (
 from robustfsc.planner import (
     EXTRACTORS,
     METHODS,
+    QUANT_LEVELS,
     SUPERVISIONS,
     RunConfig,
     records_to_csv,
@@ -52,7 +54,7 @@ def _load_fsc(path: str, model):
             f"controller covers {fsc.num_observations} observations, "
             f"model has {model.num_observations}",
         )
-    return pad_actions(fsc, model.num_actions)
+    return fsc
 
 
 def _cmd_validate(args) -> int:
@@ -113,22 +115,7 @@ def _cmd_worst_case(args) -> int:
 
 def _cmd_solve(args) -> int:
     model = _load_model(args.model)
-    config = RunConfig(
-        method=args.method,
-        supervision=args.supervision,
-        extractor=args.extractor,
-        iterations=args.iters,
-        episodes=args.episodes,
-        horizon=args.horizon,
-        hidden_size=args.hidden,
-        clusters=args.clusters,
-        bottleneck=args.bottleneck,
-        quant_levels=args.quant_levels,
-        epochs_per_iteration=args.epochs,
-        learning_rate=args.lr,
-        seed=args.seed,
-        target_value=args.target_value,
-    )
+    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     result = run(config, model)
 
     out_dir = Path(args.out) if args.out else None
@@ -169,11 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=("evade", "intercept", "avoid"))
     p.add_argument("--width", type=int, default=5)
     p.add_argument("--height", type=int, default=5)
-    p.add_argument("--view-radius", type=int, default=1)
-    p.add_argument("--slip-lo", type=float, default=0.1)
-    p.add_argument("--slip-hi", type=float, default=0.4)
-    p.add_argument("--step-cost", type=float, default=1.0)
-    p.add_argument("--penalty-cost", type=float, default=100.0)
+    p.add_argument("--view-radius", type=int, default=GridSpec.view_radius)
+    p.add_argument("--slip-lo", type=float, default=GridSpec.slip_interval.lo)
+    p.add_argument("--slip-hi", type=float, default=GridSpec.slip_interval.hi)
+    p.add_argument("--step-cost", type=float, default=GridSpec.step_cost)
+    p.add_argument("--penalty-cost", type=float, default=GridSpec.penalty_cost)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen_grid)
@@ -193,28 +180,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the iterative planner")
     p.add_argument("--model", required=True)
-    p.add_argument("--method", default="pip", choices=METHODS,
+    p.add_argument("--method", choices=METHODS,
                    help="what each round trains on: pip, the worst member for the previous "
                         "round's controller (the interval-midpoint member in round one); "
                         "baseline-nominal, the midpoint member; baseline-random, a member "
                         "drawn uniformly from the intervals")
-    p.add_argument("--supervision", default="qmdp", choices=SUPERVISIONS)
-    p.add_argument("--extractor", default="kmeans", choices=EXTRACTORS,
+    p.add_argument("--supervision", choices=SUPERVISIONS)
+    p.add_argument("--extractor", choices=EXTRACTORS,
                    help="controller extraction after training: kmeans clusters the hidden "
                         "states, qbn-posthoc fits a quantized bottleneck to them")
-    p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--episodes", type=int, default=256)
-    p.add_argument("--horizon", type=int, default=200)
-    p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--clusters", type=int, default=9)
-    p.add_argument("--bottleneck", type=int, default=2)
-    p.add_argument("--quant-levels", type=int, default=3, choices=(2, 3))
-    p.add_argument("--epochs", type=int, default=8)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target-value", type=float, default=None)
+    p.add_argument("--iters", dest="iterations", type=int)
+    p.add_argument("--episodes", type=int)
+    p.add_argument("--horizon", type=int)
+    p.add_argument("--hidden", dest="hidden_size", type=int)
+    p.add_argument("--clusters", type=int)
+    p.add_argument("--bottleneck", type=int)
+    p.add_argument("--quant-levels", type=int, choices=QUANT_LEVELS)
+    p.add_argument("--epochs", dest="epochs_per_iteration", type=int)
+    p.add_argument("--lr", dest="learning_rate", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--target-value", type=float)
     p.add_argument("--out", help="directory for run.csv, summary.json, best_fsc.fsc")
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_solve, **asdict(RunConfig()))  # every planner default lives in RunConfig
 
     return parser
 

@@ -103,7 +103,7 @@ def kmeans_fit(points: np.ndarray, k: int, rng_seed: int | tuple[int, ...] = 0) 
                 centroids[j] = points[worst]
                 assign[worst] = j
     inertia = float(dists.min(axis=1).sum())
-    return Clustering(method="kmeans", centroids=centroids, fit_metric=inertia)
+    return Clustering(centroids=centroids, fit_metric=inertia)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def quantize(codes: np.ndarray, levels: int) -> np.ndarray:
     raise ValueError("quant_levels must be 2 or 3")
 
 
-def qbn_init(hidden_size: int, bottleneck: int, quant_levels: int = 3, rng_seed: int | tuple[int, ...] = 0) -> QbnParams:
+def qbn_init(hidden_size: int, bottleneck: int, quant_levels: int, rng_seed: int | tuple[int, ...] = 0) -> QbnParams:
     """Scaled-normal weights drawn in layout order; biases start at zero."""
     rng = np.random.default_rng(rng_seed)
     b, d = bottleneck, hidden_size
@@ -187,10 +187,10 @@ def _codes(qbn: QbnParams, h: np.ndarray) -> list[tuple]:
 def qbn_fit_posthoc(
     points: np.ndarray,
     bottleneck: int,
-    quant_levels: int = 3,
-    epochs: int = 50,
-    lr: float = 1e-3,
-    batch_size: int = 32,
+    quant_levels: int,
+    epochs: int,
+    lr: float,
+    batch_size: int,
     rng_seed: int | tuple[int, ...] = 0,
 ) -> "Clustering":
     """Train the bottleneck to reconstruct hidden states through its quantizer.
@@ -221,7 +221,7 @@ def qbn_fit_posthoc(
         epoch_mse.append(float(np.mean(losses)))
 
     return Clustering(
-        method="qbn_posthoc", qbn=qbn, codes=list(dict.fromkeys(_codes(qbn, points))),
+        qbn=qbn, codes=list(dict.fromkeys(_codes(qbn, points))),
         fit_metric=epoch_mse[-1] if epoch_mse else float("nan"),
     )
 
@@ -238,7 +238,6 @@ class Clustering:
     discover codes beyond those seen during fitting (``discover=True``).
     """
 
-    method: str
     centroids: np.ndarray | None = None
     qbn: QbnParams | None = None
     codes: list[tuple] | None = None
@@ -246,7 +245,7 @@ class Clustering:
 
     @property
     def num_nodes(self) -> int:
-        if self.method == "kmeans":
+        if self.qbn is None:
             return len(self.centroids)
         return len(self.codes)
 
@@ -255,7 +254,7 @@ class Clustering:
         for a 1-D ``h``).  Rows flagged by ``discover`` (one flag or one per
         row) add unseen codes to the table, numbered in row order."""
         rows = np.atleast_2d(h)
-        if self.method == "kmeans":
+        if self.qbn is None:
             nodes = _sq_dists(rows, self.centroids).argmin(axis=1)
         else:
             codes = _codes(self.qbn, rows)
@@ -272,7 +271,7 @@ class Clustering:
 
     def represent(self, node: int | np.ndarray) -> np.ndarray:
         """Hidden state of each node; an int node gives one state."""
-        if self.method == "kmeans":
+        if self.qbn is None:
             return self.centroids[node]
         codes = np.asarray(self.codes, dtype=np.float64)[node]
         out = _qbn_decode(self.qbn, np.atleast_2d(codes))

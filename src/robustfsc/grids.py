@@ -71,7 +71,8 @@ class GridSpec:
             raise ValueError("slip_interval must be contained in (0, 1)")
         if self.view_radius < 0:
             raise ValueError("view_radius must be nonnegative")
-        if not (0.0 <= self.step_cost < np.inf and 0.0 <= self.penalty_cost < np.inf):  # also catches NaN
+        # a finite sum keeps the dearest row's cost finite; NaN fails too
+        if not (0.0 <= self.step_cost and 0.0 <= self.penalty_cost and self.step_cost + self.penalty_cost < np.inf):
             raise ValueError("costs must be finite and nonnegative")
 
 

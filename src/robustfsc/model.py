@@ -211,28 +211,6 @@ class Fsc:
             raise ValueError("memory update references unknown node")
 
 
-def pad_actions(fsc: Fsc, num_actions: int) -> Fsc:
-    """Widen the action axis with zero-probability entries.
-
-    Text documents only store positive probabilities, so a controller that
-    never plays the model's last action deserializes with a narrower action
-    axis; padding restores the model's width without changing semantics.
-    """
-    if num_actions < fsc.num_actions:
-        raise ValueError(
-            f"controller plays {fsc.num_actions} actions, model only has {num_actions}"
-        )
-    if num_actions == fsc.num_actions:
-        return fsc
-    pad = np.zeros((fsc.num_nodes, fsc.num_observations, num_actions - fsc.num_actions))
-    return Fsc(
-        fsc.num_nodes,
-        fsc.initial_node,
-        np.concatenate([fsc.action_map, pad], axis=2),
-        fsc.memory_map.copy(),
-    )
-
-
 @dataclass
 class ValidationReport:
     issues: list[str] = field(default_factory=list)

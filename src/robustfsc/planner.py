@@ -30,6 +30,7 @@ from robustfsc.solvers import DivergenceError, solve_fib, solve_mdp
 METHODS = ("pip", "baseline-nominal", "baseline-random")
 SUPERVISIONS = ("qmdp", "fib")
 EXTRACTORS = ("kmeans", "qbn-posthoc")
+QUANT_LEVELS = (2, 3)
 BATCH_SIZE = 32  # minibatch size of the GRU and the bottleneck
 
 
@@ -65,8 +66,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.learning_rate < np.inf:  # also catches NaN
             raise ValueError("learning_rate must be positive and finite")
-        if self.quant_levels not in (2, 3):
-            raise ValueError("quant_levels must be 2 or 3")
+        if self.quant_levels not in QUANT_LEVELS:
+            raise ValueError(f"quant_levels must be one of {QUANT_LEVELS}")
 
 
 @dataclass

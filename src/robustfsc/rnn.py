@@ -46,6 +46,7 @@ from robustfsc.simulate import TrajectoryDataset
 from robustfsc.solvers import DivergenceError
 
 HEAD_WIDTH = 32
+CLIP_NORM = 5.0  # train_epochs rescales each step's gradients to at most this global norm
 
 # a container's (name, shape) pairs in the order they are stored in ``flat``
 Layout = tuple[tuple[str, tuple[int, ...]], ...]
@@ -207,8 +208,8 @@ def _orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
 def init_params(
     num_observations: int,
     num_actions: int,
-    hidden_size: int = 16,
-    embed_size: int = 8,
+    hidden_size: int,
+    embed_size: int,
     rng_seed: int | tuple[int, ...] = 0,
 ) -> NetworkParams:
     """Fresh parameters: orthogonal recurrent blocks, scaled-normal elsewhere,
@@ -390,15 +391,14 @@ def train_epochs(
     params: NetworkParams,
     dataset: TrajectoryDataset,
     epochs: int,
-    batch_size: int = 32,
-    lr: float = 1e-3,
-    clip_norm: float = 5.0,
+    batch_size: int,
+    lr: float,
     rng_seed: int | tuple[int, ...] = 0,
 ) -> tuple[NetworkParams, list[float]]:
     """Adam over shuffled episode minibatches; returns new params and the
     per-batch loss trace.  Deterministic for a fixed seed."""
     params = params.copy()
-    opt = Adam(params, lr, clip_norm)
+    opt = Adam(params, lr, CLIP_NORM)
     grad = params.zeros_like()
     trace: list[float] = []
     for zs, mus, mask, normalizer in episode_batches(dataset, epochs, batch_size, rng_seed):

@@ -67,12 +67,13 @@ def build_chain(model: RobustPomdp | ConcretePomdp, fsc: Fsc) -> RobustChain:
 
     Breadth-first one level at a time over the model's edge table; a member
     gives a chain whose intervals are points.  Product states are numbered
-    in the order a first-in first-out search discovers them.
+    in the order a first-in first-out search discovers them.  The model's
+    actions past the controller's action axis have probability zero.
     """
     if fsc.num_observations < model.num_observations:
         raise ValueError("controller does not cover the model's observations")
-    if fsc.num_actions != model.num_actions:
-        raise ValueError("controller and model disagree on the action count")
+    if fsc.num_actions > model.num_actions:
+        raise ValueError(f"controller plays {fsc.num_actions} actions, model only has {model.num_actions}")
 
     e = model.edges
     num_s, num_a, num_n = model.num_states, model.num_actions, fsc.num_nodes

@@ -129,8 +129,8 @@ def _successor_cdf(e: Edges) -> np.ndarray:
 def simulate(
     model: ConcretePomdp,
     supervision: SupervisionBound,
-    num_episodes: int = 256,
-    horizon: int = 200,
+    num_episodes: int,
+    horizon: int,
     rng_seed: int | tuple[int, ...] = 0,
 ) -> TrajectoryDataset:
     """Roll out the argmin supervision policy, tracking the exact belief.

@@ -1,12 +1,15 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from robustfsc import cli
 from robustfsc.cli import main
 from robustfsc.model import Fsc
 from robustfsc.modelio import parse_model, serialize_fsc
+from robustfsc.planner import RunConfig, RunResult
 
 
 SELF_LOOP = """\
@@ -150,6 +153,25 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert (out / "best_fsc.fsc").exists()
     # the emitted controller evaluates on the model through the CLI
     assert main(["eval-fsc", "--model", str(model), "--fsc", str(out / "best_fsc.fsc")]) == 0
+
+
+def test_solve_flags_set_their_config_fields(model_file, monkeypatch, capsys):
+    configs = []
+    monkeypatch.setattr(cli, "run", lambda config, model: configs.append(config) or RunResult(config, None, np.inf))
+    assert main(["solve", "--model", model_file]) == 0
+    assert configs.pop() == RunConfig()
+    flags = {
+        "--method": ("method", "baseline-random"), "--supervision": ("supervision", "fib"),
+        "--extractor": ("extractor", "qbn-posthoc"), "--iters": ("iterations", 3),
+        "--episodes": ("episodes", 5), "--horizon": ("horizon", 7), "--hidden": ("hidden_size", 4),
+        "--clusters": ("clusters", 2), "--bottleneck": ("bottleneck", 3), "--quant-levels": ("quant_levels", 2),
+        "--epochs": ("epochs_per_iteration", 2), "--lr": ("learning_rate", 0.01), "--seed": ("seed", 5),
+        "--target-value": ("target_value", 1.5),
+    }
+    for flag, (name, value) in flags.items():
+        assert getattr(RunConfig(), name) != value
+        assert main(["solve", "--model", model_file, flag, str(value)]) == 0
+        assert configs.pop() == replace(RunConfig(), **{name: value})
 
 
 @pytest.mark.parametrize("supervision", ["qmdp", "fib"])

@@ -138,14 +138,14 @@ class TestQbn:
     def test_single_point_reconstruction(self):
         rng = np.random.default_rng(7)
         point = rng.uniform(-0.5, 0.5, size=(1, 6))
-        cl = qbn_fit_posthoc(point, bottleneck=2, epochs=500, lr=1e-2, rng_seed=0)
+        cl = qbn_fit_posthoc(point, bottleneck=2, quant_levels=3, epochs=500, lr=1e-2, batch_size=32, rng_seed=0)
         assert cl.fit_metric < 1e-3
         assert len(cl.codes) == 1
 
     def test_codes_within_level_set(self):
         rng = np.random.default_rng(8)
         pts = rng.uniform(-0.8, 0.8, size=(40, 5))
-        cl = qbn_fit_posthoc(pts, bottleneck=2, quant_levels=3, epochs=20, rng_seed=1)
+        cl = qbn_fit_posthoc(pts, bottleneck=2, quant_levels=3, epochs=20, lr=1e-3, batch_size=32, rng_seed=1)
         assert len(cl.codes) <= 3 ** 2
         for code in cl.codes:
             assert all(v in (-1, 0, 1) for v in code)
@@ -153,8 +153,8 @@ class TestQbn:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(-0.5, 0.5, size=(30, 4))
-        a = qbn_fit_posthoc(pts, bottleneck=2, epochs=10, rng_seed=2)
-        b = qbn_fit_posthoc(pts, bottleneck=2, epochs=10, rng_seed=2)
+        a = qbn_fit_posthoc(pts, bottleneck=2, quant_levels=3, epochs=10, lr=1e-3, batch_size=32, rng_seed=2)
+        b = qbn_fit_posthoc(pts, bottleneck=2, quant_levels=3, epochs=10, lr=1e-3, batch_size=32, rng_seed=2)
         assert a.fit_metric == b.fit_metric
         assert a.codes == b.codes
 
@@ -209,9 +209,9 @@ class TestQbnGradient:
         assert np.array_equal(reused.flat, fresh.flat)
 
     def test_fields_are_views_after_every_constructor(self):
-        qbn = qbn_init(5, 2, rng_seed=0)
+        qbn = qbn_init(5, 2, 3, rng_seed=0)
         pts = np.random.default_rng(14).uniform(-0.5, 0.5, size=(20, 5))
-        fitted = qbn_fit_posthoc(pts, bottleneck=2, quant_levels=2, epochs=3, rng_seed=0).qbn
+        fitted = qbn_fit_posthoc(pts, bottleneck=2, quant_levels=2, epochs=3, lr=1e-3, batch_size=32, rng_seed=0).qbn
         for q in (qbn, qbn.copy(), qbn.zeros_like(), fitted):
             assert_fields_view_flat(q)
         assert fitted.quant_levels == 2 and qbn.zeros_like().quant_levels == 3
@@ -254,7 +254,7 @@ class TestBuildFsc:
 
     def test_tables_match_forward_passes_qbn_posthoc(self):
         # this bottleneck knows 2 codes after fitting; build_fsc discovers a third
-        cl = qbn_fit_posthoc(self.hidden, bottleneck=2, epochs=20, rng_seed=0)
+        cl = qbn_fit_posthoc(self.hidden, bottleneck=2, quant_levels=3, epochs=20, lr=1e-3, batch_size=32, rng_seed=0)
         fitted = len(cl.codes)
         assert_tables_match_forward_passes(self.params, cl, self.model)
         assert len(cl.codes) > fitted
@@ -323,5 +323,5 @@ class TestBatchedReplay:
         assert_tables_match_forward_passes(self.params, kmeans_fit(hidden, 4, rng_seed=0), self.model)
         # 2-level codes: some unrealized observations reach codes nobody has
         # seen, others known codes that never become nodes
-        cl = qbn_fit_posthoc(hidden, bottleneck=3, quant_levels=2, epochs=5, rng_seed=2)
+        cl = qbn_fit_posthoc(hidden, bottleneck=3, quant_levels=2, epochs=5, lr=1e-3, batch_size=32, rng_seed=2)
         assert_tables_match_forward_passes(self.params, cl, self.model)

@@ -206,3 +206,6 @@ def test_costs_must_be_finite_and_nonnegative():
         for cost in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="costs must be finite and nonnegative"):
                 GridSpec(4, 4, "intercept", **{name: cost})
+    with pytest.raises(ValueError, match="costs must be finite and nonnegative"):
+        GridSpec(4, 4, "intercept", step_cost=1e308, penalty_cost=1e308)  # their sum overflows
+    GridSpec(4, 4, "intercept", step_cost=1e308, penalty_cost=0.0)

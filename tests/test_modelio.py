@@ -9,7 +9,7 @@ import pytest
 from conftest import FUZZ_OPS, mutate, random_fsc, random_rpomdp
 from oracles import parse_fsc_reference, parse_model_reference
 from robustfsc.grids import GridSpec, generate_grid
-from robustfsc.model import Fsc, Interval, pad_actions, sample_member
+from robustfsc.model import Fsc, Interval, sample_member
 from robustfsc.modelio import (
     ModelFormatError,
     _fmt,
@@ -19,6 +19,7 @@ from robustfsc.modelio import (
     serialize_fsc,
     serialize_model,
 )
+from robustfsc.robusteval import build_chain, robust_value_iteration
 
 MINIMAL = """\
 rpomdp v1
@@ -33,6 +34,27 @@ trans 0 0 1 0.4 0.6
 trans 1 0 1 1.0 1.0
 cost 0 0 1.0
 cost 1 0 0.0
+goal 1
+init 0 1.0
+"""
+
+# action 0 leaves for the goal with probability in [0.4, 0.7], action 1 stays
+TWO_ACTIONS = """\
+rpomdp v1
+states 2
+actions 2
+observations 2
+obs 0 0
+obs 1 1
+trans 0 0 0 0.3 0.6
+trans 0 0 1 0.4 0.7
+trans 0 1 0 1.0 1.0
+trans 1 0 1 1.0 1.0
+trans 1 1 1 1.0 1.0
+cost 0 0 1.0
+cost 0 1 1.0
+cost 1 0 0.0
+cost 1 1 0.0
 goal 1
 init 0 1.0
 """
@@ -281,13 +303,18 @@ class TestFscFormat:
         with pytest.raises(ModelFormatError):
             parse_fsc(text)
 
-    def test_pad_actions_restores_width(self):
-        fsc = Fsc(1, 0, np.array([[[1.0, 0.0, 0.0]]]), np.zeros((1, 1), dtype=int))
-        back = parse_fsc(serialize_fsc(fsc))
-        assert back.num_actions == 1  # trailing zero-probability actions dropped
-        padded = pad_actions(back, 3)
-        assert padded.num_actions == 3
-        assert np.array_equal(padded.action_map, fsc.action_map)
+    def test_narrow_controller_evaluates_like_full_width(self):
+        # the document drops the never-played last action; build_chain reads it as probability zero
+        model = parse_model(TWO_ACTIONS).model
+        full = Fsc(1, 0, np.array([[[1.0, 0.0], [1.0, 0.0]]]), np.zeros((1, 2), dtype=int))
+        narrow = parse_fsc(serialize_fsc(full))
+        assert narrow.num_actions == 1
+        for mode, want in (("pessimistic", 2.5), ("optimistic", 1.0 / 0.7)):
+            values = [robust_value_iteration(build_chain(model, fsc), mode).at_initial for fsc in (narrow, full)]
+            assert values[0] == values[1] == pytest.approx(want, rel=1e-12)
+        wide = Fsc(1, 0, np.full((1, 2, 3), 1.0 / 3.0), np.zeros((1, 2), dtype=int))
+        with pytest.raises(ValueError, match="controller plays 3 actions, model only has 2"):
+            build_chain(model, wide)
 
     @pytest.mark.parametrize(
         "text, line",

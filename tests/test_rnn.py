@@ -143,15 +143,15 @@ class TestTraining:
     def test_zero_learning_rate_is_identity(self):
         p = init_params(3, 2, hidden_size=4, embed_size=2, rng_seed=1)
         ds = make_dataset(4, 5, 3, 2, seed=4)
-        p2, _ = train_epochs(p, ds, epochs=3, lr=0.0, rng_seed=0)
+        p2, _ = train_epochs(p, ds, epochs=3, batch_size=32, lr=0.0, rng_seed=0)
         for name, _ in p.layout:
             assert np.array_equal(getattr(p, name), getattr(p2, name))
 
     def test_deterministic_given_seed(self):
         p = init_params(3, 2, hidden_size=4, embed_size=2, rng_seed=1)
         ds = make_dataset(6, 5, 3, 2, seed=5)
-        _, trace_a = train_epochs(p, ds, epochs=5, batch_size=2, rng_seed=3)
-        _, trace_b = train_epochs(p, ds, epochs=5, batch_size=2, rng_seed=3)
+        _, trace_a = train_epochs(p, ds, epochs=5, batch_size=2, lr=1e-3, rng_seed=3)
+        _, trace_b = train_epochs(p, ds, epochs=5, batch_size=2, lr=1e-3, rng_seed=3)
         assert trace_a == trace_b
 
     def test_converges_on_constant_target(self):
@@ -169,7 +169,7 @@ class TestTraining:
         p.head_b3[0] = np.nan
         ds = make_dataset(2, 3, 2, 2, seed=7)
         with pytest.raises(DivergenceError):
-            train_epochs(p, ds, epochs=1, rng_seed=0)
+            train_epochs(p, ds, epochs=1, batch_size=32, lr=1e-3, rng_seed=0)
 
     def test_batches_cover_each_episode_once_per_epoch(self):
         ds = dataset_of_lengths([3, 1, 0, 2, 3], 2, 2, seed=9)
@@ -255,12 +255,12 @@ class TestMatchesPerStepReference:
     def test_fib_dataset_on_intercept_4x4(self):
         ds = fib_dataset()
         assert ds.num_steps >= 200
-        p = init_params(ds.num_observations, ds.num_actions, rng_seed=(3, 0, 1))
+        p = init_params(ds.num_observations, ds.num_actions, hidden_size=16, embed_size=8, rng_seed=(3, 0, 1))
         self.assert_same(p, ds)
 
     def test_long_episodes(self):
         ds = dataset_of_lengths([200, 37, 0, 120], 7, 4, seed=36)
-        self.assert_same(init_params(7, 4, rng_seed=37), ds)
+        self.assert_same(init_params(7, 4, hidden_size=16, embed_size=8, rng_seed=37), ds)
 
     def test_reused_dirty_gradient_container(self):
         ds = dataset_of_lengths([6, 0, 3, 9], 5, 3, seed=40)
@@ -275,8 +275,8 @@ class TestMatchesPerStepReference:
 
     def test_training_matches_a_loop_over_the_reference(self):
         ds = fib_dataset(horizon=50, episodes=40)
-        start = init_params(ds.num_observations, ds.num_actions, rng_seed=(3, 0, 1))
-        got, got_trace = train_epochs(start, ds, epochs=3, batch_size=16, rng_seed=(3, 0, 4))
+        start = init_params(ds.num_observations, ds.num_actions, hidden_size=16, embed_size=8, rng_seed=(3, 0, 1))
+        got, got_trace = train_epochs(start, ds, epochs=3, batch_size=16, lr=1e-3, rng_seed=(3, 0, 4))
         want = start.copy()
         opt = Adam(want, 1e-3, 5.0)
         want_trace = []
@@ -365,7 +365,7 @@ class TestFlatParams:
     def test_fields_are_views_after_every_constructor(self):
         p = init_params(4, 3, hidden_size=5, embed_size=2, rng_seed=1)
         ds = make_dataset(4, 5, 4, 3, seed=2)
-        trained, _ = train_epochs(p, ds, epochs=2, batch_size=2, rng_seed=0)
+        trained, _ = train_epochs(p, ds, epochs=2, batch_size=2, lr=1e-3, rng_seed=0)
         for q in (p, p.copy(), p.zeros_like(), trained):
             assert_fields_view_flat(q)
         assert not np.array_equal(trained.flat, p.flat)

