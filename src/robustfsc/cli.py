@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from robustfsc.adversary import select_worst_case
+from robustfsc.extract import QUANT_LEVELS
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Interval, validate
 from robustfsc.modelio import (
@@ -27,7 +28,6 @@ from robustfsc.modelio import (
 from robustfsc.planner import (
     EXTRACTORS,
     METHODS,
-    QUANT_LEVELS,
     SUPERVISIONS,
     RunConfig,
     records_to_csv,

@@ -133,6 +133,7 @@ class QbnParams(FlatParams):
 
 
 DECODER_ACTIVATIONS = ("tanh", "tanh", "tanh")
+QUANT_LEVELS = (2, 3)  # the levels ``quantize`` rounds to
 
 
 def quantize(codes: np.ndarray, levels: int) -> np.ndarray:
@@ -141,7 +142,7 @@ def quantize(codes: np.ndarray, levels: int) -> np.ndarray:
         return np.where(codes > 0.5, 1.0, np.where(codes < -0.5, -1.0, 0.0))
     if levels == 2:
         return np.where(codes >= 0.0, 1.0, -1.0)
-    raise ValueError("quant_levels must be 2 or 3")
+    raise ValueError(f"quant_levels must be one of {QUANT_LEVELS}")
 
 
 def qbn_init(hidden_size: int, bottleneck: int, quant_levels: int, rng_seed: int | tuple[int, ...] = 0) -> QbnParams:

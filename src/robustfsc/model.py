@@ -7,9 +7,11 @@ positive lower bound.  All probability arithmetic is 64-bit floating point.
 A model's transitions and costs are stored in one place, its edge table
 ``model.edges`` (CSR arrays over the flat rows s * A + a), which the
 generators, the parser and the array import build directly and every numeric
-consumer reads.  ``.transitions``, ``.cost`` and ``.row()`` are read-only
-``(s, a) -> {s': Interval or probability}`` views of it, built on first read;
-a member's rows are writable and write into its table.
+consumer reads.  Every row has a cost.  ``.transitions``, ``.cost`` and
+``.row()`` are read-only ``(s, a) -> {s': Interval or probability}`` views of
+it, built on first read; a member's rows are writable and write into its
+table.  The goal set is read as one boolean mask over the states,
+``model.is_goal``.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ import numpy as np
 PROB_TOL = 1e-9
 BELIEF_TOL = 1e-12
 BOX_TOL = 1e-12  # how far a row's bounds may sum past one and still meet the simplex
-# Edges.cost of a row that has no cost: a NaN whose payload neither float()
-# nor arithmetic produces, so that validate tells it from a NaN cost
-_NO_COST_BITS = 0x7FF8_0000_0000_0001
-NO_COST = float(np.array([_NO_COST_BITS]).view(np.float64)[0])
 
 TransKey = tuple[int, int]  # (state, action)
 
@@ -45,8 +43,8 @@ class Edges:
     """A model's transitions as CSR arrays over the flat rows r = s * A + a.
 
     Row r owns the edges offsets[r]:offsets[r + 1], successors ascending.
-    For a member ``hi is lo``: both are its probabilities.  ``cost`` is NaN
-    where the model has no cost (``NO_COST`` where it gives none at all).
+    For a member ``hi is lo``: both are its probabilities.  ``cost`` is
+    total: every row has one.
     """
 
     offsets: np.ndarray  # (S*A + 1,)
@@ -59,11 +57,6 @@ class Edges:
     def row(self) -> np.ndarray:
         """Flat row of each edge, shape (E,)."""
         return np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
-
-    @property
-    def has_cost(self) -> np.ndarray:
-        """Whether each row has a cost (NaN included), shape (S*A,)."""
-        return self.cost.view(np.int64) != _NO_COST_BITS
 
     def of_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Indices of the edges of ``rows``, row after row, and each row's count."""
@@ -95,12 +88,17 @@ class _Pomdp:
         self.edges = edges
 
     @cached_property
+    def is_goal(self) -> np.ndarray:
+        """Whether each state is a goal, shape (num_states,); goals outside the
+        states are left out (``validate`` reports them)."""
+        mask = np.zeros(self.num_states, dtype=bool)
+        mask[[g for g in self.goals if 0 <= g < self.num_states]] = True
+        return mask
+
+    @cached_property
     def cost(self) -> Mapping[TransKey, float]:
-        """(s, a) -> stage cost, for the rows that have one; read-only."""
-        rows = np.flatnonzero(self.edges.has_cost)
-        return MappingProxyType(
-            {divmod(r, self.num_actions): c for r, c in zip(rows.tolist(), self.edges.cost[rows].tolist())}
-        )
+        """(s, a) -> stage cost, for every row; read-only."""
+        return MappingProxyType({divmod(r, self.num_actions): c for r, c in enumerate(self.edges.cost.tolist())})
 
     def _row_view(self, succ: list[int]):
         """The view of the row of edges start:stop, as a function of (start, stop)."""
@@ -136,7 +134,8 @@ class RobustPomdp(_Pomdp):
     edges         : the transitions and costs (see ``Edges``); an empty row
                     means no dynamics, an absent successor an impossible
                     transition
-    goals         : absorbing zero-cost target states
+    goals         : absorbing zero-cost target states; ``is_goal`` is their
+                    (num_states,) mask
     initial_belief: distribution over states, shape (num_states,)
 
     ``transitions`` ((s, a) -> {s': Interval}) and ``cost`` ((s, a) ->
@@ -260,10 +259,7 @@ def validate(model: RobustPomdp) -> ValidationReport:
     counts = np.diff(e.offsets)
     state = np.arange(n * na) // na
     lo_sum, hi_sum = (np.bincount(e.row, bound, n * na) for bound in (e.lo, e.hi))
-    has_cost = e.has_cost
-    goal = np.zeros(n, dtype=bool)
-    goal[[g for g in model.goals if 0 <= g < n]] = True
-    goal = goal[state]
+    goal = model.is_goal[state]
     single = np.flatnonzero(counts == 1)
     self_loop = np.zeros(n * na, dtype=bool)
     i = e.offsets[single]
@@ -274,11 +270,10 @@ def validate(model: RobustPomdp) -> ValidationReport:
     row_checks = (
         (lo_sum > 1.0 + BOX_TOL, "state {s} action {a}: sum of lower bounds {lo_sum} exceeds 1"),
         (hi_sum < 1.0 - BOX_TOL, "state {s} action {a}: sum of upper bounds {hi_sum} is below 1"),
-        (~has_cost, "state {s} action {a}: missing cost"),
-        (has_cost & ~(e.cost >= 0), "state {s} action {a}: negative or NaN cost {c}"),  # also catches NaN
+        (~(e.cost >= 0), "state {s} action {a}: negative or NaN cost {c}"),  # also catches NaN
         (e.cost == np.inf, "state {s} action {a}: infinite cost {c}"),
         (goal & ~self_loop, "goal state {s} action {a}: goals must self-loop with probability 1"),
-        (goal & has_cost & (e.cost != 0.0), "goal state {s} action {a}: goals must have zero cost, got {c}"),
+        (goal & (e.cost != 0.0), "goal state {s} action {a}: goals must have zero cost, got {c}"),
     )
     edge_bad = np.bincount(e.row, succ_out | interval_bad, n * na) > 0
     for r in np.flatnonzero(np.logical_or.reduce([empty, edge_bad, *(bad for bad, _ in row_checks)])).tolist():

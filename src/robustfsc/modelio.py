@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from robustfsc.model import NO_COST, PROB_TOL, ConcretePomdp, Edges, Fsc, RobustPomdp, validate
+from robustfsc.model import PROB_TOL, ConcretePomdp, Edges, Fsc, RobustPomdp, validate
 
 MODEL_HEADER = "rpomdp v1"
 FSC_HEADER = "fsc v1"
@@ -259,8 +259,8 @@ def parse_model(text: str) -> ModelDocument:
         (unknown, lambda j: f"cost: unknown state/action ({pair[0][j]}, {pair[1][j]})"),
         (_repeats(row), lambda j: f"cost: duplicate entry for ({pair[0][j]}, {pair[1][j]})"),
     ])
-    cost = np.full(ns * na, NO_COST)
-    cost[row] = cols["cost", 2]
+    cost = np.empty(ns * na)
+    cost[row] = cols["cost", 2]  # one line per row: no fewer (checked above), none twice
 
     goals = cols["goal", 0]
     g = _ints(goals)
@@ -303,9 +303,8 @@ def serialize_model(doc: ModelDocument | RobustPomdp | ConcretePomdp) -> str:
     out += [f"trans {s} {a} {sp} {lo_text} {hi_text}"
             for s, a, sp, lo_text, hi_text in zip(s_of.tolist(), a_of.tolist(), e.succ.tolist(),
                                                   bounds[:len(e.succ)], bounds[len(e.succ):])]
-    rows = np.flatnonzero(e.has_cost)
-    s_of, a_of = np.divmod(rows, model.num_actions)
-    out += [f"cost {s} {a} {text}" for s, a, text in zip(s_of.tolist(), a_of.tolist(), _fmt_all(e.cost[rows]))]
+    s_of, a_of = np.divmod(np.arange(len(e.cost)), model.num_actions)
+    out += [f"cost {s} {a} {text}" for s, a, text in zip(s_of.tolist(), a_of.tolist(), _fmt_all(e.cost))]
     out += [f"goal {g}" for g in sorted(model.goals)]
     init = np.flatnonzero(model.initial_belief)
     out += [f"init {s} {text}" for s, text in zip(init.tolist(), _fmt_all(model.initial_belief[init]))]

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from robustfsc.adversary import select_worst_case
-from robustfsc.extract import build_fsc, collect_hidden_states, fsc_fidelity, kmeans_fit, qbn_fit_posthoc
+from robustfsc.extract import QUANT_LEVELS, build_fsc, collect_hidden_states, fsc_fidelity, kmeans_fit, qbn_fit_posthoc
 from robustfsc.model import Fsc, RobustPomdp, nominal_midpoint, sample_member, validate
 from robustfsc.rnn import init_params, train_epochs
 from robustfsc.robusteval import build_chain, robust_value_iteration
@@ -30,7 +30,6 @@ from robustfsc.solvers import DivergenceError, solve_fib, solve_mdp
 METHODS = ("pip", "baseline-nominal", "baseline-random")
 SUPERVISIONS = ("qmdp", "fib")
 EXTRACTORS = ("kmeans", "qbn-posthoc")
-QUANT_LEVELS = (2, 3)
 BATCH_SIZE = 32  # minibatch size of the GRU and the bottleneck
 
 
@@ -158,8 +157,9 @@ def run(config: RunConfig, model: RobustPomdp) -> RunResult:
                 best_value = robust_value
                 best_fsc = fsc
 
-            batches = max(1, -(-config.episodes // BATCH_SIZE))
-            train_loss = float(np.mean(trace[-batches:])) if trace else float("nan")
+            # the mean over the last epoch; every epoch has the same number of batches
+            last_epoch = trace[len(trace) - len(trace) // config.epochs_per_iteration:]
+            train_loss = float(np.mean(last_epoch)) if last_epoch else float("nan")
             records.append(IterationRecord(
                 iteration=it,
                 train_loss=train_loss,
@@ -188,21 +188,13 @@ def run(config: RunConfig, model: RobustPomdp) -> RunResult:
 CSV_HEADER = "iteration,train_loss,extract_metric,fsc_nodes,robust_value,best_robust_value,wall_ms"
 
 
-def _csv_num(x: float) -> str:
-    if np.isnan(x):
-        return "nan"
-    if np.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(float(x))
-
-
 def records_to_csv(records: list[IterationRecord]) -> str:
     lines = [CSV_HEADER]
     for r in records:
         lines.append(
-            f"{r.iteration},{_csv_num(r.train_loss)},{_csv_num(r.extract_metric)},"
-            f"{r.fsc_nodes},{_csv_num(r.robust_value)},{_csv_num(r.best_robust_value)},"
-            f"{_csv_num(r.wall_ms)}"
+            f"{r.iteration},{float(r.train_loss)!r},{float(r.extract_metric)!r},"
+            f"{r.fsc_nodes},{float(r.robust_value)!r},{float(r.best_robust_value)!r},"
+            f"{float(r.wall_ms)!r}"
         )
     return "\n".join(lines) + "\n"
 

@@ -371,20 +371,19 @@ def episode_batches(
 ):
     """Padded minibatches of shuffled episodes: (zs, mus, mask, step count).
 
-    Each epoch draws one permutation of the episodes and cuts it into
-    batches; batches without a recorded step are skipped.  A batch is the
-    dataset's rows cut to the batch's longest episode.
+    Each epoch draws one permutation of the episodes that record a step
+    (with none empty, the draw of ``rng.permutation(num_episodes)``) and cuts
+    it into batches, so every epoch has the same number of batches.  A batch
+    is the dataset's rows cut to the batch's longest episode.
     """
     rng = np.random.default_rng(rng_seed)
     zs, mus, mask, lengths = dataset.observations, dataset.targets, dataset.mask, dataset.lengths
     for _ in range(epochs):
-        order = rng.permutation(dataset.num_episodes)
+        order = rng.permutation(np.flatnonzero(lengths > 0))
         for lo in range(0, len(order), batch_size):
             rows = order[lo:lo + batch_size]
-            t_max = int(lengths[rows].max(initial=0))
-            normalizer = float(lengths[rows].sum())
-            if normalizer > 0.0:
-                yield zs[rows, :t_max], mus[rows, :t_max], mask[rows, :t_max], normalizer
+            t_max = int(lengths[rows].max())
+            yield zs[rows, :t_max], mus[rows, :t_max], mask[rows, :t_max], float(lengths[rows].sum())
 
 
 def train_epochs(

@@ -46,8 +46,7 @@ class RobustChain:
     pairs: np.ndarray         # (P,) s * N + n of each product state
     cost: np.ndarray          # (P,)
     is_goal: np.ndarray       # (P,) bool
-    init_idx: np.ndarray      # product indices with initial mass
-    init_prob: np.ndarray
+    init_prob: np.ndarray     # initial mass of the first len(init_prob) product states
     succ: np.ndarray          # (E,) successor product index
     lo: np.ndarray            # (E,)
     hi: np.ndarray            # (E,)
@@ -77,8 +76,7 @@ def build_chain(model: RobustPomdp | ConcretePomdp, fsc: Fsc) -> RobustChain:
 
     e = model.edges
     num_s, num_a, num_n = model.num_states, model.num_actions, fsc.num_nodes
-    goal = np.zeros(num_s, dtype=bool)
-    goal[list(model.goals)] = True
+    goal = model.is_goal
     start = np.flatnonzero(model.initial_belief)
     index = np.full(num_s * num_n, -1)  # product index of state s at node n, at s * N + n
     frontier = start * num_n + fsc.initial_node
@@ -132,7 +130,6 @@ def build_chain(model: RobustPomdp | ConcretePomdp, fsc: Fsc) -> RobustChain:
         pairs=pairs,
         cost=cost,
         is_goal=goal[pairs // num_n],
-        init_idx=np.arange(len(start)),
         init_prob=model.initial_belief[start].astype(np.float64),
         succ=succ,
         lo=lo,
@@ -383,7 +380,7 @@ def robust_value_iteration(chain: RobustChain, mode: str = "pessimistic", tol: f
             break
         p = np.where(np.repeat(switch, counts), greedy_p, p)
 
-    at_init = float(chain.init_prob @ v[chain.init_idx])
+    at_init = float(chain.init_prob @ v[:len(chain.init_prob)])
     return RobustValues(
         chain=chain, values=v, at_initial=at_init, mode=mode, sweeps=solves,
         factorizations=factorizations, krylov_steps=krylov_steps, error_bound=bound, diagnosis=diagnosis,

@@ -158,8 +158,7 @@ def simulate(
         raise ValueError("initial belief is not a probability distribution over the states")
     seed_parts = (rng_seed,) if isinstance(rng_seed, int) else tuple(rng_seed)
     rngs = [np.random.default_rng((*seed_parts, i)) for i in range(num_episodes)]
-    goal = np.zeros(n, dtype=bool)
-    goal[list(model.goals)] = True
+    goal = model.is_goal
     successor_cdf = _successor_cdf(e)
 
     state = np.searchsorted(_cdf(init), [rng.random() for rng in rngs], side="right")

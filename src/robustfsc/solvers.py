@@ -85,10 +85,9 @@ def _sweep(model: ConcretePomdp, backup, iterate, tol: float, name: str) -> Supe
     """Jacobi sweeps x <- iterate(backup(x)) from the table q = 0, +inf on the states
     from which no action sequence reaches a goal.  Stops once no finite entry of x
     moves by ``tol``; raises DivergenceError after ``MAX_SWEEPS`` sweeps."""
-    goals = np.zeros(model.num_states, dtype=bool)
-    goals[list(model.goals)] = True
     q = np.zeros((model.num_states, model.num_actions))
-    q[np.isinf(_hops_to(model.edges.row // model.num_actions, model.edges.succ, model.num_states)(goals))] = np.inf
+    hops = _hops_to(model.edges.row // model.num_actions, model.edges.succ, model.num_states)(model.is_goal)
+    q[np.isinf(hops)] = np.inf
     x = iterate(q)
     for _ in range(MAX_SWEEPS):
         q = backup(x)

@@ -39,7 +39,6 @@ from robustfsc.grids import MOVES, SCAN, GridSpec, avoid_decode, avoid_index, pa
 from robustfsc.model import (
     BELIEF_TOL,
     BOX_TOL,
-    NO_COST,
     PROB_TOL,
     ConcretePomdp,
     Edges,
@@ -111,7 +110,7 @@ def from_rows(cls, *, transitions, cost, **fields):
     """A ``cls`` (``RobustPomdp`` or ``ConcretePomdp``) from ``(s, a) -> {s': Interval}``
     rows (a member's: {s': probability}) and ``(s, a) -> cost``; the other fields pass
     through.  Rows go to the edge table in (s, a) order, successors ascending, and a row
-    without a cost gets ``NO_COST``."""
+    without a cost gets NaN."""
     n, na = fields["num_states"], fields["num_actions"]
     keys = sorted(transitions)
     counts = np.zeros(n * na, dtype=np.int64)
@@ -123,7 +122,7 @@ def from_rows(cls, *, transitions, cost, **fields):
         hi = np.array([iv.hi for iv in values], dtype=np.float64)
     else:
         lo = hi = np.array(values, dtype=np.float64)
-    costs = np.array([cost.get((s, a), NO_COST) for s in range(n) for a in range(na)], dtype=np.float64)
+    costs = np.array([cost.get((s, a), np.nan) for s in range(n) for a in range(na)], dtype=np.float64)
     edges = Edges(np.concatenate([[0], np.cumsum(counts)]), np.array(succ, dtype=np.int64), lo, hi, costs)
     return cls(edges=edges, **fields)
 
@@ -460,7 +459,7 @@ def robust_value_iteration_reference(
             break
         p = np.where(np.repeat(switch, counts), greedy_p, p)
 
-    at_init = float(chain.init_prob @ v[chain.init_idx])
+    at_init = float(chain.init_prob @ v[:len(chain.init_prob)])
     return RobustValues(
         chain=chain, values=v, at_initial=at_init, mode=mode,
         sweeps=solves, factorizations=solves, krylov_steps=0, error_bound=math.inf, diagnosis=diagnosis,
@@ -1116,17 +1115,15 @@ def validate_reference(model):
                 rep.add(f"state {s} action {a}: sum of lower bounds {lo_sum} exceeds 1")
             if hi_sum < 1.0 - BOX_TOL:
                 rep.add(f"state {s} action {a}: sum of upper bounds {hi_sum} is below 1")
-            c = model.cost.get(key)
-            if c is None:
-                rep.add(f"state {s} action {a}: missing cost")
-            elif not c >= 0:  # also catches NaN
+            c = model.cost[key]
+            if not c >= 0:  # also catches NaN
                 rep.add(f"state {s} action {a}: negative or NaN cost {c}")
             elif c == float("inf"):
                 rep.add(f"state {s} action {a}: infinite cost {c}")
             if s in model.goals:
                 if row != {s: Interval(1.0, 1.0)}:
                     rep.add(f"goal state {s} action {a}: goals must self-loop with probability 1")
-                if c not in (None, 0.0):
+                if c != 0.0:
                     rep.add(f"goal state {s} action {a}: goals must have zero cost, got {c}")
     return rep
 

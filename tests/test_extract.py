@@ -134,6 +134,8 @@ class TestQbn:
         x = np.array([-0.9, -0.51, -0.49, 0.0, 0.49, 0.51, 0.9])
         assert np.array_equal(quantize(x, 3), [-1, -1, 0, 0, 0, 1, 1])
         assert np.array_equal(quantize(x, 2), [-1, -1, -1, 1, 1, 1, 1])
+        with pytest.raises(ValueError, match=r"quant_levels must be one of \(2, 3\)"):
+            quantize(x, 4)
 
     def test_single_point_reconstruction(self):
         rng = np.random.default_rng(7)

@@ -158,6 +158,13 @@ def test_unfillable_model_sizes_rejected(text):
     assert err.value.line_no == 0
 
 
+def test_a_missing_cost_line_is_rejected():
+    # every row has a cost: a document that leaves one out fails before any row is read
+    with pytest.raises(ModelFormatError, match="2 states x 2 actions need one cost line each") as err:
+        parse_model(TWO_ACTIONS.replace("cost 0 1 1.0\n", ""))
+    assert err.value.line_no == 0
+
+
 def serialize_model_per_entry(model):
     """The model document with every number formatted on its own."""
     e = model.edges

@@ -4,7 +4,9 @@ import pytest
 from conftest import random_rpomdp
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc import planner
-from robustfsc.planner import EXTRACTORS, METHODS, RunConfig, records_to_csv, run, summary_json
+from robustfsc.modelio import parse_model
+from robustfsc.planner import EXTRACTORS, METHODS, IterationRecord, RunConfig, records_to_csv, run, summary_json
+from robustfsc.rnn import train_epochs
 from robustfsc.robusteval import build_chain, robust_value_iteration
 
 SMALL = dict(iterations=3, episodes=8, horizon=10, hidden_size=6, embed_size=3,
@@ -97,6 +99,51 @@ def test_csv_schema():
     assert len(lines) == 3
     for line in lines[1:]:
         assert len(line.split(",")) == 7
+    # non-finite and numpy values print as Python floats do
+    record = IterationRecord(iteration=3, train_loss=float("nan"), extract_metric=np.float64(0.25), fsc_nodes=2,
+                             robust_value=np.inf, best_robust_value=-np.inf, wall_ms=1.5)
+    assert records_to_csv([record]).splitlines()[1] == "3,nan,0.25,2,inf,-inf,1.5"
+
+
+# 95% of the episodes start at the goal, so a batch of 32 often has no step
+MOSTLY_AT_GOAL = """\
+rpomdp v1
+states 2
+actions 2
+observations 2
+obs 0 0
+obs 1 1
+trans 0 0 0 0.3 0.6
+trans 0 0 1 0.4 0.7
+trans 0 1 0 1.0 1.0
+trans 1 0 1 1.0 1.0
+trans 1 1 1 1.0 1.0
+cost 0 0 1.0
+cost 0 1 1.0
+cost 1 0 0.0
+cost 1 1 0.0
+goal 1
+init 0 0.05
+init 1 0.95
+"""
+
+
+def test_train_loss_is_the_mean_of_the_last_epoch(monkeypatch):
+    seen = []
+
+    def recording(params, dataset, epochs, **options):
+        params, trace = train_epochs(params, dataset, epochs, **options)
+        seen.append((int(np.count_nonzero(dataset.lengths)), epochs, trace))
+        return params, trace
+
+    monkeypatch.setattr(planner, "train_epochs", recording)
+    result = run(RunConfig(iterations=3, episodes=64, horizon=10, clusters=2), parse_model(MOSTLY_AT_GOAL).model)
+    assert len(seen) == len(result.records) == 3
+    for record, (with_steps, epochs, trace) in zip(result.records, seen):
+        # every epoch batches the episodes that have a step, and only those
+        per_epoch = -(-with_steps // planner.BATCH_SIZE)
+        assert len(trace) == epochs * per_epoch
+        assert record.train_loss == float(np.mean(trace[-per_epoch:]))
 
 
 def test_invalid_config_rejected():
