@@ -245,15 +245,18 @@ def _member_matrices(size: int, rows: np.ndarray, cols: np.ndarray):
 
 def _bicgstab(matrix: csc_matrix, lu: SuperLU, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]:
     """Best iterate of BiCGSTAB (van der Vorst 1992) on matrix @ x = b from ``x``, right-preconditioned
-    with ``lu``, and the steps taken.  Its residual max |b - matrix @ x| is not monotone, so it runs
-    until two steps in a row lower no residual, or one reaches zero.  An exact preconditioner zeroes
-    the half-step residual s; omega = 0 then keeps the half step where the textbook step is 0/0."""
+    with ``lu``, and the steps taken.  It stops once the best residual max |b - matrix @ x| is at most
+    2 eps (max |b| + 2 max |x|), twice what rounding x to float64 leaves (matrix = I - P, P's rows sum
+    to at most 1).  The residual is not monotone, so it also stops when two steps in a row lower it
+    not at all.  An exact preconditioner zeroes the half-step residual s; omega = 0 then keeps the
+    half step where the textbook step is 0/0."""
     r = b - matrix @ x
     best, least, shadow, p, v = x, np.max(np.abs(r)), r, 0.0, 0.0
     rho = alpha = omega = 1.0
     steps = misses = 0
+    floor, b_max = 2 * np.finfo(float).eps, np.max(np.abs(b))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        while misses < 2 and least > 0.0:
+        while misses < 2 and least > floor * (b_max + 2 * np.max(np.abs(best))):
             steps += 1
             rho_prev, rho = rho, shadow @ r
             p = r + (rho / rho_prev) * (alpha / omega) * (p - omega * v)
@@ -305,7 +308,8 @@ def _error_bound(member: csr_matrix, cost: np.ndarray, x: np.ndarray) -> float:
     """Certified bound on max |x - v| for v = cost + member @ v (see ``RobustValues``)."""
     x_max, c_min = np.max(np.abs(x)), np.min(cost)
     # the residual plus a bound on its rounding; member's row sums stay below 2
-    residual = np.max(np.abs(member.astype(np.longdouble) @ x - x + cost)) + (
+    extended = csr_matrix((member.data.astype(np.longdouble), member.indices, member.indptr), shape=member.shape)
+    residual = np.max(np.abs(extended @ x - x + cost)) + (
         np.diff(member.indptr).max(initial=0) + 3) * np.finfo(np.longdouble).eps * (np.max(cost) + 3 * x_max)
     return float(residual * x_max / (c_min - residual) * (1 + np.finfo(float).eps)) if c_min > residual else np.inf
 

@@ -62,10 +62,11 @@ def _by_observation(model: ConcretePomdp) -> tuple[np.ndarray, np.ndarray, np.nd
     first edge of each (s, a, z) group and the first group of each flat (s, a).
     """
     e = model.edges
-    missing = np.flatnonzero((np.diff(e.offsets) == 0) | np.isnan(e.cost))
+    empty = np.diff(e.offsets) == 0
+    missing = np.flatnonzero(empty | np.isnan(e.cost))
     if missing.size:
         s, a = divmod(int(missing[0]), model.num_actions)
-        raise ValueError(f"state {s} action {a} has no transitions or no cost")
+        raise ValueError(f"state {s} action {a} has {'no transitions' if empty[missing[0]] else 'a NaN cost'}")
     z = model.obs_of[e.succ]
     order = np.lexsort((e.succ, z, e.row))
     row, z = e.row[order], z[order]

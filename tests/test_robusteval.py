@@ -22,10 +22,13 @@ from oracles import (
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint, project_row, sample_member
 from robustfsc.robusteval import (
+    _bicgstab,
     _box_simplex_fill,
+    _error_bound,
     _infinite_set,
     _member_matrices,
     _rank_order,
+    _solve_member,
     box_simplex_greedy,
     build_chain,
     evaluate_member,
@@ -582,6 +585,110 @@ class TestSolveMember:
             assert np.all(np.isinf(values) | (values >= 1.0 / eps)), (eps, values)
             if np.isfinite(bound):
                 assert_bound_covers(member, cost, values, bound)
+
+
+def random_chain(rng, n=40, exits=(0.05, 0.5)):
+    """P over ``n`` transient states, three successors per row and an exit to the goal of
+    probability drawn from ``exits``, with costs in [1, 10]."""
+    cols = np.concatenate([rng.choice(n, 3, replace=False) for _ in range(n)])
+    p = np.concatenate([rng.dirichlet(np.ones(3)) * (1.0 - rng.uniform(*exits)) for _ in range(n)])
+    return csr_matrix((p, (np.repeat(np.arange(n), 3), cols)), shape=(n, n)), rng.uniform(1.0, 10.0, n)
+
+
+class Recorded:
+    """``matrix @ v`` that records every v.  ``_bicgstab`` applies it to its start, then in each
+    step to two search directions and the new iterate, so its iterates are every third operand."""
+
+    def __init__(self, matrix):
+        self.matrix, self.operands = matrix, []
+
+    def __matmul__(self, v):
+        self.operands.append(v)
+        return self.matrix @ v
+
+
+def bicgstab_stop(member, cost, lu, guess):
+    """Runs ``_bicgstab`` on I - member and checks its stop: it ends at the first iterate whose best
+    residual is at most 2 eps (max |c| + 2 max |best|), or at the first two steps in a row that
+    lower it not at all, and returns the best iterate.  Returns that iterate, the steps and
+    which rule ended the loop, "floor" or "stagnated"."""
+    matrix = (identity(len(cost), format="csr") - member).tocsc()
+    recorded = Recorded(matrix)
+    x, steps = _bicgstab(recorded, lu, cost, guess)
+    iterates = recorded.operands[::3]
+    assert len(iterates) == steps + 1
+    best, least, misses = 0, np.inf, 0
+    for k, iterate in enumerate(iterates):
+        assert misses < 2 and least > 2 * np.finfo(float).eps * (np.max(cost) + 2 * np.max(np.abs(iterates[best]))), k
+        residual = np.max(np.abs(cost - matrix @ iterate))
+        best, least, misses = (k, residual, 0) if residual < least else (best, least, misses + 1)
+    assert x is iterates[best]
+    floor = least <= 2 * np.finfo(float).eps * (np.max(cost) + 2 * np.max(np.abs(x)))
+    assert floor or misses == 2
+    return x, steps, "floor" if floor else "stagnated"
+
+
+class TestBicgstabStop:
+    def test_own_factorization_stops_after_one_step(self):
+        # the member's own LU solves it in the first step; the two steps after it,
+        # which changed nothing, are gone
+        rng = np.random.default_rng(94)
+        for _ in range(5):
+            member, cost = random_chain(rng)
+            lu = solve_member(member, cost)[1]
+            _, steps, stop = bicgstab_stop(member, cost, lu, np.zeros(len(cost)))
+            assert (steps, stop) == (1, "floor")
+
+    def test_stale_factorization_stops_at_the_floor_or_stagnates(self):
+        # another member of the same chain preconditions; the iterate kept is
+        # certified by _error_bound against the exact values
+        rng = np.random.default_rng(95)
+        stops = []
+        for _ in range(30):
+            model = random_rpomdp(rng, num_states=int(rng.integers(3, 6)))
+            chain = build_chain(model, random_fsc(rng, int(rng.integers(1, 4)), model.num_observations,
+                                                  model.num_actions))
+            (other, _), (member, cost) = random_member(rng, chain), random_member(rng, chain)
+            x, _, stop = bicgstab_stop(member, cost, solve_member(other, cost)[1], np.zeros(len(cost)))
+            assert_bound_covers(member, cost, x, _error_bound(member, cost, x))
+            stops.append(stop)
+        assert stops.count("floor") >= 25, stops
+
+    def test_far_factorization_stagnates_and_the_member_is_factored(self):
+        # exits of 1e-3 against a preconditioner with exits near one half: the
+        # residual rises from the start, the two-miss rule ends the loop and the
+        # member is factored
+        rng = np.random.default_rng(96)
+        for _ in range(5):
+            member, cost = random_chain(rng, exits=(1e-3, 1e-3))
+            far = solve_member(random_chain(rng, exits=(0.3, 0.6))[0], cost)[1]
+            assert bicgstab_stop(member, cost, far, np.zeros(len(cost)))[2] == "stagnated"
+            assert solve_member(member, cost, far, np.zeros(len(cost)))[3]
+
+
+def test_error_bound_on_empty_rows():
+    # members of 7 states whose rows 0, 3 and 6 lead only to the goal, so are
+    # empty in P; the residual is taken on a longdouble matrix sharing the
+    # member's indices and indptr, equals the bound from
+    # member.astype(np.longdouble) within its own rounding term, and covers
+    # the exact error
+    rng = np.random.default_rng(97)
+    eps = np.finfo(float).eps
+    for _ in range(6):
+        dense = rng.dirichlet(np.ones(7), size=7) * rng.uniform(0.2, 0.9, size=(7, 1))
+        dense[rng.uniform(size=(7, 7)) < 0.4] = 0.0
+        dense[[0, 3, 6]] = 0.0
+        member, cost = csr_matrix(dense), rng.uniform(1.0, 5.0, 7)
+        assert np.diff(member.indptr)[[0, 3, 6]].tolist() == [0, 0, 0]
+        exact = solve_member(member, cost)[0]
+        for x in (exact, exact * (1 + 1e-9), exact + rng.uniform(-1e-6, 1e-6, 7)):
+            bound = _error_bound(member, cost, x)
+            assert_bound_covers(member, cost, x, bound)
+            x_max, c_min = np.max(np.abs(x)), np.min(cost)
+            rounding = (np.diff(member.indptr).max() + 3) * np.finfo(np.longdouble).eps * (np.max(cost) + 3 * x_max)
+            residual = np.max(np.abs(member.astype(np.longdouble) @ x - x + cost))
+            assert residual * x_max / (c_min - residual) * (1 + eps) <= bound
+            assert bound <= (residual + 2 * rounding) * x_max / (c_min - residual - 2 * rounding) * (1 + eps)
 
 
 def reference_cases():

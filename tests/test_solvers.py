@@ -5,7 +5,7 @@ from conftest import random_rpomdp
 from oracles import belief_value_recursive, enumerate_policies_ssp, from_rows, product_chain_cost
 import robustfsc.solvers as solvers
 from robustfsc.grids import GridSpec, generate_grid
-from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint
+from robustfsc.model import ConcretePomdp, Edges, Fsc, Interval, RobustPomdp, nominal_midpoint
 from robustfsc.simulate import simulate
 from robustfsc.solvers import (
     DivergenceError,
@@ -111,6 +111,24 @@ class TestBothBounds:
         ds = simulate(member, bound, num_episodes=16, horizon=5, rng_seed=0)
         assert ds.lengths.tolist() == [1] * 16 and ds.reached_goal.all()
         assert ds.targets[:, 0].tolist() == [[0.0, 1.0]] * 16
+
+
+@pytest.mark.parametrize("solver", [solve_mdp, solve_fib])
+@pytest.mark.parametrize("offsets, cost, message", [
+    ([0, 1, 1, 2, 3], [1.0, 1.0, 0.0, 0.0], "state 0 action 1 has no transitions"),
+    ([0, 1, 2, 3, 4], [1.0, np.nan, 0.0, 0.0], "state 0 action 1 has a NaN cost"),
+    ([0, 1, 1, 2, 3], [1.0, np.nan, 0.0, 0.0], "state 0 action 1 has no transitions"),
+], ids=["empty", "nan-cost", "empty-and-nan-cost"])
+def test_unsolvable_row_is_named(solver, offsets, cost, message):
+    # a hand-built edge table over 2 states x 2 actions, every edge into the goal 1
+    succ = np.ones(offsets[-1], dtype=np.int64)
+    prob = np.ones(offsets[-1])
+    member = ConcretePomdp(
+        num_states=2, num_actions=2, num_observations=2, obs_of=np.array([0, 1]), goals={1},
+        initial_belief=np.array([1.0, 0.0]), edges=Edges(np.array(offsets), succ, prob, prob, np.array(cost)),
+    )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solver(member)
 
 
 class TestSolveMdp:
