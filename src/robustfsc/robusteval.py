@@ -14,8 +14,11 @@ the greedy member (first at the hop distance to a goal), solve that member
 chain's linear system, and switch rows to the greedy member at the solved
 values until no row improves.  Each switch strictly improves the values and
 there are finitely many greedy members, so the loop stops on its own.  Each
-evaluation factors one member, by LU without pivoting (I - P is a diagonally
-dominant M-matrix), and preconditions BiCGSTAB with it for the later ones.
+evaluation factors its first member incompletely (ILU without pivoting: I - P
+is a diagonally dominant M-matrix) and runs BiCGSTAB preconditioned with that
+ILU M from M^-1 c.  Every Krylov answer is kept only under a certified error
+bound; a member whose answer fails it is factored exactly (LU, again without
+pivoting).  The factorization last kept preconditions the later members.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.linalg import SuperLU, splu
+from scipy.sparse.linalg import SuperLU, spilu, splu
 
 from robustfsc.model import ConcretePomdp, Fsc, RobustPomdp
 from robustfsc.solvers import DivergenceError, _hops_to
@@ -190,7 +193,9 @@ class RobustValues:
     """Exact robust values plus the chain they were computed on.
 
     ``sweeps`` counts the member solves (one per member evaluated), ``factorizations``
-    the sparse LU factorizations among them and ``krylov_steps`` all BiCGSTAB steps.
+    the solves that factored their member, ``incomplete`` those among them whose answer and
+    factorization are an ILU's (the rest are exact LU, whether or not an ILU was tried first)
+    and ``krylov_steps`` all BiCGSTAB steps.
     ``error_bound`` bounds max |values - v|, v the exact values of the last member solved
     (its float64 probabilities read as exact).  A = I - P over its transient states is a
     nonsingular M-matrix, so v = A^-1 c >= c_min A^-1 1 and ||A^-1|| <= ||v|| / c_min (max
@@ -205,6 +210,7 @@ class RobustValues:
     mode: str
     sweeps: int
     factorizations: int
+    incomplete: int
     krylov_steps: int
     error_bound: float
     diagnosis: str = ""
@@ -275,23 +281,33 @@ def _bicgstab(matrix: csc_matrix, lu: SuperLU, b: np.ndarray, x: np.ndarray) -> 
 
 
 def _solve_member(member: csr_matrix, matrix: csc_matrix, cost: np.ndarray, lu: SuperLU | None,
-                  guess: np.ndarray | None) -> tuple[np.ndarray, SuperLU | None, float, bool, int]:
+                  guess: np.ndarray | None) -> tuple[np.ndarray, SuperLU | None, float, str | None, int]:
     """Values v = cost + member @ v of a member chain; ``member`` is P over its transient states and
     ``matrix`` is I - member in CSC.
 
     Given the factorization ``lu`` of an earlier member, BiCGSTAB preconditioned with it runs from
-    ``guess`` (see ``_bicgstab``); its best iterate is kept if its error bound (see ``RobustValues``)
-    is at most 1e-10 * max(1, max v), else the member is factored.  Returns the values, the
-    factorization for the next member, the bound, whether this call factored and the BiCGSTAB
-    steps.  Costs are nonnegative, so a direct solve that is singular, negative or not finite
-    reads +inf.
+    ``guess`` (see ``_bicgstab``).  Without one, the member is first factored incompletely: M is
+    its ILU (drop tolerance 1e-2, no pivoting) and BiCGSTAB runs from M^-1 cost, not from zero,
+    where the first steps can raise the residual and end the loop at x = 0.  A Krylov answer is
+    kept if its error bound (see ``RobustValues``) is at most 1e-10 * max(1, max v); otherwise, or
+    if the ILU meets a zero pivot, the member is factored exactly.  Returns the values, the
+    factorization for the next member, the bound, the factorization this call made and kept (None,
+    "incomplete" or "exact") and the BiCGSTAB steps.  Costs are nonnegative, so an exact solve that
+    is singular, negative or not finite reads +inf.
     """
-    steps = 0
+    steps, factored = 0, None
+    if lu is None:
+        try:
+            lu = spilu(matrix, drop_tol=1e-2, fill_factor=5, permc_spec="COLAMD", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+            factored, guess = "incomplete", lu.solve(cost)
+        except RuntimeError:  # a zero pivot
+            pass
     if lu is not None:
         x, steps = _bicgstab(matrix, lu, cost, guess)
         bound = _error_bound(member, cost, x)
         if x.min() >= 0.0 and bound <= 1e-10 * max(1.0, float(x.max())):
-            return x, lu, bound, False, steps
+            return x, lu, bound, factored, steps
     try:
         # I - P is a row diagonally dominant M-matrix: LU without pivoting is
         # stable on it, so the ordering may follow the symmetric pattern alone
@@ -300,8 +316,8 @@ def _solve_member(member: csr_matrix, matrix: csc_matrix, cost: np.ndarray, lu: 
     except RuntimeError:  # the factor is exactly singular
         x = np.full(len(cost), np.nan)
     if not np.all(np.isfinite(x) & (x >= 0.0)):
-        return np.full(len(cost), np.inf), None, np.inf, True, steps
-    return x, lu, _error_bound(member, cost, x), True, steps
+        return np.full(len(cost), np.inf), None, np.inf, "exact", steps
+    return x, lu, _error_bound(member, cost, x), "exact", steps
 
 
 def _error_bound(member: csr_matrix, cost: np.ndarray, x: np.ndarray) -> float:
@@ -358,7 +374,7 @@ def robust_value_iteration(chain: RobustChain, mode: str = "pessimistic", tol: f
     def greedy(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # the greedy member at values x
         return _box_simplex_fill(x[succ], lo, hi, offsets, _rank_order(x, chain.pairs, succ, offsets, maximize))
 
-    solves, factorizations, krylov_steps, lu, bound = 0, 0, 0, None, 0.0
+    solves, factorizations, incomplete, krylov_steps, lu, bound = 0, 0, 0, 0, None, 0.0
     seen: set[bytes] = set()
     _, p = greedy(hops)
     while size:
@@ -369,7 +385,8 @@ def robust_value_iteration(chain: RobustChain, mode: str = "pessimistic", tol: f
         seen.add(key)
         solves += 1
         v[states], lu, bound, factored, steps = _solve_member(*fill(p[inner]), cost, lu, v[states])
-        factorizations += factored
+        factorizations += factored is not None
+        incomplete += factored == "incomplete"
         krylov_steps += steps
         if np.isinf(v[states]).any():
             singular = (f"{size} product state(s) reach a goal only through probabilities below float64 "
@@ -386,8 +403,8 @@ def robust_value_iteration(chain: RobustChain, mode: str = "pessimistic", tol: f
 
     at_init = float(chain.init_prob @ v[:len(chain.init_prob)])
     return RobustValues(
-        chain=chain, values=v, at_initial=at_init, mode=mode, sweeps=solves,
-        factorizations=factorizations, krylov_steps=krylov_steps, error_bound=bound, diagnosis=diagnosis,
+        chain=chain, values=v, at_initial=at_init, mode=mode, sweeps=solves, factorizations=factorizations,
+        incomplete=incomplete, krylov_steps=krylov_steps, error_bound=bound, diagnosis=diagnosis,
     )
 
 

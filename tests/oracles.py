@@ -11,7 +11,8 @@ the per-step backpropagation through time that whole-sequence BPTT replaced,
 the second product expansion the worst-case adversary read its weights from
 before the evaluated chain kept its terms, robust policy iteration with one
 direct sparse solve per member as it was before factorizations were reused,
-an exact rational solve of a member chain, central finite differences for
+an exact rational solve of a member chain, Grassmann-Taksar-Heyman
+elimination of a member chain, central finite differences for
 the hand-written backward passes, the model's load path as it was
 before the edge table became a model's only storage (the line-by-line
 parser, the dict walk of validation and the per-state grid generators), and
@@ -160,7 +161,8 @@ def value_of(values, s, n) -> float:
 
 def solve_member(member, cost, lu=None, guess=None):
     """``_solve_member`` of P = ``member`` with I - P assembled from it: the values, the
-    factorization, the error bound and whether the call factored."""
+    factorization, the error bound and the factorization the call kept (None, "incomplete" or
+    "exact")."""
     return _solve_member(member, (identity(len(cost), format="csr") - member).tocsc(), cost, lu, guess)[:4]
 
 
@@ -462,7 +464,7 @@ def robust_value_iteration_reference(
     at_init = float(chain.init_prob @ v[:len(chain.init_prob)])
     return RobustValues(
         chain=chain, values=v, at_initial=at_init, mode=mode,
-        sweeps=solves, factorizations=solves, krylov_steps=0, error_bound=math.inf, diagnosis=diagnosis,
+        sweeps=solves, factorizations=solves, incomplete=0, krylov_steps=0, error_bound=math.inf, diagnosis=diagnosis,
     )
 
 
@@ -486,6 +488,31 @@ def member_values_exact(member, cost) -> list[Fraction]:
     values = [Fraction(0)] * n
     for k in reversed(range(n)):
         values[k] = (rows[k][n] - sum(rows[k][j] * values[j] for j in range(k + 1, n))) / rows[k][k]
+    return values
+
+
+def gth_values(member, cost) -> np.ndarray:
+    """Solution of v = cost + member @ v by Grassmann-Taksar-Heyman elimination.
+
+    States are eliminated last to first.  Each one's outflow is the sum of its exit (to the
+    goal) and its probabilities to the states still left, never 1 - p_kk, so no step
+    subtracts and every value is accurate to a few eps relative however small the exits
+    (O'Cinneide 1993).  The exits are 1 - the row sums, each taken once with ``math.fsum``.
+    """
+    p = member.toarray()
+    exits = np.array([math.fsum([1.0, *(-row)]) for row in p])
+    c = np.array(cost, dtype=np.float64)
+    outflow = np.empty(len(c))
+    for k in reversed(range(len(c))):
+        outflow[k] = exits[k] + p[k, :k].sum()
+        # a visit to k from i costs c_k / outflow_k and leaves for j < k with p_kj / outflow_k
+        share = p[:k, k] / outflow[k]
+        c[:k] += share * c[k]
+        exits[:k] += share * exits[k]
+        p[:k, :k] += np.outer(share, p[k, :k])
+    values = np.empty(len(c))
+    for k in range(len(c)):
+        values[k] = (c[k] + p[k, :k] @ values[:k]) / outflow[k]
     return values
 
 

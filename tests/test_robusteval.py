@@ -3,12 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, identity
+from scipy.sparse.linalg import spilu, splu
 
 import robustfsc.solvers as solvers
 from conftest import kmeans_controller, random_feasible_boxes, random_fsc, random_rpomdp
 from oracles import (
     box_simplex_opt,
     from_rows,
+    gth_values,
     inner_max,
     inner_min,
     member_values_exact,
@@ -20,7 +22,7 @@ from oracles import (
     value_of,
 )
 from robustfsc.grids import GridSpec, generate_grid
-from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint, project_row, sample_member
+from robustfsc.model import ConcretePomdp, Fsc, Interval, RobustPomdp, nominal_midpoint, project_row, sample_member
 from robustfsc.robusteval import (
     _bicgstab,
     _box_simplex_fill,
@@ -510,6 +512,18 @@ def exit_member(eps):
     return csr_matrix((1.0 - eps) * np.array([[0.25, 0.75], [0.5, 0.5]])), np.array([2.0, 3.0])
 
 
+def exact_lu(member):
+    """The exact factorization of I - member that ``_solve_member`` falls back to."""
+    return splu((identity(member.shape[0], format="csr") - member).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+def incomplete_lu(member):
+    """The incomplete factorization of I - member that ``_solve_member`` tries first."""
+    return spilu((identity(member.shape[0], format="csr") - member).tocsc(), drop_tol=1e-2, fill_factor=5,
+                 permc_spec="COLAMD", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
 def assert_bound_covers(member, cost, values, bound):
     exact = member_values_exact(member, cost)
     error = max(abs(Fraction(float(x)) - v) for x, v in zip(values, exact))
@@ -518,28 +532,28 @@ def assert_bound_covers(member, cost, values, bound):
 
 class TestSolveMember:
     def test_error_bound_covers_the_exact_error(self):
-        # each member is solved from a fresh factorization and from a stale
-        # one, that of another member of the same chain; the stale path
+        # each member is solved with no factorization (an ILU of its own, kept
+        # or followed by the exact LU), with a stale exact LU, that of another
+        # member of the same chain, and with its own ILU; a given factorization
         # keeps a certified Krylov answer or factors again
         rng = np.random.default_rng(91)
-        kept = 0
+        kept = incomplete = 0
         for _ in range(40):
             model = random_rpomdp(rng, num_states=int(rng.integers(2, 6)))
             fsc = random_fsc(rng, int(rng.integers(1, 4)), model.num_observations, model.num_actions)
             chain = build_chain(model, fsc)
             assert len(chain.row_state) <= 15
             (other, _), (member, cost) = random_member(rng, chain), random_member(rng, chain)
-            stale = solve_member(other, cost)[1]
-            for lu in (None, stale):
+            for lu in (None, exact_lu(other), incomplete_lu(member)):
                 values, _, bound, factored = solve_member(member, cost, lu, np.zeros(len(cost)))
                 assert_bound_covers(member, cost, values, bound)
                 kept += not factored
-        assert kept >= 20
+                incomplete += lu is None and factored == "incomplete"
+        assert kept >= 70 and incomplete >= 35, (kept, incomplete)
         well, _ = exit_member(0.5)
         for eps in 10.0 ** -np.arange(6, 16):
             member, cost = exit_member(eps)
-            stale = solve_member(well, cost)[1]
-            for lu in (None, stale):
+            for lu in (None, exact_lu(well), incomplete_lu(member)):
                 values, _, bound, _ = solve_member(member, cost, lu, np.ones(2))
                 assert_bound_covers(member, cost, values, bound)
 
@@ -573,6 +587,42 @@ class TestSolveMember:
                 for field in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(matrix, field), getattr(expected, field)), field
         assert self_loops > 0
+
+    def test_a_member_its_incomplete_factorization_cannot_certify_is_factored_exactly(self):
+        # exits of 1e-6 put ||v|| / c_min near 5e6, past what a float64 answer
+        # can certify (about 1e5), so the first member's ILU answer is thrown
+        # away and the evaluation returns splu's values bit for bit
+        rng = np.random.default_rng(99)
+        p, cost = random_chain(rng, exits=(1e-6, 1e-6))
+        n = len(cost)
+        model = from_rows(
+            ConcretePomdp, num_states=n + 1, num_actions=1, num_observations=n + 1, obs_of=np.arange(n + 1),
+            transitions={**{(s, 0): {**dict(zip(p[s].indices.tolist(), p[s].data)), n: 1.0 - p[s].sum()}
+                            for s in range(n)}, (n, 0): {n: 1.0}},
+            cost={**{(s, 0): cost[s] for s in range(n)}, (n, 0): 0.0}, goals=frozenset({n}),
+            initial_belief=np.append(np.full(n, 1.0 / n), 0.0),
+        )
+        chain = build_chain(model, dirac_fsc(n + 1, 1))
+        values = robust_value_iteration(chain)
+        assert (values.sweeps, values.factorizations, values.incomplete) == (1, 1, 0)
+        member, cost = random_member(rng, chain)  # the chain's one member, in its order
+        ilu = incomplete_lu(member)
+        x, _ = _bicgstab((identity(n, format="csr") - member).tocsc(), ilu, cost, ilu.solve(cost))
+        assert _error_bound(member, cost, x) > 1e-10 * np.max(x)
+        exact = exact_lu(member).solve(cost)
+        assert np.max(exact) / np.min(cost) >= 1e6
+        assert np.array_equal(values.values[chain.row_state], exact)
+        assert solve_member(member, cost)[3] == "exact"
+
+    def test_a_zero_pivot_in_the_incomplete_factorization_falls_back(self):
+        # below float64 resolution the exit rounds away: spilu raises on the
+        # singular factor, and the exact solve reads +inf as before
+        for eps in (1e-17, 1e-25, 1e-30):
+            member, cost = exit_member(eps)
+            with pytest.raises(RuntimeError):
+                incomplete_lu(member)
+            values, lu, bound, factored = solve_member(member, cost)
+            assert np.all(np.isinf(values)) and lu is None and bound == np.inf and factored == "exact"
 
     def test_stale_factorization_on_a_near_singular_member(self):
         well, cost = exit_member(0.5)
@@ -635,8 +685,7 @@ class TestBicgstabStop:
         rng = np.random.default_rng(94)
         for _ in range(5):
             member, cost = random_chain(rng)
-            lu = solve_member(member, cost)[1]
-            _, steps, stop = bicgstab_stop(member, cost, lu, np.zeros(len(cost)))
+            _, steps, stop = bicgstab_stop(member, cost, exact_lu(member), np.zeros(len(cost)))
             assert (steps, stop) == (1, "floor")
 
     def test_stale_factorization_stops_at_the_floor_or_stagnates(self):
@@ -649,7 +698,7 @@ class TestBicgstabStop:
             chain = build_chain(model, random_fsc(rng, int(rng.integers(1, 4)), model.num_observations,
                                                   model.num_actions))
             (other, _), (member, cost) = random_member(rng, chain), random_member(rng, chain)
-            x, _, stop = bicgstab_stop(member, cost, solve_member(other, cost)[1], np.zeros(len(cost)))
+            x, _, stop = bicgstab_stop(member, cost, exact_lu(other), np.zeros(len(cost)))
             assert_bound_covers(member, cost, x, _error_bound(member, cost, x))
             stops.append(stop)
         assert stops.count("floor") >= 25, stops
@@ -661,9 +710,20 @@ class TestBicgstabStop:
         rng = np.random.default_rng(96)
         for _ in range(5):
             member, cost = random_chain(rng, exits=(1e-3, 1e-3))
-            far = solve_member(random_chain(rng, exits=(0.3, 0.6))[0], cost)[1]
+            far = exact_lu(random_chain(rng, exits=(0.3, 0.6))[0])
             assert bicgstab_stop(member, cost, far, np.zeros(len(cost)))[2] == "stagnated"
             assert solve_member(member, cost, far, np.zeros(len(cost)))[3]
+
+    def test_own_incomplete_factorization_from_its_solve_stops_at_the_floor(self):
+        # the same exits of 1e-3, preconditioned by the chain's own ILU M and
+        # started from M^-1 c, as the first member of an evaluation is: the
+        # loop ends at the floor and the answer is kept without factoring
+        rng = np.random.default_rng(98)
+        for _ in range(20):
+            member, cost = random_chain(rng, exits=(1e-3, 1e-3))
+            ilu = incomplete_lu(member)
+            assert bicgstab_stop(member, cost, ilu, ilu.solve(cost))[2] == "floor"
+            assert solve_member(member, cost, ilu, ilu.solve(cost))[3] is None
 
 
 def test_error_bound_on_empty_rows():
@@ -689,6 +749,30 @@ def test_error_bound_on_empty_rows():
             residual = np.max(np.abs(member.astype(np.longdouble) @ x - x + cost))
             assert residual * x_max / (c_min - residual) * (1 + eps) <= bound
             assert bound <= (residual + 2 * rounding) * x_max / (c_min - residual - 2 * rounding) * (1 + eps)
+
+
+def relative_error(values, exact):
+    """max |values - exact| / exact over positive exact values; +inf if any value is not finite."""
+    if not np.all(np.isfinite(values)):
+        return np.inf
+    return float(max(abs(Fraction(float(x)) - v) / v for x, v in zip(values, exact)))
+
+
+def test_gth_oracle_is_exact_on_the_epsilon_ladder():
+    # 12-state chains whose every row exits with probability eps: GTH
+    # elimination, which never subtracts, matches the Fraction solve to 1e-12
+    # relative down to eps = 1e-15; the member solve's own error is reported,
+    # not asserted (it grows as eps shrinks)
+    rng = np.random.default_rng(100)
+    for eps in 10.0 ** -np.arange(6, 16):
+        gth = member_solve = 0.0
+        for _ in range(3):
+            member, cost = random_chain(rng, n=12, exits=(eps, eps))
+            exact = member_values_exact(member, cost)
+            gth = max(gth, relative_error(gth_values(member, cost), exact))
+            member_solve = max(member_solve, relative_error(solve_member(member, cost)[0], exact))
+        assert gth <= 1e-12, (eps, gth)
+        print(f"[epsilon ladder] exit {eps:.0e}: GTH {gth:.1e}, member solve {member_solve:.1e} relative error")
 
 
 def reference_cases():
@@ -717,6 +801,7 @@ def test_matches_the_one_solve_per_member_reference():
             assert 1 <= ours.factorizations <= ours.sweeps
             if ours.sweeps >= 3 and ours.factorizations == 1:
                 reused += 1
-            if len(chain.row_state) > 100:  # the grids: no member needs a fallback
+            if len(chain.row_state) > 100:  # the grids: the first member's ILU serves them all
                 assert ours.factorizations == 1, (mode, ours.sweeps)
+                assert ours.incomplete == 1, mode
     assert reused >= 6
