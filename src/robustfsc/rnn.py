@@ -269,16 +269,17 @@ def initial_hidden(params: NetworkParams) -> np.ndarray:
 def _loss_and_grad(
     params: NetworkParams,
     zs: np.ndarray,
-    mus: np.ndarray,
+    actions: np.ndarray,
     mask: np.ndarray,
     normalizer: float,
     grad: NetworkParams | None = None,
 ):
-    """Cross-entropy between supervision targets and the policy, plus BPTT grads.
+    """Cross-entropy against the supervision action, plus BPTT grads.
 
-    The loss is sum over unmasked steps of CE(mu, pi) / normalizer; hidden
-    states thread from zero within each row.  Padded steps are masked out of
-    both the loss and, because padding sits at episode tails, the gradient.
+    The loss is sum over unmasked steps of -log pi(a) / normalizer, taken as
+    the cross-entropy with the action's one-hot row; hidden states thread
+    from zero within each row.  Padded steps are masked out of both the loss
+    and, because padding sits at episode tails, the gradient.
     The gradient is written into ``grad``, zeroed first, when one is given.
 
     Only the recurrence runs step by step (see the module docstring).
@@ -293,7 +294,7 @@ def _loss_and_grad(
         hs[t + 1], (r[t], u[t], rh[t], hc[t]) = _gru_recur(params, hs[t], xr[t], xu[t], xh[t])
     head_cache = []
     log_probs = _head(params, hs[1:], head_cache)
-    targets = np.ascontiguousarray(mus.swapaxes(0, 1))
+    targets = np.eye(params.num_actions)[actions.T]  # (T, B, A) one-hot rows, C-contiguous
     step_ce = (targets * log_probs).sum(axis=-1)
     loss = 0.0
     for t in range(t_max):
@@ -369,7 +370,7 @@ def episode_batches(
     batch_size: int,
     rng_seed: int | tuple[int, ...],
 ):
-    """Padded minibatches of shuffled episodes: (zs, mus, mask, step count).
+    """Padded minibatches of shuffled episodes: (zs, actions, mask, step count).
 
     Each epoch draws one permutation of the episodes that record a step
     (with none empty, the draw of ``rng.permutation(num_episodes)``) and cuts
@@ -377,13 +378,13 @@ def episode_batches(
     is the dataset's rows cut to the batch's longest episode.
     """
     rng = np.random.default_rng(rng_seed)
-    zs, mus, mask, lengths = dataset.observations, dataset.targets, dataset.mask, dataset.lengths
+    zs, actions, mask, lengths = dataset.observations, dataset.actions, dataset.mask, dataset.lengths
     for _ in range(epochs):
         order = rng.permutation(np.flatnonzero(lengths > 0))
         for lo in range(0, len(order), batch_size):
             rows = order[lo:lo + batch_size]
             t_max = int(lengths[rows].max())
-            yield zs[rows, :t_max], mus[rows, :t_max], mask[rows, :t_max], float(lengths[rows].sum())
+            yield zs[rows, :t_max], actions[rows, :t_max], mask[rows, :t_max], float(lengths[rows].sum())
 
 
 def train_epochs(
@@ -400,8 +401,8 @@ def train_epochs(
     opt = Adam(params, lr, CLIP_NORM)
     grad = params.zeros_like()
     trace: list[float] = []
-    for zs, mus, mask, normalizer in episode_batches(dataset, epochs, batch_size, rng_seed):
-        batch_loss, _ = _loss_and_grad(params, zs, mus, mask, normalizer, grad=grad)
+    for zs, actions, mask, normalizer in episode_batches(dataset, epochs, batch_size, rng_seed):
+        batch_loss, _ = _loss_and_grad(params, zs, actions, mask, normalizer, grad=grad)
         if not np.isfinite(batch_loss):
             raise DivergenceError(f"training loss became non-finite at step {len(trace)}")
         opt.step(params, grad)

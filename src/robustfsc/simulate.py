@@ -3,28 +3,27 @@ as one dataset of zero-padded arrays; beliefs live only inside ``simulate``."""
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from robustfsc.model import Belief, ConcretePomdp, Edges, belief_updates
-from robustfsc.solvers import SupervisionBound, supervision_policy
+from robustfsc.solvers import SupervisionBound
 
 
 @dataclass
 class Step:
     observation: int
-    action: int
-    target: np.ndarray  # supervision action distribution at this step
+    action: int  # the supervision action: the label the network is trained on
+    target: InitVar[np.ndarray | None] = None  # accepted, not stored
     belief: Belief | None = None  # accepted for callers that have one; not kept
 
 
-@dataclass
 class Episode:
-    steps: list[Step]
-    cost: float
-    reached_goal: bool
+    """One rollout's steps; arguments after them are accepted and not kept."""
+
+    def __init__(self, steps: list[Step], *unused):
+        self.steps = steps
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -33,46 +32,37 @@ class Episode:
 class TrajectoryDataset:
     """Rollouts as arrays padded with zeros, one row per episode.
 
-    ``observations`` and ``actions`` (B, T) int64 and ``targets`` (B, T, A)
-    float64 hold episode b's steps in columns 0 .. lengths[b] - 1, with T
-    the longest episode; ``lengths``, ``costs`` and ``reached_goal`` are
-    (B,).  The constructor packs Episode objects, dropping their beliefs;
-    ``simulate`` scatters its step records into an empty dataset.
+    ``observations`` and ``actions`` (B, T) int64 hold episode b's steps in
+    columns 0 .. lengths[b] - 1, with T the longest episode; ``lengths`` is
+    (B,).  The action is the step's one supervision label.  The constructor
+    packs Episode objects, dropping their beliefs, and refuses an observation
+    outside range(num_observations) or an action outside range(num_actions);
+    its trailing arguments are accepted and not kept.  ``simulate`` scatters
+    its step records into an empty dataset.
     """
 
-    def __init__(self, episodes: list[Episode], num_observations: int, num_actions: int,
-                 seed: int | tuple[int, ...], horizon: int, model_hash: str):
-        self.num_observations = num_observations
-        self.num_actions = num_actions
-        self.seed = seed
-        self.horizon = horizon
-        self.model_hash = model_hash
-        steps = [st for ep in episodes for st in ep.steps]
-        self._scatter(
-            [row for row, ep in enumerate(episodes) for _ in ep.steps],
-            [t for ep in episodes for t in range(len(ep))],
-            [st.observation for st in steps],
-            [st.action for st in steps],
-            [st.target for st in steps],
-            [ep.cost for ep in episodes],
-            [ep.reached_goal for ep in episodes],
-        )
+    def __init__(self, episodes: list[Episode], num_observations: int, num_actions: int, *unused):
+        rows = np.array([row for row, ep in enumerate(episodes) for _ in ep.steps], dtype=np.int64)
+        cols = np.array([t for ep in episodes for t in range(len(ep))], dtype=np.int64)
+        observations = np.array([st.observation for ep in episodes for st in ep.steps], dtype=np.int64)
+        actions = np.array([st.action for ep in episodes for st in ep.steps], dtype=np.int64)
+        for name, values, count in (("observation", observations, num_observations),
+                                    ("action", actions, num_actions)):
+            bad = np.flatnonzero((values < 0) | (values >= count))
+            if bad.size:
+                k = bad[0]
+                raise ValueError(f"episode {rows[k]} step {cols[k]}: {name} {values[k]} outside range({count})")
+        self._scatter(len(episodes), rows, cols, observations, actions)
 
-    def _scatter(self, rows, cols, observations, actions, targets, costs, reached_goal) -> None:
-        """Set the arrays from step records: record k is step cols[k] of
-        episode rows[k]; every episode's steps are 0 .. its length - 1."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        self.costs = np.asarray(costs, dtype=np.float64)
-        self.reached_goal = np.asarray(reached_goal, dtype=bool)
-        self.lengths = np.bincount(rows, minlength=len(self.costs))
-        shape = (len(self.costs), int(self.lengths.max(initial=0)))
+    def _scatter(self, num_episodes: int, rows, cols, observations, actions) -> None:
+        """Set the arrays from int64 arrays of step records: record k is step
+        cols[k] of episode rows[k]; every episode's steps are 0 .. its length - 1."""
+        self.lengths = np.bincount(rows, minlength=num_episodes)
+        shape = (num_episodes, int(self.lengths.max(initial=0)))
         self.observations = np.zeros(shape, dtype=np.int64)
         self.actions = np.zeros(shape, dtype=np.int64)
-        self.targets = np.zeros(shape + (self.num_actions,))
         self.observations[rows, cols] = observations
         self.actions[rows, cols] = actions
-        self.targets[rows, cols] = np.reshape(targets, (len(rows), self.num_actions))
 
     @property
     def mask(self) -> np.ndarray:
@@ -86,16 +76,6 @@ class TrajectoryDataset:
     @property
     def num_steps(self) -> int:
         return int(self.lengths.sum())
-
-
-def model_fingerprint(model: ConcretePomdp) -> str:
-    """Stable short hash of the instance the data was generated from."""
-    e = model.edges
-    h = hashlib.sha256()
-    h.update(repr((model.num_states, model.num_actions, sorted(model.goals))).encode())
-    for array in (model.obs_of, e.offsets, e.succ, e.lo, e.cost, model.initial_belief):
-        h.update(array.tobytes())
-    return h.hexdigest()[:16]
 
 
 # Uniforms drawn per generator call, in steps; bounds the draws held at once.
@@ -138,18 +118,21 @@ def simulate(
     Each episode draws its start from the initial belief and stops at a goal
     or after ``horizon`` steps, whichever comes first (goals are absorbing
     and free, so truncating there changes nothing).  Recorded per step: the
-    current observation, the supervision distribution and the sampled
-    action.  Each step's records are kept as arrays and scattered into the
-    dataset's padded arrays once, at the end; beliefs are not kept, so only
-    the current step's belief block is alive.
+    current observation and the supervision action, the argmin of the
+    bound's action values at the belief (ties go to the lowest index).  Each
+    step's records are kept as arrays and scattered into the dataset's padded
+    arrays once, at the end; beliefs are not kept, so only the current step's
+    belief block is alive.
 
     Draw contract: episode i owns the generator seeded by (rng_seed, i).  It
     draws one uniform for its start, then per step one uniform for the action
-    and one for the successor, in that order.  Each uniform picks by the
-    inverse-cdf search of ``Generator.choice(p=...)``, so the dataset is that
-    of a per-episode loop of ``choice`` calls and independent of execution
-    order.  All live episodes advance together, one step at a time; the
-    beliefs of one step are the rows of one array.
+    and one for the successor, in that order.  The action's uniform is drawn
+    and left unused: the argmin needs none, and skipping the draw would
+    change every dataset.  The other uniforms pick by the inverse-cdf search
+    of ``Generator.choice(p=...)``, so the dataset is that of a per-episode
+    loop of ``choice`` calls and independent of execution order.  All live
+    episodes advance together, one step at a time; the beliefs of one step
+    are the rows of one array.
     """
     n, na = model.num_states, model.num_actions
     e = model.edges
@@ -162,8 +145,7 @@ def simulate(
     successor_cdf = _successor_cdf(e)
 
     state = np.searchsorted(_cdf(init), [rng.random() for rng in rngs], side="right")
-    cost = np.zeros(num_episodes)
-    record = []  # per step: live episodes, the step index, observations, actions, targets
+    record = []  # per step: live episodes, the step index, observations, actions
     live = np.flatnonzero(~goal[state])
     beliefs = np.tile(init, (len(live), 1))
     for t in range(horizon):
@@ -171,13 +153,11 @@ def simulate(
             break
         if t % DRAW_BLOCK == 0:
             draws = np.array([rngs[i].random(2 * min(DRAW_BLOCK, horizon - t)) for i in live])
-        u_action, u_successor = draws[:, 2 * (t % DRAW_BLOCK)], draws[:, 2 * (t % DRAW_BLOCK) + 1]
+        u_successor = draws[:, 2 * (t % DRAW_BLOCK) + 1]
         s = state[live]
-        mu = supervision_policy(supervision.action_values(beliefs))
-        a = np.count_nonzero(_cdf(mu) <= u_action[:, None], axis=1)
-        record.append((live, np.full(len(live), t), model.obs_of[s], a, mu))
+        a = np.argmin(supervision.action_values(beliefs), axis=1)
+        record.append((live, np.full(len(live), t), model.obs_of[s], a))
         rows = s * na + a
-        cost[live] += e.cost[rows]
         idx, counts = e.of_rows(rows)
         below = successor_cdf[idx] <= np.repeat(u_successor, counts)
         owner = np.repeat(np.arange(len(live)), counts)
@@ -187,7 +167,7 @@ def simulate(
         beliefs = belief_updates(model, beliefs, a, model.obs_of[s], keep)
         live, draws = live[keep], draws[keep]
 
-    dataset = TrajectoryDataset([], model.num_observations, na, rng_seed, horizon, model_fingerprint(model))
-    steps = map(np.concatenate, zip(*record)) if record else ([],) * 5
-    dataset._scatter(*steps, cost, goal[state])
+    dataset = TrajectoryDataset([], model.num_observations, na)
+    steps = map(np.concatenate, zip(*record)) if record else np.zeros((4, 0), dtype=np.int64)
+    dataset._scatter(num_episodes, *steps)
     return dataset

@@ -131,12 +131,3 @@ def solve_fib(model: ConcretePomdp, tol: float = 1e-9) -> SupervisionBound:
 
     return _sweep(model, backup, lambda q: q, tol, "FIB iteration")
 
-
-def supervision_policy(q_values: np.ndarray) -> np.ndarray:
-    """Point distribution on the cheapest action; ties go to the lowest index.
-
-    ``q_values`` holds the actions along its last axis, one belief per row.
-    """
-    mu = np.zeros_like(q_values, dtype=np.float64)
-    np.put_along_axis(mu, np.argmin(q_values, axis=-1)[..., None], 1.0, axis=-1)
-    return mu

@@ -96,11 +96,9 @@ def kmeans_controller(model, clusters=4):
     observation sequences."""
     params = init_params(model.num_observations, model.num_actions, hidden_size=8, embed_size=4, rng_seed=3)
     rng = np.random.default_rng(36)
-    target = np.full(model.num_actions, 1.0 / model.num_actions)
-    episodes = [Episode([Step(int(z), 0, target, model.initial_belief)
-                         for z in rng.choice(model.realizable_observations(), 12)], 0.0, False)
+    episodes = [Episode([Step(int(z), 0) for z in rng.choice(model.realizable_observations(), 12)])
                 for _ in range(16)]
-    dataset = TrajectoryDataset(episodes, model.num_observations, model.num_actions, 0, 12, "test")
+    dataset = TrajectoryDataset(episodes, model.num_observations, model.num_actions)
     return build_fsc(params, kmeans_fit(collect_hidden_states(params, dataset), clusters, rng_seed=0), model)
 
 

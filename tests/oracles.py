@@ -142,7 +142,7 @@ def forward(params, hidden, z):
 
 def loss(params, dataset) -> float:
     """Mean cross-entropy over every recorded step of the dataset; 0 on an empty one."""
-    return _loss_and_grad(params, dataset.observations, dataset.targets, dataset.mask,
+    return _loss_and_grad(params, dataset.observations, dataset.actions, dataset.mask,
                           float(dataset.num_steps) or 1.0)[0]
 
 
@@ -634,10 +634,10 @@ def build_fsc_reference(params, clustering, model):
 def simulate_reference(model, supervision, num_episodes=256, horizon=200, rng_seed=0):
     """``simulate`` as one episode after another, each drawing by ``rng.choice``.
 
-    Returns the dataset and the episodes it packs, whose steps keep the
-    belief each target was computed from."""
-    from robustfsc.simulate import Episode, Step, TrajectoryDataset, model_fingerprint
-    from robustfsc.solvers import supervision_policy
+    Each step draws its action from the point distribution on the argmin of
+    the bound's action values.  Returns the dataset and the episodes it
+    packs, whose steps keep the belief each action was computed from."""
+    from robustfsc.simulate import Episode, Step, TrajectoryDataset
 
     states = np.arange(model.num_states)
     actions = np.arange(model.num_actions)
@@ -649,29 +649,19 @@ def simulate_reference(model, supervision, num_episodes=256, horizon=200, rng_se
         s = int(rng.choice(states, p=model.initial_belief))
         b = model.initial_belief.copy()
         steps = []
-        cost = 0.0
         while len(steps) < horizon and s not in model.goals:
             z = int(model.obs_of[s])
-            mu = supervision_policy(supervision.action_values(b))
+            mu = (actions == np.argmin(supervision.action_values(b))) * 1.0
             a = int(rng.choice(actions, p=mu))
-            steps.append(Step(observation=z, action=a, target=mu, belief=b))
+            steps.append(Step(observation=z, action=a, belief=b))
             r = s * model.num_actions + a
-            cost += float(e.cost[r])
             start, stop = e.offsets[r], e.offsets[r + 1]
             probs = e.lo[start:stop]
             s_next = int(rng.choice(e.succ[start:stop], p=probs / probs.sum()))
             b = belief_update(model, b, a, int(model.obs_of[s_next]))
             s = s_next
-        episodes.append(Episode(steps=steps, cost=cost, reached_goal=s in model.goals))
-    dataset = TrajectoryDataset(
-        episodes=episodes,
-        num_observations=model.num_observations,
-        num_actions=model.num_actions,
-        seed=rng_seed,
-        horizon=horizon,
-        model_hash=model_fingerprint(model),
-    )
-    return dataset, episodes
+        episodes.append(Episode(steps=steps))
+    return TrajectoryDataset(episodes, model.num_observations, model.num_actions), episodes
 
 
 def sigmoid_reference(x):
@@ -684,11 +674,11 @@ def sigmoid_reference(x):
     return out
 
 
-def loss_and_grad_reference(params, zs, mus, mask, normalizer):
+def loss_and_grad_reference(params, zs, actions, mask, normalizer):
     """``rnn._loss_and_grad`` as one step after another: the GRU, the head,
     the loss term and every weight gradient inside the time loops.
 
-    The loss is sum over unmasked steps of CE(mu, pi) / normalizer; hidden
+    The loss is sum over unmasked steps of CE(onehot(a), pi) / normalizer; hidden
     states thread from zero within each row.  Padded steps are masked out of
     both the loss and, because padding sits at episode tails, the gradient.
     """
@@ -700,6 +690,7 @@ def loss_and_grad_reference(params, zs, mus, mask, normalizer):
     gru_caches = []
     head_caches = []
     log_probs_t = []
+    mus = np.eye(params.num_actions)[actions]  # (B, T, A) one-hot rows
     loss = 0.0
     for t in range(t_max):
         x = params.emb[zs[:, t]]
@@ -817,7 +808,7 @@ def gradient_check(params, dataset) -> float:
     |a - n| / max(1, |a|, |n|) per coordinate; 0 on an empty dataset."""
     if dataset.num_steps == 0:
         return 0.0
-    args = (dataset.observations, dataset.targets, dataset.mask, float(dataset.num_steps))
+    args = (dataset.observations, dataset.actions, dataset.mask, float(dataset.num_steps))
     analytic = _loss_and_grad(params, *args)[1].flat
     work, scratch = params.copy(), params.zeros_like()
     numeric = central_differences(lambda: _loss_and_grad(work, *args, grad=scratch)[0], work.flat)

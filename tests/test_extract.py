@@ -26,11 +26,9 @@ def make_dataset(num_eps, length, num_obs, num_actions, seed):
     lengths = [length] * num_eps if np.isscalar(length) else list(length)
     episodes = []
     for n in lengths:
-        steps = [Step(int(rng.integers(num_obs)), int(rng.integers(num_actions)),
-                      rng.dirichlet(np.ones(num_actions)), np.ones(1))
-                 for _ in range(n)]
-        episodes.append(Episode(steps, float(n), True))
-    return TrajectoryDataset(episodes, num_obs, num_actions, seed, max(lengths, default=0), "test")
+        episodes.append(Episode([Step(int(rng.integers(num_obs)), int(rng.integers(num_actions)))
+                                 for _ in range(n)]))
+    return TrajectoryDataset(episodes, num_obs, num_actions)
 
 
 def assert_tables_match_forward_passes(params, cl, model):
@@ -46,7 +44,7 @@ def assert_tables_match_forward_passes(params, cl, model):
 class TestCollectHiddenStates:
     def test_empty_dataset(self):
         p = init_params(2, 2, hidden_size=3, embed_size=2)
-        ds = TrajectoryDataset([], 2, 2, 0, 5, "empty")
+        ds = TrajectoryDataset([], 2, 2)
         assert collect_hidden_states(p, ds).shape == (0, 3)
 
     def test_one_episode_three_states(self):

@@ -30,33 +30,28 @@ from robustfsc.simulate import Episode, Step, TrajectoryDataset, simulate
 from robustfsc.solvers import DivergenceError, solve_fib
 
 
-def make_dataset(num_eps, max_len, num_obs, num_actions, seed, constant_target=None):
+def make_dataset(num_eps, max_len, num_obs, num_actions, seed, constant_action=None):
     rng = np.random.default_rng(seed)
     episodes = []
     for _ in range(num_eps):
         length = int(rng.integers(1, max_len + 1))
         steps = []
         for _ in range(length):
-            mu = constant_target if constant_target is not None else rng.dirichlet(np.ones(num_actions))
-            steps.append(Step(int(rng.integers(num_obs)), int(rng.integers(num_actions)),
-                              np.asarray(mu, dtype=float), np.ones(1)))
-        episodes.append(Episode(steps, float(length), True))
-    return TrajectoryDataset(episodes, num_obs, num_actions, seed, max_len, "test")
+            z, a = int(rng.integers(num_obs)), int(rng.integers(num_actions))
+            steps.append(Step(z, a if constant_action is None else constant_action))
+        episodes.append(Episode(steps))
+    return TrajectoryDataset(episodes, num_obs, num_actions)
 
 
 def episodes_of_lengths(lengths, num_obs, num_actions, seed):
     """Random episodes of the given lengths (zero allowed)."""
     rng = np.random.default_rng(seed)
-    return [
-        Episode([Step(int(rng.integers(num_obs)), int(rng.integers(num_actions)),
-                      rng.dirichlet(np.ones(num_actions)), np.ones(1)) for _ in range(n)],
-                float(n), n > 0)
-        for n in lengths
-    ]
+    return [Episode([Step(int(rng.integers(num_obs)), int(rng.integers(num_actions))) for _ in range(n)])
+            for n in lengths]
 
 
 def pack(episodes, num_obs, num_actions):
-    return TrajectoryDataset(episodes, num_obs, num_actions, 0, max(map(len, episodes), default=0), "test")
+    return TrajectoryDataset(episodes, num_obs, num_actions)
 
 
 def dataset_of_lengths(lengths, num_obs, num_actions, seed):
@@ -110,14 +105,14 @@ class TestForward:
 class TestLoss:
     def test_uniform_anchor_is_log_num_actions(self):
         p = init_params(2, 4, hidden_size=4, embed_size=2, rng_seed=0).zeros_like()
-        ds = make_dataset(3, 4, 2, 4, seed=1, constant_target=np.full(4, 0.25))
+        ds = make_dataset(3, 4, 2, 4, seed=1)
         assert loss(p, ds) == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_dirac_match_gives_tiny_loss(self):
         # push one logit far up so the policy is a near-point mass
         p = init_params(1, 2, hidden_size=2, embed_size=2, rng_seed=0).zeros_like()
         p.head_b3[0] = 30.0
-        ds = make_dataset(2, 3, 1, 2, seed=2, constant_target=np.array([1.0, 0.0]))
+        ds = make_dataset(2, 3, 1, 2, seed=2, constant_action=0)
         assert loss(p, ds) < 1e-9
 
     def test_matches_direct_summation(self):
@@ -125,17 +120,17 @@ class TestLoss:
         ds = make_dataset(3, 4, 4, 3, seed=3)
         total = 0.0
         count = 0
-        for zs, mus, length in zip(ds.observations, ds.targets, ds.lengths):
+        for zs, actions, length in zip(ds.observations, ds.actions, ds.lengths):
             h = initial_hidden(p)
-            for z, mu in zip(zs[:length], mus[:length]):
+            for z, a in zip(zs[:length], actions[:length]):
                 h, dist = forward(p, h, int(z))
-                total -= float(mu @ np.log(dist))
+                total -= float(np.log(dist[a]))
                 count += 1
         assert loss(p, ds) == pytest.approx(total / count, abs=1e-12)
 
     def test_empty_dataset(self):
         p = init_params(2, 2, 4, 2, rng_seed=0)
-        ds = TrajectoryDataset([], 2, 2, 0, 5, "empty")
+        ds = TrajectoryDataset([], 2, 2)
         assert loss(p, ds) == 0.0
 
 
@@ -155,10 +150,10 @@ class TestTraining:
         assert trace_a == trace_b
 
     def test_converges_on_constant_target(self):
-        # single episode with a fixed target distribution is exactly
+        # single episode with one action at every step is exactly
         # representable; the loss should fall monotonically to near zero
         p = init_params(2, 3, hidden_size=4, embed_size=2, rng_seed=2)
-        ds = make_dataset(1, 4, 2, 3, seed=6, constant_target=np.array([0.0, 1.0, 0.0]))
+        ds = make_dataset(1, 4, 2, 3, seed=6, constant_action=1)
         _, trace = train_epochs(p, ds, epochs=50, batch_size=1, lr=0.1, rng_seed=0)
         assert len(trace) == 50
         assert trace[-1] < 0.01
@@ -191,7 +186,7 @@ class TestEpisodeBatches:
             order = rng.permutation(np.flatnonzero([len(episode) > 0 for episode in episodes]))
             for lo in range(0, len(order), batch_size):
                 batch = pack([episodes[i] for i in order[lo:lo + batch_size]], *dims)
-                expected = (batch.observations, batch.targets, batch.mask)
+                expected = (batch.observations, batch.actions, batch.mask)
                 normalizer = float(expected[2].sum())
                 assert normalizer > 0.0
                 *got, got_normalizer = next(batches)
@@ -216,9 +211,12 @@ class TestEpisodeBatches:
 
 
 def fib_dataset(horizon=200, episodes=48):
-    """FIB-supervised rollouts on the intercept 4x4 grid's midpoint member."""
+    """FIB-supervised rollouts on the intercept 4x4 grid's midpoint member, and
+    fresh network parameters for that member."""
     member = nominal_midpoint(generate_grid(GridSpec(4, 4, "intercept")))
-    return simulate(member, solve_fib(member), num_episodes=episodes, horizon=horizon, rng_seed=(3, 0, 3))
+    ds = simulate(member, solve_fib(member), num_episodes=episodes, horizon=horizon, rng_seed=(3, 0, 3))
+    return ds, init_params(member.num_observations, member.num_actions, hidden_size=16, embed_size=8,
+                           rng_seed=(3, 0, 1))
 
 
 class TestMatchesPerStepReference:
@@ -227,10 +225,10 @@ class TestMatchesPerStepReference:
 
     @staticmethod
     def assert_same(params, ds):
-        zs, mus, mask = ds.observations, ds.targets, ds.mask
+        zs, actions, mask = ds.observations, ds.actions, ds.mask
         normalizer = float(mask.sum()) or 1.0
-        got_loss, got = _loss_and_grad(params, zs, mus, mask, normalizer)
-        want_loss, want = loss_and_grad_reference(params, zs, mus, mask, normalizer)
+        got_loss, got = _loss_and_grad(params, zs, actions, mask, normalizer)
+        want_loss, want = loss_and_grad_reference(params, zs, actions, mask, normalizer)
         assert got_loss == want_loss
         assert np.array_equal(got.flat, want.flat)
 
@@ -252,9 +250,8 @@ class TestMatchesPerStepReference:
         self.assert_same(p, pack([episodes[2]], 3, 2))  # T = 0: zero loss, zero gradient
 
     def test_fib_dataset_on_intercept_4x4(self):
-        ds = fib_dataset()
+        ds, p = fib_dataset()
         assert ds.num_steps >= 200
-        p = init_params(ds.num_observations, ds.num_actions, hidden_size=16, embed_size=8, rng_seed=(3, 0, 1))
         self.assert_same(p, ds)
 
     def test_long_episodes(self):
@@ -264,7 +261,7 @@ class TestMatchesPerStepReference:
     def test_reused_dirty_gradient_container(self):
         ds = dataset_of_lengths([6, 0, 3, 9], 5, 3, seed=40)
         p = init_params(5, 3, hidden_size=6, embed_size=3, rng_seed=41)
-        args = (p, ds.observations, ds.targets, ds.mask, float(ds.num_steps))
+        args = (p, ds.observations, ds.actions, ds.mask, float(ds.num_steps))
         _, fresh = _loss_and_grad(*args)
         dirty = p.zeros_like()
         dirty.flat[...] = np.random.default_rng(42).standard_normal(dirty.flat.size)
@@ -273,14 +270,13 @@ class TestMatchesPerStepReference:
         assert np.array_equal(reused.flat, fresh.flat)
 
     def test_training_matches_a_loop_over_the_reference(self):
-        ds = fib_dataset(horizon=50, episodes=40)
-        start = init_params(ds.num_observations, ds.num_actions, hidden_size=16, embed_size=8, rng_seed=(3, 0, 1))
+        ds, start = fib_dataset(horizon=50, episodes=40)
         got, got_trace = train_epochs(start, ds, epochs=3, batch_size=16, lr=1e-3, rng_seed=(3, 0, 4))
         want = start.copy()
         opt = Adam(want, 1e-3, 5.0)
         want_trace = []
-        for zs, mus, mask, normalizer in episode_batches(ds, 3, 16, rng_seed=(3, 0, 4)):
-            batch_loss, grad = loss_and_grad_reference(want, zs, mus, mask, normalizer)
+        for zs, actions, mask, normalizer in episode_batches(ds, 3, 16, rng_seed=(3, 0, 4)):
+            batch_loss, grad = loss_and_grad_reference(want, zs, actions, mask, normalizer)
             opt.step(want, grad)
             want_trace.append(batch_loss)
         assert len(got_trace) == 9
@@ -390,13 +386,13 @@ class TestGradientCheck:
 
     def test_empty_dataset_zero(self):
         p = init_params(2, 2, 4, 2, rng_seed=0)
-        ds = TrajectoryDataset([], 2, 2, 0, 5, "empty")
+        ds = TrajectoryDataset([], 2, 2)
         assert gradient_check(p, ds) == 0.0
 
     def test_unused_observation_has_zero_gradient(self):
         p = init_params(5, 2, hidden_size=3, embed_size=2, rng_seed=5)
         ds = make_dataset(2, 4, 3, 2, seed=9)  # observations 3, 4 never appear
-        _, grad = _loss_and_grad(p, ds.observations, ds.targets, ds.mask, float(ds.num_steps))
+        _, grad = _loss_and_grad(p, ds.observations, ds.actions, ds.mask, float(ds.num_steps))
         assert np.array_equal(grad.emb[3], np.zeros(2))
         assert np.array_equal(grad.emb[4], np.zeros(2))
         assert np.any(grad.emb[:3] != 0)

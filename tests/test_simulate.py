@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,19 +8,17 @@ from conftest import random_rpomdp
 from oracles import belief_update, from_rows, product_chain_cost, simulate_reference
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint, sample_member
-from robustfsc.simulate import DRAW_BLOCK, simulate
-from robustfsc.solvers import solve_fib, solve_mdp
+from robustfsc.simulate import DRAW_BLOCK, Episode, Step, TrajectoryDataset, simulate
+from robustfsc.solvers import SupervisionBound, solve_fib, solve_mdp
 
 
-DATASET_ARRAYS = ("observations", "actions", "targets", "lengths", "costs", "reached_goal")
-DATASET_METADATA = ("num_observations", "num_actions", "seed", "horizon", "model_hash")
+DATASET_ARRAYS = ("observations", "actions", "lengths")
 
 
 def same_dataset(a, b):
-    """Every array equal in shape, dtype and values, and every metadata field equal."""
+    """Every array equal in shape, dtype and values."""
     arrays = [(getattr(a, name), getattr(b, name)) for name in DATASET_ARRAYS]
-    return (all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in arrays)
-            and all(getattr(a, name) == getattr(b, name) for name in DATASET_METADATA))
+    return all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in arrays)
 
 
 def two_step_chain():
@@ -41,24 +40,16 @@ def test_start_on_goal_gives_empty_episodes():
     member = two_step_chain()
     member.initial_belief = np.array([0.0, 0.0, 1.0])
     ds = simulate(member, solve_mdp(member), num_episodes=5, horizon=10, rng_seed=0)
-    assert ds.observations.shape == (5, 0) and ds.targets.shape == (5, 0, 1)
-    assert not ds.lengths.any() and not ds.costs.any() and ds.reached_goal.all()
+    assert ds.observations.shape == ds.actions.shape == (5, 0)
+    assert not ds.lengths.any()
 
 
 def test_deterministic_two_step_chain():
     member = two_step_chain()
     ds = simulate(member, solve_mdp(member), num_episodes=8, horizon=10, rng_seed=1)
-    assert (ds.lengths == 2).all() and (ds.costs == 2.0).all() and ds.reached_goal.all()
+    assert (ds.lengths == 2).all()
     assert ds.observations.tolist() == [[0, 1]] * 8
-
-
-def test_defaults_recorded_in_metadata():
-    member = two_step_chain()
-    ds = simulate(member, solve_mdp(member), num_episodes=256, horizon=200, rng_seed=7)
-    assert ds.num_episodes == 256
-    assert ds.horizon == 200
-    assert ds.seed == 7
-    assert len(ds.model_hash) == 16
+    assert ds.actions.tolist() == [[0, 0]] * 8
 
 
 def test_byte_identical_given_seed():
@@ -88,7 +79,7 @@ def test_recorded_beliefs_replay_consistently():
             assert np.allclose(ep.steps[0].belief, member.initial_belief)
 
 
-def test_target_distributions_are_dirac_on_argmin():
+def test_actions_are_the_argmin_at_the_tracked_belief():
     rng = np.random.default_rng(6)
     member = nominal_midpoint(random_rpomdp(rng, num_states=4, num_actions=3))
     sup = solve_mdp(member)
@@ -97,11 +88,49 @@ def test_target_distributions_are_dirac_on_argmin():
     assert same_dataset(ds, reference)  # so the oracle's beliefs are the ones simulate tracked
     for row, ep in enumerate(episodes):
         for t, st in enumerate(ep.steps):
-            target = ds.targets[row, t]
-            assert target.sum() == 1.0
-            assert target.max() == 1.0
-            expect = int(np.argmin(sup.action_values(st.belief)))
-            assert ds.actions[row, t] == expect == int(np.argmax(target))
+            assert ds.actions[row, t] == int(np.argmin(sup.action_values(st.belief)))
+
+
+def one_choice_member(costs):
+    """State 0 reaches the goal, state 1, under every action; action a costs costs[a]."""
+    na = len(costs)
+    m = from_rows(
+        RobustPomdp,
+        num_states=2, num_actions=na, num_observations=2,
+        obs_of=np.arange(2),
+        transitions={(s, a): {1: Interval(1.0, 1.0)} for s in range(2) for a in range(na)},
+        cost={(s, a): (costs[a] if s == 0 else 0.0) for s in range(2) for a in range(na)},
+        goals=frozenset({1}),
+        initial_belief=np.array([1.0, 0.0]),
+    )
+    return nominal_midpoint(m)
+
+
+def test_tied_action_values_record_the_lowest_action():
+    for costs, expect in [((3.0, 1.0, 2.0), 1), ((1.0, 1.0, 5.0), 0), ((5.0, 2.0, 2.0), 1), ((3.0, 3.0, 3.0), 0)]:
+        member = one_choice_member(costs)
+        sup = solve_mdp(member)
+        assert sup.q[0].tolist() == list(costs)  # the costs exactly, ties included
+        for bound in (sup, SupervisionBound(3.0 * sup.q)):  # and stay so in a scaled table
+            ds = simulate(member, bound, num_episodes=8, horizon=5, rng_seed=1)
+            assert ds.lengths.tolist() == [1] * 8
+            assert ds.actions[:, 0].tolist() == [expect] * 8
+
+
+@pytest.mark.parametrize("observation, action, message", [
+    (-1, 0, "episode 1 step 2: observation -1 outside range(3)"),
+    (3, 0, "episode 1 step 2: observation 3 outside range(3)"),
+    (0, -1, "episode 1 step 2: action -1 outside range(2)"),
+    (0, 2, "episode 1 step 2: action 2 outside range(2)"),
+], ids=["negative-observation", "observation-too-large", "negative-action", "action-too-large"])
+def test_packing_refuses_an_index_out_of_range(observation, action, message):
+    good = [Step(1, 1), Step(2, 0)]
+    episodes = [Episode(good), Episode(good + [Step(observation, action)])]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrajectoryDataset(episodes, 3, 2)
+    ds = TrajectoryDataset(episodes[:1] + [Episode(good + [Step(2, 1)])], 3, 2)
+    assert ds.observations.tolist() == [[1, 2, 0], [1, 2, 2]]
+    assert ds.actions.tolist() == [[1, 0, 0], [1, 0, 1]]
 
 
 def test_mean_cost_matches_linear_solve_within_three_se():
@@ -123,7 +152,7 @@ def test_mean_cost_matches_linear_solve_within_three_se():
     dirac[0, :, 0] = 1.0
     exact = product_chain_cost(member, Fsc(1, 0, dirac, np.zeros((1, 3), dtype=int)))
     ds = simulate(member, solve_mdp(member), num_episodes=10_000, horizon=300, rng_seed=9)
-    costs = ds.costs
+    costs = ds.lengths.astype(float)  # every step costs 1
     se = costs.std(ddof=1) / np.sqrt(len(costs))
     assert abs(costs.mean() - exact) < 3 * se
 
@@ -167,7 +196,12 @@ class TestMatchesPerEpisodeReference:
     def test_horizon_truncation(self):
         member = intercept_members()["midpoint"]
         ds = self.check(member, solve_mdp, num_episodes=32, horizon=3, rng_seed=4)
-        assert ((ds.lengths == 3) & ~ds.reached_goal).any()
+        # the same episodes run longer when they may: truncation keeps their first steps
+        longer = simulate(member, solve_mdp(member), num_episodes=32, horizon=50, rng_seed=4)
+        assert (longer.lengths > 3).any()
+        assert np.array_equal(ds.lengths, np.minimum(longer.lengths, 3))
+        assert np.array_equal(ds.observations, longer.observations[:, :3] * ds.mask.astype(bool))
+        assert np.array_equal(ds.actions, longer.actions[:, :3] * ds.mask.astype(bool))
         assert self.check(member, solve_mdp, num_episodes=4, horizon=0, rng_seed=4).num_steps == 0
 
     def test_starts_on_a_goal(self):
@@ -199,7 +233,7 @@ class TestMatchesPerEpisodeReference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ds.reached_goal.all()
+        assert ds.lengths.max() < 10**6  # every episode reached the goal
         assert peak < 8 * 2**20  # one episodes x horizon array of draws would be 128 MB
 
 

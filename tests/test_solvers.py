@@ -7,12 +7,7 @@ import robustfsc.solvers as solvers
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import ConcretePomdp, Edges, Fsc, Interval, RobustPomdp, nominal_midpoint
 from robustfsc.simulate import simulate
-from robustfsc.solvers import (
-    DivergenceError,
-    solve_fib,
-    solve_mdp,
-    supervision_policy,
-)
+from robustfsc.solvers import DivergenceError, solve_fib, solve_mdp
 
 
 def chain_model(costs=(1.0,)):
@@ -109,8 +104,8 @@ class TestBothBounds:
         assert bound.action_values(np.array([1.0, 0.0, 0.0])).tolist() == [np.inf, 2.0]
         assert bound.action_values(np.array([0.5, 0.5, 0.0])).tolist() == [np.inf, np.inf]
         ds = simulate(member, bound, num_episodes=16, horizon=5, rng_seed=0)
-        assert ds.lengths.tolist() == [1] * 16 and ds.reached_goal.all()
-        assert ds.targets[:, 0].tolist() == [[0.0, 1.0]] * 16
+        assert ds.lengths.tolist() == [1] * 16
+        assert ds.actions[:, 0].tolist() == [1] * 16
 
 
 @pytest.mark.parametrize("solver", [solve_mdp, solve_fib])
@@ -129,6 +124,39 @@ def test_unsolvable_row_is_named(solver, offsets, cost, message):
     )
     with pytest.raises(ValueError, match=f"^{message}$"):
         solver(member)
+
+
+def slow_exit_model(exit_prob=1e-2):
+    """Start 0, slow state 1, goal 2.  From 0, action 0 costs 1 and moves to 1;
+    action 1 costs 150 and reaches the goal.  State 1 leaves for the goal with
+    probability ``exit_prob`` per step, at cost 1 or 2 by action, so its value
+    is 1 / exit_prob and value iteration closes in on it by a factor of
+    1 - exit_prob per sweep.  States 0 and 1 share an observation."""
+    stay = {1: Interval(1.0 - exit_prob, 1.0 - exit_prob), 2: Interval(exit_prob, exit_prob)}
+    goal = {2: Interval(1.0, 1.0)}
+    m = from_rows(
+        RobustPomdp,
+        num_states=3, num_actions=2, num_observations=2,
+        obs_of=np.array([0, 0, 1]),
+        transitions={(0, 0): {1: Interval(1.0, 1.0)}, (0, 1): goal,
+                     (1, 0): stay, (1, 1): stay, (2, 0): goal, (2, 1): goal},
+        cost={(0, 0): 1.0, (0, 1): 150.0, (1, 0): 1.0, (1, 1): 2.0, (2, 0): 0.0, (2, 1): 0.0},
+        goals=frozenset({2}),
+        initial_belief=np.array([1.0, 0.0, 0.0]),
+    )
+    return nominal_midpoint(m)
+
+
+def test_default_tol_is_tight_on_a_slowly_mixing_chain():
+    # each sweep here moves the value by 1 / 100 of its remaining error, so a stop
+    # at change < tol leaves about 100 tol: 1e-9 relative at the default, 1e-5 at tol=1e-5
+    member = slow_exit_model()
+    v = enumerate_policies_ssp(member)
+    q = np.array([[member.cost[(s, a)] + sum(p * v[sp] for sp, p in member.transitions[(s, a)].items())
+                   for a in range(member.num_actions)] for s in range(member.num_states)])
+    np.testing.assert_allclose(q[:2], [[101.0, 150.0], [100.0, 101.0]], rtol=1e-12)
+    np.testing.assert_allclose(solve_mdp(member).q, q, rtol=1e-8, atol=0.0)
+    np.testing.assert_allclose(solve_fib(member).q, solve_fib(member, tol=1e-13).q, rtol=1e-8, atol=0.0)
 
 
 class TestSolveMdp:
@@ -337,15 +365,3 @@ def _pinned(member, state):
     belief[state] = 1.0
     pinned.initial_belief = belief
     return pinned
-
-
-class TestSupervisionPolicy:
-    def test_argmin_dirac(self):
-        assert np.array_equal(supervision_policy(np.array([3.0, 1.0, 2.0])), [0, 1, 0])
-
-    def test_tie_breaks_to_lowest_index(self):
-        assert np.array_equal(supervision_policy(np.array([1.0, 1.0, 5.0])), [1, 0, 0])
-
-    def test_scale_invariant(self):
-        q = np.array([4.0, 2.0, 8.0])
-        assert np.array_equal(supervision_policy(q), supervision_policy(3.0 * q))
