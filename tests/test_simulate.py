@@ -9,7 +9,7 @@ from oracles import belief_update, from_rows, product_chain_cost, simulate_refer
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint, sample_member
 from robustfsc.simulate import DRAW_BLOCK, Episode, Step, TrajectoryDataset, simulate
-from robustfsc.solvers import SupervisionBound, solve_fib, solve_mdp
+from robustfsc.solvers import solve_fib, solve_mdp
 
 
 DATASET_ARRAYS = ("observations", "actions", "lengths")
@@ -89,32 +89,6 @@ def test_actions_are_the_argmin_at_the_tracked_belief():
     for row, ep in enumerate(episodes):
         for t, st in enumerate(ep.steps):
             assert ds.actions[row, t] == int(np.argmin(sup.action_values(st.belief)))
-
-
-def one_choice_member(costs):
-    """State 0 reaches the goal, state 1, under every action; action a costs costs[a]."""
-    na = len(costs)
-    m = from_rows(
-        RobustPomdp,
-        num_states=2, num_actions=na, num_observations=2,
-        obs_of=np.arange(2),
-        transitions={(s, a): {1: Interval(1.0, 1.0)} for s in range(2) for a in range(na)},
-        cost={(s, a): (costs[a] if s == 0 else 0.0) for s in range(2) for a in range(na)},
-        goals=frozenset({1}),
-        initial_belief=np.array([1.0, 0.0]),
-    )
-    return nominal_midpoint(m)
-
-
-def test_tied_action_values_record_the_lowest_action():
-    for costs, expect in [((3.0, 1.0, 2.0), 1), ((1.0, 1.0, 5.0), 0), ((5.0, 2.0, 2.0), 1), ((3.0, 3.0, 3.0), 0)]:
-        member = one_choice_member(costs)
-        sup = solve_mdp(member)
-        assert sup.q[0].tolist() == list(costs)  # the costs exactly, ties included
-        for bound in (sup, SupervisionBound(3.0 * sup.q)):  # and stay so in a scaled table
-            ds = simulate(member, bound, num_episodes=8, horizon=5, rng_seed=1)
-            assert ds.lengths.tolist() == [1] * 8
-            assert ds.actions[:, 0].tolist() == [expect] * 8
 
 
 @pytest.mark.parametrize("observation, action, message", [

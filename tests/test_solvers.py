@@ -7,7 +7,7 @@ import robustfsc.solvers as solvers
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import ConcretePomdp, Edges, Fsc, Interval, RobustPomdp, nominal_midpoint
 from robustfsc.simulate import simulate
-from robustfsc.solvers import DivergenceError, solve_fib, solve_mdp
+from robustfsc.solvers import DivergenceError, SupervisionBound, solve_fib, solve_mdp
 
 
 def chain_model(costs=(1.0,)):
@@ -365,3 +365,42 @@ def _pinned(member, state):
     belief[state] = 1.0
     pinned.initial_belief = belief
     return pinned
+
+
+def one_choice_member(costs):
+    """State 0 reaches the goal, state 1, under every action; action a costs costs[a]."""
+    na = len(costs)
+    m = from_rows(
+        RobustPomdp,
+        num_states=2, num_actions=na, num_observations=2,
+        obs_of=np.arange(2),
+        transitions={(s, a): {1: Interval(1.0, 1.0)} for s in range(2) for a in range(na)},
+        cost={(s, a): (costs[a] if s == 0 else 0.0) for s in range(2) for a in range(na)},
+        goals=frozenset({1}),
+        initial_belief=np.array([1.0, 0.0]),
+    )
+    return nominal_midpoint(m)
+
+
+class TestSupervisionPolicy:
+    """The supervision label simulate records: the argmin of the bound's action values."""
+
+    @staticmethod
+    def labels(costs, scale=1.0):
+        member = one_choice_member(costs)
+        sup = solve_mdp(member)
+        assert sup.q[0].tolist() == list(costs)  # the costs exactly, ties included
+        ds = simulate(member, SupervisionBound(scale * sup.q), num_episodes=8, horizon=5, rng_seed=1)
+        assert ds.lengths.tolist() == [1] * 8
+        return ds.actions[:, 0].tolist()
+
+    def test_argmin_dirac(self):
+        assert self.labels((3.0, 1.0, 2.0)) == [1] * 8
+
+    def test_tie_breaks_to_lowest_index(self):
+        for costs, expect in [((1.0, 1.0, 5.0), 0), ((5.0, 2.0, 2.0), 1), ((3.0, 3.0, 3.0), 0)]:
+            assert self.labels(costs) == [expect] * 8
+
+    def test_scale_invariant(self):
+        for costs in [(4.0, 2.0, 8.0), (1.0, 1.0, 5.0), (5.0, 2.0, 2.0)]:
+            assert self.labels(costs) == self.labels(costs, scale=3.0)
