@@ -232,7 +232,7 @@ def qbn_fit_posthoc(
 
 @dataclass
 class Clustering:
-    """assign: hidden state -> node index; represent: node -> hidden state.
+    """assign: (n, d) hidden states -> (n,) node indices; represent: node -> hidden state.
 
     For k-means the representative is the centroid; for the bottleneck it
     is the decoder's reconstruction of the node's code, and assign may
@@ -250,25 +250,20 @@ class Clustering:
             return len(self.centroids)
         return len(self.codes)
 
-    def assign(self, h: np.ndarray, discover: bool | np.ndarray = False) -> np.ndarray | int | None:
-        """Node of each row of ``h``, -1 for a code not in the table (None
-        for a 1-D ``h``).  Rows flagged by ``discover`` (one flag or one per
-        row) add unseen codes to the table, numbered in row order."""
-        rows = np.atleast_2d(h)
+    def assign(self, h: np.ndarray, discover: bool | np.ndarray = False) -> np.ndarray:
+        """Node of each row of the (n, d) states ``h``, shape (n,); -1 for a
+        code not in the table.  Rows flagged by ``discover`` (one flag or one
+        per row) add unseen codes to the table, numbered in row order."""
         if self.qbn is None:
-            nodes = _sq_dists(rows, self.centroids).argmin(axis=1)
-        else:
-            codes = _codes(self.qbn, rows)
-            index = {code: i for i, code in enumerate(self.codes)}
-            nodes = np.empty(len(rows), dtype=np.int64)
-            for row, (code, new) in enumerate(zip(codes, np.broadcast_to(discover, len(rows)))):
-                if new and code not in index:
-                    index[code] = len(self.codes)
-                    self.codes.append(code)
-                nodes[row] = index.get(code, -1)
-        if np.ndim(h) == 2:
-            return nodes
-        return int(nodes[0]) if nodes[0] >= 0 else None
+            return _sq_dists(h, self.centroids).argmin(axis=1)
+        index = {code: i for i, code in enumerate(self.codes)}
+        nodes = np.empty(len(h), dtype=np.int64)
+        for row, (code, new) in enumerate(zip(_codes(self.qbn, h), np.broadcast_to(discover, len(h)))):
+            if new and code not in index:
+                index[code] = len(self.codes)
+                self.codes.append(code)
+            nodes[row] = index.get(code, -1)
+        return nodes
 
     def represent(self, node: int | np.ndarray) -> np.ndarray:
         """Hidden state of each node; an int node gives one state."""
@@ -295,7 +290,7 @@ def build_fsc(params: NetworkParams, clustering: Clustering, model: RobustPomdp)
     realizable[model.realizable_observations()] = True
     x = params.emb[np.arange(num_z)]
 
-    order = [clustering.assign(initial_hidden(params), discover=True)]
+    order = clustering.assign(initial_hidden(params)[None], discover=True).tolist()
     dense_of = {order[0]: 0}
     action_rows, targets = [], []
     for node in order:
@@ -320,21 +315,17 @@ def build_fsc(params: NetworkParams, clustering: Clustering, model: RobustPomdp)
     return fsc
 
 
-def fsc_fidelity(
-    params: NetworkParams, fsc: Fsc, dataset: TrajectoryDataset, hidden: np.ndarray | None = None
-) -> float:
+def fsc_fidelity(params: NetworkParams, fsc: Fsc, dataset: TrajectoryDataset, hidden: np.ndarray) -> float:
     """Mean total-variation distance between the network policy and the
     extracted controller along the dataset histories (diagnostic only).
 
-    ``hidden`` is what collect_hidden_states returns for these parameters
-    and this dataset; without it the network is replayed.  The policy head
-    runs once, on the states stacked time-major, one (episodes, d) batch
-    per step.
+    ``hidden`` is what collect_hidden_states returned for these parameters
+    and this dataset, the states the extraction clustered; the network is
+    not replayed.  The policy head runs once, on the states stacked
+    time-major, one (episodes, d) batch per step.
     """
     if dataset.num_steps == 0:
         return 0.0
-    if hidden is None:
-        hidden = collect_hidden_states(params, dataset)
     zs = dataset.observations
     recorded = dataset.mask > 0.0
     hs = np.zeros((zs.shape[1], len(zs), params.hidden_size))

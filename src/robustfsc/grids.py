@@ -68,7 +68,8 @@ class GridSpec:
         if self.kind not in ("evade", "intercept", "avoid"):
             raise ValueError(f"unknown kind {self.kind!r}")
         if not (0.0 < self.slip_interval.lo <= self.slip_interval.hi < 1.0):
-            raise ValueError("slip_interval must be contained in (0, 1)")
+            raise ValueError(f"slip_interval must satisfy 0 < lo <= hi < 1, got [{self.slip_interval.lo}, "
+                             f"{self.slip_interval.hi}]")
         if self.view_radius < 0:
             raise ValueError("view_radius must be nonnegative")
         # a finite sum keeps the dearest row's cost finite; NaN fails too

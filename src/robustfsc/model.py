@@ -7,11 +7,11 @@ positive lower bound.  All probability arithmetic is 64-bit floating point.
 A model's transitions and costs are stored in one place, its edge table
 ``model.edges`` (CSR arrays over the flat rows s * A + a), which the
 generators, the parser and the array import build directly and every numeric
-consumer reads.  Every row has a cost.  ``.transitions``, ``.cost`` and
-``.row()`` are read-only ``(s, a) -> {s': Interval or probability}`` views of
-it, built on first read; a member's rows are writable and write into its
-table.  The goal set is read as one boolean mask over the states,
-``model.is_goal``.
+consumer reads.  Every row has a cost.  Only a member (``ConcretePomdp``)
+also has dict views of its table, ``.transitions``, ``.cost`` and ``.row()``
+((s, a) -> {s': probability}), built on first read; its rows are writable
+and write into the table.  The goal set is read as one boolean mask over the
+states, ``model.is_goal``.
 """
 
 from __future__ import annotations
@@ -95,32 +95,6 @@ class _Pomdp:
         mask[[g for g in self.goals if 0 <= g < self.num_states]] = True
         return mask
 
-    @cached_property
-    def cost(self) -> Mapping[TransKey, float]:
-        """(s, a) -> stage cost, for every row; read-only."""
-        return MappingProxyType({divmod(r, self.num_actions): c for r, c in enumerate(self.edges.cost.tolist())})
-
-    def _row_view(self, succ: list[int]):
-        """The view of the row of edges start:stop, as a function of (start, stop)."""
-        lo, hi = self.edges.lo.tolist(), self.edges.hi.tolist()
-        return lambda start, stop: MappingProxyType(
-            dict(zip(succ[start:stop], map(Interval, lo[start:stop], hi[start:stop]))))
-
-    @cached_property
-    def transitions(self) -> Mapping[TransKey, Mapping]:
-        """(s, a) -> row, for the rows that have successors (see ``row``)."""
-        bounds = self.edges.offsets.tolist()
-        view = self._row_view(self.edges.succ.tolist())
-        return MappingProxyType({
-            divmod(r, self.num_actions): view(start, stop)
-            for r, (start, stop) in enumerate(zip(bounds, bounds[1:]))
-            if stop > start
-        })
-
-    def row(self, s: int, a: int) -> Mapping:
-        """Row (s, a) as {s': Interval} (a member: {s': probability}); empty without successors."""
-        return self.transitions.get((s, a), {})
-
     def realizable_observations(self) -> list[int]:
         return sorted(set(int(z) for z in self.obs_of))
 
@@ -138,22 +112,38 @@ class RobustPomdp(_Pomdp):
                     (num_states,) mask
     initial_belief: distribution over states, shape (num_states,)
 
-    ``transitions`` ((s, a) -> {s': Interval}) and ``cost`` ((s, a) ->
-    nonnegative stage cost) are views of ``edges``.
+    Its intervals and costs are read from ``edges`` alone; only a member
+    (``ConcretePomdp``) has dict views.
     """
 
 
 class ConcretePomdp(_Pomdp):
     """A single member of an uncertainty set: exact transition probabilities.
 
-    ``edges.lo is edges.hi`` holds the probabilities, and ``transitions``
-    maps (s, a) -> {s': probability}, each row writable into the table; the
-    other fields are those of ``RobustPomdp``.
+    ``edges.lo is edges.hi`` holds the probabilities; the other fields are
+    those of ``RobustPomdp``.  ``transitions``, ``cost`` and ``row`` are dict
+    views of ``edges``, built on first read.
     """
 
-    def _row_view(self, succ: list[int]):
-        probs = self.edges.lo
-        return lambda start, stop: _MemberRow(probs, dict(zip(succ[start:stop], range(start, stop))))
+    @cached_property
+    def cost(self) -> Mapping[TransKey, float]:
+        """(s, a) -> stage cost, for every row; read-only."""
+        return MappingProxyType({divmod(r, self.num_actions): c for r, c in enumerate(self.edges.cost.tolist())})
+
+    @cached_property
+    def transitions(self) -> Mapping[TransKey, MutableMapping[int, float]]:
+        """(s, a) -> row, for the rows that have successors (see ``row``)."""
+        e = self.edges
+        bounds, succ = e.offsets.tolist(), e.succ.tolist()
+        return MappingProxyType({
+            divmod(r, self.num_actions): _MemberRow(e.lo, dict(zip(succ[start:stop], range(start, stop))))
+            for r, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+            if stop > start
+        })
+
+    def row(self, s: int, a: int) -> Mapping[int, float]:
+        """Row (s, a) as {s': probability}, writable into the table; empty without successors."""
+        return self.transitions.get((s, a), {})
 
     def is_member_of(self, model: RobustPomdp) -> bool:
         """Check that every stored probability lies in the parent's interval, up to PROB_TOL."""

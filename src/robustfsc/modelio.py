@@ -56,12 +56,9 @@ class ModelFormatError(ValueError):
 
 @dataclass
 class ModelDocument:
-    format_version: str
-    model: RobustPomdp
+    """A parsed model document: its model (the header fixes the format version)."""
 
-    @property
-    def name(self) -> str:
-        return self.model.name
+    model: RobustPomdp
 
 
 def _fmt(x: float) -> str:
@@ -284,12 +281,11 @@ def parse_model(text: str) -> ModelDocument:
     report = validate(model)
     if not report.ok:
         raise ModelFormatError(0, f"model invalid:\n{report}")
-    return ModelDocument(format_version="v1", model=model)
+    return ModelDocument(model)
 
 
-def serialize_model(doc: ModelDocument | RobustPomdp | ConcretePomdp) -> str:
+def serialize_model(model: RobustPomdp | ConcretePomdp) -> str:
     """Canonical document of a model; a member's probabilities become point intervals."""
-    model = doc.model if isinstance(doc, ModelDocument) else doc
     out = [MODEL_HEADER]
     if model.name:
         out.append(f"name {model.name}")

@@ -63,6 +63,8 @@ class RunConfig:
                      "clusters", "bottleneck", "epochs_per_iteration"):
             if getattr(self, name) < 0 or (name not in ("iterations",) and getattr(self, name) == 0):
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not 0.0 < self.learning_rate < np.inf:  # also catches NaN
             raise ValueError("learning_rate must be positive and finite")
         if self.quant_levels not in QUANT_LEVELS:

@@ -114,14 +114,6 @@ class NetworkParams(FlatParams):
     (d,) for the gates r, u, h; the head stack d -> 32 -> 32 -> A."""
 
     @property
-    def num_observations(self) -> int:
-        return self.emb.shape[0]
-
-    @property
-    def embed_size(self) -> int:
-        return self.emb.shape[1]
-
-    @property
     def hidden_size(self) -> int:
         return self.w_r.shape[0]
 

@@ -70,10 +70,6 @@ class TrajectoryDataset:
         return (np.arange(self.observations.shape[1]) < self.lengths[:, None]).astype(np.float64)
 
     @property
-    def num_episodes(self) -> int:
-        return len(self.lengths)
-
-    @property
     def num_steps(self) -> int:
         return int(self.lengths.sum())
 

@@ -18,7 +18,8 @@ before the edge table became a model's only storage (the line-by-line
 parser, the dict walk of validation and the per-state grid generators), and
 the line-by-line controller parser.  ``inner_max``/``inner_min``, one-row
 wrappers of the library's greedy, ``from_rows``, the dict constructor of
-models, the one-belief ``belief_update``, the one-step ``forward`` and the
+models, and ``interval_rows``, its inverse on an interval model, the
+one-belief ``belief_update``, the one-step ``forward`` and the
 dataset ``loss`` of the network, the product-state lookups ``state_index``
 and ``value_of``, ``solve_member`` on a bare member, the adversary's
 ``proxy_objective_of`` and ``gradient_check`` live here because only tests
@@ -126,6 +127,21 @@ def from_rows(cls, *, transitions, cost, **fields):
     costs = np.array([cost.get((s, a), np.nan) for s in range(n) for a in range(na)], dtype=np.float64)
     edges = Edges(np.concatenate([[0], np.cumsum(counts)]), np.array(succ, dtype=np.int64), lo, hi, costs)
     return cls(edges=edges, **fields)
+
+
+def interval_rows(model) -> dict:
+    """(s, a) -> {s': Interval} for the rows of ``model.edges`` that have
+    successors, in row order, successors in edge order: the rows ``from_rows``
+    reads."""
+    e, rows = model.edges, {}
+    bounds = e.offsets.tolist()
+    for r, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        if stop > start:
+            rows[divmod(r, model.num_actions)] = {
+                sp: Interval(lo, hi)
+                for sp, lo, hi in zip(*(x[start:stop].tolist() for x in (e.succ, e.lo, e.hi)))
+            }
+    return rows
 
 
 def belief_update(model, b, a, z):
@@ -311,7 +327,7 @@ def belief_value_recursive(member, belief, depth) -> float:
 def scalar_gru_forward(params, hidden, z):
     """Pure-Python float re-implementation of one forward step."""
     d = params.hidden_size
-    e = params.embed_size
+    e = params.emb.shape[1]
     na = params.num_actions
     x = [float(params.emb[z, j]) for j in range(e)]
     h = [float(v) for v in hidden]
@@ -534,15 +550,15 @@ def project_row_reference(targets, lo, hi):
 
 
 def reference_member(model, start, rng=None):
-    """Member built one row at a time from the model's dicts.
+    """Member built one row at a time from the model's ``interval_rows``.
 
     ``start`` is "mid", "lo", "hi" or "sample" (one ``rng.uniform`` draw per
     entry, rows and successors ascending); each row's targets are projected
     with ``project_row_reference``.
     """
-    transitions = {}
-    for key in sorted(model.transitions):
-        row = model.transitions[key]
+    transitions, rows = {}, interval_rows(model)
+    for key in sorted(rows):
+        row = rows[key]
         succs = sorted(row)
         lo = np.array([row[sp].lo for sp in succs])
         hi = np.array([row[sp].hi for sp in succs])
@@ -559,7 +575,8 @@ def reference_member(model, start, rng=None):
     return from_rows(
         ConcretePomdp,
         num_states=model.num_states, num_actions=model.num_actions, num_observations=model.num_observations,
-        obs_of=model.obs_of.copy(), transitions=transitions, cost=model.cost, goals=model.goals,
+        obs_of=model.obs_of.copy(), transitions=transitions,
+        cost={divmod(r, model.num_actions): c for r, c in enumerate(model.edges.cost.tolist())}, goals=model.goals,
         initial_belief=model.initial_belief.copy(), name=model.name,
     )
 
@@ -987,7 +1004,7 @@ def parse_model_reference(text: str):
     report = validate_reference(model)
     if not report.ok:
         raise ModelFormatError(0, f"model invalid:\n{report}")
-    return ModelDocument(format_version="v1", model=model)
+    return ModelDocument(model)
 
 
 def parse_fsc_reference(text: str) -> Fsc:
@@ -1084,8 +1101,8 @@ def parse_fsc_reference(text: str) -> Fsc:
 
 
 def validate_reference(model):
-    """``validate`` as one walk over the model's ``transitions`` and ``cost``
-    views, row by row and successor by successor."""
+    """``validate`` as one walk over the model's ``interval_rows`` and costs,
+    row by row and successor by successor."""
     rep = ValidationReport()
     n, na = model.num_states, model.num_actions
 
@@ -1110,10 +1127,11 @@ def validate_reference(model):
         if not (0 <= g < n):
             rep.add(f"goal state {g} out of range")
 
+    rows = interval_rows(model)
     for s in range(n):
         for a in range(na):
             key = (s, a)
-            row = model.transitions.get(key)
+            row = rows.get(key)
             if not row:
                 rep.add(f"state {s} action {a}: no outgoing transitions")
                 continue
@@ -1133,7 +1151,7 @@ def validate_reference(model):
                 rep.add(f"state {s} action {a}: sum of lower bounds {lo_sum} exceeds 1")
             if hi_sum < 1.0 - BOX_TOL:
                 rep.add(f"state {s} action {a}: sum of upper bounds {hi_sum} is below 1")
-            c = model.cost[key]
+            c = float(model.edges.cost[s * na + a])
             if not c >= 0:  # also catches NaN
                 rep.add(f"state {s} action {a}: negative or NaN cost {c}")
             elif c == float("inf"):

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import kmeans_controller, random_fsc, random_rpomdp
-from oracles import box_simplex_candidates, from_rows, product_chain_cost, proxy_objective_of, worst_case_weights_reference
+from oracles import (
+    box_simplex_candidates,
+    from_rows,
+    interval_rows,
+    product_chain_cost,
+    proxy_objective_of,
+    worst_case_weights_reference,
+)
 from robustfsc.adversary import select_worst_case
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Fsc, Interval, RobustPomdp, nominal_midpoint, sample_member
@@ -68,10 +75,10 @@ def test_proxy_matches_row_vertex_enumeration():
         fsc = random_fsc(rng, 2, model.num_observations, 2)
         values = evaluated(model, fsc)
         result = select_worst_case(model, fsc, values)
-        oracle = 0.0
+        oracle, rows = 0.0, interval_rows(model)
         _, counts = model.edges.of_rows(result.rows)
         for r, w in zip(result.rows.tolist(), np.split(result.weights, np.cumsum(counts)[:-1])):
-            row = model.transitions[divmod(r, model.num_actions)]
+            row = rows[divmod(r, model.num_actions)]
             succs = sorted(row)
             lo = np.array([row[sp].lo for sp in succs])
             hi = np.array([row[sp].hi for sp in succs])

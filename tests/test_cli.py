@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import interval_rows
 from robustfsc import cli
 from robustfsc.cli import main
 from robustfsc.model import Fsc
@@ -113,11 +114,12 @@ def test_worst_case_roundtrips_and_is_member(model_file, fsc_file, tmp_path, cap
     doc = parse_model(out.read_text())
     parent = parse_model(Path(model_file).read_text()).model
     assert doc.model.num_states == parent.num_states
-    row = doc.model.transitions[(0, 0)]
+    worst = interval_rows(doc.model)
+    row = worst[(0, 0)]
     assert row[0].lo == row[0].hi == pytest.approx(0.6)
     # membership: every point interval within the parent's interval
-    for key, parent_row in parent.transitions.items():
-        for sp, iv in doc.model.transitions[key].items():
+    for key, parent_row in interval_rows(parent).items():
+        for sp, iv in worst[key].items():
             assert parent_row[sp].lo - 1e-12 <= iv.lo <= parent_row[sp].hi + 1e-12
 
 
@@ -132,6 +134,22 @@ def test_gen_grid_writes_valid_model(tmp_path, capsys):
 def test_gen_grid_too_small(capsys):
     assert main(["gen-grid", "--kind", "evade", "--width", "3", "--height", "3",
                  "--view-radius", "4"]) == 2
+
+
+def test_gen_grid_names_the_slip_condition(tmp_path, capsys):
+    out = tmp_path / "grid.rpomdp"
+    grid = ["gen-grid", "--kind", "intercept", "--width", "4", "--height", "4", "--out", str(out)]
+    assert main(grid + ["--slip-lo", "0.5", "--slip-hi", "0.4"]) == 2
+    assert capsys.readouterr().err == "error: slip_interval must satisfy 0 < lo <= hi < 1, got [0.5, 0.4]\n"
+    assert not out.exists()
+    assert main(grid + ["--slip-lo", "0.4", "--slip-hi", "0.4"]) == 0  # a point interval is valid
+
+
+def test_solve_refuses_a_negative_seed(model_file, capsys):
+    solve = ["solve", "--model", model_file, "--iters", "1", "--episodes", "4", "--horizon", "5"]
+    assert main(solve + ["--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+    assert main(solve + ["--seed", "0"]) == 0
 
 
 def test_solve_writes_artifacts(tmp_path, capsys):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import generate_grid_reference
+from oracles import generate_grid_reference, interval_rows
 from robustfsc.grids import (
     GridSpec,
     avoid_decode,
@@ -57,7 +57,7 @@ def test_move_rows_carry_slip_interval_and_complement():
     spec = GridSpec(4, 4, "intercept", slip_interval=Interval(0.1, 0.4))
     model = generate_grid(spec)
     pair_rows = 0
-    for (s, _a), row in model.transitions.items():
+    for (s, _a), row in interval_rows(model).items():
         if s in model.goals:
             continue
         shapes = sorted((iv.lo, iv.hi) for iv in row.values())
@@ -74,9 +74,9 @@ def test_move_rows_carry_slip_interval_and_complement():
 def test_costs_are_step_or_step_plus_penalty():
     spec = GridSpec(4, 4, "intercept", step_cost=1.0, penalty_cost=100.0)
     model = generate_grid(spec)
-    non_goal_costs = {c for (s, _a), c in model.cost.items() if s not in model.goals}
-    assert non_goal_costs == {1.0, 101.0}
-    assert all(model.cost[(g, a)] == 0.0 for g in model.goals for a in range(model.num_actions))
+    cost = model.edges.cost.reshape(model.num_states, model.num_actions)
+    assert set(cost[~model.is_goal].ravel().tolist()) == {1.0, 101.0}
+    assert np.all(cost[model.is_goal] == 0.0)
 
 
 def test_intercept_state_count_closed_form():
@@ -130,11 +130,11 @@ def test_evade_scan_reveals_pursuer():
 def test_evade_scan_action_is_deterministic():
     spec = GridSpec(4, 4, "evade")
     model = generate_grid(spec)
-    scan = 4
+    scan, rows = 4, interval_rows(model)
     for s in range(model.num_states):
         if s in model.goals:
             continue
-        row = model.transitions[(s, scan)]
+        row = rows[(s, scan)]
         assert len(row) == 1
         (iv,) = row.values()
         assert iv == Interval(1.0, 1.0)
@@ -147,7 +147,7 @@ def test_evade_scan_action_is_deterministic():
 def test_evade_pursuer_never_enters_safe_column():
     spec = GridSpec(4, 4, "evade")
     model = generate_grid(spec)
-    for (s, _a), row in model.transitions.items():
+    for (s, _a), row in interval_rows(model).items():
         if s in model.goals:
             continue
         _, adv, _ = pair_decode(spec, s)
@@ -162,7 +162,7 @@ def test_avoid_patrol_advances_one_route_step():
     spec = GridSpec(4, 4, "avoid")
     model = generate_grid(spec)
     route_len = len(patrol_route(spec))
-    for (s, _a), row in model.transitions.items():
+    for (s, _a), row in interval_rows(model).items():
         if s in model.goals:
             continue
         _, idx = avoid_decode(spec, s)

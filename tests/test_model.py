@@ -3,7 +3,7 @@ import pytest
 
 import robustfsc.model as model_module
 from conftest import random_rpomdp
-from oracles import belief_update, from_rows, reference_member, validate_reference
+from oracles import belief_update, from_rows, interval_rows, reference_member, validate_reference
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import (
     Fsc,
@@ -142,8 +142,9 @@ def test_validate_reports_what_the_dict_walk_reports():
     rng = np.random.default_rng(31)
     for _ in range(150):
         m = random_rpomdp(rng, num_states=int(rng.integers(3, 6)), num_actions=int(rng.integers(1, 3)))
-        transitions = {key: dict(row) for key, row in m.transitions.items()}
-        cost, belief, goals = dict(m.cost), m.initial_belief.copy(), set(m.goals)
+        transitions = interval_rows(m)
+        cost = {divmod(r, m.num_actions): c for r, c in enumerate(m.edges.cost.tolist())}
+        belief, goals = m.initial_belief.copy(), set(m.goals)
         for defect in rng.choice(DEFECTS, size=int(rng.integers(1, 5)), replace=False):
             inject_defect(rng, defect, transitions, cost, belief, goals, m.num_states)
         broken = from_rows(
@@ -378,12 +379,11 @@ class TestEdgeTable:
 
     def test_edges_agree_with_dicts(self):
         rng = np.random.default_rng(4)
-        grid = generate_grid(GRID_FAMILIES[0], 3)
-        robust = random_rpomdp(rng, num_states=4, num_actions=3)
-        member = sample_member(robust, 8)
-        assert member.edges.lo is member.edges.hi
-        for model in (grid, robust, member):
+        grid = nominal_midpoint(generate_grid(GRID_FAMILIES[0], 3))
+        member = sample_member(random_rpomdp(rng, num_states=4, num_actions=3), 8)
+        for model in (grid, member):
             e, na = model.edges, model.num_actions
+            assert e.lo is e.hi
             assert len(e.offsets) == model.num_states * na + 1
             assert e.cost.tolist() == [model.cost[divmod(r, na)] for r in range(len(e.cost))]
             for r in range(len(e.cost)):
@@ -391,8 +391,31 @@ class TestEdgeTable:
                 edges = range(e.offsets[r], e.offsets[r + 1])
                 assert e.succ[edges].tolist() == sorted(row)
                 for i, sp in zip(edges, sorted(row)):
-                    bounds = (row[sp].lo, row[sp].hi) if model is not member else (row[sp], row[sp])
-                    assert (e.lo[i], e.hi[i]) == bounds
+                    assert e.lo[i] == row[sp]
+
+    @pytest.mark.parametrize("spec", GRID_FAMILIES + [None], ids=lambda spec: spec.kind if spec else "random")
+    def test_interval_rows_agree_with_edges(self, spec):
+        rng = np.random.default_rng(4)
+        models = ([generate_grid(spec, 3)] if spec else
+                  [random_rpomdp(rng, num_states=int(rng.integers(2, 6))) for _ in range(20)])
+        for model in models:
+            e, na = model.edges, model.num_actions
+            rows = interval_rows(model)
+            assert list(rows) == [divmod(r, na) for r in np.flatnonzero(np.diff(e.offsets)).tolist()]
+            for r in range(len(e.cost)):
+                row = rows.get(divmod(r, na), {})
+                edges = range(e.offsets[r], e.offsets[r + 1])
+                assert e.succ[edges].tolist() == list(row) == sorted(row)
+                for i, sp in zip(edges, row):
+                    assert (e.lo[i], e.hi[i]) == (row[sp].lo, row[sp].hi)
+            # from_rows reads them back into the same table
+            rebuilt = from_rows(
+                RobustPomdp, transitions=rows, cost={divmod(r, na): c for r, c in enumerate(e.cost.tolist())},
+                num_states=model.num_states, num_actions=na, num_observations=model.num_observations,
+                obs_of=model.obs_of, goals=model.goals, initial_belief=model.initial_belief,
+            )
+            for name in ("offsets", "succ", "lo", "hi", "cost"):
+                assert np.array_equal(getattr(rebuilt.edges, name), getattr(e, name)), name
 
     def test_member_rows_are_built_on_first_read(self, monkeypatch):
         built = []
@@ -406,8 +429,9 @@ class TestEdgeTable:
         model = generate_grid(GRID_FAMILIES[0], 3)
         member = nominal_midpoint(model)
         assert built == []
-        assert member.transitions[(0, 0)].keys() == model.row(0, 0).keys()
-        assert len(built) == len(model.transitions)
+        rows = interval_rows(model)
+        assert member.transitions[(0, 0)].keys() == rows[(0, 0)].keys()
+        assert len(built) == len(rows)
 
     def test_writes_to_a_member_row_reach_its_table(self):
         model = tiny_model({0: Interval(0.2, 0.5), 1: Interval(0.5, 0.8)})

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import FUZZ_OPS, mutate, random_fsc, random_rpomdp
-from oracles import parse_fsc_reference, parse_model_reference
+from oracles import interval_rows, parse_fsc_reference, parse_model_reference
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import Fsc, Interval, sample_member
 from robustfsc.modelio import (
@@ -74,13 +74,13 @@ def test_parse_minimal_document():
     doc = parse_model(MINIMAL)
     assert doc.model.num_states == 2
     assert doc.model.goals == frozenset({1})
-    assert doc.model.transitions[(0, 0)][0].lo == 0.4
+    assert interval_rows(doc.model)[(0, 0)][0].lo == 0.4
 
 
 def test_roundtrip_is_canonical():
     doc = parse_model(MINIMAL)
-    text = serialize_model(doc)
-    assert serialize_model(parse_model(text)) == text
+    text = serialize_model(doc.model)
+    assert serialize_model(parse_model(text).model) == text
 
 
 def test_random_models_roundtrip_exactly():
@@ -90,7 +90,7 @@ def test_random_models_roundtrip_exactly():
         text = serialize_model(m)
         m2 = parse_model(text).model
         assert serialize_model(m2) == text
-        assert m2.transitions == m.transitions
+        assert interval_rows(m2) == interval_rows(m)
         assert np.array_equal(m2.obs_of, m.obs_of)
 
 
@@ -175,7 +175,7 @@ def serialize_model_per_entry(model):
     for row, sp, lo, hi in zip(e.row.tolist(), e.succ.tolist(), e.lo.tolist(), e.hi.tolist()):
         s, a = divmod(row, model.num_actions)
         out.append(f"trans {s} {a} {sp} {_fmt(lo)} {_fmt(hi)}")
-    out += [f"cost {s} {a} {_fmt(model.cost[(s, a)])}" for s, a in sorted(model.cost)]
+    out += [f"cost {r // model.num_actions} {r % model.num_actions} {_fmt(c)}" for r, c in enumerate(e.cost.tolist())]
     out += [f"goal {g}" for g in sorted(model.goals)]
     out += [f"init {int(s)} {_fmt(float(model.initial_belief[s]))}"
             for s in np.flatnonzero(model.initial_belief)]
@@ -201,7 +201,7 @@ def test_serialize_concrete_uses_point_intervals():
     member = nominal_midpoint(doc.model)
     text = serialize_concrete(member)
     m2 = parse_model(text).model
-    for key, row in m2.transitions.items():
+    for key, row in interval_rows(m2).items():
         for sp, iv in row.items():
             assert iv.lo == iv.hi == pytest.approx(member.transitions[key][sp])
 
@@ -218,8 +218,8 @@ def test_array_import_shim():
         lo, hi, cost=np.array([[1.0], [0.0]]), obs_of=np.array([0, 1]),
         goals={1}, initial_belief=np.array([1.0, 0.0]),
     )
-    assert model.transitions[(0, 0)][0] == Interval(0.4, 0.6)
-    assert serialize_model(parse_model(serialize_model(model))) == serialize_model(model)
+    assert interval_rows(model)[(0, 0)][0] == Interval(0.4, 0.6)
+    assert serialize_model(parse_model(serialize_model(model)).model) == serialize_model(model)
     with pytest.raises(ValueError):
         model_from_arrays(lo[:, :, :1], hi, np.array([[1.0], [0.0]]),
                           np.array([0, 1]), {1}, np.array([1.0, 0.0]))

@@ -13,6 +13,7 @@ from oracles import (
     gth_values,
     inner_max,
     inner_min,
+    interval_rows,
     member_values_exact,
     product_chain_cost,
     robust_chain_lp,
@@ -156,6 +157,7 @@ class TestBuildChain:
         model = random_rpomdp(rng, num_states=3, num_actions=2)
         fsc = random_fsc(rng, 2, model.num_observations, 2)
         chain = build_chain(model, fsc)
+        rows, cost = interval_rows(model), model.edges.cost.reshape(-1, model.num_actions)
         # hand-built product over the same reachable pairs
         for idx, (s, n) in enumerate(zip(*(x.tolist() for x in np.divmod(chain.pairs, fsc.num_nodes)))):
             if s in model.goals:
@@ -168,8 +170,8 @@ class TestBuildChain:
             expect_cost = 0.0
             for a in range(model.num_actions):
                 d = float(fsc.action_map[n, z, a])
-                expect_cost += d * model.cost[(s, a)]
-                for sp, iv in model.transitions[(s, a)].items():
+                expect_cost += d * cost[s, a]
+                for sp, iv in rows[(s, a)].items():
                     expect_lo[sp] = expect_lo.get(sp, 0.0) + d * iv.lo
                     expect_hi[sp] = expect_hi.get(sp, 0.0) + d * iv.hi
             row_pos = int(np.flatnonzero(chain.row_state == idx)[0])
@@ -394,6 +396,31 @@ class TestRobustValueIteration:
             assert values.at_initial == pytest.approx(expect, rel=1e-12)
             assert value_of(values, 1, 0) == value_of(values, 2, 0)
             assert values.sweeps <= len(chain.row_state) + 1
+
+    @pytest.mark.parametrize("mode", ["pessimistic", "optimistic"])
+    def test_a_switch_gaining_2e_10_of_max_v_is_taken(self, mode):
+        # state 0 splits [0.3, 0.7] each between states 1 and 2, whose costs differ by delta.
+        # The hop-distance start ties them and gives state 1 the larger share; the optimal
+        # member gives it to state 2, the dearer one (pessimistic) or the cheaper one
+        # (optimistic).  The one switch gains 0.4 delta = 4e-10 at max v = 2, between the
+        # 1e-12 gate and 1e-9, and skipping it is off by 2e-10 relative.
+        delta = 1e-9
+        costs = (1.0, 1.0 + delta) if mode == "pessimistic" else (1.0 + delta, 1.0)
+        goal = {3: Interval(1.0, 1.0)}
+        model = from_rows(
+            RobustPomdp,
+            num_states=4, num_actions=1, num_observations=4,
+            obs_of=np.arange(4),
+            transitions={(0, 0): {1: Interval(0.3, 0.7), 2: Interval(0.3, 0.7)},
+                         (1, 0): goal, (2, 0): goal, (3, 0): goal},
+            cost={(0, 0): 1.0, (1, 0): costs[0], (2, 0): costs[1], (3, 0): 0.0},
+            goals=frozenset({3}),
+            initial_belief=np.array([1.0, 0.0, 0.0, 0.0]),
+        )
+        values = robust_value_iteration(build_chain(model, dirac_fsc(4, 1)), mode)
+        exact = 1 + Fraction(3, 10) * Fraction(costs[0]) + Fraction(7, 10) * Fraction(costs[1])
+        assert abs(Fraction(values.at_initial) - exact) <= Fraction(1e-12) * exact
+        assert values.sweeps == 2
 
     def test_unreachable_goal_reports_infinite(self):
         model = from_rows(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rpomdp
-from oracles import belief_value_recursive, enumerate_policies_ssp, from_rows, product_chain_cost
+from oracles import belief_value_recursive, enumerate_policies_ssp, from_rows, interval_rows, product_chain_cost
 import robustfsc.solvers as solvers
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import ConcretePomdp, Edges, Fsc, Interval, RobustPomdp, nominal_midpoint
@@ -55,12 +55,13 @@ def random_trap_member(rng):
     and that only action 0 of state 0 enters: q[8] and q[0, 0] are infinite."""
     m = random_rpomdp(rng, num_states=8, num_actions=3)
     trap = {8: Interval(1.0, 1.0)}
-    transitions = m.transitions | {(0, 0): trap} | {(8, a): trap for a in range(m.num_actions)}
+    transitions = interval_rows(m) | {(0, 0): trap} | {(8, a): trap for a in range(m.num_actions)}
+    cost = {divmod(r, m.num_actions): c for r, c in enumerate(m.edges.cost.tolist())}
     return nominal_midpoint(from_rows(
         RobustPomdp,
         num_states=9, num_actions=m.num_actions, num_observations=m.num_observations,
         obs_of=np.append(m.obs_of, 0), transitions=transitions,
-        cost=m.cost | {(8, a): 1.0 for a in range(m.num_actions)}, goals=m.goals,
+        cost=cost | {(8, a): 1.0 for a in range(m.num_actions)}, goals=m.goals,
         initial_belief=np.append(m.initial_belief, 0.0),
     ))
 
