@@ -187,8 +187,8 @@ class Fsc:
     def check(self) -> None:
         if not (0 <= self.initial_node < self.num_nodes):
             raise ValueError("initial node out of range")
-        if self.action_map.shape[:2] != self.memory_map.shape:
-            raise ValueError("action_map and memory_map disagree on shape")
+        if self.action_map.shape[:2] != self.memory_map.shape or len(self.memory_map) != self.num_nodes:
+            raise ValueError(f"action_map and memory_map need one shape and {self.num_nodes} nodes")
         if not np.all(np.isfinite(self.action_map)):
             raise ValueError("non-finite action probability")
         if not np.all(self.action_map >= -PROB_TOL):

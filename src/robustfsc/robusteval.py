@@ -13,12 +13,8 @@ static member, so the fixed point is found by nature policy iteration: fix
 the greedy member (first at the hop distance to a goal), solve that member
 chain's linear system, and switch rows to the greedy member at the solved
 values until no row improves.  Each switch strictly improves the values and
-there are finitely many greedy members, so the loop stops on its own.  Each
-evaluation factors its first member incompletely (ILU without pivoting: I - P
-is a diagonally dominant M-matrix) and runs BiCGSTAB preconditioned with that
-ILU M from M^-1 c.  Every Krylov answer is kept only under a certified error
-bound; a member whose answer fails it is factored exactly (LU, again without
-pivoting).  The factorization last kept preconditions the later members.
+there are finitely many greedy members, so the loop stops on its own.  One
+``solvers.ChainSolver`` solves an evaluation's member chains under its certificate.
 """
 
 from __future__ import annotations
@@ -26,11 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.linalg import SuperLU, spilu, splu
 
 from robustfsc.model import ConcretePomdp, Fsc, RobustPomdp
-from robustfsc.solvers import DivergenceError, _hops_to
+from robustfsc.solvers import ChainSolver, DivergenceError, _hops_to
 
 
 @dataclass
@@ -192,16 +186,8 @@ def _rank_order(values: np.ndarray, pairs: np.ndarray, succ: np.ndarray, offsets
 class RobustValues:
     """Exact robust values plus the chain they were computed on.
 
-    ``sweeps`` counts the member solves (one per member evaluated), ``factorizations``
-    the solves that factored their member, ``incomplete`` those among them whose answer and
-    factorization are an ILU's (the rest are exact LU, whether or not an ILU was tried first)
-    and ``krylov_steps`` all BiCGSTAB steps.
-    ``error_bound`` bounds max |values - v|, v the exact values of the last member solved
-    (its float64 probabilities read as exact).  A = I - P over its transient states is a
-    nonsingular M-matrix, so v = A^-1 c >= c_min A^-1 1 and ||A^-1|| <= ||v|| / c_min (max
-    norms).  With r = c - A x, e = ||v - x|| = ||A^-1 r|| <= (||x|| + e) ||r|| / c_min, so
-    e <= ||r|| ||x|| / (c_min - ||r||) if c_min > ||r||, else +inf; ||r|| is taken in
-    extended precision, plus a bound on its rounding.
+    The counts are ``ChainSolver``'s over the member solves.  ``error_bound`` bounds max |values - v|,
+    v the exact values of the last member solved, as ``ChainSolver``'s docstring derives.
     """
 
     chain: RobustChain
@@ -228,114 +214,12 @@ def _infinite_set(chain: RobustChain) -> tuple[np.ndarray, np.ndarray]:
     return np.isfinite(hops_to(np.isinf(hops))), hops
 
 
-def _member_matrices(size: int, rows: np.ndarray, cols: np.ndarray):
-    """A function giving P (CSR) and I - P (CSC) over ``size`` states from the probabilities of the
-    edges (rows ascending, cols), one per (row, col).  I - P is assembled once as ``(identity -
-    P).tocsc()`` would be, a self-loop's 1 - p on the diagonal; each call refills its data."""
-    loop = rows == cols
-    keys = np.concatenate([np.arange(size) * (size + 1), (cols * size + rows)[~loop]])  # col * size + row
-    to_csc = np.argsort(keys)
-    edge_slot = np.argsort(to_csc)[np.where(loop, rows, size + np.cumsum(~loop) - 1)]
-    diagonal = (to_csc < size) * 1.0
-    matrix = csc_matrix((diagonal, keys[to_csc] % size, np.searchsorted(keys[to_csc], np.arange(size + 1) * size)),
-                        shape=(size, size))
-    indptr = np.searchsorted(rows, np.arange(size + 1))
-
-    def fill(p: np.ndarray) -> tuple[csr_matrix, csc_matrix]:
-        matrix.data = diagonal.copy()
-        matrix.data[edge_slot] -= p
-        return csr_matrix((p, cols, indptr), shape=(size, size)), matrix
-
-    return fill
-
-
-def _bicgstab(matrix: csc_matrix, lu: SuperLU, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Best iterate of BiCGSTAB (van der Vorst 1992) on matrix @ x = b from ``x``, right-preconditioned
-    with ``lu``, and the steps taken.  It stops once the best residual max |b - matrix @ x| is at most
-    2 eps (max |b| + 2 max |x|), twice what rounding x to float64 leaves (matrix = I - P, P's rows sum
-    to at most 1).  The residual is not monotone, so it also stops when two steps in a row lower it
-    not at all.  An exact preconditioner zeroes the half-step residual s; omega = 0 then keeps the
-    half step where the textbook step is 0/0."""
-    r = b - matrix @ x
-    best, least, shadow, p, v = x, np.max(np.abs(r)), r, 0.0, 0.0
-    rho = alpha = omega = 1.0
-    steps = misses = 0
-    floor, b_max = 2 * np.finfo(float).eps, np.max(np.abs(b))
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        while misses < 2 and least > floor * (b_max + 2 * np.max(np.abs(best))):
-            steps += 1
-            rho_prev, rho = rho, shadow @ r
-            p = r + (rho / rho_prev) * (alpha / omega) * (p - omega * v)
-            p_hat = lu.solve(p)
-            v = matrix @ p_hat
-            alpha = rho / (shadow @ v)
-            s = r - alpha * v
-            s_hat = lu.solve(s)
-            t = matrix @ s_hat
-            omega = (t @ s) / tt if (tt := t @ t) else 0.0
-            x = x + alpha * p_hat + omega * s_hat
-            r = s - omega * t
-            residual = np.max(np.abs(b - matrix @ x))
-            best, least, misses = (x, residual, 0) if residual < least else (best, least, misses + 1)
-    return best, steps
-
-
-def _solve_member(member: csr_matrix, matrix: csc_matrix, cost: np.ndarray, lu: SuperLU | None,
-                  guess: np.ndarray | None) -> tuple[np.ndarray, SuperLU | None, float, str | None, int]:
-    """Values v = cost + member @ v of a member chain; ``member`` is P over its transient states and
-    ``matrix`` is I - member in CSC.
-
-    Given the factorization ``lu`` of an earlier member, BiCGSTAB preconditioned with it runs from
-    ``guess`` (see ``_bicgstab``).  Without one, the member is first factored incompletely: M is
-    its ILU (drop tolerance 1e-2, no pivoting) and BiCGSTAB runs from M^-1 cost, not from zero,
-    where the first steps can raise the residual and end the loop at x = 0.  A Krylov answer is
-    kept if its error bound (see ``RobustValues``) is at most 1e-10 * max(1, max v); otherwise, or
-    if the ILU meets a zero pivot, the member is factored exactly.  Returns the values, the
-    factorization for the next member, the bound, the factorization this call made and kept (None,
-    "incomplete" or "exact") and the BiCGSTAB steps.  Costs are nonnegative, so an exact solve that
-    is singular, negative or not finite reads +inf.
-    """
-    steps, factored = 0, None
-    if lu is None:
-        try:
-            lu = spilu(matrix, drop_tol=1e-2, fill_factor=5, permc_spec="COLAMD", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-            factored, guess = "incomplete", lu.solve(cost)
-        except RuntimeError:  # a zero pivot
-            pass
-    if lu is not None:
-        x, steps = _bicgstab(matrix, lu, cost, guess)
-        bound = _error_bound(member, cost, x)
-        if x.min() >= 0.0 and bound <= 1e-10 * max(1.0, float(x.max())):
-            return x, lu, bound, factored, steps
-    try:
-        # I - P is a row diagonally dominant M-matrix: LU without pivoting is
-        # stable on it, so the ordering may follow the symmetric pattern alone
-        lu = splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        x = lu.solve(cost)
-    except RuntimeError:  # the factor is exactly singular
-        x = np.full(len(cost), np.nan)
-    if not np.all(np.isfinite(x) & (x >= 0.0)):
-        return np.full(len(cost), np.inf), None, np.inf, "exact", steps
-    return x, lu, _error_bound(member, cost, x), "exact", steps
-
-
-def _error_bound(member: csr_matrix, cost: np.ndarray, x: np.ndarray) -> float:
-    """Certified bound on max |x - v| for v = cost + member @ v (see ``RobustValues``)."""
-    x_max, c_min = np.max(np.abs(x)), np.min(cost)
-    # the residual plus a bound on its rounding; member's row sums stay below 2
-    extended = csr_matrix((member.data.astype(np.longdouble), member.indices, member.indptr), shape=member.shape)
-    residual = np.max(np.abs(extended @ x - x + cost)) + (
-        np.diff(member.indptr).max(initial=0) + 3) * np.finfo(np.longdouble).eps * (np.max(cost) + 3 * x_max)
-    return float(residual * x_max / (c_min - residual) * (1 + np.finfo(float).eps)) if c_min > residual else np.inf
-
-
 def robust_value_iteration(chain: RobustChain, mode: str = "pessimistic", tol: float = 1e-6) -> RobustValues:
     """Exact fixed point of v <- cost + inner opt over each interval row.
 
     Nature policy iteration over static members: start from the greedy member at each
     state's hop distance to a goal (far successors first in pessimistic mode, near ones in
-    optimistic), solve that member's chain with ``_solve_member``, and re-run the greedy at
+    optimistic), solve that member's chain with one ``ChainSolver``, and re-run the greedy at
     the solved values.  A row switches to the greedy member only when that improves its
     objective by more than 1e-12 * max(1, max |v|); on ties it keeps its current member
     (Howard's rule), so every switch strictly improves v and the loop stops when no row
@@ -368,13 +252,12 @@ def robust_value_iteration(chain: RobustChain, mode: str = "pessimistic", tol: f
     tpos = np.full(chain.num_states, -1)
     tpos[states] = np.arange(size)
     inner = tpos[succ] >= 0
-    fill = _member_matrices(size, np.repeat(np.arange(size), counts)[inner], tpos[succ[inner]])
+    solver = ChainSolver(size, np.repeat(np.arange(size), counts)[inner], tpos[succ[inner]])
     cost = chain.cost[states]
 
     def greedy(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # the greedy member at values x
         return _box_simplex_fill(x[succ], lo, hi, offsets, _rank_order(x, chain.pairs, succ, offsets, maximize))
 
-    solves, factorizations, incomplete, krylov_steps, lu, bound = 0, 0, 0, 0, None, 0.0
     seen: set[bytes] = set()
     _, p = greedy(hops)
     while size:
@@ -383,11 +266,7 @@ def robust_value_iteration(chain: RobustChain, mode: str = "pessimistic", tol: f
         if key in seen:
             raise DivergenceError("robust policy iteration revisited a member")
         seen.add(key)
-        solves += 1
-        v[states], lu, bound, factored, steps = _solve_member(*fill(p[inner]), cost, lu, v[states])
-        factorizations += factored is not None
-        incomplete += factored == "incomplete"
-        krylov_steps += steps
+        v[states] = solver.solve(p[inner], cost, v[states])
         if np.isinf(v[states]).any():
             singular = (f"{size} product state(s) reach a goal only through probabilities below float64 "
                         "resolution (the member solve is singular); their cost is reported as infinite")
@@ -401,11 +280,10 @@ def robust_value_iteration(chain: RobustChain, mode: str = "pessimistic", tol: f
             break
         p = np.where(np.repeat(switch, counts), greedy_p, p)
 
-    at_init = float(chain.init_prob @ v[:len(chain.init_prob)])
     return RobustValues(
-        chain=chain, values=v, at_initial=at_init, mode=mode, sweeps=solves, factorizations=factorizations,
-        incomplete=incomplete, krylov_steps=krylov_steps, error_bound=bound, diagnosis=diagnosis,
-    )
+        chain=chain, values=v, at_initial=float(chain.init_prob @ v[:len(chain.init_prob)]), mode=mode,
+        sweeps=solver.sweeps, factorizations=solver.factorizations, incomplete=solver.incomplete,
+        krylov_steps=solver.krylov_steps, error_bound=solver.error_bound, diagnosis=diagnosis)
 
 
 def evaluate_member(member: ConcretePomdp, fsc: Fsc) -> float:

@@ -1,4 +1,4 @@
-"""Fast belief-value bounds for concrete POMDP instances.
+"""Fast belief-value bounds for concrete POMDP instances, and ``ChainSolver``.
 
 QMDP and FIB give one kind of result, a ``SupervisionBound`` (S, A) table, and
 differ only in their backup: both run in the one sweep loop ``_sweep``, whose
@@ -14,14 +14,17 @@ without end exhaust the ``MAX_SWEEPS`` budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.linalg import SuperLU, spilu, splu
 
 from robustfsc.model import Belief, ConcretePomdp
 
 MAX_SWEEPS = 200_000  # sweep budget of each bound
+STAGNATION_STEPS = 4  # BiCGSTAB steps in a row that may leave its best residual where it was
 
 
 class DivergenceError(RuntimeError):
@@ -80,6 +83,125 @@ def _hops_to(pred: np.ndarray, succ: np.ndarray, n: int):
     is reversed once, for every set it is then asked about."""
     reverse = csr_matrix((np.ones(len(pred)), (succ, pred)), shape=(n, n))
     return lambda seeds: dijkstra(reverse, indices=np.flatnonzero(seeds), unweighted=True, min_only=True)
+
+
+class ChainSolver:
+    """Certified values v = c + P v of absorbing chains on one pattern of P over their transient
+    states, solved in turn under one kept factorization (Saad 2003): robust evaluation's kernel.
+
+    Built from each edge's (row, col), rows ascending, one edge per pair; I - P is assembled once
+    as ``(identity - P).tocsc()`` would be, a self-loop's 1 - p on the diagonal.  BiCGSTAB runs
+    preconditioned by the kept factorization from the guess (``_bicgstab``), or with none under
+    the chain's ILU M from M^-1 c.  Its answer x is kept if its bound is at most 1e-10 * max(1,
+    max x); otherwise, or on a zero pivot of the ILU, the chain is factored exactly.  Costs are
+    nonnegative, so an exact solve that is singular, negative or not finite reads +inf.
+
+    The bound (``_error_bound``; max norms, P's float64 entries read as exact): A = I - P is a
+    nonsingular M-matrix, so A^-1 >= 0 and v = A^-1 c >= c_min t, t = A^-1 1: ||A^-1|| = ||t||
+    <= ||v|| / c_min.  With r = c - A x, e = ||v - x|| <= (||x|| + e) ||r|| / c_min, so e <=
+    ||r|| ||x|| / (c_min - ||r||) if c_min > ||r||, else +inf; ||r|| is taken in extended
+    precision, plus a bound on its rounding.  A kept x is positive: |v - x| = |A^-1 r| <= ||r|| t
+    < c_min t <= v entrywise.  (Were A singular, a closed class would force ||r|| >= c_min.)
+
+    ``sweeps`` counts the solves, ``factorizations`` those that factored, ``incomplete`` those
+    whose answer and factorization are an ILU's, ``krylov_steps`` the BiCGSTAB steps.
+    """
+
+    def __init__(self, size: int, rows: np.ndarray, cols: np.ndarray) -> None:
+        loop = rows == cols
+        keys = np.concatenate([np.arange(size) * (size + 1), (cols * size + rows)[~loop]])  # col * size + row
+        to_csc = np.argsort(keys)
+        self._slot = np.argsort(to_csc)[np.where(loop, rows, size + np.cumsum(~loop) - 1)]
+        self._diagonal = (to_csc < size) * 1.0
+        self._matrix = csc_matrix((self._diagonal, keys[to_csc] % size,
+                                   np.searchsorted(keys[to_csc], np.arange(size + 1) * size)), shape=(size, size))
+        self._cols, self._indptr = cols, np.searchsorted(rows, np.arange(size + 1))
+        self.sweeps = self.factorizations = self.incomplete = self.krylov_steps = 0
+        self.lu, self.error_bound = None, 0.0  # the kept factorization, the last solve's bound
+
+    def matrices(self, p: np.ndarray) -> tuple[csr_matrix, csc_matrix]:
+        """P (CSR) and I - P (CSC) at the edge probabilities ``p``; the next call refills I - P."""
+        self._matrix.data = self._diagonal.copy()
+        self._matrix.data[self._slot] -= p
+        return csr_matrix((p, self._cols, self._indptr), shape=self._matrix.shape), self._matrix
+
+    def solve(self, p: np.ndarray, cost: np.ndarray, guess: np.ndarray | None) -> np.ndarray:
+        """The values of the chain with edge probabilities ``p`` and costs ``cost``."""
+        member, matrix = self.matrices(p)
+        self.sweeps += 1
+        fresh = self.lu is None
+        if fresh:
+            try:
+                self.lu = _incomplete_lu(matrix)
+                guess = self.lu.solve(cost)
+            except RuntimeError:  # a zero pivot
+                pass
+        if self.lu is not None:
+            x, steps = _bicgstab(matrix, self.lu, cost, guess)
+            self.krylov_steps += steps
+            self.error_bound = _error_bound(member, cost, x)
+            if self.error_bound <= 1e-10 * max(1.0, float(x.max())):
+                self.factorizations += fresh
+                self.incomplete += fresh
+                return x
+        self.factorizations += 1
+        try:
+            self.lu = _exact_lu(matrix)
+            x = self.lu.solve(cost)
+        except RuntimeError:  # the factor is exactly singular
+            x = np.full(len(cost), np.nan)
+        if not np.all(np.isfinite(x) & (x >= 0.0)):
+            self.lu, self.error_bound = None, np.inf
+            return np.full(len(cost), np.inf)
+        self.error_bound = _error_bound(member, cost, x)
+        return x
+
+
+# no pivoting: stable on I - P, a diagonally dominant M-matrix, so orderings may follow the symmetric pattern
+_incomplete_lu = partial(spilu, drop_tol=1e-2, fill_factor=5, permc_spec="COLAMD", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+_exact_lu = partial(splu, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+def _bicgstab(matrix: csc_matrix, lu: SuperLU, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Best iterate of BiCGSTAB (van der Vorst 1992) on matrix @ x = b from ``x``, right-preconditioned
+    with ``lu``, and the steps taken.  It stops once the best residual max |b - matrix @ x| is at most
+    2 eps (max |b| + 2 max |x|), twice what rounding x to float64 leaves (matrix = I - P, P's rows sum
+    to at most 1).  The residual is not monotone, so it also stops when ``STAGNATION_STEPS`` steps in a
+    row lower it not at all.  An exact preconditioner zeroes the half-step residual s; omega = 0 then
+    keeps the half step where the textbook step is 0/0."""
+    r = b - matrix @ x
+    best, least, shadow, p, v = x, np.max(np.abs(r)), r, 0.0, 0.0
+    rho = alpha = omega = 1.0
+    steps = misses = 0
+    floor, b_max = 2 * np.finfo(float).eps, np.max(np.abs(b))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        while misses < STAGNATION_STEPS and least > floor * (b_max + 2 * np.max(np.abs(best))):
+            steps += 1
+            rho_prev, rho = rho, shadow @ r
+            p = r + (rho / rho_prev) * (alpha / omega) * (p - omega * v)
+            p_hat = lu.solve(p)
+            v = matrix @ p_hat
+            alpha = rho / (shadow @ v)
+            s = r - alpha * v
+            s_hat = lu.solve(s)
+            t = matrix @ s_hat
+            omega = (t @ s) / tt if (tt := t @ t) else 0.0
+            x = x + alpha * p_hat + omega * s_hat
+            r = s - omega * t
+            residual = np.max(np.abs(b - matrix @ x))
+            best, least, misses = (x, residual, 0) if residual < least else (best, least, misses + 1)
+    return best, steps
+
+
+def _error_bound(member: csr_matrix, cost: np.ndarray, x: np.ndarray) -> float:
+    """Certified bound on max |x - v| for v = cost + member @ v (see ``ChainSolver``)."""
+    x_max, c_min = np.max(np.abs(x)), np.min(cost)
+    # the residual plus a bound on its rounding; member's row sums stay below 2
+    extended = csr_matrix((member.data.astype(np.longdouble), member.indices, member.indptr), shape=member.shape)
+    residual = np.max(np.abs(extended @ x - x + cost)) + (
+        np.diff(member.indptr).max(initial=0) + 3) * np.finfo(np.longdouble).eps * (np.max(cost) + 3 * x_max)
+    return float(residual * x_max / (c_min - residual) * (1 + np.finfo(float).eps)) if c_min > residual else np.inf
 
 
 def _sweep(model: ConcretePomdp, backup, iterate, tol: float, name: str) -> SupervisionBound:

@@ -21,9 +21,9 @@ wrappers of the library's greedy, ``from_rows``, the dict constructor of
 models, and ``interval_rows``, its inverse on an interval model, the
 one-belief ``belief_update``, the one-step ``forward`` and the
 dataset ``loss`` of the network, the product-state lookups ``state_index``
-and ``value_of``, ``solve_member`` on a bare member, the adversary's
-``proxy_objective_of`` and ``gradient_check`` live here because only tests
-call them.
+and ``value_of``, ``chain_solver`` and ``solve_member`` on a bare member,
+the adversary's ``proxy_objective_of`` and ``gradient_check`` live here
+because only tests call them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import csc_matrix, identity
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from robustfsc.grids import MOVES, SCAN, GridSpec, avoid_decode, avoid_index, pair_decode, pair_index, patrol_route
@@ -53,8 +53,8 @@ from robustfsc.model import (
 )
 from robustfsc.modelio import FSC_HEADER, MAX_FSC_ENTRIES, MODEL_HEADER, ModelDocument, ModelFormatError
 from robustfsc.rnn import _gru_step, _loss_and_grad, policy_distribution
-from robustfsc.robusteval import RobustChain, RobustValues, _infinite_set, _solve_member, box_simplex_greedy
-from robustfsc.solvers import DivergenceError
+from robustfsc.robusteval import RobustChain, RobustValues, _infinite_set, box_simplex_greedy
+from robustfsc.solvers import ChainSolver, DivergenceError
 
 
 def box_simplex_candidates(lo, hi):
@@ -175,11 +175,21 @@ def value_of(values, s, n) -> float:
     return float(values.values[state_index(values.chain, s, n)])
 
 
+def chain_solver(member):
+    """A ``ChainSolver`` on the pattern of ``member``, a CSR matrix P over transient states."""
+    size = member.shape[0]
+    return ChainSolver(size, np.repeat(np.arange(size), np.diff(member.indptr)), member.indices)
+
+
 def solve_member(member, cost, lu=None, guess=None):
-    """``_solve_member`` of P = ``member`` with I - P assembled from it: the values, the
-    factorization, the error bound and the factorization the call kept (None, "incomplete" or
-    "exact")."""
-    return _solve_member(member, (identity(len(cost), format="csr") - member).tocsc(), cost, lu, guess)[:4]
+    """One ``ChainSolver.solve`` of P = ``member`` that starts from the factorization ``lu``: the
+    values, the factorization kept, the error bound and the factorization the call made and kept
+    (None, "incomplete" or "exact")."""
+    solver = chain_solver(member)
+    solver.lu = lu
+    values = solver.solve(member.data, cost, guess)
+    made = ("incomplete" if solver.incomplete else "exact") if solver.factorizations else None
+    return values, solver.lu, solver.error_bound, made
 
 
 def proxy_objective_of(result, member) -> float:

@@ -232,6 +232,17 @@ def test_fsc_check_names_a_non_finite_probability(prob):
         fsc.check()
 
 
+def test_fsc_check_refuses_a_node_count_its_tables_do_not_have():
+    # three nodes declared, tables for two: every memory entry points at node 2,
+    # which has no row, so build_chain would index past the action table
+    model = generate_grid(GridSpec(3, 3, "avoid"))
+    z, a = model.num_observations, model.num_actions
+    fsc = Fsc(3, 0, np.full((2, z, a), 1.0 / a), np.full((2, z), 2))
+    with pytest.raises(ValueError, match="3 nodes"):
+        fsc.check()
+    Fsc(2, 0, fsc.action_map, np.zeros((2, z), dtype=int)).check()
+
+
 class TestMembers:
     def test_midpoint_symmetric(self):
         m = tiny_model({0: Interval(0.1, 0.6), 1: Interval(0.1, 0.6)})

@@ -3,12 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, identity
-from scipy.sparse.linalg import spilu, splu
 
 import robustfsc.solvers as solvers
 from conftest import kmeans_controller, random_feasible_boxes, random_fsc, random_rpomdp
 from oracles import (
     box_simplex_opt,
+    chain_solver,
     from_rows,
     gth_values,
     inner_max,
@@ -25,19 +25,23 @@ from oracles import (
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import ConcretePomdp, Fsc, Interval, RobustPomdp, nominal_midpoint, project_row, sample_member
 from robustfsc.robusteval import (
-    _bicgstab,
     _box_simplex_fill,
-    _error_bound,
     _infinite_set,
-    _member_matrices,
     _rank_order,
-    _solve_member,
     box_simplex_greedy,
     build_chain,
     evaluate_member,
     robust_value_iteration,
 )
-from robustfsc.solvers import _hops_to
+from robustfsc.solvers import (
+    STAGNATION_STEPS,
+    ChainSolver,
+    _bicgstab,
+    _error_bound,
+    _exact_lu,
+    _hops_to,
+    _incomplete_lu,
+)
 
 
 def self_loop_model():
@@ -539,16 +543,19 @@ def exit_member(eps):
     return csr_matrix((1.0 - eps) * np.array([[0.25, 0.75], [0.5, 0.5]])), np.array([2.0, 3.0])
 
 
+def identity_minus(member):
+    """I - member as the kernel assembles it on the member's pattern."""
+    return chain_solver(member).matrices(member.data)[1]
+
+
 def exact_lu(member):
-    """The exact factorization of I - member that ``_solve_member`` falls back to."""
-    return splu((identity(member.shape[0], format="csr") - member).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    """The exact factorization of I - member that ``ChainSolver.solve`` falls back to."""
+    return _exact_lu(identity_minus(member))
 
 
 def incomplete_lu(member):
-    """The incomplete factorization of I - member that ``_solve_member`` tries first."""
-    return spilu((identity(member.shape[0], format="csr") - member).tocsc(), drop_tol=1e-2, fill_factor=5,
-                 permc_spec="COLAMD", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    """The incomplete factorization of I - member that ``ChainSolver.solve`` tries first."""
+    return _incomplete_lu(identity_minus(member))
 
 
 def assert_bound_covers(member, cost, values, bound):
@@ -574,6 +581,8 @@ class TestSolveMember:
             for lu in (None, exact_lu(other), incomplete_lu(member)):
                 values, _, bound, factored = solve_member(member, cost, lu, np.zeros(len(cost)))
                 assert_bound_covers(member, cost, values, bound)
+                # a Krylov answer kept is positive, though no check asks it to be
+                assert factored == "exact" or values.min() > 0.0
                 kept += not factored
                 incomplete += lu is None and factored == "incomplete"
         assert kept >= 70 and incomplete >= 35, (kept, incomplete)
@@ -581,8 +590,9 @@ class TestSolveMember:
         for eps in 10.0 ** -np.arange(6, 16):
             member, cost = exit_member(eps)
             for lu in (None, exact_lu(well), incomplete_lu(member)):
-                values, _, bound, _ = solve_member(member, cost, lu, np.ones(2))
+                values, _, bound, factored = solve_member(member, cost, lu, np.ones(2))
                 assert_bound_covers(member, cost, values, bound)
+                assert factored == "exact" or values.min() > 0.0
 
     def test_exact_preconditioner_keeps_the_exact_iterate(self):
         # the member's own LU makes BiCGSTAB's first half step exact, so the
@@ -603,11 +613,11 @@ class TestSolveMember:
         for model in [random_rpomdp(rng) for _ in range(10)] + [generate_grid(GridSpec(4, 3, "evade"))]:
             chain = build_chain(model, random_fsc(rng, 2, model.num_observations, model.num_actions))
             size, rows, cols, _ = member_edges(rng, chain)
-            fill = _member_matrices(size, rows, cols)
+            solver = ChainSolver(size, rows, cols)
             self_loops += int(np.sum(rows == cols))
             for _ in range(2):  # the second member refills the first's arrays
                 p = member_edges(rng, chain)[3]
-                member, matrix = fill(p)
+                member, matrix = solver.matrices(p)
                 fresh = csr_matrix((p, (rows, cols)), shape=(size, size))
                 assert np.array_equal(member.toarray(), fresh.toarray())
                 expected = (identity(size, format="csr") - fresh).tocsc()
@@ -634,7 +644,7 @@ class TestSolveMember:
         assert (values.sweeps, values.factorizations, values.incomplete) == (1, 1, 0)
         member, cost = random_member(rng, chain)  # the chain's one member, in its order
         ilu = incomplete_lu(member)
-        x, _ = _bicgstab((identity(n, format="csr") - member).tocsc(), ilu, cost, ilu.solve(cost))
+        x, _ = _bicgstab(identity_minus(member), ilu, cost, ilu.solve(cost))
         assert _error_bound(member, cost, x) > 1e-10 * np.max(x)
         exact = exact_lu(member).solve(cost)
         assert np.max(exact) / np.min(cost) >= 1e6
@@ -686,22 +696,23 @@ class Recorded:
 
 def bicgstab_stop(member, cost, lu, guess):
     """Runs ``_bicgstab`` on I - member and checks its stop: it ends at the first iterate whose best
-    residual is at most 2 eps (max |c| + 2 max |best|), or at the first two steps in a row that
-    lower it not at all, and returns the best iterate.  Returns that iterate, the steps and
-    which rule ended the loop, "floor" or "stagnated"."""
-    matrix = (identity(len(cost), format="csr") - member).tocsc()
+    residual is at most 2 eps (max |c| + 2 max |best|), or after the first ``STAGNATION_STEPS`` steps
+    in a row that lower it not at all, and returns the best iterate.  Returns that iterate, the steps
+    and which rule ended the loop, "floor" or "stagnated"."""
+    matrix = identity_minus(member)
     recorded = Recorded(matrix)
     x, steps = _bicgstab(recorded, lu, cost, guess)
     iterates = recorded.operands[::3]
     assert len(iterates) == steps + 1
     best, least, misses = 0, np.inf, 0
     for k, iterate in enumerate(iterates):
-        assert misses < 2 and least > 2 * np.finfo(float).eps * (np.max(cost) + 2 * np.max(np.abs(iterates[best]))), k
+        assert misses < STAGNATION_STEPS, k
+        assert least > 2 * np.finfo(float).eps * (np.max(cost) + 2 * np.max(np.abs(iterates[best]))), k
         residual = np.max(np.abs(cost - matrix @ iterate))
         best, least, misses = (k, residual, 0) if residual < least else (best, least, misses + 1)
     assert x is iterates[best]
     floor = least <= 2 * np.finfo(float).eps * (np.max(cost) + 2 * np.max(np.abs(x)))
-    assert floor or misses == 2
+    assert floor or misses == STAGNATION_STEPS
     return x, steps, "floor" if floor else "stagnated"
 
 
@@ -732,14 +743,17 @@ class TestBicgstabStop:
 
     def test_far_factorization_stagnates_and_the_member_is_factored(self):
         # exits of 1e-3 against a preconditioner with exits near one half: the
-        # residual rises from the start, the two-miss rule ends the loop and the
+        # residual rises from the start, so every step misses and the loop ends
+        # after STAGNATION_STEPS of them at an iterate no certificate covers; the
         # member is factored
         rng = np.random.default_rng(96)
         for _ in range(5):
             member, cost = random_chain(rng, exits=(1e-3, 1e-3))
             far = exact_lu(random_chain(rng, exits=(0.3, 0.6))[0])
-            assert bicgstab_stop(member, cost, far, np.zeros(len(cost)))[2] == "stagnated"
-            assert solve_member(member, cost, far, np.zeros(len(cost)))[3]
+            x, steps, stop = bicgstab_stop(member, cost, far, np.zeros(len(cost)))
+            assert (steps, stop) == (STAGNATION_STEPS, "stagnated")
+            assert _error_bound(member, cost, x) == np.inf
+            assert solve_member(member, cost, far, np.zeros(len(cost)))[3] == "exact"
 
     def test_own_incomplete_factorization_from_its_solve_stops_at_the_floor(self):
         # the same exits of 1e-3, preconditioned by the chain's own ILU M and
