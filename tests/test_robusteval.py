@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, identity
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import robustfsc.solvers as solvers
 from conftest import kmeans_controller, random_feasible_boxes, random_fsc, random_rpomdp
@@ -650,6 +651,24 @@ class TestSolveMember:
         assert np.max(exact) / np.min(cost) >= 1e6
         assert np.array_equal(values.values[chain.row_state], exact)
         assert solve_member(member, cost)[3] == "exact"
+
+    def test_incomplete_factorization_answers_in_the_callers_order(self):
+        # a birth-death chain under shuffled state labels: in reverse Cuthill-McKee
+        # order I - P is tridiagonal again, its LU has no fill and every entry is
+        # past the drop tolerance, so the ILU is the exact LU, and its answers
+        # agree only if the ordering is undone exactly once
+        rng = np.random.default_rng(100)
+        for n in (2, 3, 40, 300):
+            birth, death = rng.uniform(0.1, 0.45, n), rng.uniform(0.1, 0.45, n)
+            label = rng.permutation(n)  # state i is row label[i]; it moves to i + 1 or i - 1, or exits
+            up, down = (label[:-1], label[1:]), (label[1:], label[:-1])
+            member = csr_matrix((np.concatenate([birth[:-1], death[1:]]), np.concatenate([up, down], axis=1)),
+                                shape=(n, n))
+            order = reverse_cuthill_mckee(identity_minus(member), symmetric_mode=False)
+            assert n < 3 or not np.array_equal(order[order], np.arange(n))  # so undoing it twice shows
+            cost = rng.uniform(1.0, 10.0, n)
+            exact = exact_lu(member).solve(cost)
+            assert np.max(np.abs(incomplete_lu(member).solve(cost) - exact) / exact) <= 1e-14, n
 
     def test_a_zero_pivot_in_the_incomplete_factorization_falls_back(self):
         # below float64 resolution the exit rounds away: spilu raises on the
