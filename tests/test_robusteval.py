@@ -566,34 +566,40 @@ def assert_bound_covers(member, cost, values, bound):
 
 
 class TestSolveMember:
-    def test_error_bound_covers_the_exact_error(self):
-        # each member is solved with no factorization (an ILU of its own, kept
-        # or followed by the exact LU), with a stale exact LU, that of another
-        # member of the same chain, and with its own ILU; a given factorization
-        # keeps a certified Krylov answer or factors again
-        rng = np.random.default_rng(91)
-        kept = incomplete = 0
-        for _ in range(40):
-            model = random_rpomdp(rng, num_states=int(rng.integers(2, 6)))
-            fsc = random_fsc(rng, int(rng.integers(1, 4)), model.num_observations, model.num_actions)
-            chain = build_chain(model, fsc)
-            assert len(chain.row_state) <= 15
-            (other, _), (member, cost) = random_member(rng, chain), random_member(rng, chain)
-            for lu in (None, exact_lu(other), incomplete_lu(member)):
-                values, _, bound, factored = solve_member(member, cost, lu, np.zeros(len(cost)))
-                assert_bound_covers(member, cost, values, bound)
-                # a Krylov answer kept is positive, though no check asks it to be
-                assert factored == "exact" or values.min() > 0.0
-                kept += not factored
-                incomplete += lu is None and factored == "incomplete"
-        assert kept >= 70 and incomplete >= 35, (kept, incomplete)
-        well, _ = exit_member(0.5)
-        for eps in 10.0 ** -np.arange(6, 16):
-            member, cost = exit_member(eps)
-            for lu in (None, exact_lu(well), incomplete_lu(member)):
-                values, _, bound, factored = solve_member(member, cost, lu, np.ones(2))
-                assert_bound_covers(member, cost, values, bound)
-                assert factored == "exact" or values.min() > 0.0
+    def test_error_bound_covers_the_exact_error(self, monkeypatch):
+        # each member is solved with no factorization, with a stale exact LU, that
+        # of another member of the same chain, and with its own ILU; a given
+        # factorization keeps a certified Krylov answer or factors again.  With
+        # none, these chains, far below EXACT_BELOW, are factored exactly; a second
+        # pass with the size rule off gives them an ILU of their own first, kept
+        # or followed by the exact LU
+        for ilu_first in (False, True):
+            if ilu_first:
+                monkeypatch.setattr(solvers, "EXACT_BELOW", 0)
+            rng = np.random.default_rng(91)
+            kept = incomplete = 0
+            for _ in range(40):
+                model = random_rpomdp(rng, num_states=int(rng.integers(2, 6)))
+                fsc = random_fsc(rng, int(rng.integers(1, 4)), model.num_observations, model.num_actions)
+                chain = build_chain(model, fsc)
+                assert len(chain.row_state) <= 15
+                (other, _), (member, cost) = random_member(rng, chain), random_member(rng, chain)
+                for lu in (None, exact_lu(other), incomplete_lu(member)):
+                    values, _, bound, factored = solve_member(member, cost, lu, np.zeros(len(cost)))
+                    assert_bound_covers(member, cost, values, bound)
+                    # a Krylov answer kept is positive, though no check asks it to be
+                    assert factored == "exact" or values.min() > 0.0
+                    assert ilu_first or lu is not None or factored == "exact"
+                    kept += not factored
+                    incomplete += lu is None and factored == "incomplete"
+            assert kept >= 70 and (incomplete >= 35 or not ilu_first), (ilu_first, kept, incomplete)
+            well, _ = exit_member(0.5)
+            for eps in 10.0 ** -np.arange(6, 16):
+                member, cost = exit_member(eps)
+                for lu in (None, exact_lu(well), incomplete_lu(member)):
+                    values, _, bound, factored = solve_member(member, cost, lu, np.ones(2))
+                    assert_bound_covers(member, cost, values, bound)
+                    assert factored == "exact" or values.min() > 0.0
 
     def test_exact_preconditioner_keeps_the_exact_iterate(self):
         # the member's own LU makes BiCGSTAB's first half step exact, so the
@@ -651,6 +657,22 @@ class TestSolveMember:
         assert np.max(exact) / np.min(cost) >= 1e6
         assert np.array_equal(values.values[chain.row_state], exact)
         assert solve_member(member, cost)[3] == "exact"
+
+    def test_the_size_rule_factors_chains_below_it_exactly_first(self):
+        # a chain one state short of EXACT_BELOW is factored exactly at once, with
+        # no Krylov step; one of EXACT_BELOW states takes its ILU first and keeps
+        # the certified Krylov answer.  Each answer and splu's differ by at most
+        # the sum of their certified bounds
+        rng = np.random.default_rng(101)
+        for n in (solvers.EXACT_BELOW - 1, solvers.EXACT_BELOW):
+            member, cost = random_chain(rng, n=n)
+            solver = chain_solver(member)
+            values = solver.solve(member.data, cost, None)
+            large = n >= solvers.EXACT_BELOW
+            assert (solver.factorizations, solver.incomplete, solver.krylov_steps > 0) == (1, large, large), n
+            exact = exact_lu(member).solve(cost)
+            assert large or np.array_equal(values, exact)
+            assert np.max(np.abs(values - exact)) <= solver.error_bound + _error_bound(member, cost, exact), n
 
     def test_incomplete_factorization_answers_in_the_callers_order(self):
         # a birth-death chain under shuffled state labels: in reverse Cuthill-McKee
@@ -846,7 +868,7 @@ def reference_cases():
 
 
 def test_matches_the_one_solve_per_member_reference():
-    reused = 0
+    reused, sides = 0, set()
     for model, fsc in reference_cases():
         chain = build_chain(model, fsc)
         for mode in ("pessimistic", "optimistic"):
@@ -861,7 +883,10 @@ def test_matches_the_one_solve_per_member_reference():
             assert 1 <= ours.factorizations <= ours.sweeps
             if ours.sweeps >= 3 and ours.factorizations == 1:
                 reused += 1
-            if len(chain.row_state) > 100:  # the grids: the first member's ILU serves them all
+            if len(chain.row_state) > 100:  # the grids: the first member's factorization serves them all
                 assert ours.factorizations == 1, (mode, ours.sweeps)
-                assert ours.incomplete == 1, mode
-    assert reused >= 6
+                # an exact LU below the size rule, an ILU at or above it
+                large = len(chain.row_state) >= solvers.EXACT_BELOW
+                assert ours.incomplete == large, (mode, len(chain.row_state))
+                sides.add(large)
+    assert reused >= 6 and sides == {False, True}
