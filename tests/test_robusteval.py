@@ -566,40 +566,46 @@ def assert_bound_covers(member, cost, values, bound):
 
 
 class TestSolveMember:
-    def test_error_bound_covers_the_exact_error(self, monkeypatch):
+    def test_error_bound_covers_the_exact_error(self):
+        # with no factorization these chains, far below EXACT_BELOW, are factored exactly
+        self.check_error_bound_covers(ilu_first=False)
+
+    def test_error_bound_covers_the_exact_error_with_the_size_rule_off(self, monkeypatch):
+        # with no factorization each chain takes an ILU of its own first, kept or
+        # followed by the exact LU
+        monkeypatch.setattr(solvers, "EXACT_BELOW", 0)
+        self.check_error_bound_covers(ilu_first=True)
+
+    @staticmethod
+    def check_error_bound_covers(ilu_first):
         # each member is solved with no factorization, with a stale exact LU, that
         # of another member of the same chain, and with its own ILU; a given
-        # factorization keeps a certified Krylov answer or factors again.  With
-        # none, these chains, far below EXACT_BELOW, are factored exactly; a second
-        # pass with the size rule off gives them an ILU of their own first, kept
-        # or followed by the exact LU
-        for ilu_first in (False, True):
-            if ilu_first:
-                monkeypatch.setattr(solvers, "EXACT_BELOW", 0)
-            rng = np.random.default_rng(91)
-            kept = incomplete = 0
-            for _ in range(40):
-                model = random_rpomdp(rng, num_states=int(rng.integers(2, 6)))
-                fsc = random_fsc(rng, int(rng.integers(1, 4)), model.num_observations, model.num_actions)
-                chain = build_chain(model, fsc)
-                assert len(chain.row_state) <= 15
-                (other, _), (member, cost) = random_member(rng, chain), random_member(rng, chain)
-                for lu in (None, exact_lu(other), incomplete_lu(member)):
-                    values, _, bound, factored = solve_member(member, cost, lu, np.zeros(len(cost)))
-                    assert_bound_covers(member, cost, values, bound)
-                    # a Krylov answer kept is positive, though no check asks it to be
-                    assert factored == "exact" or values.min() > 0.0
-                    assert ilu_first or lu is not None or factored == "exact"
-                    kept += not factored
-                    incomplete += lu is None and factored == "incomplete"
-            assert kept >= 70 and (incomplete >= 35 or not ilu_first), (ilu_first, kept, incomplete)
-            well, _ = exit_member(0.5)
-            for eps in 10.0 ** -np.arange(6, 16):
-                member, cost = exit_member(eps)
-                for lu in (None, exact_lu(well), incomplete_lu(member)):
-                    values, _, bound, factored = solve_member(member, cost, lu, np.ones(2))
-                    assert_bound_covers(member, cost, values, bound)
-                    assert factored == "exact" or values.min() > 0.0
+        # factorization keeps a certified Krylov answer or factors again
+        rng = np.random.default_rng(91)
+        kept = incomplete = 0
+        for _ in range(40):
+            model = random_rpomdp(rng, num_states=int(rng.integers(2, 6)))
+            fsc = random_fsc(rng, int(rng.integers(1, 4)), model.num_observations, model.num_actions)
+            chain = build_chain(model, fsc)
+            assert len(chain.row_state) <= 15
+            (other, _), (member, cost) = random_member(rng, chain), random_member(rng, chain)
+            for lu in (None, exact_lu(other), incomplete_lu(member)):
+                values, _, bound, factored = solve_member(member, cost, lu, np.zeros(len(cost)))
+                assert_bound_covers(member, cost, values, bound)
+                # a Krylov answer kept is positive, though no check asks it to be
+                assert factored == "exact" or values.min() > 0.0
+                if lu is None and not ilu_first:
+                    assert factored == "exact"
+                kept += not factored
+                incomplete += lu is None and factored == "incomplete"
+        assert kept >= 70 and incomplete >= (35 if ilu_first else 0), (kept, incomplete)
+        well, _ = exit_member(0.5)
+        for eps in 10.0 ** -np.arange(6, 16):
+            member, cost = exit_member(eps)
+            for lu in (None, exact_lu(well), incomplete_lu(member)):
+                values, _, bound, factored = solve_member(member, cost, lu, np.ones(2))
+                assert_bound_covers(member, cost, values, bound)
+                assert factored == "exact" or values.min() > 0.0
 
     def test_exact_preconditioner_keeps_the_exact_iterate(self):
         # the member's own LU makes BiCGSTAB's first half step exact, so the
@@ -632,10 +638,12 @@ class TestSolveMember:
                     assert np.array_equal(getattr(matrix, field), getattr(expected, field)), field
         assert self_loops > 0
 
-    def test_a_member_its_incomplete_factorization_cannot_certify_is_factored_exactly(self):
+    def test_a_member_its_incomplete_factorization_cannot_certify_is_factored_exactly(self, monkeypatch):
         # exits of 1e-6 put ||v|| / c_min near 5e6, past what a float64 answer
         # can certify (about 1e5), so the first member's ILU answer is thrown
-        # away and the evaluation returns splu's values bit for bit
+        # away and the evaluation returns splu's values bit for bit.  The chain
+        # is below EXACT_BELOW, so the size rule is off to reach the ILU
+        monkeypatch.setattr(solvers, "EXACT_BELOW", 0)
         rng = np.random.default_rng(99)
         p, cost = random_chain(rng, exits=(1e-6, 1e-6))
         n = len(cost)
@@ -649,6 +657,7 @@ class TestSolveMember:
         chain = build_chain(model, dirac_fsc(n + 1, 1))
         values = robust_value_iteration(chain)
         assert (values.sweeps, values.factorizations, values.incomplete) == (1, 1, 0)
+        assert values.krylov_steps > 0  # the ILU was tried
         member, cost = random_member(rng, chain)  # the chain's one member, in its order
         ilu = incomplete_lu(member)
         x, _ = _bicgstab(identity_minus(member), ilu, cost, ilu.solve(cost))
@@ -692,9 +701,11 @@ class TestSolveMember:
             exact = exact_lu(member).solve(cost)
             assert np.max(np.abs(incomplete_lu(member).solve(cost) - exact) / exact) <= 1e-14, n
 
-    def test_a_zero_pivot_in_the_incomplete_factorization_falls_back(self):
+    def test_a_zero_pivot_in_the_incomplete_factorization_falls_back(self, monkeypatch):
         # below float64 resolution the exit rounds away: spilu raises on the
-        # singular factor, and the exact solve reads +inf as before
+        # singular factor, and the exact solve reads +inf as before.  The size
+        # rule is off so that these two-state chains reach the ILU
+        monkeypatch.setattr(solvers, "EXACT_BELOW", 0)
         for eps in (1e-17, 1e-25, 1e-30):
             member, cost = exit_member(eps)
             with pytest.raises(RuntimeError):
@@ -885,8 +896,10 @@ def test_matches_the_one_solve_per_member_reference():
                 reused += 1
             if len(chain.row_state) > 100:  # the grids: the first member's factorization serves them all
                 assert ours.factorizations == 1, (mode, ours.sweeps)
-                # an exact LU below the size rule, an ILU at or above it
-                large = len(chain.row_state) >= solvers.EXACT_BELOW
-                assert ours.incomplete == large, (mode, len(chain.row_state))
+                # an exact LU below the size rule, an ILU at or above it; the rule
+                # reads the finite transient states, those the member solve sees
+                size = int(np.isfinite(ours.values[chain.row_state]).sum())
+                large = size >= solvers.EXACT_BELOW
+                assert ours.incomplete == large, (mode, size)
                 sides.add(large)
     assert reused >= 6 and sides == {False, True}
