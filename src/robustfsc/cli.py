@@ -210,9 +210,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ModelFormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
     except DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGED

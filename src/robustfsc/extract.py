@@ -4,8 +4,9 @@ Two discretizers produce a Clustering (assign/represent pair), both fitted
 after training to the hidden states visited on the dataset: k-means++, or a
 quantized bottleneck autoencoder whose code book becomes the node set (the
 post-hoc QBN of Koul et al., 2019).  The bottleneck's parameters are one
-flat vector like the network's, and both its halves run on the dense-layer
-stack of ``rnn`` that the policy head uses.
+flat vector like the network's, both its halves run on the dense-layer
+stack of ``rnn`` that the policy head uses, and it trains on ``rnn.descend``,
+the one minibatch-descent loop the GRU trains on.
 
 The network runs only in batches: one replay unrolls it over every episode
 of a dataset at once (hidden states, which fidelity reuses), and build_fsc
@@ -16,6 +17,7 @@ successors.  Only nodes the initial node reaches are created.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +25,6 @@ import numpy as np
 
 from robustfsc.model import Fsc, RobustPomdp
 from robustfsc.rnn import (
-    Adam,
     FlatParams,
     NetworkParams,
     _gru_step,
@@ -31,11 +32,12 @@ from robustfsc.rnn import (
     dense_forward,
     dense_init,
     dense_layout,
+    descend,
     initial_hidden,
     policy_distribution,
+    shuffled_batches,
 )
 from robustfsc.simulate import TrajectoryDataset
-from robustfsc.solvers import DivergenceError
 
 
 def collect_hidden_states(params: NetworkParams, dataset: TrajectoryDataset) -> np.ndarray:
@@ -206,24 +208,12 @@ def qbn_fit_posthoc(
     if points.ndim != 2 or len(points) == 0:
         raise ValueError("need a nonempty (n, d) point array")
     qbn = qbn_init(points.shape[1], bottleneck, quant_levels, rng_seed)
-    rng = np.random.default_rng((rng_seed, 1))
-    opt = Adam(qbn, lr)
-    grad = qbn.zeros_like()
-    epoch_mse = []
-    for _ in range(epochs):
-        order = rng.permutation(len(points))
-        losses = []
-        for lo in range(0, len(order), batch_size):
-            mse, _ = _qbn_loss_and_grad(qbn, points[order[lo:lo + batch_size]], grad)
-            if not np.isfinite(mse):
-                raise DivergenceError("bottleneck reconstruction loss became non-finite")
-            losses.append(mse)
-            opt.step(qbn, grad)
-        epoch_mse.append(float(np.mean(losses)))
-
+    batches = ((points[rows],) for rows in shuffled_batches(len(points), epochs, batch_size, (rng_seed, 1)))
+    trace = descend(qbn, batches, _qbn_loss_and_grad, lr, None, "bottleneck reconstruction loss")
+    last_epoch = trace[-math.ceil(len(points) / batch_size):]
     return Clustering(
         qbn=qbn, codes=list(dict.fromkeys(_codes(qbn, points))),
-        fit_metric=epoch_mse[-1] if epoch_mse else float("nan"),
+        fit_metric=float(np.mean(last_epoch)) if last_epoch else float("nan"),
     )
 
 

@@ -59,14 +59,32 @@ class Edges:
         return np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
 
     def of_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of the edges of ``rows``, row after row, and each row's count."""
-        start = self.offsets[rows]
-        counts = self.offsets[rows + 1] - start
-        return np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum()), counts
+        return edges_of_rows(self.offsets, rows)
 
 
-class _Pomdp:
-    """Fields shared by interval models and their members; see ``RobustPomdp``."""
+def edges_of_rows(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the edges of ``rows`` in CSR ``offsets``, row after row, and each row's count."""
+    start = offsets[rows]
+    counts = offsets[rows + 1] - start
+    return np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum()), counts
+
+
+class RobustPomdp:
+    """POMDP with interval transition uncertainty and deterministic observations.
+
+    Fields
+    ------
+    obs_of        : observation index per state, shape (num_states,)
+    edges         : the transitions and costs (see ``Edges``); an empty row
+                    means no dynamics, an absent successor an impossible
+                    transition
+    goals         : absorbing zero-cost target states; ``is_goal`` is their
+                    (num_states,) mask
+    initial_belief: distribution over states, shape (num_states,)
+
+    Its intervals and costs are read from ``edges`` alone; only a member
+    (``ConcretePomdp``) has dict views.
+    """
 
     def __init__(
         self,
@@ -99,30 +117,11 @@ class _Pomdp:
         return sorted(set(int(z) for z in self.obs_of))
 
 
-class RobustPomdp(_Pomdp):
-    """POMDP with interval transition uncertainty and deterministic observations.
+class ConcretePomdp(RobustPomdp):
+    """A single member of an uncertainty set: the point-interval model.
 
-    Fields
-    ------
-    obs_of        : observation index per state, shape (num_states,)
-    edges         : the transitions and costs (see ``Edges``); an empty row
-                    means no dynamics, an absent successor an impossible
-                    transition
-    goals         : absorbing zero-cost target states; ``is_goal`` is their
-                    (num_states,) mask
-    initial_belief: distribution over states, shape (num_states,)
-
-    Its intervals and costs are read from ``edges`` alone; only a member
-    (``ConcretePomdp``) has dict views.
-    """
-
-
-class ConcretePomdp(_Pomdp):
-    """A single member of an uncertainty set: exact transition probabilities.
-
-    ``edges.lo is edges.hi`` holds the probabilities; the other fields are
-    those of ``RobustPomdp``.  ``transitions``, ``cost`` and ``row`` are dict
-    views of ``edges``, built on first read.
+    ``edges.lo is edges.hi`` holds its exact probabilities.  ``transitions``,
+    ``cost`` and ``row`` are dict views of ``edges``, built on first read.
     """
 
     @cached_property

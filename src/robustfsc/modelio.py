@@ -284,7 +284,7 @@ def parse_model(text: str) -> ModelDocument:
     return ModelDocument(model)
 
 
-def serialize_model(model: RobustPomdp | ConcretePomdp) -> str:
+def serialize_model(model: RobustPomdp) -> str:
     """Canonical document of a model; a member's probabilities become point intervals."""
     out = [MODEL_HEADER]
     if model.name:

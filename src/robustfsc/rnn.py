@@ -356,6 +356,33 @@ class Adam:
         params.flat -= self.lr * correction * self.m / (np.sqrt(self.v) + eps)
 
 
+def shuffled_batches(items: int | np.ndarray, epochs: int, batch_size: int, rng_seed: int | tuple[int, ...]):
+    """Each epoch one ``rng.permutation(items)`` cut into batches of
+    ``batch_size``, the last one short when the count does not divide."""
+    rng = np.random.default_rng(rng_seed)
+    for _ in range(epochs):
+        order = rng.permutation(items)
+        for lo in range(0, len(order), batch_size):
+            yield order[lo:lo + batch_size]
+
+
+def descend(params: FlatParams, batches, loss_and_grad, lr: float, clip_norm: float | None, what: str) -> list[float]:
+    """Adam on ``params`` in place, one step per batch (a tuple of arguments
+    to ``loss_and_grad(params, *batch, grad=...)``, which writes into one
+    reused buffer); returns the per-batch losses.  A non-finite loss raises
+    DivergenceError before its step."""
+    opt = Adam(params, lr, clip_norm)
+    grad = params.zeros_like()
+    trace: list[float] = []
+    for batch in batches:
+        loss, _ = loss_and_grad(params, *batch, grad=grad)
+        if not np.isfinite(loss):
+            raise DivergenceError(f"{what} became non-finite at step {len(trace)}")
+        opt.step(params, grad)
+        trace.append(loss)
+    return trace
+
+
 def episode_batches(
     dataset: TrajectoryDataset,
     epochs: int,
@@ -364,19 +391,15 @@ def episode_batches(
 ):
     """Padded minibatches of shuffled episodes: (zs, actions, mask, step count).
 
-    Each epoch draws one permutation of the episodes that record a step
-    (with none empty, the draw of ``rng.permutation(num_episodes)``) and cuts
-    it into batches, so every epoch has the same number of batches.  A batch
-    is the dataset's rows cut to the batch's longest episode.
+    ``shuffled_batches`` of the episodes that record a step (with none
+    empty, the draw of ``rng.permutation(num_episodes)``), so every epoch has
+    the same number of batches.  A batch is the dataset's rows cut to the
+    batch's longest episode.
     """
-    rng = np.random.default_rng(rng_seed)
     zs, actions, mask, lengths = dataset.observations, dataset.actions, dataset.mask, dataset.lengths
-    for _ in range(epochs):
-        order = rng.permutation(np.flatnonzero(lengths > 0))
-        for lo in range(0, len(order), batch_size):
-            rows = order[lo:lo + batch_size]
-            t_max = int(lengths[rows].max())
-            yield zs[rows, :t_max], actions[rows, :t_max], mask[rows, :t_max], float(lengths[rows].sum())
+    for rows in shuffled_batches(np.flatnonzero(lengths > 0), epochs, batch_size, rng_seed):
+        t_max = int(lengths[rows].max())
+        yield zs[rows, :t_max], actions[rows, :t_max], mask[rows, :t_max], float(lengths[rows].sum())
 
 
 def train_epochs(
@@ -387,17 +410,8 @@ def train_epochs(
     lr: float,
     rng_seed: int | tuple[int, ...] = 0,
 ) -> tuple[NetworkParams, list[float]]:
-    """Adam over shuffled episode minibatches; returns new params and the
-    per-batch loss trace.  Deterministic for a fixed seed."""
+    """``descend`` over shuffled episode minibatches; returns new params and
+    the per-batch loss trace.  Deterministic for a fixed seed."""
     params = params.copy()
-    opt = Adam(params, lr, CLIP_NORM)
-    grad = params.zeros_like()
-    trace: list[float] = []
-    for zs, actions, mask, normalizer in episode_batches(dataset, epochs, batch_size, rng_seed):
-        batch_loss, _ = _loss_and_grad(params, zs, actions, mask, normalizer, grad=grad)
-        if not np.isfinite(batch_loss):
-            raise DivergenceError(f"training loss became non-finite at step {len(trace)}")
-        opt.step(params, grad)
-        trace.append(batch_loss)
-    return params, trace
-
+    batches = episode_batches(dataset, epochs, batch_size, rng_seed)
+    return params, descend(params, batches, _loss_and_grad, lr, CLIP_NORM, "training loss")

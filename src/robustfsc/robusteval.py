@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from robustfsc.model import ConcretePomdp, Fsc, RobustPomdp
+from robustfsc.model import ConcretePomdp, Fsc, RobustPomdp, edges_of_rows
 from robustfsc.solvers import ChainSolver, DivergenceError, _hops_to
 
 
@@ -58,7 +58,7 @@ class RobustChain:
         return len(self.pairs)
 
 
-def build_chain(model: RobustPomdp | ConcretePomdp, fsc: Fsc) -> RobustChain:
+def build_chain(model: RobustPomdp, fsc: Fsc) -> RobustChain:
     """Product construction restricted to states reachable from the start.
 
     Breadth-first one level at a time over the model's edge table; a member
@@ -193,7 +193,6 @@ class RobustValues:
     chain: RobustChain
     values: np.ndarray
     at_initial: float
-    mode: str
     sweeps: int
     factorizations: int
     incomplete: int
@@ -242,9 +241,8 @@ def robust_value_iteration(chain: RobustChain, mode: str = "pessimistic", tol: f
     # edge arrays of the finite rows; their successors are finite too
     rows = np.flatnonzero(~infinite[chain.row_state])
     states = chain.row_state[rows]
-    counts = chain.offsets[rows + 1] - chain.offsets[rows]
+    edges, counts = edges_of_rows(chain.offsets, rows)
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    edges = np.repeat(chain.offsets[rows] - offsets[:-1], counts) + np.arange(offsets[-1])
     succ, lo, hi = chain.succ[edges], chain.lo[edges], chain.hi[edges]
 
     # P over the transient states: its edges are those between transient states
@@ -281,7 +279,7 @@ def robust_value_iteration(chain: RobustChain, mode: str = "pessimistic", tol: f
         p = np.where(np.repeat(switch, counts), greedy_p, p)
 
     return RobustValues(
-        chain=chain, values=v, at_initial=float(chain.init_prob @ v[:len(chain.init_prob)]), mode=mode,
+        chain=chain, values=v, at_initial=float(chain.init_prob @ v[:len(chain.init_prob)]),
         sweeps=solver.sweeps, factorizations=solver.factorizations, incomplete=solver.incomplete,
         krylov_steps=solver.krylov_steps, error_bound=solver.error_bound, diagnosis=diagnosis)
 

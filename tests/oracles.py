@@ -489,7 +489,7 @@ def robust_value_iteration_reference(
 
     at_init = float(chain.init_prob @ v[:len(chain.init_prob)])
     return RobustValues(
-        chain=chain, values=v, at_initial=at_init, mode=mode,
+        chain=chain, values=v, at_initial=at_init,
         sweeps=solves, factorizations=solves, incomplete=0, krylov_steps=0, error_bound=math.inf, diagnosis=diagnosis,
     )
 

@@ -16,7 +16,7 @@ from robustfsc.extract import (
     qbn_init,
     quantize,
 )
-from robustfsc.rnn import init_params, initial_hidden, tanh_flat
+from robustfsc.rnn import Adam, init_params, initial_hidden, tanh_flat
 from robustfsc.simulate import Episode, Step, TrajectoryDataset
 
 
@@ -156,6 +156,29 @@ class TestQbn:
         b = qbn_fit_posthoc(pts, bottleneck=2, quant_levels=3, epochs=10, lr=1e-3, batch_size=32, rng_seed=2)
         assert a.fit_metric == b.fit_metric
         assert a.codes == b.codes
+
+    @pytest.mark.parametrize("levels, n, batch_size", [(3, 70, 32), (2, 64, 16), (3, 5, 32)])
+    def test_training_matches_a_loop_over_the_reference(self, levels, n, batch_size):
+        """Each epoch one permutation of the points from generator (seed, 1), cut into batches
+        (a short last one unless n divides), and one unclipped Adam step per batch."""
+        pts = np.random.default_rng(16).uniform(-0.8, 0.8, size=(n, 5))
+        seed, epochs, lr = 3, 4, 1e-2
+        got = qbn_fit_posthoc(pts, bottleneck=2, quant_levels=levels, epochs=epochs, lr=lr,
+                              batch_size=batch_size, rng_seed=seed)
+        want = qbn_init(5, 2, levels, rng_seed=seed)
+        opt = Adam(want, lr)
+        rng = np.random.default_rng((seed, 1))
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            losses = []
+            for lo in range(0, n, batch_size):
+                loss, grad = _qbn_loss_and_grad(want, pts[order[lo:lo + batch_size]])
+                opt.step(want, grad)
+                losses.append(loss)
+        codes = quantize(_qbn_encode(want, pts), levels).astype(np.int64).tolist()
+        assert np.array_equal(got.qbn.flat, want.flat)
+        assert got.codes == list(dict.fromkeys(map(tuple, codes)))
+        assert got.fit_metric == float(np.mean(losses))
 
 
 class TestQbnGradient:

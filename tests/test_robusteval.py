@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from oracles import (
 )
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import ConcretePomdp, Fsc, Interval, RobustPomdp, nominal_midpoint, project_row, sample_member
+from robustfsc.modelio import parse_fsc
 from robustfsc.robusteval import (
     _box_simplex_fill,
     _infinite_set,
@@ -376,6 +378,25 @@ class TestRobustValueIteration:
             oracle = robust_chain_lp(chain, maximize=mode == "pessimistic")
             assert np.all(np.isfinite(ours))
             assert np.max(np.abs(ours - oracle) / np.maximum(1.0, np.abs(oracle))) <= 1e-9
+
+    def test_ilu_path_chain_matches_lp_oracle(self):
+        """Both modes of a planner-sized chain whose first member takes the ILU, against the LP.
+
+        ``data/intercept6x6_ilu.fsc`` is the best controller of a 2-iteration planner run on
+        intercept 6x6 (grid seed 201; pip, QMDP, k-means, 64 episodes of horizon 50, 9 clusters,
+        hidden 16, embedding 8, 8 epochs, seed 0) with every (node, observation) row that its
+        chain never reads set to action 0, so the chain is that run's chain."""
+        model = generate_grid(GridSpec(6, 6, "intercept"), 201)
+        fsc = parse_fsc((Path(__file__).parent / "data" / "intercept6x6_ilu.fsc").read_text())
+        chain = build_chain(model, fsc)
+        assert (chain.num_states, len(chain.row_state)) == (721, 707)
+        assert len(chain.row_state) >= solvers.EXACT_BELOW
+        for mode in ("pessimistic", "optimistic"):
+            values = robust_value_iteration(chain, mode)
+            oracle = robust_chain_lp(chain, maximize=mode == "pessimistic")
+            assert np.all(np.isfinite(values.values))  # so every transient state counts toward the size rule
+            assert values.incomplete == 1
+            assert np.max(np.abs(values.values - oracle) / np.maximum(1.0, np.abs(oracle))) <= 1e-10
 
     def test_tied_successors_stop_at_closed_form(self):
         # states 1 and 2 are mirror images, so the optimal member's split
