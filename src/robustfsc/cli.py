@@ -16,7 +16,7 @@ import numpy as np
 from robustfsc.adversary import select_worst_case
 from robustfsc.extract import QUANT_LEVELS
 from robustfsc.grids import GridSpec, generate_grid
-from robustfsc.model import Interval, validate
+from robustfsc.model import Interval
 from robustfsc.modelio import (
     ModelFormatError,
     parse_fsc,
@@ -58,9 +58,9 @@ def _load_fsc(path: str, model):
 
 
 def _cmd_validate(args) -> int:
-    report = validate(_load_model(args.model))
-    print(report)
-    return EXIT_OK if report.ok else EXIT_INVALID
+    _load_model(args.model)  # parse_model validates and raises ModelFormatError on any issue
+    print("model ok")
+    return EXIT_OK
 
 
 def _cmd_gen_grid(args) -> int:

@@ -61,10 +61,11 @@ class RobustChain:
 def build_chain(model: RobustPomdp, fsc: Fsc) -> RobustChain:
     """Product construction restricted to states reachable from the start.
 
-    Breadth-first one level at a time over the model's edge table; a member
-    gives a chain whose intervals are points.  Product states are numbered
-    in the order a first-in first-out search discovers them.  The model's
-    actions past the controller's action axis have probability zero.
+    Breadth-first one level at a time over the model's edge table, which
+    numbers product states in the order a first-in first-out search discovers
+    them; the rows are merged once, after the search.  A member gives a chain
+    whose intervals are points.  The model's actions past the controller's
+    action axis have probability zero.
     """
     if fsc.num_observations < model.num_observations:
         raise ValueError("controller does not cover the model's observations")
@@ -78,65 +79,47 @@ def build_chain(model: RobustPomdp, fsc: Fsc) -> RobustChain:
     index = np.full(num_s * num_n, -1)  # product index of state s at node n, at s * N + n
     frontier = start * num_n + fsc.initial_node
     index[frontier] = np.arange(len(frontier))
-    levels = [frontier]
-    count = len(frontier)
-    parts: list[tuple[np.ndarray, ...]] = []  # per level: rows' states, costs, edge counts, edges, terms
+    levels, count = [frontier], len(frontier)
+    sources, rows, weights, targets = [], [], [], []  # per level: (pair, action) sources, rows, weights; edge targets
     while len(frontier):
         live = frontier[~goal[frontier // num_n]]
         s, n = np.divmod(live, num_n)
         z = model.obs_of[s]
-        n_next = fsc.memory_map[n, z]
         d = fsc.action_map[n, z]
         pair, a = np.nonzero(d)  # pair by pair, actions ascending
-        weight = d[pair, a]
-        rows = s[pair] * num_a + a
-        idx, counts = e.of_rows(rows)
-        edge_pair = np.repeat(pair, counts)
-        edge_weight = np.repeat(weight, counts)
-        target = e.succ[idx] * num_n + n_next[edge_pair]
+        row = s[pair] * num_a + a
+        idx, counts = e.of_rows(row)
+        target = e.succ[idx] * num_n + np.repeat(fsc.memory_map[n, z][pair], counts)
         # new product states, in the order the edges first reach them
         found, first = np.unique(target, return_index=True)
         unseen = index[found] < 0
         new = found[unseen][np.argsort(first[unseen], kind="stable")]
         index[new] = count + np.arange(len(new))
         count += len(new)
-        # one merged edge per (pair, successor), successors ascending
-        keys, merged = np.unique(edge_pair * num_s + e.succ[idx], return_inverse=True)
-        row_of = keys // num_s
-        parts.append((
-            index[live],
-            np.bincount(pair, weight * e.cost[rows], len(live)),
-            np.bincount(row_of, minlength=len(live)),
-            index[(keys % num_s) * num_n + n_next[row_of]],
-            np.bincount(merged, edge_weight * e.lo[idx], len(keys)),
-            np.bincount(merged, edge_weight * e.hi[idx], len(keys)),
-            idx,
-            edge_weight,
-            index[target],
-        ))
+        sources.append(index[live[pair]])
+        rows.append(row)
+        weights.append(d[pair, a])
+        targets.append(target)
         levels.append(new)
         frontier = new
 
+    # every state but the goals was expanded, in product order: keyed by source product index and
+    # successor model state, the merge runs rows in order, successors ascending, terms in expansion order
     pairs = np.concatenate(levels)
-    (row_state, row_cost, counts, succ, lo, hi,
-     term_edge, term_weight, term_succ) = (np.concatenate(arrays) for arrays in zip(*parts))
-    cost = np.zeros(count)
-    cost[row_state] = row_cost
+    is_goal = goal[pairs // num_n]
+    row_state = np.flatnonzero(~is_goal)
+    source, row, weight = np.concatenate(sources), np.concatenate(rows), np.concatenate(weights)
+    term_edge, counts = e.of_rows(row)
+    term_weight, term_succ = np.repeat(weight, counts), index[np.concatenate(targets)]
+    keys, first, merged = np.unique(np.repeat(source, counts) * num_s + e.succ[term_edge],
+                                    return_index=True, return_inverse=True)
     return RobustChain(
-        fsc=fsc,
-        pairs=pairs,
-        cost=cost,
-        is_goal=goal[pairs // num_n],
-        init_prob=model.initial_belief[start].astype(np.float64),
-        succ=succ,
-        lo=lo,
-        hi=hi,
-        offsets=np.concatenate([[0], np.cumsum(counts)]),
-        row_state=row_state,
-        term_edge=term_edge,
-        term_weight=term_weight,
-        term_succ=term_succ,
-    )
+        fsc=fsc, pairs=pairs, cost=np.bincount(source, weight * e.cost[row], count), is_goal=is_goal,
+        init_prob=model.initial_belief[start].astype(np.float64), succ=term_succ[first],
+        lo=np.bincount(merged, term_weight * e.lo[term_edge], len(keys)),
+        hi=np.bincount(merged, term_weight * e.hi[term_edge], len(keys)),
+        offsets=np.concatenate([[0], np.cumsum(np.bincount(keys // num_s, minlength=count)[row_state])]),
+        row_state=row_state, term_edge=term_edge, term_weight=term_weight, term_succ=term_succ)
 
 
 def box_simplex_greedy(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, offsets: np.ndarray,

@@ -9,7 +9,8 @@ network loops (controller synthesis, fidelity) that the batched extraction
 replaced, the per-episode rollout loop that lockstep simulation replaced,
 the per-step backpropagation through time that whole-sequence BPTT replaced,
 the second product expansion the worst-case adversary read its weights from
-before the evaluated chain kept its terms, robust policy iteration with one
+before the evaluated chain kept its terms, the product chain built one state
+at a time by a first-in first-out search, robust policy iteration with one
 direct sparse solve per member as it was before factorizations were reused,
 an exact rational solve of a member chain, Grassmann-Taksar-Heyman
 elimination of a member chain, central finite differences for
@@ -28,6 +29,7 @@ because only tests call them.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import warnings
@@ -253,6 +255,120 @@ def product_chain_cost(member, fsc) -> float:
     for s in np.flatnonzero(member.initial_belief):
         total += member.initial_belief[s] * v[index[(int(s), fsc.initial_node)]]
     return float(total)
+
+
+def product_chain_reference(model, fsc) -> RobustChain:
+    """``robusteval.build_chain`` by a first-in first-out search, one product state at a time.
+
+    Each state's row is a dict from model successor to its (lo, hi) sums, added action by
+    action; actions of probability zero are skipped.  Terms are kept in (level, state,
+    action, successor) order, and a row's merged edges run successors ascending.
+    """
+    e, num_a, num_n = model.edges, model.num_actions, fsc.num_nodes
+    start = [int(s) for s in np.flatnonzero(model.initial_belief)]
+    index = {(s, fsc.initial_node): k for k, s in enumerate(start)}
+    queue = collections.deque(index)
+    cost: dict[int, float] = {}
+    succ, lo, hi, offsets, row_state = [], [], [], [0], []
+    term_edge, term_weight, term_succ = [], [], []
+    while queue:
+        s, n = queue.popleft()
+        if model.is_goal[s]:
+            continue
+        z = int(model.obs_of[s])
+        n2 = int(fsc.memory_map[n, z])
+        k = index[(s, n)]
+        cost[k], row = 0.0, {}
+        for a in range(fsc.num_actions):
+            d = float(fsc.action_map[n, z, a])
+            if d == 0.0:
+                continue
+            r = s * num_a + a
+            cost[k] += d * float(e.cost[r])
+            for edge in range(int(e.offsets[r]), int(e.offsets[r + 1])):
+                sp = int(e.succ[edge])
+                if (sp, n2) not in index:
+                    index[(sp, n2)] = len(index)
+                    queue.append((sp, n2))
+                row_lo, row_hi = row.get(sp, (0.0, 0.0))
+                row[sp] = (row_lo + d * float(e.lo[edge]), row_hi + d * float(e.hi[edge]))
+                term_edge.append(edge)
+                term_weight.append(d)
+                term_succ.append(index[(sp, n2)])
+        for sp in sorted(row):
+            succ.append(index[(sp, n2)])
+            lo.append(row[sp][0])
+            hi.append(row[sp][1])
+        offsets.append(len(succ))
+        row_state.append(k)
+    pairs = np.array([s * num_n + n for s, n in index], dtype=np.int64)
+    costs = np.zeros(len(pairs))
+    costs[list(cost)] = list(cost.values())
+
+    def ints(x):
+        return np.array(x, dtype=np.int64)
+
+    return RobustChain(
+        fsc=fsc, pairs=pairs, cost=costs, is_goal=model.is_goal[pairs // num_n],
+        init_prob=model.initial_belief[start].astype(np.float64), succ=ints(succ),
+        lo=np.array(lo, dtype=np.float64), hi=np.array(hi, dtype=np.float64), offsets=ints(offsets),
+        row_state=ints(row_state), term_edge=ints(term_edge), term_weight=np.array(term_weight, dtype=np.float64),
+        term_succ=ints(term_succ))
+
+
+def static_worst_case_vertices(model, fsc) -> float:
+    """The best vertex member's expected cost from the initial belief, written b̂.
+
+    Every row the controller touches takes one of its ``box_simplex_candidates``,
+    and each member, one per combination, is solved exactly by a dense linear
+    solve.  With a one-node controller each model row enters one product row, so
+    the start value is linear-fractional in that row (Sherman-Morrison) and b̂ is
+    the static (s, a)-rectangular worst case; with more nodes b̂ is a lower bound
+    on it.  Meant for models of a few states: the combinations multiply.
+    """
+    e, num_a = model.edges, model.num_actions
+    start = [(int(s), fsc.initial_node) for s in np.flatnonzero(model.initial_belief)]
+    index = {pair: k for k, pair in enumerate(start)}
+    expanded = []  # (product state, weight, row, successor product states) of each positive action
+    order = list(index)
+    for s, n in order:  # grows while it is read: a breadth-first search over the support
+        if model.is_goal[s]:
+            continue
+        z = int(model.obs_of[s])
+        n2 = int(fsc.memory_map[n, z])
+        for a in range(fsc.num_actions):
+            d = float(fsc.action_map[n, z, a])
+            if d == 0.0:
+                continue
+            r = s * num_a + a
+            targets = []
+            for sp in e.succ[e.offsets[r]:e.offsets[r + 1]].tolist():
+                if (sp, n2) not in index:
+                    index[(sp, n2)] = len(index)
+                    order.append((sp, n2))
+                targets.append(index[(sp, n2)])
+            expanded.append((index[(s, n)], d, r, targets))
+    transient = sorted({k for k, _, _, _ in expanded})
+    if not transient:
+        return 0.0
+    tpos = {k: t for t, k in enumerate(transient)}
+    size = len(transient)
+    cost = np.zeros(size)
+    vertices, parts = {}, {}  # per touched row: its candidates, and each successor's share of P
+    for r in sorted({r for _, _, r, _ in expanded}):
+        sl = slice(int(e.offsets[r]), int(e.offsets[r + 1]))
+        vertices[r] = np.unique(np.array(box_simplex_candidates(e.lo[sl], e.hi[sl])), axis=0)
+        parts[r] = np.zeros((sl.stop - sl.start, size, size))
+    for k, d, r, targets in expanded:
+        cost[tpos[k]] += d * float(e.cost[r])
+        for j, u in enumerate(targets):
+            if u in tpos:
+                parts[r][j, tpos[k], tpos[u]] += d
+    choice = np.array(list(itertools.product(*(range(len(v)) for v in vertices.values()))))
+    p = sum(np.einsum("ck,ktu->ctu", vertices[r][choice[:, i]], parts[r]) for i, r in enumerate(vertices))
+    values = np.linalg.solve(np.eye(size) - p, np.broadcast_to(cost, (len(choice), size))[..., None])[..., 0]
+    at_start = sum(model.initial_belief[s] * values[:, tpos[k]] for k, (s, _) in enumerate(start) if k in tpos)
+    return float(np.max(at_start))
 
 
 def enumerate_policies_ssp(member):

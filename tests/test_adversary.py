@@ -8,6 +8,7 @@ from oracles import (
     interval_rows,
     product_chain_cost,
     proxy_objective_of,
+    static_worst_case_vertices,
     worst_case_weights_reference,
 )
 from robustfsc.adversary import select_worst_case
@@ -204,3 +205,25 @@ def test_values_of_another_controller_are_rejected():
         select_worst_case(model, other, evaluated(model, fsc))
     same = Fsc(fsc.num_nodes, fsc.initial_node, fsc.action_map.copy(), fsc.memory_map.copy())
     select_worst_case(model, same, evaluated(model, fsc))
+
+
+def test_the_adversary_reaches_the_best_vertex_member():
+    # a <= b̂ <= d on 3-state models with one-node controllers: a is the exact value of the
+    # adversary's member, b̂ the best vertex member's (the static worst case with one node)
+    # and d the robust value, whose nature also merges actions
+    rng = np.random.default_rng(41)
+    models, reached, above, short = 200, 0, 0, 0
+    for _ in range(models):
+        model = random_rpomdp(rng, num_states=3, num_actions=2)
+        fsc = random_fsc(rng, 1, model.num_observations, 2)
+        values = evaluated(model, fsc)
+        a = product_chain_cost(select_worst_case(model, fsc, values).worst_case, fsc)
+        b = static_worst_case_vertices(model, fsc)
+        d = values.at_initial
+        slack = 1e-9 * abs(b)
+        assert a <= b + slack and b <= d + slack, (a, b, d)
+        reached += a >= b - slack
+        above += d > b + slack
+        short += b > a + slack
+    print(f"[static worst case] {models} models: d > b̂ on {above}, b̂ > a on {short}")
+    assert reached >= 0.95 * models, reached

@@ -18,6 +18,7 @@ from oracles import (
     interval_rows,
     member_values_exact,
     product_chain_cost,
+    product_chain_reference,
     robust_chain_lp,
     robust_value_iteration_reference,
     solve_member,
@@ -189,6 +190,26 @@ class TestBuildChain:
                 got_lo, got_hi = got[state_index(chain, sp, n2)]
                 assert got_lo == pytest.approx(lo_val, abs=1e-12)
                 assert got_hi == pytest.approx(expect_hi[sp], abs=1e-12)
+
+    def test_matches_the_first_in_first_out_reference(self):
+        # every array bit for bit: numbering, merge order and the order terms are added in
+        rng = np.random.default_rng(25)
+        cases = []
+        for kind in ("interval", "member", "degenerate") * 10:
+            model = random_rpomdp(rng, num_states=int(rng.integers(3, 6)), num_actions=int(rng.integers(2, 4)),
+                                  degenerate=kind == "degenerate")
+            if kind == "member":
+                model = sample_member(model, int(rng.integers(1 << 30)))
+            cases.append((model, random_fsc(rng, int(rng.integers(1, 4)), model.num_observations, model.num_actions)))
+        for kind in ("evade", "avoid", "intercept"):
+            model = generate_grid(GridSpec(4, 4, kind))
+            cases.append((model, kmeans_controller(model, 4)))
+        for model, fsc in cases:
+            chain, reference = build_chain(model, fsc), product_chain_reference(model, fsc)
+            for name in ("pairs", "cost", "is_goal", "init_prob", "succ", "lo", "hi", "offsets", "row_state",
+                         "term_edge", "term_weight", "term_succ"):
+                ours, theirs = getattr(chain, name), getattr(reference, name)
+                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), (model.name, name)
 
     def test_interval_sums_bracket_one(self):
         rng = np.random.default_rng(24)
