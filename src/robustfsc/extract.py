@@ -2,7 +2,7 @@
 
 Two discretizers produce a Clustering (assign/represent pair), both fitted
 after training to the hidden states visited on the dataset: k-means++, or a
-quantized bottleneck autoencoder whose code book becomes the node set (the
+quantized bottleneck autoencoder whose quantized codes are the nodes (the
 post-hoc QBN of Koul et al., 2019).  The bottleneck's parameters are one
 flat vector like the network's, both its halves run on the dense-layer
 stack of ``rnn`` that the policy head uses, and it trains on ``rnn.descend``,
@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -182,11 +183,6 @@ def _qbn_loss_and_grad(q: QbnParams, batch: np.ndarray, grad: QbnParams | None =
     return float((err * err).mean()), g
 
 
-def _codes(qbn: QbnParams, h: np.ndarray) -> list[tuple]:
-    """Quantized code of each row of ``h`` as an integer tuple."""
-    return list(map(tuple, quantize(_qbn_encode(qbn, h), qbn.quant_levels).astype(np.int64).tolist()))
-
-
 def qbn_fit_posthoc(
     points: np.ndarray,
     bottleneck: int,
@@ -201,8 +197,8 @@ def qbn_fit_posthoc(
     The quantizer contributes no gradient of its own: backpropagation passes
     through it as the identity (straight-through), so the encoder still
     learns even though its output is snapped to the code book.  Returns a
-    Clustering whose nodes are the codes observed on the training points and
-    whose fit_metric is the final epoch's mean reconstruction error.
+    Clustering whose fit_metric is the final epoch's mean reconstruction
+    error.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or len(points) == 0:
@@ -211,10 +207,7 @@ def qbn_fit_posthoc(
     batches = ((points[rows],) for rows in shuffled_batches(len(points), epochs, batch_size, (rng_seed, 1)))
     trace = descend(qbn, batches, _qbn_loss_and_grad, lr, None, "bottleneck reconstruction loss")
     last_epoch = trace[-math.ceil(len(points) / batch_size):]
-    return Clustering(
-        qbn=qbn, codes=list(dict.fromkeys(_codes(qbn, points))),
-        fit_metric=float(np.mean(last_epoch)) if last_epoch else float("nan"),
-    )
+    return Clustering(qbn=qbn, fit_metric=float(np.mean(last_epoch)) if last_epoch else float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -222,46 +215,29 @@ def qbn_fit_posthoc(
 
 @dataclass
 class Clustering:
-    """assign: (n, d) hidden states -> (n,) node indices; represent: node -> hidden state.
+    """assign: (n, d) hidden states -> n node keys; represent: node key -> hidden state.
 
-    For k-means the representative is the centroid; for the bottleneck it
-    is the decoder's reconstruction of the node's code, and assign may
-    discover codes beyond those seen during fitting (``discover=True``).
+    A k-means node is its centroid's index and is represented by the
+    centroid; a bottleneck node is its quantized code, a tuple of ints,
+    represented by the decoder's reconstruction of that code.
     """
 
     centroids: np.ndarray | None = None
     qbn: QbnParams | None = None
-    codes: list[tuple] | None = None
     fit_metric: float = float("nan")
 
-    @property
-    def num_nodes(self) -> int:
+    def assign(self, h: np.ndarray) -> list[int] | list[tuple[int, ...]]:
+        """Node key of each row of the (n, d) states ``h``."""
         if self.qbn is None:
-            return len(self.centroids)
-        return len(self.codes)
+            return _sq_dists(h, self.centroids).argmin(axis=1).tolist()
+        codes = quantize(_qbn_encode(self.qbn, h), self.qbn.quant_levels)
+        return list(map(tuple, codes.astype(np.int64).tolist()))
 
-    def assign(self, h: np.ndarray, discover: bool | np.ndarray = False) -> np.ndarray:
-        """Node of each row of the (n, d) states ``h``, shape (n,); -1 for a
-        code not in the table.  Rows flagged by ``discover`` (one flag or one
-        per row) add unseen codes to the table, numbered in row order."""
-        if self.qbn is None:
-            return _sq_dists(h, self.centroids).argmin(axis=1)
-        index = {code: i for i, code in enumerate(self.codes)}
-        nodes = np.empty(len(h), dtype=np.int64)
-        for row, (code, new) in enumerate(zip(_codes(self.qbn, h), np.broadcast_to(discover, len(h)))):
-            if new and code not in index:
-                index[code] = len(self.codes)
-                self.codes.append(code)
-            nodes[row] = index.get(code, -1)
-        return nodes
-
-    def represent(self, node: int | np.ndarray) -> np.ndarray:
-        """Hidden state of each node; an int node gives one state."""
+    def represent(self, node: int | tuple[int, ...]) -> np.ndarray:
+        """Hidden state of one node."""
         if self.qbn is None:
             return self.centroids[node]
-        codes = np.asarray(self.codes, dtype=np.float64)[node]
-        out = _qbn_decode(self.qbn, np.atleast_2d(codes))
-        return out.reshape(np.shape(node) + out.shape[-1:])
+        return _qbn_decode(self.qbn, np.array([node], dtype=np.float64))[0]
 
 
 def build_fsc(params: NetworkParams, clustering: Clustering, model: RobustPomdp) -> Fsc:
@@ -269,38 +245,34 @@ def build_fsc(params: NetworkParams, clustering: Clustering, model: RobustPomdp)
 
     Starting from the node of the zero hidden state, each node is expanded
     with one network step from its representative over every observation:
-    the action distributions become its action rows and the clusters of the
+    the action distributions become its action rows and the nodes of the
     new hidden states its memory successors.  Only realizable observations
-    spawn (or discover) nodes, so every node is reachable, numbered in the
-    order the search first meets it; an entry whose target is not a node
-    points back at its source node.
+    spawn nodes, so every node is reachable, numbered in the order the
+    search first meets it; an entry whose target is not a node (only an
+    unrealizable observation's can be) points back at its source node.
     """
     num_z = model.num_observations
     realizable = np.zeros(num_z, dtype=bool)
     realizable[model.realizable_observations()] = True
+    realizable = realizable.tolist()
     x = params.emb[np.arange(num_z)]
 
-    order = clustering.assign(initial_hidden(params)[None], discover=True).tolist()
-    dense_of = {order[0]: 0}
+    nodes = clustering.assign(initial_hidden(params)[None])
+    number = {nodes[0]: 0}
     action_rows, targets = [], []
-    for node in order:
+    for node in nodes:
         h_next, _ = _gru_step(params, np.tile(clustering.represent(node), (num_z, 1)), x)
-        target = clustering.assign(h_next, discover=realizable)
-        for m in target[realizable].tolist():
-            if m not in dense_of:
-                dense_of[m] = len(order)
-                order.append(m)
+        target = clustering.assign(h_next)
+        for key in compress(target, realizable):
+            if key not in number:
+                number[key] = len(nodes)
+                nodes.append(key)
         action_rows.append(policy_distribution(params, h_next))
         targets.append(target)
 
-    k = len(order)
-    dense = np.full(clustering.num_nodes + 1, -1)  # the last entry answers target -1
-    dense[order] = np.arange(k)
-    memory_map = dense[np.array(targets)]
-    # Targets that are not nodes only arise on observations no state emits;
-    # point those entries back at the source node.
-    memory_map = np.where(memory_map >= 0, memory_map, np.arange(k)[:, None])
-    fsc = Fsc(k, 0, np.array(action_rows), memory_map)
+    k = len(nodes)
+    memory = chain.from_iterable(map(number.get, target, repeat(n)) for n, target in enumerate(targets))
+    fsc = Fsc(k, 0, np.array(action_rows), np.fromiter(memory, np.int64, k * num_z).reshape(k, num_z))
     fsc.check()
     return fsc
 

@@ -62,8 +62,8 @@ def build_chain(model: RobustPomdp, fsc: Fsc) -> RobustChain:
     """Product construction restricted to states reachable from the start.
 
     Breadth-first one level at a time over the model's edge table, which
-    numbers product states in the order a first-in first-out search discovers
-    them; the rows are merged once, after the search.  A member gives a chain
+    numbers product states in the order a first-in first-out search first
+    meets them; the rows are merged once, after the search.  A member gives a chain
     whose intervals are points.  The model's actions past the controller's
     action axis have probability zero.
     """

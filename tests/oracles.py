@@ -316,21 +316,20 @@ def product_chain_reference(model, fsc) -> RobustChain:
         term_succ=ints(term_succ))
 
 
-def static_worst_case_vertices(model, fsc) -> float:
-    """The best vertex member's expected cost from the initial belief, written b̂.
+def product_action_rows(model, fsc):
+    """The product states a controller reaches, with one row per action it plays.
 
-    Every row the controller touches takes one of its ``box_simplex_candidates``,
-    and each member, one per combination, is solved exactly by a dense linear
-    solve.  With a one-node controller each model row enters one product row, so
-    the start value is linear-fractional in that row (Sherman-Morrison) and b̂ is
-    the static (s, a)-rectangular worst case; with more nodes b̂ is a lower bound
-    on it.  Meant for models of a few states: the combinations multiply.
+    Returns the start pairs (s, initial node) over the initial belief's
+    support, every reached pair (s, n) in breadth-first order over the
+    support (the start pairs first), and, for each non-goal pair and each
+    action with positive weight there, (pair index, weight, model row,
+    successor pair indices).
     """
     e, num_a = model.edges, model.num_actions
     start = [(int(s), fsc.initial_node) for s in np.flatnonzero(model.initial_belief)]
     index = {pair: k for k, pair in enumerate(start)}
-    expanded = []  # (product state, weight, row, successor product states) of each positive action
     order = list(index)
+    rows = []
     for s, n in order:  # grows while it is read: a breadth-first search over the support
         if model.is_goal[s]:
             continue
@@ -347,7 +346,22 @@ def static_worst_case_vertices(model, fsc) -> float:
                     index[(sp, n2)] = len(index)
                     order.append((sp, n2))
                 targets.append(index[(sp, n2)])
-            expanded.append((index[(s, n)], d, r, targets))
+            rows.append((index[(s, n)], d, r, targets))
+    return start, order, rows
+
+
+def static_worst_case_vertices(model, fsc) -> float:
+    """The best vertex member's expected cost from the initial belief, written b̂.
+
+    Every row the controller touches takes one of its ``box_simplex_candidates``,
+    and each member, one per combination, is solved exactly by a dense linear
+    solve.  With a one-node controller each model row enters one product row, so
+    the start value is linear-fractional in that row (Sherman-Morrison) and b̂ is
+    the static (s, a)-rectangular worst case; with more nodes b̂ is a lower bound
+    on it.  Meant for models of a few states: the combinations multiply.
+    """
+    e = model.edges
+    start, _, expanded = product_action_rows(model, fsc)
     transient = sorted({k for k, _, _, _ in expanded})
     if not transient:
         return 0.0
@@ -527,6 +541,50 @@ def robust_chain_lp(chain, maximize=True):
     values = np.zeros(chain.num_states)
     values[rows] = result.x[:num_t]
     return values
+
+
+def per_action_value(model, fsc) -> float:
+    """The per-action robust value c of a controller from the initial belief.
+
+    Nature picks one distribution per (product state, action) row inside that
+    action's box, so the step at (s, n) costs sum_a delta(a) (cost(s, a) +
+    max p.v over box(s, a)); ``build_chain`` merges the actions into one box
+    first, which gives d >= c.  One LP, built as ``robust_chain_lp`` is, with
+    one inner dual (mu, alpha, beta) per (product state, action) row: the
+    least v with v_k >= sum_a delta(a) (cost + mu + hi.alpha - lo.beta) and
+    mu + alpha_i - beta_i >= v of successor i.  Goal states are fixed at zero.
+    Finite values only.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
+    e = model.edges
+    start, order, rows = product_action_rows(model, fsc)
+    num_k, num_r = len(order), len(rows)
+    num_e = sum(len(targets) for *_, targets in rows)
+    # variables: v (K) | mu (R) | alpha (E) | beta (E); constraints: one per state, one per edge
+    entries = [(k, k, -1.0) for k in {k for k, *_ in rows}]   # (constraint, variable, coefficient)
+    b_ub = np.zeros(num_k + num_e)
+    i = 0  # edges so far
+    for j, (k, d, r, targets) in enumerate(rows):
+        b_ub[k] -= d * float(e.cost[r])
+        mu = num_k + j
+        entries.append((k, mu, d))
+        for edge, u in enumerate(targets, start=int(e.offsets[r])):
+            alpha, beta, row = num_k + num_r + i, num_k + num_r + num_e + i, num_k + i
+            entries += [(k, alpha, d * e.hi[edge]), (k, beta, -d * e.lo[edge]),
+                        (row, u, 1.0), (row, mu, -1.0), (row, alpha, -1.0), (row, beta, 1.0)]
+            i += 1
+    at, var, coef = zip(*entries)
+    a_ub = coo_matrix((coef, (at, var)), shape=(num_k + num_e, num_k + num_r + 2 * num_e)).tocsr()
+    objective = np.zeros(num_k + num_r + 2 * num_e)
+    objective[:num_k] = 1.0
+    bounds = ([(0.0, 0.0) if model.is_goal[s] else (None, None) for s, _ in order]
+              + [(None, None)] * num_r + [(0.0, None)] * (2 * num_e))
+    result = linprog(objective, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if result.status != 0:
+        raise ValueError(f"LP oracle failed: {result.message}")
+    return float(sum(model.initial_belief[s] * result.x[k] for k, (s, _) in enumerate(start)))
 
 
 def robust_value_iteration_reference(
@@ -731,47 +789,46 @@ def fsc_fidelity_reference(params, fsc, dataset):
 def build_fsc_reference(params, clustering, model):
     """Controller tables from one ``forward`` call per (node, observation).
 
-    The clustering is re-read one state at a time: the nearest centroid, or
-    the index of the state's code in a private copy of the code table, which
-    only realizable observations extend.  Returns the action map, the
-    memory map and the final code table (None for k-means).
+    The clustering is re-read one state at a time: a state's key is the
+    index of its nearest centroid, or its quantized code as a tuple of ints.
+    Keys are numbered in a private dict in the order realizable observations
+    first reach them.  Returns the action map, the memory map and the node
+    keys in order.
     """
     from robustfsc.extract import _qbn_decode, _qbn_encode, quantize
     from robustfsc.rnn import initial_hidden
 
-    codes = None if clustering.codes is None else list(clustering.codes)
+    qbn = clustering.qbn
 
-    def assign(h, discover):
-        if codes is None:
+    def key_of(h):
+        if qbn is None:
             return int(((clustering.centroids - h) ** 2).sum(axis=1).argmin())
-        qbn = clustering.qbn
-        code = tuple(int(v) for v in quantize(_qbn_encode(qbn, h[None, :])[0], qbn.quant_levels))
-        if discover and code not in codes:
-            codes.append(code)
-        return codes.index(code) if code in codes else None
+        return tuple(int(v) for v in quantize(_qbn_encode(qbn, h[None, :])[0], qbn.quant_levels))
 
-    def represent(node):
-        if codes is None:
-            return clustering.centroids[node]
-        return _qbn_decode(clustering.qbn, np.asarray(codes[node], dtype=np.float64)[None, :])[0]
+    def represent(key):
+        if qbn is None:
+            return clustering.centroids[key]
+        return _qbn_decode(qbn, np.asarray(key, dtype=np.float64)[None, :])[0]
 
     realizable = set(model.realizable_observations())
-    order = [assign(initial_hidden(params), True)]
+    keys = [key_of(initial_hidden(params))]
+    index = {keys[0]: 0}
     rows = []
-    for node in order:
-        rep = represent(node)
+    for key in keys:
+        rep = represent(key)
         row = []
         for z in range(model.num_observations):
             h, dist = forward(params, rep, z)
-            target = assign(h, z in realizable)
-            if z in realizable and target not in order:
-                order.append(target)
+            target = key_of(h)
+            if z in realizable and target not in index:
+                index[target] = len(keys)
+                keys.append(target)
             row.append((dist, target))
         rows.append(row)
     action_map = np.array([[dist for dist, _ in row] for row in rows])
-    memory_map = np.array([[order.index(t) if t in order else n for _, t in row]
+    memory_map = np.array([[index[t] if t in index else n for _, t in row]
                            for n, row in enumerate(rows)])
-    return action_map, memory_map, codes
+    return action_map, memory_map, keys
 
 
 def simulate_reference(model, supervision, num_episodes=256, horizon=200, rng_seed=0):

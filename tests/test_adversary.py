@@ -6,6 +6,7 @@ from oracles import (
     box_simplex_candidates,
     from_rows,
     interval_rows,
+    per_action_value,
     product_chain_cost,
     proxy_objective_of,
     static_worst_case_vertices,
@@ -207,15 +208,20 @@ def test_values_of_another_controller_are_rejected():
     select_worst_case(model, same, evaluated(model, fsc))
 
 
+def one_node_models(count=200):
+    """Random 3-state, 2-action models, each with a random one-node controller."""
+    rng = np.random.default_rng(41)
+    for _ in range(count):
+        model = random_rpomdp(rng, num_states=3, num_actions=2)
+        yield model, random_fsc(rng, 1, model.num_observations, 2)
+
+
 def test_the_adversary_reaches_the_best_vertex_member():
     # a <= b̂ <= d on 3-state models with one-node controllers: a is the exact value of the
     # adversary's member, b̂ the best vertex member's (the static worst case with one node)
     # and d the robust value, whose nature also merges actions
-    rng = np.random.default_rng(41)
     models, reached, above, short = 200, 0, 0, 0
-    for _ in range(models):
-        model = random_rpomdp(rng, num_states=3, num_actions=2)
-        fsc = random_fsc(rng, 1, model.num_observations, 2)
+    for model, fsc in one_node_models(models):
         values = evaluated(model, fsc)
         a = product_chain_cost(select_worst_case(model, fsc, values).worst_case, fsc)
         b = static_worst_case_vertices(model, fsc)
@@ -227,3 +233,33 @@ def test_the_adversary_reaches_the_best_vertex_member():
         short += b > a + slack
     print(f"[static worst case] {models} models: d > b̂ on {above}, b̂ > a on {short}")
     assert reached >= 0.95 * models, reached
+
+
+def test_the_per_action_value_is_the_static_worst_case_with_one_node():
+    # with one node each model row enters one product row, so nature choosing per
+    # (product state, action) is nature choosing per (s, a) once: c equals b̂
+    for model, fsc in one_node_models():
+        b, c = static_worst_case_vertices(model, fsc), per_action_value(model, fsc)
+        assert abs(c - b) <= 1e-9 * abs(b), (b, c)
+
+
+def test_the_four_values_are_ordered_on_small_controllers():
+    # a <= b̂ <= c <= d on 3-state models with controllers of up to 3 nodes: c is the
+    # per-action value, whose nature picks per (product state, action) where d's picks
+    # per product state from the actions' merged box; b̂ is now only a lower bound on
+    # the static worst case
+    rng = np.random.default_rng(43)
+    models, merged, above, short = 100, 0, 0, 0
+    for _ in range(models):
+        model = random_rpomdp(rng, num_states=3, num_actions=2)
+        fsc = random_fsc(rng, int(rng.integers(1, 4)), model.num_observations, 2)
+        values = evaluated(model, fsc)
+        a = product_chain_cost(select_worst_case(model, fsc, values).worst_case, fsc)
+        b, c, d = static_worst_case_vertices(model, fsc), per_action_value(model, fsc), values.at_initial
+        slack = 1e-9 * abs(c)
+        assert a <= b + slack and b <= c + slack and c <= d + slack, (a, b, c, d)
+        merged += d > c + slack
+        above += c > b + slack
+        short += b > a + slack
+    print(f"[per-action value] {models} models, up to 3 nodes: d > c on {merged}, c > b̂ on {above}, "
+          f"b̂ > a on {short}")

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import assert_fields_view_flat, random_rpomdp
 import robustfsc.extract as extract
 from oracles import build_fsc_reference, central_differences, forward, fsc_fidelity_reference
 from robustfsc.extract import (
+    QbnParams,
     _qbn_decode,
     _qbn_encode,
     _qbn_loss_and_grad,
@@ -32,13 +35,21 @@ def make_dataset(num_eps, length, num_obs, num_actions, seed):
 
 
 def assert_tables_match_forward_passes(params, cl, model):
-    """``build_fsc`` against the per-(node, observation) reference loop,
-    including the codes it adds to a bottleneck's table."""
-    expected_actions, expected_memory, expected_codes = build_fsc_reference(params, cl, model)
+    """``build_fsc`` against the per-(node, observation) reference loop;
+    returns the reference's node keys in order."""
+    expected_actions, expected_memory, keys = build_fsc_reference(params, cl, model)
     fsc = build_fsc(params, cl, model)
+    assert fsc.num_nodes == len(keys)
     assert np.array_equal(fsc.memory_map, expected_memory)
     assert np.allclose(fsc.action_map, expected_actions, rtol=0.0, atol=1e-12)
-    assert cl.codes == expected_codes
+    return keys
+
+
+def frozen(cl):
+    """A copy of every field of a clustering, arrays as bytes."""
+    return {name: ((value.quant_levels, value.flat.tobytes()) if isinstance(value, QbnParams) else
+                   value.tobytes() if isinstance(value, np.ndarray) else copy.deepcopy(value))
+            for name, value in vars(cl).items()}
 
 
 class TestCollectHiddenStates:
@@ -139,15 +150,16 @@ class TestQbn:
         point = rng.uniform(-0.5, 0.5, size=(1, 6))
         cl = qbn_fit_posthoc(point, bottleneck=2, quant_levels=3, epochs=500, lr=1e-2, batch_size=32, rng_seed=0)
         assert cl.fit_metric < 1e-3
-        assert len(cl.codes) == 1
+        assert ((cl.represent(cl.assign(point)[0]) - point[0]) ** 2).mean() < 1e-3
 
     def test_codes_within_level_set(self):
         rng = np.random.default_rng(8)
         pts = rng.uniform(-0.8, 0.8, size=(40, 5))
         cl = qbn_fit_posthoc(pts, bottleneck=2, quant_levels=3, epochs=20, lr=1e-3, batch_size=32, rng_seed=1)
-        assert len(cl.codes) <= 3 ** 2
-        for code in cl.codes:
-            assert all(v in (-1, 0, 1) for v in code)
+        keys = set(cl.assign(pts))
+        assert len(keys) <= 3 ** 2
+        for code in keys:
+            assert len(code) == 2 and all(v in (-1, 0, 1) for v in code)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
@@ -155,7 +167,8 @@ class TestQbn:
         a = qbn_fit_posthoc(pts, bottleneck=2, quant_levels=3, epochs=10, lr=1e-3, batch_size=32, rng_seed=2)
         b = qbn_fit_posthoc(pts, bottleneck=2, quant_levels=3, epochs=10, lr=1e-3, batch_size=32, rng_seed=2)
         assert a.fit_metric == b.fit_metric
-        assert a.codes == b.codes
+        assert np.array_equal(a.qbn.flat, b.qbn.flat)
+        assert a.assign(pts) == b.assign(pts)
 
     @pytest.mark.parametrize("levels, n, batch_size", [(3, 70, 32), (2, 64, 16), (3, 5, 32)])
     def test_training_matches_a_loop_over_the_reference(self, levels, n, batch_size):
@@ -177,7 +190,7 @@ class TestQbn:
                 losses.append(loss)
         codes = quantize(_qbn_encode(want, pts), levels).astype(np.int64).tolist()
         assert np.array_equal(got.qbn.flat, want.flat)
-        assert got.codes == list(dict.fromkeys(map(tuple, codes)))
+        assert got.assign(pts) == list(map(tuple, codes))
         assert got.fit_metric == float(np.mean(losses))
 
 
@@ -275,11 +288,26 @@ class TestBuildFsc:
         assert_tables_match_forward_passes(self.params, cl, self.model)
 
     def test_tables_match_forward_passes_qbn_posthoc(self):
-        # this bottleneck knows 2 codes after fitting; build_fsc discovers a third
+        # the fitted points quantize to 2 codes; build_fsc reaches a third
         cl = qbn_fit_posthoc(self.hidden, bottleneck=2, quant_levels=3, epochs=20, lr=1e-3, batch_size=32, rng_seed=0)
-        fitted = len(cl.codes)
-        assert_tables_match_forward_passes(self.params, cl, self.model)
-        assert len(cl.codes) > fitted
+        fitted = set(cl.assign(self.hidden))
+        keys = assert_tables_match_forward_passes(self.params, cl, self.model)
+        assert len(fitted) == 2 and set(keys) - fitted
+
+    @pytest.mark.parametrize("extractor", ["kmeans", "qbn-posthoc"])
+    def test_leaves_the_clustering_as_it_found_it(self, extractor):
+        if extractor == "kmeans":
+            cl = kmeans_fit(self.hidden, 4, rng_seed=1)
+        else:
+            cl = qbn_fit_posthoc(self.hidden, bottleneck=2, quant_levels=3, epochs=20, lr=1e-3, batch_size=32,
+                                 rng_seed=0)
+        before = frozen(cl)
+        first = build_fsc(self.params, cl, self.model)
+        assert frozen(cl) == before
+        second = build_fsc(self.params, cl, self.model)
+        assert (first.num_nodes, first.initial_node) == (second.num_nodes, second.initial_node)
+        assert np.array_equal(first.memory_map, second.memory_map)
+        assert np.array_equal(first.action_map, second.action_map)
 
     def test_all_nodes_reachable(self):
         cl = kmeans_fit(self.hidden, 5, rng_seed=3)
