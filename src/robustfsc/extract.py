@@ -253,7 +253,7 @@ def build_fsc(params: NetworkParams, clustering: Clustering, model: RobustPomdp)
     """
     num_z = model.num_observations
     realizable = np.zeros(num_z, dtype=bool)
-    realizable[model.realizable_observations()] = True
+    realizable[model.obs_of] = True
     realizable = realizable.tolist()
     x = params.emb[np.arange(num_z)]
 

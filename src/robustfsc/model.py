@@ -114,7 +114,7 @@ class RobustPomdp:
         return mask
 
     def realizable_observations(self) -> list[int]:
-        return sorted(set(int(z) for z in self.obs_of))
+        return np.unique(self.obs_of).tolist()
 
 
 class ConcretePomdp(RobustPomdp):

@@ -94,9 +94,6 @@ class FlatParams:
             setattr(self, name, self.flat[lo:hi].reshape(shape))
             lo = hi
 
-    def views(self) -> list[np.ndarray]:
-        return [getattr(self, name) for name, _ in self.layout]
-
     def layers(self, prefix: str) -> list[tuple[np.ndarray, np.ndarray]]:
         """(W, b) views of the dense stack ``prefix``, input layer first."""
         depth = sum(name.startswith(f"{prefix}_w") for name, _ in self.layout)
@@ -116,10 +113,6 @@ class NetworkParams(FlatParams):
     @property
     def hidden_size(self) -> int:
         return self.w_r.shape[0]
-
-    @property
-    def num_actions(self) -> int:
-        return self.head_w3.shape[0]
 
     @cached_property
     def head(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -268,8 +261,8 @@ def _loss_and_grad(
 ):
     """Cross-entropy against the supervision action, plus BPTT grads.
 
-    The loss is sum over unmasked steps of -log pi(a) / normalizer, taken as
-    the cross-entropy with the action's one-hot row; hidden states thread
+    The loss is sum over unmasked steps of -log pi(a) / normalizer, with
+    log pi(a) read at each step's action index; hidden states thread
     from zero within each row.  Padded steps are masked out of both the loss
     and, because padding sits at episode tails, the gradient.
     The gradient is written into ``grad``, zeroed first, when one is given.
@@ -286,8 +279,8 @@ def _loss_and_grad(
         hs[t + 1], (r[t], u[t], rh[t], hc[t]) = _gru_recur(params, hs[t], xr[t], xu[t], xh[t])
     head_cache = []
     log_probs = _head(params, hs[1:], head_cache)
-    targets = np.eye(params.num_actions)[actions.T]  # (T, B, A) one-hot rows, C-contiguous
-    step_ce = (targets * log_probs).sum(axis=-1)
+    chosen = (*np.indices(actions.T.shape), actions.T)  # each step's action index in log_probs
+    step_ce = log_probs[chosen]
     loss = 0.0
     for t in range(t_max):
         loss -= float(step_ce[t] @ mask[:, t])
@@ -295,7 +288,9 @@ def _loss_and_grad(
 
     g = params.zeros_like() if grad is None else grad
     g.flat[...] = 0.0
-    dlogits = (np.exp(log_probs) - targets) * (mask.T[:, :, None] / normalizer)
+    dlogits = np.exp(log_probs)
+    dlogits[chosen] -= 1.0
+    dlogits *= mask.T[:, :, None] / normalizer
     dh_head = dense_backward(params.head, HEAD_ACTIVATIONS, head_cache, dlogits, g.head)
     h_prev = hs[:-1]
     gap, keep, dtanh, r_keep = h_prev - hc, 1.0 - u, 1.0 - hc * hc, 1.0 - r
@@ -324,38 +319,6 @@ def _loss_and_grad(
     return loss, g
 
 
-class Adam:
-    """Adam (Kingma & Ba 2015) over the ``flat`` vector of a FlatParams.
-
-    With ``clip_norm`` set, each step first rescales the gradients in place so
-    their global norm is at most ``clip_norm``.
-    """
-
-    def __init__(self, params: FlatParams, lr: float, clip_norm: float | None = None):
-        self.lr = lr
-        self.clip_norm = clip_norm
-        self.m = np.zeros_like(params.flat)
-        self.v = np.zeros_like(params.flat)
-        self.step_count = 0
-
-    def step(self, params: FlatParams, grads: FlatParams) -> None:
-        """One update of ``params`` in place."""
-        g = grads.flat
-        if self.clip_norm is not None:
-            # summed per array, so the rounding is that of separate arrays
-            norm = np.sqrt(sum(float((a * a).sum()) for a in grads.views()))
-            if norm > self.clip_norm and norm > 0.0:
-                g *= self.clip_norm / norm
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        self.step_count += 1
-        correction = np.sqrt(1.0 - beta2**self.step_count) / (1.0 - beta1**self.step_count)
-        self.m *= beta1
-        self.m += (1.0 - beta1) * g
-        self.v *= beta2
-        self.v += (1.0 - beta2) * g * g
-        params.flat -= self.lr * correction * self.m / (np.sqrt(self.v) + eps)
-
-
 def shuffled_batches(items: int | np.ndarray, epochs: int, batch_size: int, rng_seed: int | tuple[int, ...]):
     """Each epoch one ``rng.permutation(items)`` cut into batches of
     ``batch_size``, the last one short when the count does not divide."""
@@ -367,18 +330,33 @@ def shuffled_batches(items: int | np.ndarray, epochs: int, batch_size: int, rng_
 
 
 def descend(params: FlatParams, batches, loss_and_grad, lr: float, clip_norm: float | None, what: str) -> list[float]:
-    """Adam on ``params`` in place, one step per batch (a tuple of arguments
-    to ``loss_and_grad(params, *batch, grad=...)``, which writes into one
-    reused buffer); returns the per-batch losses.  A non-finite loss raises
-    DivergenceError before its step."""
-    opt = Adam(params, lr, clip_norm)
+    """Adam (Kingma & Ba 2015) on ``params.flat`` in place, one step per
+    batch (a tuple of arguments to ``loss_and_grad(params, *batch, grad=...)``,
+    which writes into one reused buffer); returns the per-batch losses.  A
+    non-finite loss raises DivergenceError before its step.
+
+    With ``clip_norm`` set, each step first rescales the gradient in place so
+    its norm is at most ``clip_norm``.
+    """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     grad = params.zeros_like()
+    g = grad.flat
+    m, v = np.zeros_like(g), np.zeros_like(g)
     trace: list[float] = []
-    for batch in batches:
+    for t, batch in enumerate(batches, start=1):
         loss, _ = loss_and_grad(params, *batch, grad=grad)
         if not np.isfinite(loss):
-            raise DivergenceError(f"{what} became non-finite at step {len(trace)}")
-        opt.step(params, grad)
+            raise DivergenceError(f"{what} became non-finite at step {t - 1}")
+        if clip_norm is not None:
+            norm = np.sqrt(g @ g)
+            if norm > clip_norm:
+                g *= clip_norm / norm
+        correction = np.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        params.flat -= lr * correction * m / (np.sqrt(v) + eps)
         trace.append(loss)
     return trace
 

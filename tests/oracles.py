@@ -468,7 +468,7 @@ def scalar_gru_forward(params, hidden, z):
     """Pure-Python float re-implementation of one forward step."""
     d = params.hidden_size
     e = params.emb.shape[1]
-    na = params.num_actions
+    na = params.head_w3.shape[0]
     x = [float(params.emb[z, j]) for j in range(e)]
     h = [float(v) for v in hidden]
 
@@ -890,7 +890,7 @@ def loss_and_grad_reference(params, zs, actions, mask, normalizer):
     gru_caches = []
     head_caches = []
     log_probs_t = []
-    mus = np.eye(params.num_actions)[actions]  # (B, T, A) one-hot rows
+    mus = np.eye(params.head_w3.shape[0])[actions]  # (B, T, A) one-hot rows
     loss = 0.0
     for t in range(t_max):
         x = params.emb[zs[:, t]]
@@ -944,6 +944,31 @@ def _gru_backward_reference(params, cache, dh, g):
     dh_prev += dpre_r @ params.u_r
     dx = dpre_r @ params.w_r + dpre_u @ params.w_u + dpre_h @ params.w_h
     return dh_prev, dx
+
+
+class AdamReference:
+    """Adam (Kingma & Ba 2015) on a flat parameter vector, written out step
+    by step: moments, bias correction and, with ``clip_norm`` set, each
+    gradient first rescaled to norm at most ``clip_norm`` (its norm taken as
+    sqrt(g @ g))."""
+
+    def __init__(self, size, lr, clip_norm=None):
+        self.lr, self.clip_norm = lr, clip_norm
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self.t = 0
+
+    def step(self, flat, grad):
+        """Update ``flat`` in place from the gradient vector ``grad`` (left
+        as it is); returns whether the gradient was clipped."""
+        self.t += 1
+        norm = np.sqrt(grad @ grad)
+        clipped = self.clip_norm is not None and norm > self.clip_norm
+        g = grad * (self.clip_norm / norm) if clipped else grad
+        self.m = 0.9 * self.m + (1.0 - 0.9) * g
+        self.v = 0.999 * self.v + (1.0 - 0.999) * g * g
+        correction = np.sqrt(1.0 - 0.999**self.t) / (1.0 - 0.9**self.t)
+        flat -= self.lr * correction * self.m / (np.sqrt(self.v) + 1e-8)
+        return clipped
 
 
 def worst_case_weights_reference(model, fsc, values):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import assert_fields_view_flat, random_rpomdp
 import robustfsc.extract as extract
-from oracles import build_fsc_reference, central_differences, forward, fsc_fidelity_reference
+from oracles import AdamReference, build_fsc_reference, central_differences, forward, fsc_fidelity_reference
 from robustfsc.extract import (
     QbnParams,
     _qbn_decode,
@@ -19,7 +19,7 @@ from robustfsc.extract import (
     qbn_init,
     quantize,
 )
-from robustfsc.rnn import Adam, init_params, initial_hidden, tanh_flat
+from robustfsc.rnn import init_params, initial_hidden, tanh_flat
 from robustfsc.simulate import Episode, Step, TrajectoryDataset
 
 
@@ -179,14 +179,14 @@ class TestQbn:
         got = qbn_fit_posthoc(pts, bottleneck=2, quant_levels=levels, epochs=epochs, lr=lr,
                               batch_size=batch_size, rng_seed=seed)
         want = qbn_init(5, 2, levels, rng_seed=seed)
-        opt = Adam(want, lr)
+        opt = AdamReference(want.flat.size, lr)
         rng = np.random.default_rng((seed, 1))
         for _ in range(epochs):
             order = rng.permutation(n)
             losses = []
             for lo in range(0, n, batch_size):
                 loss, grad = _qbn_loss_and_grad(want, pts[order[lo:lo + batch_size]])
-                opt.step(want, grad)
+                opt.step(want.flat, grad.flat)
                 losses.append(loss)
         codes = quantize(_qbn_encode(want, pts), levels).astype(np.int64).tolist()
         assert np.array_equal(got.qbn.flat, want.flat)

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import assert_fields_view_flat
 from oracles import (
+    AdamReference,
     central_differences,
     forward,
     gradient_check,
@@ -11,16 +12,17 @@ from oracles import (
     scalar_gru_forward,
     sigmoid_reference,
 )
+from robustfsc import rnn
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import nominal_midpoint
 from robustfsc.rnn import (
-    Adam,
     FlatParams,
     _loss_and_grad,
     _sigmoid,
     dense_backward,
     dense_forward,
     dense_layout,
+    descend,
     episode_batches,
     init_params,
     initial_hidden,
@@ -269,19 +271,32 @@ class TestMatchesPerStepReference:
         assert reused is dirty
         assert np.array_equal(reused.flat, fresh.flat)
 
-    def test_training_matches_a_loop_over_the_reference(self):
+    @staticmethod
+    def assert_training_matches_the_reference(clip_norm):
+        """train_epochs equals a loop of loss_and_grad_reference and
+        AdamReference steps bit for bit; returns the number of clipped steps."""
         ds, start = fib_dataset(horizon=50, episodes=40)
         got, got_trace = train_epochs(start, ds, epochs=3, batch_size=16, lr=1e-3, rng_seed=(3, 0, 4))
         want = start.copy()
-        opt = Adam(want, 1e-3, 5.0)
-        want_trace = []
+        opt = AdamReference(want.flat.size, 1e-3, clip_norm)
+        want_trace, clipped = [], 0
         for zs, actions, mask, normalizer in episode_batches(ds, 3, 16, rng_seed=(3, 0, 4)):
             batch_loss, grad = loss_and_grad_reference(want, zs, actions, mask, normalizer)
-            opt.step(want, grad)
+            clipped += opt.step(want.flat, grad.flat)
             want_trace.append(batch_loss)
         assert len(got_trace) == 9
         assert got_trace == want_trace
         assert np.array_equal(got.flat, want.flat)
+        return clipped
+
+    def test_training_matches_a_loop_over_the_reference(self):
+        assert self.assert_training_matches_the_reference(5.0) == 0
+
+    def test_training_clips_every_step_below_the_observed_norms(self, monkeypatch):
+        """Training clips inside the real loop, before the moment update,
+        by the norm of the flat gradient; no planner run reaches this path."""
+        monkeypatch.setattr(rnn, "CLIP_NORM", 1e-2)
+        assert self.assert_training_matches_the_reference(1e-2) == 9
 
 
 def test_sigmoid_matches_the_masked_form():
@@ -296,11 +311,17 @@ def test_sigmoid_matches_the_masked_form():
 
 
 def pair(a, b):
-    """Smallest parameter container Adam accepts: two arrays on one vector."""
+    """Smallest parameter container descend accepts: two arrays on one vector."""
     p = FlatParams((("a", (3,)), ("b", (2, 2))))
     p.a[...] = a
     p.b[...] = b
     return p
+
+
+def write_gradient(params, g, grad):
+    """A stand-in loss_and_grad: writes the fixed gradient ``g`` into ``grad``."""
+    grad.flat[...] = g.flat
+    return 0.0, grad
 
 
 class TestAdam:
@@ -313,16 +334,16 @@ class TestAdam:
         lr = 0.01
 
         params = start.copy()
-        opt = Adam(params, lr, clip_norm)
-        for g in grads:
-            opt.step(params, g.copy())
+        trace = descend(params, [(g,) for g in grads], write_gradient, lr, clip_norm, "stub loss")
+        assert trace == [0.0, 0.0]
 
         expected = [start.a.copy(), start.b.copy()]
         m = [np.zeros(3), np.zeros((2, 2))]
         v = [np.zeros(3), np.zeros((2, 2))]
         for t, g in enumerate(grads, start=1):
             flat = [g.a, g.b]
-            norm = np.sqrt(float((g.a * g.a).sum()) + float((g.b * g.b).sum()))
+            joined = np.concatenate([g.a.ravel(), g.b.ravel()])
+            norm = np.sqrt(joined @ joined)
             assert (norm > clip_norm) == clipped
             if clipped:
                 flat = [x * (clip_norm / norm) for x in flat]
