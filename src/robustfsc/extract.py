@@ -28,13 +28,12 @@ from robustfsc.model import Fsc, RobustPomdp
 from robustfsc.rnn import (
     FlatParams,
     NetworkParams,
-    _gru_step,
+    _gru_recur,
     dense_backward,
     dense_forward,
     dense_init,
     dense_layout,
     descend,
-    initial_hidden,
     policy_distribution,
     shuffled_batches,
 )
@@ -48,7 +47,8 @@ def collect_hidden_states(params: NetworkParams, dataset: TrajectoryDataset) -> 
     hs = np.empty(zs.shape + (params.hidden_size,))
     h = np.zeros((len(zs), params.hidden_size))
     for t in range(zs.shape[1]):
-        h, _ = _gru_step(params, h, params.emb[zs[:, t]])
+        x = params.emb[zs[:, t]]
+        h, _ = _gru_recur(params, h, x @ params.w_r.T, x @ params.w_u.T, x @ params.w_h.T)
         hs[:, t] = h
     return hs[dataset.mask > 0.0]
 
@@ -246,7 +246,8 @@ def build_fsc(params: NetworkParams, clustering: Clustering, model: RobustPomdp)
     Starting from the node of the zero hidden state, each node is expanded
     with one network step from its representative over every observation:
     the action distributions become its action rows and the nodes of the
-    new hidden states its memory successors.  Only realizable observations
+    new hidden states its memory successors; the observations' input
+    projections are computed once for all nodes.  Only realizable observations
     spawn nodes, so every node is reachable, numbered in the order the
     search first meets it; an entry whose target is not a node (only an
     unrealizable observation's can be) points back at its source node.
@@ -255,13 +256,13 @@ def build_fsc(params: NetworkParams, clustering: Clustering, model: RobustPomdp)
     realizable = np.zeros(num_z, dtype=bool)
     realizable[model.obs_of] = True
     realizable = realizable.tolist()
-    x = params.emb[np.arange(num_z)]
+    projections = [params.emb @ w.T for w in (params.w_r, params.w_u, params.w_h)]
 
-    nodes = clustering.assign(initial_hidden(params)[None])
+    nodes = clustering.assign(np.zeros((1, params.hidden_size)))
     number = {nodes[0]: 0}
     action_rows, targets = [], []
     for node in nodes:
-        h_next, _ = _gru_step(params, np.tile(clustering.represent(node), (num_z, 1)), x)
+        h_next, _ = _gru_recur(params, np.tile(clustering.represent(node), (num_z, 1)), *projections)
         target = clustering.assign(h_next)
         for key in compress(target, realizable):
             if key not in number:
@@ -283,20 +284,15 @@ def fsc_fidelity(params: NetworkParams, fsc: Fsc, dataset: TrajectoryDataset, hi
 
     ``hidden`` is what collect_hidden_states returned for these parameters
     and this dataset, the states the extraction clustered; the network is
-    not replayed.  The policy head runs once, on the states stacked
-    time-major, one (episodes, d) batch per step.
+    not replayed.  The policy head runs once, on those states; only the
+    controller's node is replayed, step by step over all episodes at once.
     """
     if dataset.num_steps == 0:
         return 0.0
     zs = dataset.observations
+    nodes = np.full_like(zs, fsc.initial_node)
+    for t in range(1, zs.shape[1]):
+        nodes[:, t] = fsc.memory_map[nodes[:, t - 1], zs[:, t - 1]]
     recorded = dataset.mask > 0.0
-    hs = np.zeros((zs.shape[1], len(zs), params.hidden_size))
-    hs.swapaxes(0, 1)[recorded] = hidden
-    dist = policy_distribution(params, hs)
-    node = np.full(len(zs), fsc.initial_node)
-    total = 0.0
-    for t in range(zs.shape[1]):
-        gap = np.abs(dist[t] - fsc.action_map[node, zs[:, t]])
-        total += 0.5 * float(gap.sum(axis=1)[recorded[:, t]].sum())
-        node = fsc.memory_map[node, zs[:, t]]
-    return total / dataset.num_steps
+    gap = np.abs(policy_distribution(params, hidden) - fsc.action_map[nodes[recorded], zs[recorded]])
+    return 0.5 * float(gap.sum()) / dataset.num_steps

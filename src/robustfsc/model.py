@@ -396,6 +396,12 @@ def sample_member(model: RobustPomdp, rng_seed: int | tuple[int, ...]) -> Concre
     return _projected(model, np.random.default_rng(rng_seed).uniform(e.lo, e.hi))
 
 
+class DivergenceError(RuntimeError):
+    """A computation left its bounds: value iteration used up its sweep
+    budget, robust policy iteration revisited a member, or the GRU or
+    bottleneck training loss turned non-finite.  The CLI exits 3 on it."""
+
+
 class InconsistentHistoryError(ValueError):
     """Raised when an observation has probability zero under the belief."""
 

@@ -59,9 +59,10 @@ class RunConfig:
             raise ValueError(f"supervision must be one of {SUPERVISIONS}")
         if self.extractor not in EXTRACTORS:
             raise ValueError(f"extractor must be one of {EXTRACTORS}")
-        for name in ("iterations", "episodes", "horizon", "hidden_size", "embed_size",
-                     "clusters", "bottleneck", "epochs_per_iteration"):
-            if getattr(self, name) < 0 or (name not in ("iterations",) and getattr(self, name) == 0):
+        if self.iterations < 0:
+            raise ValueError("iterations must be nonnegative")
+        for name in ("episodes", "horizon", "hidden_size", "embed_size", "clusters", "bottleneck", "epochs_per_iteration"):
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")

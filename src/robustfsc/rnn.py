@@ -42,8 +42,8 @@ from functools import cached_property
 
 import numpy as np
 
+from robustfsc.model import DivergenceError
 from robustfsc.simulate import TrajectoryDataset
-from robustfsc.solvers import DivergenceError
 
 HEAD_WIDTH = 32
 CLIP_NORM = 5.0  # train_epochs rescales each step's gradients to at most this global norm
@@ -228,12 +228,6 @@ def _gru_recur(p: NetworkParams, h: np.ndarray, xr: np.ndarray, xu: np.ndarray, 
     return u * h + (1.0 - u) * hc, (r, u, rh, hc)
 
 
-def _gru_step(p: NetworkParams, h: np.ndarray, x: np.ndarray):
-    """One batched GRU step; returns the new hidden state and the cache."""
-    h_new, (r, u, rh, hc) = _gru_recur(p, h, x @ p.w_r.T, x @ p.w_u.T, x @ p.w_h.T)
-    return h_new, (h, x, r, u, rh, hc)
-
-
 def _head(p: NetworkParams, h: np.ndarray, cache: list | None = None) -> np.ndarray:
     """Two rectifier layers then softmax; returns log-probabilities (see
     dense_forward for ``cache``)."""
@@ -245,10 +239,6 @@ def _head(p: NetworkParams, h: np.ndarray, cache: list | None = None) -> np.ndar
 def policy_distribution(params: NetworkParams, hidden: np.ndarray) -> np.ndarray:
     """Action distribution of the policy head at each row of ``hidden``."""
     return np.exp(_head(params, hidden))
-
-
-def initial_hidden(params: NetworkParams) -> np.ndarray:
-    return np.zeros(params.hidden_size)
 
 
 def _loss_and_grad(

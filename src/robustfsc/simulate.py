@@ -4,11 +4,14 @@ as one dataset of zero-padded arrays; beliefs live only inside ``simulate``."""
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from robustfsc.model import Belief, ConcretePomdp, Edges, belief_updates
-from robustfsc.solvers import SupervisionBound
+
+if TYPE_CHECKING:
+    from robustfsc.solvers import SupervisionBound
 
 
 @dataclass

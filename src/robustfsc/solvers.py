@@ -22,17 +22,11 @@ from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra, reverse_cuthill_mckee
 from scipy.sparse.linalg import SuperLU, spilu, splu
 
-from robustfsc.model import Belief, ConcretePomdp
+from robustfsc.model import Belief, ConcretePomdp, DivergenceError
 
 MAX_SWEEPS = 200_000  # sweep budget of each bound
 STAGNATION_STEPS = 4  # BiCGSTAB steps in a row that may leave its best residual where it was
 EXACT_BELOW = 500  # transient states below which a chain's first member is factored exactly, not by an ILU
-
-
-class DivergenceError(RuntimeError):
-    """A computation left its bounds: value iteration used up its sweep
-    budget, robust policy iteration revisited a member, or the GRU or
-    bottleneck training loss turned non-finite.  The CLI exits 3 on it."""
 
 
 @dataclass

@@ -54,7 +54,7 @@ from robustfsc.model import (
     check_boxes,
 )
 from robustfsc.modelio import FSC_HEADER, MAX_FSC_ENTRIES, MODEL_HEADER, ModelDocument, ModelFormatError
-from robustfsc.rnn import _gru_step, _loss_and_grad, policy_distribution
+from robustfsc.rnn import _gru_recur, _loss_and_grad, policy_distribution
 from robustfsc.robusteval import RobustChain, RobustValues, _infinite_set, box_simplex_greedy
 from robustfsc.solvers import ChainSolver, DivergenceError
 
@@ -151,10 +151,18 @@ def belief_update(model, b, a, z):
     return belief_updates(model, b[None, :], np.array([a]), np.array([z]))[0]
 
 
+def gru_step(params, h, x):
+    """One batched GRU step on the embedded inputs ``x``, each row's input
+    projections x W_*^T computed here; returns the new hidden state and the
+    cache (h, x, r, u, rh, hc) that ``_gru_backward_reference`` reads."""
+    h_new, (r, u, rh, hc) = _gru_recur(params, h, x @ params.w_r.T, x @ params.w_u.T, x @ params.w_h.T)
+    return h_new, (h, x, r, u, rh, hc)
+
+
 def forward(params, hidden, z):
     """The network consumes observation ``z`` at ``hidden``: the new hidden state and
     the action distribution there."""
-    h_new, _ = _gru_step(params, hidden[None, :], params.emb[z][None, :])
+    h_new, _ = gru_step(params, hidden[None, :], params.emb[z][None, :])
     return h_new[0], policy_distribution(params, h_new)[0]
 
 
@@ -768,14 +776,12 @@ def reference_member(model, start, rng=None):
 def fsc_fidelity_reference(params, fsc, dataset):
     """Mean total-variation gap between network and controller, one
     ``forward`` call per recorded step."""
-    from robustfsc.rnn import initial_hidden
-
     if dataset.num_steps == 0:
         return 0.0
     total = 0.0
     count = 0
     for zs, length in zip(dataset.observations.tolist(), dataset.lengths.tolist()):
-        h = initial_hidden(params)
+        h = np.zeros(params.hidden_size)
         node = fsc.initial_node
         for z in zs[:length]:
             h, dist_net = forward(params, h, z)
@@ -784,6 +790,31 @@ def fsc_fidelity_reference(params, fsc, dataset):
             node = int(fsc.memory_map[node, z])
             count += 1
     return total / count
+
+
+def build_fsc_per_node_reference(params, clustering, model):
+    """Controller tables from one batched ``gru_step`` per node over every
+    observation, each node computing the input projections of the embedding
+    table afresh.  Nodes are numbered as ``build_fsc`` numbers them: in the
+    order realizable observations first reach them.  Returns the action map
+    and the memory map."""
+    realizable = set(model.realizable_observations())
+    x = params.emb[np.arange(model.num_observations)]
+    keys = clustering.assign(np.zeros((1, params.hidden_size)))
+    index = {keys[0]: 0}
+    action_rows, targets = [], []
+    for key in keys:
+        rep = np.tile(clustering.represent(key), (model.num_observations, 1))
+        h, _ = gru_step(params, rep, x)
+        target = clustering.assign(h)
+        for z, t in enumerate(target):
+            if z in realizable and t not in index:
+                index[t] = len(keys)
+                keys.append(t)
+        action_rows.append(policy_distribution(params, h))
+        targets.append(target)
+    memory_map = np.array([[index.get(t, n) for t in target] for n, target in enumerate(targets)])
+    return np.array(action_rows), memory_map
 
 
 def build_fsc_reference(params, clustering, model):
@@ -796,7 +827,6 @@ def build_fsc_reference(params, clustering, model):
     keys in order.
     """
     from robustfsc.extract import _qbn_decode, _qbn_encode, quantize
-    from robustfsc.rnn import initial_hidden
 
     qbn = clustering.qbn
 
@@ -811,7 +841,7 @@ def build_fsc_reference(params, clustering, model):
         return _qbn_decode(qbn, np.asarray(key, dtype=np.float64)[None, :])[0]
 
     realizable = set(model.realizable_observations())
-    keys = [key_of(initial_hidden(params))]
+    keys = [key_of(np.zeros(params.hidden_size))]
     index = {keys[0]: 0}
     rows = []
     for key in keys:
@@ -882,7 +912,7 @@ def loss_and_grad_reference(params, zs, actions, mask, normalizer):
     states thread from zero within each row.  Padded steps are masked out of
     both the loss and, because padding sits at episode tails, the gradient.
     """
-    from robustfsc.rnn import HEAD_ACTIVATIONS, _gru_step, _head, dense_backward
+    from robustfsc.rnn import HEAD_ACTIVATIONS, _head, dense_backward
 
     b, t_max = zs.shape
     d = params.hidden_size
@@ -894,7 +924,7 @@ def loss_and_grad_reference(params, zs, actions, mask, normalizer):
     loss = 0.0
     for t in range(t_max):
         x = params.emb[zs[:, t]]
-        h, gcache = _gru_step(params, h, x)
+        h, gcache = gru_step(params, h, x)
         hcache = []
         log_probs = _head(params, h, hcache)
         loss -= float((mus[:, t] * log_probs).sum(axis=1) @ mask[:, t])

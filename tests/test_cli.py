@@ -152,6 +152,14 @@ def test_solve_refuses_a_negative_seed(model_file, capsys):
     assert main(solve + ["--seed", "0"]) == 0
 
 
+def test_solve_refuses_a_negative_iteration_count(model_file, tmp_path, capsys):
+    # zero iterations is a valid run, so only a negative count is refused
+    solve = ["solve", "--model", model_file, "--episodes", "4", "--horizon", "5", "--out", str(tmp_path / "run")]
+    assert main(solve + ["--iters", "-1"]) == 2
+    assert capsys.readouterr().err == "error: iterations must be nonnegative\n"
+    assert main(solve + ["--iters", "0"]) == 0
+
+
 def test_solve_writes_artifacts(tmp_path, capsys):
     model = tmp_path / "grid.rpomdp"
     assert main(["gen-grid", "--kind", "avoid", "--width", "3", "--height", "3",

@@ -1,11 +1,23 @@
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import assert_fields_view_flat, random_rpomdp
+import robustfsc
 import robustfsc.extract as extract
-from oracles import AdamReference, build_fsc_reference, central_differences, forward, fsc_fidelity_reference
+from oracles import (
+    AdamReference,
+    build_fsc_per_node_reference,
+    build_fsc_reference,
+    central_differences,
+    forward,
+    fsc_fidelity_reference,
+)
 from robustfsc.extract import (
     QbnParams,
     _qbn_decode,
@@ -19,7 +31,7 @@ from robustfsc.extract import (
     qbn_init,
     quantize,
 )
-from robustfsc.rnn import init_params, initial_hidden, tanh_flat
+from robustfsc.rnn import init_params, tanh_flat
 from robustfsc.simulate import Episode, Step, TrajectoryDataset
 
 
@@ -64,7 +76,7 @@ class TestCollectHiddenStates:
         states = collect_hidden_states(p, ds)
         assert states.shape == (3, 3)
         # replay manually
-        h = initial_hidden(p)
+        h = np.zeros(p.hidden_size)
         for t, z in enumerate(ds.observations[0].tolist()):
             h, _ = forward(p, h, z)
             assert np.allclose(states[t], h, atol=1e-12)
@@ -346,7 +358,7 @@ class TestBatchedReplay:
         states = collect_hidden_states(self.params, self.dataset)
         expected = []
         for zs, length in zip(self.dataset.observations.tolist(), self.dataset.lengths.tolist()):
-            h = initial_hidden(self.params)
+            h = np.zeros(self.params.hidden_size)
             for z in zs[:length]:
                 h, _ = forward(self.params, h, z)
                 expected.append(h)
@@ -374,3 +386,28 @@ class TestBatchedReplay:
         # seen, others known codes that never become nodes
         cl = qbn_fit_posthoc(hidden, bottleneck=3, quant_levels=2, epochs=5, lr=1e-3, batch_size=32, rng_seed=2)
         assert_tables_match_forward_passes(self.params, cl, self.model)
+
+    @pytest.mark.parametrize("extractor", ["kmeans", "qbn-posthoc"])
+    def test_tables_equal_a_reference_that_projects_per_node(self, extractor):
+        # build_fsc projects the embedding table once; recomputing it for
+        # every node, as one step over all observations does, gives the same bits
+        hidden = collect_hidden_states(self.params, self.dataset)
+        if extractor == "kmeans":
+            cl = kmeans_fit(hidden, 4, rng_seed=0)
+        else:
+            cl = qbn_fit_posthoc(hidden, bottleneck=3, quant_levels=2, epochs=5, lr=1e-3, batch_size=32, rng_seed=2)
+        fsc = build_fsc(self.params, cl, self.model)
+        action_map, memory_map = build_fsc_per_node_reference(self.params, cl, self.model)
+        assert fsc.num_nodes > 1
+        assert np.array_equal(fsc.action_map, action_map)
+        assert np.array_equal(fsc.memory_map, memory_map)
+
+
+def test_importing_extract_loads_no_scipy():
+    # extract, rnn and simulate take DivergenceError from model and import
+    # SupervisionBound only for annotations, so scipy (loaded by solvers) stays out
+    src = str(Path(robustfsc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, robustfsc.extract; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

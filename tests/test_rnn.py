@@ -25,7 +25,6 @@ from robustfsc.rnn import (
     descend,
     episode_batches,
     init_params,
-    initial_hidden,
     train_epochs,
 )
 from robustfsc.simulate import Episode, Step, TrajectoryDataset, simulate
@@ -71,7 +70,7 @@ class TestForward:
     def test_distribution_normalized(self):
         rng = np.random.default_rng(2)
         p = init_params(4, 3, hidden_size=6, embed_size=3, rng_seed=2)
-        h = initial_hidden(p)
+        h = np.zeros(p.hidden_size)
         for z in range(4):
             h, dist = forward(p, h, z)
             assert abs(dist.sum() - 1.0) < 1e-12
@@ -123,7 +122,7 @@ class TestLoss:
         total = 0.0
         count = 0
         for zs, actions, length in zip(ds.observations, ds.actions, ds.lengths):
-            h = initial_hidden(p)
+            h = np.zeros(p.hidden_size)
             for z, a in zip(zs[:length], actions[:length]):
                 h, dist = forward(p, h, int(z))
                 total -= float(np.log(dist[a]))
