@@ -51,7 +51,7 @@ def select_worst_case(model: RobustPomdp, fsc: Fsc, values: RobustValues) -> Adv
     the true cost increase of re-running evaluation on the returned member.
     """
     chain, e = values.chain, model.edges
-    if not (np.array_equal(chain.fsc.action_map, fsc.action_map)
+    if not (chain.fsc.initial_node == fsc.initial_node and np.array_equal(chain.fsc.action_map, fsc.action_map)
             and np.array_equal(chain.fsc.memory_map, fsc.memory_map)):
         raise ValueError("values were computed for a different controller")
     weight = np.bincount(chain.term_edge, chain.term_weight * values.values[chain.term_succ], len(e.succ))

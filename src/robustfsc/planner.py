@@ -68,6 +68,8 @@ class RunConfig:
             raise ValueError("seed must be nonnegative")
         if not 0.0 < self.learning_rate < np.inf:  # also catches NaN
             raise ValueError("learning_rate must be positive and finite")
+        if self.target_value is not None and np.isnan(self.target_value):
+            raise ValueError("target_value must not be NaN")
         if self.quant_levels not in QUANT_LEVELS:
             raise ValueError(f"quant_levels must be one of {QUANT_LEVELS}")
 
@@ -103,11 +105,6 @@ def run(config: RunConfig, model: RobustPomdp) -> RunResult:
     if not report.ok:
         raise ValueError(f"model invalid:\n{report}")
 
-    if config.method == "baseline-random":
-        instance = sample_member(model, (config.seed, 0, 0))
-    else:
-        instance = nominal_midpoint(model)
-
     params = init_params(
         model.num_observations,
         model.num_actions,
@@ -123,6 +120,12 @@ def run(config: RunConfig, model: RobustPomdp) -> RunResult:
     for it in range(config.iterations):
         t_start = time.perf_counter()
         try:
+            if config.method == "baseline-random":
+                instance = sample_member(model, (config.seed, it, 0))
+            elif it == 0:
+                instance = nominal_midpoint(model)
+            elif config.method == "pip" and np.isfinite(robust_value):
+                instance = select_worst_case(model, fsc, values).worst_case
             supervision = (solve_mdp if config.supervision == "qmdp" else solve_fib)(instance)
             dataset = simulate(
                 instance, supervision,
@@ -157,8 +160,7 @@ def run(config: RunConfig, model: RobustPomdp) -> RunResult:
             del dataset, hidden, points
 
             if robust_value < best_value:
-                best_value = robust_value
-                best_fsc = fsc
+                best_value, best_fsc = robust_value, fsc
 
             # the mean over the last epoch; every epoch has the same number of batches
             last_epoch = trace[len(trace) - len(trace) // config.epochs_per_iteration:]
@@ -176,12 +178,6 @@ def run(config: RunConfig, model: RobustPomdp) -> RunResult:
 
             if config.target_value is not None and best_value <= config.target_value:
                 break
-
-            if config.method == "pip":
-                if np.isfinite(robust_value):
-                    instance = select_worst_case(model, fsc, values).worst_case
-            elif config.method == "baseline-random":
-                instance = sample_member(model, (config.seed, it + 1, 0))
         except DivergenceError as err:
             raise DivergenceError(f"iteration {it}: {err}") from err
 

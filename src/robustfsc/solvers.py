@@ -218,7 +218,8 @@ def _error_bound(member: csr_matrix, cost: np.ndarray, x: np.ndarray) -> float:
 def _sweep(model: ConcretePomdp, backup, iterate, tol: float, name: str) -> SupervisionBound:
     """Jacobi sweeps x <- iterate(backup(x)) from the table q = 0, +inf on the states
     from which no action sequence reaches a goal.  Stops once no finite entry of x
-    moves by ``tol``; raises DivergenceError after ``MAX_SWEEPS`` sweeps."""
+    moves by ``tol`` and none turns infinite; raises DivergenceError after
+    ``MAX_SWEEPS`` sweeps."""
     q = np.zeros((model.num_states, model.num_actions))
     hops = _hops_to(model.edges.row // model.num_actions, model.edges.succ, model.num_states)(model.is_goal)
     q[np.isinf(hops)] = np.inf
@@ -228,8 +229,9 @@ def _sweep(model: ConcretePomdp, backup, iterate, tol: float, name: str) -> Supe
         x_new = iterate(q)
         finite = np.isfinite(x_new) & np.isfinite(x)
         change = np.max(np.abs(x_new[finite] - x[finite]), initial=0.0)
+        settled = change < tol and np.array_equal(finite, np.isfinite(x))  # values only rise: none turned infinite
         x = x_new
-        if change < tol:
+        if settled:
             return SupervisionBound(q)
     raise DivergenceError(f"{name} did not converge in {MAX_SWEEPS} sweeps")
 

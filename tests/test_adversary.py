@@ -206,6 +206,14 @@ def test_values_of_another_controller_are_rejected():
         select_worst_case(model, other, evaluated(model, fsc))
     same = Fsc(fsc.num_nodes, fsc.initial_node, fsc.action_map.copy(), fsc.memory_map.copy())
     select_worst_case(model, same, evaluated(model, fsc))
+    # the same maps from the other node: a different controller, with a different value
+    assert other.num_nodes == 2
+    moved = Fsc(2, 1 - other.initial_node, other.action_map, other.memory_map)
+    assert evaluated(model, moved).at_initial != evaluated(model, other).at_initial
+    with pytest.raises(ValueError, match="different controller"):
+        select_worst_case(model, moved, evaluated(model, other))
+    with pytest.raises(ValueError, match="different controller"):
+        select_worst_case(model, other, evaluated(model, moved))
 
 
 def one_node_models(count=200):

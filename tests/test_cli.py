@@ -152,6 +152,16 @@ def test_solve_refuses_a_negative_seed(model_file, capsys):
     assert main(solve + ["--seed", "0"]) == 0
 
 
+def test_solve_refuses_a_nan_target_value(model_file, tmp_path, capsys):
+    # NaN compares false with every value, so the run would never stop early
+    solve = ["solve", "--model", model_file, "--iters", "1", "--episodes", "4", "--horizon", "5",
+             "--out", str(tmp_path / "run")]
+    assert main(solve + ["--target-value", "nan"]) == 2
+    assert capsys.readouterr().err == "error: target_value must not be NaN\n"
+    assert not (tmp_path / "run").exists()
+    assert main(solve + ["--target-value", "1e9"]) == 0
+
+
 def test_solve_refuses_a_negative_iteration_count(model_file, tmp_path, capsys):
     # zero iterations is a valid run, so only a negative count is refused
     solve = ["solve", "--model", model_file, "--episodes", "4", "--horizon", "5", "--out", str(tmp_path / "run")]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -148,7 +150,8 @@ def test_train_loss_is_the_mean_of_the_last_epoch(monkeypatch):
 
 def test_invalid_config_rejected():
     for bad in (dict(method="nope"), dict(method="baseline-lower"), dict(extractor="qbn-e2e"),
-                *(dict(learning_rate=lr) for lr in (0.0, -1.0, float("nan"), float("inf")))):
+                *(dict(learning_rate=lr) for lr in (0.0, -1.0, float("nan"), float("inf"))),
+                dict(target_value=float("nan"))):
         with pytest.raises(ValueError):
             run(small_config(**bad), small_model())
     with pytest.raises(ValueError):
@@ -181,6 +184,72 @@ def test_baselines_never_select_worst_case(monkeypatch):
         run(small_config(method=method, iterations=2), model)
     with pytest.raises(AssertionError, match="adversary invoked"):
         run(small_config(method="pip", iterations=2), model)
+
+
+def record_calls(monkeypatch, name):
+    """Wrap ``planner.<name>``; the returned list gets (args, result) per call."""
+    calls, original = [], getattr(planner, name)
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(planner, name, recording)
+    return calls
+
+
+def test_pip_trains_each_round_on_the_worst_member_for_the_last_controller(monkeypatch):
+    midpoints = record_calls(monkeypatch, "nominal_midpoint")
+    adversary = record_calls(monkeypatch, "select_worst_case")
+    built = record_calls(monkeypatch, "build_fsc")
+    rollouts = record_calls(monkeypatch, "simulate")
+    result = run(small_config(method="pip", iterations=4), small_model())
+    assert np.isfinite([r.robust_value for r in result.records]).all()
+    assert len(adversary) == 3 and len(midpoints) == 1 and len(built) == len(rollouts) == 4
+    assert rollouts[0][0][0] is midpoints[0][1]
+    for r in range(1, 4):
+        (_, fsc, _), selected = adversary[r - 1]
+        assert fsc is built[r - 1][1]
+        assert rollouts[r][0][0] is selected.worst_case
+
+
+def test_pip_keeps_its_instance_after_an_infinite_round(monkeypatch):
+    evaluate = planner.robust_value_iteration
+    rounds = []
+
+    def infinite_once(chain):
+        values = evaluate(chain)
+        rounds.append(values)
+        return replace(values, at_initial=np.inf) if len(rounds) == 1 else values
+
+    monkeypatch.setattr(planner, "robust_value_iteration", infinite_once)
+    adversary = record_calls(monkeypatch, "select_worst_case")
+    rollouts = record_calls(monkeypatch, "simulate")
+    result = run(small_config(method="pip", iterations=3), small_model())
+    assert result.records[0].robust_value == np.inf and np.isfinite(result.records[1].robust_value)
+    # round 1 trains on round 0's midpoint; round 2 on the worst member for round 1's controller
+    assert len(adversary) == 1 and adversary[0][0][2] is rounds[1]
+    assert rollouts[1][0][0] is rollouts[0][0][0]
+    assert rollouts[2][0][0] is adversary[0][1].worst_case
+
+
+def test_baseline_random_draws_one_member_per_round(monkeypatch):
+    draws = record_calls(monkeypatch, "sample_member")
+    rollouts = record_calls(monkeypatch, "simulate")
+    run(small_config(method="baseline-random", supervision="fib", iterations=3, seed=7), small_model())
+    assert [args[1] for args, _ in draws] == [(7, it, 0) for it in range(3)]
+    assert [args[0] for args, _ in rollouts] == [member for _, member in draws]
+
+
+def test_a_run_without_rounds_builds_no_member(monkeypatch):
+    def boom(*_args, **_kwargs):
+        raise AssertionError("member built")
+
+    for name in ("nominal_midpoint", "sample_member", "select_worst_case"):
+        monkeypatch.setattr(planner, name, boom)
+    for method in METHODS:
+        assert run(small_config(method=method, iterations=0), small_model()).records == []
 
 
 def test_defaults_match_documented_configuration():

@@ -66,6 +66,23 @@ def random_trap_member(rng):
     ))
 
 
+def forced_trap_member(cost):
+    """Start 0 moves to state 1, which reaches goal 2 or trap 3 with probability 1/2
+    each; the trap loops.  Every non-goal row costs ``cost``, so q[0] and q[1] are
+    +inf whatever it is: infinity reaches state 0 one sweep after state 1."""
+    m = from_rows(
+        RobustPomdp,
+        num_states=4, num_actions=1, num_observations=4,
+        obs_of=np.arange(4),
+        transitions={(0, 0): {1: Interval(1.0, 1.0)}, (1, 0): {2: Interval(0.5, 0.5), 3: Interval(0.5, 0.5)},
+                     (2, 0): {2: Interval(1.0, 1.0)}, (3, 0): {3: Interval(1.0, 1.0)}},
+        cost={(0, 0): cost, (1, 0): cost, (2, 0): 0.0, (3, 0): cost},
+        goals=frozenset({2}),
+        initial_belief=np.eye(4)[0],
+    )
+    return nominal_midpoint(m)
+
+
 @pytest.mark.parametrize("solver", [solve_mdp, solve_fib])
 class TestBothBounds:
     @pytest.mark.parametrize("member", [
@@ -88,6 +105,13 @@ class TestBothBounds:
             assert np.isinf(bound.q[8]).all() and np.isinf(bound.q[0, 0]) and np.isfinite(bound.q[:8, 1:]).all()
             assert np.isinf(block[1::2]).all() and np.isinf(block[2::4, 0]).all()
             assert np.isfinite(block[::4]).all() and np.isfinite(block[::2, 1:]).all()
+
+    @pytest.mark.parametrize("cost", [0.0, 1e-12, 1.0])
+    def test_infinity_reaches_every_state_forced_through_it(self, solver, cost):
+        # at costs below tol no finite entry moves by tol in the sweep that makes
+        # q[1] infinite; the sweeps go on until q[0] is infinite too
+        q = solver(forced_trap_member(cost)).q
+        assert np.isinf(q[[0, 1, 3], 0]).all() and q[2, 0] == 0.0
 
     def test_costs_past_1e9_settle(self, solver):
         bound = solver(chain_model((3e9, 5e9)))
