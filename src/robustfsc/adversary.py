@@ -61,7 +61,7 @@ def select_worst_case(model: RobustPomdp, fsc: Fsc, values: RobustValues) -> Adv
     edges, counts = e.of_rows(touched)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     objective, probs = box_simplex_greedy(weight[edges], e.lo[edges], e.hi[edges], offsets, maximize=True)
-    worst = nominal_midpoint(model).edges.lo.copy()  # checks every box; rows not touched stay at the midpoint
+    worst = nominal_midpoint(model).edges.lo  # a fresh table; rows not touched stay at the midpoint
     worst[edges] = probs
     return AdversaryResult(
         worst_case=member_with(model, worst),

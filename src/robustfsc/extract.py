@@ -171,16 +171,15 @@ def _qbn_decode(q: QbnParams, code: np.ndarray, cache: list | None = None) -> np
 def _qbn_loss_and_grad(q: QbnParams, batch: np.ndarray, grad: QbnParams | None = None) -> tuple[float, QbnParams]:
     """Mean squared reconstruction error of ``batch`` through the quantizer
     and its straight-through gradient (see qbn_fit_posthoc), written into
-    ``grad``, zeroed first, when one is given."""
+    ``grad`` when one is given."""
     ecache, dcache = [], []
     e = _qbn_encode(q, batch, ecache)
     out = _qbn_decode(q, quantize(e, q.quant_levels), dcache)
     err = out - batch
     g = q.zeros_like() if grad is None else grad
-    g.flat[...] = 0.0
     dcode = dense_backward(q.decoder, DECODER_ACTIVATIONS, dcache, 2.0 * err / err.size, g.decoder)
-    dense_backward(q.encoder, q.encoder_activations, ecache, dcode, g.encoder)
-    return float((err * err).mean()), g
+    dense_backward(q.encoder, q.encoder_activations, ecache, dcode, g.encoder, input_grad=False)
+    return float(np.add.reduce(err * err, axis=None) / err.size), g  # the bits of (err * err).mean()
 
 
 def qbn_fit_posthoc(

@@ -113,6 +113,14 @@ class RobustPomdp:
         mask[[g for g in self.goals if 0 <= g < self.num_states]] = True
         return mask
 
+    @cached_property
+    def midpoint(self) -> np.ndarray:
+        """Probabilities of ``nominal_midpoint`` on each edge, projected once; read-only."""
+        e = self.edges
+        probs = _project(0.5 * (e.lo + e.hi), e.lo, e.hi, e.offsets)
+        probs.flags.writeable = False
+        return probs
+
     def realizable_observations(self) -> list[int]:
         return np.unique(self.obs_of).tolist()
 
@@ -380,20 +388,15 @@ def member_with(model: RobustPomdp, probs: np.ndarray) -> ConcretePomdp:
     )
 
 
-def _projected(model: RobustPomdp, targets: np.ndarray) -> ConcretePomdp:
-    e = model.edges
-    return member_with(model, _project(targets, e.lo, e.hi, e.offsets))
-
-
 def nominal_midpoint(model: RobustPomdp) -> ConcretePomdp:
-    """Member obtained by projecting interval midpoints onto each row simplex."""
-    return _projected(model, 0.5 * (model.edges.lo + model.edges.hi))
+    """Member obtained by projecting interval midpoints onto each row simplex, over a copy of ``model.midpoint``."""
+    return member_with(model, model.midpoint.copy())
 
 
 def sample_member(model: RobustPomdp, rng_seed: int | tuple[int, ...]) -> ConcretePomdp:
     """Random member: each entry uniform in its interval, rows projected."""
     e = model.edges
-    return _projected(model, np.random.default_rng(rng_seed).uniform(e.lo, e.hi))
+    return member_with(model, _project(np.random.default_rng(rng_seed).uniform(e.lo, e.hi), e.lo, e.hi, e.offsets))
 
 
 class DivergenceError(RuntimeError):

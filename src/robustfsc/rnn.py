@@ -124,16 +124,22 @@ HEAD_ACTIVATIONS = ("relu", "relu", "linear")
 
 def tanh_flat(x: np.ndarray) -> np.ndarray:
     """1.5 tanh(x) + 0.5 tanh(-3x): maps to [-1, 1] but flat around zero."""
-    return 1.5 * np.tanh(x) + 0.5 * np.tanh(-3.0 * x)
+    return _tanh_flat(x)[0]
 
 
-# activation name -> (function of the pre-activation, derivative from the
-# pre-activation and the output; None for the identity)
+def _tanh_flat(x: np.ndarray):
+    t, t3 = np.tanh(x), np.tanh(-3.0 * x)
+    return 1.5 * t + 0.5 * t3, (t, t3)
+
+
+# activation name -> (function of the pre-activation returning the output and
+# what the derivative reads, that derivative; None for the identity).  tanh is
+# odd bit for bit, so tanh_flat's tanh(-3x) ** 2 is tanh(3x) ** 2.
 ACTIVATIONS = {
-    "relu": (lambda pre: np.maximum(pre, 0.0), lambda pre, out: pre > 0),
-    "tanh": (np.tanh, lambda pre, out: 1.0 - out * out),
-    "tanh_flat": (tanh_flat, lambda pre, out: 1.5 * (np.tanh(3.0 * pre) ** 2 - np.tanh(pre) ** 2)),
-    "linear": (lambda pre: pre, None),
+    "relu": (lambda pre: (np.maximum(pre, 0.0),) * 2, lambda out: out > 0),
+    "tanh": (lambda pre: (np.tanh(pre),) * 2, lambda out: 1.0 - out * out),
+    "tanh_flat": (_tanh_flat, lambda t: 1.5 * (t[1] ** 2 - t[0] ** 2)),
+    "linear": (lambda pre: (pre, None), None),
 }
 
 
@@ -145,38 +151,40 @@ def dense_forward(layers, activations, x: np.ndarray, cache: list | None = None)
     for (w, b), act in zip(layers, activations):
         pre = x @ w.T
         pre += b
-        out = ACTIVATIONS[act][0](pre)
+        out, saved = ACTIVATIONS[act][0](pre)
         if cache is not None:
-            cache.append((x, pre, out))
-        del pre
+            cache.append((x, saved))
+        del pre, saved
         x = out
     return x
 
 
-def dense_backward(layers, activations, cache, dout: np.ndarray, grads) -> np.ndarray:
-    """Backprop ``dout`` through the stack; accumulates into the (gW, gb)
-    pairs of ``grads`` and returns the gradient of the stack's input.
+def dense_backward(layers, activations, cache, dout: np.ndarray, grads, input_grad: bool = True):
+    """Backprop ``dout`` through the stack, writing the (gW, gb) pairs of
+    ``grads``; returns the stack's input gradient (None unless ``input_grad``).
 
     A (T, B, .) input is a stack of T per-step batches: every product runs
     per step and the weight gradients sum the steps last first (_sum_steps).
     """
-    for (w, _), act, (x, pre, out), (gw, gb) in reversed(list(zip(layers, activations, cache, grads))):
+    for depth, ((w, _), act, (x, saved), (gw, gb)) in reversed(list(enumerate(zip(layers, activations, cache, grads)))):
         derivative = ACTIVATIONS[act][1]
-        dpre = dout if derivative is None else dout * derivative(pre, out)
-        gw += _sum_steps(dpre.swapaxes(-1, -2) @ x, 2)
-        gb += _sum_steps(dpre.sum(axis=-2), 1)
-        dout = dpre @ w
-    return dout
+        dpre = dout if derivative is None else dout * derivative(saved)
+        if dpre.ndim == 2:
+            np.matmul(dpre.T, x, out=gw)
+            dpre.sum(axis=0, out=gb)
+        else:
+            _sum_steps(dpre.swapaxes(1, 2) @ x, gw)
+            _sum_steps(dpre.sum(axis=1), gb)
+        if depth or input_grad:
+            dout = dpre @ w
+    return dout if input_grad else None
 
 
-def _sum_steps(a: np.ndarray, rank: int) -> np.ndarray:
-    """Sum a (T, ...) stack of per-step terms of ``rank`` dimensions over its
-    steps, last step first and one at a time: the order in which a
-    step-by-step backward pass accumulates them.  A lone term (no step
-    axis) passes through."""
-    if a.ndim == rank:
-        return a
-    return np.ascontiguousarray(a[::-1]).sum(axis=0)
+def _sum_steps(a: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the sum of the (T, ...) stack of per-step terms
+    ``a`` over its steps, last step first and one at a time: the order in
+    which a step-by-step backward pass accumulates them."""
+    np.ascontiguousarray(a[::-1]).sum(axis=0, out=out)
 
 
 def dense_init(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -255,7 +263,7 @@ def _loss_and_grad(
     log pi(a) read at each step's action index; hidden states thread
     from zero within each row.  Padded steps are masked out of both the loss
     and, because padding sits at episode tails, the gradient.
-    The gradient is written into ``grad``, zeroed first, when one is given.
+    The gradient is written into ``grad`` when one is given.
 
     Only the recurrence runs step by step (see the module docstring).
     """
@@ -277,7 +285,7 @@ def _loss_and_grad(
     loss /= normalizer
 
     g = params.zeros_like() if grad is None else grad
-    g.flat[...] = 0.0
+    g.emb[...] = 0.0  # the only gradient accumulated (np.add.at); every other one is written
     dlogits = np.exp(log_probs)
     dlogits[chosen] -= 1.0
     dlogits *= mask.T[:, :, None] / normalizer
@@ -301,9 +309,9 @@ def _loss_and_grad(
                                   (dpre_u, g.w_u, g.u_u, g.b_u, h_prev),
                                   (dpre_r, g.w_r, g.u_r, g.b_r, h_prev)):
         dpre_t = dpre.swapaxes(1, 2)
-        gw += _sum_steps(dpre_t @ x, 2)
-        gb += _sum_steps(dpre.sum(axis=1), 1)
-        gu += _sum_steps(dpre_t @ inp, 2)
+        _sum_steps(dpre_t @ x, gw)
+        _sum_steps(dpre.sum(axis=1), gb)
+        _sum_steps(dpre_t @ inp, gu)
     dx = dpre_r @ params.w_r + dpre_u @ params.w_u + dpre_h @ params.w_h
     np.add.at(g.emb, zs.T[::-1].reshape(-1), dx[::-1].reshape(-1, x.shape[-1]))
     return loss, g
@@ -335,13 +343,13 @@ def descend(params: FlatParams, batches, loss_and_grad, lr: float, clip_norm: fl
     trace: list[float] = []
     for t, batch in enumerate(batches, start=1):
         loss, _ = loss_and_grad(params, *batch, grad=grad)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise DivergenceError(f"{what} became non-finite at step {t - 1}")
         if clip_norm is not None:
-            norm = np.sqrt(g @ g)
+            norm = math.sqrt(g @ g)
             if norm > clip_norm:
                 g *= clip_norm / norm
-        correction = np.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
+        correction = math.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2

@@ -157,12 +157,12 @@ def _box_simplex_fill(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, offset
 
 def _rank_order(values: np.ndarray, pairs: np.ndarray, succ: np.ndarray, offsets: np.ndarray,
                maximize: bool) -> np.ndarray:
-    """``box_simplex_greedy``'s order of a chain's edges: one integer argsort of row * P + the rank of
-    the successor by (-value or value, pair).  A row's successors share one next node, so its edges
-    come in pair order and the rank breaks ties as the lexsort's stable order does."""
+    """``box_simplex_greedy``'s order of a chain's edges: one argsort of the unique keys row * P + the
+    rank of the successor by (-value or value, pair).  A row's successors share one next node, so its
+    edges come in pair order and the rank breaks ties as the lexsort's stable order does."""
     rank = np.empty(len(values), dtype=np.int64)
     rank[np.lexsort((pairs, -values if maximize else values))] = np.arange(len(values))
-    return np.argsort(np.repeat(np.arange(len(offsets) - 1) * len(values), np.diff(offsets)) + rank[succ])
+    return np.argsort(np.repeat(np.arange(len(offsets) - 1) * len(values), np.diff(offsets)) + rank[succ], kind="stable")
 
 
 @dataclass

@@ -7,7 +7,9 @@ exhaustive policy enumeration for small MDPs, a scalar re-implementation
 of the recurrent cell, the row-by-row member builder, the step-by-step
 network loops (controller synthesis, fidelity) that the batched extraction
 replaced, the per-episode rollout loop that lockstep simulation replaced,
-the per-step backpropagation through time that whole-sequence BPTT replaced,
+the per-step backpropagation through time that whole-sequence BPTT replaced
+(with its own policy head), the bottleneck's reconstruction gradient
+accumulated into a zeroed container as before gradients were written,
 the second product expansion the worst-case adversary read its weights from
 before the evaluated chain kept its terms, the product chain built one state
 at a time by a first-in first-out search, robust policy iteration with one
@@ -904,16 +906,43 @@ def sigmoid_reference(x):
     return out
 
 
+def head_reference(params, h):
+    """The policy head on one step's states, written out: two rectifier
+    layers, a linear one and the log-softmax.  Returns the log-probabilities
+    and each layer's (input, output)."""
+    layers, x = [], h
+    for i, (w, b) in enumerate(params.head):
+        out = x @ w.T + b
+        if i < len(params.head) - 1:
+            out = np.maximum(out, 0.0)
+        layers.append((x, out))
+        x = out
+    shifted = x - x.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)), layers
+
+
+def head_backward_reference(params, layers, dlogits, g):
+    """Backprop one step's ``dlogits`` through the head of
+    ``head_reference``; accumulates into g and returns the state's gradient."""
+    dout = dlogits
+    for i in range(len(params.head) - 1, -1, -1):
+        (w, _), (gw, gb), (x, out) = params.head[i], g.head[i], layers[i]
+        dpre = dout if i == len(params.head) - 1 else dout * (out > 0)
+        gw += dpre.T @ x
+        gb += dpre.sum(axis=0)
+        dout = dpre @ w
+    return dout
+
+
 def loss_and_grad_reference(params, zs, actions, mask, normalizer):
     """``rnn._loss_and_grad`` as one step after another: the GRU, the head,
-    the loss term and every weight gradient inside the time loops.
+    the loss term and every weight gradient inside the time loops, each
+    gradient zeroed first and accumulated step by step.
 
     The loss is sum over unmasked steps of CE(onehot(a), pi) / normalizer; hidden
     states thread from zero within each row.  Padded steps are masked out of
     both the loss and, because padding sits at episode tails, the gradient.
     """
-    from robustfsc.rnn import HEAD_ACTIVATIONS, _head, dense_backward
-
     b, t_max = zs.shape
     d = params.hidden_size
     h = np.zeros((b, d))
@@ -925,8 +954,7 @@ def loss_and_grad_reference(params, zs, actions, mask, normalizer):
     for t in range(t_max):
         x = params.emb[zs[:, t]]
         h, gcache = gru_step(params, h, x)
-        hcache = []
-        log_probs = _head(params, h, hcache)
+        log_probs, hcache = head_reference(params, h)
         loss -= float((mus[:, t] * log_probs).sum(axis=1) @ mask[:, t])
         gru_caches.append(gcache)
         head_caches.append(hcache)
@@ -939,7 +967,7 @@ def loss_and_grad_reference(params, zs, actions, mask, normalizer):
         probs = np.exp(log_probs_t[t])
         w = mask[:, t][:, None] / normalizer
         dlogits = (probs - mus[:, t]) * w
-        dh = dense_backward(params.head, HEAD_ACTIVATIONS, head_caches[t], dlogits, g.head) + dh_next
+        dh = head_backward_reference(params, head_caches[t], dlogits, g) + dh_next
         dh_prev, dx = _gru_backward_reference(params, gru_caches[t], dh, g)
         np.add.at(g.emb, zs[:, t], dx)
         dh_next = dh_prev
@@ -974,6 +1002,47 @@ def _gru_backward_reference(params, cache, dh, g):
     dh_prev += dpre_r @ params.u_r
     dx = dpre_r @ params.w_r + dpre_u @ params.w_u + dpre_h @ params.w_h
     return dh_prev, dx
+
+
+def qbn_loss_and_grad_reference(q, batch):
+    """``extract._qbn_loss_and_grad`` written out: tanh layers (a flattened
+    tanh last in a 3-level encoder), the quantizer, the decoder and the
+    straight-through backward pass, with the gradient zeroed first and
+    accumulated into, and every derivative recomputed from the
+    pre-activation."""
+    from robustfsc.extract import quantize
+
+    flat_last = q.quant_levels == 3
+
+    def forward(layers, x, flat):
+        cache = []
+        for i, (w, b) in enumerate(layers):
+            pre = x @ w.T + b
+            last_flat = flat and i == len(layers) - 1
+            out = 1.5 * np.tanh(pre) + 0.5 * np.tanh(-3.0 * pre) if last_flat else np.tanh(pre)
+            cache.append((x, pre, last_flat))
+            x = out
+        return x, cache
+
+    def backward(layers, cache, dout, grads):
+        for (w, _), (x, pre, last_flat), (gw, gb) in reversed(list(zip(layers, cache, grads))):
+            if last_flat:
+                dpre = dout * (1.5 * (np.tanh(3.0 * pre) ** 2 - np.tanh(pre) ** 2))
+            else:
+                dpre = dout * (1.0 - np.tanh(pre) ** 2)
+            gw += dpre.T @ x
+            gb += dpre.sum(axis=0)
+            dout = dpre @ w
+        return dout
+
+    code, ecache = forward(q.encoder, batch, flat_last)
+    out, dcache = forward(q.decoder, quantize(code, q.quant_levels), False)
+    err = out - batch
+    g = q.zeros_like()
+    g.flat[...] = 0.0
+    dcode = backward(q.decoder, dcache, 2.0 * err / err.size, g.decoder)
+    backward(q.encoder, ecache, dcode, g.encoder)
+    return float((err * err).mean()), g
 
 
 class AdamReference:

@@ -17,6 +17,7 @@ from oracles import (
     central_differences,
     forward,
     fsc_fidelity_reference,
+    qbn_loss_and_grad_reference,
 )
 from robustfsc.extract import (
     QbnParams,
@@ -250,10 +251,21 @@ class TestQbnGradient:
     def test_reused_dirty_container(self, levels):
         qbn, batch, _, fresh, _ = self.instance(levels)
         dirty = qbn.zeros_like()
-        dirty.flat[...] = np.random.default_rng(15).standard_normal(dirty.flat.size)
+        dirty.flat[...] = np.nan  # a gradient left unwritten stays NaN
         _, reused = _qbn_loss_and_grad(qbn, batch, dirty)
         assert reused is dirty
         assert np.array_equal(reused.flat, fresh.flat)
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_matches_the_accumulating_reference(self, levels, rows):
+        """The written gradient and the loss are, bit for bit, those of a pass
+        that zeroes the gradient, accumulates into it and recomputes tanh."""
+        qbn, batch, _, _, _ = self.instance(levels)
+        got_loss, got = _qbn_loss_and_grad(qbn, batch[:rows])
+        want_loss, want = qbn_loss_and_grad_reference(qbn, batch[:rows])
+        assert got_loss == want_loss
+        assert np.array_equal(got.flat, want.flat)
 
     def test_fields_are_views_after_every_constructor(self):
         qbn = qbn_init(5, 2, 3, rng_seed=0)

@@ -452,6 +452,36 @@ class TestEdgeTable:
         assert member.edges.lo[0] == 0.9
         assert not member.is_member_of(model)
 
+    def test_the_midpoint_is_projected_once_per_model(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _project(*args)
+
+        monkeypatch.setattr(model_module, "_project", counted)
+        model = generate_grid(GRID_FAMILIES[0], 3)
+        members = [nominal_midpoint(model) for _ in range(3)]
+        assert len(calls) == 1
+        assert not model.midpoint.flags.writeable
+        for member in members:
+            assert np.array_equal(member.edges.lo, model.midpoint)
+            assert member.edges.lo is not model.midpoint
+        nominal_midpoint(generate_grid(GRID_FAMILIES[0], 3))
+        assert len(calls) == 2  # a new model projects its own
+
+    def test_a_write_into_a_midpoint_member_stays_in_that_member(self):
+        model = tiny_model({0: Interval(0.2, 0.5), 1: Interval(0.5, 0.8)})
+        cached = model.midpoint.copy()
+        first = nominal_midpoint(model)
+        first.transitions[(0, 0)][0] = 0.9
+        second = nominal_midpoint(model)
+        assert first.edges.lo[0] == 0.9
+        assert np.array_equal(second.edges.lo, cached)
+        assert np.array_equal(model.midpoint, cached)
+        second.edges.lo[1] = 0.1
+        assert np.array_equal(model.midpoint, cached)
+
 
 class TestBeliefUpdate:
     def test_deterministic_chain(self):

@@ -265,7 +265,7 @@ class TestMatchesPerStepReference:
         args = (p, ds.observations, ds.actions, ds.mask, float(ds.num_steps))
         _, fresh = _loss_and_grad(*args)
         dirty = p.zeros_like()
-        dirty.flat[...] = np.random.default_rng(42).standard_normal(dirty.flat.size)
+        dirty.flat[...] = np.nan  # a gradient left unwritten stays NaN
         _, reused = _loss_and_grad(*args, grad=dirty)
         assert reused is dirty
         assert np.array_equal(reused.flat, fresh.flat)
@@ -307,6 +307,18 @@ def test_sigmoid_matches_the_masked_form():
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert np.isnan(_sigmoid(np.array([np.nan]))).all()
+
+
+def test_tanh_is_odd_bit_for_bit():
+    """tanh(-y) is -tanh(y) to the bit, zeros and subnormals included: the
+    derivative of tanh_flat squares the forward's tanh(-3x) for tanh(3x)."""
+    tiny = np.nextafter(0.0, 1.0)
+    y = np.concatenate([
+        [0.0, tiny, 2.0 * tiny, 1e-310, np.finfo(float).smallest_normal, np.inf],
+        np.geomspace(1e-8, 30.0, 200_001),
+    ])
+    for grid in (y, -y):
+        assert np.array_equal(np.tanh(-grid).view(np.int64), (-np.tanh(grid)).view(np.int64))
 
 
 def pair(a, b):
