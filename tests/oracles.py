@@ -14,6 +14,8 @@ the second product expansion the worst-case adversary read its weights from
 before the evaluated chain kept its terms, the product chain built one state
 at a time by a first-in first-out search, robust policy iteration with one
 direct sparse solve per member as it was before factorizations were reused,
+the supervision backups as they were before they took their action
+minimum column by column (FIB's per next action over every edge),
 an exact rational solve of a member chain, Grassmann-Taksar-Heyman
 elimination of a member chain, central finite differences for
 the hand-written backward passes, the model's load path as it was
@@ -58,7 +60,7 @@ from robustfsc.model import (
 from robustfsc.modelio import FSC_HEADER, MAX_FSC_ENTRIES, MODEL_HEADER, ModelDocument, ModelFormatError
 from robustfsc.rnn import _gru_recur, _loss_and_grad, policy_distribution
 from robustfsc.robusteval import RobustChain, RobustValues, _infinite_set, box_simplex_greedy
-from robustfsc.solvers import ChainSolver, DivergenceError
+from robustfsc.solvers import ChainSolver, DivergenceError, _by_observation, _sweep
 
 
 def box_simplex_candidates(lo, hi):
@@ -433,6 +435,30 @@ def bayes_posterior(member, belief, action, observation):
     if total <= 0.0:
         raise ValueError("observation has zero probability")
     return numer / total
+
+
+def qmdp_reference(member, tol=1e-9):
+    """solve_mdp with numpy's row minimum: v = q.min(axis=1) after each backup."""
+    succ, prob, _, _ = _by_observation(member)
+    cost, shape = member.edges.cost, (member.num_states, member.num_actions)
+
+    def backup(v):
+        return (cost + np.add.reduceat(prob * v[succ], member.edges.offsets[:-1])).reshape(shape)
+
+    return _sweep(member, backup, lambda q: q.min(axis=1), tol, "MDP value iteration")
+
+
+def fib_reference(member, tol=1e-9):
+    """solve_fib forming p q(s', a') for every edge and next action: each (s, a, z)
+    group summed per next action, then numpy's row minimum."""
+    succ, prob, group_starts, row_group_starts = _by_observation(member)
+    cost, shape = member.edges.cost, (member.num_states, member.num_actions)
+
+    def backup(q):
+        per_group = np.add.reduceat(prob[:, None] * q[succ], group_starts, axis=0)
+        return (cost + np.add.reduceat(per_group.min(axis=1), row_group_starts)).reshape(shape)
+
+    return _sweep(member, backup, lambda q: q, tol, "FIB iteration")
 
 
 def belief_value_recursive(member, belief, depth) -> float:

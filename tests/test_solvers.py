@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_rpomdp
-from oracles import belief_value_recursive, enumerate_policies_ssp, from_rows, interval_rows, product_chain_cost
+from oracles import (
+    belief_value_recursive, enumerate_policies_ssp, fib_reference, from_rows, interval_rows, product_chain_cost,
+    qmdp_reference,
+)
 import robustfsc.solvers as solvers
 from robustfsc.grids import GridSpec, generate_grid
 from robustfsc.model import ConcretePomdp, Edges, Fsc, Interval, RobustPomdp, nominal_midpoint
@@ -63,6 +66,33 @@ def random_trap_member(rng):
         obs_of=np.append(m.obs_of, 0), transitions=transitions,
         cost=cost | {(8, a): 1.0 for a in range(m.num_actions)}, goals=m.goals,
         initial_belief=np.append(m.initial_belief, 0.0),
+    ))
+
+
+def belief_tree_member():
+    """Rapidly absorbing 4-state model, so a depth-8 exact expansion leaves a truncation
+    gap far below the assertion slack.  Action 1 of state 0 reaches states 2 and 3, which
+    share observation 1: its (s, a, z) group holds two edges, every other group one."""
+    return nominal_midpoint(from_rows(
+        RobustPomdp,
+        num_states=4, num_actions=2, num_observations=2,
+        obs_of=np.array([0, 0, 1, 1]),
+        transitions={
+            (0, 0): {1: Interval(0.3, 0.3), 3: Interval(0.7, 0.7)},
+            (0, 1): {2: Interval(0.5, 0.5), 3: Interval(0.5, 0.5)},
+            (1, 0): {0: Interval(0.2, 0.2), 3: Interval(0.8, 0.8)},
+            (1, 1): {3: Interval(1.0, 1.0)},
+            (2, 0): {3: Interval(1.0, 1.0)},
+            (2, 1): {1: Interval(0.4, 0.4), 3: Interval(0.6, 0.6)},
+            (3, 0): {3: Interval(1.0, 1.0)},
+            (3, 1): {3: Interval(1.0, 1.0)},
+        },
+        cost={(s, a): c for (s, a), c in {
+            (0, 0): 1.0, (0, 1): 1.5, (1, 0): 0.6, (1, 1): 2.0,
+            (2, 0): 1.2, (2, 1): 0.4, (3, 0): 0.0, (3, 1): 0.0,
+        }.items()},
+        goals=frozenset({3}),
+        initial_belief=np.array([0.5, 0.5, 0.0, 0.0]),
     ))
 
 
@@ -333,30 +363,7 @@ class TestFib:
                     assert vectors.action_values(b)[a] <= stage + after + 1e-8
 
     def test_fib_below_exact_belief_tree(self):
-        # rapidly absorbing 4-state model so a depth-8 exact expansion leaves
-        # a truncation gap far below the assertion slack
-        m = from_rows(
-            RobustPomdp,
-            num_states=4, num_actions=2, num_observations=2,
-            obs_of=np.array([0, 0, 1, 1]),
-            transitions={
-                (0, 0): {1: Interval(0.3, 0.3), 3: Interval(0.7, 0.7)},
-                (0, 1): {2: Interval(0.5, 0.5), 3: Interval(0.5, 0.5)},
-                (1, 0): {0: Interval(0.2, 0.2), 3: Interval(0.8, 0.8)},
-                (1, 1): {3: Interval(1.0, 1.0)},
-                (2, 0): {3: Interval(1.0, 1.0)},
-                (2, 1): {1: Interval(0.4, 0.4), 3: Interval(0.6, 0.6)},
-                (3, 0): {3: Interval(1.0, 1.0)},
-                (3, 1): {3: Interval(1.0, 1.0)},
-            },
-            cost={(s, a): c for (s, a), c in {
-                (0, 0): 1.0, (0, 1): 1.5, (1, 0): 0.6, (1, 1): 2.0,
-                (2, 0): 1.2, (2, 1): 0.4, (3, 0): 0.0, (3, 1): 0.0,
-            }.items()},
-            goals=frozenset({3}),
-            initial_belief=np.array([0.5, 0.5, 0.0, 0.0]),
-        )
-        member = nominal_midpoint(m)
+        member = belief_tree_member()
         vectors = solve_fib(member, tol=1e-12)
         mdp_vals = solve_mdp(member, tol=1e-12)
         rng = np.random.default_rng(15)
@@ -379,6 +386,59 @@ class TestFib:
         )
         vectors = solve_fib(nominal_midpoint(m))
         assert np.isinf(vectors.q[0, 0])
+
+
+def group_sizes(member):
+    """Edges in each (s, a, O(s')) group of a member."""
+    _, _, group_starts, _ = solvers._by_observation(member)
+    return np.diff(group_starts, append=len(member.edges.succ))
+
+
+def grid_member(kind):
+    return nominal_midpoint(generate_grid(GridSpec(4, 4, kind)))
+
+
+@pytest.mark.parametrize("solver, reference", [(solve_mdp, qmdp_reference), (solve_fib, fib_reference)],
+                         ids=["qmdp", "fib"])
+class TestColumnMinimum:
+    """The backups take their action minimum column by column, and FIB per state where a group
+    holds one edge; every table equals the edge-by-edge reference bit for bit."""
+
+    def test_random_aliased_members(self, solver, reference):
+        rng = np.random.default_rng(39)
+        members = [nominal_midpoint(random_rpomdp(rng)) for _ in range(50)]
+        assert sum(bool((group_sizes(m) > 1).any()) for m in members) >= 25
+        for m in members:
+            assert np.array_equal(solver(m).q, reference(m).q)
+
+    def test_one_edge_and_two_edge_groups_mixed(self, solver, reference):
+        member = belief_tree_member()
+        assert sorted(set(group_sizes(member).tolist())) == [1, 2]
+        assert np.array_equal(solver(member).q, reference(member).q)
+
+    @pytest.mark.parametrize("member", [
+        *(grid_member(kind) for kind in ("intercept", "evade", "avoid")),
+        random_trap_member(np.random.default_rng(31)),
+        *(forced_trap_member(cost) for cost in (0.0, 1e-12, 1.0)),
+    ], ids=["intercept-4x4", "evade-4x4", "avoid-4x4", "random-with-trap", "forced-trap-0", "forced-trap-1e-12",
+            "forced-trap-1"])
+    def test_grids_and_traps(self, solver, reference, member):
+        q = solver(member).q
+        assert np.array_equal(q, reference(member).q)
+        if member.num_states == 4:  # the forced trap: +inf reaches every state forced through it
+            assert np.isinf(q[[0, 1, 3], 0]).all() and q[2, 0] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["intercept", "evade", "avoid"])
+def test_fib_is_qmdp_where_each_group_holds_one_edge(kind):
+    # each (s, a, O(s')) group one edge: FIB's backup is QMDP's, so the bounds share a fixed
+    # point and differ only in where their sweeps stop
+    member = grid_member(kind)
+    assert (group_sizes(member) == 1).all()
+    fib, qmdp = solve_fib(member, tol=1e-12).q, solve_mdp(member, tol=1e-12).q
+    infinite = np.isinf(qmdp)
+    assert np.array_equal(np.isinf(fib), infinite)
+    assert np.all(np.abs(fib - qmdp)[~infinite] <= 1e-12 * qmdp[~infinite])
 
 
 def _pinned(member, state):
